@@ -15,6 +15,7 @@ from .errors import DomainError, NonFiniteError, SingularMetricError
 # Central-difference step on unit-scaled charts: balances O(h^2) truncation
 # against double-precision roundoff (eps/h ~ 1e-11).
 FD_STEP = 1e-5
+NEWTON_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,20 @@ def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
         cols.append((np.asarray(func(x + e), dtype=float)
                      - np.asarray(func(x - e), dtype=float)) / (2.0 * h))
     return np.stack(cols, axis=-1)
+
+
+def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
+    """Solve func(x) = y by Newton iteration from x0 with central-difference
+    jacobians. Returns the first of NEWTON_ITERATIONS iterates whose residual
+    is below tol in the max-norm; raises NonFiniteError when none is."""
+    x = np.array(x0, dtype=float)
+    for _ in range(NEWTON_ITERATIONS):
+        r = func(x) - y
+        if float(np.max(np.abs(r))) < tol:
+            return x
+        x = x - np.linalg.solve(jacobian_fd(func, x), r)
+    raise NonFiniteError(f"Newton iteration from {x0} did not reach residual {tol:.0e} "
+                         f"in {NEWTON_ITERATIONS} steps")
 
 
 def differentiate(f: ChartMap, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

@@ -8,6 +8,7 @@ symmetric-orthonormalization of the kernel projection of a fixed reference
 basis, which is deterministic and smooth wherever no degeneracy occurs.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,11 +29,6 @@ GRID_SPACING = 0.05
 
 
 # -- frames and connection coefficients ----------------------------------------
-
-
-def frame_sections(frame: Callable, rank: int) -> list[Callable]:
-    """The frame columns as individual algebroid sections."""
-    return [lambda m, a=a: frame(m)[:, a] for a in range(rank)]
 
 
 def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
@@ -210,7 +206,11 @@ class ReconstructionResult:
 def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
                       path: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
     """Parallel-transport matrix of the connection along a path in frame
-    coordinates: solves dY/dt = -Gamma(path(t), path'(t)) Y by RK4."""
+    coordinates: solves dY/dt = -Gamma(path(t), path'(t)) Y by RK4.
+
+    The equation is linear with a coefficient independent of Y, so Gamma is
+    evaluated once per RK4 node (2 * steps + 1 times): k2 and k3 share the
+    midpoint, and each step's end is the next step's start, bit for bit."""
     Y = np.eye(rank)
     h = 1.0 / steps
     dt = 1e-6
@@ -219,15 +219,19 @@ def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
         return (np.asarray(path(t + dt), dtype=float)
                 - np.asarray(path(t - dt), dtype=float)) / (2 * dt)
 
-    def rhs(t, Y):
-        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot(t)) @ Y
+    def coeff(t):
+        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot(t))
 
     t = 0.0
+    C_end = coeff(t)
     for _ in range(steps):
-        k1 = rhs(t, Y)
-        k2 = rhs(t + 0.5 * h, Y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, Y + 0.5 * h * k2)
-        k4 = rhs(t + h, Y + h * k3)
+        C_start = C_end
+        C_mid = coeff(t + 0.5 * h)
+        C_end = coeff(t + h)
+        k1 = C_start @ Y
+        k2 = C_mid @ (Y + 0.5 * h * k1)
+        k3 = C_mid @ (Y + 0.5 * h * k2)
+        k4 = C_end @ (Y + h * k3)
         Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return Y
@@ -296,6 +300,8 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         hit = transport_cache.get(key)
         if hit is None:
             hit = _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0))
+            if len(transport_cache) > 4096:
+                transport_cache.clear()
             transport_cache[key] = hit
         return hit
 
@@ -337,7 +343,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     for m in probe_pts:
         for a in range(r):
             for i in range(model.n):
-                par = max(par, float(np.max(np.abs(
+                par = _worst(par, float(np.max(np.abs(
                     nabla(m, np.eye(model.n)[i], sections[a]).vec))))
 
     hom = 0.0
@@ -348,7 +354,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
                 lhs = (jacobian_fd(fields[b], m) @ fields[a](m)
                        - jacobian_fd(fields[a], m) @ fields[b](m))
                 rhs = sum(c[a, b, k] * fields[k](m) for k in range(r))
-                hom = max(hom, float(np.max(np.abs(lhs - rhs))))
+                hom = _worst(hom, float(np.max(np.abs(lhs - rhs))))
 
     return ReconstructionResult(
         dim_g0=r,
@@ -362,6 +368,12 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
             "path_dependence": path_dependence,
         },
     )
+
+
+def _worst(worst: float, value: float) -> float:
+    """Worst-case accumulator that reads NaN as +inf, so a bad sample can
+    never be dropped the way max(worst, nan) == worst drops it."""
+    return math.inf if math.isnan(value) else max(worst, value)
 
 
 def _lattice_offsets(axis: np.ndarray, n: int):
@@ -381,5 +393,5 @@ def _jacobi_residual(c: np.ndarray) -> float:
                     total += (c[a, b, e] * c[e, d]
                               + c[b, d, e] * c[e, a]
                               + c[d, a, e] * c[e, b])
-                worst = max(worst, float(np.max(np.abs(total))))
+                worst = _worst(worst, float(np.max(np.abs(total))))
     return worst

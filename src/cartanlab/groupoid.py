@@ -19,7 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcalc import ChartMap, FD_STEP, deriv_at_zero, differentiate, jacobian_fd
+from .chartcalc import (
+    ChartMap,
+    FD_STEP,
+    deriv_at_zero,
+    differentiate,
+    jacobian_fd,
+    newton_solve,
+)
 from .errors import (
     CompositionError,
     FrameError,
@@ -393,17 +400,9 @@ def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
     def phi(x):
         return model.tgt(np.asarray(b(x), dtype=float))
 
-    def phi_inv(y):
-        x = j.g.source.copy()
-        for _ in range(40):
-            r = phi(x) - y
-            if float(np.max(np.abs(r))) < 1e-14:
-                break
-            x = x - np.linalg.solve(jacobian_fd(phi, x), r)
-        return x
-
     def b_inv(y):
-        return model.inv(np.asarray(b(phi_inv(np.asarray(y, dtype=float))), dtype=float))
+        x = newton_solve(phi, np.asarray(y, dtype=float), j.g.source, 1e-14)
+        return model.inv(np.asarray(b(x), dtype=float))
 
     return oracle_jet(model, b_inv, m_tgt)
 

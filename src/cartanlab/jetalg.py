@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartcalc import jacobian_fd
+from .chartcalc import newton_solve
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
@@ -283,16 +283,12 @@ def kernel_section_pushforward(model: GroupoidModel, b, Phi):
     The returned section is evaluated by inverting the base transformation of
     b with Newton iteration."""
 
+    def base_map(x):
+        return model.tgt(np.asarray(b(x), dtype=float))
+
     def phi_at(mprime: np.ndarray) -> KernelHom:
         mprime = np.asarray(mprime, dtype=float)
-        # solve tgt(b(m)) = m'
-        m = mprime.copy()
-        for _ in range(40):
-            r = model.tgt(np.asarray(b(m), dtype=float)) - mprime
-            if float(np.max(np.abs(r))) < 1e-13:
-                break
-            J = jacobian_fd(lambda x: model.tgt(np.asarray(b(x), dtype=float)), m)
-            m = m - np.linalg.solve(J, r)
+        m = newton_solve(base_map, mprime, mprime, 1e-13)  # tgt(b(m)) = m'
         jb = oracle_jet(model, b, m)
         return adjoint_hom(model, jb, Phi(m))
 
@@ -307,18 +303,10 @@ def random_jet(model: GroupoidModel, S, g: Arrow,
     return jet_assemble(model, g, phi, S)
 
 
-def validate_jet(model: GroupoidModel, j: Jet1, tol: float = 1e-8) -> dict[str, float]:
-    """Deviations of a jet from its defining conditions: Tsrc . mu = id and
-    det(Ttgt . mu) bounded away from zero."""
-    sec = float(np.max(np.abs(model.Tsrc(j.g.coords) @ j.mu - np.eye(model.n))))
-    det = float(abs(np.linalg.det(adjoint_tm(model, j))))
-    return {"section_defect": sec, "tm_det": det}
-
-
 __all__ = [
     "KernelHom", "aut_mul", "aut_inv", "vee", "unvee", "zero_kernel_hom",
     "random_kernel_hom", "adjoint", "adjoint_tm", "adjoint_vec", "adjoint_hom",
     "jet_invert", "mul_kernel_right", "mul_kernel_left", "jet_decompose",
     "jet_assemble", "jet_mul", "assemble_bisection",
-    "kernel_section_pushforward", "random_jet", "validate_jet", "identity_jet",
+    "kernel_section_pushforward", "random_jet", "identity_jet",
 ]

@@ -12,6 +12,7 @@ from cartanlab.chartcalc import (
     differentiate,
     flow,
     jacobian_fd,
+    newton_solve,
 )
 from cartanlab.errors import DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_field
@@ -126,6 +127,20 @@ def test_flow_escape_raises():
     box = np.array([[-1.0, 1.0]])
     with raises(NonFiniteError):
         flow(lambda x: np.ones(1), np.array([0.9]), 1.0, steps=20, box=box)
+
+
+def test_newton_solve_converges():
+    def square(x):
+        return x * x
+
+    x = newton_solve(square, np.array([2.0]), np.array([1.0]), 1e-13)
+    assert abs(x[0] - np.sqrt(2.0)) < 1e-13
+
+
+def test_newton_solve_raises_without_root():
+    # x^2 + 1 = 0 has no real root, so no iterate converges
+    with raises(NonFiniteError):
+        newton_solve(lambda x: x * x + 1.0, np.zeros(1), np.array([0.5]), 1e-13)
 
 
 def test_christoffel_euclidean_zero():

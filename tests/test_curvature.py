@@ -1,17 +1,25 @@
+import importlib
+
 import numpy as np
 import pytest
 from pytest import raises
 
 from cartanlab.connection import infinitesimalize
 from cartanlab.curvature import (
+    _jacobi_residual,
+    _transport_matrix,
+    connection_matrix,
     curvature,
     flatness_experiment,
     frobenius_torsion,
     reconstruct_action,
 )
 from cartanlab.errors import FlatnessError
-from cartanlab.groupoid import sample_base_point
+from cartanlab.groupoid import aligned_frame, sample_base_point
 from cartanlab.models import PERTURBED_BOX
+
+# the package re-exports the function curvature under the submodule's name
+curvature_mod = importlib.import_module("cartanlab.curvature")
 
 
 @pytest.mark.parametrize("name", ["translation-R2", "pair-R2"])
@@ -154,3 +162,82 @@ def test_reconstruct_refuses_curved_connection(zoo):
     m0 = PERTURBED_BOX.mean(axis=1)
     with raises(FlatnessError):
         reconstruct_action(nab, m0, sample_count=2)
+
+
+def _four_evaluation_transport(nabla, frame, rank, path, steps=16):
+    """Reference RK4 transport that evaluates the coefficient at every stage."""
+    Y = np.eye(rank)
+    h = 1.0 / steps
+    dt = 1e-6
+
+    def gdot(t):
+        return (np.asarray(path(t + dt), dtype=float)
+                - np.asarray(path(t - dt), dtype=float)) / (2 * dt)
+
+    def rhs(t, Y):
+        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot(t)) @ Y
+
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(t, Y)
+        k2 = rhs(t + 0.5 * h, Y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, Y + 0.5 * h * k2)
+        k4 = rhs(t + h, Y + h * k3)
+        Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return Y
+
+
+def _transport_setup(zoo, name):
+    model, S = zoo(name)
+    nab = infinitesimalize(S, "direct-formula")
+    m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    frame = aligned_frame(model, m0)
+    return model, nab, m0, frame
+
+
+def _l_path(m0, corner):
+    def path(t):
+        p = m0.copy()
+        if t <= 0.5:
+            p[0] += (corner[0] - m0[0]) * 2 * t
+        else:
+            p[0] = corner[0]
+            p[1:] += (corner[1:] - m0[1:]) * (2 * t - 1)
+        return p
+
+    return path
+
+
+def test_transport_evaluates_coefficients_once_per_node(zoo, monkeypatch):
+    _, nab, m0, frame = _transport_setup(zoo, "isojet-sphere")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return connection_matrix(*args)
+
+    monkeypatch.setattr(curvature_mod, "connection_matrix", counting)
+    m1 = m0 + 0.15
+    _transport_matrix(nab, frame, frame.rank, lambda t: m0 + t * (m1 - m0), steps=16)
+    assert len(calls) == 2 * 16 + 1
+
+
+@pytest.mark.parametrize("name", ["isojet-sphere", "so3-sphere"])
+def test_transport_matches_four_evaluation_rk4_exactly(zoo, name):
+    model, nab, m0, frame = _transport_setup(zoo, name)
+    r = frame.rank
+    offset = np.linspace(0.2, -0.1, model.n)
+    paths = [_l_path(m0, m0 + np.full(model.n, 0.2)),
+             lambda t: m0 + t * offset]
+    for path in paths:
+        new = _transport_matrix(nab, frame, r, path)
+        old = _four_evaluation_transport(nab, frame, r, path)
+        assert np.array_equal(new, old)
+
+
+def test_jacobi_residual_reports_nan_as_infinite():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2] = np.nan
+    c[1, 0, 2] = np.nan
+    assert _jacobi_residual(c) == np.inf
