@@ -38,7 +38,6 @@ from .groupoid import (
     oracle_jet,
     oracle_jet_inverse,
     oracle_jet_mul,
-    tangent_map,
 )
 from .jetalg import (
     KernelHom,

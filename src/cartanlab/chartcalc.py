@@ -5,6 +5,7 @@ models are scaled so chart coordinates are O(1), which is what the default
 finite-difference step is tuned for.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,13 +63,8 @@ def in_box(x: np.ndarray, box: np.ndarray, margin: float = 0.0) -> bool:
 def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference jacobian of func at x, one column per coordinate."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(func(x + e), dtype=float)
-                     - np.asarray(func(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return np.stack([deriv_at_zero(lambda s: func(x + s * e), h)
+                     for e in np.eye(x.size)], axis=-1)
 
 
 def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
@@ -108,46 +104,69 @@ def differentiate(f: ChartMap, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
 
 def directional_derivative(func: Callable, x: np.ndarray, v: np.ndarray,
                            h: float = FD_STEP) -> np.ndarray:
-    """Central-difference derivative of func at x along direction v."""
+    """Central-difference derivative of func at x along direction v, with the
+    step taken along v / max|v|."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return np.zeros_like(np.asarray(func(x), dtype=float))
     u = v / scale
-    out = (np.asarray(func(x + h * u), dtype=float)
-           - np.asarray(func(x - h * u), dtype=float)) / (2.0 * h)
-    return scale * out
+    return scale * deriv_at_zero(lambda s: func(x + s * u), h)
 
 
 def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> np.ndarray:
-    """Central-difference derivative at t=0 of a curve of chart points."""
+    """Central-difference derivative at t=0 of a curve of chart points; every
+    finite difference in the library goes through this stencil."""
     return (np.asarray(curve(h), dtype=float) - np.asarray(curve(-h), dtype=float)) / (2.0 * h)
+
+
+def worst_case(worst: float, value: float) -> float:
+    """Worst-case accumulator that reads NaN as +inf, so a bad sample can
+    never be dropped the way max(worst, nan) == worst drops it."""
+    return math.inf if math.isnan(value) else max(worst, value)
+
+
+def rk4(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
+        t0: float, t1: float, steps: int,
+        check: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
+    """Classical fixed-step RK4 for dy/dt = rhs(t, y) from t0 to t1, on a state
+    array of any shape; global error O(((t1 - t0)/steps)^4).
+
+    Fixed stepping keeps results reproducible bit-for-bit for a fixed
+    configuration. Raises NonFiniteError when the state goes non-finite;
+    check(y), when given, runs after every step and may raise.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    y = np.array(y0, dtype=float)
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = np.asarray(rhs(t, y), dtype=float)
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
+        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
+        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteError(f"RK4 trajectory went non-finite at t={t}")
+        if check is not None:
+            check(y)
+    return y
 
 
 def flow(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t: float,
          steps: int, box: np.ndarray | None = None) -> np.ndarray:
-    """Classical fixed-step RK4 flow of a vector field; global error O((t/steps)^4).
+    """RK4 flow of a vector field for time t. Raises NonFiniteError if the
+    trajectory goes non-finite or leaves the supplied chart box."""
 
-    Fixed stepping keeps results reproducible bit-for-bit for a fixed
-    configuration. Raises NonFiniteError if the trajectory goes non-finite or
-    leaves the supplied chart box.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x = np.asarray(x0, dtype=float).copy()
-    h = float(t) / steps
-    for _ in range(steps):
-        k1 = np.asarray(field(x), dtype=float)
-        k2 = np.asarray(field(x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(field(x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(field(x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError("trajectory went non-finite")
-        if box is not None and not in_box(x, box):
+    def stay_in_box(x):
+        if not in_box(x, box):
             raise NonFiniteError(f"trajectory left the chart box at {x}")
-    return x
+
+    return rk4(lambda _, x: field(x), x0, 0.0, t, steps,
+               check=None if box is None else stay_in_box)
 
 
 def flow_with_tangent(field: Callable, field_jac: Callable, x0: np.ndarray,
@@ -157,27 +176,15 @@ def flow_with_tangent(field: Callable, field_jac: Callable, x0: np.ndarray,
     Used to push tangent vectors through a flow without differentiating the
     integrator from outside.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    h = float(t) / steps
+    n = np.size(x0)
 
-    def rhs(state):
-        y, w = state
-        return (np.asarray(field(y), dtype=float),
-                np.asarray(field_jac(y), dtype=float) @ w)
+    def rhs(_, y):
+        x, v = y[:n], y[n:]
+        return np.concatenate([np.asarray(field(x), dtype=float),
+                               np.asarray(field_jac(x), dtype=float) @ v])
 
-    for _ in range(steps):
-        k1 = rhs((x, v))
-        k2 = rhs((x + 0.5 * h * k1[0], v + 0.5 * h * k1[1]))
-        k3 = rhs((x + 0.5 * h * k2[0], v + 0.5 * h * k2[1]))
-        k4 = rhs((x + h * k3[0], v + h * k3[1]))
-        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise NonFiniteError("variational trajectory went non-finite")
-    return x, v
+    y = rk4(rhs, np.concatenate([x0, v0]), 0.0, t, steps)
+    return y[:n], y[n:]
 
 
 def metric_partials(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -185,9 +192,7 @@ def metric_partials(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.nda
     x = np.asarray(x, dtype=float)
     if m.dg is not None:
         return np.asarray(m.dg(x), dtype=float)
-    cols = [(m(x + h * e) - m(x - h * e)) / (2.0 * h)
-            for e in np.eye(m.dim)]
-    return np.stack(cols, axis=-1)
+    return jacobian_fd(m, x, h=h)
 
 
 def christoffel(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

@@ -29,8 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcalc import FD_STEP, directional_derivative, flow_with_tangent, in_box
-from .errors import EscapeError, NonFiniteError, SamplingError
+from .chartcalc import (
+    deriv_at_zero,
+    directional_derivative,
+    flow_with_tangent,
+    in_box,
+    jacobian_fd,
+    rk4,
+    worst_case,
+)
+from .errors import EscapeError, SamplingError
 from .groupoid import (
     AlgebroidVec,
     Arrow,
@@ -40,6 +48,7 @@ from .groupoid import (
     identity_jet,
     jet_distance,
     oracle_jet_mul,
+    outer_fd_step,
     right_invariant_field,
     sample_base_point,
 )
@@ -87,8 +96,8 @@ def check_unital(S: CartanConnection, rng: np.random.Generator, count: int = 20)
     worst = 0.0
     for _ in range(count):
         m = sample_base_point(S.model, rng)
-        worst = max(worst, jet_distance(S.jet(S.model.unit_arrow(m)),
-                                        identity_jet(S.model, m)))
+        worst = worst_case(worst, jet_distance(S.jet(S.model.unit_arrow(m)),
+                                               identity_jet(S.model, m)))
     return worst
 
 
@@ -108,7 +117,7 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50,
         drawn += 1
         lhs = S.jet(model.arrow(model.mul(g.coords, h.coords)))
         rhs = oracle_jet_mul(model, S.jet(g), S.jet(h))
-        worst = max(worst, jet_distance(lhs, rhs))
+        worst = worst_case(worst, jet_distance(lhs, rhs))
     if drawn == 0:
         raise SamplingError(f"no composable pairs drawn on {model.name}")
     report = MultiplicativityReport(drawn, worst, tolerance, worst <= tolerance, seed)
@@ -123,9 +132,8 @@ def _steps_for(span: float, target: float = ODE_STEP_TARGET) -> int:
     return max(1, int(np.ceil(abs(span) / target)))
 
 
-def _gamma_dot(gamma: Callable[[float], np.ndarray], t: float, h: float = 1e-6) -> np.ndarray:
-    return (np.asarray(gamma(t + h), dtype=float)
-            - np.asarray(gamma(t - h), dtype=float)) / (2.0 * h)
+def _gamma_dot(gamma: Callable[[float], np.ndarray], t: float) -> np.ndarray:
+    return deriv_at_zero(lambda s: gamma(t + s), 1e-6)
 
 
 def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
@@ -141,63 +149,38 @@ def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray]
         raise EscapeError("initial arrow does not sit over gamma(t0)")
     if steps is None:
         steps = _steps_for(t1 - t0)
-    x = g.coords.copy()
-    h = (t1 - t0) / steps
-    t = t0
 
-    def field(y, tau):
-        return np.asarray(S.mu_at(y), dtype=float) @ _gamma_dot(gamma, tau)
+    def rhs(t, x):
+        return np.asarray(S.mu_at(x), dtype=float) @ _gamma_dot(gamma, t)
 
-    for _ in range(steps):
-        k1 = field(x, t)
-        k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
-        k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
-        k4 = field(x + h * k3, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError("horizontal lift went non-finite")
+    def stay_in_box(x):
         if not in_box(x, model.domain_box):
             raise EscapeError(f"horizontal lift left the chart box at {x}")
-    return model.arrow(x)
+
+    return model.arrow(rk4(rhs, g.coords, t0, t1, steps, check=stay_in_box))
 
 
 def transport_with_vector(S: CartanConnection, gamma: Callable[[float], np.ndarray],
                           t0: float, t1: float, coords0: np.ndarray, w0: np.ndarray,
-                          steps: int | None = None,
-                          jac_step: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+                          steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal lift together with its linearization: integrates the
     variational system d(dg)/dt = D_g[mu(S(g)) gamma'(t)] . dg alongside the
     lift, which is how tangent vectors to source fibres are transported."""
-    model = S.model
+    N = S.model.N
     if steps is None:
         steps = _steps_for(t1 - t0)
-    x = np.asarray(coords0, dtype=float).copy()
-    w = np.asarray(w0, dtype=float).copy()
-    h = (t1 - t0) / steps
-    t = t0
 
-    def field(y, tau):
-        return np.asarray(S.mu_at(y), dtype=float) @ _gamma_dot(gamma, tau)
+    def rhs(t, y):
+        gdot = _gamma_dot(gamma, t)
 
-    def dfield(y, tau, delta):
-        scale = float(np.max(np.abs(delta)))
-        if scale == 0.0:
-            return np.zeros(model.N)
-        d = delta / scale
-        return scale * (field(y + jac_step * d, tau) - field(y - jac_step * d, tau)) / (2 * jac_step)
+        def field(x):
+            return np.asarray(S.mu_at(x), dtype=float) @ gdot
 
-    for _ in range(steps):
-        k1, l1 = field(x, t), dfield(x, t, w)
-        k2, l2 = field(x + 0.5 * h * k1, t + 0.5 * h), dfield(x + 0.5 * h * k1, t + 0.5 * h, w + 0.5 * h * l1)
-        k3, l3 = field(x + 0.5 * h * k2, t + 0.5 * h), dfield(x + 0.5 * h * k2, t + 0.5 * h, w + 0.5 * h * l2)
-        k4, l4 = field(x + h * k3, t + h), dfield(x + h * k3, t + h, w + h * l3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w = w + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        t += h
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-            raise NonFiniteError("variational lift went non-finite")
-    return x, w
+        x, w = y[:N], y[N:]
+        return np.concatenate([field(x), directional_derivative(field, x, w)])
+
+    y = rk4(rhs, np.concatenate([coords0, w0]), t0, t1, steps)
+    return y[:N], y[N:]
 
 
 def algebroid_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
@@ -229,12 +212,6 @@ class AlgebroidConnection:
         return self.nabla(np.asarray(m, dtype=float), np.asarray(v, dtype=float), X)
 
 
-def _field_noise_step(model: GroupoidModel) -> float:
-    # right-invariant fields are evaluated through analytic jacobian chains
-    # when available; otherwise widen the outer step to damp FD-over-FD noise
-    return FD_STEP if model.has_jacobians else 5e-4
-
-
 def infinitesimalize(S: CartanConnection, method: str = "direct-formula") -> AlgebroidConnection:
     """Build the induced algebroid connection by the named route; see the
     module docstring for the three methods."""
@@ -254,12 +231,11 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         # the right-invariant extension restricted to unit arrows is the
         # section itself (right translation by a unit is the identity), so the
         # first term needs only the section's own derivative
-        term1 = directional_derivative(lambda mm: np.asarray(X(mm), dtype=float),
-                                       m, v, h=FD_STEP)
+        term1 = directional_derivative(lambda mm: np.asarray(X(mm), dtype=float), m, v)
         xval = np.asarray(X(m), dtype=float)
         term2 = directional_derivative(
             lambda gg: np.asarray(S.mu_at(gg), dtype=float) @ v,
-            model.unit(m), xval, h=FD_STEP)
+            model.unit(m), xval)
         return algebroid_vec(model, m, term1 - term2, check=False)
 
     return AlgebroidConnection(model, nabla, "direct-formula")
@@ -267,16 +243,13 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
 
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
-    h_field = _field_noise_step(model)
-    dt = T_DIFF_STEP
+    h_field = outer_fd_step(model)
 
     def nabla(m, v, X):
         XR = right_invariant_field(model, X)
 
         def dXR(y):
-            return np.stack(
-                [(XR(y + h_field * e) - XR(y - h_field * e)) / (2 * h_field)
-                 for e in np.eye(model.N)], axis=1)
+            return jacobian_fd(XR, y, h=h_field)
 
         u = model.unit(m)
         v0 = model.Tunit(m) @ v
@@ -286,7 +259,7 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
             b_t = np.asarray(S.mu_at(g_t), dtype=float) @ v
             return a_t - b_t
 
-        val = (lifted_difference(dt) - lifted_difference(-dt)) / (2 * dt)
+        val = deriv_at_zero(lifted_difference, T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
     return AlgebroidConnection(model, nabla, "flow-formula")
@@ -294,7 +267,6 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
 
 def _infinitesimalize_transport(S: CartanConnection, path_factory=None) -> AlgebroidConnection:
     model = S.model
-    dt = T_DIFF_STEP
 
     def nabla(m, v, X):
         if path_factory is None:
@@ -310,7 +282,7 @@ def _infinitesimalize_transport(S: CartanConnection, path_factory=None) -> Algeb
             _, out = transport_with_vector(S, gamma, tau, 0.0, u, w, steps=4)
             return out
 
-        val = (transported(dt) - transported(-dt)) / (2 * dt)
+        val = deriv_at_zero(transported, T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
     return AlgebroidConnection(model, nabla, "parallel-transport")

@@ -8,13 +8,12 @@ symmetric-orthonormalization of the kernel projection of a fixed reference
 basis, which is deterministic and smooth wherever no degeneracy occurs.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chartcalc import jacobian_fd
+from .chartcalc import deriv_at_zero, directional_derivative, jacobian_fd, rk4, worst_case
 from .connection import AlgebroidConnection, CartanConnection, check_multiplicative
 from .errors import FlatnessError
 from .groupoid import (
@@ -59,14 +58,14 @@ class CurvatureTensor:
 
 
 def curvature(nabla: AlgebroidConnection, m: np.ndarray,
-              frame: Callable | None = None,
-              step: float = CURV_FD_STEP) -> CurvatureTensor:
+              frame: Callable | None = None) -> CurvatureTensor:
     """Curvature of the connection at m in a smooth kernel frame.
 
     Connection coefficients Gamma_i are computed at stencil points and
-    differentiated by central differences; the coordinate-field bracket term
-    vanishes, leaving R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j],
-    which is exactly antisymmetric by construction.
+    differentiated by central differences at CURV_FD_STEP; the coordinate-field
+    bracket term vanishes, leaving
+    R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j], which is exactly
+    antisymmetric by construction.
     """
     model = nabla.model
     m = np.asarray(m, dtype=float)
@@ -83,8 +82,8 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray,
     dG = np.empty((n, n, r, r))  # dG[i, j] = d_i Gamma_j
     for i in range(n):
         for j in range(n):
-            dG[i, j] = (gamma(m + step * eye[i], j)
-                        - gamma(m - step * eye[i], j)) / (2.0 * step)
+            dG[i, j] = directional_derivative(lambda p: gamma(p, j), m, eye[i],
+                                              CURV_FD_STEP)
     R = np.zeros((n, n, r, r))
     for i in range(n):
         for j in range(n):
@@ -95,7 +94,7 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray,
 # -- involutivity of the horizontal plane field ---------------------------------
 
 
-def frobenius_torsion(S: CartanConnection, g: Arrow, h: float = 1e-5) -> np.ndarray:
+def frobenius_torsion(S: CartanConnection, g: Arrow) -> np.ndarray:
     """Obstruction to involutivity at an arrow: Lie brackets of the horizontal
     lift fields V_i(g') = mu(g') e_i, projected modulo the horizontal plane by
     orthogonal least squares. Returns tau[i, j] in chart coordinates,
@@ -111,14 +110,7 @@ def frobenius_torsion(S: CartanConnection, g: Arrow, h: float = 1e-5) -> np.ndar
     mu0 = V(x)
     Q, _ = np.linalg.qr(mu0)
     P_perp = np.eye(N) - Q @ Q.T
-    # DV[k] = jacobian of the k-th lift field at g
-    DV = np.empty((n, N, N))
-    for l in range(N):
-        e = np.zeros(N)
-        e[l] = h
-        diff = (V(x + e) - V(x - e)) / (2.0 * h)  # (N, n)
-        for k in range(n):
-            DV[k][:, l] = diff[:, k]
+    DV = np.moveaxis(jacobian_fd(V, x), 1, 0)  # DV[k]: jacobian of the k-th lift field
     tau = np.zeros((n, n, N))
     for i in range(n):
         for j in range(i + 1, n):
@@ -208,33 +200,22 @@ def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
     """Parallel-transport matrix of the connection along a path in frame
     coordinates: solves dY/dt = -Gamma(path(t), path'(t)) Y by RK4.
 
-    The equation is linear with a coefficient independent of Y, so Gamma is
-    evaluated once per RK4 node (2 * steps + 1 times): k2 and k3 share the
-    midpoint, and each step's end is the next step's start, bit for bit."""
-    Y = np.eye(rank)
-    h = 1.0 / steps
-    dt = 1e-6
+    The coefficient does not depend on Y, so it is kept for the latest node
+    time and evaluated once per RK4 node (2 * steps + 1 times): k2 and k3
+    share the midpoint, and each step's end is the next step's start, bit for
+    bit. Raises NonFiniteError when Y goes non-finite."""
+    latest: dict[float, np.ndarray] = {}
 
-    def gdot(t):
-        return (np.asarray(path(t + dt), dtype=float)
-                - np.asarray(path(t - dt), dtype=float)) / (2 * dt)
+    def rhs(t, Y):
+        C = latest.get(t)
+        if C is None:
+            latest.clear()
+            gdot = deriv_at_zero(lambda s: path(t + s), 1e-6)
+            C = latest[t] = -connection_matrix(
+                nabla, frame, rank, np.asarray(path(t), dtype=float), gdot)
+        return C @ Y
 
-    def coeff(t):
-        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot(t))
-
-    t = 0.0
-    C_end = coeff(t)
-    for _ in range(steps):
-        C_start = C_end
-        C_mid = coeff(t + 0.5 * h)
-        C_end = coeff(t + h)
-        k1 = C_start @ Y
-        k2 = C_mid @ (Y + 0.5 * h * k1)
-        k3 = C_mid @ (Y + 0.5 * h * k2)
-        k4 = C_end @ (Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return Y
+    return rk4(rhs, np.eye(rank), 0.0, 1.0, steps)
 
 
 def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
@@ -343,7 +324,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     for m in probe_pts:
         for a in range(r):
             for i in range(model.n):
-                par = _worst(par, float(np.max(np.abs(
+                par = worst_case(par, float(np.max(np.abs(
                     nabla(m, np.eye(model.n)[i], sections[a]).vec))))
 
     hom = 0.0
@@ -354,7 +335,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
                 lhs = (jacobian_fd(fields[b], m) @ fields[a](m)
                        - jacobian_fd(fields[a], m) @ fields[b](m))
                 rhs = sum(c[a, b, k] * fields[k](m) for k in range(r))
-                hom = _worst(hom, float(np.max(np.abs(lhs - rhs))))
+                hom = worst_case(hom, float(np.max(np.abs(lhs - rhs))))
 
     return ReconstructionResult(
         dim_g0=r,
@@ -368,12 +349,6 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
             "path_dependence": path_dependence,
         },
     )
-
-
-def _worst(worst: float, value: float) -> float:
-    """Worst-case accumulator that reads NaN as +inf, so a bad sample can
-    never be dropped the way max(worst, nan) == worst drops it."""
-    return math.inf if math.isnan(value) else max(worst, value)
 
 
 def _lattice_offsets(axis: np.ndarray, n: int):
@@ -393,5 +368,5 @@ def _jacobi_residual(c: np.ndarray) -> float:
                     total += (c[a, b, e] * c[e, d]
                               + c[b, d, e] * c[e, a]
                               + c[d, a, e] * c[e, b])
-                worst = _worst(worst, float(np.max(np.abs(total))))
+                worst = worst_case(worst, float(np.max(np.abs(total))))
     return worst

@@ -24,6 +24,7 @@ from .chartcalc import (
     FD_STEP,
     deriv_at_zero,
     differentiate,
+    directional_derivative,
     jacobian_fd,
     newton_solve,
 )
@@ -237,29 +238,6 @@ def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
     return deriv_at_zero(lambda t: model.inv(at.coords + t * v))
 
 
-def tangent_map(model: GroupoidModel, which: str, at: Arrow, v: np.ndarray,
-                g: Arrow | None = None) -> np.ndarray:
-    """Tangent map of a structure map at `at` applied to v.
-
-    which is one of "L" (left multiplication by g), "R" (right multiplication
-    by g), "I" (inversion), "src", "tgt". Left/right multiplication require the
-    extra arrow g.
-    """
-    if which in ("L", "R") and g is None:
-        raise ValueError("left/right translation needs the multiplying arrow g")
-    if which == "L":
-        return left_translate(model, g, at, v)
-    if which == "R":
-        return right_translate(model, g, at, v)
-    if which == "I":
-        return inv_tangent(model, at, v)
-    if which == "src":
-        return model.Tsrc(at.coords) @ np.asarray(v, dtype=float)
-    if which == "tgt":
-        return model.Ttgt(at.coords) @ np.asarray(v, dtype=float)
-    raise ValueError(f"unknown structure map {which!r}")
-
-
 # -- anchor, right-invariant extension, bracket ------------------------------
 
 
@@ -282,35 +260,28 @@ def right_invariant_field(model: GroupoidModel,
     return field_at
 
 
+def outer_fd_step(model: GroupoidModel) -> float:
+    """Step for a derivative of right-invariant fields: the standard FD step
+    when the model carries analytic jacobians (the fields are then noise-free),
+    wider otherwise to keep the derivative-of-derivative roundoff in check."""
+    return FD_STEP if model.has_jacobians else 5e-4
+
+
 def algebroid_bracket(model: GroupoidModel,
                       X: Callable[[np.ndarray], np.ndarray],
                       Y: Callable[[np.ndarray], np.ndarray],
-                      m: np.ndarray,
-                      h_outer: float | None = None) -> AlgebroidVec:
+                      m: np.ndarray) -> AlgebroidVec:
     """Lie bracket of two algebroid sections at m, computed from their
-    right-invariant extensions: [X, Y] = (D Y^R . X^R - D X^R . Y^R)(unit(m)).
-
-    The outer derivative step defaults to the standard FD step when the model
-    carries analytic jacobians (the fields are then noise-free) and widens
-    otherwise to keep the derivative-of-derivative roundoff in check.
+    right-invariant extensions: [X, Y] = (D Y^R . X^R - D X^R . Y^R)(unit(m)),
+    with the outer derivative at outer_fd_step(model).
     """
-    if h_outer is None:
-        h_outer = FD_STEP if model.has_jacobians else 5e-4
     m = np.asarray(m, dtype=float)
     u = model.unit(m)
     XR = right_invariant_field(model, X)
     YR = right_invariant_field(model, Y)
-    xr = XR(u)
-    yr = YR(u)
-
-    def dfield(F, direction):
-        scale = float(np.max(np.abs(direction)))
-        if scale == 0.0:
-            return np.zeros(model.N)
-        d = direction / scale
-        return scale * (F(u + h_outer * d) - F(u - h_outer * d)) / (2.0 * h_outer)
-
-    val = dfield(YR, xr) - dfield(XR, yr)
+    xr, yr = XR(u), YR(u)
+    h = outer_fd_step(model)
+    val = directional_derivative(YR, u, xr, h) - directional_derivative(XR, u, yr, h)
     return algebroid_vec(model, m, val, check=False)
 
 
@@ -414,9 +385,10 @@ def identity_jet(model: GroupoidModel, m: np.ndarray) -> Jet1:
 
 
 def jet_distance(j1: Jet1, j2: Jet1) -> float:
-    """Max-norm distance between jets: arrow coordinates and mu entries."""
-    return max(float(np.max(np.abs(j1.g.coords - j2.g.coords))),
-               float(np.max(np.abs(j1.mu - j2.mu))))
+    """Max-norm distance between jets: arrow coordinates and mu entries; NaN
+    when either jet holds a NaN."""
+    return float(np.maximum(np.max(np.abs(j1.g.coords - j2.g.coords)),
+                            np.max(np.abs(j1.mu - j2.mu))))
 
 
 # -- sampling ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..chartcalc import ChartMap, FD_STEP, directional_derivative
+from ..chartcalc import ChartMap, deriv_at_zero, directional_derivative, jacobian_fd
 from ..connection import AlgebroidConnection, CartanConnection
 from ..errors import SliceError, TransitivityError
 from ..groupoid import (
@@ -335,10 +335,7 @@ def classical_curvature(cc: ClassicalCartan, bracket_v: Callable,
     p = np.asarray(p, dtype=float)
     k = cc.p_dim
     W = np.asarray(cc.omega_matrix(p), dtype=float)
-    dW = np.stack([
-        (np.asarray(cc.omega_matrix(p + FD_STEP * e), dtype=float)
-         - np.asarray(cc.omega_matrix(p - FD_STEP * e), dtype=float)) / (2 * FD_STEP)
-        for e in np.eye(k)], axis=2)  # dW[:, j, i] = d_i W[:, j]
+    dW = jacobian_fd(cc.omega_matrix, p)  # dW[:, j, i] = d_i W[:, j]
     omega_vals = [W[:, i] for i in range(k)]
     out = np.zeros((k, k, cc.v_dim))
     for i in range(k):
@@ -351,8 +348,7 @@ def classical_curvature(cc: ClassicalCartan, bracket_v: Callable,
 
 
 def classical_curvature_parallel_frame(cc: ClassicalCartan, bracket_v: Callable,
-                                       p: np.ndarray,
-                                       h_dir: float = 5e-4) -> tuple[np.ndarray, np.ndarray]:
+                                       p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Curvature evaluated on the omega-parallel frame E_a = W^-1 v_a together
     with its parallelism derivative (nabla-bar Omega)_{c,ab} = E_c . Omega(E_a, E_b).
 
@@ -388,9 +384,8 @@ def classical_curvature_parallel_frame(cc: ClassicalCartan, bracket_v: Callable,
 
     F0 = F(p)
     E0 = frame(p)
-    grads = np.stack([
-        (F(p + h_dir * E0[:, c]) - F(p - h_dir * E0[:, c])) / (2 * h_dir)
-        for c in range(k)], axis=0)
+    grads = np.stack([deriv_at_zero(lambda s: F(p + s * E0[:, c]), 5e-4)
+                      for c in range(k)], axis=0)
     return F0, grads
 
 

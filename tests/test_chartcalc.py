@@ -11,8 +11,10 @@ from cartanlab.chartcalc import (
     christoffel,
     differentiate,
     flow,
+    flow_with_tangent,
     jacobian_fd,
     newton_solve,
+    rk4,
 )
 from cartanlab.errors import DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_field
@@ -127,6 +129,23 @@ def test_flow_escape_raises():
     box = np.array([[-1.0, 1.0]])
     with raises(NonFiniteError):
         flow(lambda x: np.ones(1), np.array([0.9]), 1.0, steps=20, box=box)
+
+
+def test_rk4_raises_on_blow_up():
+    # dy/dt = y^2, y(0) = 1 blows up at t = 1
+    with np.errstate(over="ignore", invalid="ignore"), raises(NonFiniteError):
+        rk4(lambda t, y: y * y, np.ones(1), 0.0, 2.0, steps=200)
+
+
+def test_flow_with_tangent_rotation_closed_form():
+    # f(x) = A x rotates the plane, so both x and v rotate by angle t
+    A = np.array([[0.0, -1.0], [1.0, 0.0]])
+    x0, v0, t = np.array([0.3, -0.2]), np.array([0.5, 0.7]), 1.3
+    x, v = flow_with_tangent(lambda x: A @ x, lambda x: A, x0, v0, t, steps=200)
+    c, s = np.cos(t), np.sin(t)
+    R = np.array([[c, -s], [s, c]])
+    assert np.max(np.abs(x - R @ x0)) < 1e-9
+    assert np.max(np.abs(v - R @ v0)) < 1e-9
 
 
 def test_newton_solve_converges():

@@ -10,11 +10,13 @@ from cartanlab.connection import (
     infinitesimalize,
     infinitesimalize_along,
     parallel_transport,
+    transport_with_vector,
 )
 from cartanlab.errors import EscapeError
 from cartanlab.groupoid import (
     algebroid_vec,
     aligned_frame,
+    kernel_basis,
     random_section,
     sample_base_point,
 )
@@ -35,6 +37,35 @@ def test_multiplicativity_all_shipped(zoo, name, rng):
     rep = check_multiplicative(S, seed=5, count=30)
     assert rep.max_error <= 1e-7
     assert check_unital(S, rng) <= 1e-9
+
+
+def _nan_on_call(mu_at, call):
+    """mu_at returning an all-NaN jet on its call-th call and exact ones otherwise."""
+    calls = [0]
+
+    def wrapped(coords):
+        calls[0] += 1
+        out = np.asarray(mu_at(coords), dtype=float)
+        return np.full_like(out, np.nan) if calls[0] == call else out
+
+    return wrapped
+
+
+def test_multiplicativity_fails_on_one_nan_jet(zoo):
+    # call 31 is the product jet of the 11th of 20 samples; max(worst, nan)
+    # would drop it and pass with max_error ~7e-12
+    model, S = zoo("pair-R2")
+    bad = CartanConnection(model, _nan_on_call(S.mu_at, 31))
+    rep = check_multiplicative(bad, seed=0, count=20)
+    assert rep.samples == 20
+    assert rep.max_error == np.inf
+    assert not rep.passed
+
+
+def test_unitality_reports_nan_jet_as_infinite(zoo):
+    model, S = zoo("pair-R2")
+    bad = CartanConnection(model, _nan_on_call(S.mu_at, 5))
+    assert check_unital(bad, np.random.default_rng(0)) == np.inf
 
 
 def test_multiplicativity_detects_kernel_fault(zoo):
@@ -107,6 +138,25 @@ def test_transport_escape(zoo, rng):
     g = model.arrow(model.arrow_with_source(m, rng))
     with raises(EscapeError):
         parallel_transport(S, lambda t: m + t * np.array([3.0, 0.0]), 0.0, 1.0, g)
+
+
+def test_transport_with_vector_matches_endpoint_differences(zoo):
+    # w is the derivative of the transported endpoint along the initial
+    # source-vertical direction w0
+    model, S = zoo("se2-action")
+    m = np.array([0.1, -0.2])
+    gamma = lambda t: m + t * np.array([0.3, 0.25])
+    u0 = model.unit(m)
+    w0 = kernel_basis(model, m) @ np.array([0.6, -0.4, 0.8])
+    x, w = transport_with_vector(S, gamma, 0.0, 1.0, u0, w0)
+    eps = 1e-5
+
+    def endpoint(s):
+        return parallel_transport(S, gamma, 0.0, 1.0, model.arrow(u0 + s * w0)).coords
+
+    assert np.max(np.abs(x - endpoint(0.0))) < 1e-12
+    fd = (endpoint(eps) - endpoint(-eps)) / (2 * eps)
+    assert np.max(np.abs(w - fd)) < 1e-7
 
 
 def test_algebroid_transport_linear_on_fibres(zoo, rng):

@@ -14,7 +14,7 @@ from cartanlab.curvature import (
     frobenius_torsion,
     reconstruct_action,
 )
-from cartanlab.errors import FlatnessError
+from cartanlab.errors import FlatnessError, NonFiniteError
 from cartanlab.groupoid import aligned_frame, sample_base_point
 from cartanlab.models import PERTURBED_BOX
 
@@ -234,6 +234,15 @@ def test_transport_matches_four_evaluation_rk4_exactly(zoo, name):
         new = _transport_matrix(nab, frame, r, path)
         old = _four_evaluation_transport(nab, frame, r, path)
         assert np.array_equal(new, old)
+
+
+def test_transport_raises_on_non_finite_coefficients(zoo, monkeypatch):
+    _, nab, m0, frame = _transport_setup(zoo, "isojet-sphere")
+    r = frame.rank
+    monkeypatch.setattr(curvature_mod, "connection_matrix",
+                        lambda *args: np.full((r, r), np.nan))
+    with raises(NonFiniteError):
+        _transport_matrix(nab, frame, r, lambda t: m0 + t * 0.1)
 
 
 def test_jacobi_residual_reports_nan_as_infinite():
