@@ -169,19 +169,22 @@ def flow(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t: float,
                check=None if box is None else stay_in_box)
 
 
-def flow_with_tangent(field: Callable, field_jac: Callable, x0: np.ndarray,
+def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
                       v0: np.ndarray, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 flow of (x, v) under the variational system dv/dt = Df(x) v.
 
-    Used to push tangent vectors through a flow without differentiating the
-    integrator from outside.
+    field_jvp(x, v) returns the product Df(x) v. The system never needs the
+    full jacobian, so a caller without an analytic one can pass a single
+    directional difference (directional_derivative(field, x, v)): two field
+    evaluations per stage instead of 2 dim(x). Used to push tangent vectors
+    through a flow without differentiating the integrator from outside.
     """
     n = np.size(x0)
 
     def rhs(_, y):
         x, v = y[:n], y[n:]
         return np.concatenate([np.asarray(field(x), dtype=float),
-                               np.asarray(field_jac(x), dtype=float) @ v])
+                               np.asarray(field_jvp(x, v), dtype=float)])
 
     y = rk4(rhs, np.concatenate([x0, v0]), 0.0, t, steps)
     return y[:n], y[n:]

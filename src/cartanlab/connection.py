@@ -12,8 +12,10 @@ routes:
 * "flow-formula": the coordinate-function identity
       <df, nabla_v X> = d/dt <df, T_m(Phi^t . unit) v> - d/dt <df, S(Phi^t(m)) v>
   evaluated with RK4 flows of the right-invariant extension and outer central
-  t-differences (step 1e-3). The chart coordinate functions span the test
-  functions, so the identity determines nabla.
+  t-differences (step 1e-3); the tangent is pushed through the flow by the
+  matrix-free variational system (one directional difference of X^R per
+  stage). The chart coordinate functions span the test functions, so the
+  identity determines nabla.
 * "parallel-transport": differentiate the parallel action of the horizontal
   distribution along a path with initial velocity v, again with outer central
   t-differences.
@@ -34,7 +36,6 @@ from .chartcalc import (
     directional_derivative,
     flow_with_tangent,
     in_box,
-    jacobian_fd,
     rk4,
     worst_case,
 )
@@ -248,8 +249,8 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     def nabla(m, v, X):
         XR = right_invariant_field(model, X)
 
-        def dXR(y):
-            return jacobian_fd(XR, y, h=h_field)
+        def dXR(y, w):
+            return directional_derivative(XR, y, w, h=h_field)
 
         u = model.unit(m)
         v0 = model.Tunit(m) @ v

@@ -8,7 +8,7 @@ fixed (config, seed).
 
 import numpy as np
 
-from .chartcalc import jacobian_fd
+from .chartcalc import jacobian_fd, worst_case
 from .connection import (
     check_multiplicative,
     check_unital,
@@ -106,14 +106,14 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
         g, h = model.sample_composable(rng)
         j1 = random_jet(model, S.jet, g, rng)
         j2 = random_jet(model, S.jet, h, rng)
-        worst_rt = max(worst_rt, jet_distance(
+        worst_rt = worst_case(worst_rt, jet_distance(
             oracle_jet(model, extend_bisection(model, j1), j1.g.source), j1))
         k = model.arrow(model.arrow_with_source(g.target, rng))
         j0 = random_jet(model, S.jet, k, rng)
         lhs = oracle_jet_mul(model, oracle_jet_mul(model, j0, j1), j2)
         rhs = oracle_jet_mul(model, j0, oracle_jet_mul(model, j1, j2))
-        worst_assoc = max(worst_assoc, jet_distance(lhs, rhs))
-        worst_invlaw = max(worst_invlaw, jet_distance(
+        worst_assoc = worst_case(worst_assoc, jet_distance(lhs, rhs))
+        worst_invlaw = worst_case(worst_invlaw, jet_distance(
             oracle_jet_mul(model, j1, oracle_jet_inverse(model, j1)),
             identity_jet(model, j1.g.target)))
     checks.append(Check("oracle-jet-roundtrip", count, worst_rt,
@@ -136,8 +136,8 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
 
         Xa, Ya = anchored(X), anchored(Y)
         rhs = jacobian_fd(Ya, m) @ Xa(m) - jacobian_fd(Xa, m) @ Ya(m)
-        worst_anchor = max(worst_anchor, float(np.max(np.abs(lhs - rhs))))
-        worst_anti = max(worst_anti, float(np.max(np.abs(
+        worst_anchor = worst_case(worst_anchor, float(np.max(np.abs(lhs - rhs))))
+        worst_anti = worst_case(worst_anti, float(np.max(np.abs(
             algebroid_bracket(model, X, X, m).vec))))
     checks.append(Check("anchor-bracket-homomorphism", max(5, count // 4),
                         worst_anchor, _tol(config, "anchor-bracket-homomorphism", 1e-6)))
@@ -153,10 +153,10 @@ def run_inversion(model, S, config, count) -> list[Check]:
         g = model.sample_arrow(rng)
         j = random_jet(model, S.jet, g, rng)
         jinv = jet_invert(model, j)
-        worst_vs_oracle = max(worst_vs_oracle,
-                              jet_distance(jinv, oracle_jet_inverse(model, j)))
-        worst_double = max(worst_double, jet_distance(jet_invert(model, jinv), j))
-        worst_law = max(worst_law, jet_distance(
+        worst_vs_oracle = worst_case(worst_vs_oracle,
+                                     jet_distance(jinv, oracle_jet_inverse(model, j)))
+        worst_double = worst_case(worst_double, jet_distance(jet_invert(model, jinv), j))
+        worst_law = worst_case(worst_law, jet_distance(
             oracle_jet_mul(model, jinv, j), identity_jet(model, j.g.source)))
     return [
         Check("invert-vs-oracle", count, worst_vs_oracle,
@@ -177,22 +177,22 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
         phi = random_kernel_hom(model, g.source, rng)
         # (1) product with a kernel element on the right
         nu = mul_kernel_right(model, mu, phi)
-        w1 = max(w1, jet_distance(nu, oracle_jet_mul(model, mu, vee(phi))))
+        w1 = worst_case(w1, jet_distance(nu, oracle_jet_mul(model, mu, vee(phi))))
         # (2) nu mu^-1 is the embedded difference element
         garr, psi = jet_decompose(model, nu, lambda a, mu=mu: mu)
-        w2 = max(w2, jet_distance(
+        w2 = worst_case(w2, jet_distance(
             vee(psi), oracle_jet_mul(model, nu, oracle_jet_inverse(model, mu))))
         # (3) conjugation: mu vee(phi) mu^-1 = vee(Ad_mu phi)
         conj = oracle_jet_mul(model, oracle_jet_mul(model, mu, vee(phi)),
                               jet_invert(model, mu))
-        w3 = max(w3, jet_distance(conj, vee(adjoint_hom(model, mu, phi))))
+        w3 = worst_case(w3, jet_distance(conj, vee(adjoint_hom(model, mu, phi))))
         # (4) mu - nu = TR_g Ad_mu (phi .) column by column
         u = model.unit_arrow(g.target)
         for j in range(model.n):
             xj = algebroid_vec(model, g.source, phi.phi[:, j], check=False)
             adv = adjoint_vec(model, mu, xj)
             col = right_translate(model, g, u, adv.vec)
-            w4 = max(w4, float(np.max(np.abs(mu.mu[:, j] - nu.mu[:, j] - col))))
+            w4 = worst_case(w4, float(np.max(np.abs(mu.mu[:, j] - nu.mu[:, j] - col))))
     tol = _oracle_tol(model, config, "lemma-3-3")
     return [
         Check("kernel-right-product", count, w1, _tol(config, "kernel-right-product", tol)),
@@ -209,16 +209,16 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         m = sample_base_point(model, rng)
         psi = random_kernel_hom(model, m, rng)
         phi = random_kernel_hom(model, m, rng)
-        w_morph = max(w_morph, jet_distance(
+        w_morph = worst_case(w_morph, jet_distance(
             vee(aut_mul(psi, phi)), oracle_jet_mul(model, vee(psi), vee(phi))))
-        w_inv = max(w_inv, jet_distance(
+        w_inv = worst_case(w_inv, jet_distance(
             vee(aut_inv(phi)), oracle_jet_inverse(model, vee(phi))))
         # equivariance of the embedding
-        w_eq = max(w_eq, float(np.max(np.abs(
+        w_eq = worst_case(w_eq, float(np.max(np.abs(
             adjoint_tm(model, vee(phi)) - phi.phi_tm))))
         X = algebroid_vec(model, m, random_kernel_hom(model, m, rng).phi[:, 0],
                           check=False)
-        w_eq = max(w_eq, float(np.max(np.abs(
+        w_eq = worst_case(w_eq, float(np.max(np.abs(
             adjoint_vec(model, vee(phi), X).vec - phi.phi_g(X).vec))))
         # anchor equivariance of the adjoint action
         g = model.arrow(model.arrow_with_source(m, rng))
@@ -226,7 +226,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         adx = adjoint_vec(model, mu, X)
         lhs = model.Ttgt(model.unit(g.target)) @ adx.vec
         rhs = adjoint_tm(model, mu) @ (model.Ttgt(model.unit(m)) @ X.vec)
-        w_anchor = max(w_anchor, float(np.max(np.abs(lhs - rhs))))
+        w_anchor = worst_case(w_anchor, float(np.max(np.abs(lhs - rhs))))
 
     # semidirect law for bisections of the jet groupoid, on a few base points
     w_semi = 0.0
@@ -264,7 +264,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
             return aut_mul(Phi1(mm), pushed(mm))
 
         rhs = assemble_bisection(model, b12, Phi12)(m)
-        w_semi = max(w_semi, jet_distance(lhs, rhs))
+        w_semi = worst_case(w_semi, jet_distance(lhs, rhs))
 
     # the connection-induced isomorphism with the semidirect product
     w_c = w_admorph = 0.0
@@ -273,15 +273,15 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         mu1 = random_jet(model, S.jet, g1, rng)
         mu2 = random_jet(model, S.jet, g2, rng)
         prod = jet_mul(model, mu1, mu2, S.jet)
-        w_c = max(w_c, jet_distance(prod, oracle_jet_mul(model, mu1, mu2)))
+        w_c = worst_case(w_c, jet_distance(prod, oracle_jet_mul(model, mu1, mu2)))
         v = rng.uniform(-1.0, 1.0, size=model.n)
-        w_admorph = max(w_admorph, float(np.max(np.abs(
+        w_admorph = worst_case(w_admorph, float(np.max(np.abs(
             adjoint(model, prod, v)
             - adjoint(model, mu1, adjoint(model, mu2, v))))))
         X = algebroid_vec(model, g2.source,
                           random_kernel_hom(model, g2.source, rng).phi[:, 0],
                           check=False)
-        w_admorph = max(w_admorph, float(np.max(np.abs(
+        w_admorph = worst_case(w_admorph, float(np.max(np.abs(
             adjoint_vec(model, prod, X).vec
             - adjoint_vec(model, mu1, adjoint_vec(model, mu2, X)).vec))))
 
@@ -332,10 +332,10 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
         b = nf(m, v, X).vec
         c = nt(m, v, X).vec
         q = nq(m, v, X).vec
-        w_ft = max(w_ft, float(np.max(np.abs(b - c))))
-        w_df = max(w_df, float(np.max(np.abs(a - b))))
-        w_dt = max(w_dt, float(np.max(np.abs(a - c))))
-        w_path = max(w_path, float(np.max(np.abs(q - c))))
+        w_ft = worst_case(w_ft, float(np.max(np.abs(b - c))))
+        w_df = worst_case(w_df, float(np.max(np.abs(a - b))))
+        w_dt = worst_case(w_dt, float(np.max(np.abs(a - c))))
+        w_path = worst_case(w_path, float(np.max(np.abs(q - c))))
         scale = float(rng.uniform(0.5, 1.5))
         grad = rng.uniform(-0.5, 0.5, size=model.n)
 
@@ -344,7 +344,7 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
 
         lhs = nd(m, v, fX).vec
         rhs = (grad @ v) * np.asarray(X(m), dtype=float) + (scale + grad @ m) * a
-        w_leib = max(w_leib, float(np.max(np.abs(lhs - rhs))))
+        w_leib = worst_case(w_leib, float(np.max(np.abs(lhs - rhs))))
     return [
         Check("flow-vs-transport", count, w_ft, _tol(config, "flow-vs-transport", 1e-4)),
         Check("direct-vs-flow", count, w_df, _tol(config, "direct-vs-flow", 1e-4)),
@@ -407,7 +407,7 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
     w_s = 0.0
     for _ in range(count):
         g = model.sample_arrow(rng)
-        w_s = max(w_s, float(np.max(np.abs(
+        w_s = worst_case(w_s, float(np.max(np.abs(
             np.asarray(S.mu_at(g.coords)) - np.asarray(S2.mu_at(g.coords))))))
 
     u0 = cc.sigma(m0)
@@ -415,7 +415,7 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
     w_omega = 0.0
     for _ in range(count):
         u = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
-        w_omega = max(w_omega, float(np.max(np.abs(
+        w_omega = worst_case(w_omega, float(np.max(np.abs(
             rec.omega_matrix(u) - lam @ np.asarray(cc.omega_matrix(u), dtype=float)))))
 
     nw = nabla_omega(cc, model)
@@ -425,13 +425,13 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
         m = sample_base_point(model, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
         X = random_section(model, rng)
-        w_nabla = max(w_nabla, float(np.max(np.abs(
+        w_nabla = worst_case(w_nabla, float(np.max(np.abs(
             nw(m, v, X).vec - nd(m, v, X).vec))))
 
     w_mc = 0.0
     for _ in range(count):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
-        w_mc = max(w_mc, float(np.max(np.abs(
+        w_mc = worst_case(w_mc, float(np.max(np.abs(
             classical_curvature(cc, se2_v_bracket, p)))))
 
     w_r25 = 0.0
@@ -440,7 +440,7 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         F0, dF = classical_curvature_parallel_frame(cc, so3_v_bracket, p)
         min_omega_mag = min(min_omega_mag, float(np.max(np.abs(F0))))
-        w_r25 = max(w_r25, float(np.max(np.abs(dF))))
+        w_r25 = worst_case(w_r25, float(np.max(np.abs(dF))))
 
     return [
         Check("parallelism-axioms", count, max(inv["generator"], inv["equivariance"]),
@@ -468,15 +468,15 @@ def run_riemannian(model, S, config, count) -> list[Check]:
     for _ in range(count):
         g = model.sample_arrow(rng)
         A = isometry_matrix(metric, g.coords[:2], g.coords[2:4], g.coords[4])
-        w_iso = max(w_iso, float(np.max(np.abs(
+        w_iso = worst_case(w_iso, float(np.max(np.abs(
             A.T @ metric(g.coords[2:4]) @ A - metric(g.coords[:2])))))
         _, res = prolongation_jet(metric, g.coords)
-        w_res = max(w_res, res)
+        w_res = worst_case(w_res, res)
         # first-order metric compatibility of the oracle jet of the extension
         b = extend_bisection(model, S.jet(g))
         j = oracle_jet(model, b, g.source)
         Tphi = model.Ttgt(j.g.coords) @ j.mu
-        w_first = max(w_first, float(np.max(np.abs(
+        w_first = worst_case(w_first, float(np.max(np.abs(
             Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source)))))
     rep = check_multiplicative(S, seed=config.seed, count=max(10, count // 2),
                                tolerance=_tol(config, "multiplicative", 1e-7))

@@ -55,6 +55,10 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
     N = k + n
     Ik, In = np.eye(k), np.eye(n)
     Zkn, Znk = np.zeros((k, n)), np.zeros((n, k))
+    # constant jacobian blocks, built once: the hot jacobians below fill only
+    # their point-dependent blocks into np.zeros((N, N))
+    retract_src_jacs = (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
+                        np.vstack([Zkn, In]))
 
     src = ChartMap(N, n, lambda g: g[k:],
                    jacobian=lambda g: np.hstack([Znk, In]))
@@ -75,17 +79,23 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
 
     def mul_jac(g, h):
         D2, D1 = group.compose_jac(g[:k], h[:k])
-        Dg = np.block([[D2, Zkn], [Znk, np.zeros((n, n))]])
-        Dh = np.block([[D1, Zkn], [Znk, In]])
+        Dg = np.zeros((N, N))
+        Dg[:k, :k] = D2
+        Dh = np.zeros((N, N))
+        Dh[:k, :k] = D1
+        Dh[k:, k:] = In
         return Dg, Dh
 
     def inv(g):
         return np.concatenate([group.inverse(g[:k]), action.act(g[:k], g[k:])])
 
     def inv_jac(g):
-        Dinv = group.inverse_jac(g[:k])
         Da, Dm = action.act_jac(g[:k], g[k:])
-        return np.block([[Dinv, Zkn], [Da, Dm]])
+        D = np.zeros((N, N))
+        D[:k, :k] = group.inverse_jac(g[:k])
+        D[k:, :k] = Da
+        D[k:, k:] = Dm
+        return D
 
     def retract_src(g, m):
         return np.concatenate([g[:k], m])
@@ -98,8 +108,11 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
         b = group.inverse(g[:k])
         Dinv = group.inverse_jac(g[:k])
         Da, Dm = action.act_jac(b, m)
-        Dg = np.block([[Ik, Zkn], [Da @ Dinv, np.zeros((n, n))]])
-        Dpoint = np.vstack([Zkn, Dm])
+        Dg = np.zeros((N, N))
+        Dg[:k, :k] = Ik
+        Dg[k:, :k] = Da @ Dinv
+        Dpoint = np.zeros((N, n))
+        Dpoint[k:] = Dm
         return Dg, Dpoint
 
     model = GroupoidModel(
@@ -119,8 +132,7 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
             [rng.uniform(group.box[:, 0], group.box[:, 1]), m]),
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_src_jac=lambda g, m: (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
-                                      np.vstack([Zkn, In])),
+        retract_src_jac=lambda g, m: retract_src_jacs,
         retract_tgt_jac=retract_tgt_jac,
         src_fiber_chart=lambda m0: _action_fiber(group, k, m0),
         extras={"group_dim": k},

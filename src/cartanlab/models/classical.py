@@ -14,7 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..chartcalc import ChartMap, deriv_at_zero, directional_derivative, jacobian_fd
+from ..chartcalc import (
+    ChartMap,
+    deriv_at_zero,
+    directional_derivative,
+    jacobian_fd,
+    worst_case,
+)
 from ..connection import AlgebroidConnection, CartanConnection
 from ..errors import SliceError, TransitivityError
 from ..groupoid import (
@@ -79,14 +85,15 @@ def classical_invariants(cc: ClassicalCartan, rng: np.random.Generator,
         errs["min_abs_det"] = min(errs["min_abs_det"], float(abs(np.linalg.det(W))))
         xi = rng.uniform(-0.5, 0.5, size=cc.h_dim)
         gen = cc.h_generator(p, xi)
-        errs["generator"] = max(errs["generator"], float(np.max(np.abs(
+        errs["generator"] = worst_case(errs["generator"], float(np.max(np.abs(
             W @ gen - cc.h_basis @ xi))))
         h = rng.uniform(cc.h_box[:, 0], cc.h_box[:, 1])
         v = rng.uniform(-1.0, 1.0, size=cc.p_dim)
         Dp, _ = cc.h_act_jac(p, h)
         lhs = cc.omega(cc.h_act(p, h), Dp @ v)
         rhs = cc.h_rep(h) @ cc.omega(p, v)
-        errs["equivariance"] = max(errs["equivariance"], float(np.max(np.abs(lhs - rhs))))
+        errs["equivariance"] = worst_case(errs["equivariance"],
+                                          float(np.max(np.abs(lhs - rhs))))
     return errs
 
 
@@ -108,6 +115,10 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     N = k + n
     Ik, In = np.eye(k), np.eye(n)
     Zkn, Znk = np.zeros((k, n)), np.zeros((n, k))
+    # constant jacobian blocks, built once: the hot jacobians below fill only
+    # their point-dependent blocks into np.zeros((N, N))
+    retract_src_jacs = (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
+                        np.vstack([Zkn, In]))
 
     def check_slice(m):
         p = cc.sigma(np.asarray(m, dtype=float))
@@ -128,8 +139,11 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     def mul_jac(g, h):
         hh = cc.normalizer(h[:k])
         Dp, Dh = cc.h_act_jac(g[:k], hh)
-        Dg_blk = np.block([[Dp, Zkn], [Znk, np.zeros((n, n))]])
-        Dh_blk = np.block([[Dh @ cc.normalizer_jac(h[:k]), Zkn], [Znk, In]])
+        Dg_blk = np.zeros((N, N))
+        Dg_blk[:k, :k] = Dp
+        Dh_blk = np.zeros((N, N))
+        Dh_blk[:k, :k] = Dh @ cc.normalizer_jac(h[:k])
+        Dh_blk[k:, k:] = In
         return Dg_blk, Dh_blk
 
     def inv(g):
@@ -141,9 +155,11 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         hi = cc.h_inv(hq)
         p0 = cc.sigma(g[k:])
         Dp, Dh = cc.h_act_jac(p0, hi)
-        top_q = Dh @ cc.h_inv_jac(hq) @ cc.normalizer_jac(g[:k])
-        top_m = Dp @ cc.sigma_jac(g[k:])
-        return np.block([[top_q, top_m], [cc.pi_jac(g[:k]), np.zeros((n, n))]])
+        D = np.zeros((N, N))
+        D[:k, :k] = Dh @ cc.h_inv_jac(hq) @ cc.normalizer_jac(g[:k])
+        D[:k, k:] = Dp @ cc.sigma_jac(g[k:])
+        D[k:, :k] = cc.pi_jac(g[:k])
+        return D
 
     def retract_src(g, m0):
         return np.concatenate([g[:k], m0])
@@ -155,8 +171,11 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         hq = cc.normalizer(g[:k])
         p0 = cc.sigma(m0)
         Dp, Dh = cc.h_act_jac(p0, hq)
-        Dg_blk = np.block([[Dh @ cc.normalizer_jac(g[:k]), Zkn], [Znk, In]])
-        Dm_blk = np.vstack([Dp @ cc.sigma_jac(m0), np.zeros((n, n))])
+        Dg_blk = np.zeros((N, N))
+        Dg_blk[:k, :k] = Dh @ cc.normalizer_jac(g[:k])
+        Dg_blk[k:, k:] = In
+        Dm_blk = np.zeros((N, n))
+        Dm_blk[:k] = Dp @ cc.sigma_jac(m0)
         return Dg_blk, Dm_blk
 
     # pi is a coordinate projection for the shipped bundles, so the base box is
@@ -180,8 +199,7 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
             [rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1]), m]),
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_src_jac=lambda g, m: (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
-                                      np.vstack([Zkn, In])),
+        retract_src_jac=lambda g, m: retract_src_jacs,
         retract_tgt_jac=retract_tgt_jac,
         src_fiber_chart=lambda m0: _gauge_fiber(cc, m0),
         extras={"classical": cc},

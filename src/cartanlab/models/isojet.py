@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..chartcalc import ChartMap, MetricChart, christoffel_from_partials, metric_partials
+from ..chartcalc import (
+    ChartMap,
+    MetricChart,
+    christoffel_from_partials,
+    metric_partials,
+    worst_case,
+)
 from ..connection import CartanConnection
 from ..errors import MetricError
 from ..groupoid import GroupoidModel
@@ -205,6 +211,6 @@ def prolongation_jet(metric: MetricChart, g: np.ndarray) -> tuple[np.ndarray, fl
             - np.einsum("kab,a,bj->kj", Gp, A[:, i], A)
         rhs = target - dA_m[i] - sum(dA_p[a] * A[a, i] for a in range(2))
         w[i] = float(Mvec @ rhs.ravel()) / denom
-        residual = max(residual, float(np.max(np.abs(rhs - w[i] * dA_theta))))
+        residual = worst_case(residual, float(np.max(np.abs(rhs - w[i] * dA_theta))))
     mu = np.vstack([np.eye(2), A, w])
     return mu, residual

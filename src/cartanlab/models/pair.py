@@ -27,10 +27,12 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     def mul(g, h):
         return np.concatenate([g[:n], h[n:]])
 
-    def mul_jac(g, h):
-        Dg = np.block([[I, Z], [Z, Z]])
-        Dh = np.block([[Z, Z], [Z, I]])
-        return Dg, Dh
+    # every jacobian is constant: build each block matrix once
+    keep_tgt = np.block([[I, Z], [Z, Z]])
+    keep_src = np.block([[Z, Z], [Z, I]])
+    swap = np.block([[Z, I], [I, Z]])
+    retract_src_jacs = (keep_tgt, np.vstack([Z, I]))
+    retract_tgt_jacs = (keep_src, np.vstack([I, Z]))
 
     def inv(g):
         return np.concatenate([g[n:], g[:n]])
@@ -56,10 +58,10 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         base_box=box,
         arrow_with_source=lambda m, rng: np.concatenate(
             [rng.uniform(box[:, 0], box[:, 1]), m]),
-        mul_jac=mul_jac,
-        inv_jac=lambda g: np.block([[Z, I], [I, Z]]),
-        retract_src_jac=lambda g, m: (np.block([[I, Z], [Z, Z]]), np.vstack([Z, I])),
-        retract_tgt_jac=lambda g, m: (np.block([[Z, Z], [Z, I]]), np.vstack([I, Z])),
+        mul_jac=lambda g, h: (keep_tgt, keep_src),
+        inv_jac=lambda g: swap,
+        retract_src_jac=lambda g, m: retract_src_jacs,
+        retract_tgt_jac=lambda g, m: retract_tgt_jacs,
         src_fiber_chart=lambda m0: _pair_fiber(box, n, m0),
     )
 

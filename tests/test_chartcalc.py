@@ -141,7 +141,7 @@ def test_flow_with_tangent_rotation_closed_form():
     # f(x) = A x rotates the plane, so both x and v rotate by angle t
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     x0, v0, t = np.array([0.3, -0.2]), np.array([0.5, 0.7]), 1.3
-    x, v = flow_with_tangent(lambda x: A @ x, lambda x: A, x0, v0, t, steps=200)
+    x, v = flow_with_tangent(lambda x: A @ x, lambda x, v: A @ v, x0, v0, t, steps=200)
     c, s = np.cos(t), np.sin(t)
     R = np.array([[c, -s], [s, c]])
     assert np.max(np.abs(x - R @ x0)) < 1e-9

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from pytest import raises
 
+from cartanlab import experiments
+from cartanlab.chartcalc import deriv_at_zero, flow_with_tangent, jacobian_fd
 from cartanlab.connection import (
+    T_DIFF_STEP,
+    AlgebroidConnection,
     CartanConnection,
     algebroid_transport,
     check_multiplicative,
@@ -17,9 +21,12 @@ from cartanlab.groupoid import (
     algebroid_vec,
     aligned_frame,
     kernel_basis,
+    outer_fd_step,
     random_section,
+    right_invariant_field,
     sample_base_point,
 )
+from cartanlab.report import ExperimentConfig
 
 from conftest import CORE_MODELS
 
@@ -331,3 +338,83 @@ def test_additivity_in_direction(zoo, rng):
     lhs = nd(m, v + w, X).vec
     rhs = nd(m, v, X).vec + nd(m, w, X).vec
     assert np.max(np.abs(lhs - rhs)) < 1e-8
+
+
+def _flow_nabla_full_jacobian(S, m, v, X):
+    """The flow-formula route with the variational system built from the full
+    central-difference jacobian of X^R (2N field evaluations per stage), kept
+    as the reference for the matrix-free route."""
+    model = S.model
+    XR = right_invariant_field(model, X)
+    h_field = outer_fd_step(model)
+
+    def lifted_difference(tau):
+        g_t, a_t = flow_with_tangent(
+            XR, lambda y, w: jacobian_fd(XR, y, h=h_field) @ w,
+            model.unit(m), model.Tunit(m) @ v, tau, steps=4)
+        return a_t - np.asarray(S.mu_at(g_t), dtype=float) @ v
+
+    return deriv_at_zero(lifted_difference, T_DIFF_STEP)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", ["se2-action", "so3-sphere", "isojet-sphere",
+                                  "gauge-se2-so2", "pair-R2"])
+def test_matrix_free_flow_route_matches_full_jacobian(zoo, name, jacobians):
+    model, S = zoo(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nf = infinitesimalize(S, "flow-formula")
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        m = sample_base_point(model, rng)
+        v = rng.uniform(-1, 1, size=model.n)
+        X = random_section(model, rng)
+        ref = _flow_nabla_full_jacobian(S, m, v, X)
+        assert np.max(np.abs(nf(m, v, X).vec - ref)) < 1e-8
+
+
+def test_flow_route_evaluates_the_section_96_times(zoo, rng):
+    # 2 outer t-points x 4 RK4 steps x 4 stages, each one X^R evaluation for
+    # the flow and two for the directional difference of the tangent
+    model, S = zoo("se2-action")
+    nf = infinitesimalize(S, "flow-formula")
+    X = random_section(model, rng)
+    calls = [0]
+
+    def counted(mm):
+        calls[0] += 1
+        return X(mm)
+
+    nf(sample_base_point(model, rng), rng.uniform(-1, 1, size=model.n), counted)
+    assert calls[0] == 96
+
+
+def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):
+    # max(worst, nan) would drop the sample and pass both flow checks
+    model, S = zoo("se2-action")
+    real = experiments.infinitesimalize
+
+    def with_nan_flow(S, method="direct-formula"):
+        conn = real(S, method)
+        if method != "flow-formula":
+            return conn
+        calls = [0]
+
+        def nabla(m, v, X):
+            calls[0] += 1
+            out = conn.nabla(m, v, X)
+            if calls[0] == 2:
+                return algebroid_vec(model, m, np.full_like(out.vec, np.nan), check=False)
+            return out
+
+        return AlgebroidConnection(model, nabla, conn.provenance)
+
+    monkeypatch.setattr(experiments, "infinitesimalize", with_nan_flow)
+    config = ExperimentConfig(model="se2-action", experiment="nabla-compare", seed=3)
+    checks = {c.name: c for c in experiments.run_nabla_compare(model, S, config, 3)}
+    for name in ("direct-vs-flow", "flow-vs-transport"):
+        assert checks[name].max_error == np.inf
+        assert not checks[name].passed
+    assert checks["direct-vs-transport"].passed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import raises
@@ -6,6 +8,7 @@ from cartanlab.errors import CompositionError, NotABisectionError
 from cartanlab.groupoid import (
     algebroid_bracket,
     algebroid_vec,
+    aligned_frame,
     anchor,
     check_axioms,
     extend_bisection,
@@ -21,7 +24,7 @@ from cartanlab.groupoid import (
     sample_base_point,
 )
 from cartanlab.jetalg import random_jet
-from cartanlab.models import MODELS
+from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
 
 from conftest import CORE_MODELS
@@ -206,3 +209,52 @@ def test_oracle_inverse_law_and_associativity(zoo, name, rng):
         lhs = oracle_jet_mul(model, oracle_jet_mul(model, j0, j1), j2)
         rhs = oracle_jet_mul(model, j0, oracle_jet_mul(model, j1, j2))
         assert jet_distance(lhs, rhs) < 1e-6
+
+
+def test_axioms_report_nan_product_as_infinite():
+    # the 7th mul call is mul(g, h) inside the first associativity sample;
+    # max(worst, nan) would drop it and report 0.0 for every axiom
+    model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    calls = [0]
+
+    def mul(g, h):
+        calls[0] += 1
+        out = model.mul(g, h)
+        return np.full_like(out, np.nan) if calls[0] == 7 else out
+
+    bad = dataclasses.replace(model, mul=mul)
+    errs = check_axioms(bad, np.random.default_rng(0), count=20)
+    assert errs["associativity"] == np.inf
+
+
+def test_frame_cache_skips_projection_at_new_points(zoo, monkeypatch):
+    # the frame depends on the point only through Tsrc(unit(m)), which is
+    # constant on se2-action: one pinv serves every point
+    model, _ = zoo("se2-action")
+    frame = aligned_frame(model, np.zeros(model.n))
+    real = np.linalg.pinv
+    calls = [0]
+
+    def counted(a, *args, **kwargs):
+        calls[0] += 1
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        frame(sample_base_point(model, rng))
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_warm_frame_equals_cold_frame(name, jacobians):
+    model, _ = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    warm = aligned_frame(model, ref)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        m = sample_base_point(model, rng)
+        assert np.array_equal(warm(m), aligned_frame(model, ref)(m))
