@@ -127,6 +127,12 @@ def worst_case(worst: float, value: float) -> float:
     return math.inf if math.isnan(value) else max(worst, value)
 
 
+def worst_case_min(least: float, value: float) -> float:
+    """The min-side worst_case, for checks that fail when a quantity gets too
+    small: NaN reads as -inf, where min(least, nan) == least would drop it."""
+    return -math.inf if math.isnan(value) else min(least, value)
+
+
 def rk4(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
         t0: float, t1: float, steps: int,
         check: Callable[[np.ndarray], None] | None = None) -> np.ndarray:

@@ -8,7 +8,7 @@ fixed (config, seed).
 
 import numpy as np
 
-from .chartcalc import jacobian_fd, worst_case
+from .chartcalc import jacobian_fd, worst_case, worst_case_min
 from .connection import (
     check_multiplicative,
     check_unital,
@@ -439,7 +439,7 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
     for _ in range(max(3, count // 5)):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         F0, dF = classical_curvature_parallel_frame(cc, so3_v_bracket, p)
-        min_omega_mag = min(min_omega_mag, float(np.max(np.abs(F0))))
+        min_omega_mag = worst_case_min(min_omega_mag, float(np.max(np.abs(F0))))
         w_r25 = worst_case(w_r25, float(np.max(np.abs(dF))))
 
     return [

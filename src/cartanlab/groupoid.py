@@ -40,6 +40,7 @@ from .errors import (
 VERTICALITY_TOL = 1e-8
 SECTION_TOL = 1e-9
 DET_TOL = 1e-9
+FRAME_MEMO_SIZE = 64  # points remembered by an aligned_frame (clear-when-full)
 
 
 @dataclass(frozen=True)
@@ -412,32 +413,41 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     requested point and symmetrically re-orthonormalized; this is
     deterministic, smooth wherever no degeneracy occurs, and reproduces the
     reference basis at ref_point. The frame reads the point only through
-    A = Tsrc(unit(m)), so the cache is keyed on A: where A does not depend on
-    m (every shipped model with analytic jacobians), every point after the
-    first is a hit.
+    A = Tsrc(unit(m)), so the projection cache is keyed on A: where A does not
+    depend on m (every shipped model with analytic jacobians), every point
+    after the first is a hit. In front of it, a memo of the last
+    FRAME_MEMO_SIZE points (cleared when full) skips building A at points
+    that repeat, as the stencil points of curvature and transport do.
     """
     E_ref = kernel_basis(model, np.asarray(ref_point, dtype=float))
     r = E_ref.shape[1]
     cache: dict[bytes, np.ndarray] = {}
+    memo: dict[bytes, np.ndarray] = {}
 
     def frame(m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=float)
+        point = m.tobytes()
+        out = memo.get(point)
+        if out is not None:
+            return out
         A = model.Tsrc(model.unit(m))
         key = A.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
-        E = P @ E_ref
-        gram = E.T @ E
-        det = float(np.linalg.det(gram))
-        if det < 1e-9:
-            raise FrameError(f"kernel frame degenerated at {m} (gram det {det:.2e})")
-        w, U = np.linalg.eigh(gram)
-        out = E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
-        if len(cache) > 4096:
-            cache.clear()
-        cache[key] = out
+        out = cache.get(key)
+        if out is None:
+            P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
+            E = P @ E_ref
+            gram = E.T @ E
+            det = float(np.linalg.det(gram))
+            if det < 1e-9:
+                raise FrameError(f"kernel frame degenerated at {m} (gram det {det:.2e})")
+            w, U = np.linalg.eigh(gram)
+            out = E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
+            if len(cache) > 4096:
+                cache.clear()
+            cache[key] = out
+        if len(memo) >= FRAME_MEMO_SIZE:
+            memo.clear()
+        memo[point] = out
         return out
 
     frame.rank = r

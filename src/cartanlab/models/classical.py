@@ -20,6 +20,7 @@ from ..chartcalc import (
     directional_derivative,
     jacobian_fd,
     worst_case,
+    worst_case_min,
 )
 from ..connection import AlgebroidConnection, CartanConnection
 from ..errors import SliceError, TransitivityError
@@ -82,7 +83,8 @@ def classical_invariants(cc: ClassicalCartan, rng: np.random.Generator,
     for _ in range(count):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         W = np.asarray(cc.omega_matrix(p), dtype=float)
-        errs["min_abs_det"] = min(errs["min_abs_det"], float(abs(np.linalg.det(W))))
+        errs["min_abs_det"] = worst_case_min(errs["min_abs_det"],
+                                             float(abs(np.linalg.det(W))))
         xi = rng.uniform(-0.5, 0.5, size=cc.h_dim)
         gen = cc.h_generator(p, xi)
         errs["generator"] = worst_case(errs["generator"], float(np.max(np.abs(

@@ -33,6 +33,11 @@ from ..groupoid import GroupoidModel
 from .rotations import J2, rot2
 
 
+# points whose frame data an isometry-jet model keeps (cleared when full); a
+# few thousand would add megabytes of peak memory for few extra hits
+FRAME_DATA_CACHE_SIZE = 32
+
+
 def chol2(G: np.ndarray) -> np.ndarray:
     """Closed-form lower Cholesky factor of a 2x2 SPD matrix."""
     a, c, b = G[0, 0], G[0, 1], G[1, 1]
@@ -57,11 +62,14 @@ def dchol2(L: np.ndarray, dG: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsoFrameData:
-    """Cholesky frame and Levi-Civita symbols of the metric at a point."""
+    """Cholesky frame and Levi-Civita symbols of the metric at a point, with
+    the per-point factors of the prolongation jet built from them."""
 
     L: np.ndarray
-    dL: np.ndarray  # dL[:, :, l] = d L / d x_l
     gamma: np.ndarray  # Gamma[k, i, j]
+    LTinv: np.ndarray  # (L^T)^-1
+    dLT: tuple[np.ndarray, ...]  # dLT[l] = (d L / d x_l)^T
+    dLTinv: tuple[np.ndarray, ...]  # dLTinv[l] = d (L^T)^-1 / d x_l
 
 
 def frame_data(metric: MetricChart, x: np.ndarray) -> IsoFrameData:
@@ -70,7 +78,10 @@ def frame_data(metric: MetricChart, x: np.ndarray) -> IsoFrameData:
     L = chol2(G)
     dL = np.stack([dchol2(L, dG[:, :, l]) for l in range(2)], axis=2)
     gamma = christoffel_from_partials(np.linalg.inv(G), dG)
-    return IsoFrameData(L, dL, gamma)
+    LTinv = np.linalg.inv(L.T)
+    dLT = tuple(dL[:, :, l].T for l in range(2))
+    dLTinv = tuple(-LTinv @ dLT[l] @ LTinv for l in range(2))
+    return IsoFrameData(L, gamma, LTinv, dLT, dLTinv)
 
 
 def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
@@ -93,12 +104,13 @@ def make_isometry_jet_groupoid(metric: MetricChart,
     z21 = np.zeros((2, 1))
     z12 = np.zeros((1, 2))
 
-    src = ChartMap(N, n, lambda g: g[:2],
-                   jacobian=lambda g: np.hstack([I2, Z2, z21]))
-    tgt = ChartMap(N, n, lambda g: g[2:4],
-                   jacobian=lambda g: np.hstack([Z2, I2, z21]))
+    src_jac = np.hstack([I2, Z2, z21])
+    tgt_jac = np.hstack([Z2, I2, z21])
+    unit_jac = np.vstack([I2, I2, z12])
+    src = ChartMap(N, n, lambda g: g[:2], jacobian=lambda g: src_jac)
+    tgt = ChartMap(N, n, lambda g: g[2:4], jacobian=lambda g: tgt_jac)
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
-                    jacobian=lambda m: np.vstack([I2, I2, z12]))
+                    jacobian=lambda m: unit_jac)
 
     def mul(g, h):
         return np.concatenate([h[:2], g[2:4], [g[4] + h[4]]])
@@ -149,8 +161,24 @@ def make_isometry_jet_groupoid(metric: MetricChart,
 
         return emb, project
 
+    # the direct-formula route evaluates the jet at 2·rank stencil arrows that
+    # share one source point, and curvature returns to the same stencil
+    # points, so the frame data of a few dozen recent points serves most calls
+    frames: dict[bytes, IsoFrameData] = {}
+
+    def cached_frame_data(x):
+        key = x.tobytes()
+        data = frames.get(key)
+        if data is None:
+            if len(frames) >= FRAME_DATA_CACHE_SIZE:
+                frames.clear()
+            data = frames[key] = frame_data(metric, x)
+        return data
+
     def horizontal_jet(g):
-        mu, _ = prolongation_jet(metric, g)
+        g = np.asarray(g, dtype=float)
+        mu, _, _ = _solve_jet(cached_frame_data(g[:2]), cached_frame_data(g[2:4]),
+                              float(g[4]))
         return mu
 
     model = GroupoidModel(
@@ -190,27 +218,37 @@ def prolongation_jet(metric: MetricChart, g: np.ndarray) -> tuple[np.ndarray, fl
                           - dA/dm_i - sum_a dA/dm'_a A[a, i].
     """
     g = np.asarray(g, dtype=float)
-    m, mp, theta = g[:2], g[2:4], float(g[4])
-    fm = frame_data(metric, m)
-    fp = frame_data(metric, mp)
+    mu, dA_theta, rhs = _solve_jet(frame_data(metric, g[:2]), frame_data(metric, g[2:4]),
+                                   float(g[4]))
+    residual = 0.0
+    for i in range(2):
+        residual = worst_case(residual, float(np.max(np.abs(rhs[i] - mu[4, i] * dA_theta))))
+    return mu, residual
+
+
+def _solve_jet(fm: IsoFrameData, fp: IsoFrameData,
+               theta: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The jet of prolongation_jet from the frame data at the source and
+    target points, with dA/dtheta and the right-hand side for each base
+    direction, from which the caller that wants it forms the residual."""
     R = rot2(theta)
-    LpTinv = np.linalg.inv(fp.L.T)
-    A = LpTinv @ R @ fm.L.T
-    dA_theta = LpTinv @ J2 @ R @ fm.L.T
-    dA_m = [LpTinv @ R @ fm.dL[:, :, i].T for i in range(2)]
-    dA_p = [-LpTinv @ fp.dL[:, :, a].T @ LpTinv @ R @ fm.L.T for a in range(2)]
+    LpTinv = fp.LTinv
+    LpTinvR = LpTinv @ R
+    LmT = fm.L.T
+    A = LpTinvR @ LmT
+    dA_theta = LpTinv @ J2 @ R @ LmT
+    dA_m = [LpTinvR @ fm.dLT[i] for i in range(2)]
+    dA_p = [fp.dLTinv[a] @ R @ LmT for a in range(2)]
     Gm = fm.gamma
     Gp = fp.gamma
 
     Mvec = dA_theta.ravel()
     denom = float(Mvec @ Mvec)
     w = np.zeros(2)
-    residual = 0.0
+    rhs = []
     for i in range(2):
         target = np.einsum("kc,cj->kj", A, Gm[:, i, :]) \
             - np.einsum("kab,a,bj->kj", Gp, A[:, i], A)
-        rhs = target - dA_m[i] - sum(dA_p[a] * A[a, i] for a in range(2))
-        w[i] = float(Mvec @ rhs.ravel()) / denom
-        residual = worst_case(residual, float(np.max(np.abs(rhs - w[i] * dA_theta))))
-    mu = np.vstack([np.eye(2), A, w])
-    return mu, residual
+        rhs.append(target - dA_m[i] - sum(dA_p[a] * A[a, i] for a in range(2)))
+        w[i] = float(Mvec @ rhs[i].ravel()) / denom
+    return np.vstack([np.eye(2), A, w]), dA_theta, rhs

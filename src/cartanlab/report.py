@@ -8,6 +8,7 @@ Reports serialize deterministically (sorted keys, repr floats), so a fixed
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .chartcalc import FD_STEP
@@ -111,13 +112,21 @@ class Check:
         return self.max_error <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
+        """Strict-JSON form: a non-finite max_error or tolerance is written as
+        null and named, with its value, under "non_finite"."""
+        out = {
             "name": self.name,
             "samples": self.samples,
             "max_error": float(self.max_error),
             "tolerance": float(self.tolerance),
             "pass": self.passed,
         }
+        non_finite = {key: repr(out[key]) for key in ("max_error", "tolerance")
+                      if not math.isfinite(out[key])}
+        if non_finite:
+            out.update(dict.fromkeys(non_finite))
+            out["non_finite"] = non_finite
+        return out
 
 
 ENVIRONMENT_FINGERPRINT = {

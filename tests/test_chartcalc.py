@@ -15,6 +15,8 @@ from cartanlab.chartcalc import (
     jacobian_fd,
     newton_solve,
     rk4,
+    worst_case,
+    worst_case_min,
 )
 from cartanlab.errors import DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_field
@@ -197,3 +199,9 @@ def test_christoffel_singular_metric():
     degenerate = MetricChart(2, lambda x: np.zeros((2, 2)))
     with raises(SingularMetricError):
         christoffel(degenerate, np.zeros(2))
+
+
+def test_worst_case_accumulators_read_nan_as_the_failing_extreme():
+    nan = float("nan")
+    assert worst_case(0.5, 0.25) == 0.5 and worst_case(0.5, nan) == np.inf
+    assert worst_case_min(0.5, 0.25) == 0.25 and worst_case_min(0.5, nan) == -np.inf

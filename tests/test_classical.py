@@ -232,3 +232,19 @@ def test_induced_connection_matches_infinitesimalization(bridge, rng):
         a = nw(m, v, X).vec
         assert np.max(np.abs(a - nd(m, v, X).vec)) <= 1e-4
         assert np.max(np.abs(a - nf(m, v, X).vec)) <= 1e-4
+
+
+def test_bridge_fails_on_nan_curvature_magnitude(monkeypatch):
+    # min(inf, nan) == inf > 0.1 would pass the check on an all-NaN curvature
+    from cartanlab import experiments
+    from cartanlab.report import ExperimentConfig
+
+    def nan_curvature(cc, bracket_v, p):
+        F0, dF = classical_curvature_parallel_frame(cc, bracket_v, p)
+        return np.full_like(F0, np.nan), dF
+
+    monkeypatch.setattr(experiments, "classical_curvature_parallel_frame", nan_curvature)
+    rep = experiments.run(ExperimentConfig(model="gauge-se2-so2", experiment="classical-bridge",
+                                           seed=1, sample_count=5))
+    check = next(c for c in rep.checks if c.name == "mismatched-model-curvature-nonzero")
+    assert check.max_error == 1.0 and not check.passed

@@ -108,3 +108,27 @@ def test_config_not_json(tmp_path):
     path.write_text("{not json")
     with raises(ConfigError):
         load_config(str(path))
+
+
+def test_aborted_report_is_strict_json(monkeypatch):
+    # an aborted check carries max_error inf, which json.dumps would write as
+    # the non-JSON token Infinity
+    from cartanlab import experiments
+    from cartanlab.errors import NonFiniteError
+    from cartanlab.report import ExperimentConfig
+
+    def aborts(model, S, config, count):
+        raise NonFiniteError("trajectory went non-finite")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "jet-axioms", aborts)
+    rep = experiments.run(ExperimentConfig(model="pair-R2", experiment="jet-axioms"))
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    data = json.loads(rep.to_json_bytes(), parse_constant=reject)
+    (check,) = data["checks"]
+    assert check["name"] == "aborted[NonFiniteError]"
+    assert check["max_error"] is None and check["tolerance"] == 0.0
+    assert check["non_finite"] == {"max_error": "inf"}
+    assert check["pass"] is False and data["verdict"] is False

@@ -250,3 +250,27 @@ def test_jacobi_residual_reports_nan_as_infinite():
     c[0, 1, 2] = np.nan
     c[1, 0, 2] = np.nan
     assert _jacobi_residual(c) == np.inf
+
+
+def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
+    # fresh isojet-sphere: the frame-data cache and the frame's point memo
+    # serve the repeated stencil points (without them: 120 and 102)
+    from cartanlab.groupoid import GroupoidModel
+    from cartanlab.models import isojet, make_model
+
+    model, S = make_model("isojet-sphere")
+    calls = {"frame_data": 0, "Tsrc": 0}
+    frame_data, Tsrc = isojet.frame_data, GroupoidModel.Tsrc
+
+    def counted_frame_data(metric, x):
+        calls["frame_data"] += 1
+        return frame_data(metric, x)
+
+    def counted_Tsrc(self, coords):
+        calls["Tsrc"] += 1
+        return Tsrc(self, coords)
+
+    monkeypatch.setattr(isojet, "frame_data", counted_frame_data)
+    monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
+    curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
+    assert calls == {"frame_data": 25, "Tsrc": 26}

@@ -6,6 +6,7 @@ from pytest import raises
 
 from cartanlab.errors import CompositionError, NotABisectionError
 from cartanlab.groupoid import (
+    FRAME_MEMO_SIZE,
     algebroid_bracket,
     algebroid_vec,
     aligned_frame,
@@ -255,6 +256,34 @@ def test_warm_frame_equals_cold_frame(name, jacobians):
     ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     warm = aligned_frame(model, ref)
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        m = sample_base_point(model, rng)
-        assert np.array_equal(warm(m), aligned_frame(model, ref)(m))
+    points = [sample_base_point(model, rng) for _ in range(6)]
+    for _ in range(2):  # the second pass reads the point memo
+        for m in points:
+            assert np.array_equal(warm(m), aligned_frame(model, ref)(m))
+
+
+def test_frame_memo_is_bounded(monkeypatch):
+    # so3-sphere: Tsrc(unit(m)) depends on m, so every miss builds it
+    model, _ = make_model("so3-sphere")
+    frame = aligned_frame(model, np.zeros(model.n))
+    calls = [0]
+    real = type(model).Tsrc
+
+    def counted(self, coords):
+        calls[0] += 1
+        return real(self, coords)
+
+    monkeypatch.setattr(type(model), "Tsrc", counted)
+    size = FRAME_MEMO_SIZE
+    rng = np.random.default_rng(2)
+    points = [sample_base_point(model, rng) for _ in range(size + 1)]
+
+    def visit(m):
+        before = calls[0]
+        frame(m)
+        return calls[0] - before
+
+    assert [visit(m) for m in points[:size]] == [1] * size
+    assert [visit(m) for m in points[:size]] == [0] * size  # all held
+    assert visit(points[size]) == 1  # full: cleared before storing
+    assert visit(points[0]) == 1

@@ -7,6 +7,7 @@ from cartanlab.errors import MetricError
 from cartanlab.groupoid import jet_distance, oracle_jet, oracle_jet_mul
 from cartanlab.jetalg import random_jet
 from cartanlab.models import make_model
+from cartanlab.models import isojet
 from cartanlab.models.isojet import chol2, dchol2, isometry_matrix, prolongation_jet
 from cartanlab.models.metrics import (
     euclidean_metric,
@@ -190,3 +191,43 @@ def test_isojet_oracle_jets_metric_compatible_first_order(zoo, rng):
         Tphi = model.Ttgt(j.g.coords) @ j.mu
         defect = Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source)
         assert np.max(np.abs(defect)) < 1e-7
+
+
+@pytest.mark.parametrize("name", ["isojet-sphere", "isojet-hyperbolic", "isojet-perturbed"])
+def test_cached_horizontal_jet_equals_prolongation_jet(name):
+    # fresh model: the first pass fills the frame-data cache, the second reads
+    # it; arrows sharing a source, as a direct-formula stencil does, mix hits
+    # and misses within one call
+    model, S = make_model(name)
+    metric = model.extras["metric"]
+    rng = np.random.default_rng(8)
+    arrows = [model.sample_arrow(rng).coords for _ in range(6)]
+    arrows += [np.concatenate([g[:2], model.sample_arrow(rng).coords[2:]]) for g in arrows]
+    for _ in range(2):
+        for g in arrows:
+            assert np.array_equal(S.mu_at(g), prolongation_jet(metric, g)[0])
+
+
+def test_frame_data_cache_is_bounded(monkeypatch):
+    model, S = make_model("isojet-sphere")
+    calls = [0]
+    real = isojet.frame_data
+
+    def counted(metric, x):
+        calls[0] += 1
+        return real(metric, x)
+
+    monkeypatch.setattr(isojet, "frame_data", counted)
+    size = isojet.FRAME_DATA_CACHE_SIZE
+    # source = target, so each arrow needs the frame data of one point
+    points = [np.array([0.01 * k, -0.02 * k]) for k in range(size + 1)]
+
+    def visit(m):
+        before = calls[0]
+        S.mu_at(np.concatenate([m, m, [0.3]]))
+        return calls[0] - before
+
+    assert [visit(m) for m in points[:size]] == [1] * size
+    assert [visit(m) for m in points[:size]] == [0] * size  # all held
+    assert visit(points[size]) == 1  # full: cleared before storing
+    assert visit(points[0]) == 1
