@@ -133,10 +133,13 @@ class FlatnessReport:
     tolerance: float
     flat: bool
     involutive: bool
+    finite: bool  # every curvature and torsion sample is finite
 
     @property
     def agreement(self) -> bool:
-        return self.flat == self.involutive
+        """flat == involutive on finite samples. A NaN sample makes both flat
+        and involutive read False, which would agree; it fails instead."""
+        return self.finite and self.flat == self.involutive
 
     @property
     def max_curvature(self) -> float:
@@ -174,6 +177,7 @@ def flatness_experiment(S: CartanConnection, seed: int = 0, count: int = 20,
         tolerance=tolerance,
         flat=bool(np.max(curv_norms) <= tolerance),
         involutive=bool(np.max(tors_norms) <= tolerance),
+        finite=bool(np.all(np.isfinite(curv_norms)) and np.all(np.isfinite(tors_norms))),
     )
 
 

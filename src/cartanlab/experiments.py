@@ -363,9 +363,10 @@ def run_flatness(model, S, config, count) -> list[Check]:
         checks.append(Check("torsion-involutive", count, rep.max_torsion, tol))
     else:
         # non-flat expectation: at least 80% of samples above ten times the
-        # tolerance, encoded as the failing fraction against 0.2
-        frac_r = float(np.mean(rep.curvature_norms <= 10 * tol))
-        frac_t = float(np.mean(rep.torsion_norms <= 10 * tol))
+        # tolerance, encoded as the failing fraction against 0.2. A NaN
+        # sample would count as non-flat, so a non-finite table reads inf.
+        frac_r = float(np.mean(rep.curvature_norms <= 10 * tol)) if rep.finite else np.inf
+        frac_t = float(np.mean(rep.torsion_norms <= 10 * tol)) if rep.finite else np.inf
         checks.append(Check("curvature-nonflat-fraction-below", count, frac_r, 0.2))
         checks.append(Check("torsion-noninvolutive-fraction-below", count, frac_t, 0.2))
     checks.append(Check("verdict-agreement", count,
@@ -482,7 +483,8 @@ def run_riemannian(model, S, config, count) -> list[Check]:
                                tolerance=_tol(config, "multiplicative", 1e-7))
     flat = flatness_experiment(S, seed=config.seed, count=max(6, count // 3))
     expect_flat = EXPECTED_FLAT.get(config.model, True)
-    verdict_err = 0.0 if (flat.flat == expect_flat and flat.involutive == expect_flat) else 1.0
+    verdict_err = 0.0 if (flat.finite and flat.flat == expect_flat
+                          and flat.involutive == expect_flat) else 1.0
     return [
         Check("chart-isometry", count, w_iso, _tol(config, "chart-isometry", 1e-9)),
         Check("prolongation-residual", count, w_res,

@@ -312,20 +312,47 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np
     return b
 
 
+def _evaluate_once(func: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """func, evaluated once per point (keyed on the point's bytes) and
+    returned as a float array. Each oracle call builds its own and drops it
+    on return, so the memo needs no bound.
+
+    jacobian_fd forms its probes as x + s * e with s = +h and s = -h; those
+    have exactly the bytes of x + h * e and x - h * e (IEEE a + (-b) == a - b,
+    signed zeros included), so a stencil after a probe loop is all hits.
+    """
+    seen: dict[bytes, np.ndarray] = {}
+
+    def once(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = np.asarray(func(x), dtype=float)
+        return out
+
+    return once
+
+
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
                m: np.ndarray, h: float = FD_STEP) -> Jet1:
     """Ground-truth one-jet of an explicit local bisection at m, by central
     differences of the bisection itself.
 
+    b is evaluated once at each of the 2n+1 points m and m +- h e_i: the
+    section check evaluates them all, and the central-difference jacobian
+    reads those same values back.
+
     Raises NotABisectionError when b fails to be a section of the source map
-    near m (checked to 1e-9) or when its target map is singular.
+    near m (checked to 1e-9 at every probe) or when its target map is singular.
     """
     m = np.asarray(m, dtype=float)
-    g = np.asarray(b(m), dtype=float)
+    b = _evaluate_once(b)
+    g = b(m)
     # section check at m and at probe points
     for probe in (m, *(m + h * e for e in np.eye(model.n)),
                   *(m - h * e for e in np.eye(model.n))):
-        defect = float(np.max(np.abs(model.src(np.asarray(b(probe), dtype=float)) - probe)))
+        defect = float(np.max(np.abs(model.src(b(probe)) - probe)))
         if defect > SECTION_TOL:
             raise NotABisectionError(
                 f"src(b(x)) != x near {m}: defect {defect:.3e}")
@@ -366,11 +393,14 @@ def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
 
     The representative's base transformation tgt . b is inverted by Newton
     iteration; the inverse bisection y -> inv(b((tgt . b)^-1(y))) is then
-    differentiated at the target point.
+    differentiated at the target point. The 2n+1 Newton solves all start at
+    the jet's source, so tgt . b and its first stencil at that start are
+    evaluated once for all of them.
     """
     b = extend_bisection(model, j)
     m_tgt = j.g.target
 
+    @_evaluate_once
     def phi(x):
         return model.tgt(np.asarray(b(x), dtype=float))
 

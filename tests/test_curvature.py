@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.connection import infinitesimalize
+from cartanlab.connection import CartanConnection, infinitesimalize
 from cartanlab.curvature import (
     _jacobi_residual,
     _transport_matrix,
@@ -15,8 +15,10 @@ from cartanlab.curvature import (
     reconstruct_action,
 )
 from cartanlab.errors import FlatnessError, NonFiniteError
+from cartanlab.experiments import run_flatness, run_riemannian
 from cartanlab.groupoid import aligned_frame, sample_base_point
 from cartanlab.models import PERTURBED_BOX
+from cartanlab.report import ExperimentConfig
 
 # the package re-exports the function curvature under the submodule's name
 curvature_mod = importlib.import_module("cartanlab.curvature")
@@ -274,3 +276,33 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
     assert calls == {"frame_data": 25, "Tsrc": 26}
+
+
+def _all_nan_jets(S):
+    """S with mu_at returning an all-NaN jet everywhere."""
+    return CartanConnection(S.model, lambda coords: np.full_like(S.mu_at(coords), np.nan),
+                            name=S.name)
+
+
+def test_flatness_checks_fail_on_nan_jets(zoo):
+    # NaN <= 10 tol counts a NaN sample as non-flat, and NaN-valued max
+    # norms make flat and involutive both False, which would "agree" and
+    # match the non-flat expectation of isojet-perturbed
+    model, S = zoo("isojet-perturbed")
+    config = ExperimentConfig(model="isojet-perturbed", experiment="flatness",
+                              seed=1, sample_count=6)
+    checks = {c.name: c for c in run_flatness(model, _all_nan_jets(S), config, 6)}
+    for name in ("curvature-nonflat-fraction-below",
+                 "torsion-noninvolutive-fraction-below", "verdict-agreement"):
+        assert not checks[name].passed, name
+    assert checks["curvature-nonflat-fraction-below"].max_error == np.inf
+
+
+def test_riemannian_flatness_verdict_fails_on_nan_jets(zoo):
+    model, S = zoo("isojet-perturbed")
+    config = ExperimentConfig(model="isojet-perturbed", experiment="riemannian",
+                              seed=1, sample_count=6)
+    checks = {c.name: c for c in run_riemannian(model, _all_nan_jets(S), config, 6)}
+    assert checks["flatness-verdict"].max_error == 1.0
+    assert not checks["flatness-verdict"].passed
+

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from pytest import raises
 
+from cartanlab import groupoid
+from cartanlab.chartcalc import FD_STEP, jacobian_fd, newton_solve
 from cartanlab.errors import CompositionError, NotABisectionError
 from cartanlab.groupoid import (
+    DET_TOL,
     FRAME_MEMO_SIZE,
+    SECTION_TOL,
+    Jet1,
     algebroid_bracket,
     algebroid_vec,
     aligned_frame,
     anchor,
     check_axioms,
+    compose_bisections,
     extend_bisection,
     identity_jet,
     inv_tangent,
@@ -287,3 +293,113 @@ def test_frame_memo_is_bounded(monkeypatch):
     assert [visit(m) for m in points[:size]] == [0] * size  # all held
     assert visit(points[size]) == 1  # full: cleared before storing
     assert visit(points[0]) == 1
+
+
+# -- the oracle evaluates each probe point once --------------------------------
+
+
+def _reference_oracle_jet(model, b, m, h=FD_STEP):
+    """oracle_jet without the per-call memo: b evaluated at 4n+2 points."""
+    m = np.asarray(m, dtype=float)
+    g = np.asarray(b(m), dtype=float)
+    for probe in (m, *(m + h * e for e in np.eye(model.n)),
+                  *(m - h * e for e in np.eye(model.n))):
+        defect = float(np.max(np.abs(model.src(np.asarray(b(probe), dtype=float)) - probe)))
+        if defect > SECTION_TOL:
+            raise NotABisectionError(f"src(b(x)) != x near {m}: defect {defect:.3e}")
+    mu = jacobian_fd(b, m, h=h)
+    arrow = model.arrow(g)
+    if abs(np.linalg.det(model.Ttgt(g) @ mu)) < DET_TOL:
+        raise NotABisectionError("target map of the bisection is singular")
+    return Jet1(arrow, mu)
+
+
+def _reference_oracle_jet_mul(model, j1, j2):
+    b1 = extend_bisection(model, j1)
+    b2 = extend_bisection(model, j2)
+    return _reference_oracle_jet(model, compose_bisections(model, b1, b2), j2.g.source)
+
+
+def _reference_oracle_jet_inverse(model, j):
+    b = extend_bisection(model, j)
+
+    def phi(x):
+        return model.tgt(np.asarray(b(x), dtype=float))
+
+    def b_inv(y):
+        x = newton_solve(phi, np.asarray(y, dtype=float), j.g.source, 1e-14)
+        return model.inv(np.asarray(b(x), dtype=float))
+
+    return _reference_oracle_jet(model, b_inv, j.g.target)
+
+
+def _same_jet(j1, j2):
+    return np.array_equal(j1.g.coords, j2.g.coords) and np.array_equal(j1.mu, j2.mu)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_oracle_equals_its_unmemoized_form(name, jacobians):
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        g, h = model.sample_composable(rng)
+        j1 = random_jet(model, S.jet, g, rng)
+        j2 = random_jet(model, S.jet, h, rng)
+        b = extend_bisection(model, j2)
+        assert _same_jet(oracle_jet(model, b, h.source), _reference_oracle_jet(model, b, h.source))
+        assert _same_jet(oracle_jet_mul(model, j1, j2), _reference_oracle_jet_mul(model, j1, j2))
+        assert _same_jet(oracle_jet_inverse(model, j1), _reference_oracle_jet_inverse(model, j1))
+
+
+def _counted_bisections(monkeypatch):
+    """Count calls of every bisection extend_bisection builds from now on."""
+    calls = [0]
+    real = extend_bisection
+
+    def counting(model, j):
+        b = real(model, j)
+
+        def counted(x):
+            calls[0] += 1
+            return b(x)
+
+        return counted
+
+    monkeypatch.setattr(groupoid, "extend_bisection", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,inverse_calls", [("pair-R2", 14), ("so3-sphere", 34)])
+def test_oracle_evaluates_each_probe_once(zoo, monkeypatch, name, inverse_calls):
+    # without the memo: 4n+2 = 10 calls per oracle_jet, and 60 (pair-R2) and
+    # 100 (so3-sphere) per oracle_jet_inverse, where every Newton solve
+    # recomputed tgt . b and its first stencil at the shared start j.g.source
+    model, S = zoo(name)
+    calls = _counted_bisections(monkeypatch)
+    g = model.sample_arrow(np.random.default_rng(0))
+    j = S.jet(g)
+    oracle_jet(model, groupoid.extend_bisection(model, j), g.source)
+    assert calls[0] == 2 * model.n + 1
+    calls[0] = 0
+    oracle_jet_inverse(model, j)
+    assert calls[0] == inverse_calls
+
+
+@pytest.mark.parametrize("probe", range(5))
+def test_oracle_checks_the_section_at_every_probe(zoo, probe):
+    # a map that is a section everywhere but at one probe point, including
+    # m - h e_1, which the stencil forms again as m + (-h) e_1
+    model, _ = zoo("pair-R2")
+    m, h = np.array([0.2, 0.1]), FD_STEP
+    eye = np.eye(model.n)
+    bad = (m, *(m + h * e for e in eye), *(m - h * e for e in eye))[probe]
+
+    def b(x):
+        return model.unit(x + 0.5 if np.array_equal(x, bad) else x)
+
+    with raises(NotABisectionError):
+        oracle_jet(model, b, m)
+    oracle_jet(model, model.unit, m)  # without the bad point, b is a bisection
