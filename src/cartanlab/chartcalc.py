@@ -121,6 +121,29 @@ def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> n
     return (np.asarray(curve(h), dtype=float) - np.asarray(curve(-h), dtype=float)) / (2.0 * h)
 
 
+def memo_by_point(func: Callable[[np.ndarray], object],
+                  size: int | None = None) -> Callable[[np.ndarray], object]:
+    """func, evaluated once per point: the value is kept under the bytes of
+    the point as a float64 array and returned as func gave it. With a size,
+    the memo is cleared when it holds size points, before the next is stored.
+    Bytes are exact, so points that differ only in the sign of a zero are
+    different keys."""
+    seen: dict[bytes, object] = {}
+
+    def once(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key in seen:
+            return seen[key]
+        out = func(x)
+        if size is not None and len(seen) >= size:
+            seen.clear()
+        seen[key] = out
+        return out
+
+    return once
+
+
 def worst_case(worst: float, value: float) -> float:
     """Worst-case accumulator that reads NaN as +inf, so a bad sample can
     never be dropped the way max(worst, nan) == worst drops it."""

@@ -2,9 +2,9 @@
 
 A connection is a smooth assignment of a horizontal jet to every arrow,
 i.e. a section of the jet projection. Multiplicativity (the section being a
-groupoid morphism) is never assumed: it is verified by sampling against the
-bisection-jet oracle, and downstream experiments consult the verification
-record.
+groupoid morphism) is never assumed: check_multiplicative samples it against
+the bisection-jet oracle and returns a report, and the connection itself stays
+as it was built.
 
 Infinitesimalization produces a linear connection on the algebroid by three
 routes:
@@ -67,7 +67,7 @@ class MultiplicativityReport:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CartanConnection:
     """A horizontal-jet assignment on a model.
 
@@ -79,17 +79,12 @@ class CartanConnection:
     model: GroupoidModel
     mu_at: Callable[[np.ndarray], np.ndarray]
     name: str = "connection"
-    verification: MultiplicativityReport | None = None
 
     def jet(self, g: Arrow) -> Jet1:
         return Jet1(g, np.asarray(self.mu_at(g.coords), dtype=float))
 
     def __call__(self, g: Arrow) -> Jet1:
         return self.jet(g)
-
-    @property
-    def multiplicative_verified(self) -> bool:
-        return self.verification is not None and self.verification.passed
 
 
 def check_unital(S: CartanConnection, rng: np.random.Generator, count: int = 20) -> float:
@@ -105,7 +100,7 @@ def check_unital(S: CartanConnection, rng: np.random.Generator, count: int = 20)
 def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50,
                          tolerance: float = 1e-7) -> MultiplicativityReport:
     """Sample composable pairs and compare S(g1 g2) with the oracle product of
-    S(g1) and S(g2); records the verification on the connection."""
+    S(g1) and S(g2)."""
     model = S.model
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -121,9 +116,7 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50,
         worst = worst_case(worst, jet_distance(lhs, rhs))
     if drawn == 0:
         raise SamplingError(f"no composable pairs drawn on {model.name}")
-    report = MultiplicativityReport(drawn, worst, tolerance, worst <= tolerance, seed)
-    S.verification = report
-    return report
+    return MultiplicativityReport(drawn, worst, tolerance, worst <= tolerance, seed)
 
 
 # -- parallel transport ------------------------------------------------------
@@ -266,15 +259,16 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     return AlgebroidConnection(model, nabla, "flow-formula")
 
 
-def _infinitesimalize_transport(S: CartanConnection, path_factory=None) -> AlgebroidConnection:
+def _straight_path(m: np.ndarray, v: np.ndarray) -> Callable[[float], np.ndarray]:
+    return lambda t: m + t * v
+
+
+def _infinitesimalize_transport(S: CartanConnection,
+                                path_factory=_straight_path) -> AlgebroidConnection:
     model = S.model
 
     def nabla(m, v, X):
-        if path_factory is None:
-            def gamma(t):
-                return m + t * v
-        else:
-            gamma = path_factory(m, v)
+        gamma = path_factory(m, v)
 
         def transported(tau):
             p = np.asarray(gamma(tau), dtype=float)

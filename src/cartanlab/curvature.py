@@ -13,8 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcalc import deriv_at_zero, directional_derivative, jacobian_fd, rk4, worst_case
-from .connection import AlgebroidConnection, CartanConnection, check_multiplicative
+from .chartcalc import (
+    deriv_at_zero,
+    directional_derivative,
+    jacobian_fd,
+    memo_by_point,
+    rk4,
+    worst_case,
+)
+from .connection import AlgebroidConnection, CartanConnection
 from .errors import FlatnessError
 from .groupoid import (
     Arrow,
@@ -25,6 +32,7 @@ from .groupoid import (
 
 CURV_FD_STEP = 1e-3  # balances d^3-coefficient truncation against nabla noise
 GRID_SPACING = 0.05
+TRANSPORT_CACHE_SIZE = 4096  # radial transport matrices a reconstruction keeps
 
 
 # -- frames and connection coefficients ----------------------------------------
@@ -158,8 +166,6 @@ def flatness_experiment(S: CartanConnection, seed: int = 0, count: int = 20,
     from .connection import infinitesimalize
 
     model = S.model
-    if S.verification is None:
-        check_multiplicative(S, seed=seed, count=max(10, count // 2))
     rng = np.random.default_rng(seed)
     nabla = infinitesimalize(S, "direct-formula")
     curv_norms = np.empty(count)
@@ -208,18 +214,14 @@ def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
     time and evaluated once per RK4 node (2 * steps + 1 times): k2 and k3
     share the midpoint, and each step's end is the next step's start, bit for
     bit. Raises NonFiniteError when Y goes non-finite."""
-    latest: dict[float, np.ndarray] = {}
 
-    def rhs(t, Y):
-        C = latest.get(t)
-        if C is None:
-            latest.clear()
-            gdot = deriv_at_zero(lambda s: path(t + s), 1e-6)
-            C = latest[t] = -connection_matrix(
-                nabla, frame, rank, np.asarray(path(t), dtype=float), gdot)
-        return C @ Y
+    def coefficient(t):
+        t = float(t)  # the memo hands the node time over as a 0-d array
+        gdot = deriv_at_zero(lambda s: path(t + s), 1e-6)
+        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot)
 
-    return rk4(rhs, np.eye(rank), 0.0, 1.0, steps)
+    latest = memo_by_point(coefficient, size=1)
+    return rk4(lambda t, Y: latest(t) @ Y, np.eye(rank), 0.0, 1.0, steps)
 
 
 def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
@@ -276,19 +278,10 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
             f"holonomy detected: homotopic transports differ by {path_dependence:.2e}")
 
     # covariantly constant sections by radial transport (smooth in the endpoint
-    # because the step count is fixed); repeated evaluation points hit a cache
-    transport_cache: dict[bytes, np.ndarray] = {}
-
-    def transport_to(m):
-        m = np.asarray(m, dtype=float)
-        key = m.tobytes()
-        hit = transport_cache.get(key)
-        if hit is None:
-            hit = _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0))
-            if len(transport_cache) > 4096:
-                transport_cache.clear()
-            transport_cache[key] = hit
-        return hit
+    # because the step count is fixed); repeated evaluation points hit a memo
+    transport_to = memo_by_point(
+        lambda m: _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0)),
+        TRANSPORT_CACHE_SIZE)
 
     def section(a):
         def xi(m):

@@ -26,6 +26,7 @@ from .chartcalc import (
     differentiate,
     directional_derivative,
     jacobian_fd,
+    memo_by_point,
     newton_solve,
     worst_case,
 )
@@ -37,10 +38,10 @@ from .errors import (
     ToleranceError,
 )
 
-VERTICALITY_TOL = 1e-8
 SECTION_TOL = 1e-9
 DET_TOL = 1e-9
-FRAME_MEMO_SIZE = 64  # points remembered by an aligned_frame (clear-when-full)
+FRAME_MEMO_SIZE = 64  # points remembered by an aligned_frame
+PROJECTION_CACHE_SIZE = 4096  # kernel projections an aligned_frame keeps, keyed on Tsrc(unit(m))
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class GroupoidModel:
     inv_jac: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     retract_tgt_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    extend_bisection_hook: Callable[["GroupoidModel", Jet1], Callable] | None = None
     src_fiber_chart: Callable[[np.ndarray], tuple[ChartMap, Callable]] | None = None
     extras: dict = field(default_factory=dict)
 
@@ -199,8 +199,6 @@ def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> 
     curve through `at` with velocity v (v should be target-vertical)."""
     _check_composable(g.source, at.target)
     v = np.asarray(v, dtype=float)
-    if model.retract_tgt is None:
-        _verticality_guard(model.Ttgt(at.coords), v)
     m = g.source
     if model.mul_jac is not None and model.retract_tgt_jac is not None:
         _, Dh = model.mul_jac(g.coords, at.coords)
@@ -213,24 +211,12 @@ def right_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) ->
     """T R_g . v at `at`: derivative of g' -> g' g (v should be source-vertical)."""
     _check_composable(at.source, g.target)
     v = np.asarray(v, dtype=float)
-    if model.retract_src is None:
-        _verticality_guard(model.Tsrc(at.coords), v)
     m = g.target
     if model.mul_jac is not None and model.retract_src_jac is not None:
         Dg, _ = model.mul_jac(at.coords, g.coords)
         Dr, _ = model.retract_src_jac(at.coords, m)
         return Dg @ (Dr @ v)
     return deriv_at_zero(lambda t: model.mul(model.retract_src(at.coords + t * v, m), g.coords))
-
-
-def _verticality_guard(proj: np.ndarray, v: np.ndarray) -> None:
-    # only called without a retraction: with one, the curve is corrected onto
-    # the fibre, so any v is fine and the projection is never computed
-    defect = float(np.max(np.abs(proj @ v)))
-    if defect > VERTICALITY_TOL:
-        raise ToleranceError(
-            f"curve direction not fibre-vertical (defect {defect:.3e}) "
-            "and model supplies no retraction")
 
 
 def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
@@ -299,8 +285,6 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np
     cheapest and exactly differentiable, and the source retraction makes it an
     exact section of src.
     """
-    if model.extend_bisection_hook is not None:
-        return model.extend_bisection_hook(model, j)
     g0 = j.g.coords
     m0 = j.g.source
     mu = j.mu
@@ -312,28 +296,6 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np
     return b
 
 
-def _evaluate_once(func: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """func, evaluated once per point (keyed on the point's bytes) and
-    returned as a float array. Each oracle call builds its own and drops it
-    on return, so the memo needs no bound.
-
-    jacobian_fd forms its probes as x + s * e with s = +h and s = -h; those
-    have exactly the bytes of x + h * e and x - h * e (IEEE a + (-b) == a - b,
-    signed zeros included), so a stencil after a probe loop is all hits.
-    """
-    seen: dict[bytes, np.ndarray] = {}
-
-    def once(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        out = seen.get(key)
-        if out is None:
-            out = seen[key] = np.asarray(func(x), dtype=float)
-        return out
-
-    return once
-
-
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
                m: np.ndarray, h: float = FD_STEP) -> Jet1:
     """Ground-truth one-jet of an explicit local bisection at m, by central
@@ -341,22 +303,25 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
 
     b is evaluated once at each of the 2n+1 points m and m +- h e_i: the
     section check evaluates them all, and the central-difference jacobian
-    reads those same values back.
+    reads those same values back from a memo that lives for this call.
+    jacobian_fd forms its probes as m + s * e with s = +h and s = -h, which
+    have exactly the bytes of m + h * e and m - h * e (IEEE a + (-b) == a - b,
+    signed zeros included), so its stencil is all hits.
 
     Raises NotABisectionError when b fails to be a section of the source map
     near m (checked to 1e-9 at every probe) or when its target map is singular.
     """
     m = np.asarray(m, dtype=float)
-    b = _evaluate_once(b)
-    g = b(m)
+    b_once = memo_by_point(lambda x: np.asarray(b(x), dtype=float))
+    g = b_once(m)
     # section check at m and at probe points
     for probe in (m, *(m + h * e for e in np.eye(model.n)),
                   *(m - h * e for e in np.eye(model.n))):
-        defect = float(np.max(np.abs(model.src(b(probe)) - probe)))
+        defect = float(np.max(np.abs(model.src(b_once(probe)) - probe)))
         if defect > SECTION_TOL:
             raise NotABisectionError(
                 f"src(b(x)) != x near {m}: defect {defect:.3e}")
-    mu = jacobian_fd(b, m, h=h)
+    mu = jacobian_fd(b_once, m, h=h)
     arrow = model.arrow(g)
     ad_tm = model.Ttgt(g) @ mu
     if abs(np.linalg.det(ad_tm)) < DET_TOL:
@@ -400,7 +365,7 @@ def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
     b = extend_bisection(model, j)
     m_tgt = j.g.target
 
-    @_evaluate_once
+    @memo_by_point
     def phi(x):
         return model.tgt(np.asarray(b(x), dtype=float))
 
@@ -437,50 +402,43 @@ def sample_base_point(model: GroupoidModel, rng: np.random.Generator,
 
 
 def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Smooth orthonormal frame of the source-fibre kernel near ref_point.
+    """Smooth orthonormal frame of the source-fibre kernel near ref_point,
+    with the frame's rank as its .rank attribute.
 
     The reference basis at ref_point is projected onto the kernel at the
     requested point and symmetrically re-orthonormalized; this is
     deterministic, smooth wherever no degeneracy occurs, and reproduces the
-    reference basis at ref_point. The frame reads the point only through
-    A = Tsrc(unit(m)), so the projection cache is keyed on A: where A does not
-    depend on m (every shipped model with analytic jacobians), every point
-    after the first is a hit. In front of it, a memo of the last
-    FRAME_MEMO_SIZE points (cleared when full) skips building A at points
-    that repeat, as the stencil points of curvature and transport do.
+    reference basis at ref_point. Raises FrameError, naming the point, where
+    the projected basis degenerates.
+
+    The frame reads the point only through A = Tsrc(unit(m)), so the
+    projection is memoized on A: where A does not depend on m (every shipped
+    model with analytic jacobians), every point after the first is a hit. A
+    memo of the frame by point sits in front of it and skips building A at
+    points that repeat, as the stencil points of curvature and transport do.
     """
     E_ref = kernel_basis(model, np.asarray(ref_point, dtype=float))
-    r = E_ref.shape[1]
-    cache: dict[bytes, np.ndarray] = {}
-    memo: dict[bytes, np.ndarray] = {}
 
-    def frame(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        point = m.tobytes()
-        out = memo.get(point)
-        if out is not None:
-            return out
-        A = model.Tsrc(model.unit(m))
-        key = A.tobytes()
-        out = cache.get(key)
-        if out is None:
-            P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
-            E = P @ E_ref
-            gram = E.T @ E
-            det = float(np.linalg.det(gram))
-            if det < 1e-9:
-                raise FrameError(f"kernel frame degenerated at {m} (gram det {det:.2e})")
-            w, U = np.linalg.eigh(gram)
-            out = E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
-            if len(cache) > 4096:
-                cache.clear()
-            cache[key] = out
-        if len(memo) >= FRAME_MEMO_SIZE:
-            memo.clear()
-        memo[point] = out
-        return out
+    def project(A: np.ndarray) -> np.ndarray:
+        P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
+        E = P @ E_ref
+        gram = E.T @ E
+        det = float(np.linalg.det(gram))
+        if det < 1e-9:
+            raise FrameError(f"gram det {det:.2e}")
+        w, U = np.linalg.eigh(gram)
+        return E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
 
-    frame.rank = r
+    projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
+
+    def frame_at(m: np.ndarray) -> np.ndarray:
+        try:
+            return projection(model.Tsrc(model.unit(m)))
+        except FrameError as exc:
+            raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
+
+    frame = memo_by_point(frame_at, FRAME_MEMO_SIZE)
+    frame.rank = E_ref.shape[1]
     return frame
 
 

@@ -257,7 +257,7 @@ def jet_mul(model: GroupoidModel, mu1: Jet1, mu2: Jet1, S) -> Jet1:
 # -- bisections of the jet groupoid ------------------------------------------
 
 
-def assemble_bisection(model: GroupoidModel, b, Phi, S=None):
+def assemble_bisection(model: GroupoidModel, b, Phi):
     """Bisection of the jet groupoid from a bisection b of the model and a
     kernel section Phi: m -> KernelHom:
 

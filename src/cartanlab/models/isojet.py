@@ -24,6 +24,7 @@ from ..chartcalc import (
     ChartMap,
     MetricChart,
     christoffel_from_partials,
+    memo_by_point,
     metric_partials,
     worst_case,
 )
@@ -33,8 +34,8 @@ from ..groupoid import GroupoidModel
 from .rotations import J2, rot2
 
 
-# points whose frame data an isometry-jet model keeps (cleared when full); a
-# few thousand would add megabytes of peak memory for few extra hits
+# points whose frame data an isometry-jet model keeps; a few thousand would
+# add megabytes of peak memory for few extra hits
 FRAME_DATA_CACHE_SIZE = 32
 
 
@@ -164,16 +165,8 @@ def make_isometry_jet_groupoid(metric: MetricChart,
     # the direct-formula route evaluates the jet at 2·rank stencil arrows that
     # share one source point, and curvature returns to the same stencil
     # points, so the frame data of a few dozen recent points serves most calls
-    frames: dict[bytes, IsoFrameData] = {}
-
-    def cached_frame_data(x):
-        key = x.tobytes()
-        data = frames.get(key)
-        if data is None:
-            if len(frames) >= FRAME_DATA_CACHE_SIZE:
-                frames.clear()
-            data = frames[key] = frame_data(metric, x)
-        return data
+    cached_frame_data = memo_by_point(lambda x: frame_data(metric, x),
+                                      FRAME_DATA_CACHE_SIZE)
 
     def horizontal_jet(g):
         g = np.asarray(g, dtype=float)

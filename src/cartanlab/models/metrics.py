@@ -64,10 +64,3 @@ def perturbed_metric(eps: float = 0.4) -> MetricChart:
 
     return _conformal(lam, dlam, f"perturbed-eps{eps:g}")
 
-
-METRICS = {
-    "euclidean": euclidean_metric,
-    "sphere": sphere_metric,
-    "hyperbolic": hyperbolic_metric,
-    "perturbed": perturbed_metric,
-}

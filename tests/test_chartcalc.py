@@ -13,6 +13,7 @@ from cartanlab.chartcalc import (
     flow,
     flow_with_tangent,
     jacobian_fd,
+    memo_by_point,
     newton_solve,
     rk4,
     worst_case,
@@ -205,3 +206,55 @@ def test_worst_case_accumulators_read_nan_as_the_failing_extreme():
     nan = float("nan")
     assert worst_case(0.5, 0.25) == 0.5 and worst_case(0.5, nan) == np.inf
     assert worst_case_min(0.5, 0.25) == 0.25 and worst_case_min(0.5, nan) == -np.inf
+
+
+def _counted_memo(size=None):
+    calls = []
+
+    def func(x):
+        calls.append(x.copy())
+        return float(np.sum(x))
+
+    return memo_by_point(func, size), calls
+
+
+def test_memo_by_point_skips_func_on_a_hit():
+    memo, calls = _counted_memo()
+    assert memo([0.1, 0.2]) == memo(np.array([0.1, 0.2])) == pytest.approx(0.3)
+    assert len(calls) == 1
+    assert calls[0].dtype == np.float64  # func sees the point as a float array
+
+
+def test_memo_by_point_tells_signed_zeros_apart():
+    memo, calls = _counted_memo()
+    memo(np.array([0.0, 1.0]))
+    memo(np.array([-0.0, 1.0]))
+    assert len(calls) == 2
+    assert np.signbit(calls[1][0]) and not np.signbit(calls[0][0])
+
+
+def test_memo_by_point_holds_size_points_then_clears():
+    k = 4
+    memo, calls = _counted_memo(size=k)
+    points = [np.array([float(i)]) for i in range(k + 1)]
+    for p in points[:k]:
+        memo(p)
+    for p in points[:k]:
+        memo(p)
+    assert len(calls) == k  # all k held
+    memo(points[k])  # full: cleared before storing
+    assert len(calls) == k + 1
+    memo(points[k])
+    assert len(calls) == k + 1
+    memo(points[0])
+    assert len(calls) == k + 2
+
+
+def test_memo_by_point_without_size_never_clears():
+    memo, calls = _counted_memo()
+    points = [np.array([float(i), 1.0]) for i in range(5000)]
+    for p in points:
+        memo(p)
+    for p in points:
+        memo(p)
+    assert len(calls) == len(points)

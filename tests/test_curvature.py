@@ -306,3 +306,18 @@ def test_riemannian_flatness_verdict_fails_on_nan_jets(zoo):
     assert checks["flatness-verdict"].max_error == 1.0
     assert not checks["flatness-verdict"].passed
 
+
+
+def test_flatness_experiment_runs_without_the_oracle(monkeypatch):
+    # the flatness experiment checks curvature against torsion; it consults
+    # no multiplicativity check, so the oracle is never called
+    from cartanlab import connection
+    from cartanlab.models import make_model
+
+    def unreachable(*args):
+        raise AssertionError("flatness_experiment called the jet oracle")
+
+    monkeypatch.setattr(connection, "oracle_jet_mul", unreachable)
+    _, S = make_model("pair-R2")
+    rep = flatness_experiment(S, seed=0, count=2)
+    assert rep.flat and rep.involutive and rep.agreement

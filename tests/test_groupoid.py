@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from pytest import raises
 
 from cartanlab import groupoid
 from cartanlab.chartcalc import FD_STEP, jacobian_fd, newton_solve
-from cartanlab.errors import CompositionError, NotABisectionError
+from cartanlab.errors import CompositionError, FrameError, NotABisectionError
 from cartanlab.groupoid import (
     DET_TOL,
     FRAME_MEMO_SIZE,
@@ -293,6 +294,21 @@ def test_frame_memo_is_bounded(monkeypatch):
     assert [visit(m) for m in points[:size]] == [0] * size  # all held
     assert visit(points[size]) == 1  # full: cleared before storing
     assert visit(points[0]) == 1
+
+
+def test_frame_error_names_the_point():
+    # a pair-R1 copy whose source jacobian turns at unit(m) for m > 0.9: the
+    # kernel there is orthogonal to the reference basis at 0. Every such m
+    # has the same Tsrc(unit(m)), so the error must come from the frame's
+    # point, not from the matrix the projection is keyed on
+    model, _ = make_model("pair-R1")
+    turned = dataclasses.replace(model.src, jacobian=lambda g: (
+        np.array([[1.0, 0.0]]) if g[1] > 0.9 else np.array([[0.0, 1.0]])))
+    frame = aligned_frame(dataclasses.replace(model, src=turned), np.zeros(1))
+    for m in (np.array([0.95]), np.array([0.97]), np.array([0.95])):
+        with raises(FrameError, match=re.escape(f"degenerated at {m} ")):
+            frame(m)
+    assert np.array_equal(frame(np.array([0.5])), [[1.0], [0.0]])
 
 
 # -- the oracle evaluates each probe point once --------------------------------
