@@ -43,7 +43,9 @@ class MetricChart:
     """Riemannian metric components on one chart: x -> symmetric SPD matrix.
 
     dg, when supplied, returns the array of partials with dg(x)[i, j, l]
-    = d g_ij / d x_l.
+    = d g_ij / d x_l. g and dg broadcast over leading axes: a stack of points
+    x[..., dim] gives g(x)[..., i, j] and dg(x)[..., i, j, l], each entry the
+    value at that point.
     """
 
     dim: int
@@ -115,6 +117,29 @@ def directional_derivative(func: Callable, x: np.ndarray, v: np.ndarray,
     return scale * deriv_at_zero(lambda s: func(x + s * u), h)
 
 
+def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
+                            h: float = FD_STEP) -> np.ndarray:
+    """directional_derivative of func at x along each row of V, with func_many
+    evaluating func on a stack of points in one call: row a of the result is
+    directional_derivative(func, x, V[a], h) bit for bit, when func_many's
+    rows are func's values. All 2k probes go to func_many together, the
+    forward steps first."""
+    x = np.asarray(x, dtype=float)
+    V = np.asarray(V, dtype=float)
+    scales = np.max(np.abs(V), axis=1)
+    moving = scales != 0.0
+    if not moving.any():
+        return np.zeros((len(V),) + np.shape(func_many(x[None]))[1:])
+    U = V[moving] / scales[moving, None]
+    steps = np.array([h, -h])[:, None, None]
+    values = np.asarray(func_many((x + steps * U).reshape(-1, x.size)), dtype=float)
+    forward, backward = values[:len(U)], values[len(U):]
+    slopes = deriv_at_zero(lambda s: forward if s > 0 else backward, h)
+    out = np.zeros((len(V),) + slopes.shape[1:])
+    out[moving] = scales[moving].reshape((-1,) + (1,) * (slopes.ndim - 1)) * slopes
+    return out
+
+
 def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> np.ndarray:
     """Central-difference derivative at t=0 of a curve of chart points; every
     finite difference in the library goes through this stencil."""
@@ -124,10 +149,11 @@ def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> n
 def memo_by_point(func: Callable[[np.ndarray], object],
                   size: int | None = None) -> Callable[[np.ndarray], object]:
     """func, evaluated once per point: the value is kept under the bytes of
-    the point as a float64 array and returned as func gave it. With a size,
-    the memo is cleared when it holds size points, before the next is stored.
-    Bytes are exact, so points that differ only in the sign of a zero are
-    different keys."""
+    the point as a float64 array and returned as func gave it, except that an
+    ndarray value is handed out as a read-only view, so no caller can change
+    what the next caller at that point gets. With a size, the memo is cleared
+    when it holds size points, before the next is stored. Bytes are exact, so
+    points that differ only in the sign of a zero are different keys."""
     seen: dict[bytes, object] = {}
 
     def once(x):
@@ -136,6 +162,9 @@ def memo_by_point(func: Callable[[np.ndarray], object],
         if key in seen:
             return seen[key]
         out = func(x)
+        if isinstance(out, np.ndarray):
+            out = out.view()
+            out.flags.writeable = False
         if size is not None and len(seen) >= size:
             seen.clear()
         seen[key] = out
@@ -220,11 +249,14 @@ def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
 
 
 def metric_partials(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """dg[i, j, l] = d g_ij / d x_l, analytic when the metric carries dg."""
+    """dg[..., i, j, l] = d g_ij / d x_l at a point or a stack of points
+    x[..., dim], analytic when the metric carries dg."""
     x = np.asarray(x, dtype=float)
     if m.dg is not None:
         return np.asarray(m.dg(x), dtype=float)
-    return jacobian_fd(m, x, h=h)
+    d = m.dim
+    per_point = [jacobian_fd(m, p, h=h) for p in x.reshape(-1, d)]
+    return np.stack(per_point).reshape(x.shape[:-1] + (d, d, d))
 
 
 def christoffel(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -243,9 +275,10 @@ def christoffel(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
 
 
 def christoffel_from_partials(Ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols from an inverse metric and the partials
-    dG[i, j, l] = d_l g_ij."""
+    """Levi-Civita symbols Gamma[..., k, i, j] from an inverse metric and the
+    partials dG[..., i, j, l] = d_l g_ij, at a point or a stack of points."""
     # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = (np.einsum("jli->lij", dG) + np.einsum("ilj->lij", dG)
-               - np.einsum("ijl->lij", dG))
-    return 0.5 * np.einsum("kl,lij->kij", Ginv, bracket)
+    d_i = np.swapaxes(dG, -3, -2)  # d_i[l, i, j] = dG[i, l, j]
+    d_l = np.swapaxes(np.swapaxes(dG, -1, -3), -1, -2)  # d_l[l, i, j] = dG[i, j, l]
+    bracket = np.swapaxes(d_i, -1, -2) + d_i - d_l
+    return 0.5 * np.einsum("...kl,...lij->...kij", Ginv, bracket)

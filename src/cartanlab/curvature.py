@@ -42,11 +42,9 @@ def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
                       m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Coefficients of the covariant derivative of the frame along w:
     nabla_w e_a = sum_b Gamma[b, a] e_b at m."""
-    K = frame(m)
-    cols = [nabla(m, w, lambda mm, a=a: frame(mm)[:, a]).vec for a in range(rank)]
-    W = np.stack(cols, axis=1)
-    coeffs, *_ = np.linalg.lstsq(K, W, rcond=None)
-    return coeffs
+    sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
+    # the frame's columns are orthonormal, so K.T solves K coeffs = W
+    return frame(m).T @ nabla.nabla_many(m, w, sections)
 
 
 # -- curvature -----------------------------------------------------------------

@@ -6,6 +6,8 @@ as failed checks rather than exceptions. Verdicts are deterministic for a
 fixed (config, seed).
 """
 
+import math
+
 import numpy as np
 
 from .chartcalc import jacobian_fd, worst_case, worst_case_min
@@ -16,7 +18,7 @@ from .connection import (
     infinitesimalize_along,
 )
 from .curvature import flatness_experiment, reconstruct_action
-from .errors import CartanLabError, ConfigError
+from .errors import CartanLabError, ConfigError, NotABisectionError
 from .groupoid import (
     algebroid_bracket,
     algebroid_vec,
@@ -475,7 +477,11 @@ def run_riemannian(model, S, config, count) -> list[Check]:
         w_res = worst_case(w_res, res)
         # first-order metric compatibility of the oracle jet of the extension
         b = extend_bisection(model, S.jet(g))
-        j = oracle_jet(model, b, g.source)
+        try:
+            j = oracle_jet(model, b, g.source)
+        except NotABisectionError:  # the jet is no bisection's, e.g. NaN
+            w_first = math.inf
+            continue
         Tphi = model.Ttgt(j.g.coords) @ j.mu
         w_first = worst_case(w_first, float(np.max(np.abs(
             Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source)))))

@@ -309,7 +309,8 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     signed zeros included), so its stencil is all hits.
 
     Raises NotABisectionError when b fails to be a section of the source map
-    near m (checked to 1e-9 at every probe) or when its target map is singular.
+    near m (checked to 1e-9 at every probe) or when its target map is
+    singular; a NaN defect or determinant counts as either failure.
     """
     m = np.asarray(m, dtype=float)
     b_once = memo_by_point(lambda x: np.asarray(b(x), dtype=float))
@@ -318,13 +319,13 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     for probe in (m, *(m + h * e for e in np.eye(model.n)),
                   *(m - h * e for e in np.eye(model.n))):
         defect = float(np.max(np.abs(model.src(b_once(probe)) - probe)))
-        if defect > SECTION_TOL:
+        if not defect <= SECTION_TOL:  # a NaN defect fails too
             raise NotABisectionError(
                 f"src(b(x)) != x near {m}: defect {defect:.3e}")
     mu = jacobian_fd(b_once, m, h=h)
     arrow = model.arrow(g)
     ad_tm = model.Ttgt(g) @ mu
-    if abs(np.linalg.det(ad_tm)) < DET_TOL:
+    if not abs(np.linalg.det(ad_tm)) >= DET_TOL:
         raise NotABisectionError("target map of the bisection is singular")
     return Jet1(arrow, mu)
 

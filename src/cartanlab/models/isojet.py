@@ -16,15 +16,12 @@ solved for the theta-slope of the jet (an overdetermined but consistent linear
 system; its residual is exposed for verification).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..chartcalc import (
     ChartMap,
     MetricChart,
     christoffel_from_partials,
-    memo_by_point,
     metric_partials,
     worst_case,
 )
@@ -33,56 +30,39 @@ from ..errors import MetricError
 from ..groupoid import GroupoidModel
 from .rotations import J2, rot2
 
-
-# points whose frame data an isometry-jet model keeps; a few thousand would
-# add megabytes of peak memory for few extra hits
-FRAME_DATA_CACHE_SIZE = 32
+_I2 = np.eye(2)
 
 
 def chol2(G: np.ndarray) -> np.ndarray:
-    """Closed-form lower Cholesky factor of a 2x2 SPD matrix."""
-    a, c, b = G[0, 0], G[0, 1], G[1, 1]
-    if a <= 0.0:
+    """Closed-form lower Cholesky factor of a 2x2 SPD matrix, or of each
+    matrix of a stack G[..., 2, 2]."""
+    a, c, b = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+    if (a <= 0.0).any():
         raise MetricError("metric not positive definite")
     l11 = np.sqrt(a)
     l21 = c / l11
     rest = b - l21 * l21
-    if rest <= 0.0:
+    if (rest <= 0.0).any():
         raise MetricError("metric not positive definite")
-    return np.array([[l11, 0.0], [l21, np.sqrt(rest)]])
+    L = np.zeros(np.shape(G))
+    L[..., 0, 0] = l11
+    L[..., 1, 0] = l21
+    L[..., 1, 1] = np.sqrt(rest)
+    return L
 
 
 def dchol2(L: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """Derivative of the 2x2 Cholesky factor given dG (the derivative of G)."""
-    l11, l21, l22 = L[0, 0], L[1, 0], L[1, 1]
-    dl11 = dG[0, 0] / (2.0 * l11)
-    dl21 = (dG[0, 1] - l21 * dl11) / l11
-    dl22 = (dG[1, 1] - 2.0 * l21 * dl21) / (2.0 * l22)
-    return np.array([[dl11, 0.0], [dl21, dl22]])
-
-
-@dataclass(frozen=True)
-class IsoFrameData:
-    """Cholesky frame and Levi-Civita symbols of the metric at a point, with
-    the per-point factors of the prolongation jet built from them."""
-
-    L: np.ndarray
-    gamma: np.ndarray  # Gamma[k, i, j]
-    LTinv: np.ndarray  # (L^T)^-1
-    dLT: tuple[np.ndarray, ...]  # dLT[l] = (d L / d x_l)^T
-    dLTinv: tuple[np.ndarray, ...]  # dLTinv[l] = d (L^T)^-1 / d x_l
-
-
-def frame_data(metric: MetricChart, x: np.ndarray) -> IsoFrameData:
-    G = metric(x)
-    dG = metric_partials(metric, x)
-    L = chol2(G)
-    dL = np.stack([dchol2(L, dG[:, :, l]) for l in range(2)], axis=2)
-    gamma = christoffel_from_partials(np.linalg.inv(G), dG)
-    LTinv = np.linalg.inv(L.T)
-    dLT = tuple(dL[:, :, l].T for l in range(2))
-    dLTinv = tuple(-LTinv @ dLT[l] @ LTinv for l in range(2))
-    return IsoFrameData(L, gamma, LTinv, dLT, dLTinv)
+    """Derivative of the 2x2 Cholesky factor given dG (the derivative of G);
+    broadcasts over leading axes of L and dG."""
+    l11, l21, l22 = L[..., 0, 0], L[..., 1, 0], L[..., 1, 1]
+    dl11 = dG[..., 0, 0] / (2.0 * l11)
+    dl21 = (dG[..., 0, 1] - l21 * dl11) / l11
+    dl22 = (dG[..., 1, 1] - 2.0 * l21 * dl21) / (2.0 * l22)
+    dL = np.zeros(np.broadcast(L, dG).shape)
+    dL[..., 0, 0] = dl11
+    dL[..., 1, 0] = dl21
+    dL[..., 1, 1] = dl22
+    return dL
 
 
 def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
@@ -162,17 +142,11 @@ def make_isometry_jet_groupoid(metric: MetricChart,
 
         return emb, project
 
-    # the direct-formula route evaluates the jet at 2·rank stencil arrows that
-    # share one source point, and curvature returns to the same stencil
-    # points, so the frame data of a few dozen recent points serves most calls
-    cached_frame_data = memo_by_point(lambda x: frame_data(metric, x),
-                                      FRAME_DATA_CACHE_SIZE)
+    def horizontal_jets(G):
+        return prolongation_jets(metric, np.asarray(G, dtype=float))[0]
 
     def horizontal_jet(g):
-        g = np.asarray(g, dtype=float)
-        mu, _, _ = _solve_jet(cached_frame_data(g[:2]), cached_frame_data(g[2:4]),
-                              float(g[4]))
-        return mu
+        return horizontal_jets(np.asarray(g, dtype=float)[None])[0]
 
     model = GroupoidModel(
         name=f"isojet-{metric.name}",
@@ -196,7 +170,8 @@ def make_isometry_jet_groupoid(metric: MetricChart,
         extras={"metric": metric},
     )
 
-    S = CartanConnection(model, horizontal_jet, name=f"prolongation[{metric.name}]")
+    S = CartanConnection(model, horizontal_jet, name=f"prolongation[{metric.name}]",
+                         mu_batch=horizontal_jets)
     return model, S
 
 
@@ -210,38 +185,57 @@ def prolongation_jet(metric: MetricChart, g: np.ndarray) -> tuple[np.ndarray, fl
         dA/dtheta * w_i = A Gamma_i(m) - Gamma'(m')(A e_i, A .)
                           - dA/dm_i - sum_a dA/dm'_a A[a, i].
     """
-    g = np.asarray(g, dtype=float)
-    mu, dA_theta, rhs = _solve_jet(frame_data(metric, g[:2]), frame_data(metric, g[2:4]),
-                                   float(g[4]))
+    mu, dA_theta, rhs = prolongation_jets(metric, np.asarray(g, dtype=float)[None])
+    mu, dA_theta, rhs = mu[0], dA_theta[0], rhs[0]
     residual = 0.0
     for i in range(2):
         residual = worst_case(residual, float(np.max(np.abs(rhs[i] - mu[4, i] * dA_theta))))
     return mu, residual
 
 
-def _solve_jet(fm: IsoFrameData, fp: IsoFrameData,
-               theta: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The jet of prolongation_jet from the frame data at the source and
-    target points, with dA/dtheta and the right-hand side for each base
-    direction, from which the caller that wants it forms the residual."""
-    R = rot2(theta)
-    LpTinv = fp.LTinv
+def prolongation_jets(metric: MetricChart,
+                      G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jets of prolongation_jet at a stack of arrows G[k, 5], as mu[k, 5, 2],
+    with dA/dtheta[k, 2, 2] and the right-hand sides rhs[k, i, 2, 2] of the
+    solve for each base direction i, from which the caller that wants it
+    forms the residual.
+
+    Each arrow's rows are computed by the same operations whatever the size
+    of the stack, so mu[a] does not depend on the other arrows. The metric is
+    evaluated once at the stacked sources and targets; nothing is kept
+    between calls.
+    """
+    k = len(G)
+    X = np.concatenate([G[:, :2], G[:, 2:4]])
+    gm = metric(X)
+    dgm = metric_partials(metric, X)  # dgm[p, i, j, l] = d_l g_ij
+    L = chol2(gm)
+    dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)  # [p, l]
+    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
+    dLTinv = -LTinv[:, None] @ dLT @ LTinv[:, None]
+    gamma = christoffel_from_partials(np.linalg.inv(gm), dgm)  # gamma[p, k, i, j]
+
+    c, s = np.cos(G[:, 4]), np.sin(G[:, 4])
+    R = np.empty((k, 2, 2))
+    R[:, 0, 0] = c
+    R[:, 0, 1] = -s
+    R[:, 1, 0] = s
+    R[:, 1, 1] = c
+    LpTinv = LTinv[k:]
     LpTinvR = LpTinv @ R
-    LmT = fm.L.T
+    LmT = np.swapaxes(L[:k], -1, -2)
     A = LpTinvR @ LmT
     dA_theta = LpTinv @ J2 @ R @ LmT
-    dA_m = [LpTinvR @ fm.dLT[i] for i in range(2)]
-    dA_p = [fp.dLTinv[a] @ R @ LmT for a in range(2)]
-    Gm = fm.gamma
-    Gp = fp.gamma
-
-    Mvec = dA_theta.ravel()
-    denom = float(Mvec @ Mvec)
-    w = np.zeros(2)
-    rhs = []
-    for i in range(2):
-        target = np.einsum("kc,cj->kj", A, Gm[:, i, :]) \
-            - np.einsum("kab,a,bj->kj", Gp, A[:, i], A)
-        rhs.append(target - dA_m[i] - sum(dA_p[a] * A[a, i] for a in range(2)))
-        w[i] = float(Mvec @ rhs[i].ravel()) / denom
-    return np.vstack([np.eye(2), A, w]), dA_theta, rhs
+    dA_m = LpTinvR[:, None] @ dLT[:k]  # [k, i]
+    dA_p = dLTinv[k:] @ R[:, None] @ LmT[:, None]  # [k, a]
+    # target[k, i] = A Gamma_i(m) - Gamma'(m')(A e_i, A .)
+    target = (np.einsum("...kc,...cij->...ikj", A, gamma[:k])
+              - np.einsum("...kab,...ai,...bj->...ikj", gamma[k:], A, A))
+    rhs = target - dA_m - np.einsum("...akj,...ai->...ikj", dA_p, A)
+    w = (np.einsum("...kj,...ikj->...i", dA_theta, rhs)
+         / np.einsum("...kj,...kj->...", dA_theta, dA_theta)[:, None])
+    mu = np.empty((k, 5, 2))
+    mu[:, :2] = _I2
+    mu[:, 2:4] = A
+    mu[:, 4] = w
+    return mu, dA_theta, rhs

@@ -2,7 +2,8 @@
 
 Every shipped metric is conformal, g = lam(x) I, but the constructions that
 consume them (Christoffel symbols, isometric-frame factors) work for general
-SPD metric charts.
+SPD metric charts. g and dg broadcast over leading axes: a stack of points
+x[..., 2] gives g[..., 2, 2] and dg[..., 2, 2, 2].
 """
 
 import numpy as np
@@ -11,31 +12,34 @@ from ..chartcalc import MetricChart
 
 
 def _conformal(lam, dlam, name) -> MetricChart:
+    """lam maps points x[..., 2] to lam[...], dlam to its gradient [..., 2]."""
+    eye = np.eye(2)
+
     def g(x):
-        return float(lam(x)) * np.eye(2)
+        return lam(x)[..., None, None] * eye
 
     def dg(x):
-        d = np.asarray(dlam(x), dtype=float)
-        out = np.zeros((2, 2, 2))
-        for l in range(2):
-            out[:, :, l] = d[l] * np.eye(2)
-        return out
+        return np.einsum("ij,...l->...ijl", eye, dlam(x))
 
     return MetricChart(2, g, dg, name=name)
 
 
+def _sq_norm(x):
+    return np.einsum("...i,...i->...", x, x)
+
+
 def euclidean_metric() -> MetricChart:
-    return _conformal(lambda x: 1.0, lambda x: np.zeros(2), "euclidean")
+    return _conformal(lambda x: np.ones(x.shape[:-1]), np.zeros_like, "euclidean")
 
 
 def sphere_metric() -> MetricChart:
     """Round sphere in a stereographic chart: lam = 4 / (1 + |x|^2)^2."""
 
     def lam(x):
-        return 4.0 / (1.0 + float(x @ x)) ** 2
+        return 4.0 / (1.0 + _sq_norm(x)) ** 2
 
     def dlam(x):
-        return -16.0 * np.asarray(x, dtype=float) / (1.0 + float(x @ x)) ** 3
+        return -16.0 * x / ((1.0 + _sq_norm(x)) ** 3)[..., None]
 
     return _conformal(lam, dlam, "sphere")
 
@@ -44,10 +48,10 @@ def hyperbolic_metric() -> MetricChart:
     """Hyperbolic plane in the disc chart: lam = 4 / (1 - |x|^2)^2."""
 
     def lam(x):
-        return 4.0 / (1.0 - float(x @ x)) ** 2
+        return 4.0 / (1.0 - _sq_norm(x)) ** 2
 
     def dlam(x):
-        return 16.0 * np.asarray(x, dtype=float) / (1.0 - float(x @ x)) ** 3
+        return 16.0 * x / ((1.0 - _sq_norm(x)) ** 3)[..., None]
 
     return _conformal(lam, dlam, "hyperbolic")
 
@@ -57,10 +61,9 @@ def perturbed_metric(eps: float = 0.4) -> MetricChart:
     position dependent, so the surface has no continuous isometries."""
 
     def lam(x):
-        return 1.0 + eps * float(x[0]) ** 2
+        return 1.0 + eps * x[..., 0] ** 2
 
     def dlam(x):
-        return np.array([2.0 * eps * float(x[0]), 0.0])
+        return np.stack([2.0 * eps * x[..., 0], np.zeros(x.shape[:-1])], axis=-1)
 
     return _conformal(lam, dlam, f"perturbed-eps{eps:g}")
-

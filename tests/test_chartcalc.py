@@ -10,6 +10,8 @@ from cartanlab.chartcalc import (
     MetricChart,
     christoffel,
     differentiate,
+    directional_derivative,
+    directional_derivatives,
     flow,
     flow_with_tangent,
     jacobian_fd,
@@ -258,3 +260,33 @@ def test_memo_by_point_without_size_never_clears():
     for p in points:
         memo(p)
     assert len(calls) == len(points)
+
+
+def test_memo_by_point_hands_out_read_only_arrays():
+    stored = np.array([1.0, 2.0])
+    memo = memo_by_point(lambda x: stored)
+    out = memo(np.zeros(1))
+    with raises(ValueError):
+        out[0] = 5.0
+    assert stored.flags.writeable  # func's own array is left writable
+    assert memo(np.zeros(1))[0] == 1.0
+
+
+def test_directional_derivatives_equal_the_single_direction_form():
+    def func(x):
+        return np.array([np.sin(x[0]) * x[1], np.exp(x[0] - x[1]), x @ x])
+
+    calls = []
+
+    def func_many(X):
+        calls.append(len(X))
+        return np.stack([func(x) for x in X])
+
+    x = np.array([0.3, -0.7])
+    V = np.array([[1.0, 0.5], [0.0, 0.0], [-2.0, 3.0]])
+    D = directional_derivatives(func_many, x, V)
+    assert calls == [4]  # the moving rows' probes in one call
+    for a in range(len(V)):
+        assert np.array_equal(D[a], directional_derivative(func, x, V[a]))
+    assert np.array_equal(directional_derivatives(func_many, x, np.zeros((2, 2))),
+                          np.zeros((2, 3)))

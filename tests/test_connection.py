@@ -26,6 +26,7 @@ from cartanlab.groupoid import (
     right_invariant_field,
     sample_base_point,
 )
+from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
 
 from conftest import CORE_MODELS
@@ -418,3 +419,40 @@ def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):
         assert checks[name].max_error == np.inf
         assert not checks[name].passed
     assert checks["direct-vs-transport"].passed
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_nabla_many_equals_nabla_per_section(name, jacobians):
+    # the fd copy's connection carries no mu_batch, so it stacks mu_at
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nab = infinitesimalize(S, "direct-formula")
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        m = sample_base_point(model, rng)
+        v = rng.uniform(-1.0, 1.0, size=model.n)
+        frame = aligned_frame(model, m)
+        sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(frame.rank)]
+        sections.append(random_section(model, rng))
+        cols = nab.nabla_many(m, v, sections)
+        for a, X in enumerate(sections):
+            assert np.array_equal(cols[:, a], nab(m, v, X).vec)
+
+
+def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):
+    model, S = zoo("se2-action")
+    nab = infinitesimalize(S, "parallel-transport")
+    m, v = np.array([0.1, -0.2]), np.array([0.4, 0.3])
+    X = random_section(model, np.random.default_rng(4))
+    assert np.array_equal(nab.nabla_many(m, v, [X])[:, 0], nab(m, v, X).vec)
+
+
+def test_check_multiplicative_fails_a_jet_the_oracle_refuses(zoo):
+    # an all-NaN jet is no bisection's: the oracle raises, the sample fails
+    model, S = zoo("isojet-perturbed")
+    nan_S = CartanConnection(model, lambda g: np.full_like(S.mu_at(g), np.nan))
+    rep = check_multiplicative(nan_S, seed=1, count=3)
+    assert rep.max_error == np.inf and not rep.passed

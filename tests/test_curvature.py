@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -15,7 +16,7 @@ from cartanlab.curvature import (
     reconstruct_action,
 )
 from cartanlab.errors import FlatnessError, NonFiniteError
-from cartanlab.experiments import run_flatness, run_riemannian
+from cartanlab.experiments import run_flatness, run_reconstruct, run_riemannian
 from cartanlab.groupoid import aligned_frame, sample_base_point
 from cartanlab.models import PERTURBED_BOX
 from cartanlab.report import ExperimentConfig
@@ -255,27 +256,28 @@ def test_jacobi_residual_reports_nan_as_infinite():
 
 
 def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
-    # fresh isojet-sphere: the frame-data cache and the frame's point memo
-    # serve the repeated stencil points (without them: 120 and 102)
+    # fresh isojet-sphere: each connection_matrix evaluates its stencil jets
+    # in one batched call, n + 2 n^2 = 10 per curvature, and the frame's
+    # point memo serves the repeated stencil points (without it: 102)
     from cartanlab.groupoid import GroupoidModel
     from cartanlab.models import isojet, make_model
 
     model, S = make_model("isojet-sphere")
-    calls = {"frame_data": 0, "Tsrc": 0}
-    frame_data, Tsrc = isojet.frame_data, GroupoidModel.Tsrc
+    calls = {"prolongation_jets": 0, "Tsrc": 0}
+    prolongation_jets, Tsrc = isojet.prolongation_jets, GroupoidModel.Tsrc
 
-    def counted_frame_data(metric, x):
-        calls["frame_data"] += 1
-        return frame_data(metric, x)
+    def counted_jets(metric, G):
+        calls["prolongation_jets"] += 1
+        return prolongation_jets(metric, G)
 
     def counted_Tsrc(self, coords):
         calls["Tsrc"] += 1
         return Tsrc(self, coords)
 
-    monkeypatch.setattr(isojet, "frame_data", counted_frame_data)
+    monkeypatch.setattr(isojet, "prolongation_jets", counted_jets)
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
-    assert calls == {"frame_data": 25, "Tsrc": 26}
+    assert calls == {"prolongation_jets": 10, "Tsrc": 26}
 
 
 def _all_nan_jets(S):
@@ -321,3 +323,26 @@ def test_flatness_experiment_runs_without_the_oracle(monkeypatch):
     _, S = make_model("pair-R2")
     rep = flatness_experiment(S, seed=0, count=2)
     assert rep.flat and rep.involutive and rep.agreement
+
+
+def _nan_row_batches(S):
+    """S with the first jet of every batch NaN, the single jets intact."""
+
+    def mu_batch(G):
+        mu = S.mu_batch(G).copy()
+        mu[0] = np.nan
+        return mu
+
+    return dataclasses.replace(S, mu_batch=mu_batch)
+
+
+@pytest.mark.parametrize("run", [run_flatness, run_reconstruct])
+def test_nan_batch_row_fails_or_aborts_the_report(zoo, run):
+    model, S = zoo("isojet-sphere")
+    config = ExperimentConfig(model="isojet-sphere", experiment=run.__name__[4:],
+                              seed=1, sample_count=3)
+    try:
+        checks = run(model, _nan_row_batches(S), config, 3)
+    except NonFiniteError:
+        return  # aborted: the transport went non-finite
+    assert not all(c.passed for c in checks)

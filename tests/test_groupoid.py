@@ -180,6 +180,14 @@ def test_oracle_jet_rejects_non_bisection(zoo):
         oracle_jet(model, lambda x: np.concatenate([x, 0.5 * x]), np.array([0.2, 0.1]))
 
 
+def test_oracle_jet_rejects_a_nan_bisection(zoo):
+    # NaN > tol and |NaN| < tol are both False; the oracle must not pass
+    # a NaN section off as ground truth
+    model, _ = zoo("pair-R2")
+    with raises(NotABisectionError):
+        oracle_jet(model, lambda x: np.full(4, np.nan), np.array([0.2, 0.1]))
+
+
 def test_oracle_mul_unit_law_and_hand_composition():
     model, S = make_pair_groupoid(np.array([[-8.0, 8.0]]))
     m = np.array([0.5])
@@ -419,3 +427,29 @@ def test_oracle_checks_the_section_at_every_probe(zoo, probe):
     with raises(NotABisectionError):
         oracle_jet(model, b, m)
     oracle_jet(model, model.unit, m)  # without the bad point, b is a bisection
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_frame_columns_are_orthonormal(name, jacobians):
+    # connection_matrix solves K coeffs = W as K.T @ W, which needs this
+    model, _ = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    frame = aligned_frame(model, 0.5 * (model.base_box[:, 0] + model.base_box[:, 1]))
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        K = frame(sample_base_point(model, rng))
+        assert np.max(np.abs(K.T @ K - np.eye(frame.rank))) < 1e-12
+
+
+def test_memoized_frames_are_read_only(zoo):
+    # se2-action: every point shares one projection, so a write into one
+    # frame would change the frame at every point
+    model, _ = zoo("se2-action")
+    frame = aligned_frame(model, np.zeros(model.n))
+    K = frame(np.array([0.1, 0.1]))
+    with raises(ValueError):
+        K *= 2
+    assert np.array_equal(frame(np.array([0.3, -0.1])), aligned_frame(
+        model, np.zeros(model.n))(np.array([0.3, -0.1])))

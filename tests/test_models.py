@@ -7,7 +7,6 @@ from cartanlab.errors import MetricError
 from cartanlab.groupoid import jet_distance, oracle_jet, oracle_jet_mul
 from cartanlab.jetalg import random_jet
 from cartanlab.models import make_model
-from cartanlab.models import isojet
 from cartanlab.models.isojet import chol2, dchol2, isometry_matrix, prolongation_jet
 from cartanlab.models.metrics import (
     euclidean_metric,
@@ -208,26 +207,102 @@ def test_cached_horizontal_jet_equals_prolongation_jet(name):
             assert np.array_equal(S.mu_at(g), prolongation_jet(metric, g)[0])
 
 
-def test_frame_data_cache_is_bounded(monkeypatch):
-    model, S = make_model("isojet-sphere")
-    calls = [0]
-    real = isojet.frame_data
+ISOJET_MODELS = ["isojet-plane", "isojet-sphere", "isojet-hyperbolic", "isojet-perturbed"]
 
-    def counted(metric, x):
-        calls[0] += 1
-        return real(metric, x)
 
-    monkeypatch.setattr(isojet, "frame_data", counted)
-    size = isojet.FRAME_DATA_CACHE_SIZE
-    # source = target, so each arrow needs the frame data of one point
-    points = [np.array([0.01 * k, -0.02 * k]) for k in range(size + 1)]
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_batched_jets_do_not_depend_on_the_batch(zoo, name):
+    model, S = zoo(name)
+    rng = np.random.default_rng(21)
+    for k in range(1, 8):
+        G = np.stack([model.sample_arrow(rng).coords for _ in range(k)])
+        G[: k // 2, :2] = G[0, :2]  # some share a source, as a stencil does
+        batch = S.mu_batch(G)
+        assert batch.shape == (k, 5, 2)
+        for a in range(k):
+            assert np.array_equal(batch[a], S.mu_at(G[a]))
 
-    def visit(m):
-        before = calls[0]
-        S.mu_at(np.concatenate([m, m, [0.3]]))
-        return calls[0] - before
 
-    assert [visit(m) for m in points[:size]] == [1] * size
-    assert [visit(m) for m in points[:size]] == [0] * size  # all held
-    assert visit(points[size]) == 1  # full: cleared before storing
-    assert visit(points[0]) == 1
+def _reference_frame_data(metric, x):
+    """The per-point frame data the batched jets replaced: (L, gamma, (L^T)^-1,
+    (dL/dx_l)^T, d(L^T)^-1/dx_l)."""
+    from cartanlab.chartcalc import christoffel_from_partials, metric_partials
+
+    G = metric(x)
+    dG = metric_partials(metric, x)
+    L = chol2(G)
+    dL = np.stack([dchol2(L, dG[:, :, l]) for l in range(2)], axis=2)
+    gamma = christoffel_from_partials(np.linalg.inv(G), dG)
+    LTinv = np.linalg.inv(L.T)
+    dLT = tuple(dL[:, :, l].T for l in range(2))
+    dLTinv = tuple(-LTinv @ dLT[l] @ LTinv for l in range(2))
+    return L, gamma, LTinv, dLT, dLTinv
+
+
+def _reference_jet(metric, g):
+    """The per-arrow solve the batched jets replaced, one base direction at
+    a time."""
+    from cartanlab.models.rotations import J2, rot2
+
+    L_m, gamma_m, _, dLT_m, _ = _reference_frame_data(metric, g[:2])
+    _, gamma_p, LpTinv, _, dLTinv_p = _reference_frame_data(metric, g[2:4])
+    R = rot2(g[4])
+    LpTinvR = LpTinv @ R
+    LmT = L_m.T
+    A = LpTinvR @ LmT
+    dA_theta = LpTinv @ J2 @ R @ LmT
+    Mvec = dA_theta.ravel()
+    w = np.zeros(2)
+    for i in range(2):
+        target = np.einsum("kc,cj->kj", A, gamma_m[:, i, :]) \
+            - np.einsum("kab,a,bj->kj", gamma_p, A[:, i], A)
+        rhs = (target - LpTinvR @ dLT_m[i]
+               - sum(dLTinv_p[a] @ R @ LmT * A[a, i] for a in range(2)))
+        w[i] = float(Mvec @ rhs.ravel()) / float(Mvec @ Mvec)
+    return np.vstack([np.eye(2), A, w])
+
+
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_batched_jets_match_the_per_point_solve(zoo, name):
+    model, S = zoo(name)
+    metric = model.extras["metric"]
+    rng = np.random.default_rng(22)
+    G = np.stack([model.sample_arrow(rng).coords for _ in range(12)])
+    batch = S.mu_batch(G)
+    for a in range(len(G)):
+        assert np.max(np.abs(batch[a] - _reference_jet(metric, G[a]))) < 1e-13
+
+
+def test_metric_partials_fall_back_to_per_point_differences():
+    from cartanlab.chartcalc import MetricChart, metric_partials
+
+    metric = sphere_metric()
+    no_dg = MetricChart(2, metric.g, None, name="sphere-fd")
+    X = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.05]])
+    stacked = metric_partials(no_dg, X)
+    assert stacked.shape == (3, 2, 2, 2)
+    for a in range(3):
+        assert np.array_equal(stacked[a], metric_partials(no_dg, X[a]))
+    assert np.max(np.abs(stacked - metric_partials(metric, X))) < 1e-8
+
+
+@pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
+                                    hyperbolic_metric(), perturbed_metric(0.4)])
+def test_metrics_broadcast_over_a_stack_of_points(metric):
+    X = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.05]])
+    g, dg = metric(X), metric.dg(X)
+    assert g.shape == (3, 2, 2) and dg.shape == (3, 2, 2, 2)
+    for a in range(3):
+        assert np.array_equal(g[a], metric(X[a]))
+        assert np.array_equal(dg[a], metric.dg(X[a]))
+
+
+def test_cholesky_factors_broadcast_over_a_stack(rng):
+    B = rng.uniform(-1, 1, size=(4, 2, 2))
+    G = B @ np.swapaxes(B, 1, 2) + 2.0 * np.eye(2)
+    dG = rng.uniform(-1, 1, size=(4, 2, 2))
+    dG = dG + np.swapaxes(dG, 1, 2)
+    L, dL = chol2(G), dchol2(chol2(G), dG)
+    for a in range(4):
+        assert np.array_equal(L[a], chol2(G[a]))
+        assert np.array_equal(dL[a], dchol2(L[a], dG[a]))
