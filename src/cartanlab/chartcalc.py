@@ -104,16 +104,23 @@ def differentiate(f: ChartMap, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return jac.reshape(f.dim_out, f.dim_in)
 
 
+def _unit_directions(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of central differences along the directions V[..., dim]: the
+    scales max|v| and the unit directions v / max|v| the probes step along.
+    A zero direction has scale 0 and direction 0; the derivative along it is
+    zero, and no probe is taken."""
+    scales = np.max(np.abs(V), axis=-1)
+    return scales, V / (scales + (scales == 0.0))[..., None]
+
+
 def directional_derivative(func: Callable, x: np.ndarray, v: np.ndarray,
                            h: float = FD_STEP) -> np.ndarray:
     """Central-difference derivative of func at x along direction v, with the
     step taken along v / max|v|."""
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    scale = float(np.max(np.abs(v)))
+    scale, u = _unit_directions(np.asarray(v, dtype=float))
     if scale == 0.0:
         return np.zeros_like(np.asarray(func(x), dtype=float))
-    u = v / scale
     return scale * deriv_at_zero(lambda s: func(x + s * u), h)
 
 
@@ -125,17 +132,15 @@ def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
     rows are func's values. All 2k probes go to func_many together, the
     forward steps first."""
     x = np.asarray(x, dtype=float)
-    V = np.asarray(V, dtype=float)
-    scales = np.max(np.abs(V), axis=1)
+    scales, U = _unit_directions(np.asarray(V, dtype=float))
     moving = scales != 0.0
     if not moving.any():
-        return np.zeros((len(V),) + np.shape(func_many(x[None]))[1:])
-    U = V[moving] / scales[moving, None]
-    steps = np.array([h, -h])[:, None, None]
-    values = np.asarray(func_many((x + steps * U).reshape(-1, x.size)), dtype=float)
-    forward, backward = values[:len(U)], values[len(U):]
-    slopes = deriv_at_zero(lambda s: forward if s > 0 else backward, h)
-    out = np.zeros((len(V),) + slopes.shape[1:])
+        return np.zeros((len(U),) + np.shape(func_many(x[None]))[1:])
+    U = U[moving]
+    k = len(U)
+    values = np.asarray(func_many(np.concatenate([x + s * U for s in (h, -h)])), dtype=float)
+    slopes = deriv_at_zero(lambda s: values[:k] if s > 0 else values[k:], h)
+    out = np.zeros((len(moving),) + slopes.shape[1:])
     out[moving] = scales[moving].reshape((-1,) + (1,) * (slopes.ndim - 1)) * slopes
     return out
 

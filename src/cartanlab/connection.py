@@ -251,21 +251,12 @@ def infinitesimalize(S: CartanConnection, method: str = "direct-formula") -> Alg
 def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
 
-    def nabla(m, v, X):
+    def nabla_batch(m, v, sections):
         # the right-invariant extension restricted to unit arrows is the
         # section itself (right translation by a unit is the identity), so the
-        # first term needs only the section's own derivative
-        term1 = directional_derivative(lambda mm: np.asarray(X(mm), dtype=float), m, v)
-        xval = np.asarray(X(m), dtype=float)
-        term2 = directional_derivative(
-            lambda gg: np.asarray(S.mu_at(gg), dtype=float) @ v,
-            model.unit(m), xval)
-        return algebroid_vec(model, m, term1 - term2, check=False)
-
-    def nabla_batch(m, v, sections):
-        # nabla's terms, entry for entry: the first differentiates all
-        # sections along one stencil, and the second term's stencils share
-        # the unit arrow, so their 2 len(sections) probes take one mu_many call
+        # first term needs only the sections' own derivatives; the second
+        # term's stencils share the unit arrow, so their 2 len(sections)
+        # probes take one mu_many call
         def values(mm):
             return np.stack([np.asarray(X(mm), dtype=float) for X in sections], axis=1)
 
@@ -273,6 +264,9 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         term2 = directional_derivatives(
             lambda G: np.stack([mu @ v for mu in S.mu_many(G)]), model.unit(m), values(m).T)
         return term1 - term2.T
+
+    def nabla(m, v, X):
+        return algebroid_vec(model, m, nabla_batch(m, v, [X])[:, 0], check=False)
 
     return AlgebroidConnection(model, nabla, "direct-formula", nabla_batch=nabla_batch)
 

@@ -41,9 +41,12 @@ TRANSPORT_CACHE_SIZE = 4096  # radial transport matrices a reconstruction keeps
 def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
                       m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Coefficients of the covariant derivative of the frame along w:
-    nabla_w e_a = sum_b Gamma[b, a] e_b at m."""
+    nabla_w e_a = sum_b Gamma[b, a] e_b at m.
+
+    The frame K must have orthonormal columns, as aligned_frame's have: K.T
+    then solves K Gamma = W for the derivatives W of the columns, and a frame
+    that is not orthonormal gives wrong coefficients."""
     sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
-    # the frame's columns are orthonormal, so K.T solves K coeffs = W
     return frame(m).T @ nabla.nabla_many(m, w, sections)
 
 
@@ -63,9 +66,9 @@ class CurvatureTensor:
         return float(np.max(np.abs(self.R)))
 
 
-def curvature(nabla: AlgebroidConnection, m: np.ndarray,
-              frame: Callable | None = None) -> CurvatureTensor:
-    """Curvature of the connection at m in a smooth kernel frame.
+def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
+    """Curvature of the connection at m in the orthonormal kernel frame
+    aligned_frame builds at m.
 
     Connection coefficients Gamma_i are computed at stencil points and
     differentiated by central differences at CURV_FD_STEP; the coordinate-field
@@ -75,8 +78,7 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray,
     """
     model = nabla.model
     m = np.asarray(m, dtype=float)
-    if frame is None:
-        frame = aligned_frame(model, m)
+    frame = aligned_frame(model, m)
     r = frame.rank
     n = model.n
     eye = np.eye(n)

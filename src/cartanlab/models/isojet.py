@@ -76,6 +76,9 @@ def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
 def make_isometry_jet_groupoid(metric: MetricChart,
                                base_box: np.ndarray | None = None,
                                theta_max: float = 0.7) -> tuple[GroupoidModel, CartanConnection]:
+    """The isometry-jet groupoid of a surface metric and its prolongation
+    connection. The metric's g and dg must broadcast over a leading axis of
+    points, as MetricChart describes; the jets are computed for stacks."""
     if base_box is None:
         base_box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
     base_box = np.asarray(base_box, dtype=float)
@@ -202,13 +205,19 @@ def prolongation_jets(metric: MetricChart,
 
     Each arrow's rows are computed by the same operations whatever the size
     of the stack, so mu[a] does not depend on the other arrows. The metric is
-    evaluated once at the stacked sources and targets; nothing is kept
-    between calls.
+    evaluated once at the stacked sources and targets, so its g and dg must
+    broadcast over a leading axis of points (MetricError where they do not);
+    nothing is kept between calls.
     """
     k = len(G)
     X = np.concatenate([G[:, :2], G[:, 2:4]])
     gm = metric(X)
     dgm = metric_partials(metric, X)  # dgm[p, i, j, l] = d_l g_ij
+    if gm.shape != (2 * k, 2, 2) or dgm.shape != (2 * k, 2, 2, 2):
+        raise MetricError(
+            f"metric {metric.name} does not broadcast over a stack of points: "
+            f"at {2 * k} points g gave shape {gm.shape} and its partials "
+            f"{dgm.shape}, not ({2 * k}, 2, 2) and ({2 * k}, 2, 2, 2)")
     L = chol2(gm)
     dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)  # [p, l]
     LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))

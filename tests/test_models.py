@@ -194,9 +194,8 @@ def test_isojet_oracle_jets_metric_compatible_first_order(zoo, rng):
 
 @pytest.mark.parametrize("name", ["isojet-sphere", "isojet-hyperbolic", "isojet-perturbed"])
 def test_cached_horizontal_jet_equals_prolongation_jet(name):
-    # fresh model: the first pass fills the frame-data cache, the second reads
-    # it; arrows sharing a source, as a direct-formula stencil does, mix hits
-    # and misses within one call
+    # fresh model, two passes: a jet must not depend on what ran before it;
+    # half the arrows share a source, as a direct-formula stencil's do
     model, S = make_model(name)
     metric = model.extras["metric"]
     rng = np.random.default_rng(8)
@@ -295,6 +294,22 @@ def test_metrics_broadcast_over_a_stack_of_points(metric):
     for a in range(3):
         assert np.array_equal(g[a], metric(X[a]))
         assert np.array_equal(dg[a], metric.dg(X[a]))
+
+
+def test_metric_that_does_not_broadcast_is_refused():
+    from cartanlab.chartcalc import MetricChart
+    from cartanlab.models.isojet import make_isometry_jet_groupoid
+
+    # written for one point: on a stack x[0] is the first point, not a coordinate
+    metric = MetricChart(2, lambda x: (1.0 + x[0] ** 2) * np.eye(2), name="one-point")
+    model, S = make_isometry_jet_groupoid(metric)
+    g = np.array([0.1, -0.2, 0.3, 0.25, 0.4])
+    with raises(MetricError, match="broadcast"):
+        S.mu_at(g)
+    with raises(MetricError, match="broadcast"):
+        prolongation_jet(metric, g)
+    with raises(MetricError, match="broadcast"):
+        S.mu_batch(np.stack([g, g]))
 
 
 def test_cholesky_factors_broadcast_over_a_stack(rng):
