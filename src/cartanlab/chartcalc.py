@@ -57,6 +57,12 @@ class MetricChart:
         return np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
 
 
+def exceeds(value: float, tol: float) -> bool:
+    """Whether a defect fails its tolerance: value > tol, or value is NaN, which
+    `value > tol` would let pass. Every defect-against-tolerance guard uses it."""
+    return not value <= tol
+
+
 def in_box(x: np.ndarray, box: np.ndarray, margin: float = 0.0) -> bool:
     x = np.asarray(x, dtype=float)
     return bool(np.all(x >= box[:, 0] + margin) and np.all(x <= box[:, 1] - margin))
@@ -83,22 +89,22 @@ def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> n
                          f"in {NEWTON_ITERATIONS} steps")
 
 
-def differentiate(f: ChartMap, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
     """Jacobian of a chart map: analytic if supplied, else central differences.
 
-    Central differences carry an O(h^2) per-entry error contract. Raises
-    DomainError when x sits within h of the declared box boundary and
+    Central differences at FD_STEP carry an O(h^2) per-entry error contract.
+    Raises DomainError when x sits within FD_STEP of the declared box boundary and
     NonFiniteError when eval returns non-finite values.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim_in,):
         raise DomainError(f"expected point of dimension {f.dim_in}, got shape {x.shape}")
-    if f.box is not None and not in_box(x, f.box, margin=h):
-        raise DomainError(f"point {x} within step {h} of the domain box boundary")
+    if f.box is not None and not in_box(x, f.box, margin=FD_STEP):
+        raise DomainError(f"point {x} within step {FD_STEP} of the domain box boundary")
     if f.jacobian is not None:
         jac = np.asarray(f.jacobian(x), dtype=float)
     else:
-        jac = jacobian_fd(f.eval, x, h=h)
+        jac = jacobian_fd(f.eval, x)
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError(f"non-finite derivative at {x}")
     return jac.reshape(f.dim_out, f.dim_in)
@@ -253,18 +259,18 @@ def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
     return y[:n], y[n:]
 
 
-def metric_partials(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def metric_partials(m: MetricChart, x: np.ndarray) -> np.ndarray:
     """dg[..., i, j, l] = d g_ij / d x_l at a point or a stack of points
     x[..., dim], analytic when the metric carries dg."""
     x = np.asarray(x, dtype=float)
     if m.dg is not None:
         return np.asarray(m.dg(x), dtype=float)
     d = m.dim
-    per_point = [jacobian_fd(m, p, h=h) for p in x.reshape(-1, d)]
+    per_point = [jacobian_fd(m, p) for p in x.reshape(-1, d)]
     return np.stack(per_point).reshape(x.shape[:-1] + (d, d, d))
 
 
-def christoffel(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def christoffel(m: MetricChart, x: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij).
 
     Symmetric in (i, j) by construction. Raises SingularMetricError when g(x)
@@ -275,7 +281,7 @@ def christoffel(m: MetricChart, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
     if abs(det) < 1e-12:
         raise SingularMetricError(f"metric singular at {x} (det={det:.3e})")
     Ginv = np.linalg.inv(G)
-    dG = metric_partials(m, x, h=h)
+    dG = metric_partials(m, x)
     return christoffel_from_partials(Ginv, dG)
 
 

@@ -37,6 +37,7 @@ from .chartcalc import (
     deriv_at_zero,
     directional_derivative,
     directional_derivatives,
+    exceeds,
     flow_with_tangent,
     in_box,
     rk4,
@@ -59,6 +60,7 @@ from .groupoid import (
 
 T_DIFF_STEP = 1e-3  # outer central-difference step for the two literal routes
 ODE_STEP_TARGET = 2.5e-3  # RK4 step bound; comfortably under the 1e-2 contract
+UNITAL_SAMPLES = 20  # base points check_unital samples
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,10 @@ class CartanConnection:
         return self.jet(g)
 
 
-def check_unital(S: CartanConnection, rng: np.random.Generator, count: int = 20) -> float:
-    """Max deviation of S(unit(m)) from the identity jet over sampled m."""
+def check_unital(S: CartanConnection, rng: np.random.Generator) -> float:
+    """Max deviation of S(unit(m)) from the identity jet at UNITAL_SAMPLES sampled m."""
     worst = 0.0
-    for _ in range(count):
+    for _ in range(UNITAL_SAMPLES):
         m = sample_base_point(S.model, rng)
         worst = worst_case(worst, jet_distance(S.jet(S.model.unit_arrow(m)),
                                                identity_jet(S.model, m)))
@@ -141,8 +143,8 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50,
 # -- parallel transport ------------------------------------------------------
 
 
-def _steps_for(span: float, target: float = ODE_STEP_TARGET) -> int:
-    return max(1, int(np.ceil(abs(span) / target)))
+def _steps_for(span: float) -> int:
+    return max(1, int(np.ceil(abs(span) / ODE_STEP_TARGET)))
 
 
 def _gamma_dot(gamma: Callable[[float], np.ndarray], t: float) -> np.ndarray:
@@ -158,7 +160,7 @@ def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray]
     The lift keeps src(g(t)) = gamma(t); identity arrows transport to identity
     arrows. Raises EscapeError if the trajectory leaves the chart box."""
     model = S.model
-    if float(np.max(np.abs(g.source - np.asarray(gamma(t0), dtype=float)))) > 1e-8:
+    if exceeds(float(np.max(np.abs(g.source - np.asarray(gamma(t0))))), 1e-8):
         raise EscapeError("initial arrow does not sit over gamma(t0)")
     if steps is None:
         steps = _steps_for(t1 - t0)

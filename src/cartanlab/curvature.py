@@ -16,6 +16,7 @@ import numpy as np
 from .chartcalc import (
     deriv_at_zero,
     directional_derivative,
+    exceeds,
     jacobian_fd,
     memo_by_point,
     rk4,
@@ -32,6 +33,8 @@ from .groupoid import (
 
 CURV_FD_STEP = 1e-3  # balances d^3-coefficient truncation against nabla noise
 GRID_SPACING = 0.05
+GRID_RADIUS = 0.2  # a reconstruction's grid is the box of this max-norm radius around m0
+FLATNESS_TOL = 1e-4  # curvature and holonomy a reconstruction accepts as flat
 TRANSPORT_CACHE_SIZE = 4096  # radial transport matrices a reconstruction keeps
 
 
@@ -225,17 +228,14 @@ def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
 
 
 def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
-                       half_extent: float = 0.2, spacing: float = GRID_SPACING,
-                       flatness_tol: float = 1e-4,
-                       sample_count: int = 5,
-                       seed: int = 0) -> ReconstructionResult:
+                       sample_count: int = 5, seed: int = 0) -> ReconstructionResult:
     """Extend a basis of the algebroid fibre at m0 to covariantly constant
     sections by radial parallel transport, compute the structure constants of
     their bracket algebra, and validate the Lie-algebra axioms and the anchor
     homomorphism.
 
     Requires the connection to be flat on the grid: transport along two
-    homotopic grid paths must agree to flatness_tol, otherwise FlatnessError
+    homotopic grid paths must agree to FLATNESS_TOL, otherwise FlatnessError
     (holonomy) is raised, and the curvature precondition is checked up front.
     """
     model = nabla.model
@@ -245,16 +245,16 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     rng = np.random.default_rng(seed)
 
     # flatness precondition on a few grid points
-    for probe in (m0, m0 + np.full(model.n, half_extent),
-                  m0 - np.full(model.n, half_extent)):
+    for probe in (m0, m0 + np.full(model.n, GRID_RADIUS),
+                  m0 - np.full(model.n, GRID_RADIUS)):
         c = curvature(nabla, probe).norm_inf
-        if c > flatness_tol:
+        if exceeds(c, FLATNESS_TOL):
             raise FlatnessError(
-                f"curvature {c:.2e} above {flatness_tol:.1e} at {probe}; "
+                f"curvature {c:.2e} above {FLATNESS_TOL:.1e} at {probe}; "
                 "reconstruction requires a flat connection")
 
     # path independence: two homotopic L-shaped grid paths to the far corner
-    corner = m0 + np.full(model.n, half_extent)
+    corner = m0 + np.full(model.n, GRID_RADIUS)
 
     def l_path(first_axis):
         def path(t):
@@ -273,7 +273,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     Y_a = _transport_matrix(nabla, frame, r, l_path(0))
     Y_b = _transport_matrix(nabla, frame, r, l_path(model.n - 1))
     path_dependence = float(np.max(np.abs(Y_a - Y_b)))
-    if path_dependence > flatness_tol:
+    if exceeds(path_dependence, FLATNESS_TOL):
         raise FlatnessError(
             f"holonomy detected: homotopic transports differ by {path_dependence:.2e}")
 
@@ -314,7 +314,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     jac = _jacobi_residual(c)
 
     par = 0.0
-    grid_axis = np.arange(-half_extent, half_extent + spacing / 2, spacing)
+    grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
     grid_pts = [m0 + np.array(offs) for offs in
                 _lattice_offsets(grid_axis, model.n)]
     probe_pts = grid_pts[:: max(1, len(grid_pts) // 9)]
@@ -326,7 +326,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
 
     hom = 0.0
     for _ in range(sample_count):
-        m = m0 + rng.uniform(-half_extent, half_extent, size=model.n)
+        m = m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=model.n)
         for a in range(r):
             for b in range(a + 1, r):
                 lhs = (jacobian_fd(fields[b], m) @ fields[a](m)

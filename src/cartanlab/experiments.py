@@ -12,6 +12,7 @@ import numpy as np
 
 from .chartcalc import jacobian_fd, worst_case, worst_case_min
 from .connection import (
+    UNITAL_SAMPLES,
     check_multiplicative,
     check_unital,
     infinitesimalize,
@@ -313,7 +314,7 @@ def run_multiplicativity(model, S, config, count) -> list[Check]:
     unital = check_unital(S, rng)
     return [
         Check("multiplicative", rep.samples, rep.max_error, rep.tolerance),
-        Check("unital", 20, unital, _tol(config, "unital", 1e-9)),
+        Check("unital", UNITAL_SAMPLES, unital, _tol(config, "unital", 1e-9)),
     ]
 
 

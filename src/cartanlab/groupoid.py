@@ -25,6 +25,7 @@ from .chartcalc import (
     deriv_at_zero,
     differentiate,
     directional_derivative,
+    exceeds,
     jacobian_fd,
     memo_by_point,
     newton_solve,
@@ -42,6 +43,8 @@ SECTION_TOL = 1e-9
 DET_TOL = 1e-9
 FRAME_MEMO_SIZE = 64  # points remembered by an aligned_frame
 PROJECTION_CACHE_SIZE = 4096  # kernel projections an aligned_frame keeps, keyed on Tsrc(unit(m))
+BASE_SHRINK = 0.15  # share of the base box width sample_base_point keeps clear per side
+SECTION_SCALE = 0.5  # half-range of random_section's affine coefficients
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,9 @@ class GroupoidModel:
     arrow onto the set with prescribed source/target. The *_jac hooks, when
     present, supply analytic jacobians (mul_jac returns the pair of N x N
     blocks, retract jacobians return the (arrow, base-point) blocks).
+
+    A model whose source map reads a slot of its coordinates takes its source side
+    (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot.
     """
 
     name: str
@@ -164,7 +170,7 @@ def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
     vec = np.asarray(vec, dtype=float)
     if check:
         defect = float(np.max(np.abs(model.Tsrc(model.unit(m)) @ vec)))
-        if defect > SECTION_TOL:
+        if exceeds(defect, SECTION_TOL):
             raise ToleranceError(
                 f"vector not source-vertical at {m}: |Tsrc.v| = {defect:.3e}")
     return AlgebroidVec(m, vec)
@@ -185,11 +191,46 @@ def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
     return basis
 
 
+def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
+    """The source-side GroupoidModel fields of a model whose source map reads the
+    arrow coordinates src_index: src, retract_src (writes m into them) with its
+    constant retract_src_jac, arrow_with_source (the other coordinates uniform in
+    their domain_box rows) and src_fiber_chart (the other coordinates, the source
+    held at m0). The constant jacobians are shared, so they are read-only."""
+    eye = np.eye(N)
+    rest = np.delete(np.arange(N), src_index)
+    src_jac, rest_emb = eye[src_index], eye[:, rest]
+    retract_jacs = (rest_emb @ rest_emb.T, eye[:, src_index])
+    for a in (src_jac, rest_emb, *retract_jacs):
+        a.flags.writeable = False
+    low, high = domain_box[rest].T
+
+    def place(others, m):
+        g = np.empty(N)
+        g[rest], g[src_index] = others, m
+        return g
+
+    def retract_src(g, m):
+        g = np.array(g, dtype=float)
+        g[src_index] = m
+        return g
+
+    def fiber_chart(m0):
+        m0 = np.asarray(m0, dtype=float)
+        return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=lambda u: rest_emb),
+                lambda coords: np.asarray(coords, dtype=float)[rest])
+
+    src = ChartMap(N, N - len(rest), lambda g: g[src_index], jacobian=lambda g: src_jac)
+    return dict(src=src, retract_src=retract_src, retract_src_jac=lambda g, m: retract_jacs,
+                arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
+                src_fiber_chart=fiber_chart)
+
+
 # -- tangent maps of the structure maps -------------------------------------
 
 
 def _check_composable(g_src: np.ndarray, h_tgt: np.ndarray) -> None:
-    if float(np.max(np.abs(g_src - h_tgt))) > 1e-8:
+    if exceeds(float(np.max(np.abs(g_src - h_tgt))), 1e-8):
         raise CompositionError(
             f"arrows not composable: src {g_src} vs tgt {h_tgt}")
 
@@ -297,12 +338,12 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np
 
 
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
-               m: np.ndarray, h: float = FD_STEP) -> Jet1:
+               m: np.ndarray) -> Jet1:
     """Ground-truth one-jet of an explicit local bisection at m, by central
     differences of the bisection itself.
 
-    b is evaluated once at each of the 2n+1 points m and m +- h e_i: the
-    section check evaluates them all, and the central-difference jacobian
+    b is evaluated once at each of the 2n+1 points m and m +- h e_i, h = FD_STEP:
+    the section check evaluates them all, and the central-difference jacobian
     reads those same values back from a memo that lives for this call.
     jacobian_fd forms its probes as m + s * e with s = +h and s = -h, which
     have exactly the bytes of m + h * e and m - h * e (IEEE a + (-b) == a - b,
@@ -316,13 +357,13 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     b_once = memo_by_point(lambda x: np.asarray(b(x), dtype=float))
     g = b_once(m)
     # section check at m and at probe points
-    for probe in (m, *(m + h * e for e in np.eye(model.n)),
-                  *(m - h * e for e in np.eye(model.n))):
+    for probe in (m, *(m + FD_STEP * e for e in np.eye(model.n)),
+                  *(m - FD_STEP * e for e in np.eye(model.n))):
         defect = float(np.max(np.abs(model.src(b_once(probe)) - probe)))
-        if not defect <= SECTION_TOL:  # a NaN defect fails too
+        if exceeds(defect, SECTION_TOL):
             raise NotABisectionError(
                 f"src(b(x)) != x near {m}: defect {defect:.3e}")
-    mu = jacobian_fd(b_once, m, h=h)
+    mu = jacobian_fd(b_once, m)
     arrow = model.arrow(g)
     ad_tm = model.Ttgt(g) @ mu
     if not abs(np.linalg.det(ad_tm)) >= DET_TOL:
@@ -393,13 +434,12 @@ def jet_distance(j1: Jet1, j2: Jet1) -> float:
 # -- sampling ---------------------------------------------------------------
 
 
-def sample_base_point(model: GroupoidModel, rng: np.random.Generator,
-                      shrink: float = 0.15) -> np.ndarray:
+def sample_base_point(model: GroupoidModel, rng: np.random.Generator) -> np.ndarray:
     """Uniform base point, drawn a little inside the base box so that finite
     differences and short flows stay in-chart."""
     box = model.base_box
     width = box[:, 1] - box[:, 0]
-    return rng.uniform(box[:, 0] + shrink * width, box[:, 1] - shrink * width)
+    return rng.uniform(box[:, 0] + BASE_SHRINK * width, box[:, 1] - BASE_SHRINK * width)
 
 
 def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -443,13 +483,13 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     return frame
 
 
-def random_section(model: GroupoidModel, rng: np.random.Generator,
-                   scale: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
+def random_section(model: GroupoidModel,
+                   rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
     """A smooth random algebroid section: kernel frame times affine coefficients."""
     ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     frame = aligned_frame(model, ref)
-    c0 = rng.uniform(-scale, scale, size=frame.rank)
-    c1 = rng.uniform(-scale, scale, size=(frame.rank, model.n))
+    c0 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=frame.rank)
+    c1 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=(frame.rank, model.n))
 
     def X(m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartcalc import newton_solve
+from .chartcalc import exceeds, newton_solve
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
@@ -35,6 +35,8 @@ from .groupoid import (
 log = logging.getLogger(__name__)
 
 BASE_TOL = 1e-9
+KERNEL_SCALE = 0.4  # half-range of random_kernel_hom's coefficients in the kernel basis
+KERNEL_MIN_DET = 0.1  # conditioning floor |det phi_tm| of random_kernel_hom's samples
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class KernelHom:
 
 
 def _same_base(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) > BASE_TOL:
+    if exceeds(float(np.max(np.abs(np.asarray(a) - np.asarray(b)))), BASE_TOL):
         raise BaseMismatchError(f"{what}: base points differ ({a} vs {b})")
 
 
@@ -113,8 +115,7 @@ def zero_kernel_hom(model: GroupoidModel, m: np.ndarray) -> KernelHom:
 
 
 def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
-                      rng: np.random.Generator, scale: float = 0.4,
-                      min_det: float = 0.1) -> KernelHom:
+                      rng: np.random.Generator) -> KernelHom:
     """Random kernel element at m; samples below the conditioning floor are
     rejected and resampled (logged).
 
@@ -124,9 +125,9 @@ def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
     excluded from sampled comparisons rather than from the algebra."""
     K = kernel_basis(model, m)
     for attempt in range(64):
-        C = rng.uniform(-scale, scale, size=(K.shape[1], model.n))
+        C = rng.uniform(-KERNEL_SCALE, KERNEL_SCALE, size=(K.shape[1], model.n))
         cand = KernelHom(model, np.asarray(m, dtype=float), K @ C)
-        if abs(np.linalg.det(cand.phi_tm)) >= min_det:
+        if abs(np.linalg.det(cand.phi_tm)) >= KERNEL_MIN_DET:
             return cand
         log.debug("resampling kernel hom at %s (attempt %d: det %.2e below floor)",
                   m, attempt, np.linalg.det(cand.phi_tm))
@@ -295,11 +296,10 @@ def kernel_section_pushforward(model: GroupoidModel, b, Phi):
     return phi_at
 
 
-def random_jet(model: GroupoidModel, S, g: Arrow,
-               rng: np.random.Generator, scale: float = 0.4) -> Jet1:
+def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> Jet1:
     """Random jet over the arrow g, built as vee(phi) . S(g) with a random
     kernel element at the target."""
-    phi = random_kernel_hom(model, g.target, rng, scale=scale)
+    phi = random_kernel_hom(model, g.target, rng)
     return jet_assemble(model, g, phi, S)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..chartcalc import ChartMap
 from ..connection import CartanConnection
-from ..groupoid import GroupoidModel
+from ..groupoid import GroupoidModel, source_slot
 from .rotations import (
     J2,
     compose_so3,
@@ -23,6 +23,10 @@ from .rotations import (
     hat,
     rot2,
 )
+
+TRANSLATION_HALF_WIDTH = 0.8  # half-width of the translation group box
+SE2_THETA_MAX, SE2_B_MAX = 0.6, 0.7  # half-widths of the SE(2) chart box in theta and b
+SO3_W_MAX = 0.5  # half-width of the rotation-vector box of SO(3)
 
 
 @dataclass(frozen=True)
@@ -46,22 +50,14 @@ class ActionChart:
     act_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def make_action_groupoid(group: GroupChart, action: ActionChart,
-                         base_box: np.ndarray,
-                         name: str | None = None) -> tuple[GroupoidModel, CartanConnection]:
+def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.ndarray,
+                         name: str) -> tuple[GroupoidModel, CartanConnection]:
     base_box = np.asarray(base_box, dtype=float)
     n = base_box.shape[0]
     k = group.dim
     N = k + n
     Ik, In = np.eye(k), np.eye(n)
-    Zkn, Znk = np.zeros((k, n)), np.zeros((n, k))
-    # constant jacobian blocks, built once: the hot jacobians below fill only
-    # their point-dependent blocks into np.zeros((N, N))
-    retract_src_jacs = (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
-                        np.vstack([Zkn, In]))
-
-    src = ChartMap(N, n, lambda g: g[k:],
-                   jacobian=lambda g: np.hstack([Znk, In]))
+    Zkn = np.zeros((k, n))
 
     def tgt_eval(g):
         return action.act(g[:k], g[k:])
@@ -97,9 +93,6 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
         D[k:, k:] = Dm
         return D
 
-    def retract_src(g, m):
-        return np.concatenate([g[:k], m])
-
     def retract_tgt(g, m):
         b = group.inverse(g[:k])
         return np.concatenate([g[:k], action.act(b, m)])
@@ -115,27 +108,23 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
         Dpoint[k:] = Dm
         return Dg, Dpoint
 
+    domain_box = np.vstack([group.box, base_box])
     model = GroupoidModel(
-        name=name or f"{group.name}-action",
+        name=name,
         n=n,
         N=N,
-        src=src,
         tgt=tgt,
         unit=unit,
         mul=mul,
         inv=inv,
-        retract_src=retract_src,
         retract_tgt=retract_tgt,
-        domain_box=np.vstack([group.box, base_box]),
+        domain_box=domain_box,
         base_box=base_box,
-        arrow_with_source=lambda m, rng: np.concatenate(
-            [rng.uniform(group.box[:, 0], group.box[:, 1]), m]),
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_src_jac=lambda g, m: retract_src_jacs,
         retract_tgt_jac=retract_tgt_jac,
-        src_fiber_chart=lambda m0: _action_fiber(group, k, m0),
         extras={"group_dim": k},
+        **source_slot(N, slice(k, N), domain_box),
     )
 
     mu_const = np.vstack([Zkn, In])
@@ -143,22 +132,11 @@ def make_action_groupoid(group: GroupChart, action: ActionChart,
     return model, S
 
 
-def _action_fiber(group, k, m0):
-    m0 = np.asarray(m0, dtype=float)
-    emb = ChartMap(k, k + m0.size, lambda a: np.concatenate([a, m0]),
-                   jacobian=lambda a: np.vstack([np.eye(k), np.zeros((m0.size, k))]))
-
-    def project(coords):
-        return np.asarray(coords, dtype=float)[:k]
-
-    return emb, project
-
-
 # -- shipped groups/actions ---------------------------------------------------
 
 
-def translation_group(n: int, half_width: float = 0.8) -> GroupChart:
-    box = np.array([[-half_width, half_width]] * n)
+def translation_group(n: int) -> GroupChart:
+    box = np.array([[-TRANSLATION_HALF_WIDTH, TRANSLATION_HALF_WIDTH]] * n)
     return GroupChart(
         dim=n,
         compose=lambda a2, a1: a1 + a2,
@@ -180,9 +158,9 @@ def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnecti
     return make_action_groupoid(group, action, base_box, name=f"translation-R{n}")
 
 
-def se2_group(theta_max: float = 0.6, b_max: float = 0.7) -> GroupChart:
+def se2_group() -> GroupChart:
     """SE(2) in the (theta, b) chart; theta lives on the universal cover."""
-    box = np.array([[-theta_max, theta_max], [-b_max, b_max], [-b_max, b_max]])
+    box = np.array([[-SE2_THETA_MAX, SE2_THETA_MAX]] + [[-SE2_B_MAX, SE2_B_MAX]] * 2)
 
     def compose(a2, a1):
         th2, b2 = a2[0], a2[1:]
@@ -235,8 +213,8 @@ def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
                                 name="se2-action")
 
 
-def so3_group(w_max: float = 0.5) -> GroupChart:
-    box = np.array([[-w_max, w_max]] * 3)
+def so3_group() -> GroupChart:
+    box = np.array([[-SO3_W_MAX, SO3_W_MAX]] * 3)
     return GroupChart(
         dim=3,
         compose=compose_so3,

@@ -17,7 +17,9 @@ import numpy as np
 from ..chartcalc import (
     ChartMap,
     deriv_at_zero,
+    differentiate,
     directional_derivative,
+    exceeds,
     jacobian_fd,
     worst_case,
     worst_case_min,
@@ -29,8 +31,10 @@ from ..groupoid import (
     algebroid_vec,
     kernel_basis,
     right_translate,
+    source_slot,
 )
 from ..jetalg import adjoint_vec, jet_invert
+from .actions import se2_group
 from .rotations import J2, rot2
 
 
@@ -115,21 +119,15 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     k = cc.p_dim
     n = cc.n
     N = k + n
-    Ik, In = np.eye(k), np.eye(n)
-    Zkn, Znk = np.zeros((k, n)), np.zeros((n, k))
-    # constant jacobian blocks, built once: the hot jacobians below fill only
-    # their point-dependent blocks into np.zeros((N, N))
-    retract_src_jacs = (np.block([[Ik, Zkn], [Znk, np.zeros((n, n))]]),
-                        np.vstack([Zkn, In]))
+    In = np.eye(n)
 
     def check_slice(m):
         p = cc.sigma(np.asarray(m, dtype=float))
         defect = float(np.max(np.abs(cc.pi(p) - m)))
-        if defect > 1e-10:
+        if exceeds(defect, 1e-10):
             raise SliceError(f"slice section fails pi . sigma = id at {m} ({defect:.2e})")
         return p
 
-    src = ChartMap(N, n, lambda g: g[k:], jacobian=lambda g: np.hstack([Znk, In]))
     tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]),
                    jacobian=lambda g: np.hstack([cc.pi_jac(g[:k]), np.zeros((n, n))]))
     unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
@@ -163,9 +161,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         D[k:, :k] = cc.pi_jac(g[:k])
         return D
 
-    def retract_src(g, m0):
-        return np.concatenate([g[:k], m0])
-
     def retract_tgt(g, m0):
         return np.concatenate([cc.h_act(cc.sigma(m0), cc.normalizer(g[:k])), g[k:]])
 
@@ -183,28 +178,24 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     # pi is a coordinate projection for the shipped bundles, so the base box is
     # the corresponding block of the total-space box
     base_box = cc.p_box[-n:, :]
+    domain_box = np.vstack([cc.p_box, base_box])
 
     model = GroupoidModel(
         name=f"gauge-{cc.name}",
         n=n,
         N=N,
-        src=src,
         tgt=tgt,
         unit=unit,
         mul=mul,
         inv=inv,
-        retract_src=retract_src,
         retract_tgt=retract_tgt,
-        domain_box=np.vstack([cc.p_box, base_box]),
+        domain_box=domain_box,
         base_box=base_box,
-        arrow_with_source=lambda m, rng: np.concatenate(
-            [rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1]), m]),
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_src_jac=lambda g, m: retract_src_jacs,
         retract_tgt_jac=retract_tgt_jac,
-        src_fiber_chart=lambda m0: _gauge_fiber(cc, m0),
         extras={"classical": cc},
+        **source_slot(N, slice(k, N), domain_box),
     )
 
     def mu_at(g):
@@ -216,18 +207,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
 
     S = CartanConnection(model, mu_at, name=f"S-omega[{cc.name}]")
     return model, S
-
-
-def _gauge_fiber(cc: ClassicalCartan, m0):
-    m0 = np.asarray(m0, dtype=float)
-    k, n = cc.p_dim, cc.n
-    emb = ChartMap(k, k + n, lambda q: np.concatenate([q, m0]),
-                   jacobian=lambda q: np.vstack([np.eye(k), np.zeros((n, k))]))
-
-    def project(coords):
-        return np.asarray(coords, dtype=float)[:k]
-
-    return emb, project
 
 
 # -- recovering a parallelism from a transitive connection ---------------------
@@ -272,8 +251,7 @@ def recover_omega(S: CartanConnection, m0: np.ndarray) -> RecoveredParallelism:
         u = np.asarray(u, dtype=float)
         p = fiber(u)
         g = model.arrow(p)
-        Demb = np.asarray(
-            fiber.jacobian(u) if fiber.jacobian is not None else None, dtype=float)
+        Demb = differentiate(fiber, u)
         mu_inv = jet_invert(model, S.jet(g))
         ginv = model.arrow(model.inv(g.coords))
         cols = []
@@ -412,9 +390,9 @@ def classical_curvature_parallel_frame(cc: ClassicalCartan, bracket_v: Callable,
 # -- the shipped example: Maurer-Cartan form of SE(2) over SO(2) ---------------
 
 
-def se2_maurer_cartan(theta_max: float = 0.6, b_max: float = 0.7) -> ClassicalCartan:
-    """Left Maurer-Cartan parallelism on SE(2) seen as an SO(2)-bundle over the
-    plane. V has coordinates (rotation component, translation components)."""
+def se2_maurer_cartan() -> ClassicalCartan:
+    """Left Maurer-Cartan parallelism on the SE(2) group chart seen as an SO(2)-bundle
+    over the plane. V has coordinates (rotation component, translation components)."""
 
     def omega_matrix(p):
         W = np.zeros((3, 3))
@@ -437,7 +415,7 @@ def se2_maurer_cartan(theta_max: float = 0.6, b_max: float = 0.7) -> ClassicalCa
         Dh[0, 0] = 1.0
         return Dp, Dh
 
-    p_box = np.array([[-theta_max, theta_max], [-b_max, b_max], [-b_max, b_max]])
+    p_box = se2_group().box
     return ClassicalCartan(
         name="se2-so2",
         p_dim=3,
@@ -458,7 +436,7 @@ def se2_maurer_cartan(theta_max: float = 0.6, b_max: float = 0.7) -> ClassicalCa
         normalizer=lambda p: np.array([p[0]]),
         normalizer_jac=lambda p: np.array([[1.0, 0.0, 0.0]]),
         p_box=p_box,
-        h_box=np.array([[-theta_max, theta_max]]),
+        h_box=p_box[:1],
     )
 
 

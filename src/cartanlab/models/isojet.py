@@ -27,10 +27,11 @@ from ..chartcalc import (
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
-from ..groupoid import GroupoidModel
+from ..groupoid import GroupoidModel, source_slot
 from .rotations import J2, rot2
 
 _I2 = np.eye(2)
+THETA_MAX = 0.7  # half-width of the theta row of the arrow box
 
 
 def chol2(G: np.ndarray) -> np.ndarray:
@@ -73,9 +74,9 @@ def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
     return np.linalg.solve(Lp.T, rot2(theta) @ Lm.T)
 
 
-def make_isometry_jet_groupoid(metric: MetricChart,
-                               base_box: np.ndarray | None = None,
-                               theta_max: float = 0.7) -> tuple[GroupoidModel, CartanConnection]:
+def make_isometry_jet_groupoid(
+        metric: MetricChart,
+        base_box: np.ndarray | None = None) -> tuple[GroupoidModel, CartanConnection]:
     """The isometry-jet groupoid of a surface metric and its prolongation
     connection. The metric's g and dg must broadcast over a leading axis of
     points, as MetricChart describes; the jets are computed for stacks."""
@@ -88,10 +89,8 @@ def make_isometry_jet_groupoid(metric: MetricChart,
     z21 = np.zeros((2, 1))
     z12 = np.zeros((1, 2))
 
-    src_jac = np.hstack([I2, Z2, z21])
     tgt_jac = np.hstack([Z2, I2, z21])
     unit_jac = np.vstack([I2, I2, z12])
-    src = ChartMap(N, n, lambda g: g[:2], jacobian=lambda g: src_jac)
     tgt = ChartMap(N, n, lambda g: g[2:4], jacobian=lambda g: tgt_jac)
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
                     jacobian=lambda m: unit_jac)
@@ -118,32 +117,12 @@ def make_isometry_jet_groupoid(metric: MetricChart,
         D[4, 4] = -1.0
         return D
 
-    def retract_src(g, m):
-        return np.concatenate([m, g[2:4], [g[4]]])
-
     def retract_tgt(g, m):
         return np.concatenate([g[:2], m, [g[4]]])
 
-    src_jacs = (np.diag([0.0, 0.0, 1.0, 1.0, 1.0]), np.vstack([I2, Z2, z12]))
     tgt_jacs = (np.diag([1.0, 1.0, 0.0, 0.0, 1.0]), np.vstack([Z2, I2, z12]))
 
-    theta_box = np.array([[-theta_max, theta_max]])
-    domain_box = np.vstack([base_box, base_box, theta_box])
-
-    def arrow_with_source(m, rng):
-        mp = rng.uniform(base_box[:, 0], base_box[:, 1])
-        th = rng.uniform(-theta_max, theta_max)
-        return np.concatenate([m, mp, [th]])
-
-    def fiber_chart(m0):
-        m0 = np.asarray(m0, dtype=float)
-        emb = ChartMap(3, 5, lambda u: np.concatenate([m0, u]),
-                       jacobian=lambda u: np.vstack([np.zeros((2, 3)), np.eye(3)]))
-
-        def project(coords):
-            return np.asarray(coords, dtype=float)[2:]
-
-        return emb, project
+    domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
 
     def horizontal_jets(G):
         return prolongation_jets(metric, np.asarray(G, dtype=float))[0]
@@ -155,22 +134,18 @@ def make_isometry_jet_groupoid(metric: MetricChart,
         name=f"isojet-{metric.name}",
         n=n,
         N=N,
-        src=src,
         tgt=tgt,
         unit=unit,
         mul=mul,
         inv=inv,
-        retract_src=retract_src,
         retract_tgt=retract_tgt,
         domain_box=domain_box,
         base_box=base_box,
-        arrow_with_source=arrow_with_source,
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_src_jac=lambda g, m: src_jacs,
         retract_tgt_jac=lambda g, m: tgt_jacs,
-        src_fiber_chart=fiber_chart,
         extras={"metric": metric},
+        **source_slot(N, slice(0, 2), domain_box),
     )
 
     S = CartanConnection(model, horizontal_jet, name=f"prolongation[{metric.name}]",

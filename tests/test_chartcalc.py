@@ -12,6 +12,7 @@ from cartanlab.chartcalc import (
     differentiate,
     directional_derivative,
     directional_derivatives,
+    exceeds,
     flow,
     flow_with_tangent,
     jacobian_fd,
@@ -290,3 +291,8 @@ def test_directional_derivatives_equal_the_single_direction_form():
         assert np.array_equal(D[a], directional_derivative(func, x, V[a]))
     assert np.array_equal(directional_derivatives(func_many, x, np.zeros((2, 2))),
                           np.zeros((2, 3)))
+
+
+def test_exceeds_fails_a_nan_defect():
+    assert exceeds(2e-9, 1e-9) and exceeds(np.nan, 1e-9)
+    assert not exceeds(1e-9, 1e-9) and not exceeds(0.0, 1e-9)

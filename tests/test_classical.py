@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import raises
 
 from cartanlab.connection import check_multiplicative, infinitesimalize
+from cartanlab.errors import SliceError
 from cartanlab.groupoid import (
     identity_jet,
     jet_distance,
@@ -248,3 +251,25 @@ def test_bridge_fails_on_nan_curvature_magnitude(monkeypatch):
                                            seed=1, sample_count=5))
     check = next(c for c in rep.checks if c.name == "mismatched-model-curvature-nonzero")
     assert check.max_error == 1.0 and not check.passed
+
+
+def test_slice_check_refuses_a_nan_projection():
+    cc = dataclasses.replace(se2_maurer_cartan(), pi=lambda p: np.full(2, np.nan))
+    model, _ = classical_to_groupoid(cc)
+    with raises(SliceError):
+        model.unit(np.zeros(2))
+
+
+def test_recovered_parallelism_from_a_jacobian_free_fibre_chart(bridge, rng):
+    cc, model, S = bridge
+
+    def fiber_without_jacobian(m0):
+        emb, project = model.src_fiber_chart(m0)
+        return dataclasses.replace(emb, jacobian=None), project
+
+    fd_model = dataclasses.replace(model, src_fiber_chart=fiber_without_jacobian)
+    rec = recover_omega(S, np.zeros(2))
+    rec_fd = recover_omega(dataclasses.replace(S, model=fd_model), np.zeros(2))
+    for _ in range(3):
+        u = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
+        assert np.max(np.abs(rec_fd.omega_matrix(u) - rec.omega_matrix(u))) < 1e-8

@@ -4,8 +4,10 @@ from pytest import raises
 
 from cartanlab import experiments
 from cartanlab.chartcalc import deriv_at_zero, flow_with_tangent, jacobian_fd
+from cartanlab import connection
 from cartanlab.connection import (
     T_DIFF_STEP,
+    UNITAL_SAMPLES,
     AlgebroidConnection,
     CartanConnection,
     algebroid_transport,
@@ -456,3 +458,27 @@ def test_check_multiplicative_fails_a_jet_the_oracle_refuses(zoo):
     nan_S = CartanConnection(model, lambda g: np.full_like(S.mu_at(g), np.nan))
     rep = check_multiplicative(nan_S, seed=1, count=3)
     assert rep.max_error == np.inf and not rep.passed
+
+
+def test_transport_refuses_a_nan_start(zoo):
+    model, S = zoo("translation-R2")
+    m = np.array([0.1, 0.0])
+    g = model.unit_arrow(np.array([np.nan, 0.0]))
+    with raises(EscapeError, match="does not sit over"):
+        parallel_transport(S, lambda t: m + t * np.array([0.1, 0.0]), 0.0, 1.0, g)
+
+
+def test_unital_check_takes_the_samples_its_report_states(zoo, monkeypatch):
+    drawn = []
+
+    def counting(model, rng):
+        drawn.append(1)
+        return sample_base_point(model, rng)
+
+    _, S = zoo("pair-R2")
+    monkeypatch.setattr(connection, "sample_base_point", counting)
+    check_unital(S, np.random.default_rng(0))
+    assert len(drawn) == UNITAL_SAMPLES
+    report = experiments.run(ExperimentConfig(model="pair-R2", experiment="multiplicativity",
+                                              seed=1, sample_count=2))
+    assert [c.samples for c in report.checks if c.name == "unital"] == [UNITAL_SAMPLES]

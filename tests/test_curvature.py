@@ -343,6 +343,27 @@ def test_nan_batch_row_fails_or_aborts_the_report(zoo, run):
                               seed=1, sample_count=3)
     try:
         checks = run(model, _nan_row_batches(S), config, 3)
-    except NonFiniteError:
-        return  # aborted: the transport went non-finite
+    except (NonFiniteError, FlatnessError):
+        # aborted: the transport went non-finite, or reconstruction's
+        # flatness precondition refused the NaN curvature
+        return
     assert not all(c.passed for c in checks)
+
+
+def test_reconstruction_refuses_a_nan_curvature(zoo):
+    model, S = zoo("pair-R2")
+    nan_nabla = dataclasses.replace(
+        infinitesimalize(S),
+        nabla_batch=lambda m, v, sections: np.full((model.N, len(sections)), np.nan))
+    with raises(FlatnessError, match="curvature nan"):
+        reconstruct_action(nan_nabla, np.zeros(2), sample_count=1)
+
+
+def test_reconstruction_refuses_a_nan_holonomy(zoo, monkeypatch):
+    # no RK4 transport returns NaN (rk4 raises first), so the NaN transport
+    # matrix is planted
+    _, S = zoo("pair-R2")
+    monkeypatch.setattr(curvature_mod, "_transport_matrix",
+                        lambda nabla, frame, rank, path: np.full((rank, rank), np.nan))
+    with raises(FlatnessError, match="holonomy"):
+        reconstruct_action(infinitesimalize(S), np.zeros(2), sample_count=1)

@@ -7,7 +7,7 @@ from pytest import raises
 
 from cartanlab import groupoid
 from cartanlab.chartcalc import FD_STEP, jacobian_fd, newton_solve
-from cartanlab.errors import CompositionError, FrameError, NotABisectionError
+from cartanlab.errors import CompositionError, FrameError, NotABisectionError, ToleranceError
 from cartanlab.groupoid import (
     DET_TOL,
     FRAME_MEMO_SIZE,
@@ -453,3 +453,17 @@ def test_memoized_frames_are_read_only(zoo):
         K *= 2
     assert np.array_equal(frame(np.array([0.3, -0.1])), aligned_frame(
         model, np.zeros(model.n))(np.array([0.3, -0.1])))
+
+
+def test_composability_check_refuses_a_nan_source(zoo):
+    model, _ = zoo("pair-R2")
+    g = model.arrow(np.array([0.3, 0.4, np.nan, 0.2]))
+    at = model.unit_arrow(np.array([0.1, 0.2]))
+    with raises(CompositionError):
+        left_translate(model, g, at, np.zeros(model.N))
+
+
+def test_verticality_check_refuses_a_nan_vector(zoo):
+    model, _ = zoo("se2-action")
+    with raises(ToleranceError):
+        algebroid_vec(model, np.array([0.1, 0.2]), np.full(model.N, np.nan))

@@ -314,3 +314,10 @@ def test_adjoint_is_groupoid_morphism(zoo, name, rng):
         lhs2 = adjoint_vec(model, prod, X).vec
         rhs2 = adjoint_vec(model, mu1, adjoint_vec(model, mu2, X)).vec
         assert np.max(np.abs(lhs2 - rhs2)) < 1e-7
+
+
+def test_base_check_refuses_a_nan_base(pair_r1, rng):
+    model, _ = pair_r1
+    psi = random_kernel_hom(model, np.array([0.1]), rng)
+    with raises(BaseMismatchError):
+        aut_mul(psi, KernelHom(model, np.array([np.nan]), psi.phi))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.chartcalc import jacobian_fd
+from cartanlab.chartcalc import in_box, jacobian_fd
 from cartanlab.errors import MetricError
-from cartanlab.groupoid import jet_distance, oracle_jet, oracle_jet_mul
+from cartanlab.groupoid import jet_distance, oracle_jet, oracle_jet_mul, sample_base_point
 from cartanlab.jetalg import random_jet
-from cartanlab.models import make_model
+from cartanlab.models import MODELS, make_model
 from cartanlab.models.isojet import chol2, dchol2, isometry_matrix, prolongation_jet
 from cartanlab.models.metrics import (
     euclidean_metric,
@@ -321,3 +321,24 @@ def test_cholesky_factors_broadcast_over_a_stack(rng):
     for a in range(4):
         assert np.array_equal(L[a], chol2(G[a]))
         assert np.array_equal(dL[a], dchol2(L[a], dG[a]))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_source_side(zoo, name, jacobians, rng):
+    model, _ = zoo(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    for _ in range(5):
+        g = model.sample_arrow(rng).coords
+        m = sample_base_point(model, rng)
+        assert np.array_equal(model.src(model.retract_src(g, m)), m)
+        assert np.array_equal(model.retract_src(g, model.src(g)), g)
+        a = model.arrow_with_source(m, rng)
+        assert np.array_equal(model.src(a), m)
+        assert in_box(a, model.domain_box)
+        emb, project = model.src_fiber_chart(m)
+        u = project(a)
+        assert np.array_equal(model.src(emb(u)), m)
+        assert np.array_equal(project(emb(u)), u)
+        assert np.max(np.abs(emb.jacobian(u) - jacobian_fd(emb, u))) < 1e-9
