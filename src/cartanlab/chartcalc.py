@@ -135,13 +135,16 @@ def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
     """directional_derivative of func at x along each row of V, with func_many
     evaluating func on a stack of points in one call: row a of the result is
     directional_derivative(func, x, V[a], h) bit for bit, when func_many's
-    rows are func's values. All 2k probes go to func_many together, the
-    forward steps first."""
+    rows are func's values. x is one point for every direction, or a stack
+    x[k, dim] of one base point per direction. All 2k probes go to func_many
+    together, the forward steps first."""
     x = np.asarray(x, dtype=float)
     scales, U = _unit_directions(np.asarray(V, dtype=float))
     moving = scales != 0.0
     if not moving.any():
-        return np.zeros((len(U),) + np.shape(func_many(x[None]))[1:])
+        return np.zeros((len(U),) + np.shape(func_many(x.reshape(-1, x.shape[-1])[:1]))[1:])
+    if x.ndim > 1:
+        x = x[moving]
     U = U[moving]
     k = len(U)
     values = np.asarray(func_many(np.concatenate([x + s * U for s in (h, -h)])), dtype=float)
@@ -196,11 +199,16 @@ def worst_case_min(least: float, value: float) -> float:
     return -math.inf if math.isnan(value) else min(least, value)
 
 
-def rk4(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-        t0: float, t1: float, steps: int,
+def rk4(rhs: Callable, y0: np.ndarray, t0: float | np.ndarray, t1: float, steps: int,
         check: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
     """Classical fixed-step RK4 for dy/dt = rhs(t, y) from t0 to t1, on a state
     array of any shape; global error O(((t1 - t0)/steps)^4).
+
+    t0 may also be a vector of per-member start times for a stack of states
+    y0[k, ...]: member a runs from t0[a] to t1 in the shared step count, rhs
+    gets the vector of member times, and each member's time and step enter
+    only elementwise, so row a equals rk4 on that member alone bit for bit
+    when rhs's rows do not depend on the other rows.
 
     Fixed stepping keeps results reproducible bit-for-bit for a fixed
     configuration. Raises NonFiniteError when the state goes non-finite;
@@ -209,15 +217,16 @@ def rk4(rhs: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     y = np.array(y0, dtype=float)
-    h = (t1 - t0) / steps
-    t = t0
+    t = np.array(t0, dtype=float) if np.ndim(t0) else t0
+    h = (t1 - t) / steps
+    hy = h if np.ndim(h) == 0 else h.reshape(h.shape + (1,) * (y.ndim - 1))  # h per state row
     for _ in range(steps):
         k1 = np.asarray(rhs(t, y), dtype=float)
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * hy * k1), dtype=float)
+        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * hy * k2), dtype=float)
+        k4 = np.asarray(rhs(t + h, y + hy * k3), dtype=float)
+        y = y + (hy / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
         if not np.all(np.isfinite(y)):
             raise NonFiniteError(f"RK4 trajectory went non-finite at t={t}")
         if check is not None:

@@ -18,7 +18,9 @@ routes:
   identity determines nabla.
 * "parallel-transport": differentiate the parallel action of the horizontal
   distribution along a path with initial velocity v, again with outer central
-  t-differences.
+  t-differences. The transports from both outer t-points run as one stacked
+  RK4 integration (transport_many) whose every stage takes the jets at both
+  arrows and at the four probes of their tangents in one mu_many call.
 * "direct-formula": the exact t -> 0 limit of the flow formula,
       nabla_v X = D_m[X^R . unit] v - D_g[S(.) v] X(m),
   which needs only single-level spatial derivatives. It is the high-precision
@@ -151,6 +153,18 @@ def _gamma_dot(gamma: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     return deriv_at_zero(lambda s: gamma(t + s), 1e-6)
 
 
+def _stay_in_box(model: GroupoidModel) -> Callable[[np.ndarray], None]:
+    """The rk4 check of a horizontal lift: the state is one arrow or a stack of
+    rows led by an arrow's N coordinates, and every arrow must stay in the
+    chart box (EscapeError when one leaves it)."""
+    def check(y):
+        for x in np.reshape(y, (-1, np.shape(y)[-1]))[:, :model.N]:
+            if not in_box(x, model.domain_box):
+                raise EscapeError(f"horizontal lift left the chart box at {x}")
+
+    return check
+
+
 def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
                        t0: float, t1: float, g: Arrow,
                        steps: int | None = None) -> Arrow:
@@ -168,11 +182,45 @@ def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray]
     def rhs(t, x):
         return np.asarray(S.mu_at(x), dtype=float) @ _gamma_dot(gamma, t)
 
-    def stay_in_box(x):
-        if not in_box(x, model.domain_box):
-            raise EscapeError(f"horizontal lift left the chart box at {x}")
+    return model.arrow(rk4(rhs, g.coords, t0, t1, steps, check=_stay_in_box(model)))
 
-    return model.arrow(rk4(rhs, g.coords, t0, t1, steps, check=stay_in_box))
+
+def transport_many(S: CartanConnection, gamma: Callable[[float], np.ndarray],
+                   t0: np.ndarray, t1: float, coords0: np.ndarray, W0: np.ndarray,
+                   steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """transport_with_vector for a stack of members along one path: member a
+    starts at time t0[a] from the arrow coords0[a] with the vector W0[a], and
+    all run to t1 in one RK4 integration of the shared step count. Each stage
+    evaluates the jets at every member's arrow and at both probes of its
+    tangent's central difference in one mu_many call. Row a equals
+    transport_with_vector on member a alone bit for bit. Raises EscapeError
+    when an arrow leaves the chart box."""
+    N = S.model.N
+
+    def lifted_field(P):
+        # a row of P is an arrow and the path velocity its jet multiplies
+        return np.stack([mu @ p[N:] for mu, p in zip(S.mu_many(P[:, :N]), P)])
+
+    def rhs(t, Y):
+        k = len(Y)
+        # the velocity rides along as a coordinate the probes do not move, so
+        # the field and its tangent need no member labels
+        lifted = np.concatenate([Y[:, :N], [_gamma_dot(gamma, ta) for ta in t]], axis=1)
+        fields = []
+
+        def with_fields(probes):
+            # the members' own arrows join their probes' mu_many call
+            values = lifted_field(np.concatenate([lifted, probes]))
+            fields.append(values[:k])
+            return values[k:]
+
+        tangents = directional_derivatives(
+            with_fields, lifted, np.concatenate([Y[:, N:], np.zeros((k, S.model.n))], axis=1))
+        return np.concatenate([fields[0], tangents], axis=1)
+
+    Y = rk4(rhs, np.concatenate([coords0, W0], axis=1), t0, t1, steps,
+            check=_stay_in_box(S.model))
+    return Y[:, :N], Y[:, N:]
 
 
 def transport_with_vector(S: CartanConnection, gamma: Callable[[float], np.ndarray],
@@ -180,22 +228,15 @@ def transport_with_vector(S: CartanConnection, gamma: Callable[[float], np.ndarr
                           steps: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal lift together with its linearization: integrates the
     variational system d(dg)/dt = D_g[mu(S(g)) gamma'(t)] . dg alongside the
-    lift, which is how tangent vectors to source fibres are transported."""
-    N = S.model.N
+    lift, which is how tangent vectors to source fibres are transported.
+    transport_many's batch of one; raises EscapeError when the lift leaves
+    the chart box."""
     if steps is None:
         steps = _steps_for(t1 - t0)
-
-    def rhs(t, y):
-        gdot = _gamma_dot(gamma, t)
-
-        def field(x):
-            return np.asarray(S.mu_at(x), dtype=float) @ gdot
-
-        x, w = y[:N], y[N:]
-        return np.concatenate([field(x), directional_derivative(field, x, w)])
-
-    y = rk4(rhs, np.concatenate([coords0, w0]), t0, t1, steps)
-    return y[:N], y[N:]
+    X, W = transport_many(S, gamma, np.array([t0], dtype=float), t1,
+                          np.asarray(coords0, dtype=float)[None],
+                          np.asarray(w0, dtype=float)[None], steps)
+    return X[0], W[0]
 
 
 def algebroid_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
@@ -307,15 +348,12 @@ def _infinitesimalize_transport(S: CartanConnection,
 
     def nabla(m, v, X):
         gamma = path_factory(m, v)
-
-        def transported(tau):
-            p = np.asarray(gamma(tau), dtype=float)
-            u = model.unit(p)
-            w = np.asarray(X(p), dtype=float)
-            _, out = transport_with_vector(S, gamma, tau, 0.0, u, w, steps=4)
-            return out
-
-        val = deriv_at_zero(transported, T_DIFF_STEP)
+        # both outer t-points' transports run as one stacked integration
+        taus = np.array([T_DIFF_STEP, -T_DIFF_STEP])
+        P = [np.asarray(gamma(tau), dtype=float) for tau in taus]
+        _, out = transport_many(S, gamma, taus, 0.0, np.stack([model.unit(p) for p in P]),
+                                np.stack([np.asarray(X(p), dtype=float) for p in P]), steps=4)
+        val = deriv_at_zero(lambda s: out[0] if s > 0 else out[1], T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
     return AlgebroidConnection(model, nabla, "parallel-transport")

@@ -87,7 +87,8 @@ class GroupoidModel:
     blocks, retract jacobians return the (arrow, base-point) blocks).
 
     A model whose source map reads a slot of its coordinates takes its source side
-    (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot.
+    (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot,
+    and likewise its target side (tgt, retract_tgt(_jac)) from target_slot.
     """
 
     name: str
@@ -191,18 +192,32 @@ def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The fields side, retract_side (writes m into the arrow coordinates index)
+    and its constant, read-only retract_side_jac; the other coordinates and their embedding."""
+    eye = np.eye(N)
+    rest = np.delete(np.arange(N), index)
+    side_jac, rest_emb = eye[index], eye[:, rest]
+    retract_jacs = (rest_emb @ rest_emb.T, eye[:, index])
+    for a in (side_jac, rest_emb, *retract_jacs):
+        a.flags.writeable = False
+
+    def retract(g, m):
+        g = np.array(g, dtype=float)
+        g[index] = m
+        return g
+
+    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=lambda g: side_jac)
+    return ({side: side_map, f"retract_{side}": retract,
+             f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
+
+
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
-    arrow coordinates src_index: src, retract_src (writes m into them) with its
-    constant retract_src_jac, arrow_with_source (the other coordinates uniform in
-    their domain_box rows) and src_fiber_chart (the other coordinates, the source
-    held at m0). The constant jacobians are shared, so they are read-only."""
-    eye = np.eye(N)
-    rest = np.delete(np.arange(N), src_index)
-    src_jac, rest_emb = eye[src_index], eye[:, rest]
-    retract_jacs = (rest_emb @ rest_emb.T, eye[:, src_index])
-    for a in (src_jac, rest_emb, *retract_jacs):
-        a.flags.writeable = False
+    arrow coordinates src_index: src, retract_src(_jac) as _coordinate_slot gives
+    them, arrow_with_source (the other coordinates uniform in their domain_box
+    rows) and src_fiber_chart (the other coordinates, the source held at m0)."""
+    fields, rest, rest_emb = _coordinate_slot(N, src_index, "src")
     low, high = domain_box[rest].T
 
     def place(others, m):
@@ -210,20 +225,19 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
         g[rest], g[src_index] = others, m
         return g
 
-    def retract_src(g, m):
-        g = np.array(g, dtype=float)
-        g[src_index] = m
-        return g
-
     def fiber_chart(m0):
         m0 = np.asarray(m0, dtype=float)
         return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=lambda u: rest_emb),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
-    src = ChartMap(N, N - len(rest), lambda g: g[src_index], jacobian=lambda g: src_jac)
-    return dict(src=src, retract_src=retract_src, retract_src_jac=lambda g, m: retract_jacs,
-                arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
+    return dict(fields, arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
                 src_fiber_chart=fiber_chart)
+
+
+def target_slot(N: int, tgt_index: slice) -> dict:
+    """The target-side fields tgt and retract_tgt(_jac) of a model whose target
+    map reads the arrow coordinates tgt_index."""
+    return _coordinate_slot(N, tgt_index, "tgt")[0]
 
 
 # -- tangent maps of the structure maps -------------------------------------

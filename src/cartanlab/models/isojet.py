@@ -27,7 +27,7 @@ from ..chartcalc import (
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
-from ..groupoid import GroupoidModel, source_slot
+from ..groupoid import GroupoidModel, source_slot, target_slot
 from .rotations import J2, rot2
 
 _I2 = np.eye(2)
@@ -85,13 +85,9 @@ def make_isometry_jet_groupoid(
     base_box = np.asarray(base_box, dtype=float)
     n, N = 2, 5
     I2 = np.eye(2)
-    Z2 = np.zeros((2, 2))
-    z21 = np.zeros((2, 1))
     z12 = np.zeros((1, 2))
 
-    tgt_jac = np.hstack([Z2, I2, z21])
     unit_jac = np.vstack([I2, I2, z12])
-    tgt = ChartMap(N, n, lambda g: g[2:4], jacobian=lambda g: tgt_jac)
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
                     jacobian=lambda m: unit_jac)
 
@@ -117,11 +113,6 @@ def make_isometry_jet_groupoid(
         D[4, 4] = -1.0
         return D
 
-    def retract_tgt(g, m):
-        return np.concatenate([g[:2], m, [g[4]]])
-
-    tgt_jacs = (np.diag([1.0, 1.0, 0.0, 0.0, 1.0]), np.vstack([Z2, I2, z12]))
-
     domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
 
     def horizontal_jets(G):
@@ -134,18 +125,16 @@ def make_isometry_jet_groupoid(
         name=f"isojet-{metric.name}",
         n=n,
         N=N,
-        tgt=tgt,
         unit=unit,
         mul=mul,
         inv=inv,
-        retract_tgt=retract_tgt,
         domain_box=domain_box,
         base_box=base_box,
         mul_jac=mul_jac,
         inv_jac=inv_jac,
-        retract_tgt_jac=lambda g, m: tgt_jacs,
         extras={"metric": metric},
         **source_slot(N, slice(0, 2), domain_box),
+        **target_slot(N, slice(2, 4)),
     )
 
     S = CartanConnection(model, horizontal_jet, name=f"prolongation[{metric.name}]",

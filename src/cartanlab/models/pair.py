@@ -9,7 +9,7 @@ import numpy as np
 
 from ..chartcalc import ChartMap
 from ..connection import CartanConnection
-from ..groupoid import GroupoidModel, source_slot
+from ..groupoid import GroupoidModel, source_slot, target_slot
 
 
 def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection]:
@@ -19,7 +19,6 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     I = np.eye(n)
     Z = np.zeros((n, n))
 
-    tgt = ChartMap(N, n, lambda g: g[:n], jacobian=lambda g: np.hstack([I, Z]))
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m]),
                     jacobian=lambda m: np.vstack([I, I]))
 
@@ -30,30 +29,24 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     keep_tgt = np.block([[I, Z], [Z, Z]])
     keep_src = np.block([[Z, Z], [Z, I]])
     swap = np.block([[Z, I], [I, Z]])
-    retract_tgt_jacs = (keep_src, np.vstack([I, Z]))
 
     def inv(g):
         return np.concatenate([g[n:], g[:n]])
-
-    def retract_tgt(g, m):
-        return np.concatenate([m, g[n:]])
 
     domain_box = np.vstack([box, box])
     model = GroupoidModel(
         name=f"pair-R{n}",
         n=n,
         N=N,
-        tgt=tgt,
         unit=unit,
         mul=mul,
         inv=inv,
-        retract_tgt=retract_tgt,
         domain_box=domain_box,
         base_box=box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),
         inv_jac=lambda g: swap,
-        retract_tgt_jac=lambda g, m: retract_tgt_jacs,
         **source_slot(N, slice(n, N), domain_box),
+        **target_slot(N, slice(0, n)),
     )
 
     mu_const = np.vstack([I, I])

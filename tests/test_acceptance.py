@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from cartanlab.chartcalc import worst_case
 from cartanlab.connection import infinitesimalize
 from cartanlab.curvature import flatness_experiment, reconstruct_action
 from cartanlab.groupoid import jet_distance, oracle_jet_mul, random_section, sample_base_point
@@ -52,17 +53,30 @@ def sample_ops_worst(model, S, samples, seed):
         g, h = model.sample_composable(rng)
         mu1 = random_jet(model, S.jet, g, rng)
         mu2 = random_jet(model, S.jet, h, rng)
-        worst = max(worst, jet_distance(
+        worst = worst_case(worst, jet_distance(
             jet_invert(model, mu1), oracle_jet_inverse(model, mu1)))
         phi = random_kernel_hom(model, g.source, rng)
-        worst = max(worst, jet_distance(
+        worst = worst_case(worst, jet_distance(
             mul_kernel_right(model, mu1, phi),
             oracle_jet_mul(model, mu1, vee(phi))))
         garr, phi_d = jet_decompose(model, mu1, S.jet)
-        worst = max(worst, jet_distance(
+        worst = worst_case(worst, jet_distance(
             jet_assemble(model, garr, phi_d, S.jet), mu1))
-        worst = max(worst, jet_distance(
+        worst = worst_case(worst, jet_distance(
             jet_mul(model, mu1, mu2, S.jet), oracle_jet_mul(model, mu1, mu2)))
+    return worst
+
+
+def routes_worst(model, first, second, samples, seed):
+    """The largest entry of first - second over sampled (m, v, X)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        m = sample_base_point(model, rng)
+        v = rng.uniform(-1.0, 1.0, size=model.n)
+        X = random_section(model, rng)
+        deviation = first(m, v, X).vec - second(m, v, X).vec
+        worst = worst_case(worst, float(np.max(np.abs(deviation))))
     return worst
 
 
@@ -71,11 +85,11 @@ def test_criterion_1_jet_arithmetic_vs_oracle():
     worst_by_mode = {"analytic": 0.0, "finite-difference": 0.0}
     for name in JET_MODELS:
         model, S = make_model(name)
-        worst_by_mode["analytic"] = max(
+        worst_by_mode["analytic"] = worst_case(
             worst_by_mode["analytic"], sample_ops_worst(model, S, samples, seed=101))
         fd_model = model.without_jacobians()
         fd_S = type(S)(fd_model, S.mu_at, name=S.name)
-        worst_by_mode["finite-difference"] = max(
+        worst_by_mode["finite-difference"] = worst_case(
             worst_by_mode["finite-difference"],
             sample_ops_worst(fd_model, fd_S, samples, seed=102))
     ok = (worst_by_mode["analytic"] <= 1e-7
@@ -93,7 +107,7 @@ def test_criterion_2_product_formula_identity_suites():
                                        sample_count=50))
             for c in rep.checks:
                 key = f"{exp}:{c.name}"
-                worst[key] = max(worst.get(key, 0.0), c.max_error / c.tolerance)
+                worst[key] = worst_case(worst.get(key, 0.0), c.max_error / c.tolerance)
     bad = {k: v for k, v in worst.items() if v > 1.0}
     report_line(2, "kernel-product and semidirect identity suites", not bad,
                 f"worst error/tolerance ratio {max(worst.values()):.2e} over "
@@ -105,15 +119,9 @@ def test_criterion_3_infinitesimalization_routes_agree():
     worst = 0.0
     for name in NABLA_MODELS:
         model, S = make_model(name)
-        nf = infinitesimalize(S, "flow-formula")
-        nt = infinitesimalize(S, "parallel-transport")
-        rng = np.random.default_rng(33)
-        for _ in range(samples):
-            m = sample_base_point(model, rng)
-            v = rng.uniform(-1.0, 1.0, size=model.n)
-            X = random_section(model, rng)
-            worst = max(worst, float(np.max(np.abs(
-                nf(m, v, X).vec - nt(m, v, X).vec))))
+        worst = worst_case(worst, routes_worst(
+            model, infinitesimalize(S, "flow-formula"),
+            infinitesimalize(S, "parallel-transport"), samples, seed=33))
     report_line(3, "flow-formula vs parallel-transport on >=100 samples/model",
                 worst <= 1e-4, f"max deviation {worst:.2e} <= 1e-4")
 
@@ -183,6 +191,20 @@ def test_criterion_7_classical_curvature():
                 f"maurer-cartan {mc.max_error:.2e} <= 1e-6, "
                 f"parallel-derivative {r25.max_error:.2e} <= 1e-4 with "
                 f"nonvanishing curvature")
+
+
+def test_accumulators_read_a_nan_sample_as_failing(monkeypatch):
+    # max(worst, nan) == worst would drop the sample and pass the criterion
+    model, S = make_model("pair-R2")
+    monkeypatch.setitem(globals(), "jet_distance", lambda j1, j2: float("nan"))
+    assert sample_ops_worst(model, S, samples=1, seed=101) == np.inf
+    nt = infinitesimalize(S, "direct-formula")
+
+    def nan_route(m, v, X):
+        out = nt(m, v, X)
+        return type(out)(out.base, np.full_like(out.vec, np.nan))
+
+    assert routes_worst(model, nt, nan_route, samples=2, seed=33) == np.inf
 
 
 def test_criterion_8_deterministic_reports(tmp_path):

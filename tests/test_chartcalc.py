@@ -296,3 +296,41 @@ def test_directional_derivatives_equal_the_single_direction_form():
 def test_exceeds_fails_a_nan_defect():
     assert exceeds(2e-9, 1e-9) and exceeds(np.nan, 1e-9)
     assert not exceeds(1e-9, 1e-9) and not exceeds(0.0, 1e-9)
+
+
+def test_directional_derivatives_take_one_base_point_per_direction():
+    def func(x):
+        return np.array([np.sin(x[0]) * x[1], np.exp(x[0] - x[1]), x @ x])
+
+    calls = []
+
+    def func_many(X):
+        calls.append(len(X))
+        return np.stack([func(x) for x in X])
+
+    X = np.array([[0.3, -0.7], [0.1, 0.2], [-0.4, 0.5]])
+    V = np.array([[1.0, 0.5], [0.0, 0.0], [-2.0, 3.0]])
+    D = directional_derivatives(func_many, X, V)
+    assert calls == [4]
+    for a in range(len(V)):
+        assert np.array_equal(D[a], directional_derivative(func, X[a], V[a]))
+    assert np.array_equal(directional_derivatives(func_many, X[:2], np.zeros((2, 2))),
+                          np.zeros((2, 3)))
+
+
+def test_rk4_with_per_member_start_times_equals_each_member_alone():
+    def rhs(t, y):
+        return np.array([np.cos(3.0 * t) * y[1] - y[0] * y[0], np.sin(t) + y[0] * y[1]])
+
+    t0 = np.array([0.3, -0.2, 0.0])
+    Y0 = np.array([[0.5, -0.1], [0.2, 0.4], [-0.3, 0.7]])
+    times = []
+
+    def stacked(t, Y):
+        times.append(np.array(t))
+        return np.stack([rhs(ta, ya) for ta, ya in zip(t, Y)])
+
+    out = rk4(stacked, Y0, t0, 1.1, steps=7)
+    assert len(times) == 4 * 7 and all(t.shape == (3,) for t in times)
+    for a in range(len(t0)):
+        assert np.array_equal(out[a], rk4(rhs, Y0[a], float(t0[a]), 1.1, steps=7))

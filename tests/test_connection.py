@@ -3,7 +3,13 @@ import pytest
 from pytest import raises
 
 from cartanlab import experiments
-from cartanlab.chartcalc import deriv_at_zero, flow_with_tangent, jacobian_fd
+from cartanlab.chartcalc import (
+    deriv_at_zero,
+    directional_derivative,
+    flow_with_tangent,
+    jacobian_fd,
+    rk4,
+)
 from cartanlab import connection
 from cartanlab.connection import (
     T_DIFF_STEP,
@@ -16,6 +22,7 @@ from cartanlab.connection import (
     infinitesimalize,
     infinitesimalize_along,
     parallel_transport,
+    transport_many,
     transport_with_vector,
 )
 from cartanlab.errors import EscapeError
@@ -148,6 +155,85 @@ def test_transport_escape(zoo, rng):
     g = model.arrow(model.arrow_with_source(m, rng))
     with raises(EscapeError):
         parallel_transport(S, lambda t: m + t * np.array([3.0, 0.0]), 0.0, 1.0, g)
+
+
+@pytest.mark.parametrize("name", ["translation-R2", "se2-action", "isojet-sphere"])
+def test_vector_transport_escape(zoo, name):
+    # the arrow transport raises on this path; its linearization must too,
+    # not return an endpoint outside the chart box
+    model, S = zoo(name)
+    m = np.array([0.5, 0.0])
+    gamma = lambda t: m + t * np.array([3.0, 0.0])
+    X = algebroid_vec(model, m, kernel_basis(model, m)[:, 0], check=False)
+    with raises(EscapeError):
+        transport_with_vector(S, gamma, 0.0, 1.0, model.unit(m), X.vec)
+    with raises(EscapeError):
+        algebroid_transport(S, gamma, 0.0, 1.0, X)
+
+
+def _transport_unstacked(S, gamma, t0, t1, coords0, w0, steps):
+    # one member alone, three mu_at per stage: the field at x and the two
+    # probes of its directional difference
+    N = S.model.N
+
+    def rhs(t, y):
+        gdot = deriv_at_zero(lambda s: gamma(t + s), 1e-6)
+
+        def field(x):
+            return np.asarray(S.mu_at(x), dtype=float) @ gdot
+
+        return np.concatenate([field(y[:N]), directional_derivative(field, y[:N], y[N:])])
+
+    y = rk4(rhs, np.concatenate([coords0, w0]), t0, t1, steps)
+    return y[:N], y[N:]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_transport_many_rows_equal_each_member_alone(name, jacobians):
+    # the fd copy's connection carries no mu_batch, so mu_many stacks mu_at
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    rng = np.random.default_rng(17)
+    m = sample_base_point(model, rng)
+    v = rng.uniform(-1.0, 1.0, size=model.n)
+    gamma = lambda t: m + t * v
+    t0 = np.array([0.05, -0.03])
+    U = np.stack([model.unit(gamma(t)) for t in t0])
+    W = np.stack([random_section(model, rng)(gamma(t0[0])), np.zeros(model.N)])
+    X, Wt = transport_many(S, gamma, t0, 0.0, U, W, steps=3)
+    assert Wt[0].any() and not Wt[1].any()  # the zero row takes no probe
+    for a in range(2):
+        x, w = transport_with_vector(S, gamma, t0[a], 0.0, U[a], W[a], steps=3)
+        assert np.array_equal(X[a], x) and np.array_equal(Wt[a], w)
+        x, w = _transport_unstacked(S, gamma, float(t0[a]), 0.0, U[a], W[a], 3)
+        assert np.array_equal(X[a], x) and np.array_equal(Wt[a], w)
+
+
+def test_transport_route_takes_one_jet_batch_of_6_per_stage(zoo, rng):
+    # 4 RK4 steps x 4 stages of the stacked +-tau transports, each stage the
+    # two members' arrows and the four probes of their tangents
+    model, S = zoo("isojet-sphere")
+    batches, singles = [], []
+
+    def mu_at(g):
+        singles.append(1)
+        return S.mu_at(g)
+
+    def mu_batch(G):
+        batches.append(len(G))
+        return S.mu_batch(G)
+
+    m, v = sample_base_point(model, rng), rng.uniform(-1.0, 1.0, size=model.n)
+    X = random_section(model, rng)
+    infinitesimalize(CartanConnection(model, mu_at, mu_batch=mu_batch),
+                     "parallel-transport")(m, v, X)
+    assert batches == [6] * 16 and not singles
+    # without mu_batch, mu_many stacks the same 96 arrows through mu_at
+    infinitesimalize(CartanConnection(model, mu_at), "parallel-transport")(m, v, X)
+    assert len(singles) == 96
 
 
 def test_transport_with_vector_matches_endpoint_differences(zoo):

@@ -326,9 +326,12 @@ def test_cholesky_factors_broadcast_over_a_stack(rng):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_source_side(zoo, name, jacobians, rng):
+    # and the target side: exact where target_slot builds it, at roundoff
+    # where the target map is an action
     model, _ = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
+    target_tol = 0.0 if name.startswith(("pair", "isojet")) else 1e-12
     for _ in range(5):
         g = model.sample_arrow(rng).coords
         m = sample_base_point(model, rng)
@@ -342,3 +345,8 @@ def test_source_side(zoo, name, jacobians, rng):
         assert np.array_equal(model.src(emb(u)), m)
         assert np.array_equal(project(emb(u)), u)
         assert np.max(np.abs(emb.jacobian(u) - jacobian_fd(emb, u))) < 1e-9
+        assert np.max(np.abs(model.tgt(model.retract_tgt(g, m)) - m)) <= target_tol
+        assert np.max(np.abs(model.retract_tgt(g, model.tgt(g)) - g)) <= target_tol
+        if jacobians and target_tol == 0.0:
+            assert not model.tgt.jacobian(g).flags.writeable
+            assert not any(J.flags.writeable for J in model.retract_tgt_jac(g, m))
