@@ -16,6 +16,9 @@ from .errors import DomainError, NonFiniteError, SingularMetricError
 # Central-difference step on unit-scaled charts: balances O(h^2) truncation
 # against double-precision roundoff (eps/h ~ 1e-11).
 FD_STEP = 1e-5
+# Step of path_velocity, on transport paths over t in [0, 1]. It is left out
+# of report.ENVIRONMENT_FINGERPRINT: a key added there changes every report.
+PATH_VELOCITY_STEP = 1e-6
 NEWTON_ITERATIONS = 40
 
 
@@ -160,6 +163,13 @@ def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> n
     return (np.asarray(curve(h), dtype=float) - np.asarray(curve(-h), dtype=float)) / (2.0 * h)
 
 
+def path_velocity(path: Callable[[float], np.ndarray], t: float) -> np.ndarray:
+    """Central-difference velocity of a path of chart points at time t, at
+    step PATH_VELOCITY_STEP; every path a transport follows is differentiated
+    here."""
+    return deriv_at_zero(lambda s: path(t + s), PATH_VELOCITY_STEP)
+
+
 def memo_by_point(func: Callable[[np.ndarray], object],
                   size: int | None = None) -> Callable[[np.ndarray], object]:
     """func, evaluated once per point: the value is kept under the bytes of
@@ -191,6 +201,19 @@ def worst_case(worst: float, value: float) -> float:
     """Worst-case accumulator that reads NaN as +inf, so a bad sample can
     never be dropped the way max(worst, nan) == worst drops it."""
     return math.inf if math.isnan(value) else max(worst, value)
+
+
+class WorstErrors(dict):
+    """The lab's one verdict policy for sampled errors: per name, the worst
+    max|value| recorded under it, a NaN anywhere in a value read as +inf
+    through worst_case. Each name starts at 0.0; recording under a name that
+    was not given is a KeyError."""
+
+    def __init__(self, names=()):
+        super().__init__(dict.fromkeys(names, 0.0))
+
+    def record(self, name: str, value) -> None:
+        self[name] = worst_case(self[name], float(np.max(np.abs(value))))
 
 
 def worst_case_min(least: float, value: float) -> float:

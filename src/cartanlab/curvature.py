@@ -14,13 +14,13 @@ from typing import Callable
 import numpy as np
 
 from .chartcalc import (
-    deriv_at_zero,
+    WorstErrors,
     directional_derivative,
     exceeds,
     jacobian_fd,
     memo_by_point,
+    path_velocity,
     rk4,
-    worst_case,
 )
 from .connection import AlgebroidConnection, CartanConnection
 from .errors import FlatnessError
@@ -220,8 +220,8 @@ def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
 
     def coefficient(t):
         t = float(t)  # the memo hands the node time over as a 0-d array
-        gdot = deriv_at_zero(lambda s: path(t + s), 1e-6)
-        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot)
+        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float),
+                                  path_velocity(path, t))
 
     latest = memo_by_point(coefficient, size=1)
     return rk4(lambda t, Y: latest(t) @ Y, np.eye(rank), 0.0, 1.0, steps)
@@ -310,10 +310,9 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
             c[a, b] = coeffs
             c[b, a] = -coeffs
 
-    # residuals
-    jac = _jacobi_residual(c)
-
-    par = 0.0
+    residuals = WorstErrors(("jacobi", "anchor_hom", "parallelism", "path_dependence"))
+    residuals.record("jacobi", _jacobi_residual(c))
+    residuals.record("path_dependence", path_dependence)
     grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
     grid_pts = [m0 + np.array(offs) for offs in
                 _lattice_offsets(grid_axis, model.n)]
@@ -321,10 +320,8 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     for m in probe_pts:
         for a in range(r):
             for i in range(model.n):
-                par = worst_case(par, float(np.max(np.abs(
-                    nabla(m, np.eye(model.n)[i], sections[a]).vec))))
+                residuals.record("parallelism", nabla(m, np.eye(model.n)[i], sections[a]).vec)
 
-    hom = 0.0
     for _ in range(sample_count):
         m = m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=model.n)
         for a in range(r):
@@ -332,19 +329,14 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
                 lhs = (jacobian_fd(fields[b], m) @ fields[a](m)
                        - jacobian_fd(fields[a], m) @ fields[b](m))
                 rhs = sum(c[a, b, k] * fields[k](m) for k in range(r))
-                hom = worst_case(hom, float(np.max(np.abs(lhs - rhs))))
+                residuals.record("anchor_hom", lhs - rhs)
 
     return ReconstructionResult(
         dim_g0=r,
         structure_constants=c,
         action_fields=fields,
         parallel_sections=sections,
-        residuals={
-            "jacobi": jac,
-            "anchor_hom": hom,
-            "parallelism": par,
-            "path_dependence": path_dependence,
-        },
+        residuals=residuals,
     )
 
 
@@ -356,7 +348,7 @@ def _lattice_offsets(axis: np.ndarray, n: int):
 
 def _jacobi_residual(c: np.ndarray) -> float:
     r = c.shape[0]
-    worst = 0.0
+    worst = WorstErrors(("jacobi",))
     for a in range(r):
         for b in range(r):
             for d in range(r):
@@ -365,5 +357,5 @@ def _jacobi_residual(c: np.ndarray) -> float:
                     total += (c[a, b, e] * c[e, d]
                               + c[b, d, e] * c[e, a]
                               + c[d, a, e] * c[e, b])
-                worst = worst_case(worst, float(np.max(np.abs(total))))
-    return worst
+                worst.record("jacobi", total)
+    return worst["jacobi"]

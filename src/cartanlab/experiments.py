@@ -7,10 +7,11 @@ fixed (config, seed).
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .chartcalc import jacobian_fd, worst_case, worst_case_min
+from .chartcalc import WorstErrors, jacobian_fd, worst_case_min
 from .connection import (
     UNITAL_SAMPLES,
     check_multiplicative,
@@ -86,13 +87,33 @@ ANALYTIC_TOL = 1e-7
 FD_TOL = 1e-5
 
 
-def _tol(config: ExperimentConfig, name: str, default: float) -> float:
-    return float(config.tolerances.get(name, default))
+class _Checks:
+    """An experiment's checks, each declared once in report order with its
+    name, sample count and default tolerance, which the config overrides
+    under the check's name unless it is fixed. declare returns the check's
+    recorder; build makes the Checks (chartcalc.WorstErrors)."""
 
+    def __init__(self, model, config: ExperimentConfig):
+        self.has_jacobians = model.has_jacobians
+        self.tolerances = config.tolerances
+        self.worst = WorstErrors()
+        self.declared: list[tuple[str, int, float]] = []
 
-def _oracle_tol(model, config, name, default=ANALYTIC_TOL):
-    base = default if model.has_jacobians else FD_TOL
-    return _tol(config, name, base)
+    def oracle(self, analytic: float = ANALYTIC_TOL) -> float:
+        """The default tolerance against the oracle: FD_TOL without jacobians."""
+        return analytic if self.has_jacobians else FD_TOL
+
+    def tolerance(self, key: str, default: float) -> float:
+        return float(self.tolerances.get(key, default))
+
+    def declare(self, name: str, samples: int, tol: float, fixed: bool = False):
+        self.declared.append((name, samples, tol if fixed else self.tolerance(name, tol)))
+        self.worst[name] = 0.0
+        return partial(self.worst.record, name)
+
+    def build(self) -> list[Check]:
+        return [Check(name, samples, self.worst[name], tol)
+                for name, samples, tol in self.declared]
 
 
 # -- individual experiments ----------------------------------------------------
@@ -100,34 +121,33 @@ def _oracle_tol(model, config, name, default=ANALYTIC_TOL):
 
 def run_jet_axioms(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    axioms = check_axioms(model, rng, count=count)
-    checks = [Check("groupoid-axioms", count, max(axioms.values()),
-                    _tol(config, "groupoid-axioms", 1e-10))]
+    checks = _Checks(model, config)
+    axioms = checks.declare("groupoid-axioms", count, 1e-10)
+    roundtrip = checks.declare("oracle-jet-roundtrip", count, checks.oracle(1e-8))
+    associativity = checks.declare("oracle-mul-associativity", count, 1e-6)
+    inverse_law = checks.declare("oracle-inverse-law", count, checks.oracle())
+    bracket_samples = max(5, count // 4)
+    anchor = checks.declare("anchor-bracket-homomorphism", bracket_samples, 1e-6)
+    antisymmetry = checks.declare("bracket-antisymmetry", bracket_samples, 1e-8)
 
-    worst_rt = worst_assoc = worst_invlaw = 0.0
+    for error in check_axioms(model, rng, count=count).values():
+        axioms(error)
     for _ in range(count):
         g, h = model.sample_composable(rng)
         j1 = random_jet(model, S.jet, g, rng)
         j2 = random_jet(model, S.jet, h, rng)
-        worst_rt = worst_case(worst_rt, jet_distance(
+        roundtrip(jet_distance(
             oracle_jet(model, extend_bisection(model, j1), j1.g.source), j1))
         k = model.arrow(model.arrow_with_source(g.target, rng))
         j0 = random_jet(model, S.jet, k, rng)
         lhs = oracle_jet_mul(model, oracle_jet_mul(model, j0, j1), j2)
         rhs = oracle_jet_mul(model, j0, oracle_jet_mul(model, j1, j2))
-        worst_assoc = worst_case(worst_assoc, jet_distance(lhs, rhs))
-        worst_invlaw = worst_case(worst_invlaw, jet_distance(
+        associativity(jet_distance(lhs, rhs))
+        inverse_law(jet_distance(
             oracle_jet_mul(model, j1, oracle_jet_inverse(model, j1)),
             identity_jet(model, j1.g.target)))
-    checks.append(Check("oracle-jet-roundtrip", count, worst_rt,
-                        _oracle_tol(model, config, "oracle-jet-roundtrip", 1e-8)))
-    checks.append(Check("oracle-mul-associativity", count, worst_assoc,
-                        _tol(config, "oracle-mul-associativity", 1e-6)))
-    checks.append(Check("oracle-inverse-law", count, worst_invlaw,
-                        _oracle_tol(model, config, "oracle-inverse-law")))
 
-    worst_anchor = worst_anti = 0.0
-    for _ in range(max(5, count // 4)):
+    for _ in range(bracket_samples):
         X = random_section(model, rng)
         Y = random_section(model, rng)
         m = sample_base_point(model, rng)
@@ -139,101 +159,93 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
 
         Xa, Ya = anchored(X), anchored(Y)
         rhs = jacobian_fd(Ya, m) @ Xa(m) - jacobian_fd(Xa, m) @ Ya(m)
-        worst_anchor = worst_case(worst_anchor, float(np.max(np.abs(lhs - rhs))))
-        worst_anti = worst_case(worst_anti, float(np.max(np.abs(
-            algebroid_bracket(model, X, X, m).vec))))
-    checks.append(Check("anchor-bracket-homomorphism", max(5, count // 4),
-                        worst_anchor, _tol(config, "anchor-bracket-homomorphism", 1e-6)))
-    checks.append(Check("bracket-antisymmetry", max(5, count // 4), worst_anti,
-                        _tol(config, "bracket-antisymmetry", 1e-8)))
-    return checks
+        anchor(lhs - rhs)
+        antisymmetry(algebroid_bracket(model, X, X, m).vec)
+    return checks.build()
 
 
 def run_inversion(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    worst_vs_oracle = worst_double = worst_law = 0.0
+    checks = _Checks(model, config)
+    vs_oracle = checks.declare("invert-vs-oracle", count, checks.oracle())
+    double = checks.declare("double-inversion", count, 1e-8)
+    law = checks.declare("inverse-law-via-oracle", count, checks.oracle())
     for _ in range(count):
         g = model.sample_arrow(rng)
         j = random_jet(model, S.jet, g, rng)
         jinv = jet_invert(model, j)
-        worst_vs_oracle = worst_case(worst_vs_oracle,
-                                     jet_distance(jinv, oracle_jet_inverse(model, j)))
-        worst_double = worst_case(worst_double, jet_distance(jet_invert(model, jinv), j))
-        worst_law = worst_case(worst_law, jet_distance(
-            oracle_jet_mul(model, jinv, j), identity_jet(model, j.g.source)))
-    return [
-        Check("invert-vs-oracle", count, worst_vs_oracle,
-              _oracle_tol(model, config, "invert-vs-oracle")),
-        Check("double-inversion", count, worst_double,
-              _tol(config, "double-inversion", 1e-8)),
-        Check("inverse-law-via-oracle", count, worst_law,
-              _oracle_tol(model, config, "inverse-law-via-oracle")),
-    ]
+        vs_oracle(jet_distance(jinv, oracle_jet_inverse(model, j)))
+        double(jet_distance(jet_invert(model, jinv), j))
+        law(jet_distance(oracle_jet_mul(model, jinv, j), identity_jet(model, j.g.source)))
+    return checks.build()
 
 
 def run_lemma_3_3(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    w1 = w2 = w3 = w4 = 0.0
+    checks = _Checks(model, config)
+    tol = checks.tolerance("lemma-3-3", checks.oracle())
+    right_product = checks.declare("kernel-right-product", count, tol)
+    difference = checks.declare("difference-element", count, tol)
+    conjugation = checks.declare("conjugation-identity", count, tol)
+    translation = checks.declare("translation-difference", count, tol)
     for _ in range(count):
         g = model.sample_arrow(rng)
         mu = random_jet(model, S.jet, g, rng)
         phi = random_kernel_hom(model, g.source, rng)
         # (1) product with a kernel element on the right
         nu = mul_kernel_right(model, mu, phi)
-        w1 = worst_case(w1, jet_distance(nu, oracle_jet_mul(model, mu, vee(phi))))
+        right_product(jet_distance(nu, oracle_jet_mul(model, mu, vee(phi))))
         # (2) nu mu^-1 is the embedded difference element
         garr, psi = jet_decompose(model, nu, lambda a, mu=mu: mu)
-        w2 = worst_case(w2, jet_distance(
+        difference(jet_distance(
             vee(psi), oracle_jet_mul(model, nu, oracle_jet_inverse(model, mu))))
         # (3) conjugation: mu vee(phi) mu^-1 = vee(Ad_mu phi)
         conj = oracle_jet_mul(model, oracle_jet_mul(model, mu, vee(phi)),
                               jet_invert(model, mu))
-        w3 = worst_case(w3, jet_distance(conj, vee(adjoint_hom(model, mu, phi))))
+        conjugation(jet_distance(conj, vee(adjoint_hom(model, mu, phi))))
         # (4) mu - nu = TR_g Ad_mu (phi .) column by column
         u = model.unit_arrow(g.target)
         for j in range(model.n):
             xj = algebroid_vec(model, g.source, phi.phi[:, j], check=False)
             adv = adjoint_vec(model, mu, xj)
             col = right_translate(model, g, u, adv.vec)
-            w4 = worst_case(w4, float(np.max(np.abs(mu.mu[:, j] - nu.mu[:, j] - col))))
-    tol = _oracle_tol(model, config, "lemma-3-3")
-    return [
-        Check("kernel-right-product", count, w1, _tol(config, "kernel-right-product", tol)),
-        Check("difference-element", count, w2, _tol(config, "difference-element", tol)),
-        Check("conjugation-identity", count, w3, _tol(config, "conjugation-identity", tol)),
-        Check("translation-difference", count, w4, _tol(config, "translation-difference", tol)),
-    ]
+            translation(mu.mu[:, j] - nu.mu[:, j] - col)
+    return checks.build()
 
 
 def run_theorem_3_4(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
-    w_morph = w_inv = w_eq = w_anchor = 0.0
+    checks = _Checks(model, config)
+    tol = checks.tolerance("theorem-3-4", checks.oracle())
+    semi_samples = max(3, count // 4)
+    morphism = checks.declare("kernel-embedding-morphism", count, tol)
+    inverse = checks.declare("kernel-embedding-inverse", count, tol)
+    equivariance = checks.declare("embedding-equivariance", count, 1e-8)
+    anchor = checks.declare("adjoint-anchor-equivariance", count, 1e-8)
+    semidirect = checks.declare("semidirect-bisection-law", semi_samples, tol)
+    multiplication = checks.declare("semidirect-multiplication", count, tol)
+    adjoint_morphism = checks.declare("adjoint-is-morphism", count, tol)
     for _ in range(count):
         m = sample_base_point(model, rng)
         psi = random_kernel_hom(model, m, rng)
         phi = random_kernel_hom(model, m, rng)
-        w_morph = worst_case(w_morph, jet_distance(
+        morphism(jet_distance(
             vee(aut_mul(psi, phi)), oracle_jet_mul(model, vee(psi), vee(phi))))
-        w_inv = worst_case(w_inv, jet_distance(
-            vee(aut_inv(phi)), oracle_jet_inverse(model, vee(phi))))
+        inverse(jet_distance(vee(aut_inv(phi)), oracle_jet_inverse(model, vee(phi))))
         # equivariance of the embedding
-        w_eq = worst_case(w_eq, float(np.max(np.abs(
-            adjoint_tm(model, vee(phi)) - phi.phi_tm))))
+        equivariance(adjoint_tm(model, vee(phi)) - phi.phi_tm)
         X = algebroid_vec(model, m, random_kernel_hom(model, m, rng).phi[:, 0],
                           check=False)
-        w_eq = worst_case(w_eq, float(np.max(np.abs(
-            adjoint_vec(model, vee(phi), X).vec - phi.phi_g(X).vec))))
+        equivariance(adjoint_vec(model, vee(phi), X).vec - phi.phi_g(X).vec)
         # anchor equivariance of the adjoint action
         g = model.arrow(model.arrow_with_source(m, rng))
         mu = random_jet(model, S.jet, g, rng)
         adx = adjoint_vec(model, mu, X)
         lhs = model.Ttgt(model.unit(g.target)) @ adx.vec
         rhs = adjoint_tm(model, mu) @ (model.Ttgt(model.unit(m)) @ X.vec)
-        w_anchor = worst_case(w_anchor, float(np.max(np.abs(lhs - rhs))))
+        anchor(lhs - rhs)
 
     # semidirect law for bisections of the jet groupoid, on a few base points
-    w_semi = 0.0
-    semi_samples = max(3, count // 4)
     for _ in range(semi_samples):
         g1, g2 = model.sample_composable(rng)
         b1 = extend_bisection(model, S.jet(g1))
@@ -267,66 +279,49 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
             return aut_mul(Phi1(mm), pushed(mm))
 
         rhs = assemble_bisection(model, b12, Phi12)(m)
-        w_semi = worst_case(w_semi, jet_distance(lhs, rhs))
+        semidirect(jet_distance(lhs, rhs))
 
     # the connection-induced isomorphism with the semidirect product
-    w_c = w_admorph = 0.0
     for _ in range(count):
         g1, g2 = model.sample_composable(rng)
         mu1 = random_jet(model, S.jet, g1, rng)
         mu2 = random_jet(model, S.jet, g2, rng)
         prod = jet_mul(model, mu1, mu2, S.jet)
-        w_c = worst_case(w_c, jet_distance(prod, oracle_jet_mul(model, mu1, mu2)))
+        multiplication(jet_distance(prod, oracle_jet_mul(model, mu1, mu2)))
         v = rng.uniform(-1.0, 1.0, size=model.n)
-        w_admorph = worst_case(w_admorph, float(np.max(np.abs(
-            adjoint(model, prod, v)
-            - adjoint(model, mu1, adjoint(model, mu2, v))))))
+        adjoint_morphism(adjoint(model, prod, v)
+                         - adjoint(model, mu1, adjoint(model, mu2, v)))
         X = algebroid_vec(model, g2.source,
                           random_kernel_hom(model, g2.source, rng).phi[:, 0],
                           check=False)
-        w_admorph = worst_case(w_admorph, float(np.max(np.abs(
-            adjoint_vec(model, prod, X).vec
-            - adjoint_vec(model, mu1, adjoint_vec(model, mu2, X)).vec))))
-
-    tol = _oracle_tol(model, config, "theorem-3-4")
-    return [
-        Check("kernel-embedding-morphism", count, w_morph,
-              _tol(config, "kernel-embedding-morphism", tol)),
-        Check("kernel-embedding-inverse", count, w_inv,
-              _tol(config, "kernel-embedding-inverse", tol)),
-        Check("embedding-equivariance", count, w_eq,
-              _tol(config, "embedding-equivariance", 1e-8)),
-        Check("adjoint-anchor-equivariance", count, w_anchor,
-              _tol(config, "adjoint-anchor-equivariance", 1e-8)),
-        Check("semidirect-bisection-law", semi_samples, w_semi,
-              _tol(config, "semidirect-bisection-law", tol)),
-        Check("semidirect-multiplication", count, w_c,
-              _tol(config, "semidirect-multiplication", tol)),
-        Check("adjoint-is-morphism", count, w_admorph,
-              _tol(config, "adjoint-is-morphism", tol)),
-    ]
+        adjoint_morphism(adjoint_vec(model, prod, X).vec
+                         - adjoint_vec(model, mu1, adjoint_vec(model, mu2, X)).vec)
+    return checks.build()
 
 
 def run_multiplicativity(model, S, config, count) -> list[Check]:
-    rng = np.random.default_rng(config.seed)
-    rep = check_multiplicative(S, seed=config.seed, count=count,
-                               tolerance=_tol(config, "multiplicative", 1e-7))
-    unital = check_unital(S, rng)
-    return [
-        Check("multiplicative", rep.samples, rep.max_error, rep.tolerance),
-        Check("unital", UNITAL_SAMPLES, unital, _tol(config, "unital", 1e-9)),
-    ]
+    checks = _Checks(model, config)
+    checks.declare("multiplicative", count, 1e-7)(
+        check_multiplicative(S, seed=config.seed, count=count).max_error)
+    checks.declare("unital", UNITAL_SAMPLES, 1e-9)(
+        check_unital(S, np.random.default_rng(config.seed)))
+    return checks.build()
 
 
 def run_nabla_compare(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
+    checks = _Checks(model, config)
+    flow_transport = checks.declare("flow-vs-transport", count, 1e-4)
+    direct_flow = checks.declare("direct-vs-flow", count, 1e-4)
+    direct_transport = checks.declare("direct-vs-transport", count, 1e-4)
+    path_independence = checks.declare("path-independence", count, 1e-4)
+    leibniz = checks.declare("leibniz", count, 1e-6)
     nd = infinitesimalize(S, "direct-formula")
     nf = infinitesimalize(S, "flow-formula")
     nt = infinitesimalize(S, "parallel-transport")
     bend = np.full(model.n, 0.3)
     bend[0] = -0.2
     nq = infinitesimalize_along(S, lambda m, v: (lambda t: m + t * v + t * t * bend))
-    w_ft = w_df = w_dt = w_path = w_leib = 0.0
     for _ in range(count):
         m = sample_base_point(model, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
@@ -335,10 +330,10 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
         b = nf(m, v, X).vec
         c = nt(m, v, X).vec
         q = nq(m, v, X).vec
-        w_ft = worst_case(w_ft, float(np.max(np.abs(b - c))))
-        w_df = worst_case(w_df, float(np.max(np.abs(a - b))))
-        w_dt = worst_case(w_dt, float(np.max(np.abs(a - c))))
-        w_path = worst_case(w_path, float(np.max(np.abs(q - c))))
+        flow_transport(b - c)
+        direct_flow(a - b)
+        direct_transport(a - c)
+        path_independence(q - c)
         scale = float(rng.uniform(0.5, 1.5))
         grad = rng.uniform(-0.5, 0.5, size=model.n)
 
@@ -347,34 +342,29 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
 
         lhs = nd(m, v, fX).vec
         rhs = (grad @ v) * np.asarray(X(m), dtype=float) + (scale + grad @ m) * a
-        w_leib = worst_case(w_leib, float(np.max(np.abs(lhs - rhs))))
-    return [
-        Check("flow-vs-transport", count, w_ft, _tol(config, "flow-vs-transport", 1e-4)),
-        Check("direct-vs-flow", count, w_df, _tol(config, "direct-vs-flow", 1e-4)),
-        Check("direct-vs-transport", count, w_dt, _tol(config, "direct-vs-transport", 1e-4)),
-        Check("path-independence", count, w_path, _tol(config, "path-independence", 1e-4)),
-        Check("leibniz", count, w_leib, _tol(config, "leibniz", 1e-6)),
-    ]
+        leibniz(lhs - rhs)
+    return checks.build()
 
 
 def run_flatness(model, S, config, count) -> list[Check]:
-    tol = _tol(config, "flatness", 1e-4)
+    checks = _Checks(model, config)
+    tol = checks.tolerance("flatness", 1e-4)
     rep = flatness_experiment(S, seed=config.seed, count=count, tolerance=tol)
-    checks = []
     if EXPECTED_FLAT.get(config.model, True):
-        checks.append(Check("curvature-flat", count, rep.max_curvature, tol))
-        checks.append(Check("torsion-involutive", count, rep.max_torsion, tol))
+        checks.declare("curvature-flat", count, tol, fixed=True)(rep.max_curvature)
+        checks.declare("torsion-involutive", count, tol, fixed=True)(rep.max_torsion)
     else:
         # non-flat expectation: at least 80% of samples above ten times the
         # tolerance, encoded as the failing fraction against 0.2. A NaN
         # sample would count as non-flat, so a non-finite table reads inf.
         frac_r = float(np.mean(rep.curvature_norms <= 10 * tol)) if rep.finite else np.inf
         frac_t = float(np.mean(rep.torsion_norms <= 10 * tol)) if rep.finite else np.inf
-        checks.append(Check("curvature-nonflat-fraction-below", count, frac_r, 0.2))
-        checks.append(Check("torsion-noninvolutive-fraction-below", count, frac_t, 0.2))
-    checks.append(Check("verdict-agreement", count,
-                        0.0 if rep.agreement else 1.0, 0.5))
-    return checks
+        checks.declare("curvature-nonflat-fraction-below", count, 0.2, fixed=True)(frac_r)
+        checks.declare("torsion-noninvolutive-fraction-below", count, 0.2,
+                       fixed=True)(frac_t)
+    checks.declare("verdict-agreement", count, 0.5, fixed=True)(
+        0.0 if rep.agreement else 1.0)
+    return checks.build()
 
 
 def run_reconstruct(model, S, config, count) -> list[Check]:
@@ -384,16 +374,13 @@ def run_reconstruct(model, S, config, count) -> list[Check]:
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     res = reconstruct_action(nabla, m0, sample_count=count, seed=config.seed)
     rank = aligned_frame(model, m0).rank
-    return [
-        Check("dim-g0", 1, abs(res.dim_g0 - rank), 0.5),
-        Check("jacobi", 1, res.residuals["jacobi"], _tol(config, "jacobi", 1e-5)),
-        Check("anchor-homomorphism", count, res.residuals["anchor_hom"],
-              _tol(config, "anchor-homomorphism", 1e-5)),
-        Check("parallelism", 1, res.residuals["parallelism"],
-              _tol(config, "parallelism", 1e-5)),
-        Check("path-independence", 1, res.residuals["path_dependence"],
-              _tol(config, "path-independence", 1e-4)),
-    ]
+    checks = _Checks(model, config)
+    checks.declare("dim-g0", 1, 0.5, fixed=True)(res.dim_g0 - rank)
+    checks.declare("jacobi", 1, 1e-5)(res.residuals["jacobi"])
+    checks.declare("anchor-homomorphism", count, 1e-5)(res.residuals["anchor_hom"])
+    checks.declare("parallelism", 1, 1e-5)(res.residuals["parallelism"])
+    checks.declare("path-independence", 1, 1e-4)(res.residuals["path_dependence"])
+    return checks.build()
 
 
 def run_classical_bridge(model, S, config, count) -> list[Check]:
@@ -402,65 +389,57 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
         raise ConfigError("classical-bridge runs on gauge models only "
                           f"(got {model.name})")
     rng = np.random.default_rng(config.seed)
+    checks = _Checks(model, config)
+    nabla_samples, curvature_samples = max(5, count // 3), max(3, count // 5)
+    parallelism = checks.declare("parallelism-axioms", count, 1e-9)
+    roundtrip_connection = checks.declare("roundtrip-connection", count, 1e-6)
+    roundtrip_parallelism = checks.declare("roundtrip-parallelism", count, 1e-6)
+    induced = checks.declare("induced-connection-agreement", nabla_samples, 1e-4)
+    maurer_cartan = checks.declare("maurer-cartan-curvature", count, 1e-6)
+    nonzero = checks.declare("mismatched-model-curvature-nonzero", curvature_samples,
+                             0.5, fixed=True)
+    parallel_derivative = checks.declare("parallel-derivative-of-curvature",
+                                         curvature_samples, 1e-4)
+
     inv = classical_invariants(cc, rng, count=count)
+    parallelism(inv["generator"])
+    parallelism(inv["equivariance"])
 
     m0 = np.zeros(model.n)
     rec = recover_omega(S, m0)
     cc2 = rebuild_classical(rec, cc)
     _, S2 = classical_to_groupoid(cc2)
-    w_s = 0.0
     for _ in range(count):
         g = model.sample_arrow(rng)
-        w_s = worst_case(w_s, float(np.max(np.abs(
-            np.asarray(S.mu_at(g.coords)) - np.asarray(S2.mu_at(g.coords))))))
+        roundtrip_connection(np.asarray(S.mu_at(g.coords)) - np.asarray(S2.mu_at(g.coords)))
 
     u0 = cc.sigma(m0)
     lam = rec.omega_matrix(u0) @ np.linalg.inv(np.asarray(cc.omega_matrix(u0), dtype=float))
-    w_omega = 0.0
     for _ in range(count):
         u = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
-        w_omega = worst_case(w_omega, float(np.max(np.abs(
-            rec.omega_matrix(u) - lam @ np.asarray(cc.omega_matrix(u), dtype=float)))))
+        roundtrip_parallelism(
+            rec.omega_matrix(u) - lam @ np.asarray(cc.omega_matrix(u), dtype=float))
 
     nw = nabla_omega(cc, model)
     nd = infinitesimalize(S, "direct-formula")
-    w_nabla = 0.0
-    for _ in range(max(5, count // 3)):
+    for _ in range(nabla_samples):
         m = sample_base_point(model, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
         X = random_section(model, rng)
-        w_nabla = worst_case(w_nabla, float(np.max(np.abs(
-            nw(m, v, X).vec - nd(m, v, X).vec))))
+        induced(nw(m, v, X).vec - nd(m, v, X).vec)
 
-    w_mc = 0.0
     for _ in range(count):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
-        w_mc = worst_case(w_mc, float(np.max(np.abs(
-            classical_curvature(cc, se2_v_bracket, p)))))
+        maurer_cartan(classical_curvature(cc, se2_v_bracket, p))
 
-    w_r25 = 0.0
     min_omega_mag = np.inf
-    for _ in range(max(3, count // 5)):
+    for _ in range(curvature_samples):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         F0, dF = classical_curvature_parallel_frame(cc, so3_v_bracket, p)
         min_omega_mag = worst_case_min(min_omega_mag, float(np.max(np.abs(F0))))
-        w_r25 = worst_case(w_r25, float(np.max(np.abs(dF))))
-
-    return [
-        Check("parallelism-axioms", count, max(inv["generator"], inv["equivariance"]),
-              _tol(config, "parallelism-axioms", 1e-9)),
-        Check("roundtrip-connection", count, w_s, _tol(config, "roundtrip-connection", 1e-6)),
-        Check("roundtrip-parallelism", count, w_omega,
-              _tol(config, "roundtrip-parallelism", 1e-6)),
-        Check("induced-connection-agreement", max(5, count // 3), w_nabla,
-              _tol(config, "induced-connection-agreement", 1e-4)),
-        Check("maurer-cartan-curvature", count, w_mc,
-              _tol(config, "maurer-cartan-curvature", 1e-6)),
-        Check("mismatched-model-curvature-nonzero", max(3, count // 5),
-              0.0 if min_omega_mag > 0.1 else 1.0, 0.5),
-        Check("parallel-derivative-of-curvature", max(3, count // 5), w_r25,
-              _tol(config, "parallel-derivative-of-curvature", 1e-4)),
-    ]
+        parallel_derivative(dF)
+    nonzero(0.0 if min_omega_mag > 0.1 else 1.0)
+    return checks.build()
 
 
 def run_riemannian(model, S, config, count) -> list[Check]:
@@ -468,39 +447,33 @@ def run_riemannian(model, S, config, count) -> list[Check]:
     if metric is None:
         raise ConfigError(f"riemannian runs on isometry-jet models only (got {model.name})")
     rng = np.random.default_rng(config.seed)
-    w_iso = w_res = w_first = 0.0
+    checks = _Checks(model, config)
+    multiplicative_samples, flatness_samples = max(10, count // 2), max(6, count // 3)
+    isometry = checks.declare("chart-isometry", count, 1e-9)
+    residual = checks.declare("prolongation-residual", count, 1e-8)
+    compatibility = checks.declare("jet-metric-compatibility", count, 1e-7)
+    multiplicative = checks.declare("multiplicative", multiplicative_samples, 1e-7)
+    verdict = checks.declare("flatness-verdict", flatness_samples, 0.5, fixed=True)
     for _ in range(count):
         g = model.sample_arrow(rng)
         A = isometry_matrix(metric, g.coords[:2], g.coords[2:4], g.coords[4])
-        w_iso = worst_case(w_iso, float(np.max(np.abs(
-            A.T @ metric(g.coords[2:4]) @ A - metric(g.coords[:2])))))
-        _, res = prolongation_jet(metric, g.coords)
-        w_res = worst_case(w_res, res)
+        isometry(A.T @ metric(g.coords[2:4]) @ A - metric(g.coords[:2]))
+        residual(prolongation_jet(metric, g.coords)[1])
         # first-order metric compatibility of the oracle jet of the extension
         b = extend_bisection(model, S.jet(g))
         try:
             j = oracle_jet(model, b, g.source)
         except NotABisectionError:  # the jet is no bisection's, e.g. NaN
-            w_first = math.inf
+            compatibility(math.inf)
             continue
         Tphi = model.Ttgt(j.g.coords) @ j.mu
-        w_first = worst_case(w_first, float(np.max(np.abs(
-            Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source)))))
-    rep = check_multiplicative(S, seed=config.seed, count=max(10, count // 2),
-                               tolerance=_tol(config, "multiplicative", 1e-7))
-    flat = flatness_experiment(S, seed=config.seed, count=max(6, count // 3))
+        compatibility(Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source))
+    multiplicative(check_multiplicative(S, seed=config.seed,
+                                        count=multiplicative_samples).max_error)
+    flat = flatness_experiment(S, seed=config.seed, count=flatness_samples)
     expect_flat = EXPECTED_FLAT.get(config.model, True)
-    verdict_err = 0.0 if (flat.finite and flat.flat == expect_flat
-                          and flat.involutive == expect_flat) else 1.0
-    return [
-        Check("chart-isometry", count, w_iso, _tol(config, "chart-isometry", 1e-9)),
-        Check("prolongation-residual", count, w_res,
-              _tol(config, "prolongation-residual", 1e-8)),
-        Check("jet-metric-compatibility", count, w_first,
-              _tol(config, "jet-metric-compatibility", 1e-7)),
-        Check("multiplicative", rep.samples, rep.max_error, rep.tolerance),
-        Check("flatness-verdict", max(6, count // 3), verdict_err, 0.5),
-    ]
+    verdict(0.0 if flat.agreement and flat.flat == expect_flat else 1.0)
+    return checks.build()
 
 
 EXPERIMENTS = {

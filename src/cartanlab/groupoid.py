@@ -22,6 +22,7 @@ import numpy as np
 from .chartcalc import (
     ChartMap,
     FD_STEP,
+    WorstErrors,
     deriv_at_zero,
     differentiate,
     directional_derivative,
@@ -29,7 +30,6 @@ from .chartcalc import (
     jacobian_fd,
     memo_by_point,
     newton_solve,
-    worst_case,
 )
 from .errors import (
     CompositionError,
@@ -154,13 +154,13 @@ class GroupoidModel:
         return self.arrow(coords)
 
     def sample_composable(self, rng: np.random.Generator) -> tuple[Arrow, Arrow]:
-        """Draw (g, h) with src(g) = tgt(h), i.e. the product g h is defined."""
-        for _ in range(64):
-            h = self.sample_arrow(rng)
-            g = self.arrow(self.arrow_with_source(h.target, rng))
-            if np.allclose(g.source, h.target, atol=1e-12):
-                return g, h
-        raise SamplingError(f"could not draw composable pairs on {self.name}")
+        """Draw (g, h) with src(g) = tgt(h), i.e. the product g h is defined.
+        Raises SamplingError when arrow_with_source misses its source."""
+        h = self.sample_arrow(rng)
+        g = self.arrow(self.arrow_with_source(h.target, rng))
+        if not np.allclose(g.source, h.target, atol=1e-12):
+            raise SamplingError(f"arrow_with_source missed its source on {self.name}")
+        return g, h
 
 
 def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
@@ -515,19 +515,10 @@ def random_section(model: GroupoidModel,
 def check_axioms(model: GroupoidModel, rng: np.random.Generator,
                  count: int = 100) -> dict[str, float]:
     """Max deviation of the groupoid axioms over seeded random samples."""
-    errs = {
-        "unit_source_target": 0.0,
-        "left_unit": 0.0,
-        "right_unit": 0.0,
-        "product_source_target": 0.0,
-        "inverse": 0.0,
-        "associativity": 0.0,
-        "retract_identity": 0.0,
-    }
-
-    def bump(key, val):
-        errs[key] = worst_case(errs[key], float(np.max(np.abs(val))))
-
+    errs = WorstErrors(("unit_source_target", "left_unit", "right_unit",
+                        "product_source_target", "inverse", "associativity",
+                        "retract_identity"))
+    bump = errs.record
     for _ in range(count):
         m = sample_base_point(model, rng)
         u = model.unit(m)

@@ -16,12 +16,12 @@ import numpy as np
 
 from ..chartcalc import (
     ChartMap,
+    WorstErrors,
     deriv_at_zero,
     differentiate,
     directional_derivative,
     exceeds,
     jacobian_fd,
-    worst_case,
     worst_case_min,
 )
 from ..connection import AlgebroidConnection, CartanConnection
@@ -83,24 +83,22 @@ def classical_invariants(cc: ClassicalCartan, rng: np.random.Generator,
     """Max deviations of the parallelism axioms over sampled points:
     omega applied to structure-algebra generators returns the algebra element,
     omega is H-equivariant, and omega is pointwise invertible."""
-    errs = {"generator": 0.0, "equivariance": 0.0, "min_abs_det": np.inf}
+    errs = WorstErrors(("generator", "equivariance"))
+    min_abs_det = np.inf
     for _ in range(count):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         W = np.asarray(cc.omega_matrix(p), dtype=float)
-        errs["min_abs_det"] = worst_case_min(errs["min_abs_det"],
-                                             float(abs(np.linalg.det(W))))
+        min_abs_det = worst_case_min(min_abs_det, float(abs(np.linalg.det(W))))
         xi = rng.uniform(-0.5, 0.5, size=cc.h_dim)
         gen = cc.h_generator(p, xi)
-        errs["generator"] = worst_case(errs["generator"], float(np.max(np.abs(
-            W @ gen - cc.h_basis @ xi))))
+        errs.record("generator", W @ gen - cc.h_basis @ xi)
         h = rng.uniform(cc.h_box[:, 0], cc.h_box[:, 1])
         v = rng.uniform(-1.0, 1.0, size=cc.p_dim)
         Dp, _ = cc.h_act_jac(p, h)
         lhs = cc.omega(cc.h_act(p, h), Dp @ v)
         rhs = cc.h_rep(h) @ cc.omega(p, v)
-        errs["equivariance"] = worst_case(errs["equivariance"],
-                                          float(np.max(np.abs(lhs - rhs))))
-    return errs
+        errs.record("equivariance", lhs - rhs)
+    return {**errs, "min_abs_det": min_abs_det}
 
 
 # -- gauge groupoid in slice coordinates --------------------------------------

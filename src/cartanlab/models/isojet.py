@@ -21,9 +21,9 @@ import numpy as np
 from ..chartcalc import (
     ChartMap,
     MetricChart,
+    WorstErrors,
     christoffel_from_partials,
     metric_partials,
-    worst_case,
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
@@ -154,10 +154,9 @@ def prolongation_jet(metric: MetricChart, g: np.ndarray) -> tuple[np.ndarray, fl
     """
     mu, dA_theta, rhs = prolongation_jets(metric, np.asarray(g, dtype=float)[None])
     mu, dA_theta, rhs = mu[0], dA_theta[0], rhs[0]
-    residual = 0.0
-    for i in range(2):
-        residual = worst_case(residual, float(np.max(np.abs(rhs[i] - mu[4, i] * dA_theta))))
-    return mu, residual
+    worst = WorstErrors(("residual",))
+    worst.record("residual", rhs - mu[4, :, None, None] * dA_theta)
+    return mu, worst["residual"]
 
 
 def prolongation_jets(metric: MetricChart,

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .chartcalc import FD_STEP
@@ -33,6 +34,19 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     output: str = "."
     format: str = "json"
+
+    def __post_init__(self):
+        """Every way of making a config passes here: parse_config, direct
+        construction and dataclasses.replace (the CLI's overrides)."""
+        if type(self.seed) is not int or self.seed < 0:  # a bool is no number
+            raise ConfigError("seed must be a non-negative integer")
+        count = self.sample_count
+        if count is not None and (type(count) is not int or count < 1):
+            raise ConfigError("sample_count must be a positive integer")
+        if not isinstance(self.tolerances, dict) or not all(
+                type(v) in (int, float) and 0 <= v <= sys.float_info.max
+                for v in self.tolerances.values()):
+            raise ConfigError("tolerances must map check names to finite non-negative numbers")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -61,16 +75,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         name = model
     else:
         raise ConfigError("model must be a string or an object with name/parameters")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    count = raw.get("sample_count")
-    if count is not None and (not isinstance(count, int) or count < 1):
-        raise ConfigError("sample_count must be a positive integer")
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict) or not all(
-            isinstance(v, (int, float)) for v in tol.values()):
-        raise ConfigError("tolerances must map check names to numbers")
     fmt = raw.get("format", "json")
     if fmt not in ALLOWED_FORMATS:
         raise ConfigError(f"format must be one of {ALLOWED_FORMATS}")
@@ -81,9 +85,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         model=name,
         experiment=raw["experiment"],
         model_params=params,
-        seed=seed,
-        sample_count=count,
-        tolerances=dict(tol),
+        seed=raw.get("seed", 0),
+        sample_count=raw.get("sample_count"),
+        tolerances=raw.get("tolerances", {}),
         output=output,
         format=fmt,
     )
@@ -92,10 +96,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_not_json)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
+
+
+def _not_json(constant: str):
+    raise ConfigError(f"config is not valid JSON: {constant} is not a JSON value")
 
 
 @dataclass(frozen=True)

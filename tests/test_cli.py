@@ -73,10 +73,35 @@ def test_unknown_keys_rejected(tmp_path):
     {"format": "yaml"},
     {"sample_count": 0},
     {"tolerances": {"a": "loose"}},
+    {"sample_count": True},
+    {"seed": -5},
 ])
 def test_invalid_configs(tmp_path, bad):
     cfg = write_config(tmp_path, **bad)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_negative_seed_override_is_a_config_error(tmp_path):
+    # --seed bypasses parse_config; numpy would raise ValueError on it
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--seed", "-5"]) == 2
+
+
+@pytest.mark.parametrize("tolerance", [True, -1e-7, float("inf"), float("nan")])
+def test_parse_config_rejects_tolerances_that_are_no_finite_non_negative_number(tolerance):
+    # with an inf tolerance a check whose sample went NaN (max_error inf) passes
+    with raises(ConfigError):
+        parse_config({"model": "pair-R2", "experiment": "jet-axioms",
+                      "tolerances": {"groupoid-axioms": tolerance}})
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_json_constants(tmp_path, constant):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": {"name": "pair-R2", "parameters": {"scale": %s}}, '
+                    '"experiment": "jet-axioms"}' % constant)
+    with raises(ConfigError):
+        load_config(str(path))
 
 
 def test_parse_config_model_object():

@@ -7,7 +7,13 @@ from pytest import raises
 
 from cartanlab import groupoid
 from cartanlab.chartcalc import FD_STEP, jacobian_fd, newton_solve
-from cartanlab.errors import CompositionError, FrameError, NotABisectionError, ToleranceError
+from cartanlab.errors import (
+    CompositionError,
+    FrameError,
+    NotABisectionError,
+    SamplingError,
+    ToleranceError,
+)
 from cartanlab.groupoid import (
     DET_TOL,
     FRAME_MEMO_SIZE,
@@ -225,6 +231,20 @@ def test_oracle_inverse_law_and_associativity(zoo, name, rng):
         lhs = oracle_jet_mul(model, oracle_jet_mul(model, j0, j1), j2)
         rhs = oracle_jet_mul(model, j0, oracle_jet_mul(model, j1, j2))
         assert jet_distance(lhs, rhs) < 1e-6
+
+
+def test_sample_composable_raises_after_one_draw_when_arrow_with_source_misses():
+    model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    draws = [0]
+
+    def misses(m, rng):
+        draws[0] += 1
+        return model.arrow_with_source(np.asarray(m) + 0.1, rng)
+
+    bad = dataclasses.replace(model, arrow_with_source=misses)
+    with raises(SamplingError):
+        bad.sample_composable(np.random.default_rng(0))
+    assert draws[0] == 1
 
 
 def test_axioms_report_nan_product_as_infinite():
