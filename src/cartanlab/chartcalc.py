@@ -28,7 +28,8 @@ class ChartMap:
 
     eval maps R^dim_in -> R^dim_out. When jacobian is supplied it must return
     the (dim_out, dim_in) derivative matrix and agree with central differences
-    of eval to O(h^2); the test suite exercises both paths.
+    of eval to O(h^2); the test suite exercises both paths. eval_many, the
+    optional stacked form (k, dim_in) -> (k, dim_out), gives eval(X[a]) in row a.
     """
 
     dim_in: int
@@ -36,9 +37,21 @@ class ChartMap:
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     box: np.ndarray | None = None  # (dim_in, 2) domain box, optional
+    eval_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(np.asarray(x, dtype=float)), dtype=float)
+
+    def many(self, X: np.ndarray) -> np.ndarray:
+        """The map on a stack of points X[k, dim_in], through eval_many or a loop."""
+        return stacked(self, self.eval_many, np.asarray(X, dtype=float))
+
+
+def stacked(func: Callable, func_many: Callable | None, *stacks: np.ndarray) -> np.ndarray:
+    """Row a is func(stacks[0][a], ...): func_many(*stacks), or func row by row."""
+    if func_many is not None:
+        return np.asarray(func_many(*stacks), dtype=float)
+    return np.array([np.asarray(func(*row), dtype=float) for row in zip(*stacks)])
 
 
 @dataclass(frozen=True)
@@ -78,16 +91,46 @@ def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
                      for e in np.eye(x.size)], axis=-1)
 
 
+def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """jacobian_fd of func at each point of a stack X[k, n], all 2nk probes in
+    one func_many call (forward steps first, then by point and coordinate).
+    jac[a] equals jacobian_fd(func, X[a], h) bit for bit and is C-contiguous."""
+    X = np.asarray(X, dtype=float)
+    k, n = X.shape
+    steps = h * np.eye(n)  # x - h e has the bytes of jacobian_fd's x + (-h) e
+    probes = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(2 * k * n, n)
+    values = np.asarray(func_many(probes), dtype=float)
+    values = values.reshape((2, k, n) + values.shape[1:])
+    slopes = deriv_at_zero(lambda s: values[0] if s > 0 else values[1], h)
+    return np.ascontiguousarray(slopes.transpose(0, *range(2, slopes.ndim), 1))
+
+
 def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
-    """Solve func(x) = y by Newton iteration from x0 with central-difference
-    jacobians. Returns the first of NEWTON_ITERATIONS iterates whose residual
-    is below tol in the max-norm; raises NonFiniteError when none is."""
-    x = np.array(x0, dtype=float)
+    """Solve func(x) = y by Newton iteration from x0: newton_solve_many's batch of one."""
+    return newton_solve_many(lambda X: stacked(func, None, X),
+                             np.asarray(y, dtype=float)[None], x0, tol)[0]
+
+
+def newton_solve_many(func_many: Callable, Y: np.ndarray, x0: np.ndarray,
+                      tol: float) -> np.ndarray:
+    """Solve func(x) = Y[a] for each row a by Newton iteration from the one start
+    x0: member a is the first of NEWTON_ITERATIONS iterates whose residual is
+    below tol in the max-norm, bit for bit as if solved alone. The members
+    share the start's value and jacobian; each later step makes one func_many
+    and one jacobians_fd call. Raises NonFiniteError when a member does not converge."""
+    Y = np.asarray(Y, dtype=float)
+    X = np.tile(np.asarray(x0, dtype=float), (len(Y), 1))
+    live = np.arange(len(Y))
+    P = X[:1]  # the points func is evaluated at: the shared start first
     for _ in range(NEWTON_ITERATIONS):
-        r = func(x) - y
-        if float(np.max(np.abs(r))) < tol:
-            return x
-        x = x - np.linalg.solve(jacobian_fd(func, x), r)
+        R = np.asarray(func_many(P), dtype=float) - Y[live]
+        going = ~(np.max(np.abs(R), axis=1) < tol)
+        live, R = live[going], R[going]
+        if not live.size:
+            return X
+        P = P[going] if len(P) > 1 else P
+        X[live] = P - np.linalg.solve(jacobians_fd(func_many, P), R[..., None])[..., 0]
+        P = X[live]
     raise NonFiniteError(f"Newton iteration from {x0} did not reach residual {tol:.0e} "
                          f"in {NEWTON_ITERATIONS} steps")
 
@@ -107,7 +150,7 @@ def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
     if f.jacobian is not None:
         jac = np.asarray(f.jacobian(x), dtype=float)
     else:
-        jac = jacobian_fd(f.eval, x)
+        jac = jacobians_fd(f.many, x[None])[0]
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError(f"non-finite derivative at {x}")
     return jac.reshape(f.dim_out, f.dim_in)

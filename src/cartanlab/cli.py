@@ -48,7 +48,8 @@ def _cmd_run(args) -> int:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status}  {c.name:40s} max_error={c.max_error:.3e} "
-              f"tolerance={c.tolerance:.1e} samples={c.samples}")
+              f"tolerance={c.tolerance:.1e} samples={c.samples}"
+              + (f"  {c.detail}" if c.detail else ""))
     print(f"{'PASS' if report.verdict else 'FAIL'}  verdict "
           f"({config.experiment} on {config.model}, seed {config.seed}) -> {path}")
     return 0 if report.verdict else 1

@@ -45,6 +45,7 @@ from .chartcalc import (
     in_box,
     path_velocity,
     rk4,
+    stacked,
 )
 from .errors import EscapeError, NotABisectionError, SamplingError
 from .groupoid import (
@@ -94,9 +95,7 @@ class CartanConnection:
 
     def mu_many(self, G: np.ndarray) -> np.ndarray:
         """The jets at a stack of arrows: mu_batch, or mu_at stacked."""
-        if self.mu_batch is not None:
-            return np.asarray(self.mu_batch(G), dtype=float)
-        return np.stack([np.asarray(self.mu_at(g), dtype=float) for g in G])
+        return stacked(self.mu_at, self.mu_batch, G)
 
     def jet(self, g: Arrow) -> Jet1:
         return Jet1(g, np.asarray(self.mu_at(g.coords), dtype=float))

@@ -508,7 +508,7 @@ def run(config: ExperimentConfig) -> Report:
     except ConfigError:
         raise
     except (CartanLabError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        checks = [Check(f"aborted[{type(exc).__name__}]", 0, np.inf, 0.0)]
+        checks = [Check(f"aborted[{type(exc).__name__}]", 0, np.inf, 0.0, detail=str(exc))]
     return Report(
         experiment=config.experiment,
         model=config.model,

@@ -27,9 +27,11 @@ from .chartcalc import (
     differentiate,
     directional_derivative,
     exceeds,
-    jacobian_fd,
+    jacobians_fd,
     memo_by_point,
     newton_solve,
+    newton_solve_many,
+    stacked,
 )
 from .errors import (
     CompositionError,
@@ -89,6 +91,9 @@ class GroupoidModel:
     A model whose source map reads a slot of its coordinates takes its source side
     (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot,
     and likewise its target side (tgt, retract_tgt(_jac)) from target_slot.
+
+    The optional *_many hooks are stacked forms, row a of mul_many(G, H) being
+    mul(G[a], H[a]) bit for bit; stacked() loops where one is missing.
     """
 
     name: str
@@ -110,6 +115,10 @@ class GroupoidModel:
     retract_tgt_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     src_fiber_chart: Callable[[np.ndarray], tuple[ChartMap, Callable]] | None = None
     extras: dict = field(default_factory=dict)
+    mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    inv_many: Callable[[np.ndarray], np.ndarray] | None = None
+    retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     # -- convenience -------------------------------------------------------
 
@@ -158,7 +167,7 @@ class GroupoidModel:
         Raises SamplingError when arrow_with_source misses its source."""
         h = self.sample_arrow(rng)
         g = self.arrow(self.arrow_with_source(h.target, rng))
-        if not np.allclose(g.source, h.target, atol=1e-12):
+        if exceeds(float(np.max(np.abs(g.source - h.target))), 1e-12):
             raise SamplingError(f"arrow_with_source missed its source on {self.name}")
         return g, h
 
@@ -194,7 +203,7 @@ def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
 
 def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
     """The fields side, retract_side (writes m into the arrow coordinates index)
-    and its constant, read-only retract_side_jac; the other coordinates and their embedding."""
+    with its _many and constant, read-only _jac; the other coordinates and their embedding."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
     side_jac, rest_emb = eye[index], eye[:, rest]
@@ -207,8 +216,14 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
         g[index] = m
         return g
 
-    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=lambda g: side_jac)
-    return ({side: side_map, f"retract_{side}": retract,
+    def retract_many(G, M):
+        G = np.array(G, dtype=float)
+        G[:, index] = M
+        return G
+
+    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=lambda g: side_jac,
+                        eval_many=lambda G: G[:, index])
+    return ({side: side_map, f"retract_{side}": retract, f"retract_{side}_many": retract_many,
              f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
 
 
@@ -332,9 +347,10 @@ def algebroid_bracket(model: GroupoidModel,
 # -- bisection-jet oracle ----------------------------------------------------
 
 
-def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np.ndarray]:
-    """A representative local bisection with the given one-jet: the affine
-    chart extension projected back onto the sections of the source map.
+def extend_bisection(model: GroupoidModel, j: Jet1) -> ChartMap:
+    """A representative local bisection with the given one-jet, as a ChartMap
+    M -> G: the affine chart extension projected back onto the sections of the
+    source map.
 
     Any representative with the correct one-jet is valid; affine is the
     cheapest and exactly differentiable, and the source retraction makes it an
@@ -345,10 +361,24 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> Callable[[np.ndarray], np
     mu = j.mu
 
     def b(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         return model.retract_src(g0 + mu @ (x - m0), x)
 
-    return b
+    def b_many(X: np.ndarray) -> np.ndarray:
+        return stacked(model.retract_src, model.retract_src_many,
+                       g0 + (mu @ (X - m0)[..., None])[..., 0], X)
+
+    return ChartMap(model.n, model.N, b, eval_many=b_many)
+
+
+def _bisection(model: GroupoidModel, b: Callable) -> ChartMap:
+    return b if isinstance(b, ChartMap) else ChartMap(model.n, model.N, b)  # loops
+
+
+def _check_section(m: np.ndarray, probes: np.ndarray, sources: np.ndarray) -> None:
+    for defect in np.max(np.abs(sources - probes), axis=1):
+        if exceeds(float(defect), SECTION_TOL):
+            raise NotABisectionError(
+                f"src(b(x)) != x near {m}: defect {defect:.3e}")
 
 
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
@@ -356,44 +386,48 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     """Ground-truth one-jet of an explicit local bisection at m, by central
     differences of the bisection itself.
 
-    b is evaluated once at each of the 2n+1 points m and m +- h e_i, h = FD_STEP:
-    the section check evaluates them all, and the central-difference jacobian
-    reads those same values back from a memo that lives for this call.
-    jacobian_fd forms its probes as m + s * e with s = +h and s = -h, which
-    have exactly the bytes of m + h * e and m - h * e (IEEE a + (-b) == a - b,
-    signed zeros included), so its stencil is all hits.
+    b is evaluated once at each of the 2n+1 points m and m +- h e_i, h = FD_STEP,
+    in one b.many call (a plain callable is looped). The section is checked at
+    every row, and jacobians_fd reads its central differences from the same
+    rows: its probes m + s * e, s = +h and -h, have exactly the bytes of
+    m + h * e and m - h * e (IEEE a + (-b) == a - b, signed zeros included).
 
     Raises NotABisectionError when b fails to be a section of the source map
     near m (checked to 1e-9 at every probe) or when its target map is
-    singular; a NaN defect or determinant counts as either failure.
+    singular; a NaN defect or determinant counts as either failure. Where the
+    stacked call raises, the probes rerun one by one, so the first failing
+    probe's error is raised.
     """
     m = np.asarray(m, dtype=float)
-    b_once = memo_by_point(lambda x: np.asarray(b(x), dtype=float))
-    g = b_once(m)
-    # section check at m and at probe points
-    for probe in (m, *(m + FD_STEP * e for e in np.eye(model.n)),
-                  *(m - FD_STEP * e for e in np.eye(model.n))):
-        defect = float(np.max(np.abs(model.src(b_once(probe)) - probe)))
-        if exceeds(defect, SECTION_TOL):
-            raise NotABisectionError(
-                f"src(b(x)) != x near {m}: defect {defect:.3e}")
-    mu = jacobian_fd(b_once, m)
-    arrow = model.arrow(g)
-    ad_tm = model.Ttgt(g) @ mu
-    if not abs(np.linalg.det(ad_tm)) >= DET_TOL:
+    b = _bisection(model, b)
+    eye = np.eye(model.n)
+    probes = np.concatenate([m[None], m + FD_STEP * eye, m - FD_STEP * eye])
+    try:
+        B = b.many(probes)
+        _check_section(m, probes, model.src.many(B))
+    except Exception:
+        for probe in probes:
+            _check_section(m, probe[None], model.src(b(probe))[None])
+        raise
+    mu = jacobians_fd(lambda _: B[1:], m[None])[0]  # the stencil's probes are probes[1:]
+    if not abs(np.linalg.det(model.Ttgt(B[0]) @ mu)) >= DET_TOL:
         raise NotABisectionError("target map of the bisection is singular")
-    return Jet1(arrow, mu)
+    return Jet1(model.arrow(B[0]), mu)
 
 
-def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> Callable:
+def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> ChartMap:
     """Pointwise product of local bisections: (b1 b2)(m) = b1(tgt(b2(m))) . b2(m)."""
+    b1, b2 = _bisection(model, b1), _bisection(model, b2)
 
     def prod(m: np.ndarray) -> np.ndarray:
-        h = np.asarray(b2(m), dtype=float)
-        mid = model.tgt(h)
-        return model.mul(np.asarray(b1(mid), dtype=float), h)
+        h = b2(m)
+        return model.mul(b1(model.tgt(h)), h)
 
-    return prod
+    def prod_many(M: np.ndarray) -> np.ndarray:
+        H = b2.many(M)
+        return stacked(model.mul, model.mul_many, b1.many(model.tgt.many(H)), H)
+
+    return ChartMap(model.n, model.N, prod, eval_many=prod_many)
 
 
 def oracle_jet_mul(model: GroupoidModel, j1: Jet1, j2: Jet1) -> Jet1:
@@ -414,22 +448,21 @@ def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
 
     The representative's base transformation tgt . b is inverted by Newton
     iteration; the inverse bisection y -> inv(b((tgt . b)^-1(y))) is then
-    differentiated at the target point. The 2n+1 Newton solves all start at
-    the jet's source, so tgt . b and its first stencil at that start are
-    evaluated once for all of them.
+    differentiated at the target point. Its 2n+1 Newton solves run as one
+    newton_solve_many from the jet's source, the start shared by all of them.
     """
     b = extend_bisection(model, j)
-    m_tgt = j.g.target
-
-    @memo_by_point
-    def phi(x):
-        return model.tgt(np.asarray(b(x), dtype=float))
+    x0 = j.g.source
 
     def b_inv(y):
-        x = newton_solve(phi, np.asarray(y, dtype=float), j.g.source, 1e-14)
-        return model.inv(np.asarray(b(x), dtype=float))
+        return model.inv(b(newton_solve(lambda x: model.tgt(b(x)), y, x0, 1e-14)))
 
-    return oracle_jet(model, b_inv, m_tgt)
+    def b_inv_many(Y):
+        X = newton_solve_many(lambda P: model.tgt.many(b.many(P)), Y, x0, 1e-14)
+        return stacked(model.inv, model.inv_many, b.many(X))
+
+    return oracle_jet(model, ChartMap(model.n, model.N, b_inv, eval_many=b_inv_many),
+                      j.g.target)
 
 
 def identity_jet(model: GroupoidModel, m: np.ndarray) -> Jet1:

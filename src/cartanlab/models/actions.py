@@ -22,6 +22,7 @@ from .rotations import (
     jl,
     hat,
     rot2,
+    rot2_many,
 )
 
 TRANSLATION_HALF_WIDTH = 0.8  # half-width of the translation group box
@@ -31,7 +32,7 @@ SO3_W_MAX = 0.5  # half-width of the rotation-vector box of SO(3)
 
 @dataclass(frozen=True)
 class GroupChart:
-    """A matrix-group chart: composition/inverse in coordinates with jacobians."""
+    """A matrix-group chart: composition/inverse in coordinates, jacobians, stacked forms."""
 
     dim: int
     compose: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -40,6 +41,8 @@ class GroupChart:
     inverse_jac: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
     name: str
+    compose_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    inverse_many: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,7 @@ class ActionChart:
 
     act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     act_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    act_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.ndarray,
@@ -66,9 +70,21 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         Da, Dm = action.act_jac(g[:k], g[k:])
         return np.hstack([Da, Dm])
 
-    tgt = ChartMap(N, n, tgt_eval, jacobian=tgt_jac)
     unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]),
-                    jacobian=lambda m: np.vstack([Zkn, In]))
+                    jacobian=lambda m: np.vstack([Zkn, In]),
+                    eval_many=lambda M: np.concatenate([np.zeros((len(M), k)), M], axis=1))
+    many, tgt_many = {}, None  # stacked forms if the group and action give theirs
+    act_many, inverse_many = action.act_many, group.inverse_many
+    if None not in (act_many, inverse_many, group.compose_many):
+        def tgt_many(G):
+            return act_many(G[:, :k], G[:, k:])
+
+        many = dict(mul_many=lambda G, H: np.concatenate(
+                        [group.compose_many(G[:, :k], H[:, :k]), H[:, k:]], axis=1),
+                    inv_many=lambda G: np.concatenate([inverse_many(G[:, :k]), tgt_many(G)], 1),
+                    retract_tgt_many=lambda G, M: np.concatenate(
+                        [G[:, :k], act_many(inverse_many(G[:, :k]), M)], axis=1))
+    tgt = ChartMap(N, n, tgt_eval, jacobian=tgt_jac, eval_many=tgt_many)
 
     def mul(g, h):
         return np.concatenate([group.compose(g[:k], h[:k]), h[k:]])
@@ -125,6 +141,7 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         retract_tgt_jac=retract_tgt_jac,
         extras={"group_dim": k},
         **source_slot(N, slice(k, N), domain_box),
+        **many,
     )
 
     mu_const = np.vstack([Zkn, In])
@@ -145,6 +162,8 @@ def translation_group(n: int) -> GroupChart:
         inverse_jac=lambda a: -np.eye(n),
         box=box,
         name=f"translations-R{n}",
+        compose_many=lambda A2, A1: A1 + A2,
+        inverse_many=lambda A: -A,
     )
 
 
@@ -153,6 +172,7 @@ def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnecti
     action = ActionChart(
         act=lambda a, m: m + a,
         act_jac=lambda a, m: (np.eye(n), np.eye(n)),
+        act_many=lambda A, M: M + A,
     )
     base_box = np.array([[-1.0, 1.0]] * n)
     return make_action_groupoid(group, action, base_box, name=f"translation-R{n}")
@@ -166,6 +186,10 @@ def se2_group() -> GroupChart:
         th2, b2 = a2[0], a2[1:]
         th1, b1 = a1[0], a1[1:]
         return np.concatenate([[th1 + th2], b2 + rot2(th2) @ b1])
+
+    def compose_many(A2, A1):
+        Rb1 = (rot2_many(A2[:, 0]) @ A1[:, 1:, None])[..., 0]
+        return np.concatenate([A1[:, :1] + A2[:, :1], A2[:, 1:] + Rb1], axis=1)
 
     def compose_jac(a2, a1):
         th2 = a2[0]
@@ -184,6 +208,9 @@ def se2_group() -> GroupChart:
         th, b = a[0], a[1:]
         return np.concatenate([[-th], -rot2(-th) @ b])
 
+    def inverse_many(A):
+        return np.concatenate([-A[:, :1], (-rot2_many(-A[:, 0]) @ A[:, 1:, None])[..., 0]], 1)
+
     def inverse_jac(a):
         th, b = a[0], a[1:]
         D = np.zeros((3, 3))
@@ -192,7 +219,8 @@ def se2_group() -> GroupChart:
         D[1:, 1:] = -rot2(-th)
         return D
 
-    return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box, "se2")
+    return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box, "se2",
+                      compose_many, inverse_many)
 
 
 def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
@@ -200,6 +228,9 @@ def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
 
     def act(a, m):
         return rot2(a[0]) @ m + a[1:]
+
+    def act_many(A, M):
+        return (rot2_many(A[:, 0]) @ M[..., None])[..., 0] + A[:, 1:]
 
     def act_jac(a, m):
         R = rot2(a[0])
@@ -209,7 +240,7 @@ def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
         return Da, R
 
     base_box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    return make_action_groupoid(group, ActionChart(act, act_jac), base_box,
+    return make_action_groupoid(group, ActionChart(act, act_jac, act_many), base_box,
                                 name="se2-action")
 
 

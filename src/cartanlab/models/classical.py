@@ -9,7 +9,7 @@ on a source fibre. The two constructions invert each other up to the canonical
 identifications, which the test-suite checks numerically.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,9 @@ class ClassicalCartan:
     h_basis columns include the structure algebra into V; h_rep(h) is the right
     representation of H on V extending the adjoint action. The bundle block
     (pi, sigma, normalizer, h_act and the H-chart group ops) fixes slice
-    coordinates for the quotient constructions.
+    coordinates for the quotient constructions. bundle_many, optional, holds the
+    stacked forms of pi, sigma, normalizer, h_act and h_inv by name; the gauge
+    groupoid's stacked structure maps are built from them.
     """
 
     name: str
@@ -69,6 +71,7 @@ class ClassicalCartan:
     normalizer_jac: Callable[[np.ndarray], np.ndarray]
     p_box: np.ndarray
     h_box: np.ndarray
+    bundle_many: dict = field(default_factory=dict)
 
     @property
     def v_dim(self) -> int:
@@ -126,10 +129,33 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
             raise SliceError(f"slice section fails pi . sigma = id at {m} ({defect:.2e})")
         return p
 
+    many, tgt_many, unit_many = {}, None, None
+    if cc.bundle_many:
+        pi, sigma, normal, h_act, h_inv = map(cc.bundle_many.get, (
+            "pi", "sigma", "normalizer", "h_act", "h_inv"))
+
+        def tgt_many(G):
+            return pi(G[:, :k])
+
+        def unit_many(M):
+            P = sigma(M)
+            if not np.all(np.abs(pi(P) - M) <= 1e-10):  # a NaN fails too
+                for m in M:
+                    check_slice(m)  # raises at the first bad row
+            return np.concatenate([P, M], axis=1)
+
+        many = dict(mul_many=lambda G, H: np.concatenate(
+                        [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),
+                    inv_many=lambda G: np.concatenate(
+                        [h_act(sigma(G[:, k:]), h_inv(normal(G[:, :k]))), tgt_many(G)], 1),
+                    retract_tgt_many=lambda G, M: np.concatenate(
+                        [h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1))
+
     tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]),
-                   jacobian=lambda g: np.hstack([cc.pi_jac(g[:k]), np.zeros((n, n))]))
+                   jacobian=lambda g: np.hstack([cc.pi_jac(g[:k]), np.zeros((n, n))]),
+                   eval_many=tgt_many)
     unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
-                    jacobian=lambda m: np.vstack([cc.sigma_jac(m), In]))
+                    jacobian=lambda m: np.vstack([cc.sigma_jac(m), In]), eval_many=unit_many)
 
     def mul(g, h):
         return np.concatenate([cc.h_act(g[:k], cc.normalizer(h[:k])), h[k:]])
@@ -194,6 +220,7 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         retract_tgt_jac=retract_tgt_jac,
         extras={"classical": cc},
         **source_slot(N, slice(k, N), domain_box),
+        **many,
     )
 
     def mu_at(g):
@@ -413,6 +440,9 @@ def se2_maurer_cartan() -> ClassicalCartan:
         Dh[0, 0] = 1.0
         return Dp, Dh
 
+    def h_act_many(P, H):
+        return np.concatenate([P[:, :1] + H[:, :1], P[:, 1:]], axis=1)
+
     p_box = se2_group().box
     return ClassicalCartan(
         name="se2-so2",
@@ -435,6 +465,9 @@ def se2_maurer_cartan() -> ClassicalCartan:
         normalizer_jac=lambda p: np.array([[1.0, 0.0, 0.0]]),
         p_box=p_box,
         h_box=p_box[:1],
+        bundle_many=dict(pi=lambda P: P[:, 1:],
+                         sigma=lambda M: np.concatenate([np.zeros((len(M), 1)), M], axis=1),
+                         normalizer=lambda P: P[:, :1], h_act=h_act_many, h_inv=lambda H: -H),
     )
 
 

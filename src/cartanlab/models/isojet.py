@@ -28,7 +28,7 @@ from ..chartcalc import (
 from ..connection import CartanConnection
 from ..errors import MetricError
 from ..groupoid import GroupoidModel, source_slot, target_slot
-from .rotations import J2, rot2
+from .rotations import J2, rot2, rot2_many
 
 _I2 = np.eye(2)
 THETA_MAX = 0.7  # half-width of the theta row of the arrow box
@@ -89,7 +89,8 @@ def make_isometry_jet_groupoid(
 
     unit_jac = np.vstack([I2, I2, z12])
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
-                    jacobian=lambda m: unit_jac)
+                    jacobian=lambda m: unit_jac,
+                    eval_many=lambda M: np.concatenate([M, M, np.zeros((len(M), 1))], axis=1))
 
     def mul(g, h):
         return np.concatenate([h[:2], g[2:4], [g[4] + h[4]]])
@@ -133,6 +134,8 @@ def make_isometry_jet_groupoid(
         mul_jac=mul_jac,
         inv_jac=inv_jac,
         extras={"metric": metric},
+        mul_many=lambda G, H: np.concatenate([H[:, :2], G[:, 2:4], G[:, 4:] + H[:, 4:]], axis=1),
+        inv_many=lambda G: np.concatenate([G[:, 2:4], G[:, :2], -G[:, 4:]], axis=1),
         **source_slot(N, slice(0, 2), domain_box),
         **target_slot(N, slice(2, 4)),
     )
@@ -187,12 +190,7 @@ def prolongation_jets(metric: MetricChart,
     dLTinv = -LTinv[:, None] @ dLT @ LTinv[:, None]
     gamma = christoffel_from_partials(np.linalg.inv(gm), dgm)  # gamma[p, k, i, j]
 
-    c, s = np.cos(G[:, 4]), np.sin(G[:, 4])
-    R = np.empty((k, 2, 2))
-    R[:, 0, 0] = c
-    R[:, 0, 1] = -s
-    R[:, 1, 0] = s
-    R[:, 1, 1] = c
+    R = rot2_many(G[:, 4])
     LpTinv = LTinv[k:]
     LpTinvR = LpTinv @ R
     LmT = np.swapaxes(L[:k], -1, -2)

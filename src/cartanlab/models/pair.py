@@ -20,7 +20,8 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     Z = np.zeros((n, n))
 
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m]),
-                    jacobian=lambda m: np.vstack([I, I]))
+                    jacobian=lambda m: np.vstack([I, I]),
+                    eval_many=lambda M: np.concatenate([M, M], axis=1))
 
     def mul(g, h):
         return np.concatenate([g[:n], h[n:]])
@@ -45,6 +46,8 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         base_box=box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),
         inv_jac=lambda g: swap,
+        mul_many=lambda G, H: np.concatenate([G[:, :n], H[:, n:]], axis=1),
+        inv_many=lambda G: np.concatenate([G[:, n:], G[:, :n]], axis=1),
         **source_slot(N, slice(n, N), domain_box),
         **target_slot(N, slice(0, n)),
     )

@@ -93,4 +93,10 @@ def rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def rot2_many(theta: np.ndarray) -> np.ndarray:
+    """rot2 of each angle of a vector theta[k], as a C-contiguous R[k, 2, 2]."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.ascontiguousarray(np.array([c, -s, s, c]).T).reshape(-1, 2, 2)
+
+
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # generator of 2D rotations: rot2'(t) = J2 rot2(t)

@@ -114,6 +114,7 @@ class Check:
     samples: int
     max_error: float
     tolerance: float
+    detail: str = field(default="", compare=False)  # e.g. an abort's message; not in as_dict
 
     @property
     def passed(self) -> bool:

@@ -157,3 +157,26 @@ def test_aborted_report_is_strict_json(monkeypatch):
     assert check["max_error"] is None and check["tolerance"] == 0.0
     assert check["non_finite"] == {"max_error": "inf"}
     assert check["pass"] is False and data["verdict"] is False
+
+
+def test_abort_message_reaches_the_fail_line_but_not_the_report(monkeypatch, tmp_path, capsys):
+    from cartanlab import experiments
+    from cartanlab.errors import NonFiniteError
+    from cartanlab.report import Check, ExperimentConfig, Report
+
+    def aborts(model, S, config, count):
+        raise NonFiniteError("trajectory went non-finite at t=0.5")
+
+    monkeypatch.setitem(experiments.EXPERIMENTS, "jet-axioms", aborts)
+    rep = experiments.run(ExperimentConfig(model="pair-R2", experiment="jet-axioms", seed=42))
+    (check,) = rep.checks
+    assert check.detail == "trajectory went non-finite at t=0.5"
+    # the report as it was before the message was kept: same bytes, equal
+    bare = Report("jet-axioms", "pair-R2", 42,
+                  (Check("aborted[NonFiniteError]", 0, float("inf"), 0.0),))
+    assert rep == bare and rep.to_json_bytes() == bare.to_json_bytes()
+
+    code = main(["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)])
+    assert code == 1
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "aborted" in ln]
+    assert line.startswith("FAIL") and line.endswith("trajectory went non-finite at t=0.5")

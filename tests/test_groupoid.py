@@ -6,10 +6,11 @@ import pytest
 from pytest import raises
 
 from cartanlab import groupoid
-from cartanlab.chartcalc import FD_STEP, jacobian_fd, newton_solve
+from cartanlab.chartcalc import FD_STEP, ChartMap, jacobian_fd, newton_solve
 from cartanlab.errors import (
     CompositionError,
     FrameError,
+    NonFiniteError,
     NotABisectionError,
     SamplingError,
     ToleranceError,
@@ -247,6 +248,18 @@ def test_sample_composable_raises_after_one_draw_when_arrow_with_source_misses()
     assert draws[0] == 1
 
 
+def test_sample_composable_refuses_a_source_off_by_more_than_its_tolerance():
+    # 1e-7 is far above the guard's 1e-12, but within np.allclose's default
+    # rtol of 1e-5 times the target coordinates here
+    model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    bad = dataclasses.replace(
+        model, arrow_with_source=lambda m, rng: model.arrow_with_source(m + 1e-7, rng))
+    rng = np.random.default_rng(0)
+    assert np.all(np.abs(model.sample_arrow(np.random.default_rng(0)).target) > 0.1)
+    with raises(SamplingError):
+        bad.sample_composable(rng)
+
+
 def test_axioms_report_nan_product_as_infinite():
     # the 7th mul call is mul(g, h) inside the first associativity sample;
     # max(worst, nan) would drop it and report 0.0 for every axiom
@@ -398,38 +411,73 @@ def test_oracle_equals_its_unmemoized_form(name, jacobians):
         assert _same_jet(oracle_jet_inverse(model, j1), _reference_oracle_jet_inverse(model, j1))
 
 
-def _counted_bisections(monkeypatch):
-    """Count calls of every bisection extend_bisection builds from now on."""
-    calls = [0]
+def _counted_bisections(monkeypatch, keep_stacked):
+    """Count the single calls, the stacked calls and the stacked rows of every
+    bisection extend_bisection builds from now on. Without keep_stacked the
+    bisections lose their stacked form, so the oracle evaluates them point by
+    point, as it does any plain callable."""
+    counts = {"single": 0, "stacked": 0, "rows": 0}
     real = extend_bisection
 
     def counting(model, j):
         b = real(model, j)
 
-        def counted(x):
-            calls[0] += 1
+        def single(x):
+            counts["single"] += 1
             return b(x)
 
-        return counted
+        def many(X):
+            counts["stacked"] += 1
+            counts["rows"] += len(X)
+            return b.many(X)
+
+        return ChartMap(b.dim_in, b.dim_out, single, eval_many=many if keep_stacked else None)
 
     monkeypatch.setattr(groupoid, "extend_bisection", counting)
-    return calls
+    return counts
 
 
-@pytest.mark.parametrize("name,inverse_calls", [("pair-R2", 14), ("so3-sphere", 34)])
-def test_oracle_evaluates_each_probe_once(zoo, monkeypatch, name, inverse_calls):
-    # without the memo: 4n+2 = 10 calls per oracle_jet, and 60 (pair-R2) and
-    # 100 (so3-sphere) per oracle_jet_inverse, where every Newton solve
-    # recomputed tgt . b and its first stencil at the shared start j.g.source
+# each id ends in the number of points the inverse evaluates its bisection at
+@pytest.mark.parametrize("name,keep_stacked,jet_counts,inverse_counts", [
+    # (single calls, stacked calls, stacked rows): one stacked call of the 2n+1
+    # probes; the inverse's stacked Newton takes the shared start (1 row), its
+    # stencil (2n rows), one step for the 2n members whose target is not the
+    # start's (2n rows), and the final 2n+1 rows
+    pytest.param("pair-R2", True, (0, 1, 5), (0, 4, 14), id="pair-R2-14"),
+    # point by point: 2n+1 calls, and 34 for the inverse, where the shared
+    # start and its first stencil are evaluated once for all 2n+1 solves
+    pytest.param("so3-sphere", False, (5, 0, 0), (34, 0, 0), id="so3-sphere-34"),
+])
+def test_oracle_evaluates_each_probe_once(zoo, monkeypatch, name, keep_stacked,
+                                          jet_counts, inverse_counts):
     model, S = zoo(name)
-    calls = _counted_bisections(monkeypatch)
+    counts = _counted_bisections(monkeypatch, keep_stacked)
     g = model.sample_arrow(np.random.default_rng(0))
     j = S.jet(g)
     oracle_jet(model, groupoid.extend_bisection(model, j), g.source)
-    assert calls[0] == 2 * model.n + 1
-    calls[0] = 0
+    assert (counts["single"], counts["stacked"], counts["rows"]) == jet_counts
+    counts.update(dict.fromkeys(counts, 0))
     oracle_jet_inverse(model, j)
-    assert calls[0] == inverse_calls
+    assert (counts["single"], counts["stacked"], counts["rows"]) == inverse_counts
+
+
+def test_oracle_raises_what_the_first_failing_probe_raises(zoo):
+    # the probes are m, m + h e_0, m + h e_1, m - h e_0, m - h e_1: probe 1 is
+    # no section point and probe 3 raises. Evaluating every row first meets
+    # probe 3's error; the ordered per-probe loop meets probe 1's first.
+    model, _ = zoo("pair-R2")
+    m, h = np.array([0.2, 0.1]), FD_STEP
+    shifted, broken = m + h * np.eye(2)[0], m - h * np.eye(2)[0]
+
+    def b(x):
+        if np.array_equal(x, broken):
+            raise NonFiniteError("probe 3")
+        return model.unit(x + 0.5 if np.array_equal(x, shifted) else x)
+
+    with raises(NonFiniteError):
+        ChartMap(2, 4, b).many(np.array([m, shifted, broken]))
+    with raises(NotABisectionError, match="defect"):
+        oracle_jet(model, b, m)
 
 
 @pytest.mark.parametrize("probe", range(5))

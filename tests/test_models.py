@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.chartcalc import in_box, jacobian_fd
+from cartanlab.chartcalc import differentiate, in_box, jacobian_fd, jacobians_fd, stacked
 from cartanlab.errors import MetricError
-from cartanlab.groupoid import jet_distance, oracle_jet, oracle_jet_mul, sample_base_point
+from cartanlab.groupoid import (
+    jet_distance,
+    oracle_jet,
+    oracle_jet_inverse,
+    oracle_jet_mul,
+    sample_base_point,
+)
 from cartanlab.jetalg import random_jet
 from cartanlab.models import MODELS, make_model
 from cartanlab.models.isojet import chol2, dchol2, isometry_matrix, prolongation_jet
@@ -350,3 +356,72 @@ def test_source_side(zoo, name, jacobians, rng):
         if jacobians and target_tol == 0.0:
             assert not model.tgt.jacobian(g).flags.writeable
             assert not any(J.flags.writeable for J in model.retract_tgt_jac(g, m))
+
+
+def _stacked_cases(model, rng, k=7):
+    """Random stacks of arrows, composable partners and base points, each
+    also as a non-contiguous view (one column of padding sliced away)."""
+    pairs = [model.sample_composable(rng) for _ in range(k)]
+    G = np.array([g.coords for g, _ in pairs])
+    H = np.array([h.coords for _, h in pairs])
+    M = np.array([sample_base_point(model, rng) for _ in range(k)])
+    T = np.array([g.target for g, _ in pairs])
+
+    def padded(A):
+        B = np.concatenate([np.full((len(A), 1), 9.0), A], axis=1)
+        return B[:, 1:]
+
+    yield G, H, M, T
+    yield padded(G), padded(H), padded(M), padded(T)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
+    # row a of every stacked form equals the single-point call bit for bit,
+    # whether the model gives the stacked form or stacked() loops
+    model, _ = zoo(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    rng = np.random.default_rng(23)
+    for G, H, M, T in _stacked_cases(model, rng):
+        for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
+            assert np.array_equal(cm.many(X), [cm(x) for x in X])
+        for single, many, args in (
+                (model.mul, model.mul_many, (G, H)),
+                (model.inv, model.inv_many, (G,)),
+                (model.retract_src, model.retract_src_many, (G, M)),
+                (model.retract_tgt, model.retract_tgt_many, (G, T))):
+            assert np.array_equal(stacked(single, many, *args),
+                                  [single(*row) for row in zip(*args)])
+        # the stacked finite-difference jacobians equal the per-point ones
+        for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
+            jacs = jacobians_fd(cm.many, X)
+            assert jacs.flags.c_contiguous
+            for x, jac in zip(X, jacs):
+                single = jacobian_fd(cm.eval, x)
+                assert np.array_equal(jac, single) and jac.flags.c_contiguous
+                if not jacobians:
+                    assert np.array_equal(differentiate(cm, x), single)
+
+
+@pytest.mark.parametrize("name", ["pair-R2", "se2-action", "gauge-se2-so2", "isojet-sphere"])
+def test_jet_oracle_models_give_every_stacked_form(zoo, name):
+    # the models of the jet-oracle benchmark loop nowhere
+    model, _ = zoo(name)
+    assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many,
+                        model.mul_many, model.inv_many, model.retract_src_many,
+                        model.retract_tgt_many)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_oracle_matrices_are_c_contiguous(zoo, name, jacobians):
+    model, S = zoo(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    rng = np.random.default_rng(29)
+    g, h = model.sample_composable(rng)
+    j1, j2 = random_jet(model, S.jet, g, rng), random_jet(model, S.jet, h, rng)
+    for jet in (oracle_jet_mul(model, j1, j2), oracle_jet_inverse(model, j1)):
+        assert jet.mu.flags.c_contiguous
