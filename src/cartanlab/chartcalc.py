@@ -36,7 +36,6 @@ class ChartMap:
     dim_out: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    box: np.ndarray | None = None  # (dim_in, 2) domain box, optional
     eval_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -79,25 +78,27 @@ def exceeds(value: float, tol: float) -> bool:
     return not value <= tol
 
 
-def in_box(x: np.ndarray, box: np.ndarray, margin: float = 0.0) -> bool:
+def in_box(x: np.ndarray, box: np.ndarray) -> bool:
     x = np.asarray(x, dtype=float)
-    return bool(np.all(x >= box[:, 0] + margin) and np.all(x <= box[:, 1] - margin))
+    return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
 
 def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference jacobian of func at x, one column per coordinate."""
-    x = np.asarray(x, dtype=float)
-    return np.stack([deriv_at_zero(lambda s: func(x + s * e), h)
-                     for e in np.eye(x.size)], axis=-1)
+    """Central-difference jacobian of func at x, one column per coordinate:
+    jacobians_fd's batch of one, func evaluated at its 2n probes in turn."""
+    return jacobians_fd(lambda X: stacked(func, None, X),
+                        np.asarray(x, dtype=float).reshape(1, -1), h)[0]
 
 
 def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """jacobian_fd of func at each point of a stack X[k, n], all 2nk probes in
-    one func_many call (forward steps first, then by point and coordinate).
-    jac[a] equals jacobian_fd(func, X[a], h) bit for bit and is C-contiguous."""
+    """Central-difference jacobians of func at each point of a stack X[k, n],
+    one column per coordinate, all 2nk probes x ± h e in one func_many call
+    (forward steps first, then by point and coordinate). jac[a] is
+    C-contiguous and, when func_many's rows are func's values, equals the
+    jacobian at X[a] taken alone bit for bit."""
     X = np.asarray(X, dtype=float)
     k, n = X.shape
-    steps = h * np.eye(n)  # x - h e has the bytes of jacobian_fd's x + (-h) e
+    steps = h * np.eye(n)
     probes = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(2 * k * n, n)
     values = np.asarray(func_many(probes), dtype=float)
     values = values.reshape((2, k, n) + values.shape[1:])
@@ -139,14 +140,12 @@ def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
     """Jacobian of a chart map: analytic if supplied, else central differences.
 
     Central differences at FD_STEP carry an O(h^2) per-entry error contract.
-    Raises DomainError when x sits within FD_STEP of the declared box boundary and
-    NonFiniteError when eval returns non-finite values.
+    Raises DomainError when x is not a point of dimension dim_in and
+    NonFiniteError when the jacobian has non-finite entries.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim_in,):
         raise DomainError(f"expected point of dimension {f.dim_in}, got shape {x.shape}")
-    if f.box is not None and not in_box(x, f.box, margin=FD_STEP):
-        raise DomainError(f"point {x} within step {FD_STEP} of the domain box boundary")
     if f.jacobian is not None:
         jac = np.asarray(f.jacobian(x), dtype=float)
     else:
@@ -213,6 +212,14 @@ def path_velocity(path: Callable[[float], np.ndarray], t: float) -> np.ndarray:
     return deriv_at_zero(lambda s: path(t + s), PATH_VELOCITY_STEP)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, for an array handed to many callers: a write
+    through it raises instead of changing what the next caller gets."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 def memo_by_point(func: Callable[[np.ndarray], object],
                   size: int | None = None) -> Callable[[np.ndarray], object]:
     """func, evaluated once per point: the value is kept under the bytes of
@@ -230,8 +237,7 @@ def memo_by_point(func: Callable[[np.ndarray], object],
             return seen[key]
         out = func(x)
         if isinstance(out, np.ndarray):
-            out = out.view()
-            out.flags.writeable = False
+            out = read_only(out)
         if size is not None and len(seen) >= size:
             seen.clear()
         seen[key] = out
@@ -341,8 +347,10 @@ def metric_partials(m: MetricChart, x: np.ndarray) -> np.ndarray:
     if m.dg is not None:
         return np.asarray(m.dg(x), dtype=float)
     d = m.dim
-    per_point = [jacobian_fd(m, p) for p in x.reshape(-1, d)]
-    return np.stack(per_point).reshape(x.shape[:-1] + (d, d, d))
+    # g is evaluated point by point: a metric written for one point gives
+    # its partials, and prolongation_jets, not this stencil, refuses it
+    dg = jacobians_fd(lambda X: stacked(m, None, X), x.reshape(-1, d))
+    return dg.reshape(x.shape[:-1] + (d, d, d))
 
 
 def christoffel(m: MetricChart, x: np.ndarray) -> np.ndarray:

@@ -145,23 +145,12 @@ def _steps_for(span: float) -> int:
     return max(1, int(np.ceil(abs(span) / ODE_STEP_TARGET)))
 
 
-def _stay_in_box(model: GroupoidModel) -> Callable[[np.ndarray], None]:
-    """The rk4 check of a horizontal lift: the state is one arrow or a stack of
-    rows led by an arrow's N coordinates, and every arrow must stay in the
-    chart box (EscapeError when one leaves it)."""
-    def check(y):
-        for x in np.reshape(y, (-1, np.shape(y)[-1]))[:, :model.N]:
-            if not in_box(x, model.domain_box):
-                raise EscapeError(f"horizontal lift left the chart box at {x}")
-
-    return check
-
-
 def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
                        t0: float, t1: float, g: Arrow,
                        steps: int | None = None) -> Arrow:
     """Transport an arrow along a base path by the horizontal-lift ODE
-    dg/dt = mu(S(g)) . gamma'(t), from t0 to t1.
+    dg/dt = mu(S(g)) . gamma'(t), from t0 to t1: transport_many's batch of
+    one, its arrow row, with a zero tangent.
 
     The lift keeps src(g(t)) = gamma(t); identity arrows transport to identity
     arrows. Raises EscapeError if the trajectory leaves the chart box."""
@@ -170,11 +159,9 @@ def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray]
         raise EscapeError("initial arrow does not sit over gamma(t0)")
     if steps is None:
         steps = _steps_for(t1 - t0)
-
-    def rhs(t, x):
-        return np.asarray(S.mu_at(x), dtype=float) @ path_velocity(gamma, t)
-
-    return model.arrow(rk4(rhs, g.coords, t0, t1, steps, check=_stay_in_box(model)))
+    X, _ = transport_many(S, gamma, np.array([t0], dtype=float), t1, g.coords[None],
+                          np.zeros((1, model.N)), steps)
+    return model.arrow(X[0])
 
 
 def transport_many(S: CartanConnection, gamma: Callable[[float], np.ndarray],
@@ -210,8 +197,12 @@ def transport_many(S: CartanConnection, gamma: Callable[[float], np.ndarray],
             with_fields, lifted, np.concatenate([Y[:, N:], np.zeros((k, S.model.n))], axis=1))
         return np.concatenate([fields[0], tangents], axis=1)
 
-    Y = rk4(rhs, np.concatenate([coords0, W0], axis=1), t0, t1, steps,
-            check=_stay_in_box(S.model))
+    def stay_in_box(Y):
+        for x in Y[:, :N]:
+            if not in_box(x, S.model.domain_box):
+                raise EscapeError(f"horizontal lift left the chart box at {x}")
+
+    Y = rk4(rhs, np.concatenate([coords0, W0], axis=1), t0, t1, steps, check=stay_in_box)
     return Y[:, :N], Y[:, N:]
 
 

@@ -8,6 +8,7 @@ symmetric-orthonormalization of the kernel projection of a fixed reference
 basis, which is deterministic and smooth wherever no degeneracy occurs.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from .chartcalc import (
     WorstErrors,
-    directional_derivative,
     exceeds,
     jacobian_fd,
+    jacobians_fd,
     memo_by_point,
     path_velocity,
     rk4,
@@ -74,8 +75,8 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
     aligned_frame builds at m.
 
     Connection coefficients Gamma_i are computed at stencil points and
-    differentiated by central differences at CURV_FD_STEP; the coordinate-field
-    bracket term vanishes, leaving
+    differentiated by central differences at CURV_FD_STEP, one jacobian_fd of
+    the stacked Gamma_j; the coordinate-field bracket term vanishes, leaving
     R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j], which is exactly
     antisymmetric by construction.
     """
@@ -84,17 +85,12 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
     frame = aligned_frame(model, m)
     r = frame.rank
     n = model.n
-    eye = np.eye(n)
 
-    def gamma(point, i):
-        return connection_matrix(nabla, frame, r, point, eye[i])
+    def gammas(point):
+        return np.stack([connection_matrix(nabla, frame, r, point, e) for e in np.eye(n)])
 
-    G0 = [gamma(m, i) for i in range(n)]
-    dG = np.empty((n, n, r, r))  # dG[i, j] = d_i Gamma_j
-    for i in range(n):
-        for j in range(n):
-            dG[i, j] = directional_derivative(lambda p: gamma(p, j), m, eye[i],
-                                              CURV_FD_STEP)
+    G0 = gammas(m)
+    dG = np.moveaxis(jacobian_fd(gammas, m, CURV_FD_STEP), -1, 0)  # dG[i, j] = d_i Gamma_j
     R = np.zeros((n, n, r, r))
     for i in range(n):
         for j in range(n):
@@ -114,14 +110,11 @@ def frobenius_torsion(S: CartanConnection, g: Arrow) -> np.ndarray:
     model = S.model
     n, N = model.n, model.N
     x = g.coords
-
-    def V(coords):
-        return np.asarray(S.mu_at(coords), dtype=float)
-
-    mu0 = V(x)
+    mu0 = np.asarray(S.mu_at(x), dtype=float)
     Q, _ = np.linalg.qr(mu0)
     P_perp = np.eye(N) - Q @ Q.T
-    DV = np.moveaxis(jacobian_fd(V, x), 1, 0)  # DV[k]: jacobian of the k-th lift field
+    # DV[k]: jacobian of the k-th lift field, all 2N probes in one mu_many call
+    DV = np.moveaxis(jacobians_fd(S.mu_many, x[None])[0], 1, 0)
     tau = np.zeros((n, n, N))
     for i in range(n):
         for j in range(i + 1, n):
@@ -314,8 +307,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     residuals.record("jacobi", _jacobi_residual(c))
     residuals.record("path_dependence", path_dependence)
     grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
-    grid_pts = [m0 + np.array(offs) for offs in
-                _lattice_offsets(grid_axis, model.n)]
+    grid_pts = [m0 + np.array(offs) for offs in itertools.product(grid_axis, repeat=model.n)]
     probe_pts = grid_pts[:: max(1, len(grid_pts) // 9)]
     for m in probe_pts:
         for a in range(r):
@@ -338,12 +330,6 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         parallel_sections=sections,
         residuals=residuals,
     )
-
-
-def _lattice_offsets(axis: np.ndarray, n: int):
-    if n == 1:
-        return [(a,) for a in axis]
-    return [(a, *rest) for a in axis for rest in _lattice_offsets(axis, n - 1)]
 
 
 def _jacobi_residual(c: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..chartcalc import ChartMap
+from ..chartcalc import ChartMap, read_only
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot
 from .rotations import (
@@ -40,7 +40,6 @@ class GroupChart:
     compose_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     inverse_jac: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
-    name: str
     compose_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     inverse_many: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -139,12 +138,11 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         mul_jac=mul_jac,
         inv_jac=inv_jac,
         retract_tgt_jac=retract_tgt_jac,
-        extras={"group_dim": k},
         **source_slot(N, slice(k, N), domain_box),
         **many,
     )
 
-    mu_const = np.vstack([Zkn, In])
+    mu_const = read_only(np.vstack([Zkn, In]))
     S = CartanConnection(model, lambda g: mu_const, name="constant-bisection")
     return model, S
 
@@ -161,7 +159,6 @@ def translation_group(n: int) -> GroupChart:
         compose_jac=lambda a2, a1: (np.eye(n), np.eye(n)),
         inverse_jac=lambda a: -np.eye(n),
         box=box,
-        name=f"translations-R{n}",
         compose_many=lambda A2, A1: A1 + A2,
         inverse_many=lambda A: -A,
     )
@@ -219,7 +216,7 @@ def se2_group() -> GroupChart:
         D[1:, 1:] = -rot2(-th)
         return D
 
-    return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box, "se2",
+    return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box,
                       compose_many, inverse_many)
 
 
@@ -253,7 +250,6 @@ def so3_group() -> GroupChart:
         compose_jac=compose_so3_jac,
         inverse_jac=lambda w: -np.eye(3),
         box=box,
-        name="so3",
     )
 
 

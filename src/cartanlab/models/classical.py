@@ -9,7 +9,7 @@ on a source fibre. The two constructions invert each other up to the canonical
 identifications, which the test-suite checks numerically.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -46,8 +46,8 @@ class ClassicalCartan:
     h_basis columns include the structure algebra into V; h_rep(h) is the right
     representation of H on V extending the adjoint action. The bundle block
     (pi, sigma, normalizer, h_act and the H-chart group ops) fixes slice
-    coordinates for the quotient constructions. bundle_many, optional, holds the
-    stacked forms of pi, sigma, normalizer, h_act and h_inv by name; the gauge
+    coordinates for the quotient constructions. bundle_many holds the stacked
+    forms of pi, sigma, normalizer, h_act and h_inv by name; the gauge
     groupoid's stacked structure maps are built from them.
     """
 
@@ -71,7 +71,7 @@ class ClassicalCartan:
     normalizer_jac: Callable[[np.ndarray], np.ndarray]
     p_box: np.ndarray
     h_box: np.ndarray
-    bundle_many: dict = field(default_factory=dict)
+    bundle_many: dict
 
     @property
     def v_dim(self) -> int:
@@ -129,27 +129,18 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
             raise SliceError(f"slice section fails pi . sigma = id at {m} ({defect:.2e})")
         return p
 
-    many, tgt_many, unit_many = {}, None, None
-    if cc.bundle_many:
-        pi, sigma, normal, h_act, h_inv = map(cc.bundle_many.get, (
-            "pi", "sigma", "normalizer", "h_act", "h_inv"))
+    pi, sigma, normal, h_act, h_inv = (cc.bundle_many[key] for key in (
+        "pi", "sigma", "normalizer", "h_act", "h_inv"))
 
-        def tgt_many(G):
-            return pi(G[:, :k])
+    def tgt_many(G):
+        return pi(G[:, :k])
 
-        def unit_many(M):
-            P = sigma(M)
-            if not np.all(np.abs(pi(P) - M) <= 1e-10):  # a NaN fails too
-                for m in M:
-                    check_slice(m)  # raises at the first bad row
-            return np.concatenate([P, M], axis=1)
-
-        many = dict(mul_many=lambda G, H: np.concatenate(
-                        [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),
-                    inv_many=lambda G: np.concatenate(
-                        [h_act(sigma(G[:, k:]), h_inv(normal(G[:, :k]))), tgt_many(G)], 1),
-                    retract_tgt_many=lambda G, M: np.concatenate(
-                        [h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1))
+    def unit_many(M):
+        P = sigma(M)
+        if not np.all(np.abs(pi(P) - M) <= 1e-10):  # a NaN fails too
+            for m in M:
+                check_slice(m)  # raises at the first bad row
+        return np.concatenate([P, M], axis=1)
 
     tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]),
                    jacobian=lambda g: np.hstack([cc.pi_jac(g[:k]), np.zeros((n, n))]),
@@ -219,8 +210,13 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         inv_jac=inv_jac,
         retract_tgt_jac=retract_tgt_jac,
         extras={"classical": cc},
+        mul_many=lambda G, H: np.concatenate(
+            [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),
+        inv_many=lambda G: np.concatenate(
+            [h_act(sigma(G[:, k:]), h_inv(normal(G[:, :k]))), tgt_many(G)], axis=1),
+        retract_tgt_many=lambda G, M: np.concatenate(
+            [h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1),
         **source_slot(N, slice(k, N), domain_box),
-        **many,
     )
 
     def mu_at(g):

@@ -24,6 +24,7 @@ from ..chartcalc import (
     WorstErrors,
     christoffel_from_partials,
     metric_partials,
+    read_only,
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
@@ -84,10 +85,15 @@ def make_isometry_jet_groupoid(
         base_box = np.array([[-0.6, 0.6], [-0.6, 0.6]])
     base_box = np.asarray(base_box, dtype=float)
     n, N = 2, 5
-    I2 = np.eye(2)
-    z12 = np.zeros((1, 2))
-
-    unit_jac = np.vstack([I2, I2, z12])
+    # every structure-map jacobian is constant: build each matrix once,
+    # read-only since every caller shares it
+    unit_jac, keep_tgt, keep_src, swap = map(read_only, (
+        np.vstack([_I2, _I2, np.zeros((1, 2))]),
+        np.diag([0.0, 0.0, 1.0, 1.0, 1.0]),
+        np.diag([1.0, 1.0, 0.0, 0.0, 1.0]),
+        np.block([[np.zeros((2, 2)), _I2, np.zeros((2, 1))],
+                  [_I2, np.zeros((2, 3))],
+                  [np.zeros((1, 4)), -np.ones((1, 1))]])))
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
                     jacobian=lambda m: unit_jac,
                     eval_many=lambda M: np.concatenate([M, M, np.zeros((len(M), 1))], axis=1))
@@ -95,24 +101,8 @@ def make_isometry_jet_groupoid(
     def mul(g, h):
         return np.concatenate([h[:2], g[2:4], [g[4] + h[4]]])
 
-    def mul_jac(g, h):
-        Dg = np.zeros((5, 5))
-        Dg[2:4, 2:4] = I2
-        Dg[4, 4] = 1.0
-        Dh = np.zeros((5, 5))
-        Dh[:2, :2] = I2
-        Dh[4, 4] = 1.0
-        return Dg, Dh
-
     def inv(g):
         return np.concatenate([g[2:4], g[:2], [-g[4]]])
-
-    def inv_jac(g):
-        D = np.zeros((5, 5))
-        D[:2, 2:4] = I2
-        D[2:4, :2] = I2
-        D[4, 4] = -1.0
-        return D
 
     domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
 
@@ -131,8 +121,8 @@ def make_isometry_jet_groupoid(
         inv=inv,
         domain_box=domain_box,
         base_box=base_box,
-        mul_jac=mul_jac,
-        inv_jac=inv_jac,
+        mul_jac=lambda g, h: (keep_tgt, keep_src),
+        inv_jac=lambda g: swap,
         extras={"metric": metric},
         mul_many=lambda G, H: np.concatenate([H[:, :2], G[:, 2:4], G[:, 4:] + H[:, 4:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, 2:4], G[:, :2], -G[:, 4:]], axis=1),

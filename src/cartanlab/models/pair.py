@@ -7,7 +7,7 @@ m -> (q + (m - p), m), whose horizontal leaves are the chart translations.
 
 import numpy as np
 
-from ..chartcalc import ChartMap
+from ..chartcalc import ChartMap, read_only
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot, target_slot
 
@@ -19,17 +19,16 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     I = np.eye(n)
     Z = np.zeros((n, n))
 
-    unit = ChartMap(n, N, lambda m: np.concatenate([m, m]),
-                    jacobian=lambda m: np.vstack([I, I]),
+    # every jacobian and the jet are constant: build each block matrix once,
+    # read-only since every caller shares it
+    unit_jac, keep_tgt, keep_src, swap, mu_const = map(read_only, (
+        np.vstack([I, I]), np.block([[I, Z], [Z, Z]]), np.block([[Z, Z], [Z, I]]),
+        np.block([[Z, I], [I, Z]]), np.vstack([I, I])))
+    unit = ChartMap(n, N, lambda m: np.concatenate([m, m]), jacobian=lambda m: unit_jac,
                     eval_many=lambda M: np.concatenate([M, M], axis=1))
 
     def mul(g, h):
         return np.concatenate([g[:n], h[n:]])
-
-    # every jacobian is constant: build each block matrix once
-    keep_tgt = np.block([[I, Z], [Z, Z]])
-    keep_src = np.block([[Z, Z], [Z, I]])
-    swap = np.block([[Z, I], [I, Z]])
 
     def inv(g):
         return np.concatenate([g[n:], g[:n]])
@@ -52,6 +51,5 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         **target_slot(N, slice(0, n)),
     )
 
-    mu_const = np.vstack([I, I])
     S = CartanConnection(model, lambda g: mu_const, name="chart-parallelism")
     return model, S

@@ -47,6 +47,10 @@ class ExperimentConfig:
                 type(v) in (int, float) and 0 <= v <= sys.float_info.max
                 for v in self.tolerances.values()):
             raise ConfigError("tolerances must map check names to finite non-negative numbers")
+        if self.format not in ALLOWED_FORMATS:
+            raise ConfigError(f"format must be one of {ALLOWED_FORMATS}")
+        if not isinstance(self.output, str):
+            raise ConfigError("output must be a directory path string")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -75,12 +79,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         name = model
     else:
         raise ConfigError("model must be a string or an object with name/parameters")
-    fmt = raw.get("format", "json")
-    if fmt not in ALLOWED_FORMATS:
-        raise ConfigError(f"format must be one of {ALLOWED_FORMATS}")
-    output = raw.get("output", ".")
-    if not isinstance(output, str):
-        raise ConfigError("output must be a directory path string")
     return ExperimentConfig(
         model=name,
         experiment=raw["experiment"],
@@ -88,8 +86,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed=raw.get("seed", 0),
         sample_count=raw.get("sample_count"),
         tolerances=raw.get("tolerances", {}),
-        output=output,
-        format=fmt,
+        output=raw.get("output", "."),
+        format=raw.get("format", "json"),
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -85,6 +86,20 @@ def test_negative_seed_override_is_a_config_error(tmp_path):
     # --seed bypasses parse_config; numpy would raise ValueError on it
     cfg = write_config(tmp_path)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--seed", "-5"]) == 2
+
+
+@pytest.mark.parametrize("bad", [{"format": "xml"}, {"output": 3}])
+def test_config_refuses_a_bad_format_or_output_on_every_path(bad):
+    # built directly, such a config used to run the whole experiment and fail
+    # only when serialize met the format or open met the output
+    from cartanlab.report import ExperimentConfig
+
+    with raises(ConfigError):
+        ExperimentConfig(model="pair-R2", experiment="jet-axioms", **bad)
+    with raises(ConfigError):
+        dataclasses.replace(ExperimentConfig(model="pair-R2", experiment="jet-axioms"), **bad)
+    with raises(ConfigError):
+        parse_config({"model": "pair-R2", "experiment": "jet-axioms", **bad})
 
 
 @pytest.mark.parametrize("tolerance", [True, -1e-7, float("inf"), float("nan")])

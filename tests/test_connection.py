@@ -8,6 +8,7 @@ from cartanlab.chartcalc import (
     directional_derivative,
     flow_with_tangent,
     jacobian_fd,
+    path_velocity,
     rk4,
 )
 from cartanlab import connection
@@ -186,6 +187,24 @@ def _transport_unstacked(S, gamma, t0, t1, coords0, w0, steps):
 
     y = rk4(rhs, np.concatenate([coords0, w0]), t0, t1, steps)
     return y[:N], y[N:]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_parallel_transport_equals_the_one_member_lift(name):
+    # the reference is the arrow-only integration parallel_transport ran
+    # before it became transport_many's batch of one
+    model, S = make_model(name)
+    rng = np.random.default_rng(19)
+    m = sample_base_point(model, rng)
+    v = rng.uniform(-1.0, 1.0, size=model.n)
+    gamma = lambda t: m + t * v
+    g = model.arrow(model.arrow_with_source(gamma(0.02), rng))
+
+    def rhs(t, x):
+        return np.asarray(S.mu_at(x), dtype=float) @ path_velocity(gamma, t)
+
+    out = parallel_transport(S, gamma, 0.02, -0.03, g)
+    assert np.array_equal(out.coords, rk4(rhs, g.coords, 0.02, -0.03, 20))
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
@@ -538,6 +557,7 @@ def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):
     assert np.array_equal(nab.nabla_many(m, v, [X])[:, 0], nab(m, v, X).vec)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_check_multiplicative_fails_a_jet_the_oracle_refuses(zoo):
     # an all-NaN jet is no bisection's: the oracle raises, the sample fails
     model, S = zoo("isojet-perturbed")

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from pytest import raises
 
+from cartanlab.chartcalc import directional_derivative, jacobian_fd
 from cartanlab.connection import CartanConnection, infinitesimalize
 from cartanlab.curvature import (
+    CURV_FD_STEP,
     _jacobi_residual,
     _transport_matrix,
     connection_matrix,
@@ -18,7 +20,7 @@ from cartanlab.curvature import (
 from cartanlab.errors import FlatnessError, NonFiniteError
 from cartanlab.experiments import run_flatness, run_reconstruct, run_riemannian
 from cartanlab.groupoid import aligned_frame, sample_base_point
-from cartanlab.models import PERTURBED_BOX
+from cartanlab.models import MODELS, PERTURBED_BOX, make_model
 from cartanlab.report import ExperimentConfig
 
 # the package re-exports the function curvature under the submodule's name
@@ -300,6 +302,7 @@ def test_flatness_checks_fail_on_nan_jets(zoo):
     assert checks["curvature-nonflat-fraction-below"].max_error == np.inf
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_riemannian_flatness_verdict_fails_on_nan_jets(zoo):
     model, S = zoo("isojet-perturbed")
     config = ExperimentConfig(model="isojet-perturbed", experiment="riemannian",
@@ -367,3 +370,52 @@ def test_reconstruction_refuses_a_nan_holonomy(zoo, monkeypatch):
                         lambda nabla, frame, rank, path: np.full((rank, rank), np.nan))
     with raises(FlatnessError, match="holonomy"):
         reconstruct_action(infinitesimalize(S), np.zeros(2), sample_count=1)
+
+
+def _curvature_by_directions(nabla, m):
+    """curvature's R as it was computed before one jacobian_fd of the stacked
+    Gamma_j: n^2 directional derivatives of the single Gamma_j."""
+    frame = aligned_frame(nabla.model, m)
+    r, n = frame.rank, nabla.model.n
+    eye = np.eye(n)
+
+    def gamma(point, i):
+        return connection_matrix(nabla, frame, r, point, eye[i])
+
+    G0 = [gamma(m, i) for i in range(n)]
+    dG = np.empty((n, n, r, r))
+    for i in range(n):
+        for j in range(n):
+            dG[i, j] = directional_derivative(lambda p: gamma(p, j), m, eye[i], CURV_FD_STEP)
+    R = np.zeros((n, n, r, r))
+    for i in range(n):
+        for j in range(n):
+            R[i, j] = dG[i, j] - dG[j, i] + G0[i] @ G0[j] - G0[j] @ G0[i]
+    return R
+
+
+def _torsion_through_mu_at(S, g):
+    """frobenius_torsion as it was computed before its one mu_many call: a
+    jacobian_fd over mu_at."""
+    n, N = S.model.n, S.model.N
+    mu0 = np.asarray(S.mu_at(g.coords), dtype=float)
+    Q, _ = np.linalg.qr(mu0)
+    P_perp = np.eye(N) - Q @ Q.T
+    DV = np.moveaxis(jacobian_fd(S.mu_at, g.coords), 1, 0)
+    tau = np.zeros((n, n, N))
+    for i in range(n):
+        for j in range(i + 1, n):
+            tau[i, j] = P_perp @ (DV[j] @ mu0[:, i] - DV[i] @ mu0[:, j])
+            tau[j, i] = -tau[i, j]
+    return tau
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_curvature_and_torsion_equal_their_unstacked_forms(name):
+    model, S = make_model(name)
+    rng = np.random.default_rng(23)
+    m = sample_base_point(model, rng)
+    nabla = infinitesimalize(S, "direct-formula")
+    assert np.array_equal(curvature(nabla, m).R, _curvature_by_directions(nabla, m))
+    g = model.sample_arrow(rng)
+    assert np.array_equal(frobenius_torsion(S, g), _torsion_through_mu_at(S, g))

@@ -425,3 +425,26 @@ def test_oracle_matrices_are_c_contiguous(zoo, name, jacobians):
     j1, j2 = random_jet(model, S.jet, g, rng), random_jet(model, S.jet, h, rng)
     for jet in (oracle_jet_mul(model, j1, j2), oracle_jet_inverse(model, j1)):
         assert jet.mu.flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", ["pair-R1", "pair-R2", "translation-R2", "se2-action",
+                                  "so3-sphere", "isojet-plane"])
+def test_shared_constants_are_read_only(name):
+    # a model hands every caller the same constant jet or jacobian matrix: a
+    # write through the one at g1 raises and leaves the one at g2 as it was
+    model, S = make_model(name)
+    rng = np.random.default_rng(29)
+    g1, g2 = model.sample_arrow(rng), model.sample_arrow(rng)
+    reads = [lambda g: S.jet(g).mu, lambda g: model.Tunit(g.source),
+             lambda g: model.mul_jac(g.coords, g.coords)[0],
+             lambda g: model.mul_jac(g.coords, g.coords)[1],
+             lambda g: model.inv_jac(g.coords)]
+    if name.startswith("isojet"):
+        reads = reads[1:]  # the prolongation jets are computed per arrow
+    elif not name.startswith("pair"):
+        reads = reads[:1]  # the action groupoids' jacobians depend on the arrow
+    for read in reads:
+        before = read(g2).copy()
+        with raises(ValueError, match="read-only"):
+            read(g1)[0, 0] = 7.0
+        assert np.array_equal(read(g2), before)
