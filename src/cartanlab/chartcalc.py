@@ -199,6 +199,25 @@ def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
     return out
 
 
+def values_and_directional_derivatives(func_many: Callable, X: np.ndarray, V: np.ndarray,
+                                       h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """func at each row of a stack X[k, dim] and directional_derivatives along
+    V from those rows, in one func_many call: the rows of X join the probes.
+    Each part equals its separate evaluation bit for bit when func_many's
+    rows are func's values."""
+    X = np.asarray(X, dtype=float)
+    k = len(X)
+    values = []
+
+    def joined(P):
+        out = np.asarray(func_many(np.concatenate([X, P])), dtype=float)
+        values.append(out[:k])
+        return out[k:]
+
+    slopes = directional_derivatives(joined, X, V, h)
+    return values[0], slopes
+
+
 def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> np.ndarray:
     """Central-difference derivative at t=0 of a curve of chart points; every
     finite difference in the library goes through this stencil."""
@@ -320,24 +339,43 @@ def flow(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t: float,
 
 
 def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
-                      v0: np.ndarray, t: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 flow of (x, v) under the variational system dv/dt = Df(x) v.
+                      v0: np.ndarray, t: float | np.ndarray,
+                      steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 flows of (x, v) under the variational system dv/dt = Df(x) v, for a
+    stack of members in one integration: member a flows from x0[a] with the
+    tangent v0[a] for its own time t[a], in the shared step count.
 
-    field_jvp(x, v) returns the product Df(x) v. The system never needs the
-    full jacobian, so a caller without an analytic one can pass a single
-    directional difference (directional_derivative(field, x, v)): two field
-    evaluations per stage instead of 2 dim(x). Used to push tangent vectors
-    through a flow without differentiating the integrator from outside.
+    field(X) gives the field at each row of X[k, n], and field_jvp(X, V) the
+    products Df(X[a]) V[a]. At every stage field_jvp is called first and then
+    field, on the same X, so a field_jvp that evaluates the field at X with
+    its probes (values_and_directional_derivatives) can hand those values on
+    to field. The system never needs the
+    full jacobian: a caller without an analytic one can pass directional
+    differences (directional_derivatives), two probes per member and stage
+    instead of 2 dim(x).
+
+    The field is autonomous, so member a runs from -t[a] to 0, in steps of
+    exactly t[a]/steps, the steps of a flow from 0 to t[a]: row a equals the
+    member's flow alone bit for bit when the callables' rows do not depend on
+    the other rows. One point x0[n] with a scalar t and single-point callables
+    is the batch of one.
     """
-    n = np.size(x0)
+    one = np.ndim(x0) == 1
+    if one:
+        field_at, jvp_at = field, field_jvp
+        field = lambda X: np.asarray(field_at(X[0]), dtype=float)[None]
+        field_jvp = lambda X, V: np.asarray(jvp_at(X[0], V[0]), dtype=float)[None]
+    x0, v0 = np.atleast_2d(x0, v0)
+    n = x0.shape[1]
 
-    def rhs(_, y):
-        x, v = y[:n], y[n:]
-        return np.concatenate([np.asarray(field(x), dtype=float),
-                               np.asarray(field_jvp(x, v), dtype=float)])
+    def rhs(_, Y):
+        X = Y[:, :n]
+        jvps = np.asarray(field_jvp(X, Y[:, n:]), dtype=float)
+        return np.concatenate([np.asarray(field(X), dtype=float), jvps], axis=1)
 
-    y = rk4(rhs, np.concatenate([x0, v0]), 0.0, t, steps)
-    return y[:n], y[n:]
+    Y = rk4(rhs, np.concatenate([x0, v0], axis=1), -np.atleast_1d(np.asarray(t, dtype=float)),
+            0.0, steps)
+    return (Y[0, :n], Y[0, n:]) if one else (Y[:, :n], Y[:, n:])
 
 
 def metric_partials(m: MetricChart, x: np.ndarray) -> np.ndarray:

@@ -14,8 +14,11 @@ routes:
   evaluated with RK4 flows of the right-invariant extension and outer central
   t-differences (step 1e-3); the tangent is pushed through the flow by the
   matrix-free variational system (one directional difference of X^R per
-  stage). The chart coordinate functions span the test functions, so the
-  identity determines nabla.
+  stage). The flows from both outer t-points run as one stacked RK4
+  integration (flow_with_tangent) whose every stage evaluates X^R at both
+  members' points and at the four probes of their tangents in one
+  right_invariant_many call. The chart coordinate functions span the test
+  functions, so the identity determines nabla.
 * "parallel-transport": differentiate the parallel action of the horizontal
   distribution along a path with initial velocity v, again with outer central
   t-differences. The transports from both outer t-points run as one stacked
@@ -46,6 +49,7 @@ from .chartcalc import (
     path_velocity,
     rk4,
     stacked,
+    values_and_directional_derivatives,
 )
 from .errors import EscapeError, NotABisectionError, SamplingError
 from .groupoid import (
@@ -58,7 +62,7 @@ from .groupoid import (
     jet_distance,
     oracle_jet_mul,
     outer_fd_step,
-    right_invariant_field,
+    right_invariant_many,
     sample_base_point,
 )
 
@@ -181,21 +185,12 @@ def transport_many(S: CartanConnection, gamma: Callable[[float], np.ndarray],
         return np.stack([mu @ p[N:] for mu, p in zip(S.mu_many(P[:, :N]), P)])
 
     def rhs(t, Y):
-        k = len(Y)
         # the velocity rides along as a coordinate the probes do not move, so
         # the field and its tangent need no member labels
         lifted = np.concatenate([Y[:, :N], [path_velocity(gamma, ta) for ta in t]], axis=1)
-        fields = []
-
-        def with_fields(probes):
-            # the members' own arrows join their probes' mu_many call
-            values = lifted_field(np.concatenate([lifted, probes]))
-            fields.append(values[:k])
-            return values[k:]
-
-        tangents = directional_derivatives(
-            with_fields, lifted, np.concatenate([Y[:, N:], np.zeros((k, S.model.n))], axis=1))
-        return np.concatenate([fields[0], tangents], axis=1)
+        fields, tangents = values_and_directional_derivatives(
+            lifted_field, lifted, np.concatenate([Y[:, N:], np.zeros((len(Y), S.model.n))], 1))
+        return np.concatenate([fields, tangents], axis=1)
 
     def stay_in_box(Y):
         for x in Y[:, :N]:
@@ -300,22 +295,25 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
     h_field = outer_fd_step(model)
+    taus = np.array([T_DIFF_STEP, -T_DIFF_STEP])
 
     def nabla(m, v, X):
-        XR = right_invariant_field(model, X)
+        fields = []
 
-        def dXR(y, w):
-            return directional_derivative(XR, y, w, h=h_field)
+        def field_jvp(Y, W):
+            # one X^R call for the members' points and their probes; the
+            # field reads the members' rows back
+            values, slopes = values_and_directional_derivatives(
+                lambda G: right_invariant_many(model, X, G), Y, W, h_field)
+            fields.append(values)
+            return slopes
 
-        u = model.unit(m)
-        v0 = model.Tunit(m) @ v
-
-        def lifted_difference(tau):
-            g_t, a_t = flow_with_tangent(XR, dXR, u, v0, tau, steps=4)
-            b_t = np.asarray(S.mu_at(g_t), dtype=float) @ v
-            return a_t - b_t
-
-        val = deriv_at_zero(lifted_difference, T_DIFF_STEP)
+        # both outer t-points' flows run as one stacked integration
+        u, v0 = model.unit(m), model.Tunit(m) @ v
+        G, A = flow_with_tangent(lambda Y: fields.pop(), field_jvp, np.stack([u, u]),
+                                 np.stack([v0, v0]), taus, steps=4)
+        diff = A - np.stack([mu @ v for mu in S.mu_many(G)])
+        val = deriv_at_zero(lambda s: diff[0] if s > 0 else diff[1], T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
     return AlgebroidConnection(model, nabla, "flow-formula")

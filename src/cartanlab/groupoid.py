@@ -25,7 +25,7 @@ from .chartcalc import (
     WorstErrors,
     deriv_at_zero,
     differentiate,
-    directional_derivative,
+    directional_derivatives,
     exceeds,
     jacobians_fd,
     memo_by_point,
@@ -94,6 +94,7 @@ class GroupoidModel:
 
     The optional *_many hooks are stacked forms, row a of mul_many(G, H) being
     mul(G[a], H[a]) bit for bit; stacked() loops where one is missing.
+    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks.
     """
 
     name: str
@@ -119,6 +120,8 @@ class GroupoidModel:
     inv_many: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    mul_jac_many: Callable[[np.ndarray, np.ndarray],
+                           tuple[np.ndarray, np.ndarray]] | None = None
 
     # -- convenience -------------------------------------------------------
 
@@ -148,6 +151,7 @@ class GroupoidModel:
             tgt=replace(self.tgt, jacobian=None),
             unit=replace(self.unit, jacobian=None),
             mul_jac=None,
+            mul_jac_many=None,
             inv_jac=None,
             retract_src_jac=None,
             retract_tgt_jac=None,
@@ -259,9 +263,13 @@ def target_slot(N: int, tgt_index: slice) -> dict:
 
 
 def _check_composable(g_src: np.ndarray, h_tgt: np.ndarray) -> None:
+    """Raise CompositionError unless g_src = h_tgt to 1e-8, for one pair of
+    points or row by row for stacks of them, naming the first failing row;
+    a NaN defect fails."""
     if exceeds(float(np.max(np.abs(g_src - h_tgt))), 1e-8):
-        raise CompositionError(
-            f"arrows not composable: src {g_src} vs tgt {h_tgt}")
+        g_src, h_tgt = np.atleast_2d(g_src, h_tgt)
+        a = np.flatnonzero(~(np.max(np.abs(g_src - h_tgt), axis=1) <= 1e-8))[0]
+        raise CompositionError(f"arrows not composable: src {g_src[a]} vs tgt {h_tgt[a]}")
 
 
 def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> np.ndarray:
@@ -308,15 +316,42 @@ def anchor(model: GroupoidModel, X: AlgebroidVec) -> np.ndarray:
 def right_invariant_field(model: GroupoidModel,
                           X: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Right-invariant extension of a section X of the algebroid: the field
-    X^R(g) = T R_g . X(tgt(g)) as a callable on chart points of G."""
+    X^R(g) = T R_g . X(tgt(g)) as a callable on chart points of G, the batch
+    of one of right_invariant_many."""
 
     def field_at(coords: np.ndarray) -> np.ndarray:
-        a = model.arrow(coords)
-        m1 = a.target
-        xval = np.asarray(X(m1), dtype=float)
-        return right_translate(model, a, model.unit_arrow(m1), xval)
+        return right_invariant_many(model, X, np.asarray(coords, dtype=float)[None])[0]
 
     return field_at
+
+
+def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndarray],
+                         G: np.ndarray) -> np.ndarray:
+    """X^R at each arrow of a stack G[k, N]: row a is right_translate of X(tgt(G[a]))
+    by G[a] at the unit over tgt(G[a]), bit for bit. The section is evaluated
+    row by row; the structure maps take the stack through their stacked forms
+    where the model gives them. Raises CompositionError like right_translate."""
+    G = np.asarray(G, dtype=float)
+    T = model.tgt.many(G)
+    V = np.array([np.asarray(X(m), dtype=float) for m in T])
+    U = model.unit.many(T)
+    _check_composable(model.src.many(U), T)
+    if model.mul_jac is not None and model.retract_src_jac is not None:
+        if model.mul_jac_many is not None:
+            Dg = model.mul_jac_many(U, G)[0]
+        else:
+            Dg = np.array([model.mul_jac(u, g)[0] for u, g in zip(U, G)])
+        Dr = np.array([model.retract_src_jac(u, m)[0] for u, m in zip(U, T)])
+        return (Dg @ (Dr @ V[..., None]))[..., 0]
+    # T R_g . v by central differences along the retracted curve, both probes
+    # of every row in one stacked call
+    k = len(G)
+    probes = np.concatenate([U + FD_STEP * V, U + (-FD_STEP) * V])
+    values = stacked(model.mul, model.mul_many,
+                     stacked(model.retract_src, model.retract_src_many,
+                             probes, np.concatenate([T, T])),
+                     np.concatenate([G, G]))
+    return deriv_at_zero(lambda t: values[:k] if t > 0 else values[k:])
 
 
 def outer_fd_step(model: GroupoidModel) -> float:
@@ -335,13 +370,18 @@ def algebroid_bracket(model: GroupoidModel,
     with the outer derivative at outer_fd_step(model).
     """
     m = np.asarray(m, dtype=float)
-    u = model.unit(m)
-    XR = right_invariant_field(model, X)
-    YR = right_invariant_field(model, Y)
-    xr, yr = XR(u), YR(u)
+    u = model.unit(m)[None]
+
+    def XR(G):
+        return right_invariant_many(model, X, G)
+
+    def YR(G):
+        return right_invariant_many(model, Y, G)
+
+    # each directional difference takes its two probes in one stacked call
     h = outer_fd_step(model)
-    val = directional_derivative(YR, u, xr, h) - directional_derivative(XR, u, yr, h)
-    return algebroid_vec(model, m, val, check=False)
+    val = directional_derivatives(YR, u, XR(u), h) - directional_derivatives(XR, u, YR(u), h)
+    return algebroid_vec(model, m, val[0], check=False)
 
 
 # -- bisection-jet oracle ----------------------------------------------------

@@ -18,7 +18,10 @@ from .rotations import (
     J2,
     compose_so3,
     compose_so3_jac,
+    compose_so3_jac_many,
+    compose_so3_many,
     exp_so3,
+    exp_so3_many,
     jl,
     hat,
     rot2,
@@ -42,6 +45,8 @@ class GroupChart:
     box: np.ndarray
     compose_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     inverse_many: Callable[[np.ndarray], np.ndarray] | None = None
+    compose_jac_many: Callable[[np.ndarray, np.ndarray],
+                               tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,19 +88,16 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
                     inv_many=lambda G: np.concatenate([inverse_many(G[:, :k]), tgt_many(G)], 1),
                     retract_tgt_many=lambda G, M: np.concatenate(
                         [G[:, :k], act_many(inverse_many(G[:, :k]), M)], axis=1))
+    if group.compose_jac_many is not None:
+        many["mul_jac_many"] = lambda G, H: _mul_jac_blocks(
+            *group.compose_jac_many(G[:, :k], H[:, :k]), N, (len(G),))
     tgt = ChartMap(N, n, tgt_eval, jacobian=tgt_jac, eval_many=tgt_many)
 
     def mul(g, h):
         return np.concatenate([group.compose(g[:k], h[:k]), h[k:]])
 
     def mul_jac(g, h):
-        D2, D1 = group.compose_jac(g[:k], h[:k])
-        Dg = np.zeros((N, N))
-        Dg[:k, :k] = D2
-        Dh = np.zeros((N, N))
-        Dh[:k, :k] = D1
-        Dh[k:, k:] = In
-        return Dg, Dh
+        return _mul_jac_blocks(*group.compose_jac(g[:k], h[:k]), N)
 
     def inv(g):
         return np.concatenate([group.inverse(g[:k]), action.act(g[:k], g[k:])])
@@ -147,6 +149,19 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     return model, S
 
 
+def _mul_jac_blocks(D2: np.ndarray, D1: np.ndarray, N: int,
+                    stack: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """mul_jac's blocks (Dg, Dh) from the group's compose_jac blocks, for one
+    pair or, with stack = (k,), for a stack of pairs."""
+    k = D2.shape[-1]
+    Dg = np.zeros(stack + (N, N))
+    Dg[..., :k, :k] = D2
+    Dh = np.zeros(stack + (N, N))
+    Dh[..., :k, :k] = D1
+    Dh[..., k:, k:] = np.eye(N - k)
+    return Dg, Dh
+
+
 # -- shipped groups/actions ---------------------------------------------------
 
 
@@ -161,6 +176,7 @@ def translation_group(n: int) -> GroupChart:
         box=box,
         compose_many=lambda A2, A1: A1 + A2,
         inverse_many=lambda A: -A,
+        compose_jac_many=lambda A2, A1: (np.broadcast_to(np.eye(n), (len(A2), n, n)),) * 2,
     )
 
 
@@ -188,18 +204,21 @@ def se2_group() -> GroupChart:
         Rb1 = (rot2_many(A2[:, 0]) @ A1[:, 1:, None])[..., 0]
         return np.concatenate([A1[:, :1] + A2[:, :1], A2[:, 1:] + Rb1], axis=1)
 
-    def compose_jac(a2, a1):
-        th2 = a2[0]
-        b1 = a1[1:]
-        R2 = rot2(th2)
-        D2 = np.zeros((3, 3))
-        D2[0, 0] = 1.0
-        D2[1:, 0] = J2 @ R2 @ b1
-        D2[1:, 1:] = np.eye(2)
-        D1 = np.zeros((3, 3))
-        D1[0, 0] = 1.0
-        D1[1:, 1:] = R2
+    def compose_jac_blocks(R2, b1, stack=()):
+        D2 = np.zeros(stack + (3, 3))
+        D2[..., 0, 0] = 1.0
+        D2[..., 1:, 0] = ((J2 @ R2) @ b1[..., None])[..., 0]
+        D2[..., 1:, 1:] = np.eye(2)
+        D1 = np.zeros(stack + (3, 3))
+        D1[..., 0, 0] = 1.0
+        D1[..., 1:, 1:] = R2
         return D2, D1
+
+    def compose_jac(a2, a1):
+        return compose_jac_blocks(rot2(a2[0]), a1[1:])
+
+    def compose_jac_many(A2, A1):
+        return compose_jac_blocks(rot2_many(A2[:, 0]), A1[:, 1:], (len(A2),))
 
     def inverse(a):
         th, b = a[0], a[1:]
@@ -217,7 +236,7 @@ def se2_group() -> GroupChart:
         return D
 
     return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box,
-                      compose_many, inverse_many)
+                      compose_many, inverse_many, compose_jac_many)
 
 
 def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
@@ -250,6 +269,9 @@ def so3_group() -> GroupChart:
         compose_jac=compose_so3_jac,
         inverse_jac=lambda w: -np.eye(3),
         box=box,
+        compose_many=compose_so3_many,
+        inverse_many=lambda W: -W,
+        compose_jac_many=compose_so3_jac_many,
     )
 
 
@@ -265,6 +287,14 @@ def unstereo_jac(x: np.ndarray) -> np.ndarray:
     dnum = np.array([[2.0, 0.0], [0.0, 2.0], [2.0 * x[0], 2.0 * x[1]]])
     dd = 2.0 * np.asarray(x, dtype=float)
     return dnum / d - np.outer(num, dd) / d**2
+
+
+def unstereo_many(X: np.ndarray) -> np.ndarray:
+    """unstereo of each row of X[k, 2], bit for bit: s is the row's dot
+    product with itself, as x @ x takes it."""
+    X = np.ascontiguousarray(X, dtype=float)
+    s = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    return np.stack([2.0 * X[:, 0], 2.0 * X[:, 1], s - 1.0], axis=1) / (1.0 + s)[:, None]
 
 
 def stereo(u: np.ndarray) -> np.ndarray:
@@ -284,6 +314,10 @@ def make_so3_sphere_groupoid() -> tuple[GroupoidModel, CartanConnection]:
     def act(w, x):
         return stereo(exp_so3(w) @ unstereo(x))
 
+    def act_many(W, X):
+        U = (exp_so3_many(W) @ unstereo_many(X)[..., None])[..., 0]
+        return U[:, :2] / (1.0 - U[:, 2])[:, None]
+
     def act_jac(w, x):
         R = exp_so3(w)
         u = unstereo(x)
@@ -295,5 +329,5 @@ def make_so3_sphere_groupoid() -> tuple[GroupoidModel, CartanConnection]:
         return Dw, Dx
 
     base_box = np.array([[-0.7, 0.7], [-0.7, 0.7]])
-    return make_action_groupoid(group, ActionChart(act, act_jac), base_box,
+    return make_action_groupoid(group, ActionChart(act, act_jac, act_many), base_box,
                                 name="so3-sphere")

@@ -122,6 +122,8 @@ def make_isometry_jet_groupoid(
         domain_box=domain_box,
         base_box=base_box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),
+        mul_jac_many=lambda G, H: (keep_tgt[None].repeat(len(G), 0),
+                                   keep_src[None].repeat(len(G), 0)),
         inv_jac=lambda g: swap,
         extras={"metric": metric},
         mul_many=lambda G, H: np.concatenate([H[:, :2], G[:, 2:4], G[:, 4:] + H[:, 4:]], axis=1),

@@ -44,6 +44,8 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         domain_box=domain_box,
         base_box=box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),
+        mul_jac_many=lambda G, H: (keep_tgt[None].repeat(len(G), 0),
+                                   keep_src[None].repeat(len(G), 0)),
         inv_jac=lambda g: swap,
         mul_many=lambda G, H: np.concatenate([G[:, :n], H[:, n:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, n:], G[:, :n]], axis=1),

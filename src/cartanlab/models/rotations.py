@@ -22,6 +22,22 @@ def unhat(W: np.ndarray) -> np.ndarray:
     return np.array([W[2, 1], W[0, 2], W[1, 0]])
 
 
+def hat_many(w: np.ndarray) -> np.ndarray:
+    """hat of each row of w[k, 3], as H[k, 3, 3]."""
+    H = np.zeros((len(w), 3, 3))
+    H[:, 2, 1], H[:, 0, 2], H[:, 1, 0] = w.T
+    H[:, 1, 2], H[:, 2, 0], H[:, 0, 1] = -w.T
+    return H
+
+
+def _norms(w: np.ndarray) -> list[float]:
+    """float(np.linalg.norm(w[a])) for each row of w[k, 3], bit for bit: the
+    square root of the row's dot product with itself, as the one-row norm
+    takes it (norm(axis=1) sums the squares in another order)."""
+    w = np.ascontiguousarray(w, dtype=float)
+    return np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]).tolist()
+
+
 def _coeffs(theta: float) -> tuple[float, float, float]:
     """(sin t)/t, (1-cos t)/t^2, (t - sin t)/t^3 with series fallbacks."""
     if theta < _EPS:
@@ -40,14 +56,40 @@ def exp_so3(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a1 * W + a2 * (W @ W)
 
 
-def log_so3(R: np.ndarray) -> np.ndarray:
-    c = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+def _quadratic_many(w: np.ndarray, coeffs) -> np.ndarray:
+    """I + c1 W + c2 W^2 with W = hat(w[a]) and (c1, c2) = coeffs(|w[a]|), for
+    each row of w[k, 3]: the form of exp_so3, jl and jl_inv. The coefficients
+    stay scalar Python per row, since array powers round differently from
+    the scalar theta**2 and theta**3."""
+    c = np.array([coeffs(theta) for theta in _norms(w)]).reshape(-1, 2, 1, 1)
+    W = hat_many(np.asarray(w, dtype=float))
+    return np.eye(3) + c[:, 0] * W + c[:, 1] * (W @ W)
+
+
+def exp_so3_many(w: np.ndarray) -> np.ndarray:
+    """exp_so3 of each row of w[k, 3]; row a equals exp_so3(w[a]) bit for bit."""
+    return _quadratic_many(w, lambda theta: _coeffs(theta)[:2])
+
+
+def _log_factor(trace: float) -> float:
+    """theta / (2 sin theta) of a rotation with the given trace, series near 0."""
+    c = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)
     theta = float(np.arccos(c))
     if theta < _EPS:
-        factor = 0.5 * (1.0 + theta * theta / 6.0)
-    else:
-        factor = theta / (2.0 * np.sin(theta))
-    return factor * unhat(R - R.T)
+        return 0.5 * (1.0 + theta * theta / 6.0)
+    return theta / (2.0 * np.sin(theta))
+
+
+def log_so3(R: np.ndarray) -> np.ndarray:
+    return _log_factor(np.trace(R)) * unhat(R - R.T)
+
+
+def log_so3_many(R: np.ndarray) -> np.ndarray:
+    """log_so3 of each matrix of R[k, 3, 3]; row a equals log_so3(R[a]) bit for bit."""
+    R = np.asarray(R, dtype=float)
+    factor = np.array([_log_factor(t) for t in np.trace(R, axis1=1, axis2=2).tolist()])
+    D = R - np.swapaxes(R, 1, 2)
+    return factor[:, None] * np.stack([D[:, 2, 1], D[:, 0, 2], D[:, 1, 0]], axis=1)
 
 
 def jl(w: np.ndarray) -> np.ndarray:
@@ -55,6 +97,11 @@ def jl(w: np.ndarray) -> np.ndarray:
     _, a2, a3 = _coeffs(theta)
     W = hat(w)
     return np.eye(3) + a2 * W + a3 * (W @ W)
+
+
+def jl_many(w: np.ndarray) -> np.ndarray:
+    """jl of each row of w[k, 3]; row a equals jl(w[a]) bit for bit."""
+    return _quadratic_many(w, lambda theta: _coeffs(theta)[1:])
 
 
 def jr(w: np.ndarray) -> np.ndarray:
@@ -74,6 +121,12 @@ def jl_inv(w: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * W + _binv(theta) * (W @ W)
 
 
+def jl_inv_many(w: np.ndarray) -> np.ndarray:
+    """jl_inv of each row of w[k, 3]; row a equals jl_inv(w[a]) bit for bit
+    (I + (-0.5) W is I - 0.5 W exactly)."""
+    return _quadratic_many(w, lambda theta: (-0.5, _binv(theta)))
+
+
 def jr_inv(w: np.ndarray) -> np.ndarray:
     return jl_inv(-np.asarray(w, dtype=float))
 
@@ -86,6 +139,19 @@ def compose_so3(w2: np.ndarray, w1: np.ndarray) -> np.ndarray:
 def compose_so3_jac(w2: np.ndarray, w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w3 = compose_so3(w2, w1)
     return jl_inv(w3) @ jl(w2), jr_inv(w3) @ jr(w1)
+
+
+def compose_so3_many(w2: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """compose_so3 of each pair of rows of w2[k, 3] and w1[k, 3], bit for bit."""
+    return log_so3_many(exp_so3_many(w2) @ exp_so3_many(w1))
+
+
+def compose_so3_jac_many(w2: np.ndarray,
+                         w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """compose_so3_jac of each pair of rows, as stacks of the two blocks, bit for bit."""
+    w3 = compose_so3_many(w2, w1)
+    return (jl_inv_many(w3) @ jl_many(w2),
+            jl_inv_many(-w3) @ jl_many(-np.asarray(w1, dtype=float)))
 
 
 def rot2(theta: float) -> np.ndarray:

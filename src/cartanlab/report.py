@@ -38,6 +38,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every way of making a config passes here: parse_config, direct
         construction and dataclasses.replace (the CLI's overrides)."""
+        if not isinstance(self.model_params, dict):
+            raise ConfigError("model parameters must be an object")
         if type(self.seed) is not int or self.seed < 0:  # a bool is no number
             raise ConfigError("seed must be a non-negative integer")
         count = self.sample_count
@@ -72,8 +74,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if "name" not in model:
             raise ConfigError("model object needs a 'name'")
         params = model.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError("model.parameters must be an object")
         name = model["name"]
     elif isinstance(model, str):
         name = model

@@ -19,6 +19,7 @@ from cartanlab.chartcalc import (
     memo_by_point,
     newton_solve,
     rk4,
+    values_and_directional_derivatives,
     worst_case,
     worst_case_min,
 )
@@ -315,6 +316,11 @@ def test_directional_derivatives_take_one_base_point_per_direction():
         assert np.array_equal(D[a], directional_derivative(func, X[a], V[a]))
     assert np.array_equal(directional_derivatives(func_many, X[:2], np.zeros((2, 2))),
                           np.zeros((2, 3)))
+    # the base points join the probes: one call of 3 + 4 rows gives both parts
+    del calls[:]
+    values, slopes = values_and_directional_derivatives(func_many, X, V)
+    assert calls == [7]
+    assert np.array_equal(values, [func(x) for x in X]) and np.array_equal(slopes, D)
 
 
 def test_rk4_with_per_member_start_times_equals_each_member_alone():
@@ -333,3 +339,38 @@ def test_rk4_with_per_member_start_times_equals_each_member_alone():
     assert len(times) == 4 * 7 and all(t.shape == (3,) for t in times)
     for a in range(len(t0)):
         assert np.array_equal(out[a], rk4(rhs, Y0[a], float(t0[a]), 1.1, steps=7))
+
+
+def test_flow_with_tangent_rows_equal_each_member_alone():
+    # each member flows for its own time, forward and backward; its rows equal
+    # the old one-member integration, rk4 from 0 to t of the state [x, v]
+    def field(x):
+        return np.array([np.sin(x[1]) - x[0] * x[0], x[0] * x[1] + 0.3])
+
+    def jvp(x, v):
+        return np.array([np.cos(x[1]) * v[1] - 2.0 * x[0] * v[0], x[1] * v[0] + x[0] * v[1]])
+
+    X0 = np.array([[0.5, -0.1], [0.2, 0.4], [-0.3, 0.7]])
+    V0 = np.array([[1.0, 0.0], [0.3, -0.6], [0.0, 0.0]])
+    t = np.array([0.7, -0.4, 1e-3])
+    order = []
+
+    def fields(X):
+        order.append("field")
+        return np.stack([field(x) for x in X])
+
+    def jvps(X, V):
+        order.append("jvp")
+        return np.stack([jvp(x, v) for x, v in zip(X, V)])
+
+    X, V = flow_with_tangent(fields, jvps, X0, V0, t, steps=5)
+    assert order == ["jvp", "field"] * (4 * 5)
+
+    def rhs(_, y):
+        return np.concatenate([field(y[:2]), jvp(y[:2], y[2:])])
+
+    for a in range(len(t)):
+        alone = rk4(rhs, np.concatenate([X0[a], V0[a]]), 0.0, float(t[a]), 5)
+        assert np.array_equal(X[a], alone[:2]) and np.array_equal(V[a], alone[2:])
+        x, v = flow_with_tangent(field, jvp, X0[a], V0[a], float(t[a]), steps=5)
+        assert np.array_equal(X[a], x) and np.array_equal(V[a], v)

@@ -102,6 +102,22 @@ def test_config_refuses_a_bad_format_or_output_on_every_path(bad):
         parse_config({"model": "pair-R2", "experiment": "jet-axioms", **bad})
 
 
+@pytest.mark.parametrize("params", [3, [0.4], "eps"])
+def test_config_refuses_model_params_that_are_no_object_on_every_path(params):
+    # built directly, such a config reached the model constructor and raised
+    # AttributeError there ('int' object has no attribute 'get')
+    from cartanlab.report import ExperimentConfig
+
+    with raises(ConfigError):
+        ExperimentConfig(model="isojet-perturbed", experiment="jet-axioms", model_params=params)
+    with raises(ConfigError):
+        dataclasses.replace(ExperimentConfig(model="isojet-perturbed", experiment="jet-axioms"),
+                            model_params=params)
+    with raises(ConfigError):
+        parse_config({"model": {"name": "isojet-perturbed", "parameters": params},
+                      "experiment": "jet-axioms"})
+
+
 @pytest.mark.parametrize("tolerance", [True, -1e-7, float("inf"), float("nan")])
 def test_parse_config_rejects_tolerances_that_are_no_finite_non_negative_number(tolerance):
     # with an inf tolerance a check whose sample went NaN (max_error inf) passes

@@ -34,6 +34,7 @@ from cartanlab.groupoid import (
     outer_fd_step,
     random_section,
     right_invariant_field,
+    right_translate,
     sample_base_point,
 )
 from cartanlab.models import MODELS, make_model
@@ -497,6 +498,62 @@ def test_flow_route_evaluates_the_section_96_times(zoo, rng):
 
     nf(sample_base_point(model, rng), rng.uniform(-1, 1, size=model.n), counted)
     assert calls[0] == 96
+
+
+def _flow_nabla_per_member(S, m, v, X):
+    """The flow-formula route as it ran before its flows were stacked: one
+    one-member flow_with_tangent per outer t-point, over an X^R that calls
+    right_translate at one arrow at a time, its tangent by directional_derivative."""
+    model = S.model
+    h_field = outer_fd_step(model)
+
+    def XR(coords):
+        a = model.arrow(coords)
+        return right_translate(model, a, model.unit_arrow(a.target),
+                               np.asarray(X(a.target), dtype=float))
+
+    def lifted_difference(tau):
+        g_t, a_t = flow_with_tangent(
+            XR, lambda y, w: directional_derivative(XR, y, w, h=h_field),
+            model.unit(m), model.Tunit(m) @ v, tau, steps=4)
+        return a_t - np.asarray(S.mu_at(g_t), dtype=float) @ v
+
+    return deriv_at_zero(lifted_difference, T_DIFF_STEP)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_flow_route_equals_the_per_member_flows(name, jacobians):
+    # the fd copy's connection carries no mu_batch, so mu_many stacks mu_at
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nf = infinitesimalize(S, "flow-formula")
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        m = sample_base_point(model, rng)
+        v = rng.uniform(-1.0, 1.0, size=model.n)
+        X = random_section(model, rng)
+        assert np.array_equal(nf(m, v, X).vec, _flow_nabla_per_member(S, m, v, X))
+
+
+def test_flow_route_takes_one_stacked_field_call_of_6_per_stage(zoo, rng, monkeypatch):
+    # 4 RK4 steps x 4 stages of the stacked +-tau flows, each stage the two
+    # members' points and the four probes of their tangents
+    model, S = zoo("se2-action")
+    rows = []
+    real = connection.right_invariant_many
+
+    def counted(model, X, G):
+        rows.append(len(G))
+        return real(model, X, G)
+
+    monkeypatch.setattr(connection, "right_invariant_many", counted)
+    nf = infinitesimalize(S, "flow-formula")
+    nf(sample_base_point(model, rng), rng.uniform(-1, 1, size=model.n),
+       random_section(model, rng))
+    assert rows == [6] * 16
 
 
 def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):

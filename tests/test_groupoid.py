@@ -35,6 +35,8 @@ from cartanlab.groupoid import (
     oracle_jet_inverse,
     oracle_jet_mul,
     random_section,
+    right_invariant_field,
+    right_invariant_many,
     right_translate,
     sample_base_point,
 )
@@ -535,3 +537,37 @@ def test_verticality_check_refuses_a_nan_vector(zoo):
     model, _ = zoo("se2-action")
     with raises(ToleranceError):
         algebroid_vec(model, np.array([0.1, 0.2]), np.full(model.N, np.nan))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_right_invariant_many_rows_equal_right_translate(name, jacobians):
+    # row a is T R_g . X(tgt(g)) at the unit over tgt(g), as right_translate
+    # takes it one arrow at a time, bit for bit, on a stack and on a view
+    model, _ = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    rng = np.random.default_rng(37)
+    X = random_section(model, rng)
+    G = np.array([model.sample_arrow(rng).coords for _ in range(6)])
+    for stack in (G, np.concatenate([G, G], axis=1)[:, ::2]):
+        rows = right_invariant_many(model, X, stack)
+        for g, row in zip(stack, rows):
+            a = model.arrow(g)
+            ref = right_translate(model, a, model.unit_arrow(a.target), X(a.target))
+            assert np.array_equal(row, ref)
+            assert np.array_equal(right_invariant_field(model, X)(g), ref)
+
+
+def test_right_invariant_many_refuses_an_arrow_it_cannot_compose(zoo):
+    # a NaN target makes the composability defect NaN, which must fail
+    model, _ = zoo("se2-action")
+    G = np.array([[0.1, 0.2, -0.1, 0.3, 0.2], [0.1, np.nan, 0.0, 0.3, 0.2]])
+
+    def X(m):
+        return np.array([0.1, 0.2, 0.3, 0.0, 0.0])
+
+    with raises(CompositionError):
+        right_invariant_many(model, X, G)
+    with raises(CompositionError):
+        right_invariant_field(model, X)(G[1])

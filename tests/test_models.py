@@ -20,16 +20,24 @@ from cartanlab.models.metrics import (
     perturbed_metric,
     sphere_metric,
 )
+from cartanlab.models.actions import make_so3_sphere_groupoid
 from cartanlab.models.rotations import (
+    _EPS,
     compose_so3,
     compose_so3_jac,
+    compose_so3_jac_many,
+    compose_so3_many,
     exp_so3,
+    exp_so3_many,
     hat,
     jl,
     jl_inv,
+    jl_inv_many,
+    jl_many,
     jr,
     jr_inv,
     log_so3,
+    log_so3_many,
 )
 
 from conftest import CORE_MODELS
@@ -111,6 +119,49 @@ def test_compose_so3_jacobians(rng):
         D1_fd = jacobian_fd(lambda x: compose_so3(w2, x), w1)
         assert np.max(np.abs(D2 - D2_fd)) < 1e-8
         assert np.max(np.abs(D1 - D1_fd)) < 1e-8
+
+
+def _rotation_vectors(rng, k=40):
+    """Rotation vectors of every branch: random angles, angles below _EPS,
+    exactly 0 and angles within 1e-7 of pi; then the same rows as a
+    non-contiguous view."""
+    axes = rng.normal(size=(k, 3))
+    axes /= np.sqrt(np.sum(axes * axes, axis=1))[:, None]
+    angles = np.concatenate([rng.uniform(0.0, 3.0, k // 4),
+                             rng.uniform(0.0, 0.9 * _EPS, k // 4),
+                             np.zeros(k // 4),
+                             np.pi - rng.uniform(0.0, 1e-7, k - 3 * (k // 4))])
+    W = axes * angles[:, None]
+    yield W
+    yield np.concatenate([W, W], axis=1)[:, ::2]
+
+
+def test_stacked_rotation_maps_match_single_calls(rng):
+    # row a of each stacked form equals the single-point call bit for bit
+    for W in _rotation_vectors(rng):
+        for single, many in ((exp_so3, exp_so3_many), (jl, jl_many), (jl_inv, jl_inv_many)):
+            assert np.array_equal(many(W), [single(w) for w in W])
+        R = exp_so3_many(W)
+        assert np.array_equal(log_so3_many(R), [log_so3(r) for r in R])
+        R_view = np.concatenate([R, R], axis=2)[:, :, ::2]
+        assert np.array_equal(log_so3_many(R_view), [log_so3(r) for r in R_view])
+        W1 = W[::-1]
+        assert np.array_equal(compose_so3_many(W, W1),
+                              [compose_so3(w2, w1) for w2, w1 in zip(W, W1)])
+        D2, D1 = compose_so3_jac_many(W, W1)
+        for a, (w2, w1) in enumerate(zip(W, W1)):
+            single = compose_so3_jac(w2, w1)
+            assert np.array_equal(D2[a], single[0]) and np.array_equal(D1[a], single[1])
+
+
+def test_stacked_sphere_action_matches_single_calls(rng):
+    # the stereographic action at stacks of rotations of every branch
+    model, _ = make_so3_sphere_groupoid()
+    for W in _rotation_vectors(rng):
+        X = rng.uniform(-0.7, 0.7, size=(len(W), 2))
+        X_view = np.concatenate([X, X], axis=1)[:, ::2]
+        for G in (np.concatenate([W, X], axis=1), np.concatenate([W, X_view], axis=1)):
+            assert np.array_equal(model.tgt.many(G), [model.tgt(g) for g in G])
 
 
 @pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
@@ -394,6 +445,10 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
                 (model.retract_tgt, model.retract_tgt_many, (G, T))):
             assert np.array_equal(stacked(single, many, *args),
                                   [single(*row) for row in zip(*args)])
+        if model.mul_jac_many is not None:
+            for b, block in enumerate(model.mul_jac_many(G, H)):
+                assert np.array_equal(block, [model.mul_jac(g, h)[b] for g, h in zip(G, H)])
+        assert jacobians or model.mul_jac_many is None
         # the stacked finite-difference jacobians equal the per-point ones
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
             jacs = jacobians_fd(cm.many, X)
@@ -412,6 +467,16 @@ def test_jet_oracle_models_give_every_stacked_form(zoo, name):
     assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many,
                         model.mul_many, model.inv_many, model.retract_src_many,
                         model.retract_tgt_many)
+
+
+@pytest.mark.parametrize("name", ["se2-action", "so3-sphere", "isojet-sphere"])
+def test_nabla_routes_models_give_every_stacked_form(zoo, name):
+    # the models of the nabla-routes benchmark: the flow route's stacked X^R
+    # loops over no structure map
+    model, _ = zoo(name)
+    assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many,
+                        model.mul_many, model.inv_many, model.retract_src_many,
+                        model.retract_tgt_many, model.mul_jac_many)
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
