@@ -184,27 +184,18 @@ def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
     x[k, dim] of one base point per direction. All 2k probes go to func_many
     together, the forward steps first."""
     x = np.asarray(x, dtype=float)
-    scales, U = _unit_directions(np.asarray(V, dtype=float))
-    moving = scales != 0.0
-    if not moving.any():
-        return np.zeros((len(U),) + np.shape(func_many(x.reshape(-1, x.shape[-1])[:1]))[1:])
-    if x.ndim > 1:
-        x = x[moving]
-    U = U[moving]
-    k = len(U)
-    values = np.asarray(func_many(np.concatenate([x + s * U for s in (h, -h)])), dtype=float)
-    slopes = deriv_at_zero(lambda s: values[:k] if s > 0 else values[k:], h)
-    out = np.zeros((len(moving),) + slopes.shape[1:])
-    out[moving] = scales[moving].reshape((-1,) + (1,) * (slopes.ndim - 1)) * slopes
-    return out
+    slopes = _moving_slopes(func_many, x, V, h)
+    if slopes is None:  # no direction moves: one row gives the shape
+        return np.zeros((len(V),) + np.shape(func_many(x.reshape(-1, x.shape[-1])[:1]))[1:])
+    return slopes
 
 
 def values_and_directional_derivatives(func_many: Callable, X: np.ndarray, V: np.ndarray,
                                        h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
     """func at each row of a stack X[k, dim] and directional_derivatives along
-    V from those rows, in one func_many call: the rows of X join the probes.
-    Each part equals its separate evaluation bit for bit when func_many's
-    rows are func's values."""
+    V from those rows, in one func_many call: the rows of X join the probes,
+    or go alone when no direction moves. Each part equals its separate
+    evaluation bit for bit when func_many's rows are func's values."""
     X = np.asarray(X, dtype=float)
     k = len(X)
     values = []
@@ -214,8 +205,30 @@ def values_and_directional_derivatives(func_many: Callable, X: np.ndarray, V: np
         values.append(out[:k])
         return out[k:]
 
-    slopes = directional_derivatives(joined, X, V, h)
+    slopes = _moving_slopes(joined, X, V, h)
+    if slopes is None:
+        values.append(np.asarray(func_many(X), dtype=float))
+        slopes = np.zeros_like(values[0])
     return values[0], slopes
+
+
+def _moving_slopes(func_many: Callable, x: np.ndarray, V: np.ndarray,
+                   h: float) -> np.ndarray | None:
+    """directional_derivatives' result, or None when no direction moves, so
+    that each caller takes the output shape from rows it evaluates anyway."""
+    scales, U = _unit_directions(np.asarray(V, dtype=float))
+    moving = scales != 0.0
+    if not moving.any():
+        return None
+    if x.ndim > 1:
+        x = x[moving]
+    U = U[moving]
+    k = len(U)
+    values = np.asarray(func_many(np.concatenate([x + s * U for s in (h, -h)])), dtype=float)
+    slopes = deriv_at_zero(lambda s: values[:k] if s > 0 else values[k:], h)
+    out = np.zeros((len(moving),) + slopes.shape[1:])
+    out[moving] = scales[moving].reshape((-1,) + (1,) * (slopes.ndim - 1)) * slopes
+    return out
 
 
 def deriv_at_zero(curve: Callable[[float], np.ndarray], h: float = FD_STEP) -> np.ndarray:
@@ -239,22 +252,22 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def memo_by_point(func: Callable[[np.ndarray], object],
-                  size: int | None = None) -> Callable[[np.ndarray], object]:
+def memo_by_point(func: Callable[[np.ndarray], object], size: int | None = None,
+                  func_many: Callable[[np.ndarray], np.ndarray] | None = None) -> Callable:
     """func, evaluated once per point: the value is kept under the bytes of
     the point as a float64 array and returned as func gave it, except that an
     ndarray value is handed out as a read-only view, so no caller can change
     what the next caller at that point gets. With a size, the memo is cleared
     when it holds size points, before the next is stored. Bytes are exact, so
-    points that differ only in the sign of a zero are different keys."""
+    points that differ only in the sign of a zero are different keys.
+
+    The memo's .many(X) gives the values at the rows of a stack X[k, dim],
+    stacked: hits come from the memo, and the misses, each distinct point
+    once, are computed in one func_many call (func row by row without it),
+    whose row a must equal func at that point, and stored in row order."""
     seen: dict[bytes, object] = {}
 
-    def once(x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        if key in seen:
-            return seen[key]
-        out = func(x)
+    def store(key, out):
         if isinstance(out, np.ndarray):
             out = read_only(out)
         if size is not None and len(seen) >= size:
@@ -262,6 +275,30 @@ def memo_by_point(func: Callable[[np.ndarray], object],
         seen[key] = out
         return out
 
+    def once(x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if key in seen:
+            return seen[key]
+        return store(key, func(x))
+
+    def many(X):
+        X = np.asarray(X, dtype=float)
+        rows = {}  # key -> its value, the hits first; a store may clear seen
+        misses = {}  # key -> the first row holding it
+        for a, x in enumerate(X):
+            key = x.tobytes()
+            if key in seen:
+                rows[key] = seen[key]
+            else:
+                misses.setdefault(key, a)
+        if misses:
+            computed = stacked(func, func_many, X[list(misses.values())])
+            for key, out in zip(misses, computed):
+                rows[key] = store(key, out)
+        return np.stack([rows[x.tobytes()] for x in X])
+
+    once.many = many
     return once
 
 

@@ -41,7 +41,6 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     deriv_at_zero,
-    directional_derivative,
     directional_derivatives,
     exceeds,
     flow_with_tangent,
@@ -232,29 +231,53 @@ def algebroid_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray
 # -- infinitesimalization ----------------------------------------------------
 
 
+def section_values(sections: list) -> Callable[[np.ndarray], np.ndarray]:
+    """The values_many of a list of sections: at each row of a stack P[p, n],
+    the (N, len(sections)) matrix whose column a is sections[a] there."""
+
+    def values_many(P):
+        return np.array([[X(p) for X in sections] for p in P], dtype=float).transpose(0, 2, 1)
+
+    return values_many
+
+
 @dataclass(frozen=True)
 class AlgebroidConnection:
     """The linear connection on the algebroid induced by a groupoid connection:
     nabla(m, v, X) differentiates the section X at m along the tangent
-    direction v. nabla_batch, when supplied, is a route's form for several
-    sections at once (see nabla_many)."""
+    direction v. nabla_batch, when supplied, is a route's stacked form:
+    nabla_batch(M[k, n], V[k, n], values_many) differentiates several
+    sections at each M[a] along V[a], as a (k, N, s) array, where
+    values_many(P) gives the sections' values at a stack of points P[p, n]
+    as a (p, N, s) array (see nabla_rows)."""
 
     model: GroupoidModel
     nabla: Callable[[np.ndarray, np.ndarray, Callable], AlgebroidVec]
     provenance: str
-    nabla_batch: Callable[[np.ndarray, np.ndarray, list], np.ndarray] | None = None
+    nabla_batch: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
 
     def __call__(self, m: np.ndarray, v: np.ndarray, X: Callable) -> AlgebroidVec:
         return self.nabla(np.asarray(m, dtype=float), np.asarray(v, dtype=float), X)
 
+    def nabla_rows(self, M: np.ndarray, V: np.ndarray, sections: list,
+                   values_many: Callable | None = None) -> np.ndarray:
+        """The (k, N, len(sections)) array whose [a, :, b] is
+        nabla(M[a], V[a], sections[b]).vec, bit for bit: one nabla_batch call,
+        with values_many the sections' stacked values (section_values by
+        default), or nabla row by row on a route without a stacked form."""
+        M = np.asarray(M, dtype=float)
+        V = np.asarray(V, dtype=float)
+        if self.nabla_batch is None:
+            return np.stack([np.stack([self.nabla(m, v, X).vec for X in sections], axis=1)
+                             for m, v in zip(M, V)])
+        return self.nabla_batch(M, V, values_many or section_values(sections))
+
     def nabla_many(self, m: np.ndarray, v: np.ndarray, sections: list) -> np.ndarray:
         """The (N, len(sections)) matrix whose column a is
-        nabla(m, v, sections[a]).vec, bit for bit."""
+        nabla(m, v, sections[a]).vec, bit for bit: nabla_rows' batch of one."""
         m = np.asarray(m, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.nabla_batch is not None:
-            return self.nabla_batch(m, v, sections)
-        return np.stack([self.nabla(m, v, X).vec for X in sections], axis=1)
+        return self.nabla_rows(m[None], v[None], sections)[0]
 
 
 def infinitesimalize(S: CartanConnection, method: str = "direct-formula") -> AlgebroidConnection:
@@ -271,23 +294,33 @@ def infinitesimalize(S: CartanConnection, method: str = "direct-formula") -> Alg
 
 def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
+    N, n = model.N, model.n
 
-    def nabla_batch(m, v, sections):
+    def lifted_field(P):
+        # a row of P is an arrow and the direction its jet multiplies; the
+        # stacked product runs the same BLAS routine per row as mu @ v
+        return (S.mu_many(P[:, :N]) @ P[:, N:, None])[..., 0]
+
+    def nabla_batch(M, V, values_many):
         # the right-invariant extension restricted to unit arrows is the
         # section itself (right translation by a unit is the identity), so the
-        # first term needs only the sections' own derivatives; the second
-        # term's stencils share the unit arrow, so their 2 len(sections)
-        # probes take one mu_many call
-        def values(mm):
-            return np.stack([np.asarray(X(mm), dtype=float) for X in sections], axis=1)
-
-        term1 = directional_derivative(values, m, v)
-        term2 = directional_derivatives(
-            lambda G: np.stack([mu @ v for mu in S.mu_many(G)]), model.unit(m), values(m).T)
-        return term1 - term2.T
+        # first term needs only the sections' own derivatives, whose probes
+        # join the rows of M in one values_many call; the second term steps
+        # from each row's unit arrow along each section's value there, all
+        # 2 k s probes in one mu_many call, each row's v riding along as a
+        # coordinate the probes do not move
+        values, term1 = values_and_directional_derivatives(values_many, M, V)
+        k, _, s = values.shape
+        base = np.repeat(np.concatenate([model.unit.many(M), V], axis=1), s, axis=0)
+        directions = np.concatenate([values.transpose(0, 2, 1).reshape(k * s, N),
+                                     np.zeros((k * s, n))], axis=1)
+        term2 = directional_derivatives(lifted_field, base, directions)
+        return term1 - term2.reshape(k, s, N).transpose(0, 2, 1)
 
     def nabla(m, v, X):
-        return algebroid_vec(model, m, nabla_batch(m, v, [X])[:, 0], check=False)
+        M, V = np.atleast_2d(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
+        return algebroid_vec(model, m, nabla_batch(M, V, section_values([X]))[0, :, 0],
+                             check=False)
 
     return AlgebroidConnection(model, nabla, "direct-formula", nabla_batch=nabla_batch)
 

@@ -17,7 +17,6 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     exceeds,
-    jacobian_fd,
     jacobians_fd,
     memo_by_point,
     path_velocity,
@@ -42,16 +41,30 @@ TRANSPORT_CACHE_SIZE = 4096  # radial transport matrices a reconstruction keeps
 # -- frames and connection coefficients ----------------------------------------
 
 
-def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
-                      m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients of the covariant derivative of the frame along w:
-    nabla_w e_a = sum_b Gamma[b, a] e_b at m.
+def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
+                        M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Coefficients of the covariant derivative of the frame at each point of
+    a stack M[k, n] along W[a]: nabla_w e_a = sum_b Gamma[b, a] e_b, row a
+    at M[a], in one nabla_rows call, so one stacked jet evaluation on the
+    direct-formula route. Row a equals connection_matrix(..., M[a], W[a])
+    bit for bit.
 
     The frame K must have orthonormal columns, as aligned_frame's have: K.T
     then solves K Gamma = W for the derivatives W of the columns, and a frame
     that is not orthonormal gives wrong coefficients."""
-    sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
-    return frame(m).T @ nabla.nabla_many(m, w, sections)
+    M = np.asarray(M, dtype=float)
+    K = [frame(m) for m in M]  # before nabla_rows, whose stencil points can evict them
+    columns = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
+    D = nabla.nabla_rows(M, W, columns, lambda P: np.stack([frame(p) for p in P]))
+    return np.stack([k.T @ d for k, d in zip(K, D)])
+
+
+def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
+                      m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The coefficients nabla_w e_a = sum_b Gamma[b, a] e_b at m:
+    connection_matrices' batch of one."""
+    return connection_matrices(nabla, frame, rank, np.asarray(m, dtype=float)[None],
+                               np.asarray(w, dtype=float)[None])[0]
 
 
 # -- curvature -----------------------------------------------------------------
@@ -75,8 +88,10 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
     aligned_frame builds at m.
 
     Connection coefficients Gamma_i are computed at stencil points and
-    differentiated by central differences at CURV_FD_STEP, one jacobian_fd of
-    the stacked Gamma_j; the coordinate-field bracket term vanishes, leaving
+    differentiated by central differences at CURV_FD_STEP, one jacobians_fd
+    of the stacked Gamma_j, whose 2n probes take one connection_matrices
+    call of 2n^2 rows (Gamma at m takes another, of n); the coordinate-field
+    bracket term vanishes, leaving
     R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j], which is exactly
     antisymmetric by construction.
     """
@@ -86,11 +101,14 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
     r = frame.rank
     n = model.n
 
-    def gammas(point):
-        return np.stack([connection_matrix(nabla, frame, r, point, e) for e in np.eye(n)])
+    def gammas(P):
+        # Gamma_j at each point of P along every coordinate direction j
+        W = np.tile(np.eye(n), (len(P), 1))
+        G = connection_matrices(nabla, frame, r, np.repeat(P, n, axis=0), W)
+        return G.reshape(len(P), n, r, r)
 
-    G0 = gammas(m)
-    dG = np.moveaxis(jacobian_fd(gammas, m, CURV_FD_STEP), -1, 0)  # dG[i, j] = d_i Gamma_j
+    G0 = gammas(m[None])[0]
+    dG = np.moveaxis(jacobians_fd(gammas, m[None], CURV_FD_STEP)[0], -1, 0)  # d_i Gamma_j
     R = np.zeros((n, n, r, r))
     for i in range(n):
         for j in range(n):
@@ -201,23 +219,36 @@ class ReconstructionResult:
     residuals: dict
 
 
-def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
-                      path: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
-    """Parallel-transport matrix of the connection along a path in frame
-    coordinates: solves dY/dt = -Gamma(path(t), path'(t)) Y by RK4.
+def _transport_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
+                        path_many: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
+    """Parallel-transport matrices of the connection along a stack of paths
+    in frame coordinates, in one RK4 integration of a (k, rank, rank) state:
+    path_many(t) gives the k paths' points at time t as a (k, n) stack, and
+    row a solves dY/dt = -Gamma(path_a(t), path_a'(t)) Y.
 
     The coefficient does not depend on Y, so it is kept for the latest node
-    time and evaluated once per RK4 node (2 * steps + 1 times): k2 and k3
-    share the midpoint, and each step's end is the next step's start, bit for
-    bit. Raises NonFiniteError when Y goes non-finite."""
+    time and evaluated for every member in one connection_matrices call once
+    per RK4 node (2 * steps + 1 times, whatever k is): k2 and k3 share the
+    midpoint, and each step's end is the next step's start, bit for bit. Row
+    a equals the transport along path_a alone bit for bit. Raises
+    NonFiniteError when Y goes non-finite."""
 
-    def coefficient(t):
+    def coefficients(t):
         t = float(t)  # the memo hands the node time over as a 0-d array
-        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float),
-                                  path_velocity(path, t))
+        return -connection_matrices(nabla, frame, rank, np.asarray(path_many(t), dtype=float),
+                                    path_velocity(path_many, t))
 
-    latest = memo_by_point(coefficient, size=1)
-    return rk4(lambda t, Y: latest(t) @ Y, np.eye(rank), 0.0, 1.0, steps)
+    latest = memo_by_point(coefficients, size=1)
+    Y0 = np.tile(np.eye(rank), (len(path_many(0.0)), 1, 1))
+    return rk4(lambda t, Y: latest(t) @ Y, Y0, 0.0, 1.0, steps)
+
+
+def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
+                      path: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
+    """Parallel-transport matrix of the connection along one path in frame
+    coordinates: _transport_matrices' batch of one."""
+    return _transport_matrices(nabla, frame, rank,
+                               lambda t: np.asarray(path(t), dtype=float)[None], steps)[0]
 
 
 def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
@@ -230,24 +261,31 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     Requires the connection to be flat on the grid: transport along two
     homotopic grid paths must agree to FLATNESS_TOL, otherwise FlatnessError
     (holonomy) is raised, and the curvature precondition is checked up front.
+
+    The radial transports run stacked: the parallelism check and the anchor
+    check each differentiate the sections at all their points at once, and
+    the transports to all those points a memo has not seen run as one
+    _transport_matrices integration. The bracket at m0 evaluates the
+    sections one point at a time.
     """
     model = nabla.model
+    n = model.n
     m0 = np.asarray(m0, dtype=float)
     frame = aligned_frame(model, m0)
     r = frame.rank
     rng = np.random.default_rng(seed)
 
     # flatness precondition on a few grid points
-    for probe in (m0, m0 + np.full(model.n, GRID_RADIUS),
-                  m0 - np.full(model.n, GRID_RADIUS)):
+    for probe in (m0, m0 + np.full(n, GRID_RADIUS), m0 - np.full(n, GRID_RADIUS)):
         c = curvature(nabla, probe).norm_inf
         if exceeds(c, FLATNESS_TOL):
             raise FlatnessError(
                 f"curvature {c:.2e} above {FLATNESS_TOL:.1e} at {probe}; "
                 "reconstruction requires a flat connection")
 
-    # path independence: two homotopic L-shaped grid paths to the far corner
-    corner = m0 + np.full(model.n, GRID_RADIUS)
+    # path independence: two homotopic L-shaped grid paths to the far corner,
+    # transported as one stack
+    corner = m0 + np.full(n, GRID_RADIUS)
 
     def l_path(first_axis):
         def path(t):
@@ -256,25 +294,29 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
                 p[first_axis] += (corner[first_axis] - m0[first_axis]) * 2 * t
             else:
                 p[first_axis] = corner[first_axis]
-                for ax in range(model.n):
+                for ax in range(n):
                     if ax != first_axis:
                         p[ax] += (corner[ax] - m0[ax]) * (2 * t - 1)
             return p
 
         return path
 
-    Y_a = _transport_matrix(nabla, frame, r, l_path(0))
-    Y_b = _transport_matrix(nabla, frame, r, l_path(model.n - 1))
+    l_paths = (l_path(0), l_path(n - 1))
+    Y_a, Y_b = _transport_matrices(nabla, frame, r, lambda t: np.stack([p(t) for p in l_paths]))
     path_dependence = float(np.max(np.abs(Y_a - Y_b)))
     if exceeds(path_dependence, FLATNESS_TOL):
         raise FlatnessError(
             f"holonomy detected: homotopic transports differ by {path_dependence:.2e}")
 
     # covariantly constant sections by radial transport (smooth in the endpoint
-    # because the step count is fixed); repeated evaluation points hit a memo
+    # because the step count is fixed); repeated evaluation points hit a memo,
+    # and a stack's new endpoints are transported together
+    def radial(M):
+        return _transport_matrices(nabla, frame, r, lambda t: m0 + t * (M - m0))
+
     transport_to = memo_by_point(
         lambda m: _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0)),
-        TRANSPORT_CACHE_SIZE)
+        TRANSPORT_CACHE_SIZE, func_many=radial)
 
     def section(a):
         def xi(m):
@@ -284,6 +326,13 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
 
     sections = [section(a) for a in range(r)]
 
+    def section_rows(P):
+        # per row of P, the values of every section there, each as xi computes it
+        return [[frame(p) @ T[:, a] for a in range(r)] for p, T in zip(P, transport_to.many(P))]
+
+    def sections_many(P):  # (len(P), N, r)
+        return np.array([np.stack(xs, axis=1) for xs in section_rows(P)])
+
     def action_field(a):
         def dagger(m):
             m = np.asarray(m, dtype=float)
@@ -292,6 +341,10 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         return dagger
 
     fields = [action_field(a) for a in range(r)]
+
+    def fields_many(P):  # (len(P), r, n): row [p, a] is fields[a](P[p])
+        return np.array([[model.Ttgt(model.unit(p)) @ x for x in xs]
+                         for p, xs in zip(P, section_rows(P))])
 
     # structure constants from the bracket at m0 (transport matrix there = id)
     K0 = frame(m0)
@@ -306,22 +359,25 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     residuals = WorstErrors(("jacobi", "anchor_hom", "parallelism", "path_dependence"))
     residuals.record("jacobi", _jacobi_residual(c))
     residuals.record("path_dependence", path_dependence)
+    # every section along every coordinate direction at the 3^n grid points
+    # whose every coordinate is the centre or an end of its axis
     grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
-    grid_pts = [m0 + np.array(offs) for offs in itertools.product(grid_axis, repeat=model.n)]
-    probe_pts = grid_pts[:: max(1, len(grid_pts) // 9)]
-    for m in probe_pts:
-        for a in range(r):
-            for i in range(model.n):
-                residuals.record("parallelism", nabla(m, np.eye(model.n)[i], sections[a]).vec)
+    probe_pts = [m0 + np.array(offs) for offs in itertools.product(grid_axis[::4], repeat=n)]
+    M = np.repeat(probe_pts, n, axis=0)
+    V = np.tile(np.eye(n), (len(probe_pts), 1))
+    residuals.record("parallelism", nabla.nabla_rows(M, V, sections, sections_many))
 
-    for _ in range(sample_count):
-        m = m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=model.n)
-        for a in range(r):
-            for b in range(a + 1, r):
-                lhs = (jacobian_fd(fields[b], m) @ fields[a](m)
-                       - jacobian_fd(fields[a], m) @ fields[b](m))
-                rhs = sum(c[a, b, k] * fields[k](m) for k in range(r))
-                residuals.record("anchor_hom", lhs - rhs)
+    # the samples are drawn first, then every field is differentiated at all
+    # of them in one stacked call
+    samples = [m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=n) for _ in range(sample_count)]
+    if samples:
+        J = jacobians_fd(fields_many, samples)  # J[s, a]: the jacobian of fields[a]
+        for Js, Fs in zip(J, fields_many(samples)):
+            for a in range(r):
+                for b in range(a + 1, r):
+                    lhs = Js[b] @ Fs[a] - Js[a] @ Fs[b]
+                    rhs = sum(c[a, b, k] * Fs[k] for k in range(r))
+                    residuals.record("anchor_hom", lhs - rhs)
 
     return ReconstructionResult(
         dim_g0=r,

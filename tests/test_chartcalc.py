@@ -273,6 +273,59 @@ def test_memo_by_point_hands_out_read_only_arrays():
     assert memo(np.zeros(1))[0] == 1.0
 
 
+def _counted_stacked_memo(size=None, func_many=True):
+    calls = []
+
+    def func(x):
+        calls.append(x[None].copy())
+        return np.array([np.sum(x), np.prod(x)])
+
+    def stacked_func(X):
+        calls.append(X.copy())
+        return np.stack([np.sum(X, axis=1), np.prod(X, axis=1)], axis=1)
+
+    return memo_by_point(func, size, func_many=stacked_func if func_many else None), calls
+
+
+def test_memo_many_serves_hits_and_computes_each_miss_once():
+    memo, calls = _counted_stacked_memo()
+    memo(np.array([1.0, 2.0]))
+    X = np.array([[3.0, 4.0], [1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
+    out = memo.many(X)
+    assert np.array_equal(out, [[7.0, 12.0], [3.0, 2.0], [11.0, 30.0], [7.0, 12.0]])
+    # the misses, each once and in row order, in one stacked call
+    assert len(calls) == 2 and np.array_equal(calls[1], [[3.0, 4.0], [5.0, 6.0]])
+    assert np.array_equal(memo.many(X[::-1]), out[::-1]) and len(calls) == 2
+    assert np.array_equal(memo([5.0, 6.0]), [11.0, 30.0]) and len(calls) == 2
+    memo.many(np.array([[1.0, 2.0]]))  # all hits: no call
+    assert len(calls) == 2
+
+
+def test_memo_many_without_func_many_evaluates_the_misses_row_by_row():
+    memo, calls = _counted_stacked_memo(func_many=False)
+    out = memo.many(np.array([[3.0, 4.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert np.array_equal(out, [[7.0, 12.0], [7.0, 12.0], [11.0, 30.0]])
+    assert [c.tolist() for c in calls] == [[[3.0, 4.0]], [[5.0, 6.0]]]
+
+
+def test_memo_many_keeps_the_bound_and_hands_out_read_only_values():
+    memo, calls = _counted_stacked_memo(size=3)
+    X = np.array([[float(i), 1.0] for i in range(5)])
+    out = memo.many(X)
+    assert np.array_equal(out[:, 1], np.arange(5.0)) and len(calls) == 1
+    # stored in row order, cleared when full: the last two rows are held
+    memo(X[3])
+    memo(X[4])
+    assert len(calls) == 1
+    memo(X[0])
+    assert len(calls) == 2
+    out[0, 0] = 9.0  # the stack is the caller's own copy
+    held = memo(X[4])
+    with raises(ValueError):
+        held[0] = 5.0
+    assert np.array_equal(memo.many(X[:1]), [[1.0, 0.0]])
+
+
 def test_directional_derivatives_equal_the_single_direction_form():
     def func(x):
         return np.array([np.sin(x[0]) * x[1], np.exp(x[0] - x[1]), x @ x])
@@ -321,6 +374,11 @@ def test_directional_derivatives_take_one_base_point_per_direction():
     values, slopes = values_and_directional_derivatives(func_many, X, V)
     assert calls == [7]
     assert np.array_equal(values, [func(x) for x in X]) and np.array_equal(slopes, D)
+    # no direction moves: the rows of X alone, their shape giving the slopes'
+    del calls[:]
+    values, slopes = values_and_directional_derivatives(func_many, X, np.zeros((3, 2)))
+    assert calls == [3]
+    assert np.array_equal(values, [func(x) for x in X]) and np.array_equal(slopes, np.zeros((3, 3)))
 
 
 def test_rk4_with_per_member_start_times_equals_each_member_alone():

@@ -6,6 +6,7 @@ from cartanlab import experiments
 from cartanlab.chartcalc import (
     deriv_at_zero,
     directional_derivative,
+    directional_derivatives,
     flow_with_tangent,
     jacobian_fd,
     path_velocity,
@@ -23,6 +24,7 @@ from cartanlab.connection import (
     infinitesimalize,
     infinitesimalize_along,
     parallel_transport,
+    section_values,
     transport_many,
     transport_with_vector,
 )
@@ -230,6 +232,21 @@ def test_transport_many_rows_equal_each_member_alone(name, jacobians):
         assert np.array_equal(X[a], x) and np.array_equal(Wt[a], w)
         x, w = _transport_unstacked(S, gamma, float(t0[a]), 0.0, U[a], W[a], 3)
         assert np.array_equal(X[a], x) and np.array_equal(Wt[a], w)
+
+
+def test_parallel_transport_evaluates_one_jet_per_stage(zoo):
+    # a zero tangent takes no probe, so no probe row joins the arrow's
+    model, S = zoo("se2-action")
+    calls = []
+
+    def mu_at(g):
+        calls.append(1)
+        return S.mu_at(g)
+
+    m, v = np.array([0.1, -0.2]), np.array([0.4, 0.3])
+    parallel_transport(CartanConnection(model, mu_at), lambda t: m + t * v, 0.0, 0.5,
+                       model.unit_arrow(m), steps=10)
+    assert len(calls) == 4 * 10
 
 
 def test_transport_route_takes_one_jet_batch_of_6_per_stage(zoo, rng):
@@ -604,6 +621,61 @@ def test_nabla_many_equals_nabla_per_section(name, jacobians):
         cols = nab.nabla_many(m, v, sections)
         for a, X in enumerate(sections):
             assert np.array_equal(cols[:, a], nab(m, v, X).vec)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_nabla_batch_rows_equal_nabla(name, jacobians):
+    # one call over a stack of points and directions, a zero direction among
+    # them, equals nabla at each row on each section; so do non-contiguous
+    # views of the stacks
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nab = infinitesimalize(S, "direct-formula")
+    rng = np.random.default_rng(37)
+    M = np.stack([sample_base_point(model, rng) for _ in range(4)])
+    V = rng.uniform(-1.0, 1.0, size=(4, model.n))
+    V[2] = 0.0
+    frame = aligned_frame(model, M[0])
+    sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(frame.rank)]
+    sections.append(random_section(model, rng))
+    wide = np.concatenate([M, V], axis=1)
+    for Ms, Vs in ((M, V), (wide[:, :model.n], wide[:, model.n:]), (M[::-2], V[::-2])):
+        D = nab.nabla_batch(Ms, Vs, section_values(sections))
+        assert D.shape == (len(Ms), model.N, len(sections))
+        for a in range(len(Ms)):
+            for b, X in enumerate(sections):
+                assert np.array_equal(D[a, :, b], nab(Ms[a], Vs[a], X).vec)
+    D = nab.nabla_rows(M, V, sections)  # section_values by default
+    assert np.array_equal(D, nab.nabla_batch(M, V, section_values(sections)))
+    assert not D[2].any()
+
+
+def _direct_nabla_one_point(S, m, v, X):
+    """The direct-formula nabla as it was computed one point at a time, before
+    its stacked form: term 1 a directional_derivative of the section, term 2
+    one directional difference of mu(.) v from the unit arrow."""
+    term1 = directional_derivative(X, m, v)
+    term2 = directional_derivatives(
+        lambda G: np.stack([mu @ v for mu in S.mu_many(G)]), S.model.unit(m), X(m)[None])
+    return term1 - term2[0]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_direct_nabla_equals_its_one_point_form(name, jacobians):
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nab = infinitesimalize(S, "direct-formula")
+    rng = np.random.default_rng(43)
+    X = random_section(model, rng)
+    for v in (rng.uniform(-1.0, 1.0, size=model.n), np.zeros(model.n)):
+        m = sample_base_point(model, rng)
+        assert np.array_equal(nab(m, v, X).vec, _direct_nabla_one_point(S, m, v, X))
 
 
 def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):

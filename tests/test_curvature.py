@@ -1,16 +1,20 @@
 import dataclasses
 import importlib
+import itertools
 
 import numpy as np
 import pytest
 from pytest import raises
 
 from cartanlab.chartcalc import directional_derivative, jacobian_fd
-from cartanlab.connection import CartanConnection, infinitesimalize
+from cartanlab.connection import AlgebroidConnection, CartanConnection, infinitesimalize
 from cartanlab.curvature import (
     CURV_FD_STEP,
+    GRID_RADIUS,
     _jacobi_residual,
+    _transport_matrices,
     _transport_matrix,
+    connection_matrices,
     connection_matrix,
     curvature,
     flatness_experiment,
@@ -215,17 +219,22 @@ def _l_path(m0, corner):
 
 
 def test_transport_evaluates_coefficients_once_per_node(zoo, monkeypatch):
+    # one stacked coefficient call per RK4 node, whatever the number of members
     _, nab, m0, frame = _transport_setup(zoo, "isojet-sphere")
     calls = []
 
     def counting(*args):
-        calls.append(args)
-        return connection_matrix(*args)
+        calls.append(len(args[3]))
+        return connection_matrices(*args)
 
-    monkeypatch.setattr(curvature_mod, "connection_matrix", counting)
+    monkeypatch.setattr(curvature_mod, "connection_matrices", counting)
     m1 = m0 + 0.15
     _transport_matrix(nab, frame, frame.rank, lambda t: m0 + t * (m1 - m0), steps=16)
-    assert len(calls) == 2 * 16 + 1
+    assert calls == [1] * (2 * 16 + 1)
+    ends = m0 + np.array([[0.15, 0.15], [-0.1, 0.05], [0.0, 0.2]])
+    del calls[:]
+    _transport_matrices(nab, frame, frame.rank, lambda t: m0 + t * (ends - m0), steps=16)
+    assert calls == [3] * (2 * 16 + 1)
 
 
 @pytest.mark.parametrize("name", ["isojet-sphere", "so3-sphere"])
@@ -241,13 +250,114 @@ def test_transport_matches_four_evaluation_rk4_exactly(zoo, name):
         assert np.array_equal(new, old)
 
 
+@pytest.mark.parametrize("name", ["isojet-sphere", "so3-sphere", "pair-R2"])
+def test_transport_matrices_rows_equal_the_four_evaluation_transport(zoo, name):
+    # radial paths, a zero-length one among them, and the two L-paths
+    model, nab, m0, frame = _transport_setup(zoo, name)
+    r = frame.rank
+    ends = m0 + np.array([[0.2, -0.1], [-0.15, 0.05], [0.0, 0.0]])
+    Y = _transport_matrices(nab, frame, r, lambda t: m0 + t * (ends - m0))
+    for a, end in enumerate(ends):
+        path = lambda t: m0 + t * (end - m0)
+        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, r, path))
+    assert np.array_equal(Y[2], np.eye(r))
+    corner = m0 + 0.2
+    paths = [_l_path(m0, corner), _l_path(m0[::-1], corner[::-1])]
+    flipped = lambda t: paths[1](t)[::-1]  # the L-path along the last axis first
+    Y = _transport_matrices(nab, frame, r, lambda t: np.stack([paths[0](t), flipped(t)]))
+    for a, path in enumerate((paths[0], flipped)):
+        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, r, path))
+
+
 def test_transport_raises_on_non_finite_coefficients(zoo, monkeypatch):
     _, nab, m0, frame = _transport_setup(zoo, "isojet-sphere")
     r = frame.rank
-    monkeypatch.setattr(curvature_mod, "connection_matrix",
-                        lambda *args: np.full((r, r), np.nan))
+    monkeypatch.setattr(curvature_mod, "connection_matrices",
+                        lambda nabla, frame, rank, M, W: np.full((len(M), r, r), np.nan))
     with raises(NonFiniteError):
         _transport_matrix(nab, frame, r, lambda t: m0 + t * 0.1)
+    with raises(NonFiniteError):
+        _transport_matrices(nab, frame, r, lambda t: m0 + t * np.array([[0.1, 0.0], [0.0, 0.1]]))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_connection_matrices_rows_equal_connection_matrix(name, jacobians):
+    # random stacks, a zero direction among them, and non-contiguous views
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    nab = infinitesimalize(S, "direct-formula")
+    rng = np.random.default_rng(41)
+    n = model.n
+    M = np.stack([sample_base_point(model, rng) for _ in range(4)])
+    W = rng.uniform(-1.0, 1.0, size=(4, n))
+    W[1] = 0.0
+    frame = aligned_frame(model, M[0])
+    r = frame.rank
+    wide = np.concatenate([M, W], axis=1)
+    for Ms, Ws in ((M, W), (wide[:, :n], wide[:, n:]), (M[::-2], W[::-2])):
+        G = connection_matrices(nab, frame, r, Ms, Ws)
+        assert G.shape == (len(Ms), r, r)
+        for a in range(len(Ms)):
+            assert np.array_equal(G[a], connection_matrix(nab, frame, r, Ms[a], Ws[a]))
+    assert not connection_matrices(nab, frame, r, M, W)[1].any()
+
+
+def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
+    # the two L-paths, the parallelism stencils with their centres, the anchor
+    # probes and the anchor samples each take one stacked transport; the
+    # bracket at m0 reads the sections one point at a time, 5 points missing
+    # the memo, each a batch of one
+    model, S = zoo("isojet-sphere")
+    members, singles = [], []
+    transport_matrices, transport_matrix = _transport_matrices, _transport_matrix
+
+    def counting_many(nabla, frame, rank, path_many, steps=16):
+        members.append(len(path_many(0.0)))
+        return transport_matrices(nabla, frame, rank, path_many, steps)
+
+    def counting_one(*args, **kwargs):
+        singles.append(1)
+        return transport_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(curvature_mod, "_transport_matrices", counting_many)
+    monkeypatch.setattr(curvature_mod, "_transport_matrix", counting_one)
+    m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
+    assert len(singles) == 5 and members.count(1) == 5
+    assert [k for k in members if k > 1] == [2, 45, 4 * 5, 5]
+
+
+@pytest.mark.parametrize("name", ["isojet-sphere", "pair-R1"])
+def test_parallelism_probes_reach_both_ends_of_every_axis(zoo, monkeypatch, name):
+    # the parallelism check differentiates the parallel sections (xi) at the
+    # 3^n grid points whose coordinates are m0 and m0 +- GRID_RADIUS, along
+    # every coordinate direction
+    model, S = zoo(name)
+    n = model.n
+    seen = []
+    nabla_rows = AlgebroidConnection.nabla_rows
+
+    def recording(self, M, V, sections, values_many=None):
+        if sections[0].__name__ == "xi":
+            seen.append((np.array(M), np.array(V)))
+        return nabla_rows(self, M, V, sections, values_many)
+
+    monkeypatch.setattr(AlgebroidConnection, "nabla_rows", recording)
+    m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=1)
+    [(M, V)] = seen
+    offsets = (M - m0) / GRID_RADIUS
+    assert np.allclose(offsets, np.round(offsets), rtol=0.0, atol=1e-12)
+    lattice = sorted(itertools.product((-1, 0, 1), repeat=n))
+    assert sorted(set(map(tuple, np.round(offsets).astype(int)))) == lattice
+    for i in range(n):
+        assert M[:, i].min() == pytest.approx(m0[i] - GRID_RADIUS, abs=1e-12)
+        assert M[:, i].max() == pytest.approx(m0[i] + GRID_RADIUS, abs=1e-12)
+    # each point along each coordinate direction, once
+    assert len(M) == len(lattice) * n and np.array_equal(V, np.tile(np.eye(n), (len(lattice), 1)))
 
 
 def test_jacobi_residual_reports_nan_as_infinite():
@@ -258,9 +368,11 @@ def test_jacobi_residual_reports_nan_as_infinite():
 
 
 def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
-    # fresh isojet-sphere: each connection_matrix evaluates its stencil jets
-    # in one batched call, n + 2 n^2 = 10 per curvature, and the frame's
-    # point memo serves the repeated stencil points (without it: 102)
+    # fresh isojet-sphere: Gamma at m and at the 2n stencil points take one
+    # connection_matrices call each, and each evaluates its stencil jets in
+    # one batched call, 2 per curvature (n + 2 n^2 = 10 one point at a time);
+    # the frame's point memo serves the repeated stencil points (without it:
+    # 102 Tsrc)
     from cartanlab.groupoid import GroupoidModel
     from cartanlab.models import isojet, make_model
 
@@ -279,7 +391,7 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     monkeypatch.setattr(isojet, "prolongation_jets", counted_jets)
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
-    assert calls == {"prolongation_jets": 10, "Tsrc": 26}
+    assert calls == {"prolongation_jets": 2, "Tsrc": 26}
 
 
 def _all_nan_jets(S):
@@ -357,7 +469,7 @@ def test_reconstruction_refuses_a_nan_curvature(zoo):
     model, S = zoo("pair-R2")
     nan_nabla = dataclasses.replace(
         infinitesimalize(S),
-        nabla_batch=lambda m, v, sections: np.full((model.N, len(sections)), np.nan))
+        nabla_batch=lambda M, V, values_many: np.full(values_many(M).shape, np.nan))
     with raises(FlatnessError, match="curvature nan"):
         reconstruct_action(nan_nabla, np.zeros(2), sample_count=1)
 
@@ -366,8 +478,8 @@ def test_reconstruction_refuses_a_nan_holonomy(zoo, monkeypatch):
     # no RK4 transport returns NaN (rk4 raises first), so the NaN transport
     # matrix is planted
     _, S = zoo("pair-R2")
-    monkeypatch.setattr(curvature_mod, "_transport_matrix",
-                        lambda nabla, frame, rank, path: np.full((rank, rank), np.nan))
+    monkeypatch.setattr(curvature_mod, "_transport_matrices",
+                        lambda nabla, frame, rank, path_many: np.full((2, rank, rank), np.nan))
     with raises(FlatnessError, match="holonomy"):
         reconstruct_action(infinitesimalize(S), np.zeros(2), sample_count=1)
 

@@ -14,7 +14,10 @@ printed as
 with the value from OTHER_CHECKOUT first and the value from this checkout
 second (max_error as repr, so any change in the last bit shows). A check that
 only one side has is printed with "absent" on the other. Without workloads,
-every workload this checkout's perfbench/workloads.py lists is compared.
+every workload this checkout's perfbench/workloads.py lists is compared. The
+pseudo-workload all-pairs compares the reports report_digests.py digests
+under that name, every experiment on every model it accepts, labelled
+"all-pairs seed S EXPERIMENT/MODEL"; name it to have it compared.
 Exits 0 when nothing moved, 1 when something did, and 2 on bad arguments or
 when a side fails to run.
 """
@@ -26,8 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from report_digests import ALL_PAIRS, BLAS_THREAD_VARS, all_pairs_reports
+
 ROOT = Path(__file__).resolve().parent.parent
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -46,11 +50,15 @@ def dump(root: str, seeds: str, names: list[str]) -> int:
 
     for seed in parse_seeds(seeds):
         for name in names:
-            for task in workloads.build_tasks(name, seed):
-                report = workloads.run_task(task)
+            if name == ALL_PAIRS:
+                labelled = ((f"{r.experiment}/{r.model}", r) for r in all_pairs_reports(seed))
+            else:
+                labelled = ((task.label, workloads.run_task(task))
+                            for task in workloads.build_tasks(name, seed))
+            for label, report in labelled:
                 checks = {c.name: [repr(float(c.max_error)), bool(c.passed)]
                           for c in report.checks}
-                print(json.dumps({"label": f"{name} seed {seed} {task.label}", "checks": checks}),
+                print(json.dumps({"label": f"{name} seed {seed} {label}", "checks": checks}),
                       flush=True)
     return 0
 
@@ -77,11 +85,11 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    known = [*workloads.WORKLOADS, ALL_PAIRS]
     names = names or list(workloads.WORKLOADS)
-    unknown = [n for n in names if n not in workloads.WORKLOADS]
+    unknown = [n for n in names if n not in known]
     if unknown:
-        print(f"unknown workload(s) {unknown}; known: {list(workloads.WORKLOADS)}",
-              file=sys.stderr)
+        print(f"unknown workload(s) {unknown}; known: {known}", file=sys.stderr)
         return 2
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
     results = []
