@@ -13,16 +13,17 @@ from cartanlab.groupoid import aligned_frame
 from cartanlab.models import MODELS, make_model
 
 rng = np.random.default_rng(3)
+TOLERANCE = 1e-7  # the multiplicativity bar of the lab's experiments
 
 print("=" * 72)
 print("Multiplicativity of every shipped connection (50 oracle samples each)")
 print("=" * 72)
 for name in sorted(MODELS):
     model, S = make_model(name)
-    rep = check_multiplicative(S, seed=4, count=50)
+    error = check_multiplicative(S, seed=4, count=50)
     unital = check_unital(S, rng)
-    print(f"  {name:18s} max error {rep.max_error:.2e}   unital {unital:.2e}   "
-          f"verified={rep.passed}")
+    print(f"  {name:18s} max error {error:.2e}   unital {unital:.2e}   "
+          f"verified={error <= TOLERANCE}")
 
 print()
 print("=" * 72)
@@ -39,6 +40,6 @@ def faulted(g):
 
 
 bad = CartanConnection(model, faulted, name="faulted")
-rep = check_multiplicative(bad, seed=4, count=50)
-print(f"  faulted connection: max error {rep.max_error:.2e} "
-      f"(fails the 1e-7 bar by ~{rep.max_error / 1e-7:.0e}x)")
+error = check_multiplicative(bad, seed=4, count=50)
+print(f"  faulted connection: max error {error:.2e} "
+      f"(fails the 1e-7 bar by ~{error / TOLERANCE:.0e}x)")

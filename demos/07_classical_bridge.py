@@ -35,9 +35,8 @@ print("generator axiom:   ", f"{errs['generator']:.2e}")
 print("equivariance axiom:", f"{errs['equivariance']:.2e}")
 
 model, S = classical_to_groupoid(cc)
-rep = check_multiplicative(S, seed=6, count=40)
-print("induced gauge-groupoid connection is multiplicative:",
-      f"{rep.max_error:.2e}")
+error = check_multiplicative(S, seed=6, count=40)
+print("induced gauge-groupoid connection is multiplicative:", f"{error:.2e}")
 
 print()
 print("round trip through a source fibre:")

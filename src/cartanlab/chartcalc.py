@@ -167,19 +167,18 @@ def _unit_directions(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def directional_derivative(func: Callable, x: np.ndarray, v: np.ndarray,
                            h: float = FD_STEP) -> np.ndarray:
     """Central-difference derivative of func at x along direction v, with the
-    step taken along v / max|v|."""
-    x = np.asarray(x, dtype=float)
-    scale, u = _unit_directions(np.asarray(v, dtype=float))
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(func(x), dtype=float))
-    return scale * deriv_at_zero(lambda s: func(x + s * u), h)
+    step taken along v / max|v|: directional_derivatives' batch of one, func
+    evaluated at its two probes in turn."""
+    return directional_derivatives(lambda X: stacked(func, None, X), x,
+                                   np.asarray(v, dtype=float)[None], h)[0]
 
 
 def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
                             h: float = FD_STEP) -> np.ndarray:
-    """directional_derivative of func at x along each row of V, with func_many
-    evaluating func on a stack of points in one call: row a of the result is
-    directional_derivative(func, x, V[a], h) bit for bit, when func_many's
+    """Central-difference derivatives of func at x along each row of V, with
+    func_many evaluating func on a stack of points in one call, each step
+    taken along v / max|v|; a zero direction gives zero and takes no probe.
+    Row a depends on V[a] (and x[a]) alone, bit for bit, when func_many's
     rows are func's values. x is one point for every direction, or a stack
     x[k, dim] of one base point per direction. All 2k probes go to func_many
     together, the forward steps first."""
@@ -252,14 +251,14 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def memo_by_point(func: Callable[[np.ndarray], object], size: int | None = None,
+def memo_by_point(func: Callable[[np.ndarray], object], size: int,
                   func_many: Callable[[np.ndarray], np.ndarray] | None = None) -> Callable:
     """func, evaluated once per point: the value is kept under the bytes of
     the point as a float64 array and returned as func gave it, except that an
     ndarray value is handed out as a read-only view, so no caller can change
-    what the next caller at that point gets. With a size, the memo is cleared
-    when it holds size points, before the next is stored. Bytes are exact, so
-    points that differ only in the sign of a zero are different keys.
+    what the next caller at that point gets. The memo is cleared when it holds
+    size points, before the next is stored. Bytes are exact, so points that
+    differ only in the sign of a zero are different keys.
 
     The memo's .many(X) gives the values at the rows of a stack X[k, dim],
     stacked: hits come from the memo, and the misses, each distinct point
@@ -270,7 +269,7 @@ def memo_by_point(func: Callable[[np.ndarray], object], size: int | None = None,
     def store(key, out):
         if isinstance(out, np.ndarray):
             out = read_only(out)
-        if size is not None and len(seen) >= size:
+        if len(seen) >= size:
             seen.clear()
         seen[key] = out
         return out
@@ -376,11 +375,12 @@ def flow(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t: float,
 
 
 def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
-                      v0: np.ndarray, t: float | np.ndarray,
+                      v0: np.ndarray, t: np.ndarray,
                       steps: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 flows of (x, v) under the variational system dv/dt = Df(x) v, for a
     stack of members in one integration: member a flows from x0[a] with the
-    tangent v0[a] for its own time t[a], in the shared step count.
+    tangent v0[a] for its own time t[a], in the shared step count: x0[k, n],
+    v0[k, n] and t[k].
 
     field(X) gives the field at each row of X[k, n], and field_jvp(X, V) the
     products Df(X[a]) V[a]. At every stage field_jvp is called first and then
@@ -394,15 +394,9 @@ def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
     The field is autonomous, so member a runs from -t[a] to 0, in steps of
     exactly t[a]/steps, the steps of a flow from 0 to t[a]: row a equals the
     member's flow alone bit for bit when the callables' rows do not depend on
-    the other rows. One point x0[n] with a scalar t and single-point callables
-    is the batch of one.
+    the other rows.
     """
-    one = np.ndim(x0) == 1
-    if one:
-        field_at, jvp_at = field, field_jvp
-        field = lambda X: np.asarray(field_at(X[0]), dtype=float)[None]
-        field_jvp = lambda X, V: np.asarray(jvp_at(X[0], V[0]), dtype=float)[None]
-    x0, v0 = np.atleast_2d(x0, v0)
+    x0, v0 = np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)
     n = x0.shape[1]
 
     def rhs(_, Y):
@@ -410,9 +404,8 @@ def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
         jvps = np.asarray(field_jvp(X, Y[:, n:]), dtype=float)
         return np.concatenate([np.asarray(field(X), dtype=float), jvps], axis=1)
 
-    Y = rk4(rhs, np.concatenate([x0, v0], axis=1), -np.atleast_1d(np.asarray(t, dtype=float)),
-            0.0, steps)
-    return (Y[0, :n], Y[0, n:]) if one else (Y[:, :n], Y[:, n:])
+    Y = rk4(rhs, np.concatenate([x0, v0], axis=1), -np.asarray(t, dtype=float), 0.0, steps)
+    return Y[:, :n], Y[:, n:]
 
 
 def metric_partials(m: MetricChart, x: np.ndarray) -> np.ndarray:
@@ -436,7 +429,7 @@ def christoffel(m: MetricChart, x: np.ndarray) -> np.ndarray:
     """
     G = m(np.asarray(x, dtype=float))
     det = np.linalg.det(G)
-    if abs(det) < 1e-12:
+    if not abs(det) >= 1e-12:  # a NaN determinant is singular too
         raise SingularMetricError(f"metric singular at {x} (det={det:.3e})")
     Ginv = np.linalg.inv(G)
     dG = metric_partials(m, x)

@@ -318,33 +318,33 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         lambda m: _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0)),
         TRANSPORT_CACHE_SIZE, func_many=radial)
 
-    def section(a):
-        def xi(m):
-            return frame(m) @ transport_to(m)[:, a]
-
-        return xi
-
-    sections = [section(a) for a in range(r)]
-
     def section_rows(P):
-        # per row of P, the values of every section there, each as xi computes it
-        return [[frame(p) @ T[:, a] for a in range(r)] for p, T in zip(P, transport_to.many(P))]
+        # per row of P, the values of every section there
+        T = transport_to.many(P)
+        return [[K @ T[i, :, a] for a in range(r)] for i, K in enumerate(map(frame, P))]
 
     def sections_many(P):  # (len(P), N, r)
         return np.array([np.stack(xs, axis=1) for xs in section_rows(P)])
 
+    def fields_many(P):  # (len(P), r, n): row [p, a] is the anchor of section a at P[p]
+        return np.array([[model.Ttgt(model.unit(p)) @ x for x in xs]
+                         for p, xs in zip(P, section_rows(P))])
+
+    # each section and action field at one point is the stacked form's batch of one
+    def section(a):
+        def xi(m):
+            return sections_many(np.asarray(m, dtype=float)[None])[0, :, a]
+
+        return xi
+
     def action_field(a):
         def dagger(m):
-            m = np.asarray(m, dtype=float)
-            return model.Ttgt(model.unit(m)) @ sections[a](m)
+            return fields_many(np.asarray(m, dtype=float)[None])[0, a]
 
         return dagger
 
+    sections = [section(a) for a in range(r)]
     fields = [action_field(a) for a in range(r)]
-
-    def fields_many(P):  # (len(P), r, n): row [p, a] is fields[a](P[p])
-        return np.array([[model.Ttgt(model.unit(p)) @ x for x in xs]
-                         for p, xs in zip(P, section_rows(P))])
 
     # structure constants from the bracket at m0 (transport matrix there = id)
     K0 = frame(m0)

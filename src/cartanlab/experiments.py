@@ -302,7 +302,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
 def run_multiplicativity(model, S, config, count) -> list[Check]:
     checks = _Checks(model, config)
     checks.declare("multiplicative", count, 1e-7)(
-        check_multiplicative(S, seed=config.seed, count=count).max_error)
+        check_multiplicative(S, seed=config.seed, count=count))
     checks.declare("unital", UNITAL_SAMPLES, 1e-9)(
         check_unital(S, np.random.default_rng(config.seed)))
     return checks.build()
@@ -468,8 +468,7 @@ def run_riemannian(model, S, config, count) -> list[Check]:
             continue
         Tphi = model.Ttgt(j.g.coords) @ j.mu
         compatibility(Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source))
-    multiplicative(check_multiplicative(S, seed=config.seed,
-                                        count=multiplicative_samples).max_error)
+    multiplicative(check_multiplicative(S, seed=config.seed, count=multiplicative_samples))
     flat = flatness_experiment(S, seed=config.seed, count=flatness_samples)
     expect_flat = EXPECTED_FLAT.get(config.model, True)
     verdict(0.0 if flat.agreement and flat.flat == expect_flat else 1.0)

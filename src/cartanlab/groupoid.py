@@ -94,7 +94,8 @@ class GroupoidModel:
 
     The optional *_many hooks are stacked forms, row a of mul_many(G, H) being
     mul(G[a], H[a]) bit for bit; stacked() loops where one is missing.
-    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks.
+    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks. There is no
+    stacked retract_tgt: no stacked path retracts onto a target.
     """
 
     name: str
@@ -119,7 +120,6 @@ class GroupoidModel:
     mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     inv_many: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     mul_jac_many: Callable[[np.ndarray, np.ndarray],
                            tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -207,7 +207,7 @@ def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
 
 def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
     """The fields side, retract_side (writes m into the arrow coordinates index)
-    with its _many and constant, read-only _jac; the other coordinates and their embedding."""
+    and its constant, read-only _jac; the other coordinates and their embedding."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
     side_jac, rest_emb = eye[index], eye[:, rest]
@@ -220,24 +220,25 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
         g[index] = m
         return g
 
-    def retract_many(G, M):
-        G = np.array(G, dtype=float)
-        G[:, index] = M
-        return G
-
     side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=lambda g: side_jac,
                         eval_many=lambda G: G[:, index])
-    return ({side: side_map, f"retract_{side}": retract, f"retract_{side}_many": retract_many,
+    return ({side: side_map, f"retract_{side}": retract,
              f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
 
 
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
     arrow coordinates src_index: src, retract_src(_jac) as _coordinate_slot gives
-    them, arrow_with_source (the other coordinates uniform in their domain_box
-    rows) and src_fiber_chart (the other coordinates, the source held at m0)."""
+    them, retract_src_many, arrow_with_source (the other coordinates uniform in
+    their domain_box rows) and src_fiber_chart (the other coordinates, the
+    source held at m0)."""
     fields, rest, rest_emb = _coordinate_slot(N, src_index, "src")
     low, high = domain_box[rest].T
+
+    def retract_many(G, M):
+        G = np.array(G, dtype=float)
+        G[:, src_index] = M
+        return G
 
     def place(others, m):
         g = np.empty(N)
@@ -249,7 +250,8 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
         return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=lambda u: rest_emb),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
-    return dict(fields, arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
+    return dict(fields, retract_src_many=retract_many,
+                arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
                 src_fiber_chart=fiber_chart)
 
 
@@ -313,22 +315,12 @@ def anchor(model: GroupoidModel, X: AlgebroidVec) -> np.ndarray:
     return model.Ttgt(model.unit(X.base)) @ X.vec
 
 
-def right_invariant_field(model: GroupoidModel,
-                          X: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Right-invariant extension of a section X of the algebroid: the field
-    X^R(g) = T R_g . X(tgt(g)) as a callable on chart points of G, the batch
-    of one of right_invariant_many."""
-
-    def field_at(coords: np.ndarray) -> np.ndarray:
-        return right_invariant_many(model, X, np.asarray(coords, dtype=float)[None])[0]
-
-    return field_at
-
-
 def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndarray],
                          G: np.ndarray) -> np.ndarray:
-    """X^R at each arrow of a stack G[k, N]: row a is right_translate of X(tgt(G[a]))
-    by G[a] at the unit over tgt(G[a]), bit for bit. The section is evaluated
+    """The right-invariant extension X^R(g) = T R_g . X(tgt(g)) of a section X
+    of the algebroid at each arrow of a stack G[k, N]: row a is right_translate
+    of X(tgt(G[a])) by G[a] at the unit over tgt(G[a]), bit for bit, and a
+    stack of one row is the field at one arrow. The section is evaluated
     row by row; the structure maps take the stack through their stacked forms
     where the model gives them. Raises CompositionError like right_translate."""
     G = np.asarray(G, dtype=float)

@@ -87,7 +87,7 @@ def aut_mul(psi: KernelHom, phi: KernelHom) -> KernelHom:
 def aut_inv(phi: KernelHom) -> KernelHom:
     """Kernel inversion phi -> -phi . (phi_tm)^-1."""
     ptm = phi.phi_tm
-    if abs(np.linalg.det(ptm)) < DET_TOL:
+    if not abs(np.linalg.det(ptm)) >= DET_TOL:  # a NaN determinant is singular too
         raise SingularError("phi_tm singular; element lies outside the kernel group")
     return KernelHom(phi.model, phi.m, -phi.phi @ np.linalg.inv(ptm))
 
@@ -184,7 +184,7 @@ def adjoint(model: GroupoidModel, mu: Jet1, x):
 def jet_invert(model: GroupoidModel, mu: Jet1) -> Jet1:
     """Closed-form jet inversion: mu^-1(v) = T I . mu(Ad_mu^-1 v)."""
     A = adjoint_tm(model, mu)
-    if abs(np.linalg.det(A)) < DET_TOL:
+    if not abs(np.linalg.det(A)) >= DET_TOL:  # a NaN determinant is singular too
         raise SingularError("jet's TM-action is singular")
     Ainv = np.linalg.inv(A)
     cols = [inv_tangent(model, mu.g, mu.mu @ Ainv[:, j]) for j in range(model.n)]
@@ -223,7 +223,7 @@ def jet_decompose(model: GroupoidModel, nu: Jet1, S) -> tuple[Arrow, KernelHom]:
     g = nu.g
     mu = S(g)
     A = adjoint_tm(model, mu)
-    if abs(np.linalg.det(A)) < DET_TOL:
+    if not abs(np.linalg.det(A)) >= DET_TOL:  # a NaN determinant is singular too
         raise SingularError("horizontal jet's TM-action is singular")
     Ainv = np.linalg.inv(A)
     ginv = model.arrow(model.inv(g.coords))

@@ -16,14 +16,11 @@ from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot
 from .rotations import (
     J2,
-    compose_so3,
-    compose_so3_jac,
     compose_so3_jac_many,
     compose_so3_many,
-    exp_so3,
     exp_so3_many,
-    jl,
     hat,
+    jl_many,
     rot2,
     rot2_many,
 )
@@ -35,7 +32,9 @@ SO3_W_MAX = 0.5  # half-width of the rotation-vector box of SO(3)
 
 @dataclass(frozen=True)
 class GroupChart:
-    """A matrix-group chart: composition/inverse in coordinates, jacobians, stacked forms."""
+    """A matrix-group chart: composition/inverse in coordinates, jacobians, and
+    the stacked forms of composition, inverse and composition jacobian, row a
+    of each equal to the single-point call bit for bit."""
 
     dim: int
     compose: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -43,19 +42,19 @@ class GroupChart:
     compose_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     inverse_jac: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
-    compose_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    inverse_many: Callable[[np.ndarray], np.ndarray] | None = None
-    compose_jac_many: Callable[[np.ndarray, np.ndarray],
-                               tuple[np.ndarray, np.ndarray]] | None = None
+    compose_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    inverse_many: Callable[[np.ndarray], np.ndarray]
+    compose_jac_many: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
 class ActionChart:
-    """A smooth left action act(a, m) with jacobians in both slots."""
+    """A smooth left action act(a, m) with jacobians in both slots, and its
+    stacked form act_many(A, M), row a equal to act(A[a], M[a]) bit for bit."""
 
     act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     act_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    act_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    act_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.ndarray,
@@ -74,23 +73,12 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         Da, Dm = action.act_jac(g[:k], g[k:])
         return np.hstack([Da, Dm])
 
+    def tgt_many(G):
+        return action.act_many(G[:, :k], G[:, k:])
+
     unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]),
                     jacobian=lambda m: np.vstack([Zkn, In]),
                     eval_many=lambda M: np.concatenate([np.zeros((len(M), k)), M], axis=1))
-    many, tgt_many = {}, None  # stacked forms if the group and action give theirs
-    act_many, inverse_many = action.act_many, group.inverse_many
-    if None not in (act_many, inverse_many, group.compose_many):
-        def tgt_many(G):
-            return act_many(G[:, :k], G[:, k:])
-
-        many = dict(mul_many=lambda G, H: np.concatenate(
-                        [group.compose_many(G[:, :k], H[:, :k]), H[:, k:]], axis=1),
-                    inv_many=lambda G: np.concatenate([inverse_many(G[:, :k]), tgt_many(G)], 1),
-                    retract_tgt_many=lambda G, M: np.concatenate(
-                        [G[:, :k], act_many(inverse_many(G[:, :k]), M)], axis=1))
-    if group.compose_jac_many is not None:
-        many["mul_jac_many"] = lambda G, H: _mul_jac_blocks(
-            *group.compose_jac_many(G[:, :k], H[:, :k]), N, (len(G),))
     tgt = ChartMap(N, n, tgt_eval, jacobian=tgt_jac, eval_many=tgt_many)
 
     def mul(g, h):
@@ -140,8 +128,12 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         mul_jac=mul_jac,
         inv_jac=inv_jac,
         retract_tgt_jac=retract_tgt_jac,
+        mul_many=lambda G, H: np.concatenate(
+            [group.compose_many(G[:, :k], H[:, :k]), H[:, k:]], axis=1),
+        inv_many=lambda G: np.concatenate([group.inverse_many(G[:, :k]), tgt_many(G)], 1),
+        mul_jac_many=lambda G, H: _mul_jac_blocks(
+            *group.compose_jac_many(G[:, :k], H[:, :k]), N, (len(G),)),
         **source_slot(N, slice(k, N), domain_box),
-        **many,
     )
 
     mu_const = read_only(np.vstack([Zkn, In]))
@@ -165,28 +157,35 @@ def _mul_jac_blocks(D2: np.ndarray, D1: np.ndarray, N: int,
 # -- shipped groups/actions ---------------------------------------------------
 
 
+def _negate(a: np.ndarray) -> np.ndarray:
+    """-a, on one point or row by row on a stack."""
+    return -a
+
+
+def _add(a2: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """a1 + a2, for one pair of points or row by row for stacks: the
+    translation group's compose(a2, a1), and its action act(a, m) = m + a."""
+    return a1 + a2
+
+
 def translation_group(n: int) -> GroupChart:
     box = np.array([[-TRANSLATION_HALF_WIDTH, TRANSLATION_HALF_WIDTH]] * n)
     return GroupChart(
         dim=n,
-        compose=lambda a2, a1: a1 + a2,
-        inverse=lambda a: -a,
+        compose=_add,
+        inverse=_negate,
         compose_jac=lambda a2, a1: (np.eye(n), np.eye(n)),
         inverse_jac=lambda a: -np.eye(n),
         box=box,
-        compose_many=lambda A2, A1: A1 + A2,
-        inverse_many=lambda A: -A,
+        compose_many=_add,
+        inverse_many=_negate,
         compose_jac_many=lambda A2, A1: (np.broadcast_to(np.eye(n), (len(A2), n, n)),) * 2,
     )
 
 
 def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnection]:
     group = translation_group(n)
-    action = ActionChart(
-        act=lambda a, m: m + a,
-        act_jac=lambda a, m: (np.eye(n), np.eye(n)),
-        act_many=lambda A, M: M + A,
-    )
+    action = ActionChart(act=_add, act_jac=lambda a, m: (np.eye(n), np.eye(n)), act_many=_add)
     base_box = np.array([[-1.0, 1.0]] * n)
     return make_action_groupoid(group, action, base_box, name=f"translation-R{n}")
 
@@ -261,16 +260,23 @@ def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
 
 
 def so3_group() -> GroupChart:
+    """SO(3) in the rotation-vector chart; the single-point composition and
+    its jacobian are the stacked forms' batches of one."""
     box = np.array([[-SO3_W_MAX, SO3_W_MAX]] * 3)
+
+    def compose_jac(w2, w1):
+        D2, D1 = compose_so3_jac_many(w2[None], w1[None])
+        return D2[0], D1[0]
+
     return GroupChart(
         dim=3,
-        compose=compose_so3,
-        inverse=lambda w: -w,
-        compose_jac=compose_so3_jac,
+        compose=lambda w2, w1: compose_so3_many(w2[None], w1[None])[0],
+        inverse=_negate,
+        compose_jac=compose_jac,
         inverse_jac=lambda w: -np.eye(3),
         box=box,
         compose_many=compose_so3_many,
-        inverse_many=lambda W: -W,
+        inverse_many=_negate,
         compose_jac_many=compose_so3_jac_many,
     )
 
@@ -297,10 +303,6 @@ def unstereo_many(X: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * X[:, 0], 2.0 * X[:, 1], s - 1.0], axis=1) / (1.0 + s)[:, None]
 
 
-def stereo(u: np.ndarray) -> np.ndarray:
-    return np.array([u[0], u[1]]) / (1.0 - u[2])
-
-
 def stereo_jac(u: np.ndarray) -> np.ndarray:
     w = 1.0 - u[2]
     return np.array([[1.0 / w, 0.0, u[0] / w**2],
@@ -308,26 +310,24 @@ def stereo_jac(u: np.ndarray) -> np.ndarray:
 
 
 def make_so3_sphere_groupoid() -> tuple[GroupoidModel, CartanConnection]:
-    """Rotations of the sphere acting on a stereographic chart."""
+    """Rotations of the sphere acting on a stereographic chart; the
+    single-point action is act_many's batch of one."""
     group = so3_group()
-
-    def act(w, x):
-        return stereo(exp_so3(w) @ unstereo(x))
 
     def act_many(W, X):
         U = (exp_so3_many(W) @ unstereo_many(X)[..., None])[..., 0]
         return U[:, :2] / (1.0 - U[:, 2])[:, None]
 
     def act_jac(w, x):
-        R = exp_so3(w)
+        R = exp_so3_many(w[None])[0]
         u = unstereo(x)
         Ru = R @ u
         Ds = stereo_jac(Ru)
-        JL = jl(w)
+        JL = jl_many(w[None])[0]
         Dw = np.stack([Ds @ (hat(JL[:, kk]) @ Ru) for kk in range(3)], axis=1)
         Dx = Ds @ R @ unstereo_jac(x)
         return Dw, Dx
 
     base_box = np.array([[-0.7, 0.7], [-0.7, 0.7]])
-    return make_action_groupoid(group, ActionChart(act, act_jac, act_many), base_box,
-                                name="so3-sphere")
+    action = ActionChart(lambda w, x: act_many(w[None], x[None])[0], act_jac, act_many)
+    return make_action_groupoid(group, action, base_box, name="so3-sphere")

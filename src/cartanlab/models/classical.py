@@ -214,8 +214,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
             [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),
         inv_many=lambda G: np.concatenate(
             [h_act(sigma(G[:, k:]), h_inv(normal(G[:, :k]))), tgt_many(G)], axis=1),
-        retract_tgt_many=lambda G, M: np.concatenate(
-            [h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1),
         **source_slot(N, slice(k, N), domain_box),
     )
 

@@ -37,14 +37,15 @@ THETA_MAX = 0.7  # half-width of the theta row of the arrow box
 
 def chol2(G: np.ndarray) -> np.ndarray:
     """Closed-form lower Cholesky factor of a 2x2 SPD matrix, or of each
-    matrix of a stack G[..., 2, 2]."""
+    matrix of a stack G[..., 2, 2]. A NaN pivot is not positive, so NaN
+    entries raise MetricError too."""
     a, c, b = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
-    if (a <= 0.0).any():
+    if not (a > 0.0).all():
         raise MetricError("metric not positive definite")
     l11 = np.sqrt(a)
     l21 = c / l11
     rest = b - l21 * l21
-    if (rest <= 0.0).any():
+    if not (rest > 0.0).all():
         raise MetricError("metric not positive definite")
     L = np.zeros(np.shape(G))
     L[..., 0, 0] = l11

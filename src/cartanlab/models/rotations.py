@@ -6,6 +6,10 @@ inverses give the derivative of composition in the rotation-vector chart:
 for w3 = log(exp(w2) exp(w1)),
 
     d w3 / d w1 = J_r(w3)^-1 J_r(w1),    d w3 / d w2 = J_l(w3)^-1 J_l(w2).
+
+The SO(3) maps take stacks of rotation vectors w[k, 3] (or of matrices), and
+row a of each depends on row a alone, bit for bit: a batch of one is the
+single-point form.
 """
 
 import numpy as np
@@ -18,10 +22,6 @@ def hat(w: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
-def unhat(W: np.ndarray) -> np.ndarray:
-    return np.array([W[2, 1], W[0, 2], W[1, 0]])
-
-
 def hat_many(w: np.ndarray) -> np.ndarray:
     """hat of each row of w[k, 3], as H[k, 3, 3]."""
     H = np.zeros((len(w), 3, 3))
@@ -32,8 +32,9 @@ def hat_many(w: np.ndarray) -> np.ndarray:
 
 def _norms(w: np.ndarray) -> list[float]:
     """float(np.linalg.norm(w[a])) for each row of w[k, 3], bit for bit: the
-    square root of the row's dot product with itself, as the one-row norm
-    takes it (norm(axis=1) sums the squares in another order)."""
+    square root of the row's dot product with itself, as the norm of one row
+    takes it (norm(axis=1) sums the squares in another order, which would
+    move report values at roundoff)."""
     w = np.ascontiguousarray(w, dtype=float)
     return np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0]).tolist()
 
@@ -48,17 +49,9 @@ def _coeffs(theta: float) -> tuple[float, float, float]:
             (theta - np.sin(theta)) / theta**3)
 
 
-def exp_so3(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    a1, a2, _ = _coeffs(theta)
-    W = hat(w)
-    return np.eye(3) + a1 * W + a2 * (W @ W)
-
-
 def _quadratic_many(w: np.ndarray, coeffs) -> np.ndarray:
     """I + c1 W + c2 W^2 with W = hat(w[a]) and (c1, c2) = coeffs(|w[a]|), for
-    each row of w[k, 3]: the form of exp_so3, jl and jl_inv. The coefficients
+    each row of w[k, 3]: the form of exp, J_l and J_l^-1. The coefficients
     stay scalar Python per row, since array powers round differently from
     the scalar theta**2 and theta**3."""
     c = np.array([coeffs(theta) for theta in _norms(w)]).reshape(-1, 2, 1, 1)
@@ -67,7 +60,7 @@ def _quadratic_many(w: np.ndarray, coeffs) -> np.ndarray:
 
 
 def exp_so3_many(w: np.ndarray) -> np.ndarray:
-    """exp_so3 of each row of w[k, 3]; row a equals exp_so3(w[a]) bit for bit."""
+    """The rotation matrix exp(hat(w[a])) of each row of w[k, 3], by Rodrigues."""
     return _quadratic_many(w, lambda theta: _coeffs(theta)[:2])
 
 
@@ -80,32 +73,17 @@ def _log_factor(trace: float) -> float:
     return theta / (2.0 * np.sin(theta))
 
 
-def log_so3(R: np.ndarray) -> np.ndarray:
-    return _log_factor(np.trace(R)) * unhat(R - R.T)
-
-
 def log_so3_many(R: np.ndarray) -> np.ndarray:
-    """log_so3 of each matrix of R[k, 3, 3]; row a equals log_so3(R[a]) bit for bit."""
+    """The rotation vector of each matrix of R[k, 3, 3], principal branch."""
     R = np.asarray(R, dtype=float)
     factor = np.array([_log_factor(t) for t in np.trace(R, axis1=1, axis2=2).tolist()])
     D = R - np.swapaxes(R, 1, 2)
     return factor[:, None] * np.stack([D[:, 2, 1], D[:, 0, 2], D[:, 1, 0]], axis=1)
 
 
-def jl(w: np.ndarray) -> np.ndarray:
-    theta = float(np.linalg.norm(w))
-    _, a2, a3 = _coeffs(theta)
-    W = hat(w)
-    return np.eye(3) + a2 * W + a3 * (W @ W)
-
-
 def jl_many(w: np.ndarray) -> np.ndarray:
-    """jl of each row of w[k, 3]; row a equals jl(w[a]) bit for bit."""
+    """The left Jacobian J_l(w[a]) of each row of w[k, 3]; J_r(w) is J_l(-w)."""
     return _quadratic_many(w, lambda theta: _coeffs(theta)[1:])
-
-
-def jr(w: np.ndarray) -> np.ndarray:
-    return jl(-np.asarray(w, dtype=float))
 
 
 def _binv(theta: float) -> float:
@@ -114,41 +92,22 @@ def _binv(theta: float) -> float:
     return 1.0 / theta**2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
 
 
-def jl_inv(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    W = hat(w)
-    return np.eye(3) - 0.5 * W + _binv(theta) * (W @ W)
-
-
 def jl_inv_many(w: np.ndarray) -> np.ndarray:
-    """jl_inv of each row of w[k, 3]; row a equals jl_inv(w[a]) bit for bit
+    """J_l(w[a])^-1 of each row of w[k, 3], as I - 0.5 W + b(theta) W^2
     (I + (-0.5) W is I - 0.5 W exactly)."""
     return _quadratic_many(w, lambda theta: (-0.5, _binv(theta)))
 
 
-def jr_inv(w: np.ndarray) -> np.ndarray:
-    return jl_inv(-np.asarray(w, dtype=float))
-
-
-def compose_so3(w2: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """Rotation-vector of exp(w2) exp(w1), principal branch."""
-    return log_so3(exp_so3(w2) @ exp_so3(w1))
-
-
-def compose_so3_jac(w2: np.ndarray, w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w3 = compose_so3(w2, w1)
-    return jl_inv(w3) @ jl(w2), jr_inv(w3) @ jr(w1)
-
-
 def compose_so3_many(w2: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """compose_so3 of each pair of rows of w2[k, 3] and w1[k, 3], bit for bit."""
+    """The rotation vector of exp(w2[a]) exp(w1[a]) for each pair of rows of
+    w2[k, 3] and w1[k, 3], principal branch."""
     return log_so3_many(exp_so3_many(w2) @ exp_so3_many(w1))
 
 
 def compose_so3_jac_many(w2: np.ndarray,
                          w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """compose_so3_jac of each pair of rows, as stacks of the two blocks, bit for bit."""
+    """The jacobians of compose_so3_many in w2 and in w1 at each pair of rows,
+    as stacks of the two blocks J_l(w3)^-1 J_l(w2) and J_r(w3)^-1 J_r(w1)."""
     w3 = compose_so3_many(w2, w1)
     return (jl_inv_many(w3) @ jl_many(w2),
             jl_inv_many(-w3) @ jl_many(-np.asarray(w1, dtype=float)))

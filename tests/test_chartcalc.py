@@ -24,7 +24,7 @@ from cartanlab.chartcalc import (
     worst_case_min,
 )
 from cartanlab.errors import DomainError, NonFiniteError, SingularMetricError
-from cartanlab.groupoid import right_invariant_field
+from cartanlab.groupoid import right_invariant_many
 from cartanlab.models.actions import se2_group
 from cartanlab.models.metrics import euclidean_metric, sphere_metric
 from cartanlab.models.pair import make_pair_groupoid
@@ -113,7 +113,10 @@ def test_flow_right_invariant_translation_field():
     # integrates to the closed-form translation flow
     model, _ = make_pair_groupoid(np.array([[-2.0, 2.0]]))
     c = 0.37
-    field = right_invariant_field(model, lambda m: np.array([c, 0.0]))
+
+    def field(g):
+        return right_invariant_many(model, lambda m: np.array([c, 0.0]), g[None])[0]
+
     g0 = np.array([0.2, -0.1])
     out = flow(field, g0, 1.5, steps=150)
     assert np.max(np.abs(out - np.array([g0[0] + 1.5 * c, g0[1]]))) < 1e-8
@@ -147,7 +150,9 @@ def test_flow_with_tangent_rotation_closed_form():
     # f(x) = A x rotates the plane, so both x and v rotate by angle t
     A = np.array([[0.0, -1.0], [1.0, 0.0]])
     x0, v0, t = np.array([0.3, -0.2]), np.array([0.5, 0.7]), 1.3
-    x, v = flow_with_tangent(lambda x: A @ x, lambda x, v: A @ v, x0, v0, t, steps=200)
+    X, V = flow_with_tangent(lambda X: X @ A.T, lambda X, V: V @ A.T, x0[None], v0[None],
+                             np.array([t]), steps=200)
+    x, v = X[0], V[0]
     c, s = np.cos(t), np.sin(t)
     R = np.array([[c, -s], [s, c]])
     assert np.max(np.abs(x - R @ x0)) < 1e-9
@@ -205,13 +210,20 @@ def test_christoffel_singular_metric():
         christoffel(degenerate, np.zeros(2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_christoffel_refuses_a_nan_metric():
+    # abs(nan) < tol is False: the guard returned all-NaN symbols
+    with raises(SingularMetricError):
+        christoffel(MetricChart(2, lambda x: np.full((2, 2), np.nan)), np.zeros(2))
+
+
 def test_worst_case_accumulators_read_nan_as_the_failing_extreme():
     nan = float("nan")
     assert worst_case(0.5, 0.25) == 0.5 and worst_case(0.5, nan) == np.inf
     assert worst_case_min(0.5, 0.25) == 0.25 and worst_case_min(0.5, nan) == -np.inf
 
 
-def _counted_memo(size=None):
+def _counted_memo(size=8):
     calls = []
 
     def func(x):
@@ -253,19 +265,9 @@ def test_memo_by_point_holds_size_points_then_clears():
     assert len(calls) == k + 2
 
 
-def test_memo_by_point_without_size_never_clears():
-    memo, calls = _counted_memo()
-    points = [np.array([float(i), 1.0]) for i in range(5000)]
-    for p in points:
-        memo(p)
-    for p in points:
-        memo(p)
-    assert len(calls) == len(points)
-
-
 def test_memo_by_point_hands_out_read_only_arrays():
     stored = np.array([1.0, 2.0])
-    memo = memo_by_point(lambda x: stored)
+    memo = memo_by_point(lambda x: stored, 1)
     out = memo(np.zeros(1))
     with raises(ValueError):
         out[0] = 5.0
@@ -273,7 +275,7 @@ def test_memo_by_point_hands_out_read_only_arrays():
     assert memo(np.zeros(1))[0] == 1.0
 
 
-def _counted_stacked_memo(size=None, func_many=True):
+def _counted_stacked_memo(size=8, func_many=True):
     calls = []
 
     def func(x):
@@ -430,5 +432,5 @@ def test_flow_with_tangent_rows_equal_each_member_alone():
     for a in range(len(t)):
         alone = rk4(rhs, np.concatenate([X0[a], V0[a]]), 0.0, float(t[a]), 5)
         assert np.array_equal(X[a], alone[:2]) and np.array_equal(V[a], alone[2:])
-        x, v = flow_with_tangent(field, jvp, X0[a], V0[a], float(t[a]), steps=5)
-        assert np.array_equal(X[a], x) and np.array_equal(V[a], v)
+        x, v = flow_with_tangent(fields, jvps, X0[a:a + 1], V0[a:a + 1], t[a:a + 1], steps=5)
+        assert np.array_equal(X[a], x[0]) and np.array_equal(V[a], v[0])

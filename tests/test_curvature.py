@@ -309,7 +309,7 @@ def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     # the two L-paths, the parallelism stencils with their centres, the anchor
     # probes and the anchor samples each take one stacked transport; the
     # bracket at m0 reads the sections one point at a time, 5 points missing
-    # the memo, each a batch of one
+    # the memo, each a one-member stacked transport
     model, S = zoo("isojet-sphere")
     members, singles = [], []
     transport_matrices, transport_matrix = _transport_matrices, _transport_matrix
@@ -326,7 +326,7 @@ def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     monkeypatch.setattr(curvature_mod, "_transport_matrix", counting_one)
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
-    assert len(singles) == 5 and members.count(1) == 5
+    assert not singles and members.count(1) == 5
     assert [k for k in members if k > 1] == [2, 45, 4 * 5, 5]
 
 

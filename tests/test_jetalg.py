@@ -6,6 +6,7 @@ from pytest import raises
 
 from cartanlab.errors import BaseMismatchError, SingularError
 from cartanlab.groupoid import (
+    Jet1,
     identity_jet,
     jet_distance,
     oracle_jet_inverse,
@@ -110,6 +111,33 @@ def test_aut_inv_singular(pair_r1):
     phi = scalar_hom(model, np.array([0.0]), 1.0)  # phi_tm = 0
     with raises(SingularError):
         aut_inv(phi)
+
+
+# a NaN determinant is singular: `abs(det) < tol` is False for NaN, and each
+# guard below returned an all-NaN result instead of raising
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_aut_inv_refuses_a_nan_kernel_element(pair_r1):
+    model, _ = pair_r1
+    with raises(SingularError):
+        aut_inv(scalar_hom(model, np.array([0.0]), np.nan))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_jet_invert_refuses_a_nan_jet(zoo):
+    model, _ = zoo("se2-action")
+    g = model.arrow(np.array([0.1, 0.2, -0.1, 0.3, 0.2]))
+    with raises(SingularError):
+        jet_invert(model, Jet1(g, np.full((model.N, model.n), np.nan)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_jet_decompose_refuses_a_nan_horizontal_jet(zoo):
+    model, S = zoo("se2-action")
+    g = model.arrow(np.array([0.1, 0.2, -0.1, 0.3, 0.2]))
+    with raises(SingularError):
+        jet_decompose(model, S.jet(g), lambda a: Jet1(a, np.full((model.N, model.n), np.nan)))
 
 
 @pytest.mark.parametrize("name", CORE_MODELS)
