@@ -243,7 +243,6 @@ class AlgebroidConnection:
 
     model: GroupoidModel
     nabla: Callable[[np.ndarray, np.ndarray, Callable], AlgebroidVec]
-    provenance: str
     nabla_batch: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
 
     def __call__(self, m: np.ndarray, v: np.ndarray, X: Callable) -> AlgebroidVec:
@@ -305,7 +304,7 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         return algebroid_vec(model, m, nabla_batch(M, V, section_values([X]))[0, :, 0],
                              check=False)
 
-    return AlgebroidConnection(model, nabla, "direct-formula", nabla_batch=nabla_batch)
+    return AlgebroidConnection(model, nabla, nabla_batch=nabla_batch)
 
 
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
@@ -332,7 +331,7 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
         val = deriv_at_zero(lambda s: diff[0] if s > 0 else diff[1], T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
-    return AlgebroidConnection(model, nabla, "flow-formula")
+    return AlgebroidConnection(model, nabla)
 
 
 def _straight_path(m: np.ndarray, v: np.ndarray) -> Callable[[float], np.ndarray]:
@@ -353,7 +352,7 @@ def _infinitesimalize_transport(S: CartanConnection,
         val = deriv_at_zero(lambda s: out[0] if s > 0 else out[1], T_DIFF_STEP)
         return algebroid_vec(model, m, val, check=False)
 
-    return AlgebroidConnection(model, nabla, "parallel-transport")
+    return AlgebroidConnection(model, nabla)
 
 
 def infinitesimalize_along(S: CartanConnection, path_factory) -> AlgebroidConnection:

@@ -53,7 +53,7 @@ def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
     then solves K Gamma = W for the derivatives W of the columns, and a frame
     that is not orthonormal gives wrong coefficients."""
     M = np.asarray(M, dtype=float)
-    K = [frame(m) for m in M]  # before nabla_rows, whose stencil points can evict them
+    K = [frame(m) for m in M]
     columns = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
     D = nabla.nabla_rows(M, W, columns, lambda P: np.stack([frame(p) for p in P]))
     return np.stack([k.T @ d for k, d in zip(K, D)])

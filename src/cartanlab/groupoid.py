@@ -31,7 +31,6 @@ from .chartcalc import (
     memo_by_point,
     newton_solve,
     newton_solve_many,
-    stacked,
 )
 from .errors import (
     CompositionError,
@@ -43,7 +42,6 @@ from .errors import (
 
 SECTION_TOL = 1e-9
 DET_TOL = 1e-9
-FRAME_MEMO_SIZE = 64  # points remembered by an aligned_frame
 PROJECTION_CACHE_SIZE = 4096  # kernel projections an aligned_frame keeps, keyed on Tsrc(unit(m))
 BASE_SHRINK = 0.15  # share of the base box width sample_base_point keeps clear per side
 SECTION_SCALE = 0.5  # half-range of random_section's affine coefficients
@@ -84,16 +82,16 @@ class GroupoidModel:
 
     mul and inv are smooth chart expressions that agree with the groupoid
     operations on (near-)composable pairs; retract_src/retract_tgt project an
-    arrow onto the set with prescribed source/target. The *_jac hooks, when
-    present, supply analytic jacobians (mul_jac returns the pair of N x N
-    blocks, retract jacobians return the (arrow, base-point) blocks).
+    arrow onto the set with prescribed source/target. The *_jac hooks supply
+    analytic jacobians (mul_jac returns the pair of N x N blocks, retract
+    jacobians return the (arrow, base-point) blocks), all of them or none.
 
     A model whose source map reads a slot of its coordinates takes its source side
     (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot,
     and likewise its target side (tgt, retract_tgt(_jac)) from target_slot.
 
-    The optional *_many hooks are stacked forms, row a of mul_many(G, H) being
-    mul(G[a], H[a]) bit for bit; stacked() loops where one is missing.
+    mul_many, inv_many and retract_src_many are stacked forms, row a of
+    mul_many(G, H) being mul(G[a], H[a]) bit for bit. The optional
     mul_jac_many(G, H) gives the stacks of mul_jac's two blocks. There is no
     stacked retract_tgt: no stacked path retracts onto a target.
     """
@@ -111,15 +109,15 @@ class GroupoidModel:
     domain_box: np.ndarray
     base_box: np.ndarray
     arrow_with_source: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    inv_many: Callable[[np.ndarray], np.ndarray]
+    retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mul_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     inv_jac: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     retract_tgt_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     src_fiber_chart: Callable[[np.ndarray], tuple[ChartMap, Callable]] | None = None
     extras: dict = field(default_factory=dict)
-    mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    inv_many: Callable[[np.ndarray], np.ndarray] | None = None
-    retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     mul_jac_many: Callable[[np.ndarray, np.ndarray],
                            tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -280,7 +278,7 @@ def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> 
     _check_composable(g.source, at.target)
     v = np.asarray(v, dtype=float)
     m = g.source
-    if model.mul_jac is not None and model.retract_tgt_jac is not None:
+    if model.has_jacobians:
         _, Dh = model.mul_jac(g.coords, at.coords)
         Dr, _ = model.retract_tgt_jac(at.coords, m)
         return Dh @ (Dr @ v)
@@ -292,7 +290,7 @@ def right_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) ->
     _check_composable(at.source, g.target)
     v = np.asarray(v, dtype=float)
     m = g.target
-    if model.mul_jac is not None and model.retract_src_jac is not None:
+    if model.has_jacobians:
         Dg, _ = model.mul_jac(at.coords, g.coords)
         Dr, _ = model.retract_src_jac(at.coords, m)
         return Dg @ (Dr @ v)
@@ -302,7 +300,7 @@ def right_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) ->
 def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
     """T I . v at `at`."""
     v = np.asarray(v, dtype=float)
-    if model.inv_jac is not None:
+    if model.has_jacobians:
         return model.inv_jac(at.coords) @ v
     return deriv_at_zero(lambda t: model.inv(at.coords + t * v))
 
@@ -321,14 +319,14 @@ def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndar
     of the algebroid at each arrow of a stack G[k, N]: row a is right_translate
     of X(tgt(G[a])) by G[a] at the unit over tgt(G[a]), bit for bit, and a
     stack of one row is the field at one arrow. The section is evaluated
-    row by row; the structure maps take the stack through their stacked forms
-    where the model gives them. Raises CompositionError like right_translate."""
+    row by row; the structure maps take the stack through their stacked forms.
+    Raises CompositionError like right_translate."""
     G = np.asarray(G, dtype=float)
     T = model.tgt.many(G)
     V = np.array([np.asarray(X(m), dtype=float) for m in T])
     U = model.unit.many(T)
     _check_composable(model.src.many(U), T)
-    if model.mul_jac is not None and model.retract_src_jac is not None:
+    if model.has_jacobians:
         if model.mul_jac_many is not None:
             Dg = model.mul_jac_many(U, G)[0]
         else:
@@ -339,10 +337,8 @@ def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndar
     # of every row in one stacked call
     k = len(G)
     probes = np.concatenate([U + FD_STEP * V, U + (-FD_STEP) * V])
-    values = stacked(model.mul, model.mul_many,
-                     stacked(model.retract_src, model.retract_src_many,
-                             probes, np.concatenate([T, T])),
-                     np.concatenate([G, G]))
+    values = model.mul_many(model.retract_src_many(probes, np.concatenate([T, T])),
+                            np.concatenate([G, G]))
     return deriv_at_zero(lambda t: values[:k] if t > 0 else values[k:])
 
 
@@ -396,8 +392,7 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> ChartMap:
         return model.retract_src(g0 + mu @ (x - m0), x)
 
     def b_many(X: np.ndarray) -> np.ndarray:
-        return stacked(model.retract_src, model.retract_src_many,
-                       g0 + (mu @ (X - m0)[..., None])[..., 0], X)
+        return model.retract_src_many(g0 + (mu @ (X - m0)[..., None])[..., 0], X)
 
     return ChartMap(model.n, model.N, b, eval_many=b_many)
 
@@ -457,7 +452,7 @@ def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> Char
 
     def prod_many(M: np.ndarray) -> np.ndarray:
         H = b2.many(M)
-        return stacked(model.mul, model.mul_many, b1.many(model.tgt.many(H)), H)
+        return model.mul_many(b1.many(model.tgt.many(H)), H)
 
     return ChartMap(model.n, model.N, prod, eval_many=prod_many)
 
@@ -491,7 +486,7 @@ def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
 
     def b_inv_many(Y):
         X = newton_solve_many(lambda P: model.tgt.many(b.many(P)), Y, x0, 1e-14)
-        return stacked(model.inv, model.inv_many, b.many(X))
+        return model.inv_many(b.many(X))
 
     return oracle_jet(model, ChartMap(model.n, model.N, b_inv, eval_many=b_inv_many),
                       j.g.target)
@@ -533,9 +528,7 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
 
     The frame reads the point only through A = Tsrc(unit(m)), so the
     projection is memoized on A: where A does not depend on m (every shipped
-    model with analytic jacobians), every point after the first is a hit. A
-    memo of the frame by point sits in front of it and skips building A at
-    points that repeat, as the stencil points of curvature and transport do.
+    model with analytic jacobians), every point after the first is a hit.
     """
     E_ref = kernel_basis(model, np.asarray(ref_point, dtype=float))
 
@@ -551,13 +544,12 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
 
     projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
 
-    def frame_at(m: np.ndarray) -> np.ndarray:
+    def frame(m: np.ndarray) -> np.ndarray:
         try:
             return projection(model.Tsrc(model.unit(m)))
         except FrameError as exc:
             raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
 
-    frame = memo_by_point(frame_at, FRAME_MEMO_SIZE)
     frame.rank = E_ref.shape[1]
     return frame
 

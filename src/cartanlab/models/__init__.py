@@ -1,8 +1,12 @@
 """Model zoo registry: named constructors for every shipped groupoid model
 with its canonical connection."""
 
+import inspect
+import sys
+
 import numpy as np
 
+from ..errors import ConfigError
 from .actions import (
     make_action_groupoid,
     make_se2_groupoid,
@@ -34,26 +38,23 @@ from .pair import make_pair_groupoid
 PERTURBED_BOX = np.array([[0.15, 0.95], [-0.4, 0.4]])
 
 
-def _make_gauge_se2_so2(params):
-    cc = se2_maurer_cartan()
-    return classical_to_groupoid(cc)
+def _make_perturbed(eps=0.4):
+    if type(eps) not in (int, float) or not abs(eps) <= sys.float_info.max:  # a bool is no number
+        raise ConfigError(f"isojet-perturbed: eps must be a finite real number, not {eps!r}")
+    return make_isometry_jet_groupoid(perturbed_metric(float(eps)), base_box=PERTURBED_BOX)
 
 
-def _make_perturbed(params):
-    eps = float(params.get("eps", 0.4))
-    return make_isometry_jet_groupoid(perturbed_metric(eps), base_box=PERTURBED_BOX)
-
-
+# each constructor's keyword parameters are the model's parameters
 MODELS = {
-    "pair-R2": lambda params: make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
-    "pair-R1": lambda params: make_pair_groupoid(np.array([[-1.0, 1.0]])),
-    "translation-R2": lambda params: make_translation_groupoid(2),
-    "se2-action": lambda params: make_se2_groupoid(),
-    "so3-sphere": lambda params: make_so3_sphere_groupoid(),
-    "gauge-se2-so2": _make_gauge_se2_so2,
-    "isojet-plane": lambda params: make_isometry_jet_groupoid(euclidean_metric()),
-    "isojet-sphere": lambda params: make_isometry_jet_groupoid(sphere_metric()),
-    "isojet-hyperbolic": lambda params: make_isometry_jet_groupoid(hyperbolic_metric()),
+    "pair-R2": lambda: make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]])),
+    "pair-R1": lambda: make_pair_groupoid(np.array([[-1.0, 1.0]])),
+    "translation-R2": lambda: make_translation_groupoid(2),
+    "se2-action": make_se2_groupoid,
+    "so3-sphere": make_so3_sphere_groupoid,
+    "gauge-se2-so2": lambda: classical_to_groupoid(se2_maurer_cartan()),
+    "isojet-plane": lambda: make_isometry_jet_groupoid(euclidean_metric()),
+    "isojet-sphere": lambda: make_isometry_jet_groupoid(sphere_metric()),
+    "isojet-hyperbolic": lambda: make_isometry_jet_groupoid(hyperbolic_metric()),
     "isojet-perturbed": _make_perturbed,
 }
 
@@ -74,10 +75,16 @@ EXPECTED_FLAT = {
 
 
 def make_model(name: str, params: dict | None = None):
-    """Instantiate a registered model with its canonical connection."""
+    """Instantiate a registered model with its canonical connection. Raises
+    ConfigError for a parameter the model does not read or a value it cannot
+    take."""
     if name not in MODELS:
         raise KeyError(f"unknown model {name!r}; known: {sorted(MODELS)}")
-    return MODELS[name](params or {})
+    params = params or {}
+    unknown = [key for key in params if key not in inspect.signature(MODELS[name]).parameters]
+    if unknown:
+        raise ConfigError(f"model {name} reads no parameter {unknown[0]!r}")
+    return MODELS[name](**params)
 
 
 __all__ = [

@@ -6,6 +6,7 @@ from pytest import raises
 
 from cartanlab.cli import main
 from cartanlab.errors import ConfigError
+from cartanlab.models import make_model
 from cartanlab.report import load_config, parse_config
 
 
@@ -142,6 +143,30 @@ def test_parse_config_model_object():
     })
     assert cfg.model == "isojet-perturbed"
     assert cfg.model_params == {"eps": 0.3}
+
+
+@pytest.mark.parametrize("name,params", [
+    ("isojet-perturbed", {"epsilon": 0.0}),  # used to run eps = 0.4 without a word
+    ("pair-R2", {"eps": 0.4}),
+])
+def test_make_model_refuses_a_parameter_the_model_does_not_read(name, params):
+    with raises(ConfigError, match="reads no parameter"):
+        make_model(name, params)
+
+
+@pytest.mark.parametrize("eps", ["abc", [1, 2], True, None, float("nan"), float("inf"), 10**400])
+def test_make_model_refuses_an_eps_that_is_no_finite_real_number(eps):
+    # "abc" and [1, 2] used to end in ValueError and TypeError, True ran eps = 1.0
+    with raises(ConfigError, match="eps must be a finite real number"):
+        make_model("isojet-perturbed", {"eps": eps})
+
+
+@pytest.mark.parametrize("params", [{"epsilon": 0.0}, {"eps": "abc"}, {"eps": [1, 2]}])
+def test_run_exits_2_on_a_bad_model_parameter(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, model={"name": "isojet-perturbed", "parameters": params})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*-seed42.*"))
 
 
 def test_parse_config_rejects_unknown_model_keys():

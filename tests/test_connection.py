@@ -590,7 +590,7 @@ def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):
                 return algebroid_vec(model, m, np.full_like(out.vec, np.nan), check=False)
             return out
 
-        return AlgebroidConnection(model, nabla, conn.provenance)
+        return AlgebroidConnection(model, nabla)
 
     monkeypatch.setattr(experiments, "infinitesimalize", with_nan_flow)
     config = ExperimentConfig(model="se2-action", experiment="nabla-compare", seed=3)

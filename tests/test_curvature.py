@@ -371,8 +371,8 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     # fresh isojet-sphere: Gamma at m and at the 2n stencil points take one
     # connection_matrices call each, and each evaluates its stencil jets in
     # one batched call, 2 per curvature (n + 2 n^2 = 10 one point at a time);
-    # the frame's point memo serves the repeated stencil points (without it:
-    # 102 Tsrc)
+    # every one of the 41 frame reads builds Tsrc(unit(m)), repeated stencil
+    # points included, and the reference basis takes one more
     from cartanlab.groupoid import GroupoidModel
     from cartanlab.models import isojet, make_model
 
@@ -391,7 +391,7 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     monkeypatch.setattr(isojet, "prolongation_jets", counted_jets)
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
-    assert calls == {"prolongation_jets": 2, "Tsrc": 26}
+    assert calls == {"prolongation_jets": 2, "Tsrc": 42}
 
 
 def _all_nan_jets(S):

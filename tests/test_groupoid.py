@@ -17,7 +17,6 @@ from cartanlab.errors import (
 )
 from cartanlab.groupoid import (
     DET_TOL,
-    FRAME_MEMO_SIZE,
     SECTION_TOL,
     Jet1,
     algebroid_bracket,
@@ -306,36 +305,9 @@ def test_warm_frame_equals_cold_frame(name, jacobians):
     warm = aligned_frame(model, ref)
     rng = np.random.default_rng(11)
     points = [sample_base_point(model, rng) for _ in range(6)]
-    for _ in range(2):  # the second pass reads the point memo
+    for _ in range(2):  # the second pass reads the projection memo
         for m in points:
             assert np.array_equal(warm(m), aligned_frame(model, ref)(m))
-
-
-def test_frame_memo_is_bounded(monkeypatch):
-    # so3-sphere: Tsrc(unit(m)) depends on m, so every miss builds it
-    model, _ = make_model("so3-sphere")
-    frame = aligned_frame(model, np.zeros(model.n))
-    calls = [0]
-    real = type(model).Tsrc
-
-    def counted(self, coords):
-        calls[0] += 1
-        return real(self, coords)
-
-    monkeypatch.setattr(type(model), "Tsrc", counted)
-    size = FRAME_MEMO_SIZE
-    rng = np.random.default_rng(2)
-    points = [sample_base_point(model, rng) for _ in range(size + 1)]
-
-    def visit(m):
-        before = calls[0]
-        frame(m)
-        return calls[0] - before
-
-    assert [visit(m) for m in points[:size]] == [1] * size
-    assert [visit(m) for m in points[:size]] == [0] * size  # all held
-    assert visit(points[size]) == 1  # full: cleared before storing
-    assert visit(points[0]) == 1
 
 
 def test_frame_error_names_the_point():

