@@ -28,8 +28,10 @@ class ChartMap:
 
     eval maps R^dim_in -> R^dim_out. When jacobian is supplied it must return
     the (dim_out, dim_in) derivative matrix and agree with central differences
-    of eval to O(h^2); the test suite exercises both paths. eval_many, the
-    optional stacked form (k, dim_in) -> (k, dim_out), gives eval(X[a]) in row a.
+    of eval to O(h^2); the test suite exercises both paths. A jacobian that is
+    one matrix at every point may carry that matrix as its .constant. eval_many,
+    the optional stacked form (k, dim_in) -> (k, dim_out), gives eval(X[a]) in
+    row a.
     """
 
     dim_in: int

@@ -51,12 +51,13 @@ def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
 
     The frame K must have orthonormal columns, as aligned_frame's have: K.T
     then solves K Gamma = W for the derivatives W of the columns, and a frame
-    that is not orthonormal gives wrong coefficients."""
+    that is not orthonormal gives wrong coefficients. The frame is read in
+    stacks, through its .many."""
     M = np.asarray(M, dtype=float)
-    K = [frame(m) for m in M]
+    K = frame.many(M)
     columns = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
-    D = nabla.nabla_rows(M, W, columns, lambda P: np.stack([frame(p) for p in P]))
-    return np.stack([k.T @ d for k, d in zip(K, D)])
+    D = nabla.nabla_rows(M, W, columns, frame.many)
+    return K.transpose(0, 2, 1) @ D
 
 
 def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
@@ -265,8 +266,9 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     The radial transports run stacked: the parallelism check and the anchor
     check each differentiate the sections at all their points at once, and
     the transports to all those points a memo has not seen run as one
-    _transport_matrices integration. The bracket at m0 evaluates the
-    sections one point at a time.
+    _transport_matrices integration. The bracket at m0 reads the sections
+    through their stacked .many, one stacked transport per X^R call that
+    meets new points.
     """
     model = nabla.model
     n = model.n
@@ -318,23 +320,25 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         lambda m: _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0)),
         TRANSPORT_CACHE_SIZE, func_many=radial)
 
-    def section_rows(P):
-        # per row of P, the values of every section there
+    def section_rows(P):  # (len(P), r, N): row [p, a] is section a at P[p]
+        # stacked matvecs ([..., None]): the rounding of K @ T[p, :, a]
         T = transport_to.many(P)
-        return [[K @ T[i, :, a] for a in range(r)] for i, K in enumerate(map(frame, P))]
+        return (frame.many(P)[:, None] @ T.transpose(0, 2, 1)[..., None])[..., 0]
 
     def sections_many(P):  # (len(P), N, r)
-        return np.array([np.stack(xs, axis=1) for xs in section_rows(P)])
+        return section_rows(P).transpose(0, 2, 1)
 
     def fields_many(P):  # (len(P), r, n): row [p, a] is the anchor of section a at P[p]
         return np.array([[model.Ttgt(model.unit(p)) @ x for x in xs]
                          for p, xs in zip(P, section_rows(P))])
 
-    # each section and action field at one point is the stacked form's batch of one
+    # each section and action field at one point is the stacked form's batch
+    # of one; a section's .many reads its column of the stacked form
     def section(a):
         def xi(m):
             return sections_many(np.asarray(m, dtype=float)[None])[0, :, a]
 
+        xi.many = lambda P: sections_many(P)[:, :, a]
         return xi
 
     def action_field(a):

@@ -31,9 +31,12 @@ from .chartcalc import (
     memo_by_point,
     newton_solve,
     newton_solve_many,
+    read_only,
+    stacked,
 )
 from .errors import (
     CompositionError,
+    DomainError,
     FrameError,
     NotABisectionError,
     SamplingError,
@@ -94,6 +97,11 @@ class GroupoidModel:
     mul_many(G, H) being mul(G[a], H[a]) bit for bit. The optional
     mul_jac_many(G, H) gives the stacks of mul_jac's two blocks. There is no
     stacked retract_tgt: no stacked path retracts onto a target.
+
+    constant_Tsrc is Tsrc where it is one matrix at every arrow, as on
+    source_slot's analytic source: the .constant of src's jacobian, else None.
+    It is read off src, so a copy with another src or without jacobians (whose
+    central differences move at roundoff) does not keep it.
     """
 
     name: str
@@ -132,6 +140,10 @@ class GroupoidModel:
 
     def Tsrc(self, coords: np.ndarray) -> np.ndarray:
         return differentiate(self.src, coords)
+
+    @property
+    def constant_Tsrc(self) -> np.ndarray | None:
+        return getattr(self.src.jacobian, "constant", None)
 
     def Ttgt(self, coords: np.ndarray) -> np.ndarray:
         return differentiate(self.tgt, coords)
@@ -191,7 +203,11 @@ def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
 def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of ker Tsrc at unit(m), one column per
     algebroid direction (N x (N-n))."""
-    A = model.Tsrc(model.unit(np.asarray(m, dtype=float)))
+    return _kernel_basis(model.Tsrc(model.unit(np.asarray(m, dtype=float))))
+
+
+def _kernel_basis(A: np.ndarray) -> np.ndarray:
+    """kernel_basis of the source jacobian A."""
     _, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-10))
     basis = vt[rank:].T
@@ -205,7 +221,8 @@ def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
 
 def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
     """The fields side, retract_side (writes m into the arrow coordinates index)
-    and its constant, read-only _jac; the other coordinates and their embedding."""
+    and its constant, read-only _jac; the other coordinates and their embedding.
+    The side map's jacobian carries its one matrix as .constant."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
     side_jac, rest_emb = eye[index], eye[:, rest]
@@ -218,7 +235,11 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
         g[index] = m
         return g
 
-    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=lambda g: side_jac,
+    def side_jacobian(g):
+        return side_jac
+
+    side_jacobian.constant = side_jac
+    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=side_jacobian,
                         eval_many=lambda G: G[:, index])
     return ({side: side_map, f"retract_{side}": retract,
              f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
@@ -229,7 +250,8 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     arrow coordinates src_index: src, retract_src(_jac) as _coordinate_slot gives
     them, retract_src_many, arrow_with_source (the other coordinates uniform in
     their domain_box rows) and src_fiber_chart (the other coordinates, the
-    source held at m0)."""
+    source held at m0). Its analytic Tsrc is constant: the model's
+    constant_Tsrc."""
     fields, rest, rest_emb = _coordinate_slot(N, src_index, "src")
     low, high = domain_box[rest].T
 
@@ -319,11 +341,12 @@ def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndar
     of the algebroid at each arrow of a stack G[k, N]: row a is right_translate
     of X(tgt(G[a])) by G[a] at the unit over tgt(G[a]), bit for bit, and a
     stack of one row is the field at one arrow. The section is evaluated
-    row by row; the structure maps take the stack through their stacked forms.
-    Raises CompositionError like right_translate."""
+    through its stacked form X.many where it has one, row by row otherwise;
+    the structure maps take the stack through their stacked forms. Raises
+    CompositionError like right_translate."""
     G = np.asarray(G, dtype=float)
     T = model.tgt.many(G)
-    V = np.array([np.asarray(X(m), dtype=float) for m in T])
+    V = stacked(X, getattr(X, "many", None), T)
     U = model.unit.many(T)
     _check_composable(model.src.many(U), T)
     if model.has_jacobians:
@@ -518,19 +541,27 @@ def sample_base_point(model: GroupoidModel, rng: np.random.Generator) -> np.ndar
 
 def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Smooth orthonormal frame of the source-fibre kernel near ref_point,
-    with the frame's rank as its .rank attribute.
+    with the frame's rank as its .rank attribute and its stacked form as
+    .many: frame.many(P) gives the frames at the rows of P[k, n] as a
+    (k, N, rank) array, row a equal to frame(P[a]) bit for bit.
 
     The reference basis at ref_point is projected onto the kernel at the
     requested point and symmetrically re-orthonormalized; this is
     deterministic, smooth wherever no degeneracy occurs, and reproduces the
     reference basis at ref_point. Raises FrameError, naming the point, where
-    the projected basis degenerates.
+    the projected basis degenerates, and DomainError for a point that is not
+    of dimension n.
 
-    The frame reads the point only through A = Tsrc(unit(m)), so the
-    projection is memoized on A: where A does not depend on m (every shipped
-    model with analytic jacobians), every point after the first is a hit.
+    The frame reads the point only through A = Tsrc(unit(m)). On a model with
+    a constant_Tsrc, A is one matrix at every point, so the frame is
+    projected once, here: frame(m) is that read-only matrix and frame.many
+    broadcasts it. Otherwise the projection is memoized on A, which central
+    differences leave at a few roundoff-level values, and frame.many reads
+    the frame row by row.
     """
-    E_ref = kernel_basis(model, np.asarray(ref_point, dtype=float))
+    n = model.n
+    A_ref = model.Tsrc(model.unit(np.asarray(ref_point, dtype=float)))
+    E_ref = _kernel_basis(A_ref)
 
     def project(A: np.ndarray) -> np.ndarray:
         P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
@@ -542,21 +573,44 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
         w, U = np.linalg.eigh(gram)
         return E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
 
-    projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
+    def base_points(P: np.ndarray, ndim: int) -> np.ndarray:
+        P = np.asarray(P, dtype=float)
+        if P.ndim != ndim or P.shape[-1:] != (n,):
+            raise DomainError(f"expected base points of dimension {n}, got shape {P.shape}")
+        return P
 
-    def frame(m: np.ndarray) -> np.ndarray:
-        try:
-            return projection(model.Tsrc(model.unit(m)))
-        except FrameError as exc:
-            raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
+    if model.constant_Tsrc is not None:
+        K = read_only(project(A_ref))
+
+        def frame(m: np.ndarray) -> np.ndarray:
+            base_points(m, 1)
+            return K
+
+        def frame_many(P: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(K, (len(base_points(P, 2)),) + K.shape)
+    else:
+        projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
+
+        def frame(m: np.ndarray) -> np.ndarray:
+            m = base_points(m, 1)
+            try:
+                return projection(model.Tsrc(model.unit(m)))
+            except FrameError as exc:
+                raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
+
+        def frame_many(P: np.ndarray) -> np.ndarray:
+            return np.stack([frame(m) for m in base_points(P, 2)])
 
     frame.rank = E_ref.shape[1]
+    frame.many = frame_many
     return frame
 
 
 def random_section(model: GroupoidModel,
                    rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
-    """A smooth random algebroid section: kernel frame times affine coefficients."""
+    """A smooth random algebroid section: kernel frame times affine
+    coefficients, with its stacked form as .many, row a of X.many(P) equal
+    to X(P[a]) bit for bit."""
     ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     frame = aligned_frame(model, ref)
     c0 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=frame.rank)
@@ -566,6 +620,12 @@ def random_section(model: GroupoidModel,
         m = np.asarray(m, dtype=float)
         return frame(m) @ (c0 + c1 @ m)
 
+    def X_many(P: np.ndarray) -> np.ndarray:
+        # stacked matvecs ([..., None]): the rounding of K @ (c0 + c1 @ p)
+        P = np.asarray(P, dtype=float)
+        return (frame.many(P) @ (c0 + (c1 @ P[..., None])[..., 0])[..., None])[..., 0]
+
+    X.many = X_many
     return X
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cartanlab.curvature import (
 )
 from cartanlab.errors import FlatnessError, NonFiniteError
 from cartanlab.experiments import run_flatness, run_reconstruct, run_riemannian
-from cartanlab.groupoid import aligned_frame, sample_base_point
+from cartanlab.groupoid import aligned_frame, right_invariant_many, sample_base_point
 from cartanlab.models import MODELS, PERTURBED_BOX, make_model
 from cartanlab.report import ExperimentConfig
 
@@ -300,16 +301,21 @@ def test_connection_matrices_rows_equal_connection_matrix(name, jacobians):
     for Ms, Ws in ((M, W), (wide[:, :n], wide[:, n:]), (M[::-2], W[::-2])):
         G = connection_matrices(nab, frame, r, Ms, Ws)
         assert G.shape == (len(Ms), r, r)
+        # the stacked K.T @ D rounds as the product at each row alone
+        columns = [lambda mm, b=b: frame(mm)[:, b] for b in range(r)]
+        D = nab.nabla_rows(Ms, Ws, columns, frame.many)
         for a in range(len(Ms)):
             assert np.array_equal(G[a], connection_matrix(nab, frame, r, Ms[a], Ws[a]))
+            assert np.array_equal(G[a], frame(Ms[a]).T @ D[a])
     assert not connection_matrices(nab, frame, r, M, W)[1].any()
 
 
 def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     # the two L-paths, the parallelism stencils with their centres, the anchor
     # probes and the anchor samples each take one stacked transport; the
-    # bracket at m0 reads the sections one point at a time, 5 points missing
-    # the memo, each a one-member stacked transport
+    # bracket at m0 reads the sections in stacks, so the 5 points it needs
+    # that miss the memo take 3 stacked transports: m0, then the two probes
+    # along each of two sections' fields (the third section's probes hit)
     model, S = zoo("isojet-sphere")
     members, singles = [], []
     transport_matrices, transport_matrix = _transport_matrices, _transport_matrix
@@ -326,8 +332,44 @@ def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     monkeypatch.setattr(curvature_mod, "_transport_matrix", counting_one)
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
-    assert not singles and members.count(1) == 5
-    assert [k for k in members if k > 1] == [2, 45, 4 * 5, 5]
+    assert not singles and members == [2, 1, 2, 2, 45, 4 * 5, 5]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_reconstruction_section_rows_equal_single_calls(name, jacobians, monkeypatch):
+    # row a of a parallel section's .many(P) is the section at P[a] bit for
+    # bit, whether the transports there were first taken one point at a time
+    # or stacked, and X^R reads the same bytes through .many as point by
+    # point. The flatness gate is opened and the curvature precondition
+    # skipped, so every model has sections, and the parallelism check probes
+    # one grid point: this test checks none of them
+    monkeypatch.setattr(curvature_mod, "FLATNESS_TOL", np.inf)
+    monkeypatch.setattr(curvature_mod, "curvature",
+                        lambda nabla, m: types.SimpleNamespace(norm_inf=0.0))
+    monkeypatch.setattr(curvature_mod, "GRID_SPACING", 2 * GRID_RADIUS)
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    sections = reconstruct_action(infinitesimalize(S, "direct-formula"), m0,
+                                  sample_count=0).parallel_sections
+    rng = np.random.default_rng(61)
+    singles_first, stacked_first = (
+        m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(4, model.n)) for _ in range(2))
+    expected = [[xi(p) for p in singles_first] for xi in sections]
+    for xi, rows in zip(sections, expected):
+        assert np.array_equal(xi.many(singles_first), rows)
+    for stack in (stacked_first, np.repeat(stacked_first, 2, axis=1)[:, ::2]):
+        for xi in sections:
+            rows = xi.many(stack)
+            for p, row in zip(stack, rows):
+                assert np.array_equal(row, xi(p))
+    G = np.array([model.inv(model.arrow_with_source(p, rng)) for p in stacked_first])
+    for xi in sections:
+        assert np.array_equal(right_invariant_many(model, xi, G),
+                              right_invariant_many(model, lambda m, xi=xi: xi(m), G))
 
 
 @pytest.mark.parametrize("name", ["isojet-sphere", "pair-R1"])
@@ -371,8 +413,9 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     # fresh isojet-sphere: Gamma at m and at the 2n stencil points take one
     # connection_matrices call each, and each evaluates its stencil jets in
     # one batched call, 2 per curvature (n + 2 n^2 = 10 one point at a time);
-    # every one of the 41 frame reads builds Tsrc(unit(m)), repeated stencil
-    # points included, and the reference basis takes one more
+    # the source is a coordinate slot, so Tsrc(unit(m)) is built once, for
+    # the reference basis and the one projection it shares, and none of the
+    # 41 frame reads builds it again
     from cartanlab.groupoid import GroupoidModel
     from cartanlab.models import isojet, make_model
 
@@ -391,7 +434,7 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     monkeypatch.setattr(isojet, "prolongation_jets", counted_jets)
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
-    assert calls == {"prolongation_jets": 2, "Tsrc": 42}
+    assert calls == {"prolongation_jets": 2, "Tsrc": 1}
 
 
 def _all_nan_jets(S):

@@ -9,6 +9,7 @@ from cartanlab import groupoid
 from cartanlab.chartcalc import FD_STEP, ChartMap, jacobian_fd, newton_solve
 from cartanlab.errors import (
     CompositionError,
+    DomainError,
     FrameError,
     NonFiniteError,
     NotABisectionError,
@@ -29,6 +30,7 @@ from cartanlab.groupoid import (
     identity_jet,
     inv_tangent,
     jet_distance,
+    kernel_basis,
     left_translate,
     oracle_jet,
     oracle_jet_inverse,
@@ -278,9 +280,9 @@ def test_axioms_report_nan_product_as_infinite():
 
 def test_frame_cache_skips_projection_at_new_points(zoo, monkeypatch):
     # the frame depends on the point only through Tsrc(unit(m)), which is
-    # constant on se2-action: one pinv serves every point
+    # constant on se2-action: the one pinv, taken when the frame is built,
+    # serves every point, read one at a time or in a stack
     model, _ = zoo("se2-action")
-    frame = aligned_frame(model, np.zeros(model.n))
     real = np.linalg.pinv
     calls = [0]
 
@@ -289,10 +291,36 @@ def test_frame_cache_skips_projection_at_new_points(zoo, monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", counted)
+    frame = aligned_frame(model, np.zeros(model.n))
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        frame(sample_base_point(model, rng))
+    points = np.array([sample_base_point(model, rng) for _ in range(100)])
+    for m in points:
+        frame(m)
+    frame.many(points)
     assert calls[0] == 1
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_fd_frame_projects_each_source_jacobian_once(name, monkeypatch):
+    # central differences leave Tsrc(unit(m)) at a few roundoff-level values,
+    # so the -fd frame's projection memo computes one projection per value
+    model = make_model(name)[0].without_jacobians()
+    real = np.linalg.pinv
+    calls = [0]
+
+    def counted(a, *args, **kwargs):
+        calls[0] += 1
+        return real(a, *args, **kwargs)
+
+    frame = aligned_frame(model, 0.5 * (model.base_box[:, 0] + model.base_box[:, 1]))
+    rng = np.random.default_rng(5)
+    points = np.array([sample_base_point(model, rng) for _ in range(100)])
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    for m in points:
+        frame(m)
+    frame.many(points)
+    distinct = {model.Tsrc(model.unit(m)).tobytes() for m in points}
+    assert calls[0] == len(distinct) < len(points)
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
@@ -484,9 +512,95 @@ def test_frame_columns_are_orthonormal(name, jacobians):
         assert np.max(np.abs(K.T @ K - np.eye(frame.rank))) < 1e-12
 
 
+def _frame_model(name, jacobians):
+    model, _ = make_model(name)
+    return model if jacobians else model.without_jacobians()
+
+
+def _views(P):
+    # the stack itself and two non-contiguous views of stacks
+    return P, np.repeat(P, 2, axis=1)[:, ::2], P[::-2]
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_source_slot_declares_a_constant_source_jacobian(name):
+    # every shipped model reads its source from a coordinate slot, so Tsrc is
+    # the same matrix at every arrow; the declaration survives a copy and
+    # leaves with the analytic jacobians or with the source it describes
+    model, _ = make_model(name)
+    rng = np.random.default_rng(47)
+    g, h = model.sample_arrow(rng), model.sample_arrow(rng)
+    assert np.array_equal(model.constant_Tsrc, model.Tsrc(g.coords))
+    assert np.array_equal(model.constant_Tsrc, model.Tsrc(h.coords))
+    assert dataclasses.replace(model, name="copy").constant_Tsrc is model.constant_Tsrc
+    assert model.without_jacobians().constant_Tsrc is None
+    moved = dataclasses.replace(model.src, jacobian=lambda x: model.Tsrc(x))
+    assert dataclasses.replace(model, src=moved).constant_Tsrc is None
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_frame_refuses_a_point_of_the_wrong_dimension(name, jacobians):
+    # a constant frame needs no point to build its matrix, so it must check
+    # the point itself: a frame at a point that is not of dimension n is none
+    model = _frame_model(name, jacobians)
+    n = model.n
+    frame = aligned_frame(model, 0.5 * (model.base_box[:, 0] + model.base_box[:, 1]))
+    for m in (np.zeros(n + 1), np.zeros((1, n)), np.float64(0.0)):
+        with raises(DomainError):
+            frame(m)
+    for P in (np.zeros((3, n + 1)), np.zeros(n), np.zeros((2, 3, n))):
+        with raises(DomainError):
+            frame.many(P)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_frame_rows_equal_the_projection_at_each_point(name, jacobians):
+    # row a of frame.many(P), and frame(P[a]), are the reference basis
+    # projected onto ker Tsrc(unit(P[a])) and re-orthonormalized, built here
+    # point by point, bit for bit
+    model = _frame_model(name, jacobians)
+    ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    frame = aligned_frame(model, ref)
+    E_ref = kernel_basis(model, ref)
+    rng = np.random.default_rng(53)
+    P = np.array([sample_base_point(model, rng) for _ in range(5)])
+    for stack in _views(P):
+        K = frame.many(stack)
+        assert K.shape == (len(stack), model.N, frame.rank)
+        for p, row in zip(stack, K):
+            A = model.Tsrc(model.unit(p))
+            E = (np.eye(model.N) - np.linalg.pinv(A) @ A) @ E_ref
+            w, U = np.linalg.eigh(E.T @ E)
+            expected = E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(frame(p), expected)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_random_section_rows_equal_single_calls(name, jacobians):
+    # row a of X.many(P) is X(P[a]) bit for bit, and X^R reads the same
+    # bytes through X.many as through X point by point
+    model = _frame_model(name, jacobians)
+    rng = np.random.default_rng(59)
+    X = random_section(model, rng)
+    P = np.array([sample_base_point(model, rng) for _ in range(5)])
+    for stack in _views(P):
+        rows = X.many(stack)
+        assert rows.shape == (len(stack), model.N)
+        for p, row in zip(stack, rows):
+            assert np.array_equal(row, X(p))
+    G = np.array([model.sample_arrow(rng).coords for _ in range(5)])
+    for arrows in _views(G):
+        assert np.array_equal(right_invariant_many(model, X, arrows),
+                              right_invariant_many(model, lambda m: X(m), arrows))
+
+
 def test_memoized_frames_are_read_only(zoo):
-    # se2-action: every point shares one projection, so a write into one
-    # frame would change the frame at every point
+    # se2-action: every point shares the one projection the frame makes, so
+    # a write into one frame would change the frame at every point
     model, _ = zoo("se2-action")
     frame = aligned_frame(model, np.zeros(model.n))
     K = frame(np.array([0.1, 0.1]))
