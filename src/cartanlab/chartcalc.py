@@ -55,6 +55,13 @@ def stacked(func: Callable, func_many: Callable | None, *stacks: np.ndarray) -> 
     return np.array([np.asarray(func(*row), dtype=float) for row in zip(*stacks)])
 
 
+def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row a is A[a] @ V[a], rounded as that single matrix-vector product is:
+    numpy takes each row as one BLAS matrix-vector call, whose rounding
+    follows the memory layout of A[a], not the stride of V[a]."""
+    return (A @ V[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class MetricChart:
     """Riemannian metric components on one chart: x -> symmetric SPD matrix.
@@ -110,32 +117,42 @@ def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP) -> np.n
 
 def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
     """Solve func(x) = y by Newton iteration from x0: newton_solve_many's batch of one."""
-    return newton_solve_many(lambda X: stacked(func, None, X),
-                             np.asarray(y, dtype=float)[None], x0, tol)[0]
+    return newton_solve_many(lambda X, _: stacked(func, None, X), np.asarray(y, dtype=float)[None],
+                             np.asarray(x0, dtype=float)[None], np.zeros(1, dtype=int), tol)[0]
 
 
-def newton_solve_many(func_many: Callable, Y: np.ndarray, x0: np.ndarray,
+def newton_solve_many(func_many: Callable, Y: np.ndarray, X0: np.ndarray, start: np.ndarray,
                       tol: float) -> np.ndarray:
-    """Solve func(x) = Y[a] for each row a by Newton iteration from the one start
-    x0: member a is the first of NEWTON_ITERATIONS iterates whose residual is
-    below tol in the max-norm, bit for bit as if solved alone. The members
-    share the start's value and jacobian; each later step makes one func_many
-    and one jacobians_fd call. Raises NonFiniteError when a member does not converge."""
-    Y = np.asarray(Y, dtype=float)
-    X = np.tile(np.asarray(x0, dtype=float), (len(Y), 1))
+    """Solve func(x) = Y[a] for each row a by Newton iteration from the start
+    X0[start[a]]: member a is the first of NEWTON_ITERATIONS iterates whose
+    residual is below tol in the max-norm, bit for bit as if solved alone.
+    func_many(P, owner) evaluates the system at the rows of P, row b being a
+    point of the rows that start from X0[owner[b]]. The rows of one start
+    share its value and jacobian, so the first call takes each start once;
+    each later step makes one func_many and one jacobians_fd call. Raises
+    NonFiniteError when a member does not converge."""
+    Y, X0 = np.asarray(Y, dtype=float), np.asarray(X0, dtype=float)
+    start = np.asarray(start)
+    X = X0[start]
     live = np.arange(len(Y))
-    P = X[:1]  # the points func is evaluated at: the shared start first
+    owner, pick = np.unique(start, return_inverse=True)  # row a reads P[pick[a]]
+    P = X0[owner]
+    n = X0.shape[1]
     for _ in range(NEWTON_ITERATIONS):
-        R = np.asarray(func_many(P), dtype=float) - Y[live]
+        R = np.asarray(func_many(P, owner), dtype=float)[pick] - Y[live]
         going = ~(np.max(np.abs(R), axis=1) < tol)
-        live, R = live[going], R[going]
+        live, R, pick = live[going], R[going], pick[going]
         if not live.size:
             return X
-        P = P[going] if len(P) > 1 else P
-        X[live] = P - np.linalg.solve(jacobians_fd(func_many, P), R[..., None])[..., 0]
-        P = X[live]
-    raise NonFiniteError(f"Newton iteration from {x0} did not reach residual {tol:.0e} "
-                         f"in {NEWTON_ITERATIONS} steps")
+        kept, pick = np.unique(pick, return_inverse=True)
+        P, owner = P[kept], owner[kept]
+        # jacobians_fd's probes run forward steps first, then by point and coordinate
+        probe_owner = np.tile(np.repeat(owner, n), 2)
+        J = jacobians_fd(lambda Q: func_many(Q, probe_owner), P)
+        X[live] = P[pick] - np.linalg.solve(J[pick], R[..., None])[..., 0]
+        P, owner, pick = X[live], start[live], np.arange(len(live))
+    raise NonFiniteError(f"Newton iteration from {X0[start[live[0]]]} did not reach "
+                         f"residual {tol:.0e} in {NEWTON_ITERATIONS} steps")
 
 
 def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
@@ -155,6 +172,26 @@ def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError(f"non-finite derivative at {x}")
     return jac.reshape(f.dim_out, f.dim_in)
+
+
+def differentiate_many(f: ChartMap, X: np.ndarray) -> np.ndarray:
+    """differentiate at each row of a stack X[k, dim_in], as a C-contiguous
+    stack jac[k, dim_out, dim_in] whose row a equals differentiate(f, X[a])
+    bit for bit: the analytic jacobian row by row, else all rows' central
+    differences in one jacobians_fd call over f.many. Raises as
+    differentiate does, naming the first row whose derivative is not finite."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != f.dim_in:
+        raise DomainError(f"expected points of dimension {f.dim_in}, got shape {X.shape}")
+    shape = (len(X), f.dim_out, f.dim_in)
+    if f.jacobian is not None:
+        jac = np.array([np.asarray(f.jacobian(x), dtype=float) for x in X]).reshape(shape)
+    else:
+        jac = jacobians_fd(f.many, X).reshape(shape)
+    finite = np.isfinite(jac).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteError(f"non-finite derivative at {X[np.flatnonzero(~finite)[0]]}")
+    return jac
 
 
 def _unit_directions(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .chartcalc import WorstErrors, jacobian_fd, worst_case_min
+from .chartcalc import WorstErrors, jacobian_fd, matvecs, worst_case_min
 from .connection import (
     UNITAL_SAMPLES,
     check_multiplicative,
@@ -23,37 +23,42 @@ from .curvature import flatness_experiment, reconstruct_action
 from .errors import CartanLabError, ConfigError, NotABisectionError
 from .groupoid import (
     algebroid_bracket,
-    algebroid_vec,
     aligned_frame,
+    anchor_matrices,
     check_axioms,
     compose_bisections,
     extend_bisection,
-    identity_jet,
+    extend_bisections,
+    identity_jets,
     jet_distance,
+    jet_distances,
     oracle_jet,
-    oracle_jet_inverse,
+    oracle_jet_inverses,
     oracle_jet_mul,
+    oracle_jet_muls,
+    oracle_jets,
     random_section,
-    right_translate,
+    right_translate_many,
     sample_base_point,
 )
 from .jetalg import (
     KernelHom,
-    adjoint,
-    adjoint_hom,
-    adjoint_tm,
-    adjoint_vec,
+    KernelHoms,
+    adjoint_hom_many,
+    adjoint_tm_many,
+    adjoint_vec_many,
     assemble_bisection,
-    aut_inv,
+    aut_inv_many,
     aut_mul,
-    jet_decompose,
-    jet_invert,
-    jet_mul,
+    aut_mul_many,
+    jet_assemble_many,
+    jet_decompose_many,
+    jet_invert_many,
+    jet_mul_many,
     kernel_section_pushforward,
-    mul_kernel_right,
-    random_jet,
+    mul_kernel_right_many,
     random_kernel_hom,
-    vee,
+    vee_many,
 )
 from .models import EXPECTED_FLAT, MODELS, make_model
 from .models.classical import (
@@ -116,6 +121,33 @@ class _Checks:
                 for name, samples, tol in self.declared]
 
 
+def _stacked(samples: list) -> list:
+    """The fields of a list of drawn samples, each as one stack: kernel
+    elements as KernelHoms, everything else as an array."""
+    return [KernelHoms.of(field) if isinstance(field[0], KernelHom) else np.array(field)
+            for field in zip(*samples)]
+
+
+def _draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate) -> None:
+    """A per-sample loop, stacked: call draw() count times, drawing every
+    sample in rng order, then evaluate the stacked draws (_stacked) once,
+    each step of evaluate for all samples.
+
+    On any exception, in either phase, the samples rerun in order from the
+    rng state before the first draw: draw sample a, then evaluate it as a
+    batch of one. So the error that propagates is the first one the
+    per-sample loop meets, up to the order within one sample, where every
+    draw comes before the evaluation."""
+    state = rng.bit_generator.state
+    try:
+        evaluate(*_stacked([draw() for _ in range(count)]))
+    except Exception:
+        rng.bit_generator.state = state
+        for _ in range(count):
+            evaluate(*_stacked([draw()]))
+        raise
+
+
 # -- individual experiments ----------------------------------------------------
 
 
@@ -132,20 +164,28 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
 
     for error in check_axioms(model, rng, count=count).values():
         axioms(error)
-    for _ in range(count):
+
+    def draw():
         g, h = model.sample_composable(rng)
-        j1 = random_jet(model, S.jet, g, rng)
-        j2 = random_jet(model, S.jet, h, rng)
-        roundtrip(jet_distance(
-            oracle_jet(model, extend_bisection(model, j1), j1.g.source), j1))
+        phi1 = random_kernel_hom(model, g.target, rng)
+        phi2 = random_kernel_hom(model, h.target, rng)
         k = model.arrow(model.arrow_with_source(g.target, rng))
-        j0 = random_jet(model, S.jet, k, rng)
-        lhs = oracle_jet_mul(model, oracle_jet_mul(model, j0, j1), j2)
-        rhs = oracle_jet_mul(model, j0, oracle_jet_mul(model, j1, j2))
-        associativity(jet_distance(lhs, rhs))
-        inverse_law(jet_distance(
-            oracle_jet_mul(model, j1, oracle_jet_inverse(model, j1)),
-            identity_jet(model, j1.g.target)))
+        return g.coords, phi1, h.coords, phi2, k.coords, random_kernel_hom(model, k.target, rng)
+
+    def evaluate(G, phi1, H, phi2, K, phi0):
+        j1 = jet_assemble_many(model, G, phi1, S.mu_many)
+        j2 = jet_assemble_many(model, H, phi2, S.mu_many)
+        roundtrip(jet_distances(
+            oracle_jets(model, extend_bisections(model, j1), j1.source), j1))
+        j0 = jet_assemble_many(model, K, phi0, S.mu_many)
+        lhs = oracle_jet_muls(model, oracle_jet_muls(model, j0, j1), j2)
+        rhs = oracle_jet_muls(model, j0, oracle_jet_muls(model, j1, j2))
+        associativity(jet_distances(lhs, rhs))
+        inverse_law(jet_distances(
+            oracle_jet_muls(model, j1, oracle_jet_inverses(model, j1)),
+            identity_jets(model, j1.target)))
+
+    _draw_then_evaluate(rng, count, draw, evaluate)
 
     for _ in range(bracket_samples):
         X = random_section(model, rng)
@@ -170,13 +210,19 @@ def run_inversion(model, S, config, count) -> list[Check]:
     vs_oracle = checks.declare("invert-vs-oracle", count, checks.oracle())
     double = checks.declare("double-inversion", count, 1e-8)
     law = checks.declare("inverse-law-via-oracle", count, checks.oracle())
-    for _ in range(count):
+
+    def draw():
         g = model.sample_arrow(rng)
-        j = random_jet(model, S.jet, g, rng)
-        jinv = jet_invert(model, j)
-        vs_oracle(jet_distance(jinv, oracle_jet_inverse(model, j)))
-        double(jet_distance(jet_invert(model, jinv), j))
-        law(jet_distance(oracle_jet_mul(model, jinv, j), identity_jet(model, j.g.source)))
+        return g.coords, random_kernel_hom(model, g.target, rng)
+
+    def evaluate(G, phi):
+        j = jet_assemble_many(model, G, phi, S.mu_many)
+        jinv = jet_invert_many(model, j)
+        vs_oracle(jet_distances(jinv, oracle_jet_inverses(model, j)))
+        double(jet_distances(jet_invert_many(model, jinv), j))
+        law(jet_distances(oracle_jet_muls(model, jinv, j), identity_jets(model, j.source)))
+
+    _draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -188,28 +234,35 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
     difference = checks.declare("difference-element", count, tol)
     conjugation = checks.declare("conjugation-identity", count, tol)
     translation = checks.declare("translation-difference", count, tol)
-    for _ in range(count):
+
+    def draw():
         g = model.sample_arrow(rng)
-        mu = random_jet(model, S.jet, g, rng)
-        phi = random_kernel_hom(model, g.source, rng)
+        phi_mu = random_kernel_hom(model, g.target, rng)  # mu's kernel factor
+        return g.coords, phi_mu, random_kernel_hom(model, g.source, rng)
+
+    def evaluate(G, phi_mu, phi):
+        mu = jet_assemble_many(model, G, phi_mu, S.mu_many)
         # (1) product with a kernel element on the right
-        nu = mul_kernel_right(model, mu, phi)
-        right_product(jet_distance(nu, oracle_jet_mul(model, mu, vee(phi))))
+        nu = mul_kernel_right_many(model, mu, phi)
+        mu_vee_phi = oracle_jet_muls(model, mu, vee_many(phi))
+        right_product(jet_distances(nu, mu_vee_phi))
         # (2) nu mu^-1 is the embedded difference element
-        garr, psi = jet_decompose(model, nu, lambda a, mu=mu: mu)
-        difference(jet_distance(
-            vee(psi), oracle_jet_mul(model, nu, oracle_jet_inverse(model, mu))))
+        psi = jet_decompose_many(model, nu, mu.mu)
+        difference(jet_distances(
+            vee_many(psi), oracle_jet_muls(model, nu, oracle_jet_inverses(model, mu))))
         # (3) conjugation: mu vee(phi) mu^-1 = vee(Ad_mu phi)
-        conj = oracle_jet_mul(model, oracle_jet_mul(model, mu, vee(phi)),
-                              jet_invert(model, mu))
-        conjugation(jet_distance(conj, vee(adjoint_hom(model, mu, phi))))
-        # (4) mu - nu = TR_g Ad_mu (phi .) column by column
-        u = model.unit_arrow(g.target)
-        for j in range(model.n):
-            xj = algebroid_vec(model, g.source, phi.phi[:, j], check=False)
-            adv = adjoint_vec(model, mu, xj)
-            col = right_translate(model, g, u, adv.vec)
-            translation(mu.mu[:, j] - nu.mu[:, j] - col)
+        conj = oracle_jet_muls(model, mu_vee_phi, jet_invert_many(model, mu))
+        conjugation(jet_distances(conj, vee_many(adjoint_hom_many(model, mu, phi))))
+        # (4) mu - nu = TR_g Ad_mu (phi .) column by column, row a * n + j
+        n, N = model.n, model.N
+        U = np.repeat(model.unit.many(mu.target), n, axis=0)
+        adv = adjoint_vec_many(model, mu.repeat(n), np.repeat(mu.source, n, axis=0),
+                               np.swapaxes(phi.phi, 1, 2).reshape(-1, N))
+        col = right_translate_many(model, np.repeat(mu.coords, n, axis=0), U, adv)
+        translation(np.swapaxes(mu.mu, 1, 2).reshape(-1, N)
+                    - np.swapaxes(nu.mu, 1, 2).reshape(-1, N) - col)
+
+    _draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -225,25 +278,32 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
     semidirect = checks.declare("semidirect-bisection-law", semi_samples, tol)
     multiplication = checks.declare("semidirect-multiplication", count, tol)
     adjoint_morphism = checks.declare("adjoint-is-morphism", count, tol)
-    for _ in range(count):
+
+    def draw():
         m = sample_base_point(model, rng)
         psi = random_kernel_hom(model, m, rng)
         phi = random_kernel_hom(model, m, rng)
-        morphism(jet_distance(
-            vee(aut_mul(psi, phi)), oracle_jet_mul(model, vee(psi), vee(phi))))
-        inverse(jet_distance(vee(aut_inv(phi)), oracle_jet_inverse(model, vee(phi))))
-        # equivariance of the embedding
-        equivariance(adjoint_tm(model, vee(phi)) - phi.phi_tm)
-        X = algebroid_vec(model, m, random_kernel_hom(model, m, rng).phi[:, 0],
-                          check=False)
-        equivariance(adjoint_vec(model, vee(phi), X).vec - phi.phi_g(X).vec)
-        # anchor equivariance of the adjoint action
+        x = random_kernel_hom(model, m, rng)  # X is its first column
         g = model.arrow(model.arrow_with_source(m, rng))
-        mu = random_jet(model, S.jet, g, rng)
-        adx = adjoint_vec(model, mu, X)
-        lhs = model.Ttgt(model.unit(g.target)) @ adx.vec
-        rhs = adjoint_tm(model, mu) @ (model.Ttgt(model.unit(m)) @ X.vec)
+        return m, psi, phi, x, g.coords, random_kernel_hom(model, g.target, rng)
+
+    def evaluate(M, psi, phi, x, G, phi_mu):
+        vee_prod = vee_many(aut_mul_many(psi, phi))
+        vee_phi = vee_many(phi)
+        morphism(jet_distances(vee_prod, oracle_jet_muls(model, vee_many(psi), vee_phi)))
+        inverse(jet_distances(vee_many(aut_inv_many(phi)), oracle_jet_inverses(model, vee_phi)))
+        # equivariance of the embedding
+        equivariance(adjoint_tm_many(model, vee_phi) - phi.phi_tm)
+        X = x.phi[:, :, 0]  # the vectors X: each drawn element's first column
+        equivariance(adjoint_vec_many(model, vee_phi, M, X) - phi.phi_g(M, X))
+        # anchor equivariance of the adjoint action
+        mu = jet_assemble_many(model, G, phi_mu, S.mu_many)
+        adx = adjoint_vec_many(model, mu, M, X)
+        lhs = matvecs(anchor_matrices(model, mu.target), adx)
+        rhs = matvecs(adjoint_tm_many(model, mu), matvecs(anchor_matrices(model, M), X))
         anchor(lhs - rhs)
+
+    _draw_then_evaluate(rng, count, draw, evaluate)
 
     # semidirect law for bisections of the jet groupoid, on a few base points
     for _ in range(semi_samples):
@@ -282,20 +342,27 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         semidirect(jet_distance(lhs, rhs))
 
     # the connection-induced isomorphism with the semidirect product
-    for _ in range(count):
+    def draw():
         g1, g2 = model.sample_composable(rng)
-        mu1 = random_jet(model, S.jet, g1, rng)
-        mu2 = random_jet(model, S.jet, g2, rng)
-        prod = jet_mul(model, mu1, mu2, S.jet)
-        multiplication(jet_distance(prod, oracle_jet_mul(model, mu1, mu2)))
+        phi1 = random_kernel_hom(model, g1.target, rng)
+        phi2 = random_kernel_hom(model, g2.target, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
-        adjoint_morphism(adjoint(model, prod, v)
-                         - adjoint(model, mu1, adjoint(model, mu2, v)))
-        X = algebroid_vec(model, g2.source,
-                          random_kernel_hom(model, g2.source, rng).phi[:, 0],
-                          check=False)
-        adjoint_morphism(adjoint_vec(model, prod, X).vec
-                         - adjoint_vec(model, mu1, adjoint_vec(model, mu2, X)).vec)
+        return g1.coords, phi1, g2.coords, phi2, v, random_kernel_hom(model, g2.source, rng)
+
+    def evaluate(G1, phi1, G2, phi2, V, x):
+        mu1 = jet_assemble_many(model, G1, phi1, S.mu_many)
+        mu2 = jet_assemble_many(model, G2, phi2, S.mu_many)
+        prod = jet_mul_many(model, mu1, mu2, S.mu_many)
+        multiplication(jet_distances(prod, oracle_jet_muls(model, mu1, mu2)))
+        lhs = matvecs(adjoint_tm_many(model, prod), V)
+        inner = matvecs(adjoint_tm_many(model, mu2), V)
+        adjoint_morphism(lhs - matvecs(adjoint_tm_many(model, mu1), inner))
+        X = x.phi[:, :, 0]
+        lhs = adjoint_vec_many(model, prod, mu2.source, X)
+        inner = adjoint_vec_many(model, mu2, mu2.source, X)
+        adjoint_morphism(lhs - adjoint_vec_many(model, mu1, mu2.target, inner))
+
+    _draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 

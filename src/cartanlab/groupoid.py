@@ -25,11 +25,12 @@ from .chartcalc import (
     WorstErrors,
     deriv_at_zero,
     differentiate,
+    differentiate_many,
     directional_derivatives,
     exceeds,
     jacobians_fd,
+    matvecs,
     memo_by_point,
-    newton_solve,
     newton_solve_many,
     read_only,
     stacked,
@@ -77,6 +78,47 @@ class Jet1:
 
     g: Arrow
     mu: np.ndarray  # (N, n)
+
+
+@dataclass(frozen=True)
+class Jets:
+    """A stack of one-jets held as C-contiguous arrays: the arrows coords[k, N]
+    with their sources and targets [k, n], and mu[k, N, n]. Jet a is self[a];
+    Jets.at(model, G, MU) computes the sources and targets, Jets.of stacks
+    Jet1s. The stacked jet maps read and return jets in this form, so row a of
+    every matrix they multiply has the layout of the single jet's."""
+
+    coords: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    mu: np.ndarray
+
+    def __post_init__(self):
+        for name in ("coords", "source", "target", "mu"):
+            object.__setattr__(self, name,
+                               np.ascontiguousarray(getattr(self, name), dtype=float))
+
+    @staticmethod
+    def at(model: "GroupoidModel", G: np.ndarray, MU: np.ndarray) -> "Jets":
+        G = np.asarray(G, dtype=float)
+        return Jets(G, model.src.many(G), model.tgt.many(G), MU)
+
+    @staticmethod
+    def of(jets) -> "Jets":
+        return Jets(*(np.array([getattr(j.g, f) for j in jets])
+                      for f in ("coords", "source", "target")),
+                    np.array([j.mu for j in jets]))
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, a: int) -> Jet1:
+        return Jet1(Arrow(self.coords[a], self.source[a], self.target[a]), self.mu[a])
+
+    def repeat(self, r: int) -> "Jets":
+        """Each jet r times in a row: jet a is row a // r."""
+        return Jets(*(np.repeat(x, r, axis=0)
+                      for x in (self.coords, self.source, self.target, self.mu)))
 
 
 @dataclass(frozen=True)
@@ -294,37 +336,88 @@ def _check_composable(g_src: np.ndarray, h_tgt: np.ndarray) -> None:
         raise CompositionError(f"arrows not composable: src {g_src[a]} vs tgt {h_tgt[a]}")
 
 
-def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> np.ndarray:
-    """T L_g . v at `at`: derivative of h -> g h along the retraction-corrected
-    curve through `at` with velocity v (v should be target-vertical)."""
-    _check_composable(g.source, at.target)
-    v = np.asarray(v, dtype=float)
-    m = g.source
+def _central_slopes(values: np.ndarray) -> np.ndarray:
+    """deriv_at_zero of rows whose first half are the forward probes."""
+    k = len(values) // 2
+    return deriv_at_zero(lambda t: values[:k] if t > 0 else values[k:])
+
+
+def _both_steps(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The probes X + h V, then X - h V, of a central difference at FD_STEP
+    (formed as X + (-h) V, the bytes deriv_at_zero's curve(-h) gives)."""
+    return np.concatenate([X + FD_STEP * V, X + (-FD_STEP) * V])
+
+
+def left_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
+                        V: np.ndarray) -> np.ndarray:
+    """T L_g . v at `at` for stacks G[k, N], AT[k, N] and V[k, N]: row a is
+    the derivative of h -> G[a] h along the retraction-corrected curve
+    through AT[a] with velocity V[a] (which should be target-vertical).
+    Raises CompositionError, naming the first row, where src(G[a]) is not
+    tgt(AT[a])."""
+    G, AT = np.asarray(G, dtype=float), np.asarray(AT, dtype=float)
+    V = np.asarray(V, dtype=float)
+    M = model.src.many(G)
+    _check_composable(M, model.tgt.many(AT))
     if model.has_jacobians:
-        _, Dh = model.mul_jac(g.coords, at.coords)
-        Dr, _ = model.retract_tgt_jac(at.coords, m)
-        return Dh @ (Dr @ v)
-    return deriv_at_zero(lambda t: model.mul(g.coords, model.retract_tgt(at.coords + t * v, m)))
+        if model.mul_jac_many is not None:
+            Dh = model.mul_jac_many(G, AT)[1]
+        else:
+            Dh = np.array([model.mul_jac(g, at)[1] for g, at in zip(G, AT)])
+        Dr = np.array([model.retract_tgt_jac(at, m)[0] for at, m in zip(AT, M)])
+        return matvecs(Dh, matvecs(Dr, V))
+    # there is no stacked retract_tgt: the retraction takes the probes row by row
+    probes = _both_steps(AT, V)
+    retracted = stacked(model.retract_tgt, None, probes, np.concatenate([M, M]))
+    return _central_slopes(model.mul_many(np.concatenate([G, G]), retracted))
+
+
+def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> np.ndarray:
+    """T L_g . v at `at`: left_translate_many's batch of one."""
+    return left_translate_many(model, g.coords[None], at.coords[None],
+                               np.asarray(v, dtype=float)[None])[0]
+
+
+def right_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
+                         V: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """T R_g . v at `at` for stacks G[k, N], AT[k, N] and V[k, N]: row a is
+    the derivative of g' -> g' G[a] along the retraction-corrected curve
+    through AT[a] with velocity V[a] (which should be source-vertical), both
+    central-difference probes of every row in one stacked call. M, when the
+    caller has them, are the targets of G. Raises CompositionError, naming
+    the first row, where src(AT[a]) is not tgt(G[a])."""
+    G, AT = np.asarray(G, dtype=float), np.asarray(AT, dtype=float)
+    V = np.asarray(V, dtype=float)
+    M = model.tgt.many(G) if M is None else M
+    _check_composable(model.src.many(AT), M)
+    if model.has_jacobians:
+        if model.mul_jac_many is not None:
+            Dg = model.mul_jac_many(AT, G)[0]
+        else:
+            Dg = np.array([model.mul_jac(at, g)[0] for at, g in zip(AT, G)])
+        Dr = np.array([model.retract_src_jac(at, m)[0] for at, m in zip(AT, M)])
+        return matvecs(Dg, matvecs(Dr, V))
+    retracted = model.retract_src_many(_both_steps(AT, V), np.concatenate([M, M]))
+    return _central_slopes(model.mul_many(retracted, np.concatenate([G, G])))
 
 
 def right_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> np.ndarray:
-    """T R_g . v at `at`: derivative of g' -> g' g (v should be source-vertical)."""
-    _check_composable(at.source, g.target)
-    v = np.asarray(v, dtype=float)
-    m = g.target
+    """T R_g . v at `at`: right_translate_many's batch of one."""
+    return right_translate_many(model, g.coords[None], at.coords[None],
+                                np.asarray(v, dtype=float)[None])[0]
+
+
+def inv_tangent_many(model: GroupoidModel, AT: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """T I . v at `at` for stacks AT[k, N] and V[k, N], row a at AT[a]."""
+    AT, V = np.asarray(AT, dtype=float), np.asarray(V, dtype=float)
     if model.has_jacobians:
-        Dg, _ = model.mul_jac(at.coords, g.coords)
-        Dr, _ = model.retract_src_jac(at.coords, m)
-        return Dg @ (Dr @ v)
-    return deriv_at_zero(lambda t: model.mul(model.retract_src(at.coords + t * v, m), g.coords))
+        return matvecs(np.array([model.inv_jac(at) for at in AT]), V)
+    return _central_slopes(model.inv_many(_both_steps(AT, V)))
 
 
 def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
-    """T I . v at `at`."""
-    v = np.asarray(v, dtype=float)
-    if model.has_jacobians:
-        return model.inv_jac(at.coords) @ v
-    return deriv_at_zero(lambda t: model.inv(at.coords + t * v))
+    """T I . v at `at`: inv_tangent_many's batch of one."""
+    return inv_tangent_many(model, at.coords[None], np.asarray(v, dtype=float)[None])[0]
 
 
 # -- anchor, right-invariant extension, bracket ------------------------------
@@ -333,6 +426,12 @@ def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
 def anchor(model: GroupoidModel, X: AlgebroidVec) -> np.ndarray:
     """Anchor of an algebroid element: Ttgt applied to its vector."""
     return model.Ttgt(model.unit(X.base)) @ X.vec
+
+
+def anchor_matrices(model: GroupoidModel, M: np.ndarray) -> np.ndarray:
+    """Ttgt at unit(M[a]) for each base point of a stack M[k, n]: the matrices
+    that anchor algebroid vectors at those points."""
+    return differentiate_many(model.tgt, model.unit.many(M))
 
 
 def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndarray],
@@ -347,22 +446,7 @@ def right_invariant_many(model: GroupoidModel, X: Callable[[np.ndarray], np.ndar
     G = np.asarray(G, dtype=float)
     T = model.tgt.many(G)
     V = stacked(X, getattr(X, "many", None), T)
-    U = model.unit.many(T)
-    _check_composable(model.src.many(U), T)
-    if model.has_jacobians:
-        if model.mul_jac_many is not None:
-            Dg = model.mul_jac_many(U, G)[0]
-        else:
-            Dg = np.array([model.mul_jac(u, g)[0] for u, g in zip(U, G)])
-        Dr = np.array([model.retract_src_jac(u, m)[0] for u, m in zip(U, T)])
-        return (Dg @ (Dr @ V[..., None]))[..., 0]
-    # T R_g . v by central differences along the retracted curve, both probes
-    # of every row in one stacked call
-    k = len(G)
-    probes = np.concatenate([U + FD_STEP * V, U + (-FD_STEP) * V])
-    values = model.mul_many(model.retract_src_many(probes, np.concatenate([T, T])),
-                            np.concatenate([G, G]))
-    return deriv_at_zero(lambda t: values[:k] if t > 0 else values[k:])
+    return right_translate_many(model, G, model.unit.many(T), V, T)
 
 
 def outer_fd_step(model: GroupoidModel) -> float:
@@ -398,134 +482,206 @@ def algebroid_bracket(model: GroupoidModel,
 # -- bisection-jet oracle ----------------------------------------------------
 
 
+def extend_bisections(model: GroupoidModel, J: Jets) -> Callable:
+    """extend_bisection for a stack of jets, as one family of bisections: a
+    callable family(X, owner) whose row r is member owner[r]'s bisection at
+    X[r], every row in one retract_src_many call."""
+
+    def family(X: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return model.retract_src_many(
+            J.coords[owner] + matvecs(J.mu[owner], X - J.source[owner]), X)
+
+    return family
+
+
 def extend_bisection(model: GroupoidModel, j: Jet1) -> ChartMap:
     """A representative local bisection with the given one-jet, as a ChartMap
     M -> G: the affine chart extension projected back onto the sections of the
-    source map.
+    source map; extend_bisections' family of one.
 
     Any representative with the correct one-jet is valid; affine is the
     cheapest and exactly differentiable, and the source retraction makes it an
     exact section of src.
     """
-    g0 = j.g.coords
-    m0 = j.g.source
-    mu = j.mu
-
-    def b(x: np.ndarray) -> np.ndarray:
-        return model.retract_src(g0 + mu @ (x - m0), x)
+    family = extend_bisections(model, Jets.of([j]))
 
     def b_many(X: np.ndarray) -> np.ndarray:
-        return model.retract_src_many(g0 + (mu @ (X - m0)[..., None])[..., 0], X)
+        return family(X, np.zeros(len(X), dtype=int))
 
-    return ChartMap(model.n, model.N, b, eval_many=b_many)
+    return ChartMap(model.n, model.N, lambda x: b_many(x[None])[0], eval_many=b_many)
 
 
 def _bisection(model: GroupoidModel, b: Callable) -> ChartMap:
     return b if isinstance(b, ChartMap) else ChartMap(model.n, model.N, b)  # loops
 
 
-def _check_section(m: np.ndarray, probes: np.ndarray, sources: np.ndarray) -> None:
-    for defect in np.max(np.abs(sources - probes), axis=1):
-        if exceeds(float(defect), SECTION_TOL):
-            raise NotABisectionError(
-                f"src(b(x)) != x near {m}: defect {defect:.3e}")
+def _composed(model: GroupoidModel, family1: Callable, family2: Callable) -> Callable:
+    """The pointwise products (b1 b2)(m) = b1(tgt(b2(m))) . b2(m) of two
+    families of bisections, member by member."""
+
+    def family(X: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        H = family2(X, owner)
+        return model.mul_many(family1(model.tgt.many(H), owner), H)
+
+    return family
+
+
+def _check_section(M: np.ndarray, probes: np.ndarray, sources: np.ndarray) -> None:
+    """Raise NotABisectionError at the first probe whose source is not the
+    probe, near its member's point M[r]; a NaN defect fails."""
+    defects = np.max(np.abs(sources - probes), axis=1)
+    bad = np.flatnonzero(~(defects <= SECTION_TOL))
+    if bad.size:
+        r = bad[0]
+        raise NotABisectionError(f"src(b(x)) != x near {M[r]}: defect {defects[r]:.3e}")
+
+
+def _oracle_probes(M: np.ndarray) -> np.ndarray:
+    """Each member's 2n+1 probes m, m + h e_i, m - h e_i, member by member."""
+    eye = np.eye(M.shape[1])
+    return np.concatenate([M[:, None], M[:, None] + FD_STEP * eye,
+                           M[:, None] - FD_STEP * eye], axis=1).reshape(-1, M.shape[1])
+
+
+def _stacked_oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
+    """oracle_jets without its rerun: every probe in one family call."""
+    k, n = M.shape
+    probes = _oracle_probes(M)
+    owner = np.repeat(np.arange(k), 2 * n + 1)
+    B = np.asarray(family(probes, owner), dtype=float)
+    _check_section(M[owner], probes, model.src.many(B))
+    B = B.reshape(k, 2 * n + 1, -1)
+    # jacobians_fd reads the forward probes of every member, then the backward ones
+    stencil = np.concatenate([B[:, 1:n + 1], B[:, n + 1:]]).reshape(2 * k * n, -1)
+    mu = jacobians_fd(lambda _: stencil, M)
+    if not (abs(np.linalg.det(differentiate_many(model.tgt, B[:, 0]) @ mu)) >= DET_TOL).all():
+        raise NotABisectionError("target map of the bisection is singular")
+    return Jets.at(model, B[:, 0], mu)
+
+
+def oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
+    """Ground-truth one-jets of a family of explicit local bisections, member
+    a at M[a], by central differences of the bisections themselves.
+
+    Each member is evaluated once at each of its 2n+1 points m and
+    m +- h e_i, h = FD_STEP, all members in one family(probes, owner) call:
+    row r of the probe stack belongs to member owner[r] = r // (2n+1). The
+    section is checked at every row, and jacobians_fd reads its central
+    differences from the same rows: its probes m + s * e, s = +h and -h, have
+    exactly the bytes of m + h * e and m - h * e (IEEE a + (-b) == a - b,
+    signed zeros included). One stacked check of the target maps' jacobians
+    follows. Member a equals the family of member a alone bit for bit.
+
+    Raises NotABisectionError when a member fails to be a section of the
+    source map near its point (checked to 1e-9 at every probe) or when its
+    target map is singular; a NaN defect or determinant counts as either
+    failure. Where the stacked evaluation raises, the members rerun in order,
+    each probe by probe and then as a family of one, so the error raised is
+    the one the first failing member, at its first failing probe, raises
+    alone.
+    """
+    M = np.asarray(M, dtype=float)
+    try:
+        return _stacked_oracle_jets(model, family, M)
+    except Exception:
+        for a in range(len(M)):
+            def member(X, owner, a=a):
+                return family(X, np.full(len(X), a))
+
+            for probe in _oracle_probes(M[a:a + 1]):
+                _check_section(M[a:a + 1], probe[None],
+                               model.src.many(member(probe[None], None)))
+            _stacked_oracle_jets(model, member, M[a:a + 1])
+        raise
 
 
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
                m: np.ndarray) -> Jet1:
-    """Ground-truth one-jet of an explicit local bisection at m, by central
-    differences of the bisection itself.
-
-    b is evaluated once at each of the 2n+1 points m and m +- h e_i, h = FD_STEP,
-    in one b.many call (a plain callable is looped). The section is checked at
-    every row, and jacobians_fd reads its central differences from the same
-    rows: its probes m + s * e, s = +h and -h, have exactly the bytes of
-    m + h * e and m - h * e (IEEE a + (-b) == a - b, signed zeros included).
-
-    Raises NotABisectionError when b fails to be a section of the source map
-    near m (checked to 1e-9 at every probe) or when its target map is
-    singular; a NaN defect or determinant counts as either failure. Where the
-    stacked call raises, the probes rerun one by one, so the first failing
-    probe's error is raised.
-    """
-    m = np.asarray(m, dtype=float)
+    """Ground-truth one-jet of an explicit local bisection at m: oracle_jets'
+    batch of one, b evaluated at its 2n+1 probes in one b.many call (a plain
+    callable is looped; where that raises, the probes rerun one by one)."""
     b = _bisection(model, b)
-    eye = np.eye(model.n)
-    probes = np.concatenate([m[None], m + FD_STEP * eye, m - FD_STEP * eye])
-    try:
-        B = b.many(probes)
-        _check_section(m, probes, model.src.many(B))
-    except Exception:
-        for probe in probes:
-            _check_section(m, probe[None], model.src(b(probe))[None])
-        raise
-    mu = jacobians_fd(lambda _: B[1:], m[None])[0]  # the stencil's probes are probes[1:]
-    if not abs(np.linalg.det(model.Ttgt(B[0]) @ mu)) >= DET_TOL:
-        raise NotABisectionError("target map of the bisection is singular")
-    return Jet1(model.arrow(B[0]), mu)
+    return oracle_jets(model, lambda X, _: b.many(X), np.asarray(m, dtype=float)[None])[0]
 
 
 def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> ChartMap:
     """Pointwise product of local bisections: (b1 b2)(m) = b1(tgt(b2(m))) . b2(m)."""
     b1, b2 = _bisection(model, b1), _bisection(model, b2)
-
-    def prod(m: np.ndarray) -> np.ndarray:
-        h = b2(m)
-        return model.mul(b1(model.tgt(h)), h)
+    family = _composed(model, lambda X, _: b1.many(X), lambda X, _: b2.many(X))
 
     def prod_many(M: np.ndarray) -> np.ndarray:
-        H = b2.many(M)
-        return model.mul_many(b1.many(model.tgt.many(H)), H)
+        return family(M, None)
 
-    return ChartMap(model.n, model.N, prod, eval_many=prod_many)
+    return ChartMap(model.n, model.N, lambda m: prod_many(m[None])[0], eval_many=prod_many)
 
 
-def oracle_jet_mul(model: GroupoidModel, j1: Jet1, j2: Jet1) -> Jet1:
-    """Definition-level multiplication in the jet groupoid: extend both jets to
-    representative bisections, compose pointwise, and take the oracle jet of
-    the product at the source of j2.
+def oracle_jet_muls(model: GroupoidModel, J1: Jets, J2: Jets) -> Jets:
+    """Definition-level multiplication in the jet groupoid, for stacks of
+    composable jets: extend both stacks to their families of representative
+    bisections, compose them member by member, and take the oracle jets of
+    the products at the sources of J2, each factor's family evaluated in one
+    stacked call of k(2n+1) rows.
 
     Every closed multiplication formula in the library is tested against this.
     """
-    _check_composable(j1.g.source, j2.g.target)
-    b1 = extend_bisection(model, j1)
-    b2 = extend_bisection(model, j2)
-    return oracle_jet(model, compose_bisections(model, b1, b2), j2.g.source)
+    _check_composable(J1.source, J2.target)
+    return oracle_jets(model, _composed(model, extend_bisections(model, J1),
+                                        extend_bisections(model, J2)), J2.source)
+
+
+def oracle_jet_mul(model: GroupoidModel, j1: Jet1, j2: Jet1) -> Jet1:
+    """oracle_jet_muls' batch of one."""
+    return oracle_jet_muls(model, Jets.of([j1]), Jets.of([j2]))[0]
+
+
+def oracle_jet_inverses(model: GroupoidModel, J: Jets) -> Jets:
+    """Ground-truth jet inversion for a stack of jets: invert representative
+    bisections.
+
+    Each representative's base transformation tgt . b is inverted by Newton
+    iteration; the inverse bisection y -> inv(b((tgt . b)^-1(y))) is then
+    differentiated at the jet's target. All members' 2n+1 Newton solves run
+    as one newton_solve_many, each member's rows from its jet's source, the
+    start they share: a k-member stack evaluates k starts.
+    """
+    family = extend_bisections(model, J)
+
+    def inverse(Y, owner):
+        X = newton_solve_many(lambda P, o: model.tgt.many(family(P, o)), Y, J.source,
+                              owner, 1e-14)
+        return model.inv_many(family(X, owner))
+
+    return oracle_jets(model, inverse, J.target)
 
 
 def oracle_jet_inverse(model: GroupoidModel, j: Jet1) -> Jet1:
-    """Ground-truth jet inversion: invert a representative bisection.
+    """oracle_jet_inverses' batch of one."""
+    return oracle_jet_inverses(model, Jets.of([j]))[0]
 
-    The representative's base transformation tgt . b is inverted by Newton
-    iteration; the inverse bisection y -> inv(b((tgt . b)^-1(y))) is then
-    differentiated at the target point. Its 2n+1 Newton solves run as one
-    newton_solve_many from the jet's source, the start shared by all of them.
-    """
-    b = extend_bisection(model, j)
-    x0 = j.g.source
 
-    def b_inv(y):
-        return model.inv(b(newton_solve(lambda x: model.tgt(b(x)), y, x0, 1e-14)))
-
-    def b_inv_many(Y):
-        X = newton_solve_many(lambda P: model.tgt.many(b.many(P)), Y, x0, 1e-14)
-        return model.inv_many(b.many(X))
-
-    return oracle_jet(model, ChartMap(model.n, model.N, b_inv, eval_many=b_inv_many),
-                      j.g.target)
+def identity_jets(model: GroupoidModel, M: np.ndarray) -> Jets:
+    """The unit elements of the jet groupoid over the points M[k, n]: the jets
+    of the unit bisection."""
+    M = np.asarray(M, dtype=float)
+    return Jets.at(model, model.unit.many(M), differentiate_many(model.unit, M))
 
 
 def identity_jet(model: GroupoidModel, m: np.ndarray) -> Jet1:
-    """The unit element of the jet groupoid over m: the jet of the unit bisection."""
-    m = np.asarray(m, dtype=float)
-    return Jet1(model.unit_arrow(m), model.Tunit(m))
+    """The unit element of the jet groupoid over m: identity_jets' batch of one."""
+    return identity_jets(model, np.asarray(m, dtype=float)[None])[0]
+
+
+def jet_distances(J1: Jets, J2: Jets) -> np.ndarray:
+    """Max-norm distances between the jets of two stacks, row by row: arrow
+    coordinates and mu entries; NaN where either jet holds a NaN."""
+    return np.maximum(np.max(np.abs(J1.coords - J2.coords), axis=1),
+                      np.max(np.abs(J1.mu - J2.mu), axis=(1, 2)))
 
 
 def jet_distance(j1: Jet1, j2: Jet1) -> float:
-    """Max-norm distance between jets: arrow coordinates and mu entries; NaN
-    when either jet holds a NaN."""
-    return float(np.maximum(np.max(np.abs(j1.g.coords - j2.g.coords)),
-                            np.max(np.abs(j1.mu - j2.mu))))
+    """Max-norm distance between jets: jet_distances' batch of one."""
+    return float(jet_distances(Jets.of([j1]), Jets.of([j2]))[0])
 
 
 # -- sampling ---------------------------------------------------------------

@@ -7,6 +7,14 @@ Multiplication, inversion, the adjoint representations, jet inversion, the
 kernel product formulas and the semidirect-product multiplication are all
 implemented as explicit linear algebra over a model's tangent maps, and every
 one of them is tested against the bisection-jet oracle in `groupoid`.
+
+Every map is written for stacks first: jets as groupoid.Jets and kernel
+elements as KernelHoms, C-contiguous arrays whose row a is one element. A
+stacked map reads each tangent map once per step for all rows (one
+jacobians_fd call on finite-difference models, the analytic jacobian row by
+row otherwise), and row a of its result equals the map on element a alone
+bit for bit. The single-element forms (Jet1, KernelHom) are the stacked
+forms' batches of one.
 """
 
 import logging
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartcalc import exceeds, newton_solve
+from .chartcalc import differentiate_many, exceeds, matvecs, newton_solve
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
@@ -22,14 +30,16 @@ from .groupoid import (
     DET_TOL,
     GroupoidModel,
     Jet1,
+    Jets,
     algebroid_vec,
-    anchor,
+    anchor_matrices,
     identity_jet,
-    inv_tangent,
+    identity_jets,
+    inv_tangent_many,
     kernel_basis,
-    left_translate,
+    left_translate_many,
     oracle_jet,
-    right_translate,
+    right_translate_many,
 )
 
 log = logging.getLogger(__name__)
@@ -39,68 +49,139 @@ KERNEL_SCALE = 0.4  # half-range of random_kernel_hom's coefficients in the kern
 KERNEL_MIN_DET = 0.1  # conditioning floor |det phi_tm| of random_kernel_hom's samples
 
 
+def _columns(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """[a, j] is P[a] @ A[a][:, j], as one matrix-vector product per column
+    rounds it, flattened to rows a * n + j."""
+    C = (P[:, None] @ np.swapaxes(A, -1, -2)[..., None])[..., 0]
+    return C.reshape(-1, C.shape[-1])
+
+
+def _from_columns(C: np.ndarray, k: int) -> np.ndarray:
+    """The matrices [k, N, n] whose column j of matrix a is row a * n + j of C."""
+    return np.ascontiguousarray(np.swapaxes(C.reshape(k, -1, C.shape[-1]), 1, 2))
+
+
 @dataclass(frozen=True)
 class KernelHom:
     """An element of the linear kernel model at a base point m: the matrix phi
     maps T_m M into the algebroid fibre at m (each column a source-vertical
-    vector at unit(m))."""
+    vector at unit(m)). Its maps are KernelHoms' batches of one."""
 
     model: GroupoidModel
     m: np.ndarray
     phi: np.ndarray  # (N, n)
 
     @property
-    def anchor_matrix(self) -> np.ndarray:
-        """Ttgt at unit(m), the matrix that anchors kernel columns to TM."""
-        return self.model.Ttgt(self.model.unit(self.m))
-
-    @property
     def phi_tm(self) -> np.ndarray:
         """Induced map on TM: v -> v - anchor(phi v)."""
-        return np.eye(self.model.n) - self.anchor_matrix @ self.phi
+        return KernelHoms.of([self]).phi_tm[0]
 
     def phi_g(self, X: AlgebroidVec) -> AlgebroidVec:
         """Induced action on the algebroid: X -> X - phi(anchor X)."""
-        v = anchor(self.model, X)
-        return algebroid_vec(self.model, self.m, X.vec - self.phi @ v, check=False)
+        vec = KernelHoms.of([self]).phi_g(np.asarray(X.base)[None], np.asarray(X.vec)[None])[0]
+        return algebroid_vec(self.model, self.m, vec, check=False)
 
     def is_invertible(self) -> bool:
+        return bool(KernelHoms.of([self]).invertible()[0])
+
+
+@dataclass(frozen=True)
+class KernelHoms:
+    """A stack of kernel elements: element a is KernelHom(model, m[a], phi[a]),
+    held as C-contiguous arrays m[k, n] and phi[k, N, n]."""
+
+    model: GroupoidModel
+    m: np.ndarray
+    phi: np.ndarray
+
+    def __post_init__(self):
+        for name in ("m", "phi"):
+            object.__setattr__(self, name,
+                               np.ascontiguousarray(getattr(self, name), dtype=float))
+
+    @staticmethod
+    def of(homs) -> "KernelHoms":
+        return KernelHoms(homs[0].model, np.array([h.m for h in homs]),
+                          np.array([h.phi for h in homs]))
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __getitem__(self, a: int) -> KernelHom:
+        return KernelHom(self.model, self.m[a], self.phi[a])
+
+    @property
+    def anchor_matrix(self) -> np.ndarray:
+        """Ttgt at unit(m[a]), the matrices that anchor kernel columns to TM."""
+        return anchor_matrices(self.model, self.m)
+
+    @property
+    def phi_tm(self) -> np.ndarray:
+        """The induced maps on TM: v -> v - anchor(phi v)."""
+        return np.eye(self.model.n) - self.anchor_matrix @ self.phi
+
+    def phi_g(self, base: np.ndarray, XV: np.ndarray) -> np.ndarray:
+        """The induced actions on algebroid vectors XV[a] at base[a]:
+        X -> X - phi(anchor X)."""
+        return XV - matvecs(self.phi, matvecs(anchor_matrices(self.model, base), XV))
+
+    def invertible(self) -> np.ndarray:
         return abs(np.linalg.det(self.phi_tm)) > DET_TOL
 
 
 def _same_base(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if exceeds(float(np.max(np.abs(np.asarray(a) - np.asarray(b)))), BASE_TOL):
-        raise BaseMismatchError(f"{what}: base points differ ({a} vs {b})")
+    """Raise BaseMismatchError unless the points, or each row of stacks of
+    them, agree to BASE_TOL, naming the first row that does not; a NaN
+    fails."""
+    a, b = np.asarray(a), np.asarray(b)
+    if exceeds(float(np.max(np.abs(a - b))), BASE_TOL):
+        a, b = np.atleast_2d(a, b)
+        r = np.flatnonzero(~(np.max(np.abs(a - b), axis=1) <= BASE_TOL))[0]
+        raise BaseMismatchError(f"{what}: base points differ ({a[r]} vs {b[r]})")
 
 
-def aut_mul(psi: KernelHom, phi: KernelHom) -> KernelHom:
-    """Kernel multiplication psi.phi = psi + phi - psi(anchor(phi .)).
+def aut_mul_many(psi: KernelHoms, phi: KernelHoms) -> KernelHoms:
+    """Kernel multiplication psi.phi = psi + phi - psi(anchor(phi .)), row by row.
 
     The induced TM-map of the product is the composition of the factors'
     TM-maps (the kernel-to-TM map is a groupoid morphism)."""
     _same_base(psi.m, phi.m, "aut_mul")
     B = phi.anchor_matrix
-    prod = psi.phi + phi.phi - psi.phi @ (B @ phi.phi)
-    return KernelHom(phi.model, phi.m, prod)
+    return KernelHoms(phi.model, phi.m, psi.phi + phi.phi - psi.phi @ (B @ phi.phi))
+
+
+def aut_mul(psi: KernelHom, phi: KernelHom) -> KernelHom:
+    """Kernel multiplication: aut_mul_many's batch of one."""
+    return aut_mul_many(KernelHoms.of([psi]), KernelHoms.of([phi]))[0]
+
+
+def aut_inv_many(phi: KernelHoms) -> KernelHoms:
+    """Kernel inversion phi -> -phi . (phi_tm)^-1, row by row."""
+    ptm = phi.phi_tm
+    if not (abs(np.linalg.det(ptm)) >= DET_TOL).all():  # a NaN determinant is singular too
+        raise SingularError("phi_tm singular; element lies outside the kernel group")
+    return KernelHoms(phi.model, phi.m, -phi.phi @ np.linalg.inv(ptm))
 
 
 def aut_inv(phi: KernelHom) -> KernelHom:
-    """Kernel inversion phi -> -phi . (phi_tm)^-1."""
-    ptm = phi.phi_tm
-    if not abs(np.linalg.det(ptm)) >= DET_TOL:  # a NaN determinant is singular too
-        raise SingularError("phi_tm singular; element lies outside the kernel group")
-    return KernelHom(phi.model, phi.m, -phi.phi @ np.linalg.inv(ptm))
+    """Kernel inversion: aut_inv_many's batch of one."""
+    return aut_inv_many(KernelHoms.of([phi]))[0]
+
+
+def vee_many(phi: KernelHoms) -> Jets:
+    """Embed kernel elements as jets over the unit arrows: v -> v - phi v.
+
+    The embedded jet acts on TM by phi_tm and on the algebroid by phi_g."""
+    if not phi.invertible().all():
+        raise SingularError("phi_tm singular; vee(phi) would violate jet invariants")
+    model = phi.model
+    return Jets.at(model, model.unit.many(phi.m),
+                   differentiate_many(model.unit, phi.m) - phi.phi)
 
 
 def vee(phi: KernelHom) -> Jet1:
-    """Embed a kernel element as a jet over the unit arrow: v -> v - phi v.
-
-    The embedded jet acts on TM by phi_tm and on the algebroid by phi_g."""
-    if not phi.is_invertible():
-        raise SingularError("phi_tm singular; vee(phi) would violate jet invariants")
-    model = phi.model
-    mu = model.Tunit(phi.m) - phi.phi
-    return Jet1(model.unit_arrow(phi.m), mu)
+    """Embed a kernel element as a jet over the unit arrow: vee_many's batch of one."""
+    return vee_many(KernelHoms.of([phi]))[0]
 
 
 def unvee(model: GroupoidModel, j: Jet1) -> KernelHom:
@@ -123,49 +204,69 @@ def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
     enforce: nearly degenerate elements are valid inputs but blow up the
     higher derivatives that finite-difference oracles rest on, so they are
     excluded from sampled comparisons rather than from the algebra."""
+    m = np.asarray(m, dtype=float)
     K = kernel_basis(model, m)
+    B = model.Ttgt(model.unit(m))  # the anchor matrix at m, read once per call
+    eye = np.eye(model.n)
     for attempt in range(64):
         C = rng.uniform(-KERNEL_SCALE, KERNEL_SCALE, size=(K.shape[1], model.n))
-        cand = KernelHom(model, np.asarray(m, dtype=float), K @ C)
-        if abs(np.linalg.det(cand.phi_tm)) >= KERNEL_MIN_DET:
-            return cand
+        phi = K @ C
+        det = np.linalg.det(eye - B @ phi)
+        if abs(det) >= KERNEL_MIN_DET:
+            return KernelHom(model, m, phi)
         log.debug("resampling kernel hom at %s (attempt %d: det %.2e below floor)",
-                  m, attempt, np.linalg.det(cand.phi_tm))
+                  m, attempt, det)
     raise SingularError("could not sample a well-conditioned kernel element")
 
 
 # -- adjoint representations -------------------------------------------------
 
 
+def adjoint_tm_many(model: GroupoidModel, mu: Jets) -> np.ndarray:
+    """Matrices of the jets' actions on TM: Ttgt . mu, row by row."""
+    return differentiate_many(model.tgt, mu.coords) @ mu.mu
+
+
 def adjoint_tm(model: GroupoidModel, mu: Jet1) -> np.ndarray:
-    """Matrix of the jet's action on TM: Ttgt . mu."""
-    return model.Ttgt(mu.g.coords) @ mu.mu
+    """Matrix of the jet's action on TM: adjoint_tm_many's batch of one."""
+    return adjoint_tm_many(model, Jets.of([mu]))[0]
+
+
+def adjoint_vec_many(model: GroupoidModel, mu: Jets, base: np.ndarray,
+                     XV: np.ndarray) -> np.ndarray:
+    """Adjoint action of jets on algebroid vectors XV[a] at base[a]:
+    Ad_mu X = T R_{g^-1} (mu(anchor X) - T L_g T I X), the vectors at the
+    jets' targets."""
+    g = mu.coords
+    _same_base(base, mu.source, "adjoint_vec")
+    U = model.unit.many(base)
+    anchored = matvecs(differentiate_many(model.tgt, U), XV)
+    lifted = matvecs(mu.mu, anchored) - left_translate_many(
+        model, g, U, inv_tangent_many(model, U, XV))
+    return right_translate_many(model, model.inv_many(g), g, lifted)
 
 
 def adjoint_vec(model: GroupoidModel, mu: Jet1, X: AlgebroidVec) -> AlgebroidVec:
-    """Adjoint action of a jet on the algebroid:
-    Ad_mu X = T R_{g^-1} (mu(anchor X) - T L_g T I X)."""
-    g = mu.g
-    _same_base(X.base, g.source, "adjoint_vec")
-    u = model.unit_arrow(X.base)
-    lifted = mu.mu @ anchor(model, X) - left_translate(
-        model, g, u, inv_tangent(model, u, X.vec))
-    ginv = model.arrow(model.inv(g.coords))
-    out = right_translate(model, ginv, g, lifted)
-    return algebroid_vec(model, g.target, out, check=False)
+    """Adjoint action of a jet on the algebroid: adjoint_vec_many's batch of one."""
+    out = adjoint_vec_many(model, Jets.of([mu]), np.asarray(X.base)[None],
+                           np.asarray(X.vec)[None])[0]
+    return algebroid_vec(model, mu.g.target, out, check=False)
+
+
+def adjoint_hom_many(model: GroupoidModel, mu: Jets, phi: KernelHoms) -> KernelHoms:
+    """Induced action on kernel elements: (Ad_mu phi) v = Ad_mu(phi Ad_mu^-1 v),
+    the columns of every row in one adjoint_vec_many call."""
+    _same_base(phi.m, mu.source, "adjoint_hom")
+    n = model.n
+    Ainv = np.linalg.inv(adjoint_tm_many(model, mu))
+    cols = adjoint_vec_many(model, mu.repeat(n), np.repeat(phi.m, n, axis=0),
+                            _columns(phi.phi, Ainv))
+    return KernelHoms(model, mu.target, _from_columns(cols, len(mu)))
 
 
 def adjoint_hom(model: GroupoidModel, mu: Jet1, phi: KernelHom) -> KernelHom:
-    """Induced action on kernel elements: (Ad_mu phi) v = Ad_mu(phi Ad_mu^-1 v)."""
-    _same_base(phi.m, mu.g.source, "adjoint_hom")
-    A = adjoint_tm(model, mu)
-    Ainv = np.linalg.inv(A)
-    cols = []
-    for j in range(model.n):
-        w = Ainv[:, j]
-        Xj = algebroid_vec(model, phi.m, phi.phi @ w, check=False)
-        cols.append(adjoint_vec(model, mu, Xj).vec)
-    return KernelHom(model, mu.g.target, np.stack(cols, axis=1))
+    """Induced action on kernel elements: adjoint_hom_many's batch of one."""
+    return adjoint_hom_many(model, Jets.of([mu]), KernelHoms.of([phi]))[0]
 
 
 def adjoint(model: GroupoidModel, mu: Jet1, x):
@@ -181,58 +282,86 @@ def adjoint(model: GroupoidModel, mu: Jet1, x):
 # -- inversion and products --------------------------------------------------
 
 
-def jet_invert(model: GroupoidModel, mu: Jet1) -> Jet1:
-    """Closed-form jet inversion: mu^-1(v) = T I . mu(Ad_mu^-1 v)."""
-    A = adjoint_tm(model, mu)
-    if not abs(np.linalg.det(A)) >= DET_TOL:  # a NaN determinant is singular too
+def jet_invert_many(model: GroupoidModel, mu: Jets) -> Jets:
+    """Closed-form jet inversion, row by row: mu^-1(v) = T I . mu(Ad_mu^-1 v)."""
+    A = adjoint_tm_many(model, mu)
+    if not (abs(np.linalg.det(A)) >= DET_TOL).all():  # a NaN determinant is singular too
         raise SingularError("jet's TM-action is singular")
-    Ainv = np.linalg.inv(A)
-    cols = [inv_tangent(model, mu.g, mu.mu @ Ainv[:, j]) for j in range(model.n)]
-    return Jet1(model.arrow(model.inv(mu.g.coords)), np.stack(cols, axis=1))
+    cols = inv_tangent_many(model, np.repeat(mu.coords, model.n, axis=0),
+                            _columns(mu.mu, np.linalg.inv(A)))
+    return Jets.at(model, model.inv_many(mu.coords), _from_columns(cols, len(mu)))
+
+
+def jet_invert(model: GroupoidModel, mu: Jet1) -> Jet1:
+    """Closed-form jet inversion: jet_invert_many's batch of one."""
+    return jet_invert_many(model, Jets.of([mu]))[0]
+
+
+def mul_kernel_right_many(model: GroupoidModel, mu: Jets, phi: KernelHoms) -> Jets:
+    """Products with kernel elements on the right, row by row:
+    (mu . vee(phi))(v) = mu(phi_tm v) + T L_g T I (phi v)."""
+    _same_base(phi.m, mu.source, "mul_kernel_right")
+    n, N = model.n, model.N
+    U = np.repeat(model.unit.many(phi.m), n, axis=0)
+    base = mu.mu @ phi.phi_tm
+    columns = np.swapaxes(phi.phi, 1, 2).reshape(-1, N)  # row a * n + j: column j of phi[a]
+    corr = left_translate_many(model, np.repeat(mu.coords, n, axis=0), U,
+                               inv_tangent_many(model, U, columns))
+    return Jets(mu.coords, mu.source, mu.target, base + _from_columns(corr, len(mu)))
 
 
 def mul_kernel_right(model: GroupoidModel, mu: Jet1, phi: KernelHom) -> Jet1:
-    """Product with a kernel element on the right:
-    (mu . vee(phi))(v) = mu(phi_tm v) + T L_g T I (phi v)."""
-    _same_base(phi.m, mu.g.source, "mul_kernel_right")
-    g = mu.g
-    u = model.unit_arrow(phi.m)
-    base = mu.mu @ phi.phi_tm
-    corr = np.stack(
-        [left_translate(model, g, u, inv_tangent(model, u, phi.phi[:, j]))
-         for j in range(model.n)], axis=1)
-    return Jet1(g, base + corr)
+    """Product with a kernel element on the right: mul_kernel_right_many's batch of one."""
+    return mul_kernel_right_many(model, Jets.of([mu]), KernelHoms.of([phi]))[0]
+
+
+def mul_kernel_left_many(model: GroupoidModel, mu: Jets, phi: KernelHoms) -> Jets:
+    """Products with kernel elements on the left, row by row:
+    (vee(phi) . mu)(v) = mu(v) - T R_g . phi(Ad_mu v), phi based at the target."""
+    _same_base(phi.m, mu.target, "mul_kernel_left")
+    n = model.n
+    A = adjoint_tm_many(model, mu)
+    U = np.repeat(model.unit.many(mu.target), n, axis=0)
+    corr = right_translate_many(model, np.repeat(mu.coords, n, axis=0), U,
+                                _columns(phi.phi, A))
+    return Jets(mu.coords, mu.source, mu.target, mu.mu - _from_columns(corr, len(mu)))
 
 
 def mul_kernel_left(model: GroupoidModel, mu: Jet1, phi: KernelHom) -> Jet1:
-    """Product with a kernel element on the left:
-    (vee(phi) . mu)(v) = mu(v) - T R_g . phi(Ad_mu v), phi based at the target."""
-    _same_base(phi.m, mu.g.target, "mul_kernel_left")
-    g = mu.g
-    A = adjoint_tm(model, mu)
-    u = model.unit_arrow(g.target)
-    corr = np.stack(
-        [right_translate(model, g, u, phi.phi @ A[:, j]) for j in range(model.n)],
-        axis=1)
-    return Jet1(g, mu.mu - corr)
+    """Product with a kernel element on the left: mul_kernel_left_many's batch of one."""
+    return mul_kernel_left_many(model, Jets.of([mu]), KernelHoms.of([phi]))[0]
+
+
+def jet_decompose_many(model: GroupoidModel, nu: Jets, S_mu: np.ndarray) -> KernelHoms:
+    """Split jets against a connection: nu = vee(phi) . S(g) with
+    phi(v) = T R_{g^-1} (mu(Ad_mu^-1 v) - nu(Ad_mu^-1 v)), mu = S(g), whose
+    matrices S_mu[a] at the arrows of nu are given. Returns the phi."""
+    g = nu.coords
+    S_mu = np.ascontiguousarray(S_mu, dtype=float)
+    A = differentiate_many(model.tgt, g) @ S_mu
+    if not (abs(np.linalg.det(A)) >= DET_TOL).all():  # a NaN determinant is singular too
+        raise SingularError("horizontal jet's TM-action is singular")
+    Ainv = np.linalg.inv(A)
+    n = model.n
+    ginv = np.repeat(model.inv_many(g), n, axis=0)
+    diff = _columns(S_mu, Ainv) - _columns(nu.mu, Ainv)
+    cols = right_translate_many(model, ginv, np.repeat(g, n, axis=0), diff)
+    return KernelHoms(model, nu.target, _from_columns(cols, len(nu)))
 
 
 def jet_decompose(model: GroupoidModel, nu: Jet1, S) -> tuple[Arrow, KernelHom]:
-    """Split a jet against a connection: nu = vee(phi) . S(g) with
-    phi(v) = T R_{g^-1} (mu(Ad_mu^-1 v) - nu(Ad_mu^-1 v)), mu = S(g)."""
-    g = nu.g
-    mu = S(g)
-    A = adjoint_tm(model, mu)
-    if not abs(np.linalg.det(A)) >= DET_TOL:  # a NaN determinant is singular too
-        raise SingularError("horizontal jet's TM-action is singular")
-    Ainv = np.linalg.inv(A)
-    ginv = model.arrow(model.inv(g.coords))
-    cols = []
-    for j in range(model.n):
-        w = Ainv[:, j]
-        diff = mu.mu @ w - nu.mu @ w
-        cols.append(right_translate(model, ginv, g, diff))
-    return g, KernelHom(model, g.target, np.stack(cols, axis=1))
+    """Split a jet against a connection S (arrow -> horizontal Jet1):
+    jet_decompose_many's batch of one, returning (g, phi)."""
+    return nu.g, jet_decompose_many(model, Jets.of([nu]), S(nu.g).mu[None])[0]
+
+
+def jet_assemble_many(model: GroupoidModel, G: np.ndarray, phi: KernelHoms,
+                      S_many) -> Jets:
+    """Inverse of jet_decompose: assemble the jets vee(phi) . S(g) at the
+    arrows G[k, N], S_many(G) giving the horizontal jets' matrices there
+    (CartanConnection.mu_many)."""
+    G = np.asarray(G, dtype=float)
+    return mul_kernel_left_many(model, Jets.at(model, G, S_many(G)), phi)
 
 
 def jet_assemble(model: GroupoidModel, g: Arrow, phi: KernelHom, S) -> Jet1:
@@ -240,19 +369,31 @@ def jet_assemble(model: GroupoidModel, g: Arrow, phi: KernelHom, S) -> Jet1:
     return mul_kernel_left(model, S(g), phi)
 
 
-def jet_mul(model: GroupoidModel, mu1: Jet1, mu2: Jet1, S) -> Jet1:
-    """Closed-form jet multiplication through the semidirect splitting induced
-    by a multiplicative connection S:
+def jet_mul_many(model: GroupoidModel, mu1: Jets, mu2: Jets, S_many) -> Jets:
+    """Closed-form jet multiplication, row by row, through the semidirect
+    splitting induced by a multiplicative connection S (S_many as in
+    jet_assemble_many):
 
         (g1, phi1) (g2, phi2) = (g1 g2, phi1 . Ad_{S(g1)} phi2).
 
     Agrees with the bisection-jet oracle whenever S is multiplicative."""
-    _same_base(mu1.g.source, mu2.g.target, "jet_mul: arrows not composable")
-    g1, phi1 = jet_decompose(model, mu1, S)
-    g2, phi2 = jet_decompose(model, mu2, S)
-    phi12 = aut_mul(phi1, adjoint_hom(model, S(g1), phi2))
-    g12 = model.arrow(model.mul(g1.coords, g2.coords))
-    return jet_assemble(model, g12, phi12, S)
+    _same_base(mu1.source, mu2.target, "jet_mul: arrows not composable")
+    S1 = S_many(mu1.coords)
+    phi1 = jet_decompose_many(model, mu1, S1)
+    phi2 = jet_decompose_many(model, mu2, S_many(mu2.coords))
+    phi12 = aut_mul_many(phi1, adjoint_hom_many(
+        model, Jets(mu1.coords, mu1.source, mu1.target, S1), phi2))
+    return jet_assemble_many(model, model.mul_many(mu1.coords, mu2.coords), phi12, S_many)
+
+
+def jet_mul(model: GroupoidModel, mu1: Jet1, mu2: Jet1, S) -> Jet1:
+    """Closed-form jet multiplication through a connection S (arrow ->
+    horizontal Jet1): jet_mul_many's batch of one."""
+
+    def S_many(G):
+        return np.array([S(model.arrow(g)).mu for g in G])
+
+    return jet_mul_many(model, Jets.of([mu1]), Jets.of([mu2]), S_many)[0]
 
 
 # -- bisections of the jet groupoid ------------------------------------------
@@ -304,9 +445,12 @@ def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> J
 
 
 __all__ = [
-    "KernelHom", "aut_mul", "aut_inv", "vee", "unvee", "zero_kernel_hom",
-    "random_kernel_hom", "adjoint", "adjoint_tm", "adjoint_vec", "adjoint_hom",
-    "jet_invert", "mul_kernel_right", "mul_kernel_left", "jet_decompose",
-    "jet_assemble", "jet_mul", "assemble_bisection",
-    "kernel_section_pushforward", "random_jet", "identity_jet",
+    "KernelHom", "KernelHoms", "aut_mul", "aut_mul_many", "aut_inv", "aut_inv_many",
+    "vee", "vee_many", "unvee", "zero_kernel_hom", "random_kernel_hom", "adjoint",
+    "adjoint_tm", "adjoint_tm_many", "adjoint_vec", "adjoint_vec_many", "adjoint_hom",
+    "adjoint_hom_many", "jet_invert", "jet_invert_many", "mul_kernel_right",
+    "mul_kernel_right_many", "mul_kernel_left", "mul_kernel_left_many", "jet_decompose",
+    "jet_decompose_many", "jet_assemble", "jet_assemble_many", "jet_mul", "jet_mul_many",
+    "assemble_bisection", "kernel_section_pushforward", "random_jet", "identity_jet",
+    "identity_jets",
 ]

@@ -10,6 +10,7 @@ from cartanlab.chartcalc import (
     MetricChart,
     christoffel,
     differentiate,
+    differentiate_many,
     directional_derivative,
     directional_derivatives,
     exceeds,
@@ -18,6 +19,7 @@ from cartanlab.chartcalc import (
     jacobian_fd,
     memo_by_point,
     newton_solve,
+    newton_solve_many,
     rk4,
     values_and_directional_derivatives,
     worst_case,
@@ -76,6 +78,29 @@ def test_differentiate_domain_and_nonfinite_errors():
     bad = ChartMap(1, 1, lambda x: np.array([np.nan]))
     with raises(NonFiniteError):
         differentiate(bad, np.zeros(1))
+    # the stacked form refuses a stack of the wrong shape and names the
+    # first row whose derivative is not finite
+    with raises(DomainError, match="dimension 2"):
+        differentiate_many(f, np.zeros((3, 3)))
+    partly = ChartMap(1, 1, lambda x: np.sqrt(x) if x[0] >= 0 else np.array([np.nan]))
+    with raises(NonFiniteError, match=r"at \[-1\.\]"):
+        differentiate_many(partly, np.array([[1.0], [-1.0], [-2.0]]))
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_differentiate_many_rows_equal_differentiate(analytic):
+    def jac(x):
+        return np.array([[np.cos(x[0]), 1.0], [x[1], x[0]], [0.0, 2.0 * x[1]]])
+
+    f = ChartMap(2, 3, lambda x: np.array([np.sin(x[0]) + x[1], x[0] * x[1], x[1] ** 2]),
+                 jacobian=jac if analytic else None,
+                 eval_many=lambda X: np.stack([np.sin(X[:, 0]) + X[:, 1], X[:, 0] * X[:, 1],
+                                               X[:, 1] ** 2], axis=1))
+    X = np.random.default_rng(5).uniform(-1, 1, size=(6, 2))
+    jacs = differentiate_many(f, X[::-1])
+    assert jacs.flags.c_contiguous
+    for x, row in zip(X[::-1], jacs):
+        assert np.array_equal(row, differentiate(f, x))
 
 
 def test_composition_rule_within_contract():
@@ -165,6 +190,27 @@ def test_newton_solve_converges():
 
     x = newton_solve(square, np.array([2.0]), np.array([1.0]), 1e-13)
     assert abs(x[0] - np.sqrt(2.0)) < 1e-13
+
+
+def test_newton_solve_many_starts_each_row_from_its_own_start():
+    # two starts, three rows each: every row equals its solve alone from its
+    # start, and the first call evaluates each start once
+    def cube(X):
+        return X ** 3 + X
+
+    Y = np.array([[0.5], [2.0], [-1.0], [3.0], [0.1], [10.0]])
+    X0 = np.array([[0.2], [1.5]])
+    start = np.array([0, 1, 0, 1, 0, 1])
+    calls = []
+
+    def func_many(P, owner):
+        calls.append((P.copy(), owner.copy()))
+        return cube(P)
+
+    X = newton_solve_many(func_many, Y, X0, start, 1e-13)
+    assert np.array_equal(calls[0][0], X0) and np.array_equal(calls[0][1], [0, 1])
+    for y, a, x in zip(Y, start, X):
+        assert np.array_equal(x, newton_solve(cube, y, X0[a], 1e-13))
 
 
 def test_newton_solve_raises_without_root():

@@ -413,29 +413,40 @@ def test_oracle_equals_its_unmemoized_form(name, jacobians):
 
 
 def _counted_bisections(monkeypatch, keep_stacked):
-    """Count the single calls, the stacked calls and the stacked rows of every
-    bisection extend_bisection builds from now on. Without keep_stacked the
-    bisections lose their stacked form, so the oracle evaluates them point by
-    point, as it does any plain callable."""
-    counts = {"single": 0, "stacked": 0, "rows": 0}
-    real = extend_bisection
+    """Count the single-row calls, the stacked calls and the stacked rows of
+    every family of bisections extend_bisections builds from now on (a single
+    jet's extend_bisection is its family of one), and the rows of the first
+    stacked call. Without keep_stacked the families lose their stacked form,
+    so the oracle evaluates them point by point, as it does any plain
+    callable."""
+    counts = {"single": 0, "stacked": 0, "rows": 0, "first": None}
+    real = groupoid.extend_bisections
 
-    def counting(model, j):
-        b = real(model, j)
+    def counting(model, J):
+        family = real(model, J)
 
-        def single(x):
-            counts["single"] += 1
-            return b(x)
-
-        def many(X):
+        def rows(X, owner):
+            if not keep_stacked:
+                counts["single"] += len(X)
+                return np.array([family(X[r:r + 1], owner[r:r + 1])[0]
+                                 for r in range(len(X))])
             counts["stacked"] += 1
             counts["rows"] += len(X)
-            return b.many(X)
+            if counts["first"] is None:
+                counts["first"] = len(X)
+            return family(X, owner)
 
-        return ChartMap(b.dim_in, b.dim_out, single, eval_many=many if keep_stacked else None)
+        return rows
 
-    monkeypatch.setattr(groupoid, "extend_bisection", counting)
+    monkeypatch.setattr(groupoid, "extend_bisections", counting)
     return counts
+
+
+def _counted(counts):
+    """(single calls, stacked calls, stacked rows) so far; then start again."""
+    out = (counts["single"], counts["stacked"], counts["rows"])
+    counts.update(single=0, stacked=0, rows=0, first=None)
+    return out
 
 
 # each id ends in the number of points the inverse evaluates its bisection at
@@ -456,10 +467,28 @@ def test_oracle_evaluates_each_probe_once(zoo, monkeypatch, name, keep_stacked,
     g = model.sample_arrow(np.random.default_rng(0))
     j = S.jet(g)
     oracle_jet(model, groupoid.extend_bisection(model, j), g.source)
-    assert (counts["single"], counts["stacked"], counts["rows"]) == jet_counts
-    counts.update(dict.fromkeys(counts, 0))
+    assert _counted(counts) == jet_counts
     oracle_jet_inverse(model, j)
-    assert (counts["single"], counts["stacked"], counts["rows"]) == inverse_counts
+    assert _counted(counts) == inverse_counts
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_family_of_jets_evaluates_each_probe_once(zoo, monkeypatch, k):
+    # k members on pair-R2 (n = 2, 2n+1 = 5 probes each): the product
+    # evaluates each factor's family in one stacked call of 5k rows; the
+    # inverse makes the 4 stacked calls of a single jet's, the first of them
+    # at the k Newton starts, one per member, and 14 rows per member
+    model, S = zoo("pair-R2")
+    rng = np.random.default_rng(31)
+    pairs = [model.sample_composable(rng) for _ in range(k)]
+    J1 = groupoid.Jets.of([S.jet(g) for g, _ in pairs])
+    J2 = groupoid.Jets.of([S.jet(h) for _, h in pairs])
+    counts = _counted_bisections(monkeypatch, True)
+    groupoid.oracle_jet_muls(model, J1, J2)
+    assert _counted(counts) == (0, 2, 2 * 5 * k)
+    groupoid.oracle_jet_inverses(model, J1)
+    first = counts["first"]
+    assert (_counted(counts), first) == ((0, 4, 14 * k), k)
 
 
 def test_oracle_raises_what_the_first_failing_probe_raises(zoo):
@@ -479,6 +508,30 @@ def test_oracle_raises_what_the_first_failing_probe_raises(zoo):
         ChartMap(2, 4, b).many(np.array([m, shifted, broken]))
     with raises(NotABisectionError, match="defect"):
         oracle_jet(model, b, m)
+
+
+def test_a_family_raises_what_its_first_failing_member_raises(zoo):
+    # member 0 is a section whose target map is constant (singular), member
+    # 1 is no section at its probe m + h e_0. Checking every member's
+    # sections before any target map would meet member 1's error first; the
+    # members taken in order meet member 0's
+    model, _ = zoo("pair-R2")
+    M = np.array([[0.2, 0.1], [-0.3, 0.4]])
+    shifted = M[1] + FD_STEP * np.eye(2)[0]
+
+    def family(X, owner):
+        rows = []
+        for x, a in zip(X, owner):
+            if a == 0:
+                rows.append(np.concatenate([[0.5, 0.5], x]))  # tgt = (0.5, 0.5)
+            else:
+                rows.append(model.unit(x + 0.5 if np.array_equal(x, shifted) else x))
+        return np.array(rows)
+
+    with raises(NotABisectionError, match="defect"):  # member 1 alone
+        groupoid.oracle_jets(model, lambda X, owner: family(X, owner + 1), M[1:])
+    with raises(NotABisectionError, match="singular"):
+        groupoid.oracle_jets(model, family, M)
 
 
 @pytest.mark.parametrize("probe", range(5))

@@ -1,38 +1,67 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
+from cartanlab import jetalg
+from cartanlab.connection import CartanConnection
 from cartanlab.errors import BaseMismatchError, SingularError
 from cartanlab.groupoid import (
     Jet1,
+    Jets,
+    algebroid_vec,
+    extend_bisection,
+    extend_bisections,
     identity_jet,
+    identity_jets,
     jet_distance,
+    oracle_jet,
     oracle_jet_inverse,
+    oracle_jet_inverses,
     oracle_jet_mul,
+    oracle_jet_muls,
+    oracle_jets,
+    right_translate,
     sample_base_point,
 )
 from cartanlab.jetalg import (
+    KERNEL_MIN_DET,
     KernelHom,
+    KernelHoms,
     adjoint,
     adjoint_hom,
+    adjoint_hom_many,
     adjoint_tm,
+    adjoint_tm_many,
     adjoint_vec,
+    adjoint_vec_many,
     aut_inv,
+    aut_inv_many,
     aut_mul,
+    aut_mul_many,
     jet_assemble,
+    jet_assemble_many,
     jet_decompose,
+    jet_decompose_many,
     jet_invert,
+    jet_invert_many,
     jet_mul,
+    jet_mul_many,
+    mul_kernel_left,
+    mul_kernel_left_many,
     mul_kernel_right,
+    mul_kernel_right_many,
     random_jet,
     random_kernel_hom,
     unvee,
     vee,
+    vee_many,
     zero_kernel_hom,
 )
-from cartanlab.groupoid import algebroid_vec, oracle_jet, right_translate
+from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
 
 from conftest import CORE_MODELS
@@ -307,7 +336,6 @@ def test_translation_difference_identity(zoo, name, rng):
 
 
 def test_assemble_bisection_trivial_factors(zoo, rng):
-    from cartanlab.groupoid import extend_bisection, oracle_jet
     from cartanlab.jetalg import assemble_bisection
 
     model, S = zoo("se2-action")
@@ -349,3 +377,117 @@ def test_base_check_refuses_a_nan_base(pair_r1, rng):
     psi = random_kernel_hom(model, np.array([0.1]), rng)
     with raises(BaseMismatchError):
         aut_mul(psi, KernelHom(model, np.array([np.nan]), psi.phi))
+
+
+def _noncontiguous(a):
+    """The values of a stack as a non-contiguous view: each matrix of a 3-d
+    stack transposed in memory, each row of a 2-d one strided."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(a, 1, 2)), 1, 2)
+    return np.repeat(a, 2, axis=1)[:, ::2]
+
+
+def _viewed_jets(jets):
+    J = Jets.of(jets)
+    return Jets(*(_noncontiguous(x) for x in (J.coords, J.source, J.target, J.mu)))
+
+
+def _viewed_homs(homs):
+    H = KernelHoms.of(homs)
+    return KernelHoms(H.model, _noncontiguous(H.m), _noncontiguous(H.phi))
+
+
+def _rows_equal(stacked, singles):
+    """Row a of a stacked result equals the single call a bit for bit, and
+    every matrix of the stacked result is C-contiguous."""
+    if isinstance(stacked, Jets):
+        parts = [(stacked.coords, [j.g.coords for j in singles]),
+                 (stacked.source, [j.g.source for j in singles]),
+                 (stacked.target, [j.g.target for j in singles]),
+                 (stacked.mu, [j.mu for j in singles])]
+    elif isinstance(stacked, KernelHoms):
+        parts = [(stacked.m, [h.m for h in singles]), (stacked.phi, [h.phi for h in singles])]
+    else:
+        parts = [(stacked, singles)]
+    for rows, single in parts:
+        assert rows.flags.c_contiguous
+        assert len(rows) == len(single)
+        for row, one in zip(rows, single):
+            assert np.array_equal(row, one)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_jet_maps_match_single_calls(name, jacobians):
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    rng = np.random.default_rng(37)
+    pairs = [model.sample_composable(rng) for _ in range(3)]
+    j1s = [random_jet(model, S.jet, g, rng) for g, _ in pairs]
+    j2s = [random_jet(model, S.jet, h, rng) for _, h in pairs]
+    at_tgt = [random_kernel_hom(model, g.target, rng) for g, _ in pairs]
+    at_src = [random_kernel_hom(model, g.source, rng) for g, _ in pairs]
+    at_src2 = [random_kernel_hom(model, g.source, rng) for g, _ in pairs]
+    xs = [random_kernel_hom(model, g.source, rng).phi[:, 0] for g, _ in pairs]
+    J1, J2 = _viewed_jets(j1s), _viewed_jets(j2s)
+    Ht, Hs, Hs2 = _viewed_homs(at_tgt), _viewed_homs(at_src), _viewed_homs(at_src2)
+    G1 = _noncontiguous([g.coords for g, _ in pairs])
+    base, X = _noncontiguous([g.source for g, _ in pairs]), _noncontiguous(xs)
+    Xs = [algebroid_vec(model, g.source, x, check=False) for (g, _), x in zip(pairs, xs)]
+    cases = [
+        (jet_assemble_many(model, G1, Ht, S.mu_many),
+         [jet_assemble(model, g, phi, S.jet) for (g, _), phi in zip(pairs, at_tgt)]),
+        (jet_invert_many(model, J1), [jet_invert(model, j) for j in j1s]),
+        (mul_kernel_right_many(model, J1, Hs),
+         [mul_kernel_right(model, j, phi) for j, phi in zip(j1s, at_src)]),
+        (mul_kernel_left_many(model, J1, Ht),
+         [mul_kernel_left(model, j, phi) for j, phi in zip(j1s, at_tgt)]),
+        (jet_decompose_many(model, J1, _noncontiguous(S.mu_many(J1.coords))),
+         [jet_decompose(model, j, S.jet)[1] for j in j1s]),
+        (jet_mul_many(model, J1, J2, S.mu_many),
+         [jet_mul(model, j1, j2, S.jet) for j1, j2 in zip(j1s, j2s)]),
+        (adjoint_tm_many(model, J1), [adjoint_tm(model, j) for j in j1s]),
+        (adjoint_vec_many(model, J1, base, X),
+         [adjoint_vec(model, j, x).vec for j, x in zip(j1s, Xs)]),
+        (adjoint_hom_many(model, J1, Hs),
+         [adjoint_hom(model, j, phi) for j, phi in zip(j1s, at_src)]),
+        (vee_many(Hs), [vee(phi) for phi in at_src]),
+        (aut_mul_many(Hs, Hs2), [aut_mul(a, b) for a, b in zip(at_src, at_src2)]),
+        (aut_inv_many(Hs), [aut_inv(phi) for phi in at_src]),
+        (Hs.phi_tm, [phi.phi_tm for phi in at_src]),
+        (Hs.phi_g(base, X), [phi.phi_g(x).vec for phi, x in zip(at_src, Xs)]),
+        (identity_jets(model, base), [identity_jet(model, g.source) for g, _ in pairs]),
+        (oracle_jets(model, extend_bisections(model, J1), base),
+         [oracle_jet(model, extend_bisection(model, j), j.g.source) for j in j1s]),
+        (oracle_jet_muls(model, J1, J2), [oracle_jet_mul(model, a, b) for a, b in zip(j1s, j2s)]),
+        (oracle_jet_inverses(model, J1), [oracle_jet_inverse(model, j) for j in j1s]),
+    ]
+    for stacked, singles in cases:
+        _rows_equal(stacked, singles)
+
+
+def test_kernel_draw_reads_the_anchor_matrix_once(zoo, monkeypatch, caplog):
+    # on pair-R1, phi_tm = 1 - c for the coefficient c; at a half-range of 2
+    # about one candidate in twenty falls below the conditioning floor. The
+    # resampling reuses the one anchor matrix of the call, and the log names
+    # each rejected candidate's determinant
+    model, _ = zoo("pair-R1")
+    monkeypatch.setattr(jetalg, "KERNEL_SCALE", 2.0)
+    reads = []
+    real = type(model).Ttgt
+
+    def counting(self, coords):
+        reads.append(coords)
+        return real(self, coords)
+
+    monkeypatch.setattr(type(model), "Ttgt", counting)
+    rng = np.random.default_rng(0)
+    with caplog.at_level(logging.DEBUG, logger="cartanlab.jetalg"):
+        draws = [random_kernel_hom(model, np.array([0.1]), rng) for _ in range(60)]
+    rejected = [r.args[2] for r in caplog.records if r.msg.startswith("resampling")]
+    assert rejected and len(reads) == len(draws)
+    assert all(abs(det) < KERNEL_MIN_DET for det in rejected)
+    assert all(abs(np.linalg.det(phi.phi_tm)) >= KERNEL_MIN_DET for phi in draws)

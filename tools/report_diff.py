@@ -29,17 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from report_digests import ALL_PAIRS, BLAS_THREAD_VARS, all_pairs_reports
+from report_digests import ALL_PAIRS, BLAS_THREAD_VARS, all_pairs_reports, parse_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def parse_seeds(text: str) -> list[int]:
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
 
 
 def dump(root: str, seeds: str, names: list[str]) -> int:

@@ -1,6 +1,9 @@
-"""Print the report-digest line of the benchmark workloads at one seed.
+"""Print the report-digest line of the benchmark workloads at each seed.
 
-    python3 tools/report_digests.py SEED [WORKLOAD ...]
+    python3 tools/report_digests.py SEEDS [WORKLOAD ...]
+
+SEEDS is a comma-separated list of seeds and inclusive ranges, e.g. 101 or
+101-103; one line is printed per seed, in the order given.
 
 Run it from anywhere in a checkout: cartanlab is imported from ./src and the
 workloads from ./perfbench. Each report of a workload (perfbench/workloads.py,
@@ -25,6 +28,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ALL_PAIRS = "all-pairs"
 ALL_PAIRS_SAMPLES = 4
+
+
+def parse_seeds(text: str) -> list[int]:
+    """The seeds of a comma-separated list of seeds and inclusive ranges."""
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
 
 
 def digest(reports) -> str:
@@ -59,15 +71,21 @@ def main(argv: list[str]) -> int:
     import workloads
 
     known = [*workloads.WORKLOADS, ALL_PAIRS]
-    seed, names = int(argv[0]), argv[1:] or known
+    try:
+        seeds = parse_seeds(argv[0])
+    except ValueError:
+        print(f"bad seeds {argv[0]!r}; expected e.g. 101 or 101-103", file=sys.stderr)
+        return 1
+    names = argv[1:] or known
     unknown = [n for n in names if n not in known]
     if unknown:
         print(f"unknown workload(s) {unknown}; known: {known}", file=sys.stderr)
         return 1
-    print(" / ".join(
-        digest(all_pairs_reports(seed)) if name == ALL_PAIRS
-        else digest(map(workloads.run_task, workloads.build_tasks(name, seed)))
-        for name in names))
+    for seed in seeds:
+        print(" / ".join(
+            digest(all_pairs_reports(seed)) if name == ALL_PAIRS
+            else digest(map(workloads.run_task, workloads.build_tasks(name, seed)))
+            for name in names), flush=True)
     return 0
 
 
