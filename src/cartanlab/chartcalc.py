@@ -55,6 +55,17 @@ def stacked(func: Callable, func_many: Callable | None, *stacks: np.ndarray) -> 
     return np.array([np.asarray(func(*row), dtype=float) for row in zip(*stacks)])
 
 
+def batch_of_one(func_many: Callable) -> Callable:
+    """The single-point form of a stacked map: func(*points) is row 0 of
+    func_many on one-row stacks of the points. It carries func_many as .many."""
+
+    def func(*points):
+        return func_many(*(np.asarray(p, dtype=float)[None] for p in points))[0]
+
+    func.many = func_many
+    return func
+
+
 def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row a is A[a] @ V[a], rounded as that single matrix-vector product is:
     numpy takes each row as one BLAS matrix-vector call, whose rounding

@@ -2,10 +2,10 @@
 
 A model presents the structure maps of a Lie groupoid G over M in coordinates:
 source/target/unit as ChartMaps, multiplication and inversion as callables on
-chart points, plus retractions that project near-composable partners onto the
-composable set (smooth, identity on composable pairs). The retractions are what
-make curves through multiplication differentiable without per-model special
-cases in callers.
+stacks of chart points, plus retractions that project near-composable partners
+onto the composable set (smooth, identity on composable pairs). The
+retractions are what make curves through multiplication differentiable
+without per-model special cases in callers.
 
 This module also hosts the bisection-jet oracle: one-jets of explicit local
 bisections obtained by numerical differentiation. Oracle multiplication extends
@@ -23,6 +23,7 @@ from .chartcalc import (
     ChartMap,
     FD_STEP,
     WorstErrors,
+    batch_of_one,
     deriv_at_zero,
     differentiate,
     differentiate_many,
@@ -125,20 +126,24 @@ class Jets:
 class GroupoidModel:
     """Coordinate-chart presentation of a Lie groupoid with oracle hooks.
 
-    mul and inv are smooth chart expressions that agree with the groupoid
-    operations on (near-)composable pairs; retract_src/retract_tgt project an
-    arrow onto the set with prescribed source/target. The *_jac hooks supply
-    analytic jacobians (mul_jac returns the pair of N x N blocks, retract
-    jacobians return the (arrow, base-point) blocks), all of them or none.
+    mul_many and inv_many are smooth chart expressions, on stacks of arrows,
+    that agree with the groupoid operations on (near-)composable pairs;
+    retract_src_many/retract_tgt_many project each arrow of a stack onto the
+    set with the prescribed source/target. Row a of every stacked map depends
+    on row a alone, bit for bit. The *_jac hooks supply analytic jacobians
+    (mul_jac returns the pair of N x N blocks, retract jacobians return the
+    (arrow, base-point) blocks), all of them or none; the optional
+    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks.
+
+    A model writes only the stacked maps: the single-point mul, inv,
+    retract_src and retract_tgt are their batches of one (chartcalc.
+    batch_of_one). A copy made with dataclasses.replace keeps a single map it
+    is given, and derives it again where it gives another stacked map.
 
     A model whose source map reads a slot of its coordinates takes its source side
-    (src, retract_src(_jac), arrow_with_source, src_fiber_chart) from source_slot,
-    and likewise its target side (tgt, retract_tgt(_jac)) from target_slot.
-
-    mul_many, inv_many and retract_src_many are stacked forms, row a of
-    mul_many(G, H) being mul(G[a], H[a]) bit for bit. The optional
-    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks. There is no
-    stacked retract_tgt: no stacked path retracts onto a target.
+    (src, retract_src_many, retract_src_jac, arrow_with_source, src_fiber_chart)
+    from source_slot, and likewise its target side (tgt, retract_tgt_many,
+    retract_tgt_jac) from target_slot.
 
     constant_Tsrc is Tsrc where it is one matrix at every arrow, as on
     source_slot's analytic source: the .constant of src's jacobian, else None.
@@ -152,16 +157,17 @@ class GroupoidModel:
     src: ChartMap
     tgt: ChartMap
     unit: ChartMap
-    mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    inv: Callable[[np.ndarray], np.ndarray]
-    retract_src: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    retract_tgt: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain_box: np.ndarray
     base_box: np.ndarray
     arrow_with_source: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inv_many: Callable[[np.ndarray], np.ndarray]
     retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    mul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    inv: Callable[[np.ndarray], np.ndarray] | None = None
+    retract_src: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    retract_tgt: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     mul_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     inv_jac: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
@@ -170,6 +176,13 @@ class GroupoidModel:
     extras: dict = field(default_factory=dict)
     mul_jac_many: Callable[[np.ndarray, np.ndarray],
                            tuple[np.ndarray, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        for name in ("mul", "inv", "retract_src", "retract_tgt"):
+            single, many = getattr(self, name), getattr(self, name + "_many")
+            # a derived single (or a wrapper of one) carries its stacked map
+            if single is None or getattr(single, "many", many) is not many:
+                object.__setattr__(self, name, batch_of_one(many))
 
     # -- convenience -------------------------------------------------------
 
@@ -262,9 +275,10 @@ def _kernel_basis(A: np.ndarray) -> np.ndarray:
 
 
 def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The fields side, retract_side (writes m into the arrow coordinates index)
-    and its constant, read-only _jac; the other coordinates and their embedding.
-    The side map's jacobian carries its one matrix as .constant."""
+    """The fields side, retract_side_many (writes each row of M into the arrow
+    coordinates index) and the retraction's constant, read-only _jac; the
+    other coordinates and their embedding. The side map's jacobian carries
+    its one matrix as .constant."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
     side_jac, rest_emb = eye[index], eye[:, rest]
@@ -272,10 +286,10 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
     for a in (side_jac, rest_emb, *retract_jacs):
         a.flags.writeable = False
 
-    def retract(g, m):
-        g = np.array(g, dtype=float)
-        g[index] = m
-        return g
+    def retract_many(G, M):
+        G = np.array(G, dtype=float)
+        G[:, index] = M
+        return G
 
     def side_jacobian(g):
         return side_jac
@@ -283,24 +297,19 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
     side_jacobian.constant = side_jac
     side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=side_jacobian,
                         eval_many=lambda G: G[:, index])
-    return ({side: side_map, f"retract_{side}": retract,
+    return ({side: side_map, f"retract_{side}_many": retract_many,
              f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
 
 
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
-    arrow coordinates src_index: src, retract_src(_jac) as _coordinate_slot gives
-    them, retract_src_many, arrow_with_source (the other coordinates uniform in
-    their domain_box rows) and src_fiber_chart (the other coordinates, the
-    source held at m0). Its analytic Tsrc is constant: the model's
-    constant_Tsrc."""
+    arrow coordinates src_index: src, retract_src_many and retract_src_jac as
+    _coordinate_slot gives them, arrow_with_source (the other coordinates
+    uniform in their domain_box rows) and src_fiber_chart (the other
+    coordinates, the source held at m0). Its analytic Tsrc is constant: the
+    model's constant_Tsrc."""
     fields, rest, rest_emb = _coordinate_slot(N, src_index, "src")
     low, high = domain_box[rest].T
-
-    def retract_many(G, M):
-        G = np.array(G, dtype=float)
-        G[:, src_index] = M
-        return G
 
     def place(others, m):
         g = np.empty(N)
@@ -312,14 +321,13 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
         return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=lambda u: rest_emb),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
-    return dict(fields, retract_src_many=retract_many,
-                arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
+    return dict(fields, arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
                 src_fiber_chart=fiber_chart)
 
 
 def target_slot(N: int, tgt_index: slice) -> dict:
-    """The target-side fields tgt and retract_tgt(_jac) of a model whose target
-    map reads the arrow coordinates tgt_index."""
+    """The target-side fields tgt, retract_tgt_many and retract_tgt_jac of a
+    model whose target map reads the arrow coordinates tgt_index."""
     return _coordinate_slot(N, tgt_index, "tgt")[0]
 
 
@@ -366,16 +374,8 @@ def left_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
             Dh = np.array([model.mul_jac(g, at)[1] for g, at in zip(G, AT)])
         Dr = np.array([model.retract_tgt_jac(at, m)[0] for at, m in zip(AT, M)])
         return matvecs(Dh, matvecs(Dr, V))
-    # there is no stacked retract_tgt: the retraction takes the probes row by row
-    probes = _both_steps(AT, V)
-    retracted = stacked(model.retract_tgt, None, probes, np.concatenate([M, M]))
+    retracted = model.retract_tgt_many(_both_steps(AT, V), np.concatenate([M, M]))
     return _central_slopes(model.mul_many(np.concatenate([G, G]), retracted))
-
-
-def left_translate(model: GroupoidModel, g: Arrow, at: Arrow, v: np.ndarray) -> np.ndarray:
-    """T L_g . v at `at`: left_translate_many's batch of one."""
-    return left_translate_many(model, g.coords[None], at.coords[None],
-                               np.asarray(v, dtype=float)[None])[0]
 
 
 def right_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
@@ -413,11 +413,6 @@ def inv_tangent_many(model: GroupoidModel, AT: np.ndarray, V: np.ndarray) -> np.
     if model.has_jacobians:
         return matvecs(np.array([model.inv_jac(at) for at in AT]), V)
     return _central_slopes(model.inv_many(_both_steps(AT, V)))
-
-
-def inv_tangent(model: GroupoidModel, at: Arrow, v: np.ndarray) -> np.ndarray:
-    """T I . v at `at`: inv_tangent_many's batch of one."""
-    return inv_tangent_many(model, at.coords[None], np.asarray(v, dtype=float)[None])[0]
 
 
 # -- anchor, right-invariant extension, bracket ------------------------------
@@ -509,7 +504,7 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> ChartMap:
     def b_many(X: np.ndarray) -> np.ndarray:
         return family(X, np.zeros(len(X), dtype=int))
 
-    return ChartMap(model.n, model.N, lambda x: b_many(x[None])[0], eval_many=b_many)
+    return ChartMap(model.n, model.N, batch_of_one(b_many), eval_many=b_many)
 
 
 def _bisection(model: GroupoidModel, b: Callable) -> ChartMap:
@@ -613,7 +608,7 @@ def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> Char
     def prod_many(M: np.ndarray) -> np.ndarray:
         return family(M, None)
 
-    return ChartMap(model.n, model.N, lambda m: prod_many(m[None])[0], eval_many=prod_many)
+    return ChartMap(model.n, model.N, batch_of_one(prod_many), eval_many=prod_many)
 
 
 def oracle_jet_muls(model: GroupoidModel, J1: Jets, J2: Jets) -> Jets:

@@ -81,9 +81,6 @@ class KernelHom:
         vec = KernelHoms.of([self]).phi_g(np.asarray(X.base)[None], np.asarray(X.vec)[None])[0]
         return algebroid_vec(self.model, self.m, vec, check=False)
 
-    def is_invertible(self) -> bool:
-        return bool(KernelHoms.of([self]).invertible()[0])
-
 
 @dataclass(frozen=True)
 class KernelHoms:

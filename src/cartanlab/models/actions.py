@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..chartcalc import ChartMap, read_only
+from ..chartcalc import ChartMap, batch_of_one, read_only
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot
 from .rotations import (
@@ -32,13 +32,12 @@ SO3_W_MAX = 0.5  # half-width of the rotation-vector box of SO(3)
 
 @dataclass(frozen=True)
 class GroupChart:
-    """A matrix-group chart: composition/inverse in coordinates, jacobians, and
-    the stacked forms of composition, inverse and composition jacobian, row a
-    of each equal to the single-point call bit for bit."""
+    """A matrix-group chart: composition compose_many(A2, A1) and inverse
+    inverse_many(A) on stacks of coordinates, row a of each depending on row
+    a alone bit for bit; their jacobians at one point, and the stacked
+    composition jacobian, row a equal to compose_jac bit for bit."""
 
     dim: int
-    compose: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
     compose_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     inverse_jac: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
@@ -49,10 +48,10 @@ class GroupChart:
 
 @dataclass(frozen=True)
 class ActionChart:
-    """A smooth left action act(a, m) with jacobians in both slots, and its
-    stacked form act_many(A, M), row a equal to act(A[a], M[a]) bit for bit."""
+    """A smooth left action on stacks, act_many(A, M) applying A[a] at M[a] in
+    row a, which depends on row a alone bit for bit, with its jacobians in
+    both slots at one point."""
 
-    act: Callable[[np.ndarray, np.ndarray], np.ndarray]
     act_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     act_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -66,9 +65,6 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     Ik, In = np.eye(k), np.eye(n)
     Zkn = np.zeros((k, n))
 
-    def tgt_eval(g):
-        return action.act(g[:k], g[k:])
-
     def tgt_jac(g):
         Da, Dm = action.act_jac(g[:k], g[k:])
         return np.hstack([Da, Dm])
@@ -79,16 +75,10 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]),
                     jacobian=lambda m: np.vstack([Zkn, In]),
                     eval_many=lambda M: np.concatenate([np.zeros((len(M), k)), M], axis=1))
-    tgt = ChartMap(N, n, tgt_eval, jacobian=tgt_jac, eval_many=tgt_many)
-
-    def mul(g, h):
-        return np.concatenate([group.compose(g[:k], h[:k]), h[k:]])
+    tgt = ChartMap(N, n, batch_of_one(tgt_many), jacobian=tgt_jac, eval_many=tgt_many)
 
     def mul_jac(g, h):
         return _mul_jac_blocks(*group.compose_jac(g[:k], h[:k]), N)
-
-    def inv(g):
-        return np.concatenate([group.inverse(g[:k]), action.act(g[:k], g[k:])])
 
     def inv_jac(g):
         Da, Dm = action.act_jac(g[:k], g[k:])
@@ -98,12 +88,11 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         D[k:, k:] = Dm
         return D
 
-    def retract_tgt(g, m):
-        b = group.inverse(g[:k])
-        return np.concatenate([g[:k], action.act(b, m)])
+    def retract_tgt_many(G, M):
+        return np.concatenate([G[:, :k], action.act_many(group.inverse_many(G[:, :k]), M)], 1)
 
     def retract_tgt_jac(g, m):
-        b = group.inverse(g[:k])
+        b = group.inverse_many(g[None, :k])[0]
         Dinv = group.inverse_jac(g[:k])
         Da, Dm = action.act_jac(b, m)
         Dg = np.zeros((N, N))
@@ -120,9 +109,6 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         N=N,
         tgt=tgt,
         unit=unit,
-        mul=mul,
-        inv=inv,
-        retract_tgt=retract_tgt,
         domain_box=domain_box,
         base_box=base_box,
         mul_jac=mul_jac,
@@ -131,6 +117,7 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         mul_many=lambda G, H: np.concatenate(
             [group.compose_many(G[:, :k], H[:, :k]), H[:, k:]], axis=1),
         inv_many=lambda G: np.concatenate([group.inverse_many(G[:, :k]), tgt_many(G)], 1),
+        retract_tgt_many=retract_tgt_many,
         mul_jac_many=lambda G, H: _mul_jac_blocks(
             *group.compose_jac_many(G[:, :k], H[:, :k]), N, (len(G),)),
         **source_slot(N, slice(k, N), domain_box),
@@ -157,23 +144,22 @@ def _mul_jac_blocks(D2: np.ndarray, D1: np.ndarray, N: int,
 # -- shipped groups/actions ---------------------------------------------------
 
 
-def _negate(a: np.ndarray) -> np.ndarray:
-    """-a, on one point or row by row on a stack."""
-    return -a
+def _negate(A: np.ndarray) -> np.ndarray:
+    """-A, row by row: the inverse of the translation group and of SO(3) in
+    the rotation-vector chart."""
+    return -A
 
 
-def _add(a2: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """a1 + a2, for one pair of points or row by row for stacks: the
-    translation group's compose(a2, a1), and its action act(a, m) = m + a."""
-    return a1 + a2
+def _add(A2: np.ndarray, A1: np.ndarray) -> np.ndarray:
+    """A1 + A2, row by row: the translation group's compose_many(A2, A1), and
+    its action act_many(A, M) = M + A."""
+    return A1 + A2
 
 
 def translation_group(n: int) -> GroupChart:
     box = np.array([[-TRANSLATION_HALF_WIDTH, TRANSLATION_HALF_WIDTH]] * n)
     return GroupChart(
         dim=n,
-        compose=_add,
-        inverse=_negate,
         compose_jac=lambda a2, a1: (np.eye(n), np.eye(n)),
         inverse_jac=lambda a: -np.eye(n),
         box=box,
@@ -185,7 +171,7 @@ def translation_group(n: int) -> GroupChart:
 
 def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnection]:
     group = translation_group(n)
-    action = ActionChart(act=_add, act_jac=lambda a, m: (np.eye(n), np.eye(n)), act_many=_add)
+    action = ActionChart(act_jac=lambda a, m: (np.eye(n), np.eye(n)), act_many=_add)
     base_box = np.array([[-1.0, 1.0]] * n)
     return make_action_groupoid(group, action, base_box, name=f"translation-R{n}")
 
@@ -193,11 +179,6 @@ def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnecti
 def se2_group() -> GroupChart:
     """SE(2) in the (theta, b) chart; theta lives on the universal cover."""
     box = np.array([[-SE2_THETA_MAX, SE2_THETA_MAX]] + [[-SE2_B_MAX, SE2_B_MAX]] * 2)
-
-    def compose(a2, a1):
-        th2, b2 = a2[0], a2[1:]
-        th1, b1 = a1[0], a1[1:]
-        return np.concatenate([[th1 + th2], b2 + rot2(th2) @ b1])
 
     def compose_many(A2, A1):
         Rb1 = (rot2_many(A2[:, 0]) @ A1[:, 1:, None])[..., 0]
@@ -219,10 +200,6 @@ def se2_group() -> GroupChart:
     def compose_jac_many(A2, A1):
         return compose_jac_blocks(rot2_many(A2[:, 0]), A1[:, 1:], (len(A2),))
 
-    def inverse(a):
-        th, b = a[0], a[1:]
-        return np.concatenate([[-th], -rot2(-th) @ b])
-
     def inverse_many(A):
         return np.concatenate([-A[:, :1], (-rot2_many(-A[:, 0]) @ A[:, 1:, None])[..., 0]], 1)
 
@@ -234,15 +211,12 @@ def se2_group() -> GroupChart:
         D[1:, 1:] = -rot2(-th)
         return D
 
-    return GroupChart(3, compose, inverse, compose_jac, inverse_jac, box,
-                      compose_many, inverse_many, compose_jac_many)
+    return GroupChart(3, compose_jac, inverse_jac, box, compose_many, inverse_many,
+                      compose_jac_many)
 
 
 def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
     group = se2_group()
-
-    def act(a, m):
-        return rot2(a[0]) @ m + a[1:]
 
     def act_many(A, M):
         return (rot2_many(A[:, 0]) @ M[..., None])[..., 0] + A[:, 1:]
@@ -255,13 +229,13 @@ def make_se2_groupoid() -> tuple[GroupoidModel, CartanConnection]:
         return Da, R
 
     base_box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-    return make_action_groupoid(group, ActionChart(act, act_jac, act_many), base_box,
+    return make_action_groupoid(group, ActionChart(act_jac, act_many), base_box,
                                 name="se2-action")
 
 
 def so3_group() -> GroupChart:
-    """SO(3) in the rotation-vector chart; the single-point composition and
-    its jacobian are the stacked forms' batches of one."""
+    """SO(3) in the rotation-vector chart; the single-point composition
+    jacobian is the stacked one's batch of one."""
     box = np.array([[-SO3_W_MAX, SO3_W_MAX]] * 3)
 
     def compose_jac(w2, w1):
@@ -270,8 +244,6 @@ def so3_group() -> GroupChart:
 
     return GroupChart(
         dim=3,
-        compose=lambda w2, w1: compose_so3_many(w2[None], w1[None])[0],
-        inverse=_negate,
         compose_jac=compose_jac,
         inverse_jac=lambda w: -np.eye(3),
         box=box,
@@ -310,8 +282,7 @@ def stereo_jac(u: np.ndarray) -> np.ndarray:
 
 
 def make_so3_sphere_groupoid() -> tuple[GroupoidModel, CartanConnection]:
-    """Rotations of the sphere acting on a stereographic chart; the
-    single-point action is act_many's batch of one."""
+    """Rotations of the sphere acting on a stereographic chart."""
     group = so3_group()
 
     def act_many(W, X):
@@ -329,5 +300,5 @@ def make_so3_sphere_groupoid() -> tuple[GroupoidModel, CartanConnection]:
         return Dw, Dx
 
     base_box = np.array([[-0.7, 0.7], [-0.7, 0.7]])
-    action = ActionChart(lambda w, x: act_many(w[None], x[None])[0], act_jac, act_many)
+    action = ActionChart(act_jac, act_many)
     return make_action_groupoid(group, action, base_box, name="so3-sphere")

@@ -148,9 +148,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
                     jacobian=lambda m: np.vstack([cc.sigma_jac(m), In]), eval_many=unit_many)
 
-    def mul(g, h):
-        return np.concatenate([cc.h_act(g[:k], cc.normalizer(h[:k])), h[k:]])
-
     def mul_jac(g, h):
         hh = cc.normalizer(h[:k])
         Dp, Dh = cc.h_act_jac(g[:k], hh)
@@ -160,10 +157,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         Dh_blk[:k, :k] = Dh @ cc.normalizer_jac(h[:k])
         Dh_blk[k:, k:] = In
         return Dg_blk, Dh_blk
-
-    def inv(g):
-        hq = cc.normalizer(g[:k])
-        return np.concatenate([cc.h_act(cc.sigma(g[k:]), cc.h_inv(hq)), cc.pi(g[:k])])
 
     def inv_jac(g):
         hq = cc.normalizer(g[:k])
@@ -176,8 +169,8 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         D[k:, :k] = cc.pi_jac(g[:k])
         return D
 
-    def retract_tgt(g, m0):
-        return np.concatenate([cc.h_act(cc.sigma(m0), cc.normalizer(g[:k])), g[k:]])
+    def retract_tgt_many(G, M):
+        return np.concatenate([h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1)
 
     def retract_tgt_jac(g, m0):
         hq = cc.normalizer(g[:k])
@@ -201,9 +194,6 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         N=N,
         tgt=tgt,
         unit=unit,
-        mul=mul,
-        inv=inv,
-        retract_tgt=retract_tgt,
         domain_box=domain_box,
         base_box=base_box,
         mul_jac=mul_jac,
@@ -214,6 +204,7 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
             [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),
         inv_many=lambda G: np.concatenate(
             [h_act(sigma(G[:, k:]), h_inv(normal(G[:, :k]))), tgt_many(G)], axis=1),
+        retract_tgt_many=retract_tgt_many,
         **source_slot(N, slice(k, N), domain_box),
     )
 

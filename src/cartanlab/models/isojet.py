@@ -22,6 +22,7 @@ from ..chartcalc import (
     ChartMap,
     MetricChart,
     WorstErrors,
+    batch_of_one,
     christoffel_from_partials,
     metric_partials,
     read_only,
@@ -99,27 +100,16 @@ def make_isometry_jet_groupoid(
                     jacobian=lambda m: unit_jac,
                     eval_many=lambda M: np.concatenate([M, M, np.zeros((len(M), 1))], axis=1))
 
-    def mul(g, h):
-        return np.concatenate([h[:2], g[2:4], [g[4] + h[4]]])
-
-    def inv(g):
-        return np.concatenate([g[2:4], g[:2], [-g[4]]])
-
     domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
 
     def horizontal_jets(G):
         return prolongation_jets(metric, np.asarray(G, dtype=float))[0]
-
-    def horizontal_jet(g):
-        return horizontal_jets(np.asarray(g, dtype=float)[None])[0]
 
     model = GroupoidModel(
         name=f"isojet-{metric.name}",
         n=n,
         N=N,
         unit=unit,
-        mul=mul,
-        inv=inv,
         domain_box=domain_box,
         base_box=base_box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),
@@ -133,7 +123,7 @@ def make_isometry_jet_groupoid(
         **target_slot(N, slice(2, 4)),
     )
 
-    S = CartanConnection(model, horizontal_jet, name=f"prolongation[{metric.name}]",
+    S = CartanConnection(model, batch_of_one(horizontal_jets), name=f"prolongation[{metric.name}]",
                          mu_batch=horizontal_jets)
     return model, S
 

@@ -27,20 +27,12 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m]), jacobian=lambda m: unit_jac,
                     eval_many=lambda M: np.concatenate([M, M], axis=1))
 
-    def mul(g, h):
-        return np.concatenate([g[:n], h[n:]])
-
-    def inv(g):
-        return np.concatenate([g[n:], g[:n]])
-
     domain_box = np.vstack([box, box])
     model = GroupoidModel(
         name=f"pair-R{n}",
         n=n,
         N=N,
         unit=unit,
-        mul=mul,
-        inv=inv,
         domain_box=domain_box,
         base_box=box,
         mul_jac=lambda g, h: (keep_tgt, keep_src),

@@ -38,6 +38,8 @@ class ExperimentConfig:
     def __post_init__(self):
         """Every way of making a config passes here: parse_config, direct
         construction and dataclasses.replace (the CLI's overrides)."""
+        if not (isinstance(self.model, str) and isinstance(self.experiment, str)):
+            raise ConfigError("the model name and the experiment must be strings")
         if not isinstance(self.model_params, dict):
             raise ConfigError("model parameters must be an object")
         if type(self.seed) is not int or self.seed < 0:  # a bool is no number

@@ -8,6 +8,7 @@ from cartanlab.chartcalc import (
     ChartMap,
     FD_STEP,
     MetricChart,
+    batch_of_one,
     christoffel,
     differentiate,
     differentiate_many,
@@ -47,14 +48,14 @@ def test_differentiate_product_sum():
 def test_differentiate_composed_multiplication_vs_richardson():
     # composed group-multiplication map checked against a Richardson-extrapolated
     # central-difference estimate of higher order
-    group = se2_group()
+    compose = batch_of_one(se2_group().compose_many)
     rng = np.random.default_rng(0)
     a1 = rng.uniform(-0.4, 0.4, size=3)
     a2 = rng.uniform(-0.4, 0.4, size=3)
     B = rng.uniform(-0.5, 0.5, size=(3, 3))
 
     def eval_map(x):
-        return group.compose(a2 + B @ x, group.compose(a1, np.array([x[0], x[1], -x[2]])))
+        return compose(a2 + B @ x, compose(a1, np.array([x[0], x[1], -x[2]])))
 
     f = ChartMap(3, 3, eval_map)
     x = rng.uniform(-0.2, 0.2, size=3)

@@ -83,6 +83,20 @@ def test_invalid_configs(tmp_path, bad):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"experiment": []},
+    {"experiment": {"name": "inversion"}},
+    {"model": {"name": ["pair-R2"]}, "experiment": "inversion"},
+    {"model": {"name": {"pair-R2": 1}}},
+])
+def test_a_model_name_or_experiment_that_is_no_string_is_a_config_error(tmp_path, capsys, bad):
+    # a JSON array or object there used to end the run in TypeError
+    # (unhashable type) with exit 1, the code of a failed verdict
+    cfg = write_config(tmp_path, **bad)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_negative_seed_override_is_a_config_error(tmp_path):
     # --seed bypasses parse_config; numpy would raise ValueError on it
     cfg = write_config(tmp_path)

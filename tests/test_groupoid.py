@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -28,10 +29,10 @@ from cartanlab.groupoid import (
     compose_bisections,
     extend_bisection,
     identity_jet,
-    inv_tangent,
+    inv_tangent_many,
     jet_distance,
     kernel_basis,
-    left_translate,
+    left_translate_many,
     oracle_jet,
     oracle_jet_inverse,
     oracle_jet_mul,
@@ -62,7 +63,7 @@ def test_inversion_tangent_identity(zoo, name, rng):
         m = sample_base_point(model, rng)
         X = algebroid_vec(model, m, random_section(model, rng)(m), check=False)
         u = model.unit_arrow(m)
-        lhs = inv_tangent(model, u, X.vec)
+        lhs = inv_tangent_many(model, u.coords[None], X.vec[None])[0]
         rhs = model.Tunit(m) @ anchor(model, X) - X.vec
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
@@ -75,7 +76,7 @@ def test_left_translation_by_unit_is_identity(zoo, rng):
         v = rng.uniform(-1, 1, size=model.N)
         v = v - model.Ttgt(h.coords).T @ np.linalg.solve(
             model.Ttgt(h.coords) @ model.Ttgt(h.coords).T, model.Ttgt(h.coords) @ v)
-        out = left_translate(model, g, h, v)
+        out = left_translate_many(model, g.coords[None], h.coords[None], v[None])[0]
         assert np.max(np.abs(out - v)) < 1e-8
 
 
@@ -276,6 +277,49 @@ def test_axioms_report_nan_product_as_infinite():
     bad = dataclasses.replace(model, mul=mul)
     errs = check_axioms(bad, np.random.default_rng(0), count=20)
     assert errs["associativity"] == np.inf
+
+
+def test_a_copy_keeps_the_single_maps_it_is_given():
+    # a model writes only stacked maps; a dataclasses.replace copy keeps a
+    # single map it is given (a wrapper of the derived one, as a tracer makes,
+    # or a map of its own), and derives it again from another stacked map
+    model, _ = make_pair_groupoid(np.array([[-1.0, 1.0]]))
+    g = np.array([0.3, -0.2])
+    wrapped = functools.wraps(model.mul)(lambda a, b: model.mul(a, b))
+    assert dataclasses.replace(model, mul=wrapped).mul is wrapped
+
+    def mul(g, h):
+        return np.zeros(2)
+
+    own = dataclasses.replace(model, mul=mul)
+    assert own.mul is mul and dataclasses.replace(own, name="copy").mul is mul
+    negated = dataclasses.replace(model, inv_many=lambda G: -G)
+    assert np.array_equal(negated.inv(g), -g)
+    assert np.array_equal(model.inv(g), [-0.2, 0.3])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_left_translate_many_retracts_every_probe_in_one_stacked_call(name):
+    model, _ = make_model(name)
+    model = model.without_jacobians()
+    calls = {"many": 0, "single": 0}
+
+    def many(G, M):
+        calls["many"] += 1
+        return model.retract_tgt_many(G, M)
+
+    def single(g, m):
+        calls["single"] += 1
+        return model.retract_tgt(g, m)
+
+    counted = dataclasses.replace(model, retract_tgt_many=many, retract_tgt=single)
+    rng = np.random.default_rng(41)
+    pairs = [model.sample_composable(rng) for _ in range(3)]
+    G, AT = (np.array([pair[i].coords for pair in pairs]) for i in (0, 1))
+    V = rng.uniform(-1, 1, size=(3, model.N))
+    out = left_translate_many(counted, G, AT, V)
+    assert calls == {"many": 1, "single": 0}
+    assert np.array_equal(out, left_translate_many(model, G, AT, V))
 
 
 def test_frame_cache_skips_projection_at_new_points(zoo, monkeypatch):
@@ -668,7 +712,7 @@ def test_composability_check_refuses_a_nan_source(zoo):
     g = model.arrow(np.array([0.3, 0.4, np.nan, 0.2]))
     at = model.unit_arrow(np.array([0.1, 0.2]))
     with raises(CompositionError):
-        left_translate(model, g, at, np.zeros(model.N))
+        left_translate_many(model, g.coords[None], at.coords[None], np.zeros((1, model.N)))
 
 
 def test_verticality_check_refuses_a_nan_vector(zoo):

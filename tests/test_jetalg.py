@@ -105,10 +105,10 @@ def test_aut_mul_associativity_scalar(a, b, c):
     model, _ = make_pair_groupoid(np.array([[-1.0, 1.0]]))
     m = np.array([0.0])
     xs = [scalar_hom(model, m, v) for v in (a, b, c)]
-    if any(not x.is_invertible() for x in xs):
+    if not KernelHoms.of(xs).invertible().all():
         return
     ab, bc = aut_mul(xs[0], xs[1]), aut_mul(xs[1], xs[2])
-    if not (ab.is_invertible() and bc.is_invertible()):
+    if not KernelHoms.of([ab, bc]).invertible().all():
         return
     lhs = aut_mul(ab, xs[2]).phi
     rhs = aut_mul(xs[0], bc).phi

@@ -433,7 +433,9 @@ def _stacked_cases(model, rng, k=7):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
-    # row a of every stacked form equals the single-point call bit for bit
+    # row a of every stacked form equals the single-point call bit for bit;
+    # the single mul, inv and retractions are batches of one, so this is row
+    # a of a stack against a stack of one row
     model, _ = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
@@ -444,7 +446,8 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
         for single, many, args in (
                 (model.mul, model.mul_many, (G, H)),
                 (model.inv, model.inv_many, (G,)),
-                (model.retract_src, model.retract_src_many, (G, M))):
+                (model.retract_src, model.retract_src_many, (G, M)),
+                (model.retract_tgt, model.retract_tgt_many, (G, M))):
             assert np.array_equal(many(*args),
                                   [single(*row) for row in zip(*args)])
         if model.mul_jac_many is not None:
