@@ -66,6 +66,11 @@ def batch_of_one(func_many: Callable) -> Callable:
     return func
 
 
+def constant_stack(A: np.ndarray, k: int) -> np.ndarray:
+    """k rows of the matrix A: a read-only broadcast view that copies nothing."""
+    return np.broadcast_to(A, (k,) + np.shape(A))
+
+
 def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row a is A[a] @ V[a], rounded as that single matrix-vector product is:
     numpy takes each row as one BLAS matrix-vector call, whose rounding

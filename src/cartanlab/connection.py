@@ -1,7 +1,8 @@
 """Cartan connections on groupoid models and their infinitesimalization.
 
 A connection is a smooth assignment of a horizontal jet to every arrow,
-i.e. a section of the jet projection. Multiplicativity (the section being a
+i.e. a section of the jet projection, written once on stacks of arrows (its
+mu_at is that map's batch of one). Multiplicativity (the section being a
 groupoid morphism) is never assumed: check_multiplicative samples it against
 the bisection-jet oracle and returns its worst error, and the connection
 itself stays as it was built.
@@ -77,20 +78,19 @@ class CartanConnection:
 
     mu_at maps raw chart coordinates of an arrow to the (N, n) jet matrix; it
     must be defined on the whole sampled chart box so that curves through
-    arrows can be differentiated. mu_batch, when supplied, maps a stack of
-    arrows (k, N) to their jets (k, N, n) in one call, row a equal to
-    mu_at(G[a]) bit for bit whatever the stack; a model supplies it where one
-    vectorized evaluation is much cheaper than k single ones.
+    arrows can be differentiated. A model writes it once, on stacks: mu_at is
+    the batch of one (chartcalc.batch_of_one) of a map from a stack of arrows
+    (k, N) to their jets (k, N, n), row a equal to mu_at(G[a]) bit for bit
+    whatever the stack, which mu_many reads as mu_at.many.
     """
 
     model: GroupoidModel
     mu_at: Callable[[np.ndarray], np.ndarray]
     name: str = "connection"
-    mu_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def mu_many(self, G: np.ndarray) -> np.ndarray:
-        """The jets at a stack of arrows: mu_batch, or mu_at stacked."""
-        return stacked(self.mu_at, self.mu_batch, G)
+        """The jets at a stack of arrows: mu_at.many, or mu_at row by row."""
+        return stacked(self.mu_at, getattr(self.mu_at, "many", None), G)
 
     def jet(self, g: Arrow) -> Jet1:
         return Jet1(g, np.asarray(self.mu_at(g.coords), dtype=float))

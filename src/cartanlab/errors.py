@@ -67,4 +67,4 @@ class MetricError(CartanLabError):
 
 
 class ConfigError(CartanLabError):
-    """Experiment configuration is invalid."""
+    """Experiment or model configuration is invalid."""

@@ -15,6 +15,7 @@ the library is tested.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,6 +25,7 @@ from .chartcalc import (
     FD_STEP,
     WorstErrors,
     batch_of_one,
+    constant_stack,
     deriv_at_zero,
     differentiate,
     differentiate_many,
@@ -38,6 +40,7 @@ from .chartcalc import (
 )
 from .errors import (
     CompositionError,
+    ConfigError,
     DomainError,
     FrameError,
     NotABisectionError,
@@ -50,6 +53,8 @@ DET_TOL = 1e-9
 PROJECTION_CACHE_SIZE = 4096  # kernel projections an aligned_frame keeps, keyed on Tsrc(unit(m))
 BASE_SHRINK = 0.15  # share of the base box width sample_base_point keeps clear per side
 SECTION_SCALE = 0.5  # half-range of random_section's affine coefficients
+JACOBIAN_HOOKS = ("mul_jac_many", "inv_jac_many", "retract_src_jac_many", "retract_tgt_jac_many")
+BlocksMap = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -130,25 +135,27 @@ class GroupoidModel:
     that agree with the groupoid operations on (near-)composable pairs;
     retract_src_many/retract_tgt_many project each arrow of a stack onto the
     set with the prescribed source/target. Row a of every stacked map depends
-    on row a alone, bit for bit. The *_jac hooks supply analytic jacobians
-    (mul_jac returns the pair of N x N blocks, retract jacobians return the
-    (arrow, base-point) blocks), all of them or none; the optional
-    mul_jac_many(G, H) gives the stacks of mul_jac's two blocks.
+    on row a alone, bit for bit. The stacked hooks mul_jac_many(G, H) (the two
+    N x N blocks), inv_jac_many(G), retract_src_jac_many(G, M) and
+    retract_tgt_jac_many(G, M) (the arrow and base-point blocks) supply
+    analytic jacobians, all four or none (ConfigError otherwise).
 
     A model writes only the stacked maps: the single-point mul, inv,
     retract_src and retract_tgt are their batches of one (chartcalc.
     batch_of_one). A copy made with dataclasses.replace keeps a single map it
-    is given, and derives it again where it gives another stacked map.
+    is given, and derives it again where it gives another stacked map. The
+    jacobian hooks have no single-point form.
 
     A model whose source map reads a slot of its coordinates takes its source side
-    (src, retract_src_many, retract_src_jac, arrow_with_source, src_fiber_chart)
-    from source_slot, and likewise its target side (tgt, retract_tgt_many,
-    retract_tgt_jac) from target_slot.
+    (src, retract_src_many, retract_src_jac_many, arrow_with_source,
+    src_fiber_chart) from source_slot, and likewise its target side (tgt,
+    retract_tgt_many, retract_tgt_jac_many) from target_slot.
 
     constant_Tsrc is Tsrc where it is one matrix at every arrow, as on
     source_slot's analytic source: the .constant of src's jacobian, else None.
     It is read off src, so a copy with another src or without jacobians (whose
-    central differences move at roundoff) does not keep it.
+    central differences move at roundoff) does not keep it; nor does it keep
+    constant_kernel_basis, kernel_basis there as one read-only matrix.
     """
 
     name: str
@@ -164,20 +171,23 @@ class GroupoidModel:
     inv_many: Callable[[np.ndarray], np.ndarray]
     retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    mul_jac_many: BlocksMap | None = None
+    inv_jac_many: Callable[[np.ndarray], np.ndarray] | None = None
+    retract_src_jac_many: BlocksMap | None = None
+    retract_tgt_jac_many: BlocksMap | None = None
+    src_fiber_chart: Callable[[np.ndarray], tuple[ChartMap, Callable]] | None = None
+    extras: dict = field(default_factory=dict)
+    # the batches of one, derived in __post_init__
     mul: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     inv: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     retract_tgt: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    mul_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    inv_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    retract_src_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    retract_tgt_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    src_fiber_chart: Callable[[np.ndarray], tuple[ChartMap, Callable]] | None = None
-    extras: dict = field(default_factory=dict)
-    mul_jac_many: Callable[[np.ndarray, np.ndarray],
-                           tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
+        missing = [hook for hook in JACOBIAN_HOOKS if getattr(self, hook) is None]
+        if 0 < len(missing) < len(JACOBIAN_HOOKS):
+            raise ConfigError(f"model {self.name} gives jacobian hooks without "
+                              f"{', '.join(missing)}: all of them or none")
         for name in ("mul", "inv", "retract_src", "retract_tgt"):
             single, many = getattr(self, name), getattr(self, name + "_many")
             # a derived single (or a wrapper of one) carries its stacked map
@@ -200,6 +210,11 @@ class GroupoidModel:
     def constant_Tsrc(self) -> np.ndarray | None:
         return getattr(self.src.jacobian, "constant", None)
 
+    @cached_property
+    def constant_kernel_basis(self) -> np.ndarray | None:
+        A = self.constant_Tsrc
+        return None if A is None else read_only(_kernel_basis(A))
+
     def Ttgt(self, coords: np.ndarray) -> np.ndarray:
         return differentiate(self.tgt, coords)
 
@@ -215,16 +230,12 @@ class GroupoidModel:
             src=replace(self.src, jacobian=None),
             tgt=replace(self.tgt, jacobian=None),
             unit=replace(self.unit, jacobian=None),
-            mul_jac=None,
-            mul_jac_many=None,
-            inv_jac=None,
-            retract_src_jac=None,
-            retract_tgt_jac=None,
+            **dict.fromkeys(JACOBIAN_HOOKS),
         )
 
     @property
     def has_jacobians(self) -> bool:
-        return self.mul_jac is not None
+        return self.mul_jac_many is not None
 
     def sample_arrow(self, rng: np.random.Generator) -> Arrow:
         box = self.domain_box
@@ -257,8 +268,14 @@ def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
 
 def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of ker Tsrc at unit(m), one column per
-    algebroid direction (N x (N-n))."""
-    return _kernel_basis(model.Tsrc(model.unit(np.asarray(m, dtype=float))))
+    algebroid direction (N x (N-n)): the model's constant_kernel_basis where
+    it has one. Raises DomainError when m is not a point of dimension n."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (model.n,):
+        raise DomainError(f"expected point of dimension {model.n}, got shape {m.shape}")
+    if model.constant_kernel_basis is not None:
+        return model.constant_kernel_basis
+    return _kernel_basis(model.Tsrc(model.unit(m)))
 
 
 def _kernel_basis(A: np.ndarray) -> np.ndarray:
@@ -276,9 +293,9 @@ def _kernel_basis(A: np.ndarray) -> np.ndarray:
 
 def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
     """The fields side, retract_side_many (writes each row of M into the arrow
-    coordinates index) and the retraction's constant, read-only _jac; the
-    other coordinates and their embedding. The side map's jacobian carries
-    its one matrix as .constant."""
+    coordinates index) and the retraction's jac_many, read-only constant
+    stacks; the other coordinates and their embedding. The side map's
+    jacobian carries its one matrix as .constant."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
     side_jac, rest_emb = eye[index], eye[:, rest]
@@ -298,12 +315,14 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
     side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=side_jacobian,
                         eval_many=lambda G: G[:, index])
     return ({side: side_map, f"retract_{side}_many": retract_many,
-             f"retract_{side}_jac": lambda g, m: retract_jacs}, rest, rest_emb)
+             f"retract_{side}_jac_many": lambda G, M: tuple(constant_stack(J, len(G))
+                                                            for J in retract_jacs)},
+            rest, rest_emb)
 
 
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
-    arrow coordinates src_index: src, retract_src_many and retract_src_jac as
+    arrow coordinates src_index: src, retract_src_many and retract_src_jac_many as
     _coordinate_slot gives them, arrow_with_source (the other coordinates
     uniform in their domain_box rows) and src_fiber_chart (the other
     coordinates, the source held at m0). Its analytic Tsrc is constant: the
@@ -326,7 +345,7 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
 
 
 def target_slot(N: int, tgt_index: slice) -> dict:
-    """The target-side fields tgt, retract_tgt_many and retract_tgt_jac of a
+    """The target-side fields tgt, retract_tgt_many and retract_tgt_jac_many of a
     model whose target map reads the arrow coordinates tgt_index."""
     return _coordinate_slot(N, tgt_index, "tgt")[0]
 
@@ -368,11 +387,8 @@ def left_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
     M = model.src.many(G)
     _check_composable(M, model.tgt.many(AT))
     if model.has_jacobians:
-        if model.mul_jac_many is not None:
-            Dh = model.mul_jac_many(G, AT)[1]
-        else:
-            Dh = np.array([model.mul_jac(g, at)[1] for g, at in zip(G, AT)])
-        Dr = np.array([model.retract_tgt_jac(at, m)[0] for at, m in zip(AT, M)])
+        Dh = model.mul_jac_many(G, AT)[1]
+        Dr = model.retract_tgt_jac_many(AT, M)[0]
         return matvecs(Dh, matvecs(Dr, V))
     retracted = model.retract_tgt_many(_both_steps(AT, V), np.concatenate([M, M]))
     return _central_slopes(model.mul_many(np.concatenate([G, G]), retracted))
@@ -391,11 +407,8 @@ def right_translate_many(model: GroupoidModel, G: np.ndarray, AT: np.ndarray,
     M = model.tgt.many(G) if M is None else M
     _check_composable(model.src.many(AT), M)
     if model.has_jacobians:
-        if model.mul_jac_many is not None:
-            Dg = model.mul_jac_many(AT, G)[0]
-        else:
-            Dg = np.array([model.mul_jac(at, g)[0] for at, g in zip(AT, G)])
-        Dr = np.array([model.retract_src_jac(at, m)[0] for at, m in zip(AT, M)])
+        Dg = model.mul_jac_many(AT, G)[0]
+        Dr = model.retract_src_jac_many(AT, M)[0]
         return matvecs(Dg, matvecs(Dr, V))
     retracted = model.retract_src_many(_both_steps(AT, V), np.concatenate([M, M]))
     return _central_slopes(model.mul_many(retracted, np.concatenate([G, G])))
@@ -411,7 +424,7 @@ def inv_tangent_many(model: GroupoidModel, AT: np.ndarray, V: np.ndarray) -> np.
     """T I . v at `at` for stacks AT[k, N] and V[k, N], row a at AT[a]."""
     AT, V = np.asarray(AT, dtype=float), np.asarray(V, dtype=float)
     if model.has_jacobians:
-        return matvecs(np.array([model.inv_jac(at) for at in AT]), V)
+        return matvecs(model.inv_jac_many(AT), V)
     return _central_slopes(model.inv_many(_both_steps(AT, V)))
 
 
@@ -711,8 +724,7 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     the frame row by row.
     """
     n = model.n
-    A_ref = model.Tsrc(model.unit(np.asarray(ref_point, dtype=float)))
-    E_ref = _kernel_basis(A_ref)
+    E_ref = kernel_basis(model, ref_point)
 
     def project(A: np.ndarray) -> np.ndarray:
         P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
@@ -731,14 +743,14 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
         return P
 
     if model.constant_Tsrc is not None:
-        K = read_only(project(A_ref))
+        K = read_only(project(model.constant_Tsrc))
 
         def frame(m: np.ndarray) -> np.ndarray:
             base_points(m, 1)
             return K
 
         def frame_many(P: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(K, (len(base_points(P, 2)),) + K.shape)
+            return constant_stack(K, len(base_points(P, 2)))
     else:
         projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
 

@@ -148,40 +148,38 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
     unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
                     jacobian=lambda m: np.vstack([cc.sigma_jac(m), In]), eval_many=unit_many)
 
-    def mul_jac(g, h):
-        hh = cc.normalizer(h[:k])
-        Dp, Dh = cc.h_act_jac(g[:k], hh)
-        Dg_blk = np.zeros((N, N))
-        Dg_blk[:k, :k] = Dp
-        Dh_blk = np.zeros((N, N))
-        Dh_blk[:k, :k] = Dh @ cc.normalizer_jac(h[:k])
-        Dh_blk[k:, k:] = In
-        return Dg_blk, Dh_blk
+    # the bundle's jacobians are single-point, so the stacked hooks loop here
+    def mul_jac_many(G, H):
+        Dg, Dh = np.zeros((2, len(G), N, N))
+        for a, (g, h) in enumerate(zip(G, H)):
+            Dp, Dhh = cc.h_act_jac(g[:k], cc.normalizer(h[:k]))
+            Dg[a, :k, :k] = Dp
+            Dh[a, :k, :k] = Dhh @ cc.normalizer_jac(h[:k])
+        Dh[:, k:, k:] = In
+        return Dg, Dh
 
-    def inv_jac(g):
-        hq = cc.normalizer(g[:k])
-        hi = cc.h_inv(hq)
-        p0 = cc.sigma(g[k:])
-        Dp, Dh = cc.h_act_jac(p0, hi)
-        D = np.zeros((N, N))
-        D[:k, :k] = Dh @ cc.h_inv_jac(hq) @ cc.normalizer_jac(g[:k])
-        D[:k, k:] = Dp @ cc.sigma_jac(g[k:])
-        D[k:, :k] = cc.pi_jac(g[:k])
+    def inv_jac_many(G):
+        D = np.zeros((len(G), N, N))
+        for a, g in enumerate(G):
+            hq = cc.normalizer(g[:k])
+            Dp, Dh = cc.h_act_jac(cc.sigma(g[k:]), cc.h_inv(hq))
+            D[a, :k, :k] = Dh @ cc.h_inv_jac(hq) @ cc.normalizer_jac(g[:k])
+            D[a, :k, k:] = Dp @ cc.sigma_jac(g[k:])
+            D[a, k:, :k] = cc.pi_jac(g[:k])
         return D
 
     def retract_tgt_many(G, M):
         return np.concatenate([h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1)
 
-    def retract_tgt_jac(g, m0):
-        hq = cc.normalizer(g[:k])
-        p0 = cc.sigma(m0)
-        Dp, Dh = cc.h_act_jac(p0, hq)
-        Dg_blk = np.zeros((N, N))
-        Dg_blk[:k, :k] = Dh @ cc.normalizer_jac(g[:k])
-        Dg_blk[k:, k:] = In
-        Dm_blk = np.zeros((N, n))
-        Dm_blk[:k] = Dp @ cc.sigma_jac(m0)
-        return Dg_blk, Dm_blk
+    def retract_tgt_jac_many(G, M):
+        Dg = np.zeros((len(G), N, N))
+        Dm = np.zeros((len(G), N, n))
+        for a, (g, m0) in enumerate(zip(G, M)):
+            Dp, Dh = cc.h_act_jac(cc.sigma(m0), cc.normalizer(g[:k]))
+            Dg[a, :k, :k] = Dh @ cc.normalizer_jac(g[:k])
+            Dm[a, :k] = Dp @ cc.sigma_jac(m0)
+        Dg[:, k:, k:] = In
+        return Dg, Dm
 
     # pi is a coordinate projection for the shipped bundles, so the base box is
     # the corresponding block of the total-space box
@@ -196,9 +194,9 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         unit=unit,
         domain_box=domain_box,
         base_box=base_box,
-        mul_jac=mul_jac,
-        inv_jac=inv_jac,
-        retract_tgt_jac=retract_tgt_jac,
+        mul_jac_many=mul_jac_many,
+        inv_jac_many=inv_jac_many,
+        retract_tgt_jac_many=retract_tgt_jac_many,
         extras={"classical": cc},
         mul_many=lambda G, H: np.concatenate(
             [h_act(G[:, :k], normal(H[:, :k])), H[:, k:]], axis=1),

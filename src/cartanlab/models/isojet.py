@@ -24,6 +24,7 @@ from ..chartcalc import (
     WorstErrors,
     batch_of_one,
     christoffel_from_partials,
+    constant_stack,
     metric_partials,
     read_only,
 )
@@ -88,7 +89,7 @@ def make_isometry_jet_groupoid(
     base_box = np.asarray(base_box, dtype=float)
     n, N = 2, 5
     # every structure-map jacobian is constant: build each matrix once,
-    # read-only since every caller shares it
+    # read-only since every caller shares it, and stack it as a view
     unit_jac, keep_tgt, keep_src, swap = map(read_only, (
         np.vstack([_I2, _I2, np.zeros((1, 2))]),
         np.diag([0.0, 0.0, 1.0, 1.0, 1.0]),
@@ -112,10 +113,9 @@ def make_isometry_jet_groupoid(
         unit=unit,
         domain_box=domain_box,
         base_box=base_box,
-        mul_jac=lambda g, h: (keep_tgt, keep_src),
-        mul_jac_many=lambda G, H: (keep_tgt[None].repeat(len(G), 0),
-                                   keep_src[None].repeat(len(G), 0)),
-        inv_jac=lambda g: swap,
+        mul_jac_many=lambda G, H: (constant_stack(keep_tgt, len(G)),
+                                   constant_stack(keep_src, len(G))),
+        inv_jac_many=lambda G: constant_stack(swap, len(G)),
         extras={"metric": metric},
         mul_many=lambda G, H: np.concatenate([H[:, :2], G[:, 2:4], G[:, 4:] + H[:, 4:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, 2:4], G[:, :2], -G[:, 4:]], axis=1),
@@ -123,8 +123,7 @@ def make_isometry_jet_groupoid(
         **target_slot(N, slice(2, 4)),
     )
 
-    S = CartanConnection(model, batch_of_one(horizontal_jets), name=f"prolongation[{metric.name}]",
-                         mu_batch=horizontal_jets)
+    S = CartanConnection(model, batch_of_one(horizontal_jets), name=f"prolongation[{metric.name}]")
     return model, S
 
 

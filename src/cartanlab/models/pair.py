@@ -7,7 +7,7 @@ m -> (q + (m - p), m), whose horizontal leaves are the chart translations.
 
 import numpy as np
 
-from ..chartcalc import ChartMap, read_only
+from ..chartcalc import ChartMap, batch_of_one, constant_stack, read_only
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot, target_slot
 
@@ -20,7 +20,7 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     Z = np.zeros((n, n))
 
     # every jacobian and the jet are constant: build each block matrix once,
-    # read-only since every caller shares it
+    # read-only since every caller shares it, and stack it as a view
     unit_jac, keep_tgt, keep_src, swap, mu_const = map(read_only, (
         np.vstack([I, I]), np.block([[I, Z], [Z, Z]]), np.block([[Z, Z], [Z, I]]),
         np.block([[Z, I], [I, Z]]), np.vstack([I, I])))
@@ -35,15 +35,15 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         unit=unit,
         domain_box=domain_box,
         base_box=box,
-        mul_jac=lambda g, h: (keep_tgt, keep_src),
-        mul_jac_many=lambda G, H: (keep_tgt[None].repeat(len(G), 0),
-                                   keep_src[None].repeat(len(G), 0)),
-        inv_jac=lambda g: swap,
+        mul_jac_many=lambda G, H: (constant_stack(keep_tgt, len(G)),
+                                   constant_stack(keep_src, len(G))),
+        inv_jac_many=lambda G: constant_stack(swap, len(G)),
         mul_many=lambda G, H: np.concatenate([G[:, :n], H[:, n:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, n:], G[:, :n]], axis=1),
         **source_slot(N, slice(n, N), domain_box),
         **target_slot(N, slice(0, n)),
     )
 
-    S = CartanConnection(model, lambda g: mu_const, name="chart-parallelism")
+    S = CartanConnection(model, batch_of_one(lambda G: constant_stack(mu_const, len(G))),
+                         name="chart-parallelism")
     return model, S

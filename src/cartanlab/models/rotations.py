@@ -17,13 +17,9 @@ import numpy as np
 _EPS = 1e-6
 
 
-def hat(w: np.ndarray) -> np.ndarray:
-    wx, wy, wz = w
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-
 def hat_many(w: np.ndarray) -> np.ndarray:
-    """hat of each row of w[k, 3], as H[k, 3, 3]."""
+    """The skew matrix hat(w[a]) of each row of w[k, 3] (hat(w) v = w x v),
+    as H[k, 3, 3]."""
     H = np.zeros((len(w), 3, 3))
     H[:, 2, 1], H[:, 0, 2], H[:, 1, 0] = w.T
     H[:, 1, 2], H[:, 2, 0], H[:, 0, 1] = -w.T

@@ -4,6 +4,7 @@ from pytest import raises
 
 from cartanlab import experiments
 from cartanlab.chartcalc import (
+    batch_of_one,
     deriv_at_zero,
     directional_derivative,
     directional_derivatives,
@@ -204,7 +205,7 @@ def test_parallel_transport_equals_the_one_member_lift(name):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_transport_many_rows_equal_each_member_alone(name, jacobians):
-    # the fd copy's connection carries no mu_batch, so mu_many stacks mu_at
+    # the fd copy's connection keeps mu_at and its stacked form
     model, S = make_model(name)
     if not jacobians:
         model = model.without_jacobians()
@@ -250,16 +251,17 @@ def test_transport_route_takes_one_jet_batch_of_6_per_stage(zoo, rng):
         singles.append(1)
         return S.mu_at(g)
 
-    def mu_batch(G):
+    def mu_many(G):
         batches.append(len(G))
-        return S.mu_batch(G)
+        return S.mu_many(G)
 
     m, v = sample_base_point(model, rng), rng.uniform(-1.0, 1.0, size=model.n)
     X = random_section(model, rng)
-    infinitesimalize(CartanConnection(model, mu_at, mu_batch=mu_batch),
+    # a single jet would be a batch of one
+    infinitesimalize(CartanConnection(model, batch_of_one(mu_many)),
                      "parallel-transport")(m, v, X)
-    assert batches == [6] * 16 and not singles
-    # without mu_batch, mu_many stacks the same 96 arrows through mu_at
+    assert batches == [6] * 16
+    # without mu_at.many, mu_many stacks the same 96 arrows through mu_at
     infinitesimalize(CartanConnection(model, mu_at), "parallel-transport")(m, v, X)
     assert len(singles) == 96
 
@@ -410,7 +412,7 @@ def test_integral_bisections_close_under_products_sphere(zoo, rng):
     # first-order extensions of actual sphere rotations integrate the
     # prolongation field, and so do their products
     from cartanlab.groupoid import compose_bisections, oracle_jet
-    from cartanlab.models.actions import stereo_jac, unstereo, unstereo_jac
+    from cartanlab.models.actions import stereo_jac_many, unstereo_jac_many, unstereo_many
     from cartanlab.models.rotations import exp_so3_many
 
     model, S = zoo("isojet-sphere")
@@ -421,9 +423,9 @@ def test_integral_bisections_close_under_products_sphere(zoo, rng):
 
         def b(m):
             m = np.asarray(m, dtype=float)
-            Ru = R @ unstereo(m)
+            Ru = R @ unstereo_many(m[None])[0]
             mp = Ru[:2] / (1.0 - Ru[2])  # the stereographic chart of R u
-            A = stereo_jac(Ru) @ R @ unstereo_jac(m)
+            A = stereo_jac_many(Ru[None])[0] @ R @ unstereo_jac_many(m[None])[0]
             lam_ratio = np.sqrt(metric(mp)[0, 0] / metric(m)[0, 0])
             Rth = A * lam_ratio
             theta = np.arctan2(Rth[1, 0], Rth[0, 0])
@@ -540,7 +542,7 @@ def _flow_nabla_per_member(S, m, v, X):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_flow_route_equals_the_per_member_flows(name, jacobians):
-    # the fd copy's connection carries no mu_batch, so mu_many stacks mu_at
+    # the fd copy's connection keeps mu_at and its stacked form
     model, S = make_model(name)
     if not jacobians:
         model = model.without_jacobians()
@@ -605,8 +607,8 @@ def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_nabla_many_equals_nabla_per_section(name, jacobians):
     # many sections at one point, in one nabla_rows call of one row, equal
-    # nabla on each section; the fd copy's connection carries no mu_batch,
-    # so it stacks mu_at
+    # nabla on each section; the fd copy's connection keeps mu_at and its
+    # stacked form
     model, S = make_model(name)
     if not jacobians:
         model = model.without_jacobians()

@@ -413,9 +413,9 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     # fresh isojet-sphere: Gamma at m and at the 2n stencil points take one
     # connection_matrices call each, and each evaluates its stencil jets in
     # one batched call, 2 per curvature (n + 2 n^2 = 10 one point at a time);
-    # the source is a coordinate slot, so Tsrc(unit(m)) is built once, for
-    # the reference basis and the one projection it shares, and none of the
-    # 41 frame reads builds it again
+    # the source is a coordinate slot, so the frame's reference basis and its
+    # one projection read the model's constant_kernel_basis and constant_Tsrc,
+    # and neither they nor the 41 frame reads build Tsrc(unit(m))
     from cartanlab.groupoid import GroupoidModel
     from cartanlab.models import isojet, make_model
 
@@ -434,7 +434,7 @@ def test_curvature_evaluates_point_geometry_once_per_point(monkeypatch):
     monkeypatch.setattr(isojet, "prolongation_jets", counted_jets)
     monkeypatch.setattr(GroupoidModel, "Tsrc", counted_Tsrc)
     curvature(infinitesimalize(S, "direct-formula"), np.array([0.1, -0.2]))
-    assert calls == {"prolongation_jets": 2, "Tsrc": 1}
+    assert calls == {"prolongation_jets": 2, "Tsrc": 0}
 
 
 def _all_nan_jets(S):
@@ -484,14 +484,19 @@ def test_flatness_experiment_runs_without_the_oracle(monkeypatch):
 
 
 def _nan_row_batches(S):
-    """S with the first jet of every batch NaN, the single jets intact."""
+    """S with the first jet of every batch NaN, the single jets intact: its
+    mu_at is S.mu_at again, with the NaN batches as its stacked form."""
 
-    def mu_batch(G):
-        mu = S.mu_batch(G).copy()
+    def mu_at(g):
+        return S.mu_at(g)
+
+    def mu_many(G):
+        mu = S.mu_many(G).copy()
         mu[0] = np.nan
         return mu
 
-    return dataclasses.replace(S, mu_batch=mu_batch)
+    mu_at.many = mu_many
+    return dataclasses.replace(S, mu_at=mu_at)
 
 
 @pytest.mark.parametrize("run", [run_flatness, run_reconstruct])

@@ -635,6 +635,33 @@ def test_a_source_slot_declares_a_constant_source_jacobian(name):
     assert dataclasses.replace(model, src=moved).constant_Tsrc is None
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_constant_source_jacobian_gives_one_kernel_basis(name, monkeypatch):
+    # kernel_basis reads Tsrc at unit(m), so with a constant_Tsrc it is one
+    # matrix: one SVD per model, read-only, whatever the point or the caller
+    from cartanlab.jetalg import random_kernel_hom
+
+    model, _ = make_model(name)
+    svd = groupoid._kernel_basis
+    calls = []
+
+    def counted(A):
+        calls.append(1)
+        return svd(A)
+
+    monkeypatch.setattr(groupoid, "_kernel_basis", counted)
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        m = sample_base_point(model, rng)
+        K = kernel_basis(model, m)
+        assert K.tobytes() == svd(model.Tsrc(model.unit(m))).tobytes()
+        assert not K.flags.writeable
+        random_kernel_hom(model, m, rng)
+        aligned_frame(model, m)
+    assert len(calls) == 1
+    assert model.without_jacobians().constant_kernel_basis is None
+
+
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_frame_refuses_a_point_of_the_wrong_dimension(name, jacobians):
@@ -646,6 +673,11 @@ def test_frame_refuses_a_point_of_the_wrong_dimension(name, jacobians):
     for m in (np.zeros(n + 1), np.zeros((1, n)), np.float64(0.0)):
         with raises(DomainError):
             frame(m)
+        # nor does the constant kernel basis, at a point or as a reference
+        with raises(DomainError):
+            kernel_basis(model, m)
+        with raises(DomainError):
+            aligned_frame(model, m)
     for P in (np.zeros((3, n + 1)), np.zeros(n), np.zeros((2, 3, n))):
         with raises(DomainError):
             frame.many(P)

@@ -1,14 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.chartcalc import differentiate, in_box, jacobian_fd, jacobians_fd
-from cartanlab.errors import MetricError
+from cartanlab.chartcalc import (
+    differentiate,
+    differentiate_many,
+    in_box,
+    jacobian_fd,
+    jacobians_fd,
+)
+from cartanlab.errors import ConfigError, MetricError
 from cartanlab.groupoid import (
+    JACOBIAN_HOOKS,
+    inv_tangent_many,
     jet_distance,
+    left_translate_many,
     oracle_jet,
     oracle_jet_inverse,
     oracle_jet_mul,
+    right_translate_many,
     sample_base_point,
 )
 from cartanlab.jetalg import random_jet
@@ -26,7 +38,7 @@ from cartanlab.models.rotations import (
     compose_so3_jac_many,
     compose_so3_many,
     exp_so3_many,
-    hat,
+    hat_many,
     jl_inv_many,
     jl_many,
     log_so3_many,
@@ -40,25 +52,37 @@ def test_unknown_model_rejected():
         make_model("moebius")
 
 
-@pytest.mark.parametrize("name", CORE_MODELS + ["isojet-hyperbolic"])
+def _jacobians_fd_in_first_slot(func_many, X, Y):
+    """jacobians_fd of func_many(., Y) at the rows of X, each probe of row a
+    paired with Y[a]."""
+    # jacobians_fd's probes run forward steps first, then by row and coordinate
+    held = np.tile(np.repeat(Y, X.shape[1], axis=0), (2, 1))
+    return jacobians_fd(lambda P: func_many(P, held), X)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_structure_map_jacobians_match_fd(zoo, name, rng):
+    # the four stacked hooks against central differences of the stacked
+    # maps, on stacks and on non-contiguous views of them
     model, _ = zoo(name)
-    for _ in range(4):
-        g, h = model.sample_composable(rng)
-        Dg, Dh = model.mul_jac(g.coords, h.coords)
-        assert np.max(np.abs(Dg - jacobian_fd(lambda x: model.mul(x, h.coords),
-                                              g.coords))) < 1e-9
-        assert np.max(np.abs(Dh - jacobian_fd(lambda x: model.mul(g.coords, x),
-                                              h.coords))) < 1e-9
-        assert np.max(np.abs(model.inv_jac(g.coords)
-                             - jacobian_fd(model.inv, g.coords))) < 1e-9
-        J = model.tgt.jacobian(g.coords)
-        assert np.max(np.abs(J - jacobian_fd(model.tgt.eval, g.coords))) < 1e-9
-        Dr, Dm = model.retract_tgt_jac(g.coords, g.target)
-        assert np.max(np.abs(Dr - jacobian_fd(
-            lambda x: model.retract_tgt(x, g.target), g.coords))) < 1e-9
-        assert np.max(np.abs(Dm - jacobian_fd(
-            lambda x: model.retract_tgt(g.coords, x), g.target))) < 1e-9
+
+    def swapped(func_many):
+        return lambda P, Q: func_many(Q, P)
+
+    for G, H, M in _stacked_cases(model, rng, k=4):
+        Dg, Dh = model.mul_jac_many(G, H)
+        fd = [(Dg, _jacobians_fd_in_first_slot(model.mul_many, G, H)),
+              (Dh, _jacobians_fd_in_first_slot(swapped(model.mul_many), H, G)),
+              (model.inv_jac_many(G), jacobians_fd(model.inv_many, G)),
+              (differentiate_many(model.tgt, G), jacobians_fd(model.tgt.many, G))]
+        for retract_many, jac_many in ((model.retract_src_many, model.retract_src_jac_many),
+                                       (model.retract_tgt_many, model.retract_tgt_jac_many)):
+            Dr, Dm = jac_many(G, M)
+            fd += [(Dr, _jacobians_fd_in_first_slot(retract_many, G, M)),
+                   (Dm, _jacobians_fd_in_first_slot(swapped(retract_many), M, G))]
+        for analytic, central in fd:
+            assert analytic.shape == central.shape
+            assert np.max(np.abs(analytic - central)) < 1e-9
 
 
 @pytest.mark.parametrize("name", CORE_MODELS)
@@ -98,7 +122,7 @@ def test_rotation_jacobian_identities(rng):
         JL, JR = jl_many(np.stack([w, -w]))
         JL_inv, JR_inv = jl_inv_many(np.stack([w, -w]))
         lhs = (R_plus - R_minus) / (2 * h)
-        rhs = hat(JL @ d) @ R
+        rhs = hat_many((JL @ d)[None])[0] @ R
         assert np.max(np.abs(lhs - rhs)) < 1e-8
         assert np.max(np.abs(JL @ JL_inv - np.eye(3))) < 1e-12
         assert np.max(np.abs(JR @ JR_inv - np.eye(3))) < 1e-12
@@ -278,7 +302,7 @@ def test_batched_jets_do_not_depend_on_the_batch(zoo, name):
     for k in range(1, 8):
         G = np.stack([model.sample_arrow(rng).coords for _ in range(k)])
         G[: k // 2, :2] = G[0, :2]  # some share a source, as a stencil does
-        batch = S.mu_batch(G)
+        batch = S.mu_at.many(G)
         assert batch.shape == (k, 5, 2)
         for a in range(k):
             assert np.array_equal(batch[a], S.mu_at(G[a]))
@@ -329,7 +353,7 @@ def test_batched_jets_match_the_per_point_solve(zoo, name):
     metric = model.extras["metric"]
     rng = np.random.default_rng(22)
     G = np.stack([model.sample_arrow(rng).coords for _ in range(12)])
-    batch = S.mu_batch(G)
+    batch = S.mu_at.many(G)
     for a in range(len(G)):
         assert np.max(np.abs(batch[a] - _reference_jet(metric, G[a]))) < 1e-13
 
@@ -371,7 +395,7 @@ def test_metric_that_does_not_broadcast_is_refused():
     with raises(MetricError, match="broadcast"):
         prolongation_jet(metric, g)
     with raises(MetricError, match="broadcast"):
-        S.mu_batch(np.stack([g, g]))
+        S.mu_at.many(np.stack([g, g]))
 
 
 def test_cholesky_factors_broadcast_over_a_stack(rng):
@@ -411,7 +435,14 @@ def test_source_side(zoo, name, jacobians, rng):
         assert np.max(np.abs(model.retract_tgt(g, model.tgt(g)) - g)) <= target_tol
         if jacobians and target_tol == 0.0:
             assert not model.tgt.jacobian(g).flags.writeable
-            assert not any(J.flags.writeable for J in model.retract_tgt_jac(g, m))
+            assert not any(J.flags.writeable
+                           for J in model.retract_tgt_jac_many(g[None], m[None]))
+
+
+def _blocks(value):
+    """The blocks of a map's value: a tuple of arrays as it is, one array as a
+    tuple of one."""
+    return value if isinstance(value, tuple) else (value,)
 
 
 def _stacked_cases(model, rng, k=7):
@@ -434,8 +465,9 @@ def _stacked_cases(model, rng, k=7):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
     # row a of every stacked form equals the single-point call bit for bit;
-    # the single mul, inv and retractions are batches of one, so this is row
-    # a of a stack against a stack of one row
+    # the single mul and inv and the retractions are batches of one, and the
+    # jacobian hooks have no single form, so for all of them this is row a of
+    # a stack against a stack of one row
     model, _ = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
@@ -443,17 +475,22 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
     for G, H, M in _stacked_cases(model, rng):
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
             assert np.array_equal(cm.many(X), [cm(x) for x in X])
-        for single, many, args in (
-                (model.mul, model.mul_many, (G, H)),
-                (model.inv, model.inv_many, (G,)),
-                (model.retract_src, model.retract_src_many, (G, M)),
-                (model.retract_tgt, model.retract_tgt_many, (G, M))):
-            assert np.array_equal(many(*args),
-                                  [single(*row) for row in zip(*args)])
-        if model.mul_jac_many is not None:
-            for b, block in enumerate(model.mul_jac_many(G, H)):
-                assert np.array_equal(block, [model.mul_jac(g, h)[b] for g, h in zip(G, H)])
-        assert jacobians or model.mul_jac_many is None
+        maps = [("mul", (G, H)), ("inv", (G,)), ("retract_src", (G, M)),
+                ("retract_tgt", (G, M))]
+        for name, args in maps:
+            single, many = getattr(model, name), getattr(model, name + "_many")
+            assert np.array_equal(many(*args), [single(*row) for row in zip(*args)])
+        hooks = [("mul_jac_many", (G, H)), ("inv_jac_many", (G,)),
+                 ("retract_src_jac_many", (G, M)), ("retract_tgt_jac_many", (G, M))]
+        assert [hook for hook, _ in hooks] == list(JACOBIAN_HOOKS)
+        if not jacobians:
+            assert all(getattr(model, hook) is None for hook in JACOBIAN_HOOKS)
+            hooks = []
+        for hook, args in hooks:
+            many = getattr(model, hook)
+            rows = [_blocks(many(*(X[a:a + 1] for X in args))) for a in range(len(G))]
+            for b, block in enumerate(_blocks(many(*args))):
+                assert np.array_equal(block, [row[b][0] for row in rows])
         # the stacked finite-difference jacobians equal the per-point ones
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
             jacs = jacobians_fd(cm.many, X)
@@ -497,21 +534,69 @@ def test_oracle_matrices_are_c_contiguous(zoo, name, jacobians):
 @pytest.mark.parametrize("name", ["pair-R1", "pair-R2", "translation-R2", "se2-action",
                                   "so3-sphere", "isojet-plane"])
 def test_shared_constants_are_read_only(name):
-    # a model hands every caller the same constant jet or jacobian matrix: a
-    # write through the one at g1 raises and leaves the one at g2 as it was
+    # a model hands every caller the same constant jet or jacobian matrix, or
+    # stacks of it: a write through the one at g1 raises and leaves the one
+    # at g2 as it was
     model, S = make_model(name)
     rng = np.random.default_rng(29)
     g1, g2 = model.sample_arrow(rng), model.sample_arrow(rng)
-    reads = [lambda g: S.jet(g).mu, lambda g: model.Tunit(g.source),
-             lambda g: model.mul_jac(g.coords, g.coords)[0],
-             lambda g: model.mul_jac(g.coords, g.coords)[1],
-             lambda g: model.inv_jac(g.coords)]
-    if name.startswith("isojet"):
-        reads = reads[1:]  # the prolongation jets are computed per arrow
-    elif not name.startswith("pair"):
-        reads = reads[:1]  # the action groupoids' jacobians depend on the arrow
+
+    def pair(g):
+        return np.stack([g.coords, g.coords])
+
+    # the source retraction's jacobians are constant on every model
+    reads = [lambda g: model.retract_src_jac_many(pair(g), np.stack([g.source] * 2))[0],
+             lambda g: model.retract_src_jac_many(pair(g), np.stack([g.source] * 2))[1]]
+    if not name.startswith("isojet"):  # the prolongation jets are computed per arrow
+        reads += [lambda g: S.jet(g).mu, lambda g: S.mu_many(pair(g))]
+    if name.startswith(("pair", "isojet")):
+        # the action groupoids' other jacobians depend on the arrow
+        reads += [lambda g: model.Tunit(g.source),
+                  lambda g: model.mul_jac_many(pair(g), pair(g))[0],
+                  lambda g: model.mul_jac_many(pair(g), pair(g))[1],
+                  lambda g: model.inv_jac_many(pair(g)),
+                  lambda g: model.retract_tgt_jac_many(pair(g), np.stack([g.target] * 2))[0],
+                  lambda g: model.retract_tgt_jac_many(pair(g), np.stack([g.target] * 2))[1]]
     for read in reads:
         before = read(g2).copy()
         with raises(ValueError, match="read-only"):
             read(g1)[0, 0] = 7.0
         assert np.array_equal(read(g2), before)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_model_gives_every_jacobian_hook_or_none(name):
+    # a model with some hooks would read has_jacobians as True and then call
+    # a missing one: it is refused where it is built, naming the hook
+    model, _ = make_model(name)
+    assert model.has_jacobians
+    for hook in JACOBIAN_HOOKS:
+        with raises(ConfigError, match=hook):
+            dataclasses.replace(model, **{hook: None})
+    assert not model.without_jacobians().has_jacobians
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_tangent_maps_call_each_stacked_hook_once(name):
+    # a stack of arrows takes one call of each hook a tangent map reads
+    model, _ = make_model(name)
+    calls = []
+
+    def counted(hook, fn):
+        def wrapper(*args):
+            calls.append(hook)
+            return fn(*args)
+        return wrapper
+
+    model = dataclasses.replace(model, **{hook: counted(hook, getattr(model, hook))
+                                          for hook in JACOBIAN_HOOKS})
+    rng = np.random.default_rng(59)
+    pairs = [model.sample_composable(rng) for _ in range(5)]
+    G = np.array([g.coords for g, _ in pairs])
+    H = np.array([h.coords for _, h in pairs])
+    V = rng.uniform(-1.0, 1.0, size=G.shape)
+    left_translate_many(model, G, H, V)
+    right_translate_many(model, H, G, V)
+    inv_tangent_many(model, G, V)
+    assert calls == ["mul_jac_many", "retract_tgt_jac_many", "mul_jac_many",
+                     "retract_src_jac_many", "inv_jac_many"]
