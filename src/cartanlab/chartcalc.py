@@ -375,6 +375,38 @@ class WorstErrors(dict):
         self[name] = worst_case(self[name], float(np.max(np.abs(value))))
 
 
+def _stacked_fields(samples: list) -> list:
+    """The fields of a list of drawn samples, each as one stack: the
+    stack_of(elements) of an element type that has one (jetalg.KernelHom),
+    an array otherwise."""
+    return [type(field[0]).stack_of(field) if hasattr(type(field[0]), "stack_of")
+            else np.array(field) for field in zip(*samples)]
+
+
+def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate) -> None:
+    """A per-sample loop, stacked: call draw() count times, drawing every
+    sample in rng order, then evaluate the stacked draws once, each step of
+    evaluate for all samples.
+
+    On any exception, in either phase, the samples rerun in order from the
+    rng state before the first draw: draw sample a, then evaluate it as a
+    batch of one. So the error that propagates is the first one the
+    per-sample loop meets, up to the order within one sample, where every
+    draw comes before the evaluation. A rerun that raises nothing stands: an
+    evaluate that refuses a stack but records a refused sample on its own
+    (check_multiplicative's oracle refusal) ends as the per-sample loop does.
+    A count below 1 evaluates nothing."""
+    if count < 1:
+        return
+    state = rng.bit_generator.state
+    try:
+        evaluate(*_stacked_fields([draw() for _ in range(count)]))
+    except Exception:
+        rng.bit_generator.state = state
+        for _ in range(count):
+            evaluate(*_stacked_fields([draw()]))
+
+
 def worst_case_min(least: float, value: float) -> float:
     """The min-side worst_case, for checks that fail when a quantity gets too
     small: NaN reads as -inf, where min(least, nan) == least would drop it."""

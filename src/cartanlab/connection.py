@@ -44,6 +44,7 @@ from .chartcalc import (
     WorstErrors,
     deriv_at_zero,
     directional_derivatives,
+    draw_then_evaluate,
     exceeds,
     flow_with_tangent,
     in_box,
@@ -58,10 +59,11 @@ from .groupoid import (
     Arrow,
     GroupoidModel,
     Jet1,
+    Jets,
     algebroid_vec,
-    identity_jet,
-    jet_distance,
-    oracle_jet_mul,
+    identity_jets,
+    jet_distances,
+    oracle_jet_muls,
     outer_fd_step,
     right_invariant_many,
     sample_base_point,
@@ -100,34 +102,58 @@ class CartanConnection:
 
 
 def check_unital(S: CartanConnection, rng: np.random.Generator) -> float:
-    """Max deviation of S(unit(m)) from the identity jet at UNITAL_SAMPLES sampled m."""
+    """Max deviation of S(unit(m)) from the identity jet at UNITAL_SAMPLES sampled m.
+
+    Every base point is drawn first, in the per-sample loop's rng order; then
+    one unit.many, one mu_many and one identity_jets call evaluate them all
+    (chartcalc.draw_then_evaluate)."""
+    model = S.model
     worst = WorstErrors(("unital",))
-    for _ in range(UNITAL_SAMPLES):
-        m = sample_base_point(S.model, rng)
-        worst.record("unital", jet_distance(S.jet(S.model.unit_arrow(m)),
-                                            identity_jet(S.model, m)))
+
+    def evaluate(M):
+        U = model.unit.many(M)
+        worst.record("unital", jet_distances(Jets.at(model, U, S.mu_many(U)),
+                                             identity_jets(model, M)))
+
+    draw_then_evaluate(rng, UNITAL_SAMPLES, lambda: (sample_base_point(model, rng),), evaluate)
     return worst["unital"]
 
 
 def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) -> float:
     """Max deviation of S(g1 g2) from the oracle product of S(g1) and S(g2)
-    over count sampled composable pairs; a jet the oracle refuses reads +inf."""
+    over count sampled composable pairs; a jet the oracle refuses reads +inf.
+
+    Every pair is drawn first, in the per-sample loop's rng order; then one
+    mul_many, three mu_many calls (the factors and their products) and one
+    oracle_jet_muls evaluate them all (chartcalc.draw_then_evaluate). Where
+    the oracle refuses a jet of the stack, the pairs rerun one by one and a
+    refused pair alone records +inf."""
     model = S.model
     if count < 1:
         raise SamplingError(f"no composable pairs drawn on {model.name}")
     rng = np.random.default_rng(seed)
     worst = WorstErrors(("multiplicative",))
-    for _ in range(count):
+
+    def draw():
         g, h = model.sample_composable(rng)
-        lhs = S.jet(model.arrow(model.mul(g.coords, h.coords)))
+        return g.coords, h.coords
+
+    def evaluate(G, H):
+        GH = model.mul_many(G, H)
+        lhs = Jets.at(model, GH, S.mu_many(GH))
         try:
-            rhs = oracle_jet_mul(model, S.jet(g), S.jet(h))
+            rhs = oracle_jet_muls(model, Jets.at(model, G, S.mu_many(G)),
+                                  Jets.at(model, H, S.mu_many(H)))
         except NotABisectionError:
+            if len(G) > 1:
+                raise  # the rerun finds the refused pairs one by one
             # the oracle takes only jets of bisections, so a jet it refuses
             # (a NaN one among them) fails the sample
             worst.record("multiplicative", math.inf)
-            continue
-        worst.record("multiplicative", jet_distance(lhs, rhs))
+            return
+        worst.record("multiplicative", jet_distances(lhs, rhs))
+
+    draw_then_evaluate(rng, count, draw, evaluate)
     return worst["multiplicative"]
 
 

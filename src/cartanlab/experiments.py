@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .chartcalc import WorstErrors, jacobian_fd, matvecs, worst_case_min
+from .chartcalc import WorstErrors, draw_then_evaluate, jacobian_fd, matvecs, worst_case_min
 from .connection import (
     UNITAL_SAMPLES,
     check_multiplicative,
@@ -43,7 +43,6 @@ from .groupoid import (
 )
 from .jetalg import (
     KernelHom,
-    KernelHoms,
     adjoint_hom_many,
     adjoint_tm_many,
     adjoint_vec_many,
@@ -121,33 +120,6 @@ class _Checks:
                 for name, samples, tol in self.declared]
 
 
-def _stacked(samples: list) -> list:
-    """The fields of a list of drawn samples, each as one stack: kernel
-    elements as KernelHoms, everything else as an array."""
-    return [KernelHoms.of(field) if isinstance(field[0], KernelHom) else np.array(field)
-            for field in zip(*samples)]
-
-
-def _draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate) -> None:
-    """A per-sample loop, stacked: call draw() count times, drawing every
-    sample in rng order, then evaluate the stacked draws (_stacked) once,
-    each step of evaluate for all samples.
-
-    On any exception, in either phase, the samples rerun in order from the
-    rng state before the first draw: draw sample a, then evaluate it as a
-    batch of one. So the error that propagates is the first one the
-    per-sample loop meets, up to the order within one sample, where every
-    draw comes before the evaluation."""
-    state = rng.bit_generator.state
-    try:
-        evaluate(*_stacked([draw() for _ in range(count)]))
-    except Exception:
-        rng.bit_generator.state = state
-        for _ in range(count):
-            evaluate(*_stacked([draw()]))
-        raise
-
-
 # -- individual experiments ----------------------------------------------------
 
 
@@ -185,7 +157,7 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
             oracle_jet_muls(model, j1, oracle_jet_inverses(model, j1)),
             identity_jets(model, j1.target)))
 
-    _draw_then_evaluate(rng, count, draw, evaluate)
+    draw_then_evaluate(rng, count, draw, evaluate)
 
     for _ in range(bracket_samples):
         X = random_section(model, rng)
@@ -222,7 +194,7 @@ def run_inversion(model, S, config, count) -> list[Check]:
         double(jet_distances(jet_invert_many(model, jinv), j))
         law(jet_distances(oracle_jet_muls(model, jinv, j), identity_jets(model, j.source)))
 
-    _draw_then_evaluate(rng, count, draw, evaluate)
+    draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -262,7 +234,7 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
         translation(np.swapaxes(mu.mu, 1, 2).reshape(-1, N)
                     - np.swapaxes(nu.mu, 1, 2).reshape(-1, N) - col)
 
-    _draw_then_evaluate(rng, count, draw, evaluate)
+    draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -303,7 +275,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = matvecs(adjoint_tm_many(model, mu), matvecs(anchor_matrices(model, M), X))
         anchor(lhs - rhs)
 
-    _draw_then_evaluate(rng, count, draw, evaluate)
+    draw_then_evaluate(rng, count, draw, evaluate)
 
     # semidirect law for bisections of the jet groupoid, on a few base points
     for _ in range(semi_samples):
@@ -362,7 +334,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         inner = adjoint_vec_many(model, mu2, mu2.source, X)
         adjoint_morphism(lhs - adjoint_vec_many(model, mu1, mu2.target, inner))
 
-    _draw_then_evaluate(rng, count, draw, evaluate)
+    draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 

@@ -30,6 +30,7 @@ from .chartcalc import (
     differentiate,
     differentiate_many,
     directional_derivatives,
+    draw_then_evaluate,
     exceeds,
     jacobians_fd,
     matvecs,
@@ -563,6 +564,10 @@ def _stacked_oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) 
     # jacobians_fd reads the forward probes of every member, then the backward ones
     stencil = np.concatenate([B[:, 1:n + 1], B[:, n + 1:]]).reshape(2 * k * n, -1)
     mu = jacobians_fd(lambda _: stencil, M)
+    finite = np.isfinite(mu).all(axis=(1, 2))
+    if not finite.all():
+        # refused before its determinant, which a NaN entry would make NaN
+        raise NotABisectionError(f"non-finite jet of the bisection at {M[~finite][0]}")
     if not (abs(np.linalg.det(differentiate_many(model.tgt, B[:, 0]) @ mu)) >= DET_TOL).all():
         raise NotABisectionError("target map of the bisection is singular")
     return Jets.at(model, B[:, 0], mu)
@@ -794,28 +799,37 @@ def random_section(model: GroupoidModel,
 
 def check_axioms(model: GroupoidModel, rng: np.random.Generator,
                  count: int = 100) -> dict[str, float]:
-    """Max deviation of the groupoid axioms over seeded random samples."""
+    """Max deviation of the groupoid axioms over seeded random samples.
+
+    Every sample (a base point, a composable pair, an arrow composable with
+    the pair) is drawn first, in the per-sample loop's rng order; then each
+    axiom is a few stacked src/tgt/unit.many, mul_many, inv_many and
+    retract_*_many calls over all samples (chartcalc.draw_then_evaluate)."""
     errs = WorstErrors(("unit_source_target", "left_unit", "right_unit",
                         "product_source_target", "inverse", "associativity",
                         "retract_identity"))
     bump = errs.record
-    for _ in range(count):
-        m = sample_base_point(model, rng)
-        u = model.unit(m)
-        bump("unit_source_target", model.src(u) - m)
-        bump("unit_source_target", model.tgt(u) - m)
 
+    def draw():
+        m = sample_base_point(model, rng)
         g, h = model.sample_composable(rng)
-        bump("left_unit", model.mul(g.coords, model.unit(g.source)) - g.coords)
-        bump("right_unit", model.mul(model.unit(g.target), g.coords) - g.coords)
-        gh = model.arrow(model.mul(g.coords, h.coords))
-        bump("product_source_target", gh.source - h.source)
-        bump("product_source_target", gh.target - g.target)
-        bump("inverse", model.mul(model.inv(g.coords), g.coords) - model.unit(g.source))
-        k = model.arrow(model.arrow_with_source(g.target, rng))
-        bump("associativity",
-             model.mul(model.mul(k.coords, g.coords), h.coords)
-             - model.mul(k.coords, model.mul(g.coords, h.coords)))
-        bump("retract_identity", model.retract_src(g.coords, g.source) - g.coords)
-        bump("retract_identity", model.retract_tgt(g.coords, g.target) - g.coords)
+        k = model.arrow_with_source(g.target, rng)
+        return m, g.coords, g.source, g.target, h.coords, h.source, k
+
+    def evaluate(M, G, G_src, G_tgt, H, H_src, K):
+        U = model.unit.many(M)
+        bump("unit_source_target", model.src.many(U) - M)
+        bump("unit_source_target", model.tgt.many(U) - M)
+        bump("left_unit", model.mul_many(G, model.unit.many(G_src)) - G)
+        bump("right_unit", model.mul_many(model.unit.many(G_tgt), G) - G)
+        GH = model.mul_many(G, H)
+        bump("product_source_target", model.src.many(GH) - H_src)
+        bump("product_source_target", model.tgt.many(GH) - G_tgt)
+        bump("inverse", model.mul_many(model.inv_many(G), G) - model.unit.many(G_src))
+        bump("associativity", model.mul_many(model.mul_many(K, G), H)
+             - model.mul_many(K, model.mul_many(G, H)))
+        bump("retract_identity", model.retract_src_many(G, G_src) - G)
+        bump("retract_identity", model.retract_tgt_many(G, G_tgt) - G)
+
+    draw_then_evaluate(rng, count, draw, evaluate)
     return errs

@@ -71,6 +71,11 @@ class KernelHom:
     m: np.ndarray
     phi: np.ndarray  # (N, n)
 
+    @staticmethod
+    def stack_of(homs) -> "KernelHoms":
+        """The stack of drawn kernel elements chartcalc.draw_then_evaluate hands on."""
+        return KernelHoms.of(homs)
+
     @property
     def phi_tm(self) -> np.ndarray:
         """Induced map on TM: v -> v - anchor(phi v)."""

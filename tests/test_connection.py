@@ -4,6 +4,7 @@ from pytest import raises
 
 from cartanlab import experiments
 from cartanlab.chartcalc import (
+    WorstErrors,
     batch_of_one,
     deriv_at_zero,
     directional_derivative,
@@ -29,11 +30,15 @@ from cartanlab.connection import (
     transport_many,
     transport_with_vector,
 )
-from cartanlab.errors import EscapeError
+from cartanlab.errors import DomainError, EscapeError, NotABisectionError
 from cartanlab.groupoid import (
     algebroid_vec,
     aligned_frame,
+    identity_jet,
+    jet_distance,
     kernel_basis,
+    oracle_jet_mul,
+    oracle_jet_muls,
     outer_fd_step,
     random_section,
     right_invariant_many,
@@ -70,11 +75,27 @@ def _nan_on_call(mu_at, call):
     return wrapped
 
 
+def _nan_row_on_call(mu_at, call, row):
+    """mu_at whose stacked form returns an all-NaN jet in row `row` of its
+    call-th call and exact ones otherwise; the single form is its batch of one."""
+    calls = [0]
+
+    def many(G):
+        calls[0] += 1
+        out = np.array(mu_at.many(G), dtype=float)
+        if calls[0] == call:
+            out[row] = np.nan
+        return out
+
+    return batch_of_one(many)
+
+
 def test_multiplicativity_fails_on_one_nan_jet(zoo):
-    # call 31 is the product jet of the 11th of 20 samples; max(worst, nan)
-    # would drop it and pass with max_error ~7e-12
+    # the first stacked jet call takes the product jets of all 20 samples, so
+    # row 10 of it is the product jet of the 11th; max(worst, nan) would drop
+    # it and pass with max_error ~7e-12
     model, S = zoo("pair-R2")
-    bad = CartanConnection(model, _nan_on_call(S.mu_at, 31))
+    bad = CartanConnection(model, _nan_row_on_call(S.mu_at, 1, 10))
     assert check_multiplicative(bad, seed=0, count=20) == np.inf
 
 
@@ -82,6 +103,116 @@ def test_unitality_reports_nan_jet_as_infinite(zoo):
     model, S = zoo("pair-R2")
     bad = CartanConnection(model, _nan_on_call(S.mu_at, 5))
     assert check_unital(bad, np.random.default_rng(0)) == np.inf
+
+
+def _multiplicative_one_by_one(S, seed, count):
+    """check_multiplicative as a per-sample loop: each pair drawn, then its
+    single jets and its oracle product taken."""
+    model = S.model
+    rng = np.random.default_rng(seed)
+    worst = WorstErrors(("multiplicative",))
+    for _ in range(count):
+        g, h = model.sample_composable(rng)
+        lhs = S.jet(model.arrow(model.mul(g.coords, h.coords)))
+        try:
+            rhs = oracle_jet_mul(model, S.jet(g), S.jet(h))
+        except NotABisectionError:
+            worst.record("multiplicative", np.inf)
+            continue
+        worst.record("multiplicative", jet_distance(lhs, rhs))
+    return worst["multiplicative"]
+
+
+def _unital_one_by_one(S, rng):
+    """check_unital as a per-sample loop."""
+    worst = WorstErrors(("unital",))
+    for _ in range(UNITAL_SAMPLES):
+        m = sample_base_point(S.model, rng)
+        worst.record("unital", jet_distance(S.jet(S.model.unit_arrow(m)),
+                                            identity_jet(S.model, m)))
+    return worst["unital"]
+
+
+def _jets_raising_at(S, rows, label, error=DomainError):
+    """S whose jet map raises error(label at g) at the first arrow g of a
+    stack that is one of rows; its single form is its batch of one."""
+
+    def many(G):
+        for g in np.asarray(G, dtype=float):
+            if any(np.array_equal(g, r) for r in rows):
+                raise error(f"{label} at {g}")
+        return S.mu_many(G)
+
+    return CartanConnection(S.model, batch_of_one(many), name=S.name)
+
+
+def _nan_jets_at(S, rows):
+    """S with an all-NaN jet at the arrows rows and exact ones elsewhere."""
+
+    def many(G):
+        MU = np.array(S.mu_many(G), dtype=float)
+        MU[[any(np.array_equal(g, r) for r in rows) for g in G]] = np.nan
+        return MU
+
+    return CartanConnection(S.model, batch_of_one(many), name=S.name)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_multiplicativity_checks_equal_the_per_sample_loops(name, jacobians):
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    assert check_multiplicative(S, seed=7, count=5) == _multiplicative_one_by_one(S, 7, 5)
+    assert (check_unital(S, np.random.default_rng(7))
+            == _unital_one_by_one(S, np.random.default_rng(7)))
+
+    rng = np.random.default_rng(7)
+    pairs = [model.sample_composable(rng) for _ in range(5)]
+    # a jet the oracle refuses fails its own pair alone, stacked or not
+    refused = _nan_jets_at(S, [pairs[3][1].coords])
+    assert check_multiplicative(refused, seed=7, count=5) == np.inf
+    assert _multiplicative_one_by_one(refused, 7, 5) == np.inf
+    # pair 3's product jet fails a step before pair 1's second factor:
+    # evaluating the whole stack step by step would meet pair 3's error first
+    products = [model.mul(g.coords, h.coords) for g, h in pairs]
+    bad = _jets_raising_at(S, [products[3], pairs[1][1].coords], "jet")
+    with raises(DomainError) as per_sample:
+        _multiplicative_one_by_one(bad, 7, 5)
+    with raises(DomainError) as stacked:
+        check_multiplicative(bad, seed=7, count=5)
+    assert str(per_sample.value) == f"jet at {pairs[1][1].coords}"
+    assert str(stacked.value) == str(per_sample.value)
+
+    rng = np.random.default_rng(7)
+    units = [model.unit(sample_base_point(model, rng)) for _ in range(UNITAL_SAMPLES)]
+    bad = _jets_raising_at(S, [units[4], units[11]], "unit jet")
+    with raises(DomainError) as per_sample:
+        _unital_one_by_one(bad, np.random.default_rng(7))
+    with raises(DomainError) as stacked:
+        check_unital(bad, np.random.default_rng(7))
+    assert str(per_sample.value) == f"unit jet at {units[4]}"
+    assert str(stacked.value) == str(per_sample.value)
+
+
+@pytest.mark.parametrize("count", [1, 6, 20])
+def test_multiplicativity_takes_every_jet_in_three_stacked_calls(zoo, monkeypatch, count):
+    model, S = zoo("pair-R2")
+    calls = {"mu_many": 0, "oracle_jet_muls": 0}
+
+    def counting_many(G):
+        calls["mu_many"] += 1
+        return S.mu_at.many(G)
+
+    def counting_oracle(*args):
+        calls["oracle_jet_muls"] += 1
+        return oracle_jet_muls(*args)
+
+    monkeypatch.setattr(connection, "oracle_jet_muls", counting_oracle)
+    check_multiplicative(CartanConnection(model, batch_of_one(counting_many)), seed=2,
+                         count=count)
+    assert calls == {"mu_many": 3, "oracle_jet_muls": 1}
 
 
 def test_multiplicativity_detects_kernel_fault(zoo):
@@ -689,7 +820,6 @@ def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):
     assert np.array_equal(nab.nabla_rows(m[None], v[None], [X])[0, :, 0], nab(m, v, X).vec)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 def test_check_multiplicative_fails_a_jet_the_oracle_refuses(zoo):
     # an all-NaN jet is no bisection's: the oracle raises, the sample fails
     model, S = zoo("isojet-perturbed")

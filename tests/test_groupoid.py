@@ -7,7 +7,7 @@ import pytest
 from pytest import raises
 
 from cartanlab import groupoid
-from cartanlab.chartcalc import FD_STEP, ChartMap, jacobian_fd, newton_solve
+from cartanlab.chartcalc import FD_STEP, ChartMap, WorstErrors, jacobian_fd, newton_solve
 from cartanlab.errors import (
     CompositionError,
     DomainError,
@@ -264,19 +264,125 @@ def test_sample_composable_refuses_a_source_off_by_more_than_its_tolerance():
 
 
 def test_axioms_report_nan_product_as_infinite():
-    # the 7th mul call is mul(g, h) inside the first associativity sample;
-    # max(worst, nan) would drop it and report 0.0 for every axiom
+    # the 7th stacked mul call is mul(g, h) inside associativity, one row per
+    # sample; row 0 is the first sample's. max(worst, nan) would drop it and
+    # report 0.0 for every axiom
     model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     calls = [0]
 
-    def mul(g, h):
+    def mul_many(G, H):
         calls[0] += 1
-        out = model.mul(g, h)
-        return np.full_like(out, np.nan) if calls[0] == 7 else out
+        out = np.array(model.mul_many(G, H), dtype=float)
+        if calls[0] == 7:
+            out[0] = np.nan
+        return out
 
-    bad = dataclasses.replace(model, mul=mul)
+    bad = dataclasses.replace(model, mul_many=mul_many)
     errs = check_axioms(bad, np.random.default_rng(0), count=20)
     assert errs["associativity"] == np.inf
+
+
+def _axioms_one_by_one(model, rng, count):
+    """check_axioms as a per-sample loop: each sample drawn, then evaluated
+    through the single-point structure maps."""
+    errs = WorstErrors(("unit_source_target", "left_unit", "right_unit",
+                        "product_source_target", "inverse", "associativity",
+                        "retract_identity"))
+    bump = errs.record
+    for _ in range(count):
+        m = sample_base_point(model, rng)
+        u = model.unit(m)
+        bump("unit_source_target", model.src(u) - m)
+        bump("unit_source_target", model.tgt(u) - m)
+        g, h = model.sample_composable(rng)
+        bump("left_unit", model.mul(g.coords, model.unit(g.source)) - g.coords)
+        bump("right_unit", model.mul(model.unit(g.target), g.coords) - g.coords)
+        gh = model.arrow(model.mul(g.coords, h.coords))
+        bump("product_source_target", gh.source - h.source)
+        bump("product_source_target", gh.target - g.target)
+        bump("inverse", model.mul(model.inv(g.coords), g.coords) - model.unit(g.source))
+        k = model.arrow_with_source(g.target, rng)
+        bump("associativity", model.mul(model.mul(k, g.coords), h.coords)
+             - model.mul(k, model.mul(g.coords, h.coords)))
+        bump("retract_identity", model.retract_src(g.coords, g.source) - g.coords)
+        bump("retract_identity", model.retract_tgt(g.coords, g.target) - g.coords)
+    return errs
+
+
+def _raising_at(many, rows, label):
+    """The stacked map many, raising DomainError(label at x) at the first row
+    x of its first argument that is one of rows."""
+
+    def poisoned(X, *rest):
+        for x in np.asarray(X, dtype=float):
+            if any(np.array_equal(x, r) for r in rows):
+                raise DomainError(f"{label} at {x}")
+        return many(X, *rest)
+
+    return poisoned
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_axioms_equal_the_per_sample_loop(name, jacobians):
+    model = make_model(name)[0]
+    if not jacobians:
+        model = model.without_jacobians()
+    stacked = check_axioms(model, np.random.default_rng(9), count=6)
+    assert stacked == _axioms_one_by_one(model, np.random.default_rng(9), 6)
+    # sample 4 fails at its inverse, a step before sample 2 fails at its
+    # retraction: evaluating the whole stack step by step would meet sample
+    # 4's error first, the per-sample loop meets sample 2's
+    rng = np.random.default_rng(9)
+    drawn = []
+    for _ in range(6):
+        sample_base_point(model, rng)
+        g, _ = model.sample_composable(rng)
+        model.arrow_with_source(g.target, rng)
+        drawn.append(g.coords)
+    bad = dataclasses.replace(
+        model, inv_many=_raising_at(model.inv_many, [drawn[4]], "inverse"),
+        retract_src_many=_raising_at(model.retract_src_many, [drawn[2]], "retraction"))
+    with raises(DomainError) as per_sample:
+        _axioms_one_by_one(bad, np.random.default_rng(9), 6)
+    with raises(DomainError) as stacked:
+        check_axioms(bad, np.random.default_rng(9), count=6)
+    assert str(per_sample.value).startswith("retraction at ")
+    assert str(stacked.value) == str(per_sample.value)
+
+
+def _counting_stacked_maps(model):
+    """A copy of model whose stacked structure maps count their calls in
+    the returned dict."""
+    calls = {}
+
+    def counted(name, many):
+        calls[name] = 0
+
+        def wrapped(*args):
+            calls[name] += 1
+            return many(*args)
+
+        return wrapped
+
+    charts = {name: dataclasses.replace(getattr(model, name), eval_many=counted(
+        name, getattr(model, name).eval_many)) for name in ("src", "tgt", "unit")}
+    maps = {name: counted(name, getattr(model, name))
+            for name in ("mul_many", "inv_many", "retract_src_many", "retract_tgt_many")}
+    return dataclasses.replace(model, **charts, **maps), calls
+
+
+@pytest.mark.parametrize("name", ["pair-R2", "se2-action"])
+def test_axioms_make_as_many_stacked_calls_for_any_count(name):
+    model, calls = _counting_stacked_maps(make_model(name)[0])
+    counts = []
+    for count in (1, 5, 17):
+        for key in calls:
+            calls[key] = 0
+        check_axioms(model, np.random.default_rng(3), count=count)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0]["mul_many"] == 8
 
 
 def test_a_copy_keeps_the_single_maps_it_is_given():
