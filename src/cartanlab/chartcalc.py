@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, SingularMetricError
+from .errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
 
 # Central-difference step on unit-scaled charts: balances O(h^2) truncation
 # against double-precision roundoff (eps/h ~ 1e-11).
@@ -26,12 +26,12 @@ NEWTON_ITERATIONS = 40
 class ChartMap:
     """A smooth map between chart domains, with an optional analytic jacobian.
 
-    eval maps R^dim_in -> R^dim_out. When jacobian is supplied it must return
-    the (dim_out, dim_in) derivative matrix and agree with central differences
-    of eval to O(h^2); the test suite exercises both paths. A jacobian that is
-    one matrix at every point may carry that matrix as its .constant. eval_many,
-    the optional stacked form (k, dim_in) -> (k, dim_out), gives eval(X[a]) in
-    row a.
+    eval maps R^dim_in -> R^dim_out; eval_many, the optional stacked form
+    (k, dim_in) -> (k, dim_out), gives eval(X[a]) in row a. The optional
+    jacobian is stacked: (k, dim_in) -> (k, dim_out, dim_in), row a depending
+    on X[a] alone and agreeing with central differences of eval to O(h^2);
+    the test suite exercises both paths. A jacobian that is one matrix at
+    every point is a constant_jacobian, which carries it as .constant.
     """
 
     dim_in: int
@@ -66,9 +66,17 @@ def batch_of_one(func_many: Callable) -> Callable:
     return func
 
 
-def constant_stack(A: np.ndarray, k: int) -> np.ndarray:
-    """k rows of the matrix A: a read-only broadcast view that copies nothing."""
-    return np.broadcast_to(A, (k,) + np.shape(A))
+def constant_jacobian(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The stacked jacobian of a map whose derivative is the matrix A at every
+    point: on a stack of k points, k rows of A as a read-only broadcast view
+    that copies nothing. It carries A, read-only, as .constant."""
+    A = read_only(np.asarray(A, dtype=float))
+
+    def jacobian(X):
+        return np.broadcast_to(A, (len(X),) + A.shape)
+
+    jacobian.constant = A
+    return jacobian
 
 
 def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -172,7 +180,7 @@ def newton_solve_many(func_many: Callable, Y: np.ndarray, X0: np.ndarray, start:
 
 
 def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
-    """Jacobian of a chart map: analytic if supplied, else central differences.
+    """Jacobian of a chart map at x: differentiate_many's batch of one.
 
     Central differences at FD_STEP carry an O(h^2) per-entry error contract.
     Raises DomainError when x is not a point of dimension dim_in and
@@ -181,32 +189,29 @@ def differentiate(f: ChartMap, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (f.dim_in,):
         raise DomainError(f"expected point of dimension {f.dim_in}, got shape {x.shape}")
-    if f.jacobian is not None:
-        jac = np.asarray(f.jacobian(x), dtype=float)
-    else:
-        jac = jacobians_fd(f.many, x[None])[0]
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteError(f"non-finite derivative at {x}")
-    return jac.reshape(f.dim_out, f.dim_in)
+    return differentiate_many(f, x[None])[0]
 
 
 def differentiate_many(f: ChartMap, X: np.ndarray) -> np.ndarray:
     """differentiate at each row of a stack X[k, dim_in], as a C-contiguous
-    stack jac[k, dim_out, dim_in] whose row a equals differentiate(f, X[a])
-    bit for bit: the analytic jacobian row by row, else all rows' central
-    differences in one jacobians_fd call over f.many. Raises as
-    differentiate does, naming the first row whose derivative is not finite."""
+    stack jac[k, dim_out, dim_in]: one call of the analytic jacobian, else all
+    rows' central differences in one jacobians_fd call over f.many. Raises
+    ConfigError when the analytic jacobian does not return that shape, and
+    NonFiniteError naming the first row whose derivative is not finite."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != f.dim_in:
         raise DomainError(f"expected points of dimension {f.dim_in}, got shape {X.shape}")
     shape = (len(X), f.dim_out, f.dim_in)
-    if f.jacobian is not None:
-        jac = np.array([np.asarray(f.jacobian(x), dtype=float) for x in X]).reshape(shape)
-    else:
+    if f.jacobian is None:
         jac = jacobians_fd(f.many, X).reshape(shape)
-    finite = np.isfinite(jac).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteError(f"non-finite derivative at {X[np.flatnonzero(~finite)[0]]}")
+    else:
+        jac = np.ascontiguousarray(f.jacobian(X), dtype=float)
+        if jac.shape != shape:
+            raise ConfigError(f"the jacobian of a map R^{f.dim_in} -> R^{f.dim_out} is "
+                              f"{jac.shape} on {len(X)} points, not {shape}")
+    if not np.isfinite(jac).all():
+        bad = np.flatnonzero(~np.isfinite(jac).all(axis=(1, 2)))[0]
+        raise NonFiniteError(f"non-finite derivative at {X[bad]}")
     return jac
 
 

@@ -16,8 +16,10 @@ import numpy as np
 
 from .chartcalc import (
     WorstErrors,
+    batch_of_one,
     exceeds,
     jacobians_fd,
+    matvecs,
     memo_by_point,
     path_velocity,
     rk4,
@@ -28,6 +30,7 @@ from .groupoid import (
     Arrow,
     algebroid_bracket,
     aligned_frame,
+    anchor_matrices,
     sample_base_point,
 )
 
@@ -329,26 +332,12 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         return section_rows(P).transpose(0, 2, 1)
 
     def fields_many(P):  # (len(P), r, n): row [p, a] is the anchor of section a at P[p]
-        return np.array([[model.Ttgt(model.unit(p)) @ x for x in xs]
-                         for p, xs in zip(P, section_rows(P))])
+        return matvecs(anchor_matrices(model, P)[:, None], section_rows(P))
 
-    # each section and action field at one point is the stacked form's batch
-    # of one; a section's .many reads its column of the stacked form
-    def section(a):
-        def xi(m):
-            return sections_many(np.asarray(m, dtype=float)[None])[0, :, a]
-
-        xi.many = lambda P: sections_many(P)[:, :, a]
-        return xi
-
-    def action_field(a):
-        def dagger(m):
-            return fields_many(np.asarray(m, dtype=float)[None])[0, a]
-
-        return dagger
-
-    sections = [section(a) for a in range(r)]
-    fields = [action_field(a) for a in range(r)]
+    # section a and action field a read column a of the stacked forms, and
+    # at one point each is its .many's batch of one
+    sections = [batch_of_one(lambda P, a=a: sections_many(P)[:, :, a]) for a in range(r)]
+    fields = [batch_of_one(lambda P, a=a: fields_many(P)[:, a]) for a in range(r)]
 
     # structure constants from the bracket at m0 (transport matrix there = id)
     K0 = frame(m0)

@@ -25,7 +25,7 @@ from .chartcalc import (
     FD_STEP,
     WorstErrors,
     batch_of_one,
-    constant_stack,
+    constant_jacobian,
     deriv_at_zero,
     differentiate,
     differentiate_many,
@@ -292,33 +292,26 @@ def _kernel_basis(A: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, np.ndarray]:
+def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray, Callable]:
     """The fields side, retract_side_many (writes each row of M into the arrow
-    coordinates index) and the retraction's jac_many, read-only constant
-    stacks; the other coordinates and their embedding. The side map's
-    jacobian carries its one matrix as .constant."""
+    coordinates index) and the retraction's jac_many; the other coordinates
+    and the jacobian of their embedding. Every jacobian here is a
+    constant_jacobian: the side map's carries its one matrix as .constant."""
     eye = np.eye(N)
     rest = np.delete(np.arange(N), index)
-    side_jac, rest_emb = eye[index], eye[:, rest]
-    retract_jacs = (rest_emb @ rest_emb.T, eye[:, index])
-    for a in (side_jac, rest_emb, *retract_jacs):
-        a.flags.writeable = False
+    rest_emb = eye[:, rest]
+    retract_jacs = [constant_jacobian(J) for J in (rest_emb @ rest_emb.T, eye[:, index])]
 
     def retract_many(G, M):
         G = np.array(G, dtype=float)
         G[:, index] = M
         return G
 
-    def side_jacobian(g):
-        return side_jac
-
-    side_jacobian.constant = side_jac
-    side_map = ChartMap(N, N - len(rest), lambda g: g[index], jacobian=side_jacobian,
-                        eval_many=lambda G: G[:, index])
+    side_map = ChartMap(N, N - len(rest), lambda g: g[index],
+                        jacobian=constant_jacobian(eye[index]), eval_many=lambda G: G[:, index])
     return ({side: side_map, f"retract_{side}_many": retract_many,
-             f"retract_{side}_jac_many": lambda G, M: tuple(constant_stack(J, len(G))
-                                                            for J in retract_jacs)},
-            rest, rest_emb)
+             f"retract_{side}_jac_many": lambda G, M: tuple(J(G) for J in retract_jacs)},
+            rest, constant_jacobian(rest_emb))
 
 
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
@@ -328,7 +321,7 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     uniform in their domain_box rows) and src_fiber_chart (the other
     coordinates, the source held at m0). Its analytic Tsrc is constant: the
     model's constant_Tsrc."""
-    fields, rest, rest_emb = _coordinate_slot(N, src_index, "src")
+    fields, rest, emb_jacobian = _coordinate_slot(N, src_index, "src")
     low, high = domain_box[rest].T
 
     def place(others, m):
@@ -338,7 +331,7 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
 
     def fiber_chart(m0):
         m0 = np.asarray(m0, dtype=float)
-        return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=lambda u: rest_emb),
+        return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=emb_jacobian),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
     return dict(fields, arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
@@ -755,7 +748,7 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
             return K
 
         def frame_many(P: np.ndarray) -> np.ndarray:
-            return constant_stack(K, len(base_points(P, 2)))
+            return np.broadcast_to(K, (len(base_points(P, 2)),) + K.shape)
     else:
         projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
 

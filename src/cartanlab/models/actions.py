@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..chartcalc import ChartMap, batch_of_one, constant_stack, matvecs, read_only
+from ..chartcalc import ChartMap, batch_of_one, constant_jacobian, matvecs
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot
 from .rotations import (
@@ -65,7 +65,6 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     k = group.dim
     N = k + n
     Ik, In = np.eye(k), np.eye(n)
-    Zkn = np.zeros((k, n))
 
     def tgt_jac_many(G):
         return np.concatenate(action.act_jac_many(G[:, :k], G[:, k:]), axis=2)
@@ -73,11 +72,11 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     def tgt_many(G):
         return action.act_many(G[:, :k], G[:, k:])
 
-    unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]),
-                    jacobian=lambda m: np.vstack([Zkn, In]),
+    # T unit, also the jet of every constant bisection m -> (a, m)
+    vertical = constant_jacobian(np.vstack([np.zeros((k, n)), In]))
+    unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]), jacobian=vertical,
                     eval_many=lambda M: np.concatenate([np.zeros((len(M), k)), M], axis=1))
-    tgt = ChartMap(N, n, batch_of_one(tgt_many), jacobian=batch_of_one(tgt_jac_many),
-                   eval_many=tgt_many)
+    tgt = ChartMap(N, n, batch_of_one(tgt_many), jacobian=tgt_jac_many, eval_many=tgt_many)
 
     def mul_jac_many(G, H):
         Dg, Dh = np.zeros((2, len(G), N, N))
@@ -122,9 +121,7 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
         **source_slot(N, slice(k, N), domain_box),
     )
 
-    mu_const = read_only(np.vstack([Zkn, In]))
-    S = CartanConnection(model, batch_of_one(lambda G: constant_stack(mu_const, len(G))),
-                         name="constant-bisection")
+    S = CartanConnection(model, batch_of_one(vertical), name="constant-bisection")
     return model, S
 
 
@@ -145,20 +142,20 @@ def _add(A2: np.ndarray, A1: np.ndarray) -> np.ndarray:
 
 def translation_group(n: int) -> GroupChart:
     box = np.array([[-TRANSLATION_HALF_WIDTH, TRANSLATION_HALF_WIDTH]] * n)
+    identity = constant_jacobian(np.eye(n))
     return GroupChart(
         dim=n,
         box=box,
         compose_many=_add,
         inverse_many=_negate,
-        compose_jac_many=lambda A2, A1: (constant_stack(np.eye(n), len(A2)),) * 2,
-        inverse_jac_many=lambda A: constant_stack(-np.eye(n), len(A)),
+        compose_jac_many=lambda A2, A1: (identity(A2),) * 2,
+        inverse_jac_many=constant_jacobian(-np.eye(n)),
     )
 
 
 def make_translation_groupoid(n: int = 2) -> tuple[GroupoidModel, CartanConnection]:
     group = translation_group(n)
-    action = ActionChart(act_jac_many=lambda A, M: (constant_stack(np.eye(n), len(A)),) * 2,
-                         act_many=_add)
+    action = ActionChart(act_jac_many=group.compose_jac_many, act_many=_add)
     base_box = np.array([[-1.0, 1.0]] * n)
     return make_action_groupoid(group, action, base_box, name=f"translation-R{n}")
 
@@ -223,7 +220,7 @@ def so3_group() -> GroupChart:
         compose_many=compose_so3_many,
         inverse_many=_negate,
         compose_jac_many=compose_so3_jac_many,
-        inverse_jac_many=lambda W: constant_stack(-np.eye(3), len(W)),
+        inverse_jac_many=constant_jacobian(-np.eye(3)),
     )
 
 

@@ -142,13 +142,24 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
                 check_slice(m)  # raises at the first bad row
         return np.concatenate([P, M], axis=1)
 
-    tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]),
-                   jacobian=lambda g: np.hstack([cc.pi_jac(g[:k]), np.zeros((n, n))]),
-                   eval_many=tgt_many)
-    unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
-                    jacobian=lambda m: np.vstack([cc.sigma_jac(m), In]), eval_many=unit_many)
-
     # the bundle's jacobians are single-point, so the stacked hooks loop here
+    def tgt_jac_many(G):
+        D = np.zeros((len(G), n, N))
+        for a, g in enumerate(G):
+            D[a, :, :k] = cc.pi_jac(g[:k])
+        return D
+
+    def unit_jac_many(M):
+        D = np.zeros((len(M), N, n))
+        for a, m in enumerate(M):
+            D[a, :k] = cc.sigma_jac(m)
+        D[:, k:] = In
+        return D
+
+    tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]), jacobian=tgt_jac_many, eval_many=tgt_many)
+    unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
+                    jacobian=unit_jac_many, eval_many=unit_many)
+
     def mul_jac_many(G, H):
         Dg, Dh = np.zeros((2, len(G), N, N))
         for a, (g, h) in enumerate(zip(G, H)):

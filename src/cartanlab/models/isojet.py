@@ -24,9 +24,8 @@ from ..chartcalc import (
     WorstErrors,
     batch_of_one,
     christoffel_from_partials,
-    constant_stack,
+    constant_jacobian,
     metric_partials,
-    read_only,
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
@@ -90,7 +89,7 @@ def make_isometry_jet_groupoid(
     n, N = 2, 5
     # every structure-map jacobian is constant: build each matrix once,
     # read-only since every caller shares it, and stack it as a view
-    unit_jac, keep_tgt, keep_src, swap = map(read_only, (
+    unit_jac, keep_tgt, keep_src, swap = map(constant_jacobian, (
         np.vstack([_I2, _I2, np.zeros((1, 2))]),
         np.diag([0.0, 0.0, 1.0, 1.0, 1.0]),
         np.diag([1.0, 1.0, 0.0, 0.0, 1.0]),
@@ -98,7 +97,7 @@ def make_isometry_jet_groupoid(
                   [_I2, np.zeros((2, 3))],
                   [np.zeros((1, 4)), -np.ones((1, 1))]])))
     unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
-                    jacobian=lambda m: unit_jac,
+                    jacobian=unit_jac,
                     eval_many=lambda M: np.concatenate([M, M, np.zeros((len(M), 1))], axis=1))
 
     domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
@@ -113,9 +112,8 @@ def make_isometry_jet_groupoid(
         unit=unit,
         domain_box=domain_box,
         base_box=base_box,
-        mul_jac_many=lambda G, H: (constant_stack(keep_tgt, len(G)),
-                                   constant_stack(keep_src, len(G))),
-        inv_jac_many=lambda G: constant_stack(swap, len(G)),
+        mul_jac_many=lambda G, H: (keep_tgt(G), keep_src(G)),
+        inv_jac_many=swap,
         extras={"metric": metric},
         mul_many=lambda G, H: np.concatenate([H[:, :2], G[:, 2:4], G[:, 4:] + H[:, 4:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, 2:4], G[:, :2], -G[:, 4:]], axis=1),

@@ -7,7 +7,7 @@ m -> (q + (m - p), m), whose horizontal leaves are the chart translations.
 
 import numpy as np
 
-from ..chartcalc import ChartMap, batch_of_one, constant_stack, read_only
+from ..chartcalc import ChartMap, batch_of_one, constant_jacobian
 from ..connection import CartanConnection
 from ..groupoid import GroupoidModel, source_slot, target_slot
 
@@ -19,12 +19,13 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     I = np.eye(n)
     Z = np.zeros((n, n))
 
-    # every jacobian and the jet are constant: build each block matrix once,
-    # read-only since every caller shares it, and stack it as a view
-    unit_jac, keep_tgt, keep_src, swap, mu_const = map(read_only, (
+    # every jacobian is constant: each block matrix is built once, read-only
+    # since every caller shares it, and stacked as a view. T unit is also the
+    # jet of every translation bisection
+    unit_jac, keep_tgt, keep_src, swap = map(constant_jacobian, (
         np.vstack([I, I]), np.block([[I, Z], [Z, Z]]), np.block([[Z, Z], [Z, I]]),
-        np.block([[Z, I], [I, Z]]), np.vstack([I, I])))
-    unit = ChartMap(n, N, lambda m: np.concatenate([m, m]), jacobian=lambda m: unit_jac,
+        np.block([[Z, I], [I, Z]])))
+    unit = ChartMap(n, N, lambda m: np.concatenate([m, m]), jacobian=unit_jac,
                     eval_many=lambda M: np.concatenate([M, M], axis=1))
 
     domain_box = np.vstack([box, box])
@@ -35,15 +36,13 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
         unit=unit,
         domain_box=domain_box,
         base_box=box,
-        mul_jac_many=lambda G, H: (constant_stack(keep_tgt, len(G)),
-                                   constant_stack(keep_src, len(G))),
-        inv_jac_many=lambda G: constant_stack(swap, len(G)),
+        mul_jac_many=lambda G, H: (keep_tgt(G), keep_src(G)),
+        inv_jac_many=swap,
         mul_many=lambda G, H: np.concatenate([G[:, :n], H[:, n:]], axis=1),
         inv_many=lambda G: np.concatenate([G[:, n:], G[:, :n]], axis=1),
         **source_slot(N, slice(n, N), domain_box),
         **target_slot(N, slice(0, n)),
     )
 
-    S = CartanConnection(model, batch_of_one(lambda G: constant_stack(mu_const, len(G))),
-                         name="chart-parallelism")
+    S = CartanConnection(model, batch_of_one(unit_jac), name="chart-parallelism")
     return model, S

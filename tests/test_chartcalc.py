@@ -10,6 +10,7 @@ from cartanlab.chartcalc import (
     MetricChart,
     batch_of_one,
     christoffel,
+    constant_jacobian,
     differentiate,
     differentiate_many,
     directional_derivative,
@@ -26,7 +27,7 @@ from cartanlab.chartcalc import (
     worst_case,
     worst_case_min,
 )
-from cartanlab.errors import DomainError, NonFiniteError, SingularMetricError
+from cartanlab.errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_many
 from cartanlab.models.actions import se2_group
 from cartanlab.models.metrics import euclidean_metric, sphere_metric
@@ -68,8 +69,43 @@ def test_differentiate_composed_multiplication_vs_richardson():
 
 def test_differentiate_prefers_analytic_jacobian():
     marker = np.full((2, 2), 7.0)
-    f = ChartMap(2, 2, lambda x: x, jacobian=lambda x: marker)
+    f = ChartMap(2, 2, lambda x: x, jacobian=constant_jacobian(marker))
     assert np.array_equal(differentiate(f, np.zeros(2)), marker)
+    # the constant and its stacks are read-only; the caller's matrix is not
+    assert np.array_equal(f.jacobian.constant, marker) and marker.flags.writeable
+    assert not f.jacobian.constant.flags.writeable
+    assert not f.jacobian(np.zeros((3, 2))).flags.writeable
+
+
+def test_a_single_point_jacobian_is_refused():
+    # a hook written for one point returns one matrix, also on a one-row stack
+    marker = np.full((2, 3), 7.0)
+    f = ChartMap(3, 2, lambda x: x[:2], jacobian=lambda x: marker)
+    for X in (np.zeros((1, 3)), np.zeros((4, 3))):
+        with raises(ConfigError, match=r"R\^3 -> R\^2 is \(2, 3\) on"):
+            differentiate_many(f, X)
+    with raises(ConfigError, match=r"not \(1, 2, 3\)"):
+        differentiate(f, np.zeros(3))
+
+
+def test_analytic_jacobian_calls_once_per_stack_and_names_a_nonfinite_row():
+    calls = []
+
+    def jac(X):
+        calls.append(len(X))
+        J = np.zeros((len(X), 1, 2))
+        J[:, 0, 0] = np.where(X[:, 0] > 0, np.nan, 1.0)
+        return J
+
+    f = ChartMap(2, 1, lambda x: x[:1], jacobian=jac)
+    for k in (1, 2, 17):
+        differentiate_many(f, -np.ones((k, 2)))
+    assert calls == [1, 2, 17]
+    X = np.array([[-1.0, 0.5], [2.0, 0.25], [3.0, 0.0]])
+    with raises(NonFiniteError, match=r"at \[2\.   0\.25\]"):
+        differentiate_many(f, X)
+    with raises(NonFiniteError, match=r"at \[2\.   0\.25\]"):
+        differentiate(f, X[1])
 
 
 def test_differentiate_domain_and_nonfinite_errors():
@@ -90,8 +126,10 @@ def test_differentiate_domain_and_nonfinite_errors():
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
 def test_differentiate_many_rows_equal_differentiate(analytic):
-    def jac(x):
-        return np.array([[np.cos(x[0]), 1.0], [x[1], x[0]], [0.0, 2.0 * x[1]]])
+    def jac(X):
+        x0, x1 = X.T
+        return np.stack([np.cos(x0), np.ones_like(x0), x1, x0, np.zeros_like(x0), 2.0 * x1],
+                        axis=1).reshape(-1, 3, 2)
 
     f = ChartMap(2, 3, lambda x: np.array([np.sin(x[0]) + x[1], x[0] * x[1], x[1] ** 2]),
                  jacobian=jac if analytic else None,

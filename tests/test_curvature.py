@@ -25,7 +25,7 @@ from cartanlab.curvature import (
 from cartanlab.errors import FlatnessError, NonFiniteError
 from cartanlab.experiments import run_flatness, run_reconstruct, run_riemannian
 from cartanlab.groupoid import aligned_frame, right_invariant_many, sample_base_point
-from cartanlab.models import MODELS, PERTURBED_BOX, make_model
+from cartanlab.models import EXPECTED_FLAT, MODELS, PERTURBED_BOX, make_model
 from cartanlab.report import ExperimentConfig
 
 # the package re-exports the function curvature under the submodule's name
@@ -335,15 +335,11 @@ def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     assert not singles and members == [2, 1, 2, 2, 45, 4 * 5, 5]
 
 
-@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_reconstruction_section_rows_equal_single_calls(name, jacobians, monkeypatch):
-    # row a of a parallel section's .many(P) is the section at P[a] bit for
-    # bit, whether the transports there were first taken one point at a time
-    # or stacked, and X^R reads the same bytes through .many as point by
-    # point. The flatness gate is opened and the curvature precondition
-    # skipped, so every model has sections, and the parallelism check probes
-    # one grid point: this test checks none of them
+def _opened_reconstruction(name, jacobians, monkeypatch):
+    """The model and reconstruct_action's result at the centre m0 of its base
+    box, with the flatness gate opened and the curvature precondition
+    skipped, so every model has sections, and the parallelism check probing
+    one grid point: a test using it checks none of them."""
     monkeypatch.setattr(curvature_mod, "FLATNESS_TOL", np.inf)
     monkeypatch.setattr(curvature_mod, "curvature",
                         lambda nabla, m: types.SimpleNamespace(norm_inf=0.0))
@@ -353,8 +349,19 @@ def test_reconstruction_section_rows_equal_single_calls(name, jacobians, monkeyp
         model = model.without_jacobians()
         S = CartanConnection(model, S.mu_at, name=S.name)
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
-    sections = reconstruct_action(infinitesimalize(S, "direct-formula"), m0,
-                                  sample_count=0).parallel_sections
+    return model, m0, reconstruct_action(infinitesimalize(S, "direct-formula"), m0,
+                                         sample_count=0)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_reconstruction_section_rows_equal_single_calls(name, jacobians, monkeypatch):
+    # row a of a parallel section's .many(P) is the section at P[a] bit for
+    # bit, whether the transports there were first taken one point at a time
+    # or stacked, and X^R reads the same bytes through .many as point by
+    # point
+    model, m0, result = _opened_reconstruction(name, jacobians, monkeypatch)
+    sections = result.parallel_sections
     rng = np.random.default_rng(61)
     singles_first, stacked_first = (
         m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(4, model.n)) for _ in range(2))
@@ -372,6 +379,22 @@ def test_reconstruction_section_rows_equal_single_calls(name, jacobians, monkeyp
                               right_invariant_many(model, lambda m, xi=xi: xi(m), G))
 
 
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(name for name, flat in EXPECTED_FLAT.items() if flat))
+def test_action_fields_equal_the_anchor_point_by_point(name, jacobians, monkeypatch):
+    # the stacked action fields (one stack of anchor matrices, one stacked
+    # matrix-vector product) equal Ttgt(unit(p)) @ xi(p), taken point by
+    # point, bit for bit, on stacks and on non-contiguous views of them
+    model, m0, result = _opened_reconstruction(name, jacobians, monkeypatch)
+    rng = np.random.default_rng(67)
+    P = m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=(5, model.n))
+    for stack in (P, np.repeat(P, 2, axis=1)[:, ::2]):
+        for field, xi in zip(result.action_fields, result.parallel_sections):
+            expected = [model.Ttgt(model.unit(p)) @ xi(p) for p in stack]
+            assert np.array_equal(field.many(stack), expected)
+            assert all(np.array_equal(field(p), row) for p, row in zip(stack, expected))
+
+
 @pytest.mark.parametrize("name", ["isojet-sphere", "pair-R1"])
 def test_parallelism_probes_reach_both_ends_of_every_axis(zoo, monkeypatch, name):
     # the parallelism check differentiates the parallel sections (xi) at the
@@ -383,14 +406,13 @@ def test_parallelism_probes_reach_both_ends_of_every_axis(zoo, monkeypatch, name
     nabla_rows = AlgebroidConnection.nabla_rows
 
     def recording(self, M, V, sections, values_many=None):
-        if sections[0].__name__ == "xi":
-            seen.append((np.array(M), np.array(V)))
+        seen.append((sections, np.array(M), np.array(V)))
         return nabla_rows(self, M, V, sections, values_many)
 
     monkeypatch.setattr(AlgebroidConnection, "nabla_rows", recording)
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
-    reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=1)
-    [(M, V)] = seen
+    res = reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=1)
+    [(M, V)] = [(M, V) for sections, M, V in seen if sections is res.parallel_sections]
     offsets = (M - m0) / GRID_RADIUS
     assert np.allclose(offsets, np.round(offsets), rtol=0.0, atol=1e-12)
     lattice = sorted(itertools.product((-1, 0, 1), repeat=n))

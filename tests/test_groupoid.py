@@ -494,8 +494,8 @@ def test_frame_error_names_the_point():
     # has the same Tsrc(unit(m)), so the error must come from the frame's
     # point, not from the matrix the projection is keyed on
     model, _ = make_model("pair-R1")
-    turned = dataclasses.replace(model.src, jacobian=lambda g: (
-        np.array([[1.0, 0.0]]) if g[1] > 0.9 else np.array([[0.0, 1.0]])))
+    turned = dataclasses.replace(model.src, jacobian=lambda G: np.where(
+        (G[:, 1] > 0.9)[:, None, None], [[[1.0, 0.0]]], [[[0.0, 1.0]]]))
     frame = aligned_frame(dataclasses.replace(model, src=turned), np.zeros(1))
     for m in (np.array([0.95]), np.array([0.97]), np.array([0.95])):
         with raises(FrameError, match=re.escape(f"degenerated at {m} ")):
@@ -737,7 +737,7 @@ def test_a_source_slot_declares_a_constant_source_jacobian(name):
     assert np.array_equal(model.constant_Tsrc, model.Tsrc(h.coords))
     assert dataclasses.replace(model, name="copy").constant_Tsrc is model.constant_Tsrc
     assert model.without_jacobians().constant_Tsrc is None
-    moved = dataclasses.replace(model.src, jacobian=lambda x: model.Tsrc(x))
+    moved = dataclasses.replace(model.src, jacobian=lambda X: model.src.jacobian(X))
     assert dataclasses.replace(model, src=moved).constant_Tsrc is None
 
 

@@ -62,8 +62,9 @@ def _jacobians_fd_in_first_slot(func_many, X, Y):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_structure_map_jacobians_match_fd(zoo, name, rng):
-    # the four stacked hooks against central differences of the stacked
-    # maps, on stacks and on non-contiguous views of them
+    # the four stacked hooks and the stacked chart-map jacobians against
+    # central differences of the stacked maps, on stacks and on
+    # non-contiguous views of them
     model, _ = zoo(name)
 
     def swapped(func_many):
@@ -74,7 +75,13 @@ def test_structure_map_jacobians_match_fd(zoo, name, rng):
         fd = [(Dg, _jacobians_fd_in_first_slot(model.mul_many, G, H)),
               (Dh, _jacobians_fd_in_first_slot(swapped(model.mul_many), H, G)),
               (model.inv_jac_many(G), jacobians_fd(model.inv_many, G)),
-              (differentiate_many(model.tgt, G), jacobians_fd(model.tgt.many, G))]
+              (model.src.jacobian(G), jacobians_fd(model.src.many, G)),
+              (model.tgt.jacobian(G), jacobians_fd(model.tgt.many, G)),
+              (model.unit.jacobian(M), jacobians_fd(model.unit.many, M))]
+        if model.src_fiber_chart is not None:
+            emb, project = model.src_fiber_chart(M[0])
+            U = np.array([project(g) for g in G])
+            fd.append((emb.jacobian(U), jacobians_fd(emb.many, U)))
         for retract_many, jac_many in ((model.retract_src_many, model.retract_src_jac_many),
                                        (model.retract_tgt_many, model.retract_tgt_jac_many)):
             Dr, Dm = jac_many(G, M)
@@ -430,11 +437,12 @@ def test_source_side(zoo, name, jacobians, rng):
         u = project(a)
         assert np.array_equal(model.src(emb(u)), m)
         assert np.array_equal(project(emb(u)), u)
-        assert np.max(np.abs(emb.jacobian(u) - jacobian_fd(emb, u))) < 1e-9
+        assert np.max(np.abs(differentiate(emb, u) - jacobian_fd(emb, u))) < 1e-9
         assert np.max(np.abs(model.tgt(model.retract_tgt(g, m)) - m)) <= target_tol
         assert np.max(np.abs(model.retract_tgt(g, model.tgt(g)) - g)) <= target_tol
         if jacobians and target_tol == 0.0:
-            assert not model.tgt.jacobian(g).flags.writeable
+            assert not differentiate(model.tgt, g).flags.writeable
+            assert not model.tgt.jacobian(np.stack([g, g])).flags.writeable
             assert not any(J.flags.writeable
                            for J in model.retract_tgt_jac_many(g[None], m[None]))
 
@@ -491,6 +499,12 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
             rows = [_blocks(many(*(X[a:a + 1] for X in args))) for a in range(len(G))]
             for b, block in enumerate(_blocks(many(*args))):
                 assert np.array_equal(block, [row[b][0] for row in rows])
+        # row a of the stacked chart-map jacobian is the point's own, analytic
+        # or by central differences
+        for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
+            jacs = differentiate_many(cm, X)
+            assert jacs.flags.c_contiguous
+            assert all(np.array_equal(jac, differentiate(cm, x)) for x, jac in zip(X, jacs))
         # the stacked finite-difference jacobians equal the per-point ones
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
             jacs = jacobians_fd(cm.many, X)
@@ -500,6 +514,27 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
                 assert np.array_equal(jac, single) and jac.flags.c_contiguous
                 if not jacobians:
                     assert np.array_equal(differentiate(cm, x), single)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_chart_map_jacobian_is_called_once_per_stack(zoo, name):
+    # differentiate_many takes the analytic jacobian of a stack in one call,
+    # whatever the number of rows
+    model, _ = zoo(name)
+    rng = np.random.default_rng(29)
+    G = np.array([model.sample_arrow(rng).coords for _ in range(5)])
+    M = np.array([sample_base_point(model, rng) for _ in range(5)])
+    for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
+        calls = []
+
+        def counted(Y, jacobian=cm.jacobian):
+            calls.append(len(Y))
+            return jacobian(Y)
+
+        counting = dataclasses.replace(cm, jacobian=counted)
+        for k in (1, 2, 5):
+            differentiate_many(counting, X[:k])
+        assert calls == [1, 2, 5]
 
 
 @pytest.mark.parametrize("name", ["pair-R2", "se2-action", "gauge-se2-so2", "isojet-sphere"])
