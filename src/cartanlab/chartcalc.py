@@ -250,31 +250,41 @@ def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
 
 
 def values_and_directional_derivatives(func_many: Callable, X: np.ndarray, V: np.ndarray,
-                                       h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+                                       h: float = FD_STEP, owner: np.ndarray | None = None
+                                       ) -> tuple[np.ndarray, np.ndarray]:
     """func at each row of a stack X[k, dim] and directional_derivatives along
     V from those rows, in one func_many call: the rows of X join the probes,
     or go alone when no direction moves. Each part equals its separate
-    evaluation bit for bit when func_many's rows are func's values."""
+    evaluation bit for bit when func_many's rows are func's values.
+
+    With owner, a label per row of X, func_many(P, labels) also gets the
+    label of the row of X that each row of P is or probes, so a func that
+    differs by row (a family of sections) needs no label riding in X."""
     X = np.asarray(X, dtype=float)
     k = len(X)
     values = []
 
-    def joined(P):
-        out = np.asarray(func_many(np.concatenate([X, P])), dtype=float)
+    def call(P, labels):
+        return np.asarray(func_many(P) if owner is None else func_many(P, labels), dtype=float)
+
+    def joined(P, labels=None):
+        out = call(np.concatenate([X, P]),
+                   None if owner is None else np.concatenate([owner, labels]))
         values.append(out[:k])
         return out[k:]
 
-    slopes = _moving_slopes(joined, X, V, h)
+    slopes = _moving_slopes(joined, X, V, h, owner)
     if slopes is None:
-        values.append(np.asarray(func_many(X), dtype=float))
+        values.append(call(X, owner))
         slopes = np.zeros_like(values[0])
     return values[0], slopes
 
 
 def _moving_slopes(func_many: Callable, x: np.ndarray, V: np.ndarray,
-                   h: float) -> np.ndarray | None:
+                   h: float, owner: np.ndarray | None = None) -> np.ndarray | None:
     """directional_derivatives' result, or None when no direction moves, so
-    that each caller takes the output shape from rows it evaluates anyway."""
+    that each caller takes the output shape from rows it evaluates anyway.
+    With owner, func_many(P, labels) gets the owner of each probe's row."""
     scales, U = _unit_directions(np.asarray(V, dtype=float))
     moving = scales != 0.0
     if not moving.any():
@@ -283,7 +293,12 @@ def _moving_slopes(func_many: Callable, x: np.ndarray, V: np.ndarray,
         x = x[moving]
     U = U[moving]
     k = len(U)
-    values = np.asarray(func_many(np.concatenate([x + s * U for s in (h, -h)])), dtype=float)
+    probes = np.concatenate([x + s * U for s in (h, -h)])
+    if owner is None:
+        values = func_many(probes)
+    else:
+        values = func_many(probes, np.tile(np.asarray(owner)[moving], 2))
+    values = np.asarray(values, dtype=float)
     slopes = deriv_at_zero(lambda s: values[:k] if s > 0 else values[k:], h)
     out = np.zeros((len(moving),) + slopes.shape[1:])
     out[moving] = scales[moving].reshape((-1,) + (1,) * (slopes.ndim - 1)) * slopes

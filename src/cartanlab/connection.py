@@ -8,30 +8,35 @@ the bisection-jet oracle and returns its worst error, and the connection
 itself stays as it was built.
 
 Infinitesimalization produces a linear connection on the algebroid by three
-routes:
+routes, each written on stacks of samples: nabla(M, V, family) differentiates
+section a of a family (extend_bisections' form: family(P, owner) gives row r
+as section owner[r] at P[r]) at M[a] along V[a], and nabla(m, v, X) on one
+sample is that form's batch of one (AlgebroidConnection.nabla_many).
 
 * "flow-formula": the coordinate-function identity
       <df, nabla_v X> = d/dt <df, T_m(Phi^t . unit) v> - d/dt <df, S(Phi^t(m)) v>
   evaluated with RK4 flows of the right-invariant extension and outer central
   t-differences (step 1e-3); the tangent is pushed through the flow by the
   matrix-free variational system (one directional difference of X^R per
-  stage). The flows from both outer t-points run as one stacked RK4
-  integration (flow_with_tangent) whose every stage evaluates X^R at both
-  members' points and at the four probes of their tangents in one
-  right_invariant_many call. The chart coordinate functions span the test
-  functions, so the identity determines nabla.
+  stage). The flows of every sample from both outer t-points run as one
+  stacked RK4 integration of 2k members (flow_with_tangent) whose every
+  stage evaluates X^R at the members' points and at the probes of their
+  tangents in one right_invariant_many call, each row reading its sample's
+  section. The chart coordinate functions span the test functions, so the
+  identity determines nabla.
 * "parallel-transport": differentiate the parallel action of the horizontal
   distribution along a path with initial velocity v, again with outer central
-  t-differences. The transports from both outer t-points run as one stacked
-  RK4 integration (transport_many) whose every stage takes the jets at both
-  arrows and at the four probes of their tangents in one mu_many call.
+  t-differences. The transports of every sample from both outer t-points run
+  as one stacked RK4 integration of 2k members (transport_many), each along
+  its own sample's path, whose every stage takes the jets at the members'
+  arrows and at the probes of their tangents in one mu_many call.
 * "direct-formula": the exact t -> 0 limit of the flow formula,
       nabla_v X = D_m[X^R . unit] v - D_g[S(.) v] X(m),
   which needs only single-level spatial derivatives. It is the high-precision
   route used by curvature computations and is cross-validated against both
-  literal routes. Its nabla_batch form differentiates several sections at a
-  stack of points with one mu_many call for all their stencil arrows; nabla
-  is its batch of one.
+  literal routes. It differentiates a family, or several sections at every
+  point of a stack (nabla_batch), with one mu_many call for all their
+  stencil arrows.
 """
 
 import math
@@ -43,11 +48,12 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     deriv_at_zero,
+    differentiate_many,
     directional_derivatives,
     draw_then_evaluate,
     exceeds,
     flow_with_tangent,
-    in_box,
+    matvecs,
     path_velocity,
     rk4,
     stacked,
@@ -61,12 +67,15 @@ from .groupoid import (
     Jet1,
     Jets,
     algebroid_vec,
+    family_member,
+    family_rows,
     identity_jets,
     jet_distances,
     oracle_jet_muls,
     outer_fd_step,
     right_invariant_many,
     sample_base_point,
+    section_family,
 )
 
 T_DIFF_STEP = 1e-3  # outer central-difference step for the two literal routes
@@ -164,6 +173,11 @@ def _steps_for(span: float) -> int:
     return max(1, int(np.ceil(abs(span) / ODE_STEP_TARGET)))
 
 
+def _one_member(gamma: Callable[[float], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A path of one point as the stacked path of one member."""
+    return lambda T: np.asarray(gamma(T[0, 0]), dtype=float)[None]
+
+
 def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray],
                        t0: float, t1: float, g: Arrow,
                        steps: int | None = None) -> Arrow:
@@ -178,39 +192,48 @@ def parallel_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray]
         raise EscapeError("initial arrow does not sit over gamma(t0)")
     if steps is None:
         steps = _steps_for(t1 - t0)
-    X, _ = transport_many(S, gamma, np.array([t0], dtype=float), t1, g.coords[None],
-                          np.zeros((1, model.N)), steps)
+    X, _ = transport_many(S, _one_member(gamma), np.array([t0], dtype=float), t1,
+                          g.coords[None], np.zeros((1, model.N)), steps)
     return model.arrow(X[0])
 
 
-def transport_many(S: CartanConnection, gamma: Callable[[float], np.ndarray],
+def transport_many(S: CartanConnection, gamma: Callable[[np.ndarray], np.ndarray],
                    t0: np.ndarray, t1: float, coords0: np.ndarray, W0: np.ndarray,
                    steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """transport_with_vector for a stack of members along one path: member a
-    starts at time t0[a] from the arrow coords0[a] with the vector W0[a], and
-    all run to t1 in one RK4 integration of the shared step count. Each stage
-    evaluates the jets at every member's arrow and at both probes of its
-    tangent's central difference in one mu_many call. Row a equals
-    transport_with_vector on member a alone bit for bit. Raises EscapeError
-    when an arrow leaves the chart box."""
-    N = S.model.N
+    """transport_with_vector for a stack of members, each along its own path:
+    member a starts at time t0[a] from the arrow coords0[a] with the vector
+    W0[a], and all run to t1 in one RK4 integration of the shared step count.
+
+    gamma is a stacked path: gamma(T), for the members' times as a column
+    T[k, 1], gives row a as member a's path at T[a, 0]. A path of one point
+    written in elementwise arithmetic (m + t v) is a path the members share,
+    and one written over stacks of points (M + t V) a path per member.
+
+    Each stage evaluates the jets at every member's arrow and at both probes
+    of its tangent's central difference in one mu_many call. Row a equals
+    transport_with_vector on member a alone bit for bit. Raises EscapeError,
+    naming the first row, when an arrow leaves the chart box."""
+    N, n = S.model.N, S.model.n
+    box = S.model.domain_box
 
     def lifted_field(P):
         # a row of P is an arrow and the path velocity its jet multiplies
-        return np.stack([mu @ p[N:] for mu, p in zip(S.mu_many(P[:, :N]), P)])
+        return matvecs(S.mu_many(P[:, :N]), P[:, N:])
 
     def rhs(t, Y):
         # the velocity rides along as a coordinate the probes do not move, so
         # the field and its tangent need no member labels
-        lifted = np.concatenate([Y[:, :N], [path_velocity(gamma, ta) for ta in t]], axis=1)
+        lifted = np.concatenate([Y[:, :N], path_velocity(gamma, t[:, None])], axis=1)
         fields, tangents = values_and_directional_derivatives(
-            lifted_field, lifted, np.concatenate([Y[:, N:], np.zeros((len(Y), S.model.n))], 1))
+            lifted_field, lifted, np.concatenate([Y[:, N:], np.zeros((len(Y), n))], 1))
         return np.concatenate([fields, tangents], axis=1)
 
     def stay_in_box(Y):
-        for x in Y[:, :N]:
-            if not in_box(x, S.model.domain_box):
-                raise EscapeError(f"horizontal lift left the chart box at {x}")
+        X = Y[:, :N]
+        outside = ~np.all((X >= box[:, 0]) & (X <= box[:, 1]), axis=1)
+        if outside.any():
+            x = X[np.flatnonzero(outside)[0]]
+            raise EscapeError(f"horizontal lift left the chart box at {x}")
 
     Y = rk4(rhs, np.concatenate([coords0, W0], axis=1), t0, t1, steps, check=stay_in_box)
     return Y[:, :N], Y[:, N:]
@@ -226,7 +249,7 @@ def transport_with_vector(S: CartanConnection, gamma: Callable[[float], np.ndarr
     the chart box."""
     if steps is None:
         steps = _steps_for(t1 - t0)
-    X, W = transport_many(S, gamma, np.array([t0], dtype=float), t1,
+    X, W = transport_many(S, _one_member(gamma), np.array([t0], dtype=float), t1,
                           np.asarray(coords0, dtype=float)[None],
                           np.asarray(w0, dtype=float)[None], steps)
     return X[0], W[0]
@@ -261,18 +284,38 @@ def section_values(sections: list) -> Callable[[np.ndarray], np.ndarray]:
 class AlgebroidConnection:
     """The linear connection on the algebroid induced by a groupoid connection:
     nabla(m, v, X) differentiates the section X at m along the tangent
-    direction v. nabla_batch, when supplied, is a route's stacked form:
-    nabla_batch(M[k, n], V[k, n], values_many) differentiates several
-    sections at each M[a] along V[a], as a (k, N, s) array, where
-    values_many(P) gives the sections' values at a stack of points P[p, n]
-    as a (p, N, s) array (see nabla_rows)."""
+    direction v.
+
+    A route written on stacks (stacked=True) takes them in the same call:
+    nabla(M[k, n], V[k, n], family), for a family of sections in
+    extend_bisections' form (family(P, owner) gives row r as section
+    owner[r] at P[r], as AffineSection.stack_of builds it), is the (k, N)
+    array whose row a differentiates section a at M[a] along V[a]; its call
+    on one point is that form's batch of one (see nabla_many).
+
+    nabla_batch, when supplied, is the stacked form for several sections at
+    every point: nabla_batch(M[k, n], V[k, n], values_many) is a (k, N, s)
+    array, where values_many(P) gives the sections' values at a stack of
+    points P[p, n] as a (p, N, s) array (see nabla_rows)."""
 
     model: GroupoidModel
-    nabla: Callable[[np.ndarray, np.ndarray, Callable], AlgebroidVec]
+    nabla: Callable
     nabla_batch: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
+    stacked: bool = False
 
     def __call__(self, m: np.ndarray, v: np.ndarray, X: Callable) -> AlgebroidVec:
         return self.nabla(np.asarray(m, dtype=float), np.asarray(v, dtype=float), X)
+
+    def nabla_many(self, M: np.ndarray, V: np.ndarray, family: Callable) -> np.ndarray:
+        """The (k, N) array whose row a is nabla(M[a], V[a], section a of the
+        family).vec, bit for bit: one nabla call on a stacked route, nabla
+        row by row on another."""
+        M = np.asarray(M, dtype=float)
+        V = np.asarray(V, dtype=float)
+        if self.stacked:
+            return self.nabla(M, V, family)
+        return np.stack([self.nabla(m, v, family_member(family, a)).vec
+                         for a, (m, v) in enumerate(zip(M, V))])
 
     def nabla_rows(self, M: np.ndarray, V: np.ndarray, sections: list,
                    values_many: Callable | None = None) -> np.ndarray:
@@ -286,6 +329,35 @@ class AlgebroidConnection:
             return np.stack([np.stack([self.nabla(m, v, X).vec for X in sections], axis=1)
                              for m, v in zip(M, V)])
         return self.nabla_batch(M, V, values_many or section_values(sections))
+
+
+def _stacked_route(model: GroupoidModel, nabla_many: Callable,
+                   nabla_batch: Callable | None = None) -> AlgebroidConnection:
+    """The connection of a route written on stacks: nabla_many(M, V, family)
+    is its one form, and its nabla on one point m, v and a section X is that
+    form's batch of one, over X's family of one."""
+
+    def nabla(m, v, X):
+        if np.ndim(m) == 2:
+            return nabla_many(m, v, X)
+        M, V = np.atleast_2d(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
+        return algebroid_vec(model, m, nabla_many(M, V, section_family(X))[0], check=False)
+
+    return AlgebroidConnection(model, nabla, nabla_batch, stacked=True)
+
+
+def _outer_members(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members of a literal route's stacked integration over k samples:
+    the +tau members of every sample, then the -tau members, as their times
+    and their samples (owner)."""
+    k = len(M)
+    return np.repeat([T_DIFF_STEP, -T_DIFF_STEP], k), np.tile(np.arange(k), 2)
+
+
+def _outer_derivative(out: np.ndarray) -> np.ndarray:
+    """deriv_at_zero over the outer t-points of _outer_members' rows."""
+    k = len(out) // 2
+    return deriv_at_zero(lambda s: out[:k] if s > 0 else out[k:], T_DIFF_STEP)
 
 
 def infinitesimalize(S: CartanConnection, method: str = "direct-formula") -> AlgebroidConnection:
@@ -307,17 +379,18 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
     def lifted_field(P):
         # a row of P is an arrow and the direction its jet multiplies; the
         # stacked product runs the same BLAS routine per row as mu @ v
-        return (S.mu_many(P[:, :N]) @ P[:, N:, None])[..., 0]
+        return matvecs(S.mu_many(P[:, :N]), P[:, N:])
 
-    def nabla_batch(M, V, values_many):
+    def nabla_batch(M, V, values_many, owner=None):
         # the right-invariant extension restricted to unit arrows is the
         # section itself (right translation by a unit is the identity), so the
         # first term needs only the sections' own derivatives, whose probes
-        # join the rows of M in one values_many call; the second term steps
-        # from each row's unit arrow along each section's value there, all
-        # 2 k s probes in one mu_many call, each row's v riding along as a
-        # coordinate the probes do not move
-        values, term1 = values_and_directional_derivatives(values_many, M, V)
+        # join the rows of M in one values_many call (with owner, a family's
+        # call, each probe labelled with its row's owner); the second term
+        # steps from each row's unit arrow along each section's value there,
+        # all 2 k s probes in one mu_many call, each row's v riding along as
+        # a coordinate the probes do not move
+        values, term1 = values_and_directional_derivatives(values_many, M, V, owner=owner)
         k, _, s = values.shape
         base = np.repeat(np.concatenate([model.unit.many(M), V], axis=1), s, axis=0)
         directions = np.concatenate([values.transpose(0, 2, 1).reshape(k * s, N),
@@ -325,42 +398,42 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         term2 = directional_derivatives(lifted_field, base, directions)
         return term1 - term2.reshape(k, s, N).transpose(0, 2, 1)
 
-    def nabla(m, v, X):
-        M, V = np.atleast_2d(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
-        return algebroid_vec(model, m, nabla_batch(M, V, section_values([X]))[0, :, 0],
-                             check=False)
+    def nabla_many(M, V, family):
+        return nabla_batch(M, V, lambda P, owner: family(P, owner)[..., None],
+                           np.arange(len(M)))[..., 0]
 
-    return AlgebroidConnection(model, nabla, nabla_batch=nabla_batch)
+    return _stacked_route(model, nabla_many, nabla_batch=nabla_batch)
 
 
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
     h_field = outer_fd_step(model)
-    taus = np.array([T_DIFF_STEP, -T_DIFF_STEP])
 
-    def nabla(m, v, X):
+    def nabla_many(M, V, family):
+        taus, owner = _outer_members(M)
         fields = []
 
-        def field_jvp(Y, W):
-            # one X^R call for the members' points and their probes; the
-            # field reads the members' rows back
+        def field_jvp(G, W):
+            # one X^R call for the members' points and their probes, each
+            # row reading its sample's section; the field reads the members'
+            # rows back
             values, slopes = values_and_directional_derivatives(
-                lambda G: right_invariant_many(model, X, G), Y, W, h_field)
+                lambda H, rows: right_invariant_many(model, family_rows(family, rows), H),
+                G, W, h_field, owner=owner)
             fields.append(values)
             return slopes
 
-        # both outer t-points' flows run as one stacked integration
-        u, v0 = model.unit(m), model.Tunit(m) @ v
-        G, A = flow_with_tangent(lambda Y: fields.pop(), field_jvp, np.stack([u, u]),
-                                 np.stack([v0, v0]), taus, steps=4)
-        diff = A - np.stack([mu @ v for mu in S.mu_many(G)])
-        val = deriv_at_zero(lambda s: diff[0] if s > 0 else diff[1], T_DIFF_STEP)
-        return algebroid_vec(model, m, val, check=False)
+        # every sample's flows from both outer t-points run as one stacked
+        # integration
+        U = model.unit.many(M)[owner]
+        V0 = matvecs(differentiate_many(model.unit, M), V)[owner]
+        G, A = flow_with_tangent(lambda Y: fields.pop(), field_jvp, U, V0, taus, steps=4)
+        return _outer_derivative(A - matvecs(S.mu_many(G), V[owner]))
 
-    return AlgebroidConnection(model, nabla)
+    return _stacked_route(model, nabla_many)
 
 
-def _straight_path(m: np.ndarray, v: np.ndarray) -> Callable[[float], np.ndarray]:
+def _straight_path(m: np.ndarray, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: m + t * v
 
 
@@ -368,21 +441,24 @@ def _infinitesimalize_transport(S: CartanConnection,
                                 path_factory=_straight_path) -> AlgebroidConnection:
     model = S.model
 
-    def nabla(m, v, X):
-        gamma = path_factory(m, v)
-        # both outer t-points' transports run as one stacked integration
-        taus = np.array([T_DIFF_STEP, -T_DIFF_STEP])
-        P = [np.asarray(gamma(tau), dtype=float) for tau in taus]
-        _, out = transport_many(S, gamma, taus, 0.0, np.stack([model.unit(p) for p in P]),
-                                np.stack([np.asarray(X(p), dtype=float) for p in P]), steps=4)
-        val = deriv_at_zero(lambda s: out[0] if s > 0 else out[1], T_DIFF_STEP)
-        return algebroid_vec(model, m, val, check=False)
+    def nabla_many(M, V, family):
+        # every sample's transports from both outer t-points run as one
+        # stacked integration, member r along its sample's path
+        taus, owner = _outer_members(M)
+        gamma = path_factory(M[owner], V[owner])
+        P = np.asarray(gamma(taus[:, None]), dtype=float)
+        _, out = transport_many(S, gamma, taus, 0.0, model.unit.many(P), family(P, owner),
+                                steps=4)
+        return _outer_derivative(out)
 
-    return AlgebroidConnection(model, nabla)
+    return _stacked_route(model, nabla_many)
 
 
 def infinitesimalize_along(S: CartanConnection, path_factory) -> AlgebroidConnection:
-    """Parallel-transport route along caller-supplied representative paths
-    (path_factory(m, v) must return gamma with gamma(0)=m, gamma'(0)=v); used
-    to confirm the result does not depend on the representative path."""
+    """Parallel-transport route along caller-supplied representative paths:
+    path_factory(m, v) must return gamma with gamma(0)=m, gamma'(0)=v. It is
+    also called on stacks M[k, n], V[k, n], and its path then evaluated at a
+    column of times T[k, 1] (transport_many's stacked path), so it must be
+    written in elementwise arithmetic, as m + t v + t^2 b is. Used to confirm
+    the result does not depend on the representative path."""
     return _infinitesimalize_transport(S, path_factory=path_factory)

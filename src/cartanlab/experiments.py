@@ -361,27 +361,37 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
     bend = np.full(model.n, 0.3)
     bend[0] = -0.2
     nq = infinitesimalize_along(S, lambda m, v: (lambda t: m + t * v + t * t * bend))
-    for _ in range(count):
+
+    def draw():
         m = sample_base_point(model, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
         X = random_section(model, rng)
-        a = nd(m, v, X).vec
-        b = nf(m, v, X).vec
-        c = nt(m, v, X).vec
-        q = nq(m, v, X).vec
+        return m, v, X, float(rng.uniform(0.5, 1.5)), rng.uniform(-0.5, 0.5, size=model.n)
+
+    def evaluate(M, V, X, scale, grad):
+        # X is the family of the drawn sections; each route is one call over
+        # all samples, an integrating route one RK4 integration
+        a = nd.nabla_many(M, V, X)
+        b = nf.nabla_many(M, V, X)
+        c = nt.nabla_many(M, V, X)
+        q = nq.nabla_many(M, V, X)
         flow_transport(b - c)
         direct_flow(a - b)
         direct_transport(a - c)
         path_independence(q - c)
-        scale = float(rng.uniform(0.5, 1.5))
-        grad = rng.uniform(-0.5, 0.5, size=model.n)
 
-        def fX(mm):
-            return (scale + grad @ np.asarray(mm)) * np.asarray(X(mm), dtype=float)
+        def f(P, owner):  # sample r's (scale + grad . m), as the dot grad @ m
+            return scale[owner] + matvecs(grad[owner][:, None], P)[:, 0]
 
-        lhs = nd(m, v, fX).vec
-        rhs = (grad @ v) * np.asarray(X(m), dtype=float) + (scale + grad @ m) * a
+        def fX(P, owner):
+            return f(P, owner)[:, None] * X(P, owner)
+
+        lhs = nd.nabla_many(M, V, fX)
+        own = np.arange(len(M))
+        rhs = matvecs(grad[:, None], V)[:, 0, None] * X(M, own) + f(M, own)[:, None] * a
         leibniz(lhs - rhs)
+
+    draw_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 

@@ -719,7 +719,7 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     projected once, here: frame(m) is that read-only matrix and frame.many
     broadcasts it. Otherwise the projection is memoized on A, which central
     differences leave at a few roundoff-level values, and frame.many reads
-    the frame row by row.
+    the A of all its rows in one differentiate_many call.
     """
     n = model.n
     E_ref = kernel_basis(model, ref_point)
@@ -760,34 +760,99 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
                 raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
 
         def frame_many(P: np.ndarray) -> np.ndarray:
-            return np.stack([frame(m) for m in base_points(P, 2)])
+            # Tsrc(unit(m)) of every row in one stacked call; a degenerate
+            # row reruns the rows one by one, so the error names its point
+            P = base_points(P, 2)
+            try:
+                return projection.many(differentiate_many(model.src, model.unit.many(P)))
+            except FrameError:
+                return np.stack([frame(m) for m in P])
 
     frame.rank = E_ref.shape[1]
     frame.many = frame_many
     return frame
 
 
-def random_section(model: GroupoidModel,
-                   rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
-    """A smooth random algebroid section: kernel frame times affine
-    coefficients, with its stacked form as .many, row a of X.many(P) equal
-    to X(P[a]) bit for bit."""
+@dataclass(frozen=True)
+class AffineSection:
+    """random_section's section, frame(m) @ (c0 + c1 @ m), with its stacked
+    form as .many, its family of one, row a of X.many(P) equal to X(P[a])
+    bit for bit. A list of them stacks itself (stack_of) into one family,
+    for chartcalc.draw_then_evaluate."""
+
+    frame: Callable[[np.ndarray], np.ndarray]
+    c0: np.ndarray  # (rank,)
+    c1: np.ndarray  # (rank, n)
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        # the one-point products, a third of the family's cost at one point
+        m = np.asarray(m, dtype=float)
+        return self.frame(m) @ (self.c0 + self.c1 @ m)
+
+    def many(self, P: np.ndarray) -> np.ndarray:
+        return self._family(P, np.zeros(len(P), dtype=int))
+
+    @cached_property
+    def _family(self) -> Callable:
+        return AffineSection.stack_of([self])
+
+    @staticmethod
+    def stack_of(sections) -> Callable:
+        """The family of the sections: family(P, owner), for a stack of
+        points P[p, n] and owner[p], gives row r as sections[owner[r]] at
+        P[r], in the form of extend_bisections' families, with one
+        frame.many call and two stacked matrix-vector products for all rows;
+        row r equals that section at P[r] alone bit for bit. Every
+        random_section of a model is built on the one frame at the box
+        centre, so the family reads the first one's, and only the
+        coefficients stack."""
+        frame = sections[0].frame
+        C0 = np.array([X.c0 for X in sections])
+        C1 = np.array([X.c1 for X in sections])
+
+        def family(P: np.ndarray, owner: np.ndarray) -> np.ndarray:
+            P = np.asarray(P, dtype=float)
+            return matvecs(frame.many(P), C0[owner] + matvecs(C1[owner], P))
+
+        return family
+
+
+def random_section(model: GroupoidModel, rng: np.random.Generator) -> AffineSection:
+    """A smooth random algebroid section: the kernel frame at the box centre
+    times affine coefficients, with its stacked form as .many, row a of
+    X.many(P) equal to X(P[a]) bit for bit."""
     ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     frame = aligned_frame(model, ref)
     c0 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=frame.rank)
     c1 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=(frame.rank, model.n))
+    return AffineSection(frame, c0, c1)
 
-    def X(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        return frame(m) @ (c0 + c1 @ m)
 
-    def X_many(P: np.ndarray) -> np.ndarray:
-        # stacked matvecs ([..., None]): the rounding of K @ (c0 + c1 @ p)
+def section_family(X: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The family of one section X: row r is X at P[r] whatever owner[r],
+    through X.many where X has one, X row by row otherwise."""
+
+    def family(P: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return stacked(X, getattr(X, "many", None), np.asarray(P, dtype=float))
+
+    return family
+
+
+def family_member(family: Callable, a: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Section a of a family, with its stacked form as .many."""
+
+    def many(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
-        return (frame.many(P) @ (c0 + (c1 @ P[..., None])[..., 0])[..., None])[..., 0]
+        return family(P, np.full(len(P), a))
 
-    X.many = X_many
-    return X
+    return batch_of_one(many)
+
+
+def family_rows(family: Callable, owner: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The sections of the rows of one stack, as one section-like callable:
+    its .many(P), on a stack P of len(owner) points, is family(P, owner), so
+    right_invariant_many reads a family's rows in one call."""
+    return batch_of_one(lambda P: family(P, owner))
 
 
 def check_axioms(model: GroupoidModel, rng: np.random.Generator,

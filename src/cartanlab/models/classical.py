@@ -335,7 +335,7 @@ def nabla_omega(cc: ClassicalCartan, model: GroupoidModel) -> AlgebroidConnectio
         val = dbar - bracket
         return algebroid_vec(model, m, np.concatenate([val, np.zeros(n)]), check=False)
 
-    return AlgebroidConnection(model, nabla, "classical-omega")
+    return AlgebroidConnection(model, nabla)
 
 
 # -- curvature of a classical connection ---------------------------------------

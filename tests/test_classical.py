@@ -7,6 +7,7 @@ from pytest import raises
 from cartanlab.connection import check_multiplicative, infinitesimalize
 from cartanlab.errors import SliceError
 from cartanlab.groupoid import (
+    AffineSection,
     identity_jet,
     jet_distance,
     random_section,
@@ -234,6 +235,22 @@ def test_induced_connection_matches_infinitesimalization(bridge, rng):
         a = nw(m, v, X).vec
         assert np.max(np.abs(a - nd(m, v, X).vec)) <= 1e-4
         assert np.max(np.abs(a - nf(m, v, X).vec)) <= 1e-4
+
+
+def test_induced_connection_reads_stacks_row_by_row(bridge, rng):
+    # nabla_omega is written per sample: its stacked reads loop over it
+    cc, model, _ = bridge
+    nw = nabla_omega(cc, model)
+    assert not nw.stacked and nw.nabla_batch is None
+    M = np.stack([sample_base_point(model, rng) for _ in range(2)])
+    V = rng.uniform(-1, 1, size=(2, 2))
+    sections = [random_section(model, rng) for _ in range(2)]
+    rows = nw.nabla_rows(M, V, sections)
+    many = nw.nabla_many(M, V, AffineSection.stack_of(sections))
+    for a in range(2):
+        assert np.array_equal(many[a], nw(M[a], V[a], sections[a]).vec)
+        for b, X in enumerate(sections):
+            assert np.array_equal(rows[a, :, b], nw(M[a], V[a], X).vec)
 
 
 def test_bridge_fails_on_nan_curvature_magnitude(monkeypatch):

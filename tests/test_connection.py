@@ -14,7 +14,7 @@ from cartanlab.chartcalc import (
     path_velocity,
     rk4,
 )
-from cartanlab import connection
+from cartanlab import chartcalc, connection
 from cartanlab.connection import (
     T_DIFF_STEP,
     UNITAL_SAMPLES,
@@ -32,6 +32,7 @@ from cartanlab.connection import (
 )
 from cartanlab.errors import DomainError, EscapeError, NotABisectionError
 from cartanlab.groupoid import (
+    AffineSection,
     algebroid_vec,
     aligned_frame,
     identity_jet,
@@ -296,6 +297,22 @@ def test_vector_transport_escape(zoo, name):
         transport_with_vector(S, gamma, 0.0, 1.0, model.unit(m), X.vec)
     with raises(EscapeError):
         algebroid_transport(S, gamma, 0.0, 1.0, X)
+
+
+def test_stacked_transport_escape_names_the_first_row_that_left(zoo):
+    # members 1 and 2 leave the box at the same step along their own paths,
+    # member 0 stays: the error names member 1's arrow, as it does alone
+    model, S = zoo("translation-R2")
+    M = np.array([[0.1, 0.0], [0.5, 0.0], [0.5, 0.1]])
+    velocity = np.array([[0.1, 0.0], [3.0, 0.0], [3.0, 0.0]])
+    U = model.unit.many(M)
+    with raises(EscapeError) as stacked_error:
+        transport_many(S, lambda T: M + T * velocity, np.zeros(3), 1.0, U,
+                       np.zeros((3, model.N)), steps=40)
+    with raises(EscapeError) as alone:
+        transport_with_vector(S, lambda t: M[1] + t * velocity[1], 0.0, 1.0, U[1],
+                              np.zeros(model.N), steps=40)
+    assert str(stacked_error.value) == str(alone.value)
 
 
 def _transport_unstacked(S, gamma, t0, t1, coords0, w0, steps):
@@ -818,6 +835,88 @@ def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):
     m, v = np.array([0.1, -0.2]), np.array([0.4, 0.3])
     X = random_section(model, np.random.default_rng(4))
     assert np.array_equal(nab.nabla_rows(m[None], v[None], [X])[0, :, 0], nab(m, v, X).vec)
+
+
+def _routes(S):
+    """The four connections nabla-compare compares, the bent path's as it
+    builds it."""
+    bend = np.full(S.model.n, 0.3)
+    bend[0] = -0.2
+    return {"direct": infinitesimalize(S, "direct-formula"),
+            "flow": infinitesimalize(S, "flow-formula"),
+            "transport": infinitesimalize(S, "parallel-transport"),
+            "bent": infinitesimalize_along(
+                S, lambda m, v: (lambda t: m + t * v + t * t * bend))}
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_route_rows_equal_the_one_sample_nabla(name, jacobians):
+    # one nabla_many call over a family of drawn sections, a zero direction
+    # among the samples, equals each route's one-sample nabla at each row,
+    # bit for bit; so do non-contiguous views of the stacks
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    rng = np.random.default_rng(73)
+    M = np.stack([sample_base_point(model, rng) for _ in range(3)])
+    V = rng.uniform(-1.0, 1.0, size=(3, model.n))
+    V[1] = 0.0
+    sections = [random_section(model, rng) for _ in range(3)]
+    wide = np.concatenate([M, V], axis=1)
+    views = ((M, V, sections), (wide[:, :model.n], wide[:, model.n:], sections),
+             (M[::-2], V[::-2], sections[::-2]))
+    for route, nab in _routes(S).items():
+        assert nab.stacked, route
+        for Ms, Vs, Xs in views:
+            D = nab.nabla_many(Ms, Vs, AffineSection.stack_of(Xs))
+            assert D.shape == (len(Ms), model.N)
+            for a, X in enumerate(Xs):
+                assert np.array_equal(D[a], nab(Ms[a], Vs[a], X).vec), (route, a)
+
+
+def test_nabla_many_loops_over_nabla_on_a_connection_written_per_sample(zoo):
+    # a connection whose nabla takes one sample reads section a of the
+    # family at row a, one nabla call per row
+    model, S = zoo("se2-action")
+    nd = infinitesimalize(S, "direct-formula")
+    calls = []
+
+    def nabla(m, v, X):
+        calls.append(1)
+        return nd(m, v, X)
+
+    rng = np.random.default_rng(79)
+    M = np.stack([sample_base_point(model, rng) for _ in range(3)])
+    V = rng.uniform(-1.0, 1.0, size=(3, model.n))
+    family = AffineSection.stack_of([random_section(model, rng) for _ in range(3)])
+    per_sample = AlgebroidConnection(model, nabla)
+    assert np.array_equal(per_sample.nabla_many(M, V, family), nd.nabla_many(M, V, family))
+    assert len(calls) == 3
+
+
+def _rk4_integrations(monkeypatch, count):
+    """The rk4 calls one se2-action nabla-compare report of count samples makes."""
+    calls = []
+    real = chartcalc.rk4
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chartcalc, "rk4", counted)
+    monkeypatch.setattr(connection, "rk4", counted)
+    report = experiments.run(ExperimentConfig(model="se2-action", experiment="nabla-compare",
+                                              seed=5, sample_count=count))
+    assert all(c.passed for c in report.checks)
+    return len(calls)
+
+
+def test_nabla_compare_integrates_once_per_route_whatever_the_count(monkeypatch):
+    # the flow, transport and bent-path routes each run one stacked RK4
+    # integration of all samples' members
+    assert _rk4_integrations(monkeypatch, 2) == _rk4_integrations(monkeypatch, 25) == 3
 
 
 def test_check_multiplicative_fails_a_jet_the_oracle_refuses(zoo):

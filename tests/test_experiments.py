@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cartanlab import experiments
-from cartanlab.errors import SamplingError
+from cartanlab.chartcalc import WorstErrors
+from cartanlab.connection import CartanConnection, infinitesimalize, infinitesimalize_along
+from cartanlab.errors import CartanLabError, EscapeError, SamplingError
+from cartanlab.groupoid import AffineSection
 from cartanlab.jetalg import KernelHom
+from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
 
 # one model each experiment runs on; flatness twice, for both expectations
@@ -130,3 +136,137 @@ def test_an_abort_names_its_own_sample_in_the_detail():
     assert [(c.name, c.detail) for c in aborted] == [
         ("aborted[BaseMismatchError]",
          f"mul_kernel_left: base points differ ({m + 1.0} vs {m})")]
+
+
+# -- nabla-compare: stacked routes against the per-sample loop ------------------
+
+NABLA_CHECKS = ("flow-vs-transport", "direct-vs-flow", "direct-vs-transport",
+                "path-independence", "leibniz")
+
+
+def _nabla_compare_per_sample(model, S, seed, count):
+    """run_nabla_compare's worst errors as its per-sample loop computed them
+    before the routes were stacked: each sample drawn, then every route on
+    that sample alone. Draws go through the experiments module, so a patched
+    draw reaches both this loop and the experiment."""
+    rng = np.random.default_rng(seed)
+    worst = WorstErrors(NABLA_CHECKS)
+    nd = infinitesimalize(S, "direct-formula")
+    nf = infinitesimalize(S, "flow-formula")
+    nt = infinitesimalize(S, "parallel-transport")
+    bend = np.full(model.n, 0.3)
+    bend[0] = -0.2
+    nq = infinitesimalize_along(S, lambda m, v: (lambda t: m + t * v + t * t * bend))
+    for _ in range(count):
+        m = experiments.sample_base_point(model, rng)
+        v = rng.uniform(-1.0, 1.0, size=model.n)
+        X = experiments.random_section(model, rng)
+        a = nd(m, v, X).vec
+        b = nf(m, v, X).vec
+        c = nt(m, v, X).vec
+        q = nq(m, v, X).vec
+        worst.record("flow-vs-transport", b - c)
+        worst.record("direct-vs-flow", a - b)
+        worst.record("direct-vs-transport", a - c)
+        worst.record("path-independence", q - c)
+        scale = float(rng.uniform(0.5, 1.5))
+        grad = rng.uniform(-0.5, 0.5, size=model.n)
+
+        def fX(mm):
+            return (scale + grad @ np.asarray(mm)) * np.asarray(X(mm), dtype=float)
+
+        lhs = nd(m, v, fX).vec
+        rhs = (grad @ v) * np.asarray(X(m), dtype=float) + (scale + grad @ m) * a
+        worst.record("leibniz", lhs - rhs)
+    return dict(worst)
+
+
+def _model_and_connection(name, jacobians):
+    # the fd copy's connection keeps mu_at and its stacked form
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    return model, S
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_nabla_compare_equals_its_per_sample_loop(name, jacobians):
+    model, S = _model_and_connection(name, jacobians)
+    config = ExperimentConfig(model=name, experiment="nabla-compare", seed=71)
+    checks = experiments.run_nabla_compare(model, S, config, 3)
+    assert {c.name: c.max_error for c in checks} == _nabla_compare_per_sample(model, S, 71, 3)
+
+
+@dataclasses.dataclass(frozen=True)
+class _PoisonedSection(AffineSection):
+    """A drawn section that, where how is set, has NaN values or raises
+    EscapeError naming the first point it is read at. Its family reads each
+    row through its own section, so the poison follows the sample into any
+    stack."""
+
+    how: str = ""
+
+    def many(self, P):
+        out = AffineSection.many(self, P)
+        if self.how == "escape":
+            raise EscapeError(f"poisoned section read at {np.asarray(P)[0]}")
+        return np.full_like(out, np.nan) if self.how == "nan" else out
+
+    @staticmethod
+    def stack_of(sections):
+        def family(P, owner):
+            return np.concatenate([sections[a].many(P[r:r + 1]) for r, a in enumerate(owner)])
+
+        return family
+
+
+NABLA_ABORT = ExperimentConfig(model="se2-action", experiment="nabla-compare", seed=9,
+                               sample_count=6)
+
+
+def _poisoned_sections(monkeypatch, poison):
+    """Patch nabla-compare's section draws so that the section of draw a of
+    a clean run of NABLA_ABORT does poison[a]. Keyed on the drawn
+    coefficients, not on a call count, so a rerun of the samples meets the
+    same poison."""
+    real = experiments.random_section
+    drawn = []
+
+    def recording(model, rng):
+        X = real(model, rng)
+        drawn.append(X.c0.tobytes())
+        return X
+
+    monkeypatch.setattr(experiments, "random_section", recording)
+    assert not experiments.run(NABLA_ABORT).checks[0].name.startswith("aborted")
+    poisoned = {drawn[a]: how for a, how in poison.items()}
+
+    def drawing(model, rng):
+        X = real(model, rng)
+        return _PoisonedSection(X.frame, X.c0, X.c1, poisoned.get(X.c0.tobytes(), ""))
+
+    monkeypatch.setattr(experiments, "random_section", drawing)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("poison", [{2: "nan", 4: "escape"}, {2: "escape", 4: "nan"},
+                                    {4: "nan"}],
+                         ids=["nan-first", "escape-first", "nan-late"])
+def test_a_nabla_compare_abort_names_what_the_per_sample_loop_meets_first(poison):
+    # a NaN section passes the direct route, and the flow route's second
+    # stage meets the NaN arrow its first stage made; an escaping section
+    # raises in the direct route. Either way the stacked routes fail on a
+    # stack whose error names other rows, and the rerun of
+    # draw_then_evaluate ends as the per-sample loop does
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _poisoned_sections(monkeypatch, poison)
+        model, S = make_model(NABLA_ABORT.model)
+        with pytest.raises(CartanLabError) as first:
+            _nabla_compare_per_sample(model, S, NABLA_ABORT.seed, NABLA_ABORT.sample_count)
+        aborted = experiments.run(NABLA_ABORT).checks
+    assert [(c.name, c.detail) for c in aborted] == [
+        (f"aborted[{type(first.value).__name__}]", str(first.value))]
+    assert type(first.value).__name__ == {"escape": "EscapeError",
+                                          "nan": "CompositionError"}[poison[min(poison)]]

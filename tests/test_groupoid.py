@@ -25,9 +25,12 @@ from cartanlab.groupoid import (
     algebroid_vec,
     aligned_frame,
     anchor,
+    AffineSection,
     check_axioms,
     compose_bisections,
     extend_bisection,
+    family_member,
+    family_rows,
     identity_jet,
     inv_tangent_many,
     jet_distance,
@@ -831,6 +834,74 @@ def test_random_section_rows_equal_single_calls(name, jacobians):
     for arrows in _views(G):
         assert np.array_equal(right_invariant_many(model, X, arrows),
                               right_invariant_many(model, lambda m: X(m), arrows))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_section_family_rows_equal_each_drawn_section(name, jacobians):
+    # row r of the drawn sections' family is section owner[r] at P[r], bit
+    # for bit, on stacks and non-contiguous views; so are a member's rows and
+    # the rows right_invariant_many reads through family_rows
+    model = _frame_model(name, jacobians)
+    rng = np.random.default_rng(61)
+    sections = [random_section(model, rng) for _ in range(3)]
+    family = AffineSection.stack_of(sections)
+    P = np.array([sample_base_point(model, rng) for _ in range(6)])
+    owner = np.array([2, 0, 0, 1, 2, 1])
+    for stack in _views(P):
+        own = owner[:len(stack)]
+        rows = family(stack, own)
+        assert rows.shape == (len(stack), model.N)
+        for p, a, row in zip(stack, own, rows):
+            assert np.array_equal(row, sections[a](p))
+        for a, X in enumerate(sections):
+            assert np.array_equal(family_member(family, a).many(stack), X.many(stack))
+    G = np.array([model.sample_arrow(rng).coords for _ in range(6)])
+    for arrows in _views(G):
+        own = owner[:len(arrows)]
+        stacked_rows = right_invariant_many(model, family_rows(family, own), arrows)
+        for g, a, row in zip(arrows, own, stacked_rows):
+            assert np.array_equal(row, right_invariant_many(model, sections[a], g[None])[0])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_fd_frame_reads_a_stack_in_one_differentiate_many_call(name, monkeypatch):
+    # the -fd frame reads Tsrc(unit(m)) of every row of a stack in one
+    # stacked call, never model.Tsrc row by row
+    model = make_model(name)[0].without_jacobians()
+    frame = aligned_frame(model, 0.5 * (model.base_box[:, 0] + model.base_box[:, 1]))
+    rng = np.random.default_rng(67)
+    P = np.array([sample_base_point(model, rng) for _ in range(7)])
+    expected = np.stack([frame(p) for p in P])
+    calls = {"many": 0, "single": 0}
+    real_many, real_single = groupoid.differentiate_many, groupoid.differentiate
+
+    def many(f, X):
+        calls["many"] += 1
+        return real_many(f, X)
+
+    def single(f, x):
+        calls["single"] += 1
+        return real_single(f, x)
+
+    monkeypatch.setattr(groupoid, "differentiate_many", many)
+    monkeypatch.setattr(groupoid, "differentiate", single)
+    assert np.array_equal(frame.many(P), expected)
+    assert calls == {"many": 1, "single": 0}
+
+
+def test_stacked_frame_error_names_the_first_degenerate_point():
+    # test_frame_error_names_the_point's turned pair-R1 copy: a stack with
+    # two degenerate rows names the first of them
+    model, _ = make_model("pair-R1")
+    turned = dataclasses.replace(model.src, jacobian=lambda G: np.where(
+        (G[:, 1] > 0.9)[:, None, None], [[[1.0, 0.0]]], [[[0.0, 1.0]]]))
+    frame = aligned_frame(dataclasses.replace(model, src=turned), np.zeros(1))
+    P = np.array([[0.5], [0.97], [0.95]])
+    for _ in range(2):  # the second stack reads the first's healthy row from the memo
+        with raises(FrameError, match=re.escape(f"degenerated at {P[1]} ")):
+            frame.many(P)
+    assert np.array_equal(frame.many(P[:1]), [[[1.0], [0.0]]])
 
 
 def test_memoized_frames_are_read_only(zoo):
