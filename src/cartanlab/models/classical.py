@@ -10,6 +10,7 @@ identifications, which the test-suite checks numerically.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -17,38 +18,52 @@ import numpy as np
 from ..chartcalc import (
     ChartMap,
     WorstErrors,
+    batch_of_one,
+    constant_jacobian,
     deriv_at_zero,
     differentiate,
     directional_derivative,
-    exceeds,
     jacobian_fd,
+    stacked,
     worst_case_min,
 )
 from ..connection import AlgebroidConnection, CartanConnection
 from ..errors import SliceError, TransitivityError
 from ..groupoid import (
     GroupoidModel,
+    Jets,
     algebroid_vec,
     kernel_basis,
-    right_translate,
+    right_translate_many,
     source_slot,
 )
-from ..jetalg import adjoint_vec, jet_invert
+from ..jetalg import adjoint_vec_many, jet_invert
 from .actions import se2_group
-from .rotations import J2, rot2
+from .rotations import J2, rot2_many
+
+SLICE_TOL = 1e-10  # how far pi(sigma(m)) may miss m
+
+
+def _batch_of_one_of(field_name: str) -> cached_property:
+    """The single-point form of a stacked field, derived once per instance."""
+    return cached_property(lambda self: batch_of_one(getattr(self, field_name)))
 
 
 @dataclass(frozen=True)
 class ClassicalCartan:
     """A V-valued parallelism on a matrix-group chart P with structure group H.
 
-    omega_matrix(p) is the (v_dim, p_dim) matrix of the parallelism at p;
-    h_basis columns include the structure algebra into V; h_rep(h) is the right
-    representation of H on V extending the adjoint action. The bundle block
-    (pi, sigma, normalizer, h_act and the H-chart group ops) fixes slice
-    coordinates for the quotient constructions. bundle_many holds the stacked
-    forms of pi, sigma, normalizer, h_act and h_inv by name; the gauge
-    groupoid's stacked structure maps are built from them.
+    omega_matrix(p) is the (v_dim, p_dim) matrix of the parallelism at p, with
+    its stacked form as .many where it has one; h_basis columns include the
+    structure algebra into V; h_rep(h) is the right representation of H on V
+    extending the adjoint action. The bundle block fixes slice coordinates for
+    the quotient constructions: pi_many, sigma_many, normalizer_many, h_act_many
+    and h_inv_many (the H-chart group ops), with their jacobians *_jac_many
+    (h_act_jac_many gives the P and H blocks), all on stacks, row a depending
+    on row a alone. The single-point pi, sigma, normalizer, h_act and h_inv are
+    their batches of one, derived from the stacked fields, so a copy made with
+    dataclasses.replace derives them again; the jacobians have no single-point
+    form.
     """
 
     name: str
@@ -59,19 +74,24 @@ class ClassicalCartan:
     h_basis: np.ndarray  # (v_dim, h_dim)
     h_rep: Callable[[np.ndarray], np.ndarray]
     h_generator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h_act: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h_act_jac: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    h_inv: Callable[[np.ndarray], np.ndarray]
-    h_inv_jac: Callable[[np.ndarray], np.ndarray]
-    pi: Callable[[np.ndarray], np.ndarray]
-    pi_jac: Callable[[np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
-    sigma_jac: Callable[[np.ndarray], np.ndarray]
-    normalizer: Callable[[np.ndarray], np.ndarray]
-    normalizer_jac: Callable[[np.ndarray], np.ndarray]
+    h_act_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    h_act_jac_many: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    h_inv_many: Callable[[np.ndarray], np.ndarray]
+    h_inv_jac_many: Callable[[np.ndarray], np.ndarray]
+    pi_many: Callable[[np.ndarray], np.ndarray]
+    pi_jac_many: Callable[[np.ndarray], np.ndarray]
+    sigma_many: Callable[[np.ndarray], np.ndarray]
+    sigma_jac_many: Callable[[np.ndarray], np.ndarray]
+    normalizer_many: Callable[[np.ndarray], np.ndarray]
+    normalizer_jac_many: Callable[[np.ndarray], np.ndarray]
     p_box: np.ndarray
     h_box: np.ndarray
-    bundle_many: dict
+
+    pi = _batch_of_one_of("pi_many")
+    sigma = _batch_of_one_of("sigma_many")
+    normalizer = _batch_of_one_of("normalizer_many")
+    h_act = _batch_of_one_of("h_act_many")
+    h_inv = _batch_of_one_of("h_inv_many")
 
     @property
     def v_dim(self) -> int:
@@ -97,7 +117,7 @@ def classical_invariants(cc: ClassicalCartan, rng: np.random.Generator,
         errs.record("generator", W @ gen - cc.h_basis @ xi)
         h = rng.uniform(cc.h_box[:, 0], cc.h_box[:, 1])
         v = rng.uniform(-1.0, 1.0, size=cc.p_dim)
-        Dp, _ = cc.h_act_jac(p, h)
+        Dp = cc.h_act_jac_many(p[None], h[None])[0][0]
         lhs = cc.omega(cc.h_act(p, h), Dp @ v)
         rhs = cc.h_rep(h) @ cc.omega(p, v)
         errs.record("equivariance", lhs - rhs)
@@ -116,80 +136,77 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
 
         mu(q, m) = [[ W(q)^-1 W(sigma(m)) Dsigma(m) ],
                     [ I ]].
+
+    Every map is written on stacks, from the bundle's stacked maps and
+    jacobians: the structure maps, the jacobian hooks (one call of each
+    bundle jacobian a hook reads per stack) and the jets, whose single-point
+    mu_at, like tgt and unit at one point, is the batch of one. The jets read
+    W through omega_matrix.many where the parallelism has it, else point by
+    point. unit raises SliceError, naming the first bad row, where
+    pi(sigma(m)) misses m by more than SLICE_TOL.
     """
     k = cc.p_dim
     n = cc.n
     N = k + n
     In = np.eye(n)
-
-    def check_slice(m):
-        p = cc.sigma(np.asarray(m, dtype=float))
-        defect = float(np.max(np.abs(cc.pi(p) - m)))
-        if exceeds(defect, 1e-10):
-            raise SliceError(f"slice section fails pi . sigma = id at {m} ({defect:.2e})")
-        return p
-
-    pi, sigma, normal, h_act, h_inv = (cc.bundle_many[key] for key in (
-        "pi", "sigma", "normalizer", "h_act", "h_inv"))
+    pi, sigma, normal, h_act, h_inv = (
+        cc.pi_many, cc.sigma_many, cc.normalizer_many, cc.h_act_many, cc.h_inv_many)
 
     def tgt_many(G):
         return pi(G[:, :k])
 
     def unit_many(M):
         P = sigma(M)
-        if not np.all(np.abs(pi(P) - M) <= 1e-10):  # a NaN fails too
-            for m in M:
-                check_slice(m)  # raises at the first bad row
+        defect = np.abs(pi(P) - M)
+        if not (defect <= SLICE_TOL).all():  # a NaN fails too
+            a = np.flatnonzero(~(defect <= SLICE_TOL).all(axis=1))[0]
+            raise SliceError(f"slice section fails pi . sigma = id at {M[a]} "
+                             f"({np.max(defect[a]):.2e})")
         return np.concatenate([P, M], axis=1)
 
-    # the bundle's jacobians are single-point, so the stacked hooks loop here
     def tgt_jac_many(G):
         D = np.zeros((len(G), n, N))
-        for a, g in enumerate(G):
-            D[a, :, :k] = cc.pi_jac(g[:k])
+        D[:, :, :k] = cc.pi_jac_many(G[:, :k])
         return D
 
     def unit_jac_many(M):
         D = np.zeros((len(M), N, n))
-        for a, m in enumerate(M):
-            D[a, :k] = cc.sigma_jac(m)
+        D[:, :k] = cc.sigma_jac_many(M)
         D[:, k:] = In
         return D
 
-    tgt = ChartMap(N, n, lambda g: cc.pi(g[:k]), jacobian=tgt_jac_many, eval_many=tgt_many)
-    unit = ChartMap(n, N, lambda m: np.concatenate([check_slice(m), m]),
-                    jacobian=unit_jac_many, eval_many=unit_many)
+    tgt = ChartMap(N, n, batch_of_one(tgt_many), jacobian=tgt_jac_many, eval_many=tgt_many)
+    unit = ChartMap(n, N, batch_of_one(unit_many), jacobian=unit_jac_many,
+                    eval_many=unit_many)
 
     def mul_jac_many(G, H):
         Dg, Dh = np.zeros((2, len(G), N, N))
-        for a, (g, h) in enumerate(zip(G, H)):
-            Dp, Dhh = cc.h_act_jac(g[:k], cc.normalizer(h[:k]))
-            Dg[a, :k, :k] = Dp
-            Dh[a, :k, :k] = Dhh @ cc.normalizer_jac(h[:k])
+        Dp, Dhh = cc.h_act_jac_many(G[:, :k], normal(H[:, :k]))
+        Dg[:, :k, :k] = Dp
+        Dh[:, :k, :k] = Dhh @ cc.normalizer_jac_many(H[:, :k])
         Dh[:, k:, k:] = In
         return Dg, Dh
 
     def inv_jac_many(G):
+        Q, M = G[:, :k], G[:, k:]
+        hq = normal(Q)
+        Dp, Dh = cc.h_act_jac_many(sigma(M), h_inv(hq))
         D = np.zeros((len(G), N, N))
-        for a, g in enumerate(G):
-            hq = cc.normalizer(g[:k])
-            Dp, Dh = cc.h_act_jac(cc.sigma(g[k:]), cc.h_inv(hq))
-            D[a, :k, :k] = Dh @ cc.h_inv_jac(hq) @ cc.normalizer_jac(g[:k])
-            D[a, :k, k:] = Dp @ cc.sigma_jac(g[k:])
-            D[a, k:, :k] = cc.pi_jac(g[:k])
+        D[:, :k, :k] = Dh @ cc.h_inv_jac_many(hq) @ cc.normalizer_jac_many(Q)
+        D[:, :k, k:] = Dp @ cc.sigma_jac_many(M)
+        D[:, k:, :k] = cc.pi_jac_many(Q)
         return D
 
     def retract_tgt_many(G, M):
         return np.concatenate([h_act(sigma(M), normal(G[:, :k])), G[:, k:]], axis=1)
 
     def retract_tgt_jac_many(G, M):
+        Dp, Dh = cc.h_act_jac_many(sigma(M), normal(G[:, :k]))
         Dg = np.zeros((len(G), N, N))
         Dm = np.zeros((len(G), N, n))
-        for a, (g, m0) in enumerate(zip(G, M)):
-            Dp, Dh = cc.h_act_jac(cc.sigma(m0), cc.normalizer(g[:k]))
-            Dg[a, :k, :k] = Dh @ cc.normalizer_jac(g[:k])
-            Dm[a, :k] = Dp @ cc.sigma_jac(m0)
+        Dg[:, :k, :k] = Dh @ cc.normalizer_jac_many(G[:, :k])
         Dg[:, k:, k:] = In
+        Dm[:, :k] = Dp @ cc.sigma_jac_many(M)
         return Dg, Dm
 
     # pi is a coordinate projection for the shipped bundles, so the base box is
@@ -216,15 +233,18 @@ def classical_to_groupoid(cc: ClassicalCartan) -> tuple[GroupoidModel, CartanCon
         retract_tgt_many=retract_tgt_many,
         **source_slot(N, slice(k, N), domain_box),
     )
+    omega_many = getattr(cc.omega_matrix, "many", None)
 
-    def mu_at(g):
-        q, m = g[:k], g[k:]
-        W = np.asarray(cc.omega_matrix(q), dtype=float)
-        Wm = np.asarray(cc.omega_matrix(cc.sigma(m)), dtype=float)
-        top = np.linalg.solve(W, Wm @ cc.sigma_jac(m))
-        return np.vstack([top, In])
+    def mu_many(G):
+        M = G[:, k:]
+        # W at the arrows' q, then at sigma(m), in one call
+        W = stacked(cc.omega_matrix, omega_many, np.concatenate([G[:, :k], sigma(M)]))
+        mu = np.empty((len(G), N, n))
+        mu[:, :k] = np.linalg.solve(W[:len(G)], W[len(G):] @ cc.sigma_jac_many(M))
+        mu[:, k:] = In
+        return mu
 
-    S = CartanConnection(model, mu_at, name=f"S-omega[{cc.name}]")
+    S = CartanConnection(model, batch_of_one(mu_many), name=f"S-omega[{cc.name}]")
     return model, S
 
 
@@ -268,20 +288,14 @@ def recover_omega(S: CartanConnection, m0: np.ndarray) -> RecoveredParallelism:
 
     def omega_matrix(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        p = fiber(u)
-        g = model.arrow(p)
-        Demb = differentiate(fiber, u)
-        mu_inv = jet_invert(model, S.jet(g))
-        ginv = model.arrow(model.inv(g.coords))
-        cols = []
-        for j in range(r):
-            vG = Demb[:, j]
-            w = right_translate(model, ginv, g, vG)
-            val = adjoint_vec(model, mu_inv,
-                              algebroid_vec(model, g.target, w, check=False))
-            cols.append(val.vec)
-        stacked = np.stack(cols, axis=1)  # (N, r), columns in g-fibre at m0
-        coeffs, *_ = np.linalg.lstsq(K0, stacked, rcond=None)
+        g = model.arrow(fiber(u))
+        # the r chart directions, each translated back and adjoined to the
+        # algebroid fibre at m0 as one row of a stack
+        W = right_translate_many(model, np.tile(model.inv(g.coords), (r, 1)),
+                                 np.tile(g.coords, (r, 1)), differentiate(fiber, u).T)
+        cols = adjoint_vec_many(model, Jets.of([jet_invert(model, S.jet(g))]).repeat(r),
+                                np.tile(g.target, (r, 1)), W)
+        coeffs, *_ = np.linalg.lstsq(K0, cols.T, rcond=None)
         return coeffs
 
     return RecoveredParallelism(model, m0, fiber, project, K0, omega_matrix)
@@ -313,8 +327,7 @@ def nabla_omega(cc: ClassicalCartan, model: GroupoidModel) -> AlgebroidConnectio
     def invariant_extension(vec_of_m):
         def field(p):
             mm = cc.pi(p)
-            hh = cc.normalizer(p)
-            Dp, _ = cc.h_act_jac(cc.sigma(mm), hh)
+            Dp = cc.h_act_jac_many(cc.sigma(mm)[None], cc.normalizer(p)[None])[0][0]
             return Dp @ vec_of_m(mm)
 
         return field
@@ -322,7 +335,7 @@ def nabla_omega(cc: ClassicalCartan, model: GroupoidModel) -> AlgebroidConnectio
     def nabla(m, v, Z):
         p0 = cc.sigma(m)
         Zf = invariant_extension(lambda mm: np.asarray(Z(mm), dtype=float)[:k])
-        Yf = invariant_extension(lambda mm: cc.sigma_jac(mm) @ v)
+        Yf = invariant_extension(lambda mm: cc.sigma_jac_many(mm[None])[0] @ v)
         z0 = Zf(p0)
 
         def omega_of_Y(p):
@@ -413,30 +426,16 @@ def se2_maurer_cartan() -> ClassicalCartan:
     """Left Maurer-Cartan parallelism on the SE(2) group chart seen as an SO(2)-bundle
     over the plane. V has coordinates (rotation component, translation components)."""
 
-    def omega_matrix(p):
-        W = np.zeros((3, 3))
-        W[0, 0] = 1.0
-        W[1:, 1:] = rot2(-p[0])
+    def omega_many(P):
+        W = np.zeros((len(P), 3, 3))
+        W[:, 0, 0] = 1.0
+        W[:, 1:, 1:] = rot2_many(-P[:, 0])
         return W
 
-    def h_rep(h):
-        M = np.zeros((3, 3))
-        M[0, 0] = 1.0
-        M[1:, 1:] = rot2(-h[0])
-        return M
-
-    def h_act(p, h):
-        return np.array([p[0] + h[0], p[1], p[2]])
-
-    def h_act_jac(p, h):
-        Dp = np.eye(3)
-        Dh = np.zeros((3, 1))
-        Dh[0, 0] = 1.0
-        return Dp, Dh
-
-    def h_act_many(P, H):
-        return np.concatenate([P[:, :1] + H[:, :1], P[:, 1:]], axis=1)
-
+    omega_matrix = batch_of_one(omega_many)
+    # every bundle jacobian is constant: the rows of I3 the coordinate maps keep
+    I3 = np.eye(3)
+    act_jac_p, act_jac_h = constant_jacobian(I3), constant_jacobian(I3[:, :1])
     p_box = se2_group().box
     return ClassicalCartan(
         name="se2-so2",
@@ -445,23 +444,21 @@ def se2_maurer_cartan() -> ClassicalCartan:
         n=2,
         omega_matrix=omega_matrix,
         h_basis=np.array([[1.0], [0.0], [0.0]]),
-        h_rep=h_rep,
+        # W reads only the angle, which is H's chart: at h it is h's action on V
+        h_rep=omega_matrix,
         h_generator=lambda p, xi: np.array([float(xi[0]), 0.0, 0.0]),
-        h_act=h_act,
-        h_act_jac=h_act_jac,
-        h_inv=lambda h: -h,
-        h_inv_jac=lambda h: -np.eye(1),
-        pi=lambda p: p[1:].copy(),
-        pi_jac=lambda p: np.hstack([np.zeros((2, 1)), np.eye(2)]),
-        sigma=lambda m: np.concatenate([[0.0], m]),
-        sigma_jac=lambda m: np.vstack([np.zeros((1, 2)), np.eye(2)]),
-        normalizer=lambda p: np.array([p[0]]),
-        normalizer_jac=lambda p: np.array([[1.0, 0.0, 0.0]]),
+        h_act_many=lambda P, H: np.concatenate([P[:, :1] + H[:, :1], P[:, 1:]], axis=1),
+        h_act_jac_many=lambda P, H: (act_jac_p(P), act_jac_h(H)),
+        h_inv_many=lambda H: -H,
+        h_inv_jac_many=constant_jacobian(-np.eye(1)),
+        pi_many=lambda P: P[:, 1:],
+        pi_jac_many=constant_jacobian(I3[1:]),
+        sigma_many=lambda M: np.concatenate([np.zeros((len(M), 1)), M], axis=1),
+        sigma_jac_many=constant_jacobian(I3[:, 1:]),
+        normalizer_many=lambda P: P[:, :1],
+        normalizer_jac_many=constant_jacobian(I3[:1]),
         p_box=p_box,
         h_box=p_box[:1],
-        bundle_many=dict(pi=lambda P: P[:, 1:],
-                         sigma=lambda M: np.concatenate([np.zeros((len(M), 1)), M], axis=1),
-                         normalizer=lambda P: P[:, :1], h_act=h_act_many, h_inv=lambda H: -H),
     )
 
 

@@ -8,11 +8,13 @@ for w3 = log(exp(w2) exp(w1)),
     d w3 / d w1 = J_r(w3)^-1 J_r(w1),    d w3 / d w2 = J_l(w3)^-1 J_l(w2).
 
 The SO(3) maps take stacks of rotation vectors w[k, 3] (or of matrices), and
-row a of each depends on row a alone, bit for bit: a batch of one is the
-single-point form.
+the plane rotations stacks of angles; row a of each depends on row a alone,
+bit for bit: a batch of one is the single-point form.
 """
 
 import numpy as np
+
+from ..chartcalc import batch_of_one
 
 _EPS = 1e-6
 
@@ -109,15 +111,13 @@ def compose_so3_jac_many(w2: np.ndarray,
             jl_inv_many(-w3) @ jl_many(-np.asarray(w1, dtype=float)))
 
 
-def rot2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 def rot2_many(theta: np.ndarray) -> np.ndarray:
-    """rot2 of each angle of a vector theta[k], as a C-contiguous R[k, 2, 2]."""
+    """The rotation of the plane by each angle of a vector theta[k], as a
+    C-contiguous R[k, 2, 2]."""
     c, s = np.cos(theta), np.sin(theta)
     return np.ascontiguousarray(np.array([c, -s, s, c]).T).reshape(-1, 2, 2)
 
+
+rot2 = batch_of_one(rot2_many)  # the rotation by one angle
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])  # generator of 2D rotations: rot2'(t) = J2 rot2(t)

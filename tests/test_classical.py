@@ -6,14 +6,17 @@ from pytest import raises
 
 from cartanlab.connection import check_multiplicative, infinitesimalize
 from cartanlab.errors import SliceError
+from cartanlab.chartcalc import differentiate
 from cartanlab.groupoid import (
     AffineSection,
+    algebroid_vec,
     identity_jet,
     jet_distance,
     random_section,
+    right_translate,
     sample_base_point,
 )
-from cartanlab.jetalg import jet_invert
+from cartanlab.jetalg import adjoint_vec, jet_invert
 from cartanlab.models.classical import (
     classical_curvature,
     classical_curvature_parallel_frame,
@@ -145,8 +148,6 @@ def test_recovered_parallelism_axioms(bridge, rng):
     fiber, project = rec.fiber, rec.project
     K0 = rec.v_basis
     from cartanlab.chartcalc import deriv_at_zero
-    from cartanlab.jetalg import adjoint_vec
-    from cartanlab.groupoid import algebroid_vec
 
     # isotropy direction at m0: the theta-translation of the gauge slice chart
     xi_vec = np.zeros(model.N)
@@ -200,7 +201,7 @@ def test_nabla_bar_examples(bridge, rng):
         # extension of a slice field by the right structure-group action
         def field(p):
             mm = cc.pi(p)
-            Dp, _ = cc.h_act_jac(cc.sigma(mm), cc.normalizer(p))
+            Dp = cc.h_act_jac_many(cc.sigma(mm)[None], cc.normalizer(p)[None])[0][0]
             return Dp @ w_of_m(mm)
 
         return field
@@ -270,13 +271,75 @@ def test_bridge_fails_on_nan_curvature_magnitude(monkeypatch):
 
 
 def test_slice_check_refuses_a_nan_projection():
-    cc = dataclasses.replace(se2_maurer_cartan(), pi=lambda p: np.full(2, np.nan))
+    # a copy whose stacked pi gives NaN reaches the single-point and the
+    # stacked paths alike: unit refuses it on both, tgt returns it on both
+    cc = dataclasses.replace(se2_maurer_cartan(),
+                             pi_many=lambda P: np.full((len(P), 2), np.nan))
     model, _ = classical_to_groupoid(cc)
+    M, G = np.zeros((3, 2)), np.zeros((3, 5))
     with raises(SliceError):
-        model.unit(np.zeros(2))
+        model.unit(M[0])
+    with raises(SliceError):
+        model.unit.many(M)
+    assert np.isnan(model.tgt(G[0])).all() and np.isnan(model.tgt.many(G)).all()
+    # the stacked check names the first row that fails
+    cc = dataclasses.replace(
+        se2_maurer_cartan(), pi_many=lambda P: np.where(P[:, 1:] > 0.5, np.nan, P[:, 1:]))
+    model, _ = classical_to_groupoid(cc)
+    with raises(SliceError, match=r"at \[0\.6 0\. \] \(nan\)"):
+        model.unit.many(np.array([[0.1, 0.0], [0.6, 0.0], [0.7, 0.0]]))
+
+
+def test_gauge_hooks_call_each_bundle_jacobian_once_per_stack(rng):
+    # the hooks, the chart-map jacobians and the jets are written on stacks:
+    # each reads each bundle jacobian it needs in one call, whatever k
+    base = se2_maurer_cartan()
+    calls = []
+
+    def counted(name):
+        def jac_many(*stacks):
+            calls.append((name, len(stacks[0])))
+            return getattr(base, name)(*stacks)
+        return jac_many
+
+    jacs = ("pi_jac_many", "sigma_jac_many", "normalizer_jac_many", "h_act_jac_many",
+            "h_inv_jac_many")
+    model, S = classical_to_groupoid(
+        dataclasses.replace(base, **{name: counted(name) for name in jacs}))
+    pairs = [model.sample_composable(rng) for _ in range(5)]
+    G = np.array([g.coords for g, _ in pairs])
+    H = np.array([h.coords for _, h in pairs])
+    M = np.array([g.target for g, _ in pairs])
+    reads = [(model.mul_jac_many, (G, H), ["h_act", "normalizer"]),
+             (model.inv_jac_many, (G,), ["h_act", "h_inv", "normalizer", "sigma", "pi"]),
+             (model.retract_tgt_jac_many, (G, M), ["h_act", "normalizer", "sigma"]),
+             (model.tgt.jacobian, (G,), ["pi"]),
+             (model.unit.jacobian, (M,), ["sigma"]),
+             (S.mu_at.many, (G,), ["sigma"])]
+    for k in (1, 2, 5):
+        for func, args, names in reads:
+            calls.clear()
+            func(*(X[:k] for X in args))
+            assert calls == [(name + "_jac_many", k) for name in names]
+
+
+def _recovered_omega_column_by_column(S, rec, u):
+    """recover_omega's matrix at u with each chart direction translated and
+    adjoined on its own, as a loop over single-point calls."""
+    model = S.model
+    g = model.arrow(rec.fiber(u))
+    ginv = model.arrow(model.inv(g.coords))
+    mu_inv = jet_invert(model, S.jet(g))
+    Demb = differentiate(rec.fiber, u)
+    cols = [adjoint_vec(model, mu_inv, algebroid_vec(
+        model, g.target, right_translate(model, ginv, g, Demb[:, j]), check=False)).vec
+        for j in range(Demb.shape[1])]
+    return np.linalg.lstsq(rec.v_basis, np.stack(cols, axis=1), rcond=None)[0]
 
 
 def test_recovered_parallelism_from_a_jacobian_free_fibre_chart(bridge, rng):
+    # and the r columns, taken in one stacked call each, equal the columns
+    # taken one by one bit for bit, with and without jacobians
     cc, model, S = bridge
 
     def fiber_without_jacobian(m0):
@@ -285,7 +348,13 @@ def test_recovered_parallelism_from_a_jacobian_free_fibre_chart(bridge, rng):
 
     fd_model = dataclasses.replace(model, src_fiber_chart=fiber_without_jacobian)
     rec = recover_omega(S, np.zeros(2))
-    rec_fd = recover_omega(dataclasses.replace(S, model=fd_model), np.zeros(2))
+    S_fd = dataclasses.replace(S, model=fd_model)
+    rec_fd = recover_omega(S_fd, np.zeros(2))
+    S_nojac = dataclasses.replace(S, model=model.without_jacobians())
     for _ in range(3):
         u = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
         assert np.max(np.abs(rec_fd.omega_matrix(u) - rec.omega_matrix(u))) < 1e-8
+        for conn in (S, S_fd, S_nojac):
+            rec_conn = recover_omega(conn, np.zeros(2))
+            assert np.array_equal(rec_conn.omega_matrix(u),
+                                  _recovered_omega_column_by_column(conn, rec_conn, u))

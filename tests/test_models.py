@@ -42,6 +42,8 @@ from cartanlab.models.rotations import (
     jl_inv_many,
     jl_many,
     log_so3_many,
+    rot2,
+    rot2_many,
 )
 
 from conftest import CORE_MODELS
@@ -167,6 +169,16 @@ def test_stacked_rotation_maps_match_single_calls(rng):
     def alone(many, *stacks):
         return [many(*(x[None] for x in rows)) for rows in zip(*stacks)]
 
+    # the plane rotations at 0, +-pi and random angles, on a strided view too:
+    # rot2 is the batch of one, and both equal the scalar formula
+    T = np.concatenate([[0.0, np.pi, -np.pi], rng.uniform(-4.0, 4.0, 20)])
+    for angles in (T, np.repeat(T, 2)[::2]):
+        R = rot2_many(angles)
+        assert R.flags.c_contiguous
+        for Ra, t in zip(R, angles):
+            c, s = np.cos(t), np.sin(t)
+            assert np.array_equal(Ra, rot2(t)) and np.array_equal(Ra, [[c, -s], [s, c]])
+            assert np.array_equal(rot2(t), rot2_many([t])[0])
     for W in _rotation_vectors(rng):
         for many in (exp_so3_many, jl_many, jl_inv_many):
             assert np.array_equal(many(W), np.concatenate(alone(many, W)))
@@ -476,29 +488,47 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
     # the single mul and inv and the retractions are batches of one, and the
     # jacobian hooks have no single form, so for all of them this is row a of
     # a stack against a stack of one row
-    model, _ = zoo(name)
+    model, S = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
     rng = np.random.default_rng(23)
+
+    def rows_match(owner, maps):
+        for name, args in maps:
+            single, many = getattr(owner, name), getattr(owner, name + "_many")
+            assert np.array_equal(many(*args), [single(*row) for row in zip(*args)])
+
+    def hook_rows_match(owner, hooks):
+        for hook, args in hooks:
+            many = getattr(owner, hook)
+            rows = [_blocks(many(*(X[a:a + 1] for X in args))) for a in range(len(args[0]))]
+            for b, block in enumerate(_blocks(many(*args))):
+                assert np.array_equal(block, [row[b][0] for row in rows])
+
     for G, H, M in _stacked_cases(model, rng):
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
             assert np.array_equal(cm.many(X), [cm(x) for x in X])
-        maps = [("mul", (G, H)), ("inv", (G,)), ("retract_src", (G, M)),
-                ("retract_tgt", (G, M))]
-        for name, args in maps:
-            single, many = getattr(model, name), getattr(model, name + "_many")
-            assert np.array_equal(many(*args), [single(*row) for row in zip(*args)])
+        # the jets, which read no structure-map jacobian
+        assert np.array_equal(S.mu_at.many(G), [S.mu_at(g) for g in G])
+        rows_match(model, [("mul", (G, H)), ("inv", (G,)), ("retract_src", (G, M)),
+                           ("retract_tgt", (G, M))])
         hooks = [("mul_jac_many", (G, H)), ("inv_jac_many", (G,)),
                  ("retract_src_jac_many", (G, M)), ("retract_tgt_jac_many", (G, M))]
         assert [hook for hook, _ in hooks] == list(JACOBIAN_HOOKS)
         if not jacobians:
             assert all(getattr(model, hook) is None for hook in JACOBIAN_HOOKS)
             hooks = []
-        for hook, args in hooks:
-            many = getattr(model, hook)
-            rows = [_blocks(many(*(X[a:a + 1] for X in args))) for a in range(len(G))]
-            for b, block in enumerate(_blocks(many(*args))):
-                assert np.array_equal(block, [row[b][0] for row in rows])
+        hook_rows_match(model, hooks)
+        cc = model.extras.get("classical")
+        if cc is not None:
+            # the gauge model's bundle maps: the single forms are batches of
+            # one, and the jacobians have none
+            P, Hh = G[:, :cc.p_dim], cc.normalizer_many(H[:, :cc.p_dim])
+            bundle = [("pi", (P,)), ("sigma", (M,)), ("normalizer", (P,)),
+                      ("h_act", (P, Hh)), ("h_inv", (Hh,))]
+            rows_match(cc, bundle)
+            hook_rows_match(cc, [(name + "_jac_many", args) for name, args in bundle])
+            assert np.array_equal(cc.omega_matrix.many(P), [cc.omega_matrix(p) for p in P])
         # row a of the stacked chart-map jacobian is the point's own, analytic
         # or by central differences
         for cm, X in ((model.src, G), (model.tgt, G), (model.unit, M)):
