@@ -68,15 +68,33 @@ def batch_of_one(func_many: Callable) -> Callable:
 
 def constant_jacobian(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The stacked jacobian of a map whose derivative is the matrix A at every
-    point: on a stack of k points, k rows of A as a read-only broadcast view
-    that copies nothing. It carries A, read-only, as .constant."""
+    point: on a stack of k points, k rows of A as a read-only view that copies
+    nothing (repeated_rows). It carries A, read-only, as .constant."""
     A = read_only(np.asarray(A, dtype=float))
+    rows = repeated_rows(A)
 
     def jacobian(X):
-        return np.broadcast_to(A, (len(X),) + A.shape)
+        return rows(len(X))
 
     jacobian.constant = A
     return jacobian
+
+
+def repeated_rows(A: np.ndarray) -> Callable[[int], np.ndarray]:
+    """k -> np.broadcast_to(A, (k,) + A.shape) for a fixed array A: a
+    read-only view with A's strides and a zero stride over the rows, sharing
+    A's memory. Over a contiguous A it is built directly on A's buffer, at
+    about a quarter of broadcast_to's cost per call; a strided A (a column
+    slice) exposes no buffer and is broadcast."""
+    if not (A.flags.c_contiguous or A.flags.f_contiguous):
+        return lambda k: np.broadcast_to(A, (k,) + A.shape)
+    buffer = read_only(A)
+    shape, strides = A.shape, (0,) + A.strides
+
+    def rows(k: int) -> np.ndarray:
+        return np.ndarray((k,) + shape, A.dtype, buffer, 0, strides)
+
+    return rows
 
 
 def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -395,36 +413,58 @@ class WorstErrors(dict):
         self[name] = worst_case(self[name], float(np.max(np.abs(value))))
 
 
+class Redraw(Exception):
+    """Raised by a stack_of that cannot keep the deferred elements it was
+    handed as drawn (jetalg.KernelDraw, when a candidate falls below its
+    rejection floor): draw_then_evaluate draws the stack again."""
+
+
 def _stacked_fields(samples: list) -> list:
     """The fields of a list of drawn samples, each as one stack: the
-    stack_of(elements) of an element type that has one (jetalg.KernelHom),
-    an array otherwise."""
+    stack_of(elements) of an element type that has one (jetalg.KernelHom,
+    or jetalg.KernelDraw, which resolves its deferred draws there), an array
+    otherwise."""
     return [type(field[0]).stack_of(field) if hasattr(type(field[0]), "stack_of")
             else np.array(field) for field in zip(*samples)]
 
 
-def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate) -> None:
+def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate,
+                       replay=None) -> None:
     """A per-sample loop, stacked: call draw() count times, drawing every
     sample in rng order, then evaluate the stacked draws once, each step of
     evaluate for all samples.
 
-    On any exception, in either phase, the samples rerun in order from the
-    rng state before the first draw: draw sample a, then evaluate it as a
-    batch of one. So the error that propagates is the first one the
-    per-sample loop meets, up to the order within one sample, where every
-    draw comes before the evaluation. A rerun that raises nothing stands: an
-    evaluate that refuses a stack but records a refused sample on its own
-    (check_multiplicative's oracle refusal) ends as the per-sample loop does.
-    A count below 1 evaluates nothing."""
+    replay is draw with nothing deferred (draw itself when not given): a
+    draw may leave part of each sample to its stack, drawing what that part
+    takes from rng first as if it were accepted (jetalg.deferred_kernel_hom).
+    When the stack refuses it (Redraw, a rare rejection), the samples are
+    drawn again from the rng state before the first draw by replay, in order,
+    and evaluated as one stack: the rng stream and every stacked field are
+    the ones replay alone would give.
+
+    On any other exception, in either phase, the samples rerun in order from
+    that state: draw sample a by replay, then evaluate it as a batch of one.
+    So the error that propagates is the first one the per-sample loop meets,
+    up to the order within one sample, where every draw comes before the
+    evaluation. A rerun that raises nothing stands: an evaluate that refuses
+    a stack but records a refused sample on its own (check_multiplicative's
+    oracle refusal) ends as the per-sample loop does. A count below 1
+    evaluates nothing."""
     if count < 1:
         return
+    replay = replay or draw
     state = rng.bit_generator.state
     try:
-        evaluate(*_stacked_fields([draw() for _ in range(count)]))
+        try:
+            fields = _stacked_fields([draw() for _ in range(count)])
+        except Redraw:
+            rng.bit_generator.state = state
+            fields = _stacked_fields([replay() for _ in range(count)])
+        evaluate(*fields)
     except Exception:
         rng.bit_generator.state = state
         for _ in range(count):
-            evaluate(*_stacked_fields([draw()]))
+            evaluate(*_stacked_fields([replay()]))
 
 
 def worst_case_min(least: float, value: float) -> float:

@@ -50,6 +50,7 @@ from .jetalg import (
     aut_inv_many,
     aut_mul,
     aut_mul_many,
+    deferred_kernel_hom,
     jet_assemble_many,
     jet_decompose_many,
     jet_invert_many,
@@ -123,6 +124,15 @@ class _Checks:
 # -- individual experiments ----------------------------------------------------
 
 
+def draw_kernels_then_evaluate(rng, count, draw, evaluate) -> None:
+    """chartcalc.draw_then_evaluate for a draw(kernel_hom) that draws its
+    kernel elements through kernel_hom: deferred_kernel_hom, so each kernel
+    field is resolved as one stack, and random_kernel_hom when the stack is
+    replayed on a rejection or the samples rerun on an error."""
+    draw_then_evaluate(rng, count, partial(draw, deferred_kernel_hom), evaluate,
+                       replay=partial(draw, random_kernel_hom))
+
+
 def run_jet_axioms(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     checks = _Checks(model, config)
@@ -137,12 +147,12 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
     for error in check_axioms(model, rng, count=count).values():
         axioms(error)
 
-    def draw():
+    def draw(kernel_hom):
         g, h = model.sample_composable(rng)
-        phi1 = random_kernel_hom(model, g.target, rng)
-        phi2 = random_kernel_hom(model, h.target, rng)
+        phi1 = kernel_hom(model, g.target, rng)
+        phi2 = kernel_hom(model, h.target, rng)
         k = model.arrow(model.arrow_with_source(g.target, rng))
-        return g.coords, phi1, h.coords, phi2, k.coords, random_kernel_hom(model, k.target, rng)
+        return g.coords, phi1, h.coords, phi2, k.coords, kernel_hom(model, k.target, rng)
 
     def evaluate(G, phi1, H, phi2, K, phi0):
         j1 = jet_assemble_many(model, G, phi1, S.mu_many)
@@ -157,7 +167,7 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
             oracle_jet_muls(model, j1, oracle_jet_inverses(model, j1)),
             identity_jets(model, j1.target)))
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(rng, count, draw, evaluate)
 
     for _ in range(bracket_samples):
         X = random_section(model, rng)
@@ -183,9 +193,9 @@ def run_inversion(model, S, config, count) -> list[Check]:
     double = checks.declare("double-inversion", count, 1e-8)
     law = checks.declare("inverse-law-via-oracle", count, checks.oracle())
 
-    def draw():
+    def draw(kernel_hom):
         g = model.sample_arrow(rng)
-        return g.coords, random_kernel_hom(model, g.target, rng)
+        return g.coords, kernel_hom(model, g.target, rng)
 
     def evaluate(G, phi):
         j = jet_assemble_many(model, G, phi, S.mu_many)
@@ -194,7 +204,7 @@ def run_inversion(model, S, config, count) -> list[Check]:
         double(jet_distances(jet_invert_many(model, jinv), j))
         law(jet_distances(oracle_jet_muls(model, jinv, j), identity_jets(model, j.source)))
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -207,10 +217,10 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
     conjugation = checks.declare("conjugation-identity", count, tol)
     translation = checks.declare("translation-difference", count, tol)
 
-    def draw():
+    def draw(kernel_hom):
         g = model.sample_arrow(rng)
-        phi_mu = random_kernel_hom(model, g.target, rng)  # mu's kernel factor
-        return g.coords, phi_mu, random_kernel_hom(model, g.source, rng)
+        phi_mu = kernel_hom(model, g.target, rng)  # mu's kernel factor
+        return g.coords, phi_mu, kernel_hom(model, g.source, rng)
 
     def evaluate(G, phi_mu, phi):
         mu = jet_assemble_many(model, G, phi_mu, S.mu_many)
@@ -234,7 +244,7 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
         translation(np.swapaxes(mu.mu, 1, 2).reshape(-1, N)
                     - np.swapaxes(nu.mu, 1, 2).reshape(-1, N) - col)
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -251,13 +261,13 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
     multiplication = checks.declare("semidirect-multiplication", count, tol)
     adjoint_morphism = checks.declare("adjoint-is-morphism", count, tol)
 
-    def draw():
+    def draw(kernel_hom):
         m = sample_base_point(model, rng)
-        psi = random_kernel_hom(model, m, rng)
-        phi = random_kernel_hom(model, m, rng)
-        x = random_kernel_hom(model, m, rng)  # X is its first column
+        psi = kernel_hom(model, m, rng)
+        phi = kernel_hom(model, m, rng)
+        x = kernel_hom(model, m, rng)  # X is its first column
         g = model.arrow(model.arrow_with_source(m, rng))
-        return m, psi, phi, x, g.coords, random_kernel_hom(model, g.target, rng)
+        return m, psi, phi, x, g.coords, kernel_hom(model, g.target, rng)
 
     def evaluate(M, psi, phi, x, G, phi_mu):
         vee_prod = vee_many(aut_mul_many(psi, phi))
@@ -275,7 +285,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = matvecs(adjoint_tm_many(model, mu), matvecs(anchor_matrices(model, M), X))
         anchor(lhs - rhs)
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(rng, count, draw, evaluate)
 
     # semidirect law for bisections of the jet groupoid, on a few base points
     for _ in range(semi_samples):
@@ -314,12 +324,12 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         semidirect(jet_distance(lhs, rhs))
 
     # the connection-induced isomorphism with the semidirect product
-    def draw():
+    def draw(kernel_hom):
         g1, g2 = model.sample_composable(rng)
-        phi1 = random_kernel_hom(model, g1.target, rng)
-        phi2 = random_kernel_hom(model, g2.target, rng)
+        phi1 = kernel_hom(model, g1.target, rng)
+        phi2 = kernel_hom(model, g2.target, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
-        return g1.coords, phi1, g2.coords, phi2, v, random_kernel_hom(model, g2.source, rng)
+        return g1.coords, phi1, g2.coords, phi2, v, kernel_hom(model, g2.source, rng)
 
     def evaluate(G1, phi1, G2, phi2, V, x):
         mu1 = jet_assemble_many(model, G1, phi1, S.mu_many)
@@ -334,7 +344,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         inner = adjoint_vec_many(model, mu2, mu2.source, X)
         adjoint_morphism(lhs - adjoint_vec_many(model, mu1, mu2.target, inner))
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(rng, count, draw, evaluate)
     return checks.build()
 
 

@@ -37,6 +37,7 @@ from .chartcalc import (
     memo_by_point,
     newton_solve_many,
     read_only,
+    repeated_rows,
     stacked,
 )
 from .errors import (
@@ -46,6 +47,7 @@ from .errors import (
     FrameError,
     NotABisectionError,
     SamplingError,
+    SingularError,
     ToleranceError,
 )
 
@@ -267,28 +269,53 @@ def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
     return AlgebroidVec(m, vec)
 
 
+def base_points(model: GroupoidModel, P: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """P as float base points of dimension n: a stack P[k, n] (ndim 2) or one
+    point (ndim 1). Raises DomainError for any other shape."""
+    P = np.asarray(P, dtype=float)
+    if P.ndim != ndim or P.shape[-1:] != (model.n,):
+        raise DomainError(f"expected base points of dimension {model.n}, got shape {P.shape}")
+    return P
+
+
 def kernel_basis(model: GroupoidModel, m: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of ker Tsrc at unit(m), one column per
-    algebroid direction (N x (N-n)): the model's constant_kernel_basis where
-    it has one. Raises DomainError when m is not a point of dimension n."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (model.n,):
-        raise DomainError(f"expected point of dimension {model.n}, got shape {m.shape}")
+    algebroid direction (N x (N-n)): kernel_bases' batch of one, the model's
+    constant_kernel_basis where it has one. Raises DomainError when m is not
+    a point of dimension n."""
+    return kernel_bases(model, base_points(model, m, 1)[None])[0]
+
+
+def kernel_bases(model: GroupoidModel, M: np.ndarray) -> np.ndarray:
+    """kernel_basis at each row of a stack M[k, n], as a (k, N, N-n) stack:
+    k read-only rows of the constant_kernel_basis where the model has one,
+    else the bases of Tsrc(unit(M)), read in one differentiate_many call,
+    from one stacked SVD. Raises DomainError for a stack of other points."""
+    M = base_points(model, M)
     if model.constant_kernel_basis is not None:
-        return model.constant_kernel_basis
-    return _kernel_basis(model.Tsrc(model.unit(m)))
+        return repeated_rows(model.constant_kernel_basis)(len(M))
+    return _kernel_basis_many(differentiate_many(model.src, model.unit.many(M)))
 
 
 def _kernel_basis(A: np.ndarray) -> np.ndarray:
-    """kernel_basis of the source jacobian A."""
+    """kernel_basis of the source jacobian A: _kernel_basis_many's batch of one."""
+    return _kernel_basis_many(A[None])[0]
+
+
+def _kernel_basis_many(A: np.ndarray) -> np.ndarray:
+    """kernel_basis of each source jacobian A[a], from one stacked SVD. The
+    rank cut and the sign canon apply row by row, and row a is a transposed
+    view of its vt, the layout the product K @ C rounds by. Raises
+    SingularError when the rows' ranks differ."""
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-10))
-    basis = vt[rank:].T
+    rank = np.sum(s > 1e-10, axis=-1)
+    if np.any(rank != rank[0]):
+        raise SingularError(f"source jacobians of ranks {sorted(set(rank.tolist()))} "
+                            "in one stack")
+    basis = np.swapaxes(vt[:, rank[0]:], -1, -2)
     # canonical signs: largest-magnitude entry of each column positive
-    for j in range(basis.shape[1]):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        if basis[i, j] < 0:
-            basis[:, j] = -basis[:, j]
+    lead = np.take_along_axis(basis, np.argmax(np.abs(basis), axis=-2)[:, None], axis=-2)
+    basis *= np.where(lead < 0, -1.0, 1.0)
     return basis
 
 
@@ -721,7 +748,6 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     differences leave at a few roundoff-level values, and frame.many reads
     the A of all its rows in one differentiate_many call.
     """
-    n = model.n
     E_ref = kernel_basis(model, ref_point)
 
     def project(A: np.ndarray) -> np.ndarray:
@@ -734,26 +760,21 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
         w, U = np.linalg.eigh(gram)
         return E @ (U @ np.diag(1.0 / np.sqrt(w)) @ U.T)
 
-    def base_points(P: np.ndarray, ndim: int) -> np.ndarray:
-        P = np.asarray(P, dtype=float)
-        if P.ndim != ndim or P.shape[-1:] != (n,):
-            raise DomainError(f"expected base points of dimension {n}, got shape {P.shape}")
-        return P
-
     if model.constant_Tsrc is not None:
         K = read_only(project(model.constant_Tsrc))
+        rows = repeated_rows(K)
 
         def frame(m: np.ndarray) -> np.ndarray:
-            base_points(m, 1)
+            base_points(model, m, 1)
             return K
 
         def frame_many(P: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(K, (len(base_points(P, 2)),) + K.shape)
+            return rows(len(base_points(model, P)))
     else:
         projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
 
         def frame(m: np.ndarray) -> np.ndarray:
-            m = base_points(m, 1)
+            m = base_points(model, m, 1)
             try:
                 return projection(model.Tsrc(model.unit(m)))
             except FrameError as exc:
@@ -762,7 +783,7 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
         def frame_many(P: np.ndarray) -> np.ndarray:
             # Tsrc(unit(m)) of every row in one stacked call; a degenerate
             # row reruns the rows one by one, so the error names its point
-            P = base_points(P, 2)
+            P = base_points(model, P)
             try:
                 return projection.many(differentiate_many(model.src, model.unit.many(P)))
             except FrameError:

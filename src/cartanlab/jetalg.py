@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chartcalc import differentiate_many, exceeds, matvecs, newton_solve
+from .chartcalc import Redraw, differentiate_many, exceeds, matvecs, newton_solve
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
@@ -33,10 +33,12 @@ from .groupoid import (
     Jets,
     algebroid_vec,
     anchor_matrices,
+    base_points,
     identity_jet,
     identity_jets,
     inv_tangent_many,
     kernel_basis,
+    kernel_bases,
     left_translate_many,
     oracle_jet,
     right_translate_many,
@@ -199,8 +201,11 @@ def zero_kernel_hom(model: GroupoidModel, m: np.ndarray) -> KernelHom:
 
 def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
                       rng: np.random.Generator) -> KernelHom:
-    """Random kernel element at m; samples below the conditioning floor are
-    rejected and resampled (logged).
+    """Random kernel element at m, phi = K @ C in the kernel basis K with
+    coefficients C uniform in +-KERNEL_SCALE; a candidate below the
+    conditioning floor, |det phi_tm| < KERNEL_MIN_DET, is rejected and drawn
+    again (logged). This is the eager draw, decided as it goes; its stacked
+    form is deferred_kernel_hom, whose stack this draw replays on rejection.
 
     The floor is far above the 1e-9 singularity threshold the operations
     enforce: nearly degenerate elements are valid inputs but blow up the
@@ -209,16 +214,64 @@ def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
     m = np.asarray(m, dtype=float)
     K = kernel_basis(model, m)
     B = model.Ttgt(model.unit(m))  # the anchor matrix at m, read once per call
-    eye = np.eye(model.n)
     for attempt in range(64):
-        C = rng.uniform(-KERNEL_SCALE, KERNEL_SCALE, size=(K.shape[1], model.n))
-        phi = K @ C
-        det = np.linalg.det(eye - B @ phi)
+        phi, det = _candidates(K, B, _coefficients(rng, K.shape[1], model.n))
         if abs(det) >= KERNEL_MIN_DET:
             return KernelHom(model, m, phi)
         log.debug("resampling kernel hom at %s (attempt %d: det %.2e below floor)",
                   m, attempt, det)
     raise SingularError("could not sample a well-conditioned kernel element")
+
+
+def _coefficients(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
+    """A candidate's coefficient matrix C in a kernel basis of rank columns."""
+    return rng.uniform(-KERNEL_SCALE, KERNEL_SCALE, size=(rank, n))
+
+
+def _candidates(K: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate phi = K @ C at a point with kernel basis K and anchor
+    matrix B, and det phi_tm = det(1 - B @ phi); row by row on stacks."""
+    phi = K @ C
+    return phi, np.linalg.det(np.eye(B.shape[-2]) - B @ phi)
+
+
+@dataclass(frozen=True)
+class KernelDraw:
+    """A deferred random_kernel_hom at m: the coefficient matrix C of its
+    first candidate, drawn and taken as accepted. A list of them resolves as
+    one stack (stack_of)."""
+
+    model: GroupoidModel
+    m: np.ndarray
+    C: np.ndarray
+
+    @staticmethod
+    def stack_of(draws) -> KernelHoms:
+        """The KernelHoms random_kernel_hom would have drawn, with one
+        kernel_bases, one anchor_matrices and one determinant call for all
+        rows, equal to it row by row bit for bit. Raises chartcalc.Redraw
+        when a candidate falls below the floor: the eager draw would have
+        rejected it and drawn again."""
+        model = draws[0].model
+        M = np.array([d.m for d in draws])
+        C = np.array([d.C for d in draws])
+        phi, det = _candidates(kernel_bases(model, M), anchor_matrices(model, M), C)
+        if not (abs(det) >= KERNEL_MIN_DET).all():  # a NaN determinant is rejected too
+            raise Redraw("a kernel element below the conditioning floor")
+        return KernelHoms(model, M, phi)
+
+
+def deferred_kernel_hom(model: GroupoidModel, m: np.ndarray,
+                        rng: np.random.Generator) -> KernelDraw:
+    """random_kernel_hom at m, deferred: draw the first candidate's
+    coefficients now, taking as much from rng as the eager draw does when it
+    accepts that candidate, and leave the basis, the anchor and the
+    determinant to the stack of draws (KernelDraw.stack_of, through
+    chartcalc.draw_then_evaluate, which replays the stack with
+    random_kernel_hom on rejection). Raises DomainError when m is not a point
+    of dimension n."""
+    return KernelDraw(model, base_points(model, m, 1),
+                      _coefficients(rng, model.N - model.n, model.n))
 
 
 # -- adjoint representations -------------------------------------------------
@@ -448,7 +501,8 @@ def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> J
 
 __all__ = [
     "KernelHom", "KernelHoms", "aut_mul", "aut_mul_many", "aut_inv", "aut_inv_many",
-    "vee", "vee_many", "unvee", "zero_kernel_hom", "random_kernel_hom", "adjoint",
+    "vee", "vee_many", "unvee", "zero_kernel_hom", "random_kernel_hom", "KernelDraw",
+    "deferred_kernel_hom", "adjoint",
     "adjoint_tm", "adjoint_tm_many", "adjoint_vec", "adjoint_vec_many", "adjoint_hom",
     "adjoint_hom_many", "jet_invert", "jet_invert_many", "mul_kernel_right",
     "mul_kernel_right_many", "mul_kernel_left", "mul_kernel_left_many", "jet_decompose",

@@ -8,6 +8,7 @@ from cartanlab.chartcalc import (
     ChartMap,
     FD_STEP,
     MetricChart,
+    Redraw,
     batch_of_one,
     christoffel,
     constant_jacobian,
@@ -15,6 +16,7 @@ from cartanlab.chartcalc import (
     differentiate_many,
     directional_derivative,
     directional_derivatives,
+    draw_then_evaluate,
     exceeds,
     flow,
     flow_with_tangent,
@@ -22,6 +24,8 @@ from cartanlab.chartcalc import (
     memo_by_point,
     newton_solve,
     newton_solve_many,
+    read_only,
+    repeated_rows,
     rk4,
     values_and_directional_derivatives,
     worst_case,
@@ -519,3 +523,40 @@ def test_flow_with_tangent_rows_equal_each_member_alone():
         assert np.array_equal(X[a], alone[:2]) and np.array_equal(V[a], alone[2:])
         x, v = flow_with_tangent(fields, jvps, X0[a:a + 1], V0[a:a + 1], t[a:a + 1], steps=5)
         assert np.array_equal(X[a], x[0]) and np.array_equal(V[a], v[0])
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "columns", "writeable"])
+def test_repeated_rows_is_the_read_only_broadcast(layout):
+    # the stacks of a constant jacobian and a constant frame: broadcast_to's
+    # view, read-only, over A's own memory, whatever A's layout
+    I4 = np.arange(16.0).reshape(4, 4)
+    A = {"C": I4[1:3], "F": I4.T, "columns": I4[:, 1:3], "writeable": I4[1:3]}[layout]
+    if layout != "writeable":
+        A = read_only(A)
+    rows = repeated_rows(A)
+    for k in (1, 5):
+        view = rows(k)
+        reference = np.broadcast_to(A, (k,) + A.shape)
+        assert np.array_equal(view, reference) and view.strides == reference.strides
+        assert not view.flags.writeable and np.shares_memory(view, A)
+    assert A.flags.writeable == (layout == "writeable")  # the caller's array is left as it was
+
+
+def test_a_redrawn_stack_is_drawn_again_by_replay():
+    # a stack that refuses its deferred draws is drawn again by replay from
+    # the rng state before the first draw, and evaluated as one stack
+    class Deferred:
+        def __init__(self, value):
+            self.value = value
+
+        @staticmethod
+        def stack_of(draws):
+            raise Redraw("refused")
+
+    rng = np.random.default_rng(0)
+    expected = np.random.default_rng(0).uniform(size=4)
+    evaluated = []
+    draw_then_evaluate(rng, 4, lambda: (Deferred(rng.uniform()),),
+                       evaluated.append, replay=lambda: (rng.uniform(),))
+    assert len(evaluated) == 1 and evaluated[0].tobytes() == expected.tobytes()
+    assert rng.uniform() == np.random.default_rng(0).uniform(size=5)[4]

@@ -1,14 +1,15 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 
-from cartanlab import experiments
+from cartanlab import chartcalc, experiments, jetalg
 from cartanlab.chartcalc import WorstErrors
 from cartanlab.connection import CartanConnection, infinitesimalize, infinitesimalize_along
 from cartanlab.errors import CartanLabError, EscapeError, SamplingError
 from cartanlab.groupoid import AffineSection
-from cartanlab.jetalg import KernelHom
+from cartanlab.jetalg import KernelHom, KernelHoms
 from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
 
@@ -72,8 +73,9 @@ def _poisoned_kernel_draws(monkeypatch, config, poison):
     all-NaN element, so evaluating that sample raises; "shift" hands out one
     based elsewhere, so assembling its jet raises earlier in the evaluation;
     "raise" raises in the draw itself. Keyed on the point, not on a call
-    count, so a rerun of the samples meets the same poison. Returns the
-    points of the clean run's draws."""
+    count, so a rerun of the samples meets the same poison. Both kernel
+    samplers of the experiments draw eagerly through the patch, the stacked
+    pass's deferred one too. Returns the points of the clean run's draws."""
     real = experiments.random_kernel_hom
     points = []
 
@@ -81,7 +83,11 @@ def _poisoned_kernel_draws(monkeypatch, config, poison):
         points.append(np.array(m))
         return real(model, m, rng)
 
-    monkeypatch.setattr(experiments, "random_kernel_hom", recording)
+    def patch(sampler):
+        for name in ("random_kernel_hom", "deferred_kernel_hom"):
+            monkeypatch.setattr(experiments, name, sampler)
+
+    patch(recording)
     assert not experiments.run(config).checks[0].name.startswith("aborted")
     poisoned = [(points[a], how) for a, how in poison.items()]
 
@@ -96,7 +102,7 @@ def _poisoned_kernel_draws(monkeypatch, config, poison):
             return KernelHom(model, phi.m + 1.0, phi.phi)
         return phi
 
-    monkeypatch.setattr(experiments, "random_kernel_hom", drawing)
+    patch(drawing)
     return points
 
 
@@ -270,3 +276,72 @@ def test_a_nabla_compare_abort_names_what_the_per_sample_loop_meets_first(poison
         (f"aborted[{type(first.value).__name__}]", str(first.value))]
     assert type(first.value).__name__ == {"escape": "EscapeError",
                                           "nan": "CompositionError"}[poison[min(poison)]]
+
+
+# -- jet experiments: stacked kernel draws against the per-sample loop ---------
+
+JET_EXPERIMENTS = ("jet-axioms", "inversion", "lemma-3-3", "theorem-3-4")
+JET_MODELS = ("pair-R2", "se2-action", "gauge-se2-so2", "isojet-sphere")
+
+
+def _run_recording_draws(experiment, model, S, config, per_sample):
+    """The (name, max_error) of each check of one jet experiment and, per
+    draw_then_evaluate call, the stacked fields its evaluate got. per_sample
+    runs the per-sample loop instead: each sample drawn by replay, the draw
+    that decides every kernel element as it goes, and evaluated alone."""
+    calls = []
+
+    def draw_then_evaluate(rng, count, draw, evaluate, replay=None):
+        calls.append([])
+
+        def recorded(*fields):
+            calls[-1].append(fields)
+            evaluate(*fields)
+
+        if not per_sample:
+            chartcalc.draw_then_evaluate(rng, count, draw, recorded, replay)
+            return
+        for _ in range(count):
+            recorded(*chartcalc._stacked_fields([(replay or draw)()]))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(experiments, "draw_then_evaluate", draw_then_evaluate)
+        checks = experiments.EXPERIMENTS[experiment](model, S, config, config.sample_count)
+    return [(c.name, c.max_error) for c in checks], calls
+
+
+def _field_bytes(field) -> list[bytes]:
+    """A stacked field as bytes, row by row; a KernelHoms as its points and
+    its matrices."""
+    if isinstance(field, KernelHoms):
+        return [m.tobytes() + phi.tobytes() for m, phi in zip(field.m, field.phi)]
+    return [row.tobytes() for row in np.asarray(field)]
+
+
+@pytest.mark.parametrize("floor", [None, 0.8], ids=["floor", "high-floor"])
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", JET_MODELS)
+@pytest.mark.parametrize("experiment", JET_EXPERIMENTS)
+def test_stacked_kernel_draws_equal_the_per_sample_loop(experiment, name, jacobians, floor,
+                                                        monkeypatch, caplog):
+    # a floor of 0.8 rejects about a third of the candidates, so nearly every
+    # stack of deferred draws is refused and replayed; row a of every stacked
+    # field, kernel elements included, and every report value equal the
+    # per-sample loop's bit for bit, at the shipped floor too
+    if floor is not None:
+        monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", floor)
+    model, S = _model_and_connection(name, jacobians)
+    config = ExperimentConfig(model=name, experiment=experiment, seed=29, sample_count=4)
+    with caplog.at_level(logging.DEBUG, logger="cartanlab.jetalg"):
+        checks, calls = _run_recording_draws(experiment, model, S, config, per_sample=False)
+    rejected = sum(r.msg.startswith("resampling") for r in caplog.records)
+    looped, looped_calls = _run_recording_draws(experiment, model, S, config, per_sample=True)
+    assert checks == looped
+    assert not any(c.startswith("aborted") for c, _ in checks)
+    assert [len(call) for call in calls] == [1] * len(calls)
+    for (stacked,), singles in zip(calls, looped_calls, strict=True):
+        for a, field in enumerate(stacked):
+            assert _field_bytes(field) == [row for one in singles
+                                           for row in _field_bytes(one[a])]
+    if floor is not None:
+        assert rejected > 0

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import raises
 
-from cartanlab import jetalg
+from cartanlab import chartcalc, groupoid, jetalg
 from cartanlab.connection import CartanConnection
-from cartanlab.errors import BaseMismatchError, SingularError
+from cartanlab.errors import BaseMismatchError, DomainError, SingularError
 from cartanlab.groupoid import (
     Jet1,
     Jets,
@@ -29,6 +29,7 @@ from cartanlab.groupoid import (
 )
 from cartanlab.jetalg import (
     KERNEL_MIN_DET,
+    KernelDraw,
     KernelHom,
     KernelHoms,
     adjoint,
@@ -42,6 +43,7 @@ from cartanlab.jetalg import (
     aut_inv_many,
     aut_mul,
     aut_mul_many,
+    deferred_kernel_hom,
     jet_assemble,
     jet_assemble_many,
     jet_decompose,
@@ -491,3 +493,125 @@ def test_kernel_draw_reads_the_anchor_matrix_once(zoo, monkeypatch, caplog):
     assert rejected and len(reads) == len(draws)
     assert all(abs(det) < KERNEL_MIN_DET for det in rejected)
     assert all(abs(np.linalg.det(phi.phi_tm)) >= KERNEL_MIN_DET for phi in draws)
+
+
+# -- stacked kernel draws -------------------------------------------------------
+
+# (n, N) of Tsrc on the shipped models, and of the 3 x 6 of a rank-3 action
+KERNEL_SHAPES = [(1, 2), (2, 3), (2, 4), (2, 5), (3, 6)]
+
+
+def _kernel_basis_loop(A):
+    """_kernel_basis as it was written per matrix, the sign canon column by
+    column."""
+    _, s, vt = np.linalg.svd(A)
+    basis = vt[int(np.sum(s > 1e-10)):].T
+    for j in range(basis.shape[1]):
+        i = int(np.argmax(np.abs(basis[:, j])))
+        if basis[i, j] < 0:
+            basis[:, j] = -basis[:, j]
+    return basis
+
+
+def test_kernel_shapes_cover_every_model():
+    for name in MODELS:
+        model, _ = make_model(name)
+        assert (model.n, model.N) in KERNEL_SHAPES
+
+
+@pytest.mark.parametrize("n,N", KERNEL_SHAPES)
+def test_stacked_linear_algebra_equals_the_per_matrix_calls(n, N):
+    # numpy does not promise that a stacked svd, det or matmul rounds each
+    # matrix as the call on that matrix alone does; the stacked kernel draws
+    # rest on it, in the layouts they use: a basis is a transposed view of
+    # vt, and a constant one repeats over the rows with a zero stride
+    rng = np.random.default_rng(10 * N + n)
+    A = rng.standard_normal((200, n, N))
+    for stacked, singles in zip(np.linalg.svd(A), zip(*map(np.linalg.svd, A))):
+        assert all(np.array_equal(row, one) for row, one in zip(stacked, singles))
+    K = groupoid._kernel_basis_many(A)
+    C = rng.uniform(-1.0, 1.0, size=(200, N - n, n))
+    phi = K @ C
+    assert all(np.array_equal(phi[a], K[a] @ C[a]) for a in range(200))
+    K0 = chartcalc.repeated_rows(K[0])(200)
+    assert all(np.array_equal(row, K[0] @ c) for row, c in zip(K0 @ C, C))
+    B = rng.standard_normal((200, n, N))
+    assert all(np.array_equal(row, B[a] @ phi[a]) for a, row in enumerate(B @ phi))
+    D = np.eye(n) - B @ phi
+    assert all(row == np.linalg.det(D[a]) for a, row in enumerate(np.linalg.det(D)))
+    # the basis: row a is the batch of one and the per-matrix loop, signs included
+    for a in range(200):
+        assert np.array_equal(K[a], groupoid._kernel_basis(A[a]))
+        assert np.array_equal(K[a], _kernel_basis_loop(A[a]))
+        assert K[a].strides == _kernel_basis_loop(A[a]).strides
+
+
+def test_stacked_kernel_bases_refuse_rows_of_different_rank():
+    A = np.zeros((2, 2, 4))
+    A[:, 0, 0] = 1.0
+    A[1, 1, 1] = 1.0
+    with raises(SingularError):
+        groupoid._kernel_basis_many(A)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_kernel_field_resolves_in_one_read_whatever_count(name, jacobians, monkeypatch):
+    # with no candidate rejected, a stack of deferred draws makes one
+    # anchor_matrices call and, without a constant basis, one stacked SVD,
+    # for any count, and equals the eager draws from the same rng state
+    model, _ = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+    model.constant_kernel_basis  # its one SVD per model, before the count
+    monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", 0.0)
+    reads = {"anchor": 0, "svd": 0}
+
+    def counted(key, real):
+        def call(*args):
+            reads[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(jetalg, "anchor_matrices", counted("anchor", jetalg.anchor_matrices))
+    monkeypatch.setattr(groupoid, "_kernel_basis_many",
+                        counted("svd", groupoid._kernel_basis_many))
+    for count in (1, 5, 17):
+        rng = np.random.default_rng(count)
+        points = [sample_base_point(model, rng) for _ in range(count)]
+        state = rng.bit_generator.state
+        draws = [deferred_kernel_hom(model, m, rng) for m in points]
+        reads.update(anchor=0, svd=0)
+        homs = KernelDraw.stack_of(draws)
+        assert reads == {"anchor": 1, "svd": 0 if jacobians else 1}
+        rng.bit_generator.state = state
+        eager = [random_kernel_hom(model, m, rng) for m in points]
+        assert homs.m.tobytes() == np.array([h.m for h in eager]).tobytes()
+        assert homs.phi.tobytes() == np.array([h.phi for h in eager]).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_rejected_candidate_refuses_the_stack(name, monkeypatch):
+    # a floor no candidate meets: the stack is refused (draw_then_evaluate
+    # then replays it), never handed on with a candidate below the floor
+    model, _ = make_model(name)
+    monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", np.inf)
+    rng = np.random.default_rng(3)
+    draws = [deferred_kernel_hom(model, sample_base_point(model, rng), rng) for _ in range(3)]
+    with raises(chartcalc.Redraw):
+        KernelDraw.stack_of(draws)
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+def test_a_deferred_draw_refuses_a_point_of_the_wrong_dimension(jacobians):
+    model, _ = make_model("se2-action")
+    if not jacobians:
+        model = model.without_jacobians()
+    rng = np.random.default_rng(0)
+    for m in (np.zeros(model.n + 1), np.zeros((1, model.n)), np.float64(0.0)):
+        state = rng.bit_generator.state
+        with raises(DomainError):
+            deferred_kernel_hom(model, m, rng)
+        with raises(DomainError):
+            random_kernel_hom(model, m, rng)
+        assert rng.bit_generator.state == state
