@@ -8,10 +8,11 @@ the bisection-jet oracle and returns its worst error, and the connection
 itself stays as it was built.
 
 Infinitesimalization produces a linear connection on the algebroid by three
-routes, each written on stacks of samples: nabla(M, V, family) differentiates
-section a of a family (extend_bisections' form: family(P, owner) gives row r
-as section owner[r] at P[r]) at M[a] along V[a], and nabla(m, v, X) on one
-sample is that form's batch of one (AlgebroidConnection.nabla_many).
+routes, each in one form, on stacks of samples: AlgebroidConnection.nabla(M,
+V, family) differentiates section a of a family (extend_bisections' form:
+family(P, owner) gives row r as section owner[r] at P[r]) at M[a] along V[a],
+and the connection called on one sample (m, v, X) is that form's batch of
+one. Several sections at every sample (nabla_rows) are one call too.
 
 * "flow-formula": the coordinate-function identity
       <df, nabla_v X> = d/dt <df, T_m(Phi^t . unit) v> - d/dt <df, S(Phi^t(m)) v>
@@ -59,7 +60,7 @@ from .chartcalc import (
     stacked,
     values_and_directional_derivatives,
 )
-from .errors import EscapeError, NotABisectionError, SamplingError
+from .errors import DomainError, EscapeError, NotABisectionError, SamplingError
 from .groupoid import (
     AlgebroidVec,
     Arrow,
@@ -67,7 +68,7 @@ from .groupoid import (
     Jet1,
     Jets,
     algebroid_vec,
-    family_member,
+    base_points,
     family_rows,
     identity_jets,
     jet_distances,
@@ -282,16 +283,13 @@ def section_values(sections: list) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class AlgebroidConnection:
-    """The linear connection on the algebroid induced by a groupoid connection:
-    nabla(m, v, X) differentiates the section X at m along the tangent
-    direction v.
-
-    A route written on stacks (stacked=True) takes them in the same call:
-    nabla(M[k, n], V[k, n], family), for a family of sections in
-    extend_bisections' form (family(P, owner) gives row r as section
-    owner[r] at P[r], as AffineSection.stack_of builds it), is the (k, N)
-    array whose row a differentiates section a at M[a] along V[a]; its call
-    on one point is that form's batch of one (see nabla_many).
+    """The linear connection on the algebroid induced by a groupoid connection,
+    in one form, on stacks: nabla(M[k, n], V[k, n], family), for a family of
+    sections in extend_bisections' form (family(P, owner) gives row r as
+    section owner[r] at P[r], as AffineSection.stack_of builds it), is the
+    (k, N) array whose row a differentiates section a at M[a] along V[a].
+    Calling the connection on one point m, direction v and section X is that
+    form's batch of one, over X's family of one (section_family).
 
     nabla_batch, when supplied, is the stacked form for several sections at
     every point: nabla_batch(M[k, n], V[k, n], values_many) is a (k, N, s)
@@ -299,51 +297,41 @@ class AlgebroidConnection:
     points P[p, n] as a (p, N, s) array (see nabla_rows)."""
 
     model: GroupoidModel
-    nabla: Callable
+    nabla: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray]
     nabla_batch: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
-    stacked: bool = False
 
     def __call__(self, m: np.ndarray, v: np.ndarray, X: Callable) -> AlgebroidVec:
-        return self.nabla(np.asarray(m, dtype=float), np.asarray(v, dtype=float), X)
+        m = base_points(self.model, m, 1)
+        v = base_points(self.model, v, 1)
+        return algebroid_vec(self.model, m, self.nabla(m[None], v[None], section_family(X))[0],
+                             check=False)
 
-    def nabla_many(self, M: np.ndarray, V: np.ndarray, family: Callable) -> np.ndarray:
-        """The (k, N) array whose row a is nabla(M[a], V[a], section a of the
-        family).vec, bit for bit: one nabla call on a stacked route, nabla
-        row by row on another."""
-        M = np.asarray(M, dtype=float)
-        V = np.asarray(V, dtype=float)
-        if self.stacked:
-            return self.nabla(M, V, family)
-        return np.stack([self.nabla(m, v, family_member(family, a)).vec
-                         for a, (m, v) in enumerate(zip(M, V))])
+    def nabla_rows(self, M: np.ndarray, V: np.ndarray, values_many: Callable) -> np.ndarray:
+        """The (k, N, s) array whose [a, :, b] differentiates section b of
+        values_many (the sections' stacked values, see nabla_batch) at M[a]
+        along V[a], bit for bit: one nabla_batch call, or on a route without
+        it one nabla call over the k * s pairs, row a repeated once per section."""
+        if self.nabla_batch is not None:
+            return self.nabla_batch(M, V, values_many)
+        M, V = sample_stacks(self.model, M, V)
+        k, s = len(M), np.shape(values_many(M[:1]))[-1]  # one row gives s
 
-    def nabla_rows(self, M: np.ndarray, V: np.ndarray, sections: list,
-                   values_many: Callable | None = None) -> np.ndarray:
-        """The (k, N, len(sections)) array whose [a, :, b] is
-        nabla(M[a], V[a], sections[b]).vec, bit for bit: one nabla_batch call,
-        with values_many the sections' stacked values (section_values by
-        default), or nabla row by row on a route without a stacked form."""
-        M = np.asarray(M, dtype=float)
-        V = np.asarray(V, dtype=float)
-        if self.nabla_batch is None:
-            return np.stack([np.stack([self.nabla(m, v, X).vec for X in sections], axis=1)
-                             for m, v in zip(M, V)])
-        return self.nabla_batch(M, V, values_many or section_values(sections))
+        def family(P, owner):
+            return values_many(P)[np.arange(len(P)), :, owner % s]
+
+        D = self.nabla(np.repeat(M, s, axis=0), np.repeat(V, s, axis=0), family)
+        return D.reshape(k, s, -1).transpose(0, 2, 1)
 
 
-def _stacked_route(model: GroupoidModel, nabla_many: Callable,
-                   nabla_batch: Callable | None = None) -> AlgebroidConnection:
-    """The connection of a route written on stacks: nabla_many(M, V, family)
-    is its one form, and its nabla on one point m, v and a section X is that
-    form's batch of one, over X's family of one."""
-
-    def nabla(m, v, X):
-        if np.ndim(m) == 2:
-            return nabla_many(m, v, X)
-        M, V = np.atleast_2d(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
-        return algebroid_vec(model, m, nabla_many(M, V, section_family(X))[0], check=False)
-
-    return AlgebroidConnection(model, nabla, nabla_batch, stacked=True)
+def sample_stacks(model: GroupoidModel, M: np.ndarray, V: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The points and directions of a stacked nabla call, as float stacks of
+    base points (groupoid.base_points). Raises DomainError when either is not
+    a stack of points of dimension n or their lengths differ."""
+    M, V = base_points(model, M), base_points(model, V)
+    if len(M) != len(V):
+        raise DomainError(f"{len(M)} base points but {len(V)} directions")
+    return M, V
 
 
 def _outer_members(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,6 +378,7 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         # steps from each row's unit arrow along each section's value there,
         # all 2 k s probes in one mu_many call, each row's v riding along as
         # a coordinate the probes do not move
+        M, V = sample_stacks(model, M, V)
         values, term1 = values_and_directional_derivatives(values_many, M, V, owner=owner)
         k, _, s = values.shape
         base = np.repeat(np.concatenate([model.unit.many(M), V], axis=1), s, axis=0)
@@ -398,18 +387,19 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         term2 = directional_derivatives(lifted_field, base, directions)
         return term1 - term2.reshape(k, s, N).transpose(0, 2, 1)
 
-    def nabla_many(M, V, family):
+    def nabla(M, V, family):
         return nabla_batch(M, V, lambda P, owner: family(P, owner)[..., None],
                            np.arange(len(M)))[..., 0]
 
-    return _stacked_route(model, nabla_many, nabla_batch=nabla_batch)
+    return AlgebroidConnection(model, nabla, nabla_batch)
 
 
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
     model = S.model
     h_field = outer_fd_step(model)
 
-    def nabla_many(M, V, family):
+    def nabla(M, V, family):
+        M, V = sample_stacks(model, M, V)
         taus, owner = _outer_members(M)
         fields = []
 
@@ -430,7 +420,7 @@ def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:
         G, A = flow_with_tangent(lambda Y: fields.pop(), field_jvp, U, V0, taus, steps=4)
         return _outer_derivative(A - matvecs(S.mu_many(G), V[owner]))
 
-    return _stacked_route(model, nabla_many)
+    return AlgebroidConnection(model, nabla)
 
 
 def _straight_path(m: np.ndarray, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -441,7 +431,8 @@ def _infinitesimalize_transport(S: CartanConnection,
                                 path_factory=_straight_path) -> AlgebroidConnection:
     model = S.model
 
-    def nabla_many(M, V, family):
+    def nabla(M, V, family):
+        M, V = sample_stacks(model, M, V)
         # every sample's transports from both outer t-points run as one
         # stacked integration, member r along its sample's path
         taus, owner = _outer_members(M)
@@ -451,7 +442,7 @@ def _infinitesimalize_transport(S: CartanConnection,
                                 steps=4)
         return _outer_derivative(out)
 
-    return _stacked_route(model, nabla_many)
+    return AlgebroidConnection(model, nabla)
 
 
 def infinitesimalize_along(S: CartanConnection, path_factory) -> AlgebroidConnection:

@@ -58,8 +58,7 @@ def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
     stacks, through its .many."""
     M = np.asarray(M, dtype=float)
     K = frame.many(M)
-    columns = [lambda mm, a=a: frame(mm)[:, a] for a in range(rank)]
-    D = nabla.nabla_rows(M, W, columns, frame.many)
+    D = nabla.nabla_rows(M, W, frame.many)
     return K.transpose(0, 2, 1) @ D
 
 
@@ -358,7 +357,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     probe_pts = [m0 + np.array(offs) for offs in itertools.product(grid_axis[::4], repeat=n)]
     M = np.repeat(probe_pts, n, axis=0)
     V = np.tile(np.eye(n), (len(probe_pts), 1))
-    residuals.record("parallelism", nabla.nabla_rows(M, V, sections, sections_many))
+    residuals.record("parallelism", nabla.nabla_rows(M, V, sections_many))
 
     # the samples are drawn first, then every field is differentiated at all
     # of them in one stacked call

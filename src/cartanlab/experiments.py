@@ -381,10 +381,10 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
     def evaluate(M, V, X, scale, grad):
         # X is the family of the drawn sections; each route is one call over
         # all samples, an integrating route one RK4 integration
-        a = nd.nabla_many(M, V, X)
-        b = nf.nabla_many(M, V, X)
-        c = nt.nabla_many(M, V, X)
-        q = nq.nabla_many(M, V, X)
+        a = nd.nabla(M, V, X)
+        b = nf.nabla(M, V, X)
+        c = nt.nabla(M, V, X)
+        q = nq.nabla(M, V, X)
         flow_transport(b - c)
         direct_flow(a - b)
         direct_transport(a - c)
@@ -396,7 +396,7 @@ def run_nabla_compare(model, S, config, count) -> list[Check]:
         def fX(P, owner):
             return f(P, owner)[:, None] * X(P, owner)
 
-        lhs = nd.nabla_many(M, V, fX)
+        lhs = nd.nabla(M, V, fX)
         own = np.arange(len(M))
         rhs = matvecs(grad[:, None], V)[:, 0, None] * X(M, own) + f(M, own)[:, None] * a
         leibniz(lhs - rhs)
@@ -481,11 +481,15 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
 
     nw = nabla_omega(cc, model)
     nd = infinitesimalize(S, "direct-formula")
-    for _ in range(nabla_samples):
+
+    def draw_induced():
         m = sample_base_point(model, rng)
-        v = rng.uniform(-1.0, 1.0, size=model.n)
-        X = random_section(model, rng)
-        induced(nw(m, v, X).vec - nd(m, v, X).vec)
+        return m, rng.uniform(-1.0, 1.0, size=model.n), random_section(model, rng)
+
+    def evaluate_induced(M, V, X):  # X is the family of the drawn sections
+        induced(nw.nabla(M, V, X) - nd.nabla(M, V, X))
+
+    draw_then_evaluate(rng, nabla_samples, draw_induced, evaluate_induced)
 
     for _ in range(count):
         p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])

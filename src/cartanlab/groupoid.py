@@ -859,16 +859,6 @@ def section_family(X: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return family
 
 
-def family_member(family: Callable, a: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Section a of a family, with its stacked form as .many."""
-
-    def many(P: np.ndarray) -> np.ndarray:
-        P = np.asarray(P, dtype=float)
-        return family(P, np.full(len(P), a))
-
-    return batch_of_one(many)
-
-
 def family_rows(family: Callable, owner: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The sections of the rows of one stack, as one section-like callable:
     its .many(P), on a stack P of len(owner) points, is family(P, owner), so

@@ -24,15 +24,16 @@ from ..chartcalc import (
     differentiate,
     directional_derivative,
     jacobian_fd,
+    matvecs,
     stacked,
+    values_and_directional_derivatives,
     worst_case_min,
 )
-from ..connection import AlgebroidConnection, CartanConnection
+from ..connection import AlgebroidConnection, CartanConnection, sample_stacks
 from ..errors import SliceError, TransitivityError
 from ..groupoid import (
     GroupoidModel,
     Jets,
-    algebroid_vec,
     kernel_basis,
     right_translate_many,
     source_slot,
@@ -320,33 +321,44 @@ def nabla_omega(cc: ClassicalCartan, model: GroupoidModel) -> AlgebroidConnectio
         nabla_v Z = nabla-bar_{Z~} Y~ - [Z~, Y~]   at sigma(m),
 
     where Z~ is the H-invariant extension of the section Z and Y~ any invariant
-    field whose anchor is v at m."""
+    field whose anchor is v at m. Written on stacks, like every route: the
+    extensions read the bundle's stacked maps and W its omega_matrix.many
+    where it has one, and each of the three directional differences is one
+    call over all samples, each probe labelled with its sample."""
     k = cc.p_dim
     n = cc.n
+    omega_many = getattr(cc.omega_matrix, "many", None)
 
-    def invariant_extension(vec_of_m):
-        def field(p):
-            mm = cc.pi(p)
-            Dp = cc.h_act_jac_many(cc.sigma(mm)[None], cc.normalizer(p)[None])[0][0]
-            return Dp @ vec_of_m(mm)
+    def omega(P):
+        return stacked(cc.omega_matrix, omega_many, P)
+
+    def invariant_extension(vectors):
+        # vectors(base, owner): the field at the slice over each row's base point
+        def field(P, owner):
+            base = cc.pi_many(P)
+            Dp = cc.h_act_jac_many(cc.sigma_many(base), cc.normalizer_many(P))[0]
+            return matvecs(Dp, vectors(base, owner))
 
         return field
 
-    def nabla(m, v, Z):
-        p0 = cc.sigma(m)
-        Zf = invariant_extension(lambda mm: np.asarray(Z(mm), dtype=float)[:k])
-        Yf = invariant_extension(lambda mm: cc.sigma_jac_many(mm[None])[0] @ v)
-        z0 = Zf(p0)
+    def nabla(M, V, family):
+        M, V = sample_stacks(model, M, V)
+        own = np.arange(len(M))
+        P0 = cc.sigma_many(M)
+        Zf = invariant_extension(lambda base, owner: family(base, owner)[:, :k])
+        Yf = invariant_extension(lambda base, owner: matvecs(cc.sigma_jac_many(base), V[owner]))
 
-        def omega_of_Y(p):
-            return np.asarray(cc.omega_matrix(p), dtype=float) @ Yf(p)
+        def omega_of_Y(P, owner):
+            return matvecs(omega(P), Yf(P, owner))
 
-        dbar = np.linalg.solve(np.asarray(cc.omega_matrix(p0), dtype=float),
-                               directional_derivative(omega_of_Y, p0, z0))
-        bracket = (directional_derivative(Yf, p0, z0)
-                   - directional_derivative(Zf, p0, Yf(p0)))
-        val = dbar - bracket
-        return algebroid_vec(model, m, np.concatenate([val, np.zeros(n)]), check=False)
+        # Y~ at sigma(m) is the direction of Z~'s difference, and Z~ there
+        # the direction of the other two
+        Y0 = Yf(P0, own)
+        Z0, dZ = values_and_directional_derivatives(Zf, P0, Y0, owner=own)
+        _, dY = values_and_directional_derivatives(Yf, P0, Z0, owner=own)
+        _, dWY = values_and_directional_derivatives(omega_of_Y, P0, Z0, owner=own)
+        dbar = np.linalg.solve(omega(P0), dWY[..., None])[..., 0]
+        return np.concatenate([dbar - (dY - dZ), np.zeros((len(M), n))], axis=1)
 
     return AlgebroidConnection(model, nabla)
 

@@ -6,7 +6,7 @@ from pytest import raises
 
 from cartanlab.connection import check_multiplicative, infinitesimalize
 from cartanlab.errors import SliceError
-from cartanlab.chartcalc import differentiate
+from cartanlab.chartcalc import differentiate, directional_derivative
 from cartanlab.groupoid import (
     AffineSection,
     algebroid_vec,
@@ -238,20 +238,63 @@ def test_induced_connection_matches_infinitesimalization(bridge, rng):
         assert np.max(np.abs(a - nf(m, v, X).vec)) <= 1e-4
 
 
-def test_induced_connection_reads_stacks_row_by_row(bridge, rng):
-    # nabla_omega is written per sample: its stacked reads loop over it
-    cc, model, _ = bridge
+def _nabla_omega_per_sample(cc, m, v, Z):
+    """nabla_omega at one sample as it was computed before its stacked form:
+    each invariant extension point by point, each of the three directional
+    differences a directional_derivative of its own."""
+    k = cc.p_dim
+
+    def invariant_extension(vec_of_m):
+        def field(p):
+            mm = cc.pi(p)
+            Dp = cc.h_act_jac_many(cc.sigma(mm)[None], cc.normalizer(p)[None])[0][0]
+            return Dp @ vec_of_m(mm)
+
+        return field
+
+    p0 = cc.sigma(m)
+    Zf = invariant_extension(lambda mm: np.asarray(Z(mm), dtype=float)[:k])
+    Yf = invariant_extension(lambda mm: cc.sigma_jac_many(mm[None])[0] @ v)
+    z0 = Zf(p0)
+
+    def omega_of_Y(p):
+        return np.asarray(cc.omega_matrix(p), dtype=float) @ Yf(p)
+
+    dbar = np.linalg.solve(np.asarray(cc.omega_matrix(p0), dtype=float),
+                           directional_derivative(omega_of_Y, p0, z0))
+    bracket = (directional_derivative(Yf, p0, z0)
+               - directional_derivative(Zf, p0, Yf(p0)))
+    return np.concatenate([dbar - bracket, np.zeros(cc.n)])
+
+
+@pytest.mark.parametrize("recovered", [False, True], ids=["maurer-cartan", "recovered"])
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+def test_stacked_nabla_omega_rows_equal_the_per_sample_form(bridge, jacobians, recovered):
+    # one nabla call over a family of drawn sections, a zero direction among
+    # the samples, equals the per-sample form at each row bit for bit, on
+    # non-contiguous views too; a recovered parallelism has no omega_matrix.many
+    cc, model, S = bridge
+    if recovered:
+        cc = rebuild_classical(recover_omega(S, np.zeros(model.n)), cc)
+        assert not hasattr(cc.omega_matrix, "many")
+    if not jacobians:
+        model = model.without_jacobians()
     nw = nabla_omega(cc, model)
-    assert not nw.stacked and nw.nabla_batch is None
-    M = np.stack([sample_base_point(model, rng) for _ in range(2)])
-    V = rng.uniform(-1, 1, size=(2, 2))
-    sections = [random_section(model, rng) for _ in range(2)]
-    rows = nw.nabla_rows(M, V, sections)
-    many = nw.nabla_many(M, V, AffineSection.stack_of(sections))
-    for a in range(2):
-        assert np.array_equal(many[a], nw(M[a], V[a], sections[a]).vec)
-        for b, X in enumerate(sections):
-            assert np.array_equal(rows[a, :, b], nw(M[a], V[a], X).vec)
+    assert nw.nabla_batch is None
+    rng = np.random.default_rng(97)
+    M = np.stack([sample_base_point(model, rng) for _ in range(6)])
+    V = rng.uniform(-1, 1, size=(6, model.n))
+    V[2] = 0.0
+    sections = [random_section(model, rng) for _ in range(6)]
+    wide = np.concatenate([M, V], axis=1)
+    views = ((M, V, sections), (wide[:, :model.n], wide[:, model.n:], sections),
+             (M[::-2], V[::-2], sections[::-2]))
+    for Ms, Vs, Xs in views:
+        D = nw.nabla(Ms, Vs, AffineSection.stack_of(Xs))
+        assert D.shape == (len(Ms), model.N)
+        for a, X in enumerate(Xs):
+            assert np.array_equal(D[a], _nabla_omega_per_sample(cc, Ms[a], Vs[a], X)), a
+            assert np.array_equal(nw(Ms[a], Vs[a], X).vec, D[a]), a
 
 
 def test_bridge_fails_on_nan_curvature_magnitude(monkeypatch):

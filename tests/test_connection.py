@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import raises
@@ -731,13 +733,10 @@ def test_nabla_compare_fails_on_one_nan_flow_sample(zoo, monkeypatch):
         conn = real(S, method)
         if method != "flow-formula":
             return conn
-        calls = [0]
 
-        def nabla(m, v, X):
-            calls[0] += 1
-            out = conn.nabla(m, v, X)
-            if calls[0] == 2:
-                return algebroid_vec(model, m, np.full_like(out.vec, np.nan), check=False)
+        def nabla(M, V, family):  # the second sample's row reads NaN
+            out = conn.nabla(M, V, family).copy()
+            out[1] = np.nan
             return out
 
         return AlgebroidConnection(model, nabla)
@@ -769,7 +768,7 @@ def test_nabla_many_equals_nabla_per_section(name, jacobians):
         frame = aligned_frame(model, m)
         sections = [lambda mm, a=a: frame(mm)[:, a] for a in range(frame.rank)]
         sections.append(random_section(model, rng))
-        cols = nab.nabla_rows(m[None], v[None], sections)[0]
+        cols = nab.nabla_rows(m[None], v[None], section_values(sections))[0]
         for a, X in enumerate(sections):
             assert np.array_equal(cols[:, a], nab(m, v, X).vec)
 
@@ -799,7 +798,7 @@ def test_stacked_nabla_batch_rows_equal_nabla(name, jacobians):
         for a in range(len(Ms)):
             for b, X in enumerate(sections):
                 assert np.array_equal(D[a, :, b], nab(Ms[a], Vs[a], X).vec)
-    D = nab.nabla_rows(M, V, sections)  # section_values by default
+    D = nab.nabla_rows(M, V, section_values(sections))
     assert np.array_equal(D, nab.nabla_batch(M, V, section_values(sections)))
     assert not D[2].any()
 
@@ -829,14 +828,6 @@ def test_direct_nabla_equals_its_one_point_form(name, jacobians):
         assert np.array_equal(nab(m, v, X).vec, _direct_nabla_one_point(S, m, v, X))
 
 
-def test_nabla_many_loops_over_nabla_on_the_literal_routes(zoo):
-    model, S = zoo("se2-action")
-    nab = infinitesimalize(S, "parallel-transport")
-    m, v = np.array([0.1, -0.2]), np.array([0.4, 0.3])
-    X = random_section(model, np.random.default_rng(4))
-    assert np.array_equal(nab.nabla_rows(m[None], v[None], [X])[0, :, 0], nab(m, v, X).vec)
-
-
 def _routes(S):
     """The four connections nabla-compare compares, the bent path's as it
     builds it."""
@@ -852,7 +843,7 @@ def _routes(S):
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_route_rows_equal_the_one_sample_nabla(name, jacobians):
-    # one nabla_many call over a family of drawn sections, a zero direction
+    # one nabla call over a family of drawn sections, a zero direction
     # among the samples, equals each route's one-sample nabla at each row,
     # bit for bit; so do non-contiguous views of the stacks
     model, S = make_model(name)
@@ -868,32 +859,62 @@ def test_stacked_route_rows_equal_the_one_sample_nabla(name, jacobians):
     views = ((M, V, sections), (wide[:, :model.n], wide[:, model.n:], sections),
              (M[::-2], V[::-2], sections[::-2]))
     for route, nab in _routes(S).items():
-        assert nab.stacked, route
         for Ms, Vs, Xs in views:
-            D = nab.nabla_many(Ms, Vs, AffineSection.stack_of(Xs))
+            D = nab.nabla(Ms, Vs, AffineSection.stack_of(Xs))
             assert D.shape == (len(Ms), model.N)
             for a, X in enumerate(Xs):
                 assert np.array_equal(D[a], nab(Ms[a], Vs[a], X).vec), (route, a)
 
 
-def test_nabla_many_loops_over_nabla_on_a_connection_written_per_sample(zoo):
-    # a connection whose nabla takes one sample reads section a of the
-    # family at row a, one nabla call per row
+@pytest.mark.parametrize("route", ["flow", "transport"])
+def test_nabla_rows_without_nabla_batch_is_one_nabla_call(zoo, route):
+    # a route without a stacked form for several sections takes every
+    # (point, section) pair in one nabla call, whatever the numbers of
+    # points and sections; [a, :, b] is section b differentiated at M[a]
     model, S = zoo("se2-action")
-    nd = infinitesimalize(S, "direct-formula")
+    conn = _routes(S)[route]
+    assert conn.nabla_batch is None
     calls = []
 
-    def nabla(m, v, X):
-        calls.append(1)
-        return nd(m, v, X)
+    def nabla(M, V, family):
+        calls.append(len(M))
+        return conn.nabla(M, V, family)
 
-    rng = np.random.default_rng(79)
-    M = np.stack([sample_base_point(model, rng) for _ in range(3)])
-    V = rng.uniform(-1.0, 1.0, size=(3, model.n))
-    family = AffineSection.stack_of([random_section(model, rng) for _ in range(3)])
-    per_sample = AlgebroidConnection(model, nabla)
-    assert np.array_equal(per_sample.nabla_many(M, V, family), nd.nabla_many(M, V, family))
-    assert len(calls) == 3
+    counted = dataclasses.replace(conn, nabla=nabla)
+    rng = np.random.default_rng(83)
+    for k, s in ((1, 1), (1, 3), (3, 1), (3, 2)):
+        M = np.stack([sample_base_point(model, rng) for _ in range(k)])
+        V = rng.uniform(-1.0, 1.0, size=(k, model.n))
+        values_many = section_values([random_section(model, rng) for _ in range(s)])
+        calls.clear()
+        D = counted.nabla_rows(M, V, values_many)
+        assert calls == [k * s] and D.shape == (k, model.N, s)
+        for b in range(s):
+            X = batch_of_one(lambda P, b=b: values_many(P)[:, :, b])
+            for a in range(k):
+                assert np.array_equal(D[a, :, b], conn(M[a], V[a], X).vec), (k, s, a, b)
+
+
+@pytest.mark.parametrize("route", ["direct", "flow", "transport"])
+def test_nabla_refuses_points_and_directions_of_the_wrong_shape(zoo, route):
+    # one sample must be one point and one direction of dimension n, and a
+    # stacked call as many points as directions, all of dimension n
+    model, S = zoo("se2-action")
+    nab = _routes(S)[route]
+    X = random_section(model, np.random.default_rng(89))
+    m, v = np.array([0.1, -0.2]), np.array([0.4, 0.3])
+    for mm, vv in ((m[None], v), (m, v[None]), (m, np.append(v, 0.0)),
+                   (np.append(m, 0.0), v), (m[:1], v)):
+        with raises(DomainError):
+            nab(mm, vv, X)
+    family = AffineSection.stack_of([X, X])
+    M, V = np.stack([m, m]), np.stack([v, v])
+    for MM, VV in ((M, V[:1]), (M[:1], V), (M, np.pad(V, ((0, 0), (0, 1)))), (m, v),
+                   (M[:, :1], V[:, :1])):
+        with raises(DomainError):
+            nab.nabla(MM, VV, family)
+    with raises(DomainError):
+        nab.nabla_rows(M, V[:1], section_values([X]))
 
 
 def _rk4_integrations(monkeypatch, count):

@@ -29,7 +29,6 @@ from cartanlab.groupoid import (
     check_axioms,
     compose_bisections,
     extend_bisection,
-    family_member,
     family_rows,
     identity_jet,
     inv_tangent_many,
@@ -840,8 +839,8 @@ def test_random_section_rows_equal_single_calls(name, jacobians):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_section_family_rows_equal_each_drawn_section(name, jacobians):
     # row r of the drawn sections' family is section owner[r] at P[r], bit
-    # for bit, on stacks and non-contiguous views; so are a member's rows and
-    # the rows right_invariant_many reads through family_rows
+    # for bit, on stacks and non-contiguous views; so are the rows
+    # right_invariant_many reads through family_rows
     model = _frame_model(name, jacobians)
     rng = np.random.default_rng(61)
     sections = [random_section(model, rng) for _ in range(3)]
@@ -854,8 +853,6 @@ def test_section_family_rows_equal_each_drawn_section(name, jacobians):
         assert rows.shape == (len(stack), model.N)
         for p, a, row in zip(stack, own, rows):
             assert np.array_equal(row, sections[a](p))
-        for a, X in enumerate(sections):
-            assert np.array_equal(family_member(family, a).many(stack), X.many(stack))
     G = np.array([model.sample_arrow(rng).coords for _ in range(6)])
     for arrows in _views(G):
         own = owner[:len(arrows)]
