@@ -141,17 +141,24 @@ def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
                         np.asarray(x, dtype=float).reshape(1, -1), h)[0]
 
 
-def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP,
+                 owner: np.ndarray | None = None) -> np.ndarray:
     """Central-difference jacobians of func at each point of a stack X[k, n],
     one column per coordinate, all 2nk probes x ± h e in one func_many call
     (forward steps first, then by point and coordinate). jac[a] is
     C-contiguous and, when func_many's rows are func's values, equals the
-    jacobian at X[a] taken alone bit for bit."""
+    jacobian at X[a] taken alone bit for bit. With owner, a label per row of
+    X, func_many(P, labels) also gets the label of the row each probe steps
+    from, as in values_and_directional_derivatives."""
     X = np.asarray(X, dtype=float)
     k, n = X.shape
     steps = h * np.eye(n)
     probes = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(2 * k * n, n)
-    values = np.asarray(func_many(probes), dtype=float)
+    if owner is None:
+        values = func_many(probes)
+    else:
+        values = func_many(probes, np.tile(np.repeat(owner, n), 2))
+    values = np.asarray(values, dtype=float)
     values = values.reshape((2, k, n) + values.shape[1:])
     slopes = deriv_at_zero(lambda s: values[0] if s > 0 else values[1], h)
     return np.ascontiguousarray(slopes.transpose(0, *range(2, slopes.ndim), 1))
@@ -179,7 +186,6 @@ def newton_solve_many(func_many: Callable, Y: np.ndarray, X0: np.ndarray, start:
     live = np.arange(len(Y))
     owner, pick = np.unique(start, return_inverse=True)  # row a reads P[pick[a]]
     P = X0[owner]
-    n = X0.shape[1]
     for _ in range(NEWTON_ITERATIONS):
         R = np.asarray(func_many(P, owner), dtype=float)[pick] - Y[live]
         going = ~(np.max(np.abs(R), axis=1) < tol)
@@ -188,9 +194,7 @@ def newton_solve_many(func_many: Callable, Y: np.ndarray, X0: np.ndarray, start:
             return X
         kept, pick = np.unique(pick, return_inverse=True)
         P, owner = P[kept], owner[kept]
-        # jacobians_fd's probes run forward steps first, then by point and coordinate
-        probe_owner = np.tile(np.repeat(owner, n), 2)
-        J = jacobians_fd(lambda Q: func_many(Q, probe_owner), P)
+        J = jacobians_fd(func_many, P, owner=owner)
         X[live] = P[pick] - np.linalg.solve(J[pick], R[..., None])[..., 0]
         P, owner, pick = X[live], start[live], np.arange(len(live))
     raise NonFiniteError(f"Newton iteration from {X0[start[live[0]]]} did not reach "
@@ -252,18 +256,22 @@ def directional_derivative(func: Callable, x: np.ndarray, v: np.ndarray,
 
 
 def directional_derivatives(func_many: Callable, x: np.ndarray, V: np.ndarray,
-                            h: float = FD_STEP) -> np.ndarray:
+                            h: float = FD_STEP, owner: np.ndarray | None = None) -> np.ndarray:
     """Central-difference derivatives of func at x along each row of V, with
     func_many evaluating func on a stack of points in one call, each step
     taken along v / max|v|; a zero direction gives zero and takes no probe.
     Row a depends on V[a] (and x[a]) alone, bit for bit, when func_many's
     rows are func's values. x is one point for every direction, or a stack
     x[k, dim] of one base point per direction. All 2k probes go to func_many
-    together, the forward steps first."""
+    together, the forward steps first. With owner, a label per direction,
+    func_many(P, labels) also gets the label of the direction each row of P
+    probes, as in values_and_directional_derivatives."""
     x = np.asarray(x, dtype=float)
-    slopes = _moving_slopes(func_many, x, V, h)
+    slopes = _moving_slopes(func_many, x, V, h, owner)
     if slopes is None:  # no direction moves: one row gives the shape
-        return np.zeros((len(V),) + np.shape(func_many(x.reshape(-1, x.shape[-1])[:1]))[1:])
+        first = x.reshape(-1, x.shape[-1])[:1]
+        row = func_many(first) if owner is None else func_many(first, np.asarray(owner)[:1])
+        return np.zeros((len(V),) + np.shape(row)[1:])
     return slopes
 
 

@@ -28,7 +28,7 @@ from .connection import AlgebroidConnection, CartanConnection
 from .errors import FlatnessError
 from .groupoid import (
     Arrow,
-    algebroid_bracket,
+    algebroid_brackets,
     aligned_frame,
     anchor_matrices,
     sample_base_point,
@@ -44,7 +44,7 @@ TRANSPORT_CACHE_SIZE = 4096  # radial transport matrices a reconstruction keeps
 # -- frames and connection coefficients ----------------------------------------
 
 
-def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
+def connection_matrices(nabla: AlgebroidConnection, frame: Callable,
                         M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Coefficients of the covariant derivative of the frame at each point of
     a stack M[k, n] along W[a]: nabla_w e_a = sum_b Gamma[b, a] e_b, row a
@@ -62,11 +62,11 @@ def connection_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
     return K.transpose(0, 2, 1) @ D
 
 
-def connection_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
+def connection_matrix(nabla: AlgebroidConnection, frame: Callable,
                       m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The coefficients nabla_w e_a = sum_b Gamma[b, a] e_b at m:
     connection_matrices' batch of one."""
-    return connection_matrices(nabla, frame, rank, np.asarray(m, dtype=float)[None],
+    return connection_matrices(nabla, frame, np.asarray(m, dtype=float)[None],
                                np.asarray(w, dtype=float)[None])[0]
 
 
@@ -107,7 +107,7 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
     def gammas(P):
         # Gamma_j at each point of P along every coordinate direction j
         W = np.tile(np.eye(n), (len(P), 1))
-        G = connection_matrices(nabla, frame, r, np.repeat(P, n, axis=0), W)
+        G = connection_matrices(nabla, frame, np.repeat(P, n, axis=0), W)
         return G.reshape(len(P), n, r, r)
 
     G0 = gammas(m[None])[0]
@@ -222,10 +222,11 @@ class ReconstructionResult:
     residuals: dict
 
 
-def _transport_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
+def _transport_matrices(nabla: AlgebroidConnection, frame: Callable,
                         path_many: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
     """Parallel-transport matrices of the connection along a stack of paths
-    in frame coordinates, in one RK4 integration of a (k, rank, rank) state:
+    in frame coordinates, in one RK4 integration of a (k, r, r) state, r the
+    frame's rank:
     path_many(t) gives the k paths' points at time t as a (k, n) stack, and
     row a solves dY/dt = -Gamma(path_a(t), path_a'(t)) Y.
 
@@ -238,19 +239,19 @@ def _transport_matrices(nabla: AlgebroidConnection, frame: Callable, rank: int,
 
     def coefficients(t):
         t = float(t)  # the memo hands the node time over as a 0-d array
-        return -connection_matrices(nabla, frame, rank, np.asarray(path_many(t), dtype=float),
+        return -connection_matrices(nabla, frame, np.asarray(path_many(t), dtype=float),
                                     path_velocity(path_many, t))
 
     latest = memo_by_point(coefficients, size=1)
-    Y0 = np.tile(np.eye(rank), (len(path_many(0.0)), 1, 1))
+    Y0 = np.tile(np.eye(frame.rank), (len(path_many(0.0)), 1, 1))
     return rk4(lambda t, Y: latest(t) @ Y, Y0, 0.0, 1.0, steps)
 
 
-def _transport_matrix(nabla: AlgebroidConnection, frame: Callable, rank: int,
+def _transport_matrix(nabla: AlgebroidConnection, frame: Callable,
                       path: Callable[[float], np.ndarray], steps: int = 16) -> np.ndarray:
     """Parallel-transport matrix of the connection along one path in frame
     coordinates: _transport_matrices' batch of one."""
-    return _transport_matrices(nabla, frame, rank,
+    return _transport_matrices(nabla, frame,
                                lambda t: np.asarray(path(t), dtype=float)[None], steps)[0]
 
 
@@ -268,9 +269,11 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     The radial transports run stacked: the parallelism check and the anchor
     check each differentiate the sections at all their points at once, and
     the transports to all those points a memo has not seen run as one
-    _transport_matrices integration. The bracket at m0 reads the sections
-    through their stacked .many, one stacked transport per X^R call that
-    meets new points.
+    _transport_matrices integration. The brackets of all r(r-1)/2 pairs at
+    m0 are one algebroid_brackets call over the column family of the
+    sections, so the points they read that the memo has not seen take one
+    stacked transport per right_invariant_many call: the unit rows', then
+    the probes'.
     """
     model = nabla.model
     n = model.n
@@ -306,7 +309,7 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
         return path
 
     l_paths = (l_path(0), l_path(n - 1))
-    Y_a, Y_b = _transport_matrices(nabla, frame, r, lambda t: np.stack([p(t) for p in l_paths]))
+    Y_a, Y_b = _transport_matrices(nabla, frame, lambda t: np.stack([p(t) for p in l_paths]))
     path_dependence = float(np.max(np.abs(Y_a - Y_b)))
     if exceeds(path_dependence, FLATNESS_TOL):
         raise FlatnessError(
@@ -316,10 +319,10 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     # because the step count is fixed); repeated evaluation points hit a memo,
     # and a stack's new endpoints are transported together
     def radial(M):
-        return _transport_matrices(nabla, frame, r, lambda t: m0 + t * (M - m0))
+        return _transport_matrices(nabla, frame, lambda t: m0 + t * (M - m0))
 
     transport_to = memo_by_point(
-        lambda m: _transport_matrix(nabla, frame, r, lambda t: m0 + t * (m - m0)),
+        lambda m: _transport_matrix(nabla, frame, lambda t: m0 + t * (m - m0)),
         TRANSPORT_CACHE_SIZE, func_many=radial)
 
     def section_rows(P):  # (len(P), r, N): row [p, a] is section a at P[p]
@@ -330,6 +333,9 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     def sections_many(P):  # (len(P), N, r)
         return section_rows(P).transpose(0, 2, 1)
 
+    def section_columns(P, owner):  # row p is section owner[p] at P[p]
+        return section_rows(P)[np.arange(len(P)), owner]
+
     def fields_many(P):  # (len(P), r, n): row [p, a] is the anchor of section a at P[p]
         return matvecs(anchor_matrices(model, P)[:, None], section_rows(P))
 
@@ -338,15 +344,16 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     sections = [batch_of_one(lambda P, a=a: sections_many(P)[:, :, a]) for a in range(r)]
     fields = [batch_of_one(lambda P, a=a: fields_many(P)[:, a]) for a in range(r)]
 
-    # structure constants from the bracket at m0 (transport matrix there = id)
+    # structure constants from the brackets of every pair at m0 (transport
+    # matrix there = id), all in one call
     K0 = frame(m0)
     c = np.zeros((r, r, r))
-    for a in range(r):
-        for b in range(a + 1, r):
-            val = algebroid_bracket(model, sections[a], sections[b], m0).vec
-            coeffs, *_ = np.linalg.lstsq(K0, val, rcond=None)
-            c[a, b] = coeffs
-            c[b, a] = -coeffs
+    pairs = np.array(list(itertools.combinations(range(r), 2)), dtype=int).reshape(-1, 2)
+    brackets = algebroid_brackets(model, section_columns, pairs, np.tile(m0, (len(pairs), 1)))
+    for (a, b), val in zip(pairs, brackets):
+        coeffs, *_ = np.linalg.lstsq(K0, val, rcond=None)
+        c[a, b] = coeffs
+        c[b, a] = -coeffs
 
     residuals = WorstErrors(("jacobi", "anchor_hom", "parallelism", "path_dependence"))
     residuals.record("jacobi", _jacobi_residual(c))

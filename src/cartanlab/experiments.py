@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 
-from .chartcalc import WorstErrors, draw_then_evaluate, jacobian_fd, matvecs, worst_case_min
+from .chartcalc import WorstErrors, draw_then_evaluate, jacobians_fd, matvecs, worst_case_min
 from .connection import (
     UNITAL_SAMPLES,
     check_multiplicative,
@@ -22,7 +22,8 @@ from .connection import (
 from .curvature import flatness_experiment, reconstruct_action
 from .errors import CartanLabError, ConfigError, NotABisectionError
 from .groupoid import (
-    algebroid_bracket,
+    AffineSection,
+    algebroid_brackets,
     aligned_frame,
     anchor_matrices,
     check_axioms,
@@ -169,20 +170,30 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
 
     draw_kernels_then_evaluate(rng, count, draw, evaluate)
 
-    for _ in range(bracket_samples):
-        X = random_section(model, rng)
-        Y = random_section(model, rng)
-        m = sample_base_point(model, rng)
-        bracket = algebroid_bracket(model, X, Y, m)
-        lhs = model.Ttgt(model.unit(m)) @ bracket.vec
+    def draw_bracket_sample():
+        X, Y = random_section(model, rng), random_section(model, rng)
+        return X, Y, sample_base_point(model, rng)
 
-        def anchored(sec):
-            return lambda mm: model.Ttgt(model.unit(mm)) @ np.asarray(sec(mm), dtype=float)
+    def evaluate_brackets(X, Y, M):
+        # one family of the 2k drawn sections, X_a as member a and Y_a as
+        # member k + a; [X, Y] then [X, X] at every sample in one call
+        k = len(M)
+        family = AffineSection.stack_of(X.sections + Y.sections)
+        xs, own = np.arange(k), np.arange(2 * k)
+        both = np.concatenate([M, M])
+        pairs = np.stack([np.concatenate([xs, xs]), np.concatenate([xs + k, xs])], axis=1)
+        B = algebroid_brackets(model, family, pairs, both)
+        A = anchor_matrices(model, M)
 
-        Xa, Ya = anchored(X), anchored(Y)
-        rhs = jacobian_fd(Ya, m) @ Xa(m) - jacobian_fd(Xa, m) @ Ya(m)
-        anchor(lhs - rhs)
-        antisymmetry(algebroid_bracket(model, X, X, m).vec)
+        def anchored(P, owner):
+            return matvecs(anchor_matrices(model, P), family(P, owner))
+
+        F = matvecs(np.concatenate([A, A]), family(both, own))  # anchors of X_a, then Y_a
+        J = jacobians_fd(anchored, both, owner=own)
+        anchor(matvecs(A, B[:k]) - (matvecs(J[k:], F[:k]) - matvecs(J[:k], F[k:])))
+        antisymmetry(B[k:])
+
+    draw_then_evaluate(rng, bracket_samples, draw_bracket_sample, evaluate_brackets)
     return checks.build()
 
 

@@ -218,6 +218,12 @@ class GroupoidModel:
         A = self.constant_Tsrc
         return None if A is None else read_only(_kernel_basis(A))
 
+    @cached_property
+    def section_frame(self) -> Callable[[np.ndarray], np.ndarray]:
+        """aligned_frame at the centre of the base box, built once: the frame
+        every random_section of the model is made on."""
+        return aligned_frame(self, 0.5 * (self.base_box[:, 0] + self.base_box[:, 1]))
+
     def Ttgt(self, coords: np.ndarray) -> np.ndarray:
         return differentiate(self.tgt, coords)
 
@@ -272,9 +278,13 @@ def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
 def base_points(model: GroupoidModel, P: np.ndarray, ndim: int = 2) -> np.ndarray:
     """P as float base points of dimension n: a stack P[k, n] (ndim 2) or one
     point (ndim 1). Raises DomainError for any other shape."""
+    return _points_of_dimension(model.n, P, ndim)
+
+
+def _points_of_dimension(n: int, P: np.ndarray, ndim: int) -> np.ndarray:
     P = np.asarray(P, dtype=float)
-    if P.ndim != ndim or P.shape[-1:] != (model.n,):
-        raise DomainError(f"expected base points of dimension {model.n}, got shape {P.shape}")
+    if P.ndim != ndim or P.shape[-1:] != (n,):
+        raise DomainError(f"expected base points of dimension {n}, got shape {P.shape}")
     return P
 
 
@@ -485,27 +495,48 @@ def outer_fd_step(model: GroupoidModel) -> float:
     return FD_STEP if model.has_jacobians else 5e-4
 
 
+def algebroid_brackets(model: GroupoidModel, family: Callable, pairs: np.ndarray,
+                       M: np.ndarray) -> np.ndarray:
+    """Lie brackets of pairs of sections of one owner-indexed family
+    (family(P, owner), as AffineSection.stack_of and section_family build
+    it), computed from their right-invariant extensions: row a of the
+    (k, N) result is [X, Y] = (D Y^R . X^R - D X^R . Y^R)(unit(M[a])) for
+    X = family_{pairs[a, 0]} and Y = family_{pairs[a, 1]}, the outer
+    derivative at outer_fd_step(model).
+
+    Two right_invariant_many calls whatever k, each reading its rows through
+    their owners' sections (family_rows): one over the 2k unit rows, X^R and
+    Y^R, then one over the probes of both directional differences of every
+    pair (of one row, for the shape, when no field moves; an empty stack
+    calls nothing). Row a equals the bracket of pair a alone bit for bit.
+    Raises DomainError when M is not a stack of points of dimension n."""
+    M = base_points(model, M)
+    if not len(M):
+        return np.zeros((0, model.N))
+    pairs = np.asarray(pairs)
+    units = np.tile(model.unit.many(M), (2, 1))
+    owner = pairs.T.reshape(-1)  # the X of every pair, then every Y
+
+    def fields(G, labels):
+        return right_invariant_many(model, family_rows(family, labels), G)
+
+    # D Y^R along X^R(u) in the first k rows, D X^R along Y^R(u) in the last k
+    slopes = directional_derivatives(fields, units, fields(units, owner),
+                                     outer_fd_step(model), owner=pairs[:, ::-1].T.reshape(-1))
+    return slopes[:len(M)] - slopes[len(M):]
+
+
 def algebroid_bracket(model: GroupoidModel,
                       X: Callable[[np.ndarray], np.ndarray],
                       Y: Callable[[np.ndarray], np.ndarray],
                       m: np.ndarray) -> AlgebroidVec:
-    """Lie bracket of two algebroid sections at m, computed from their
-    right-invariant extensions: [X, Y] = (D Y^R . X^R - D X^R . Y^R)(unit(m)),
-    with the outer derivative at outer_fd_step(model).
-    """
-    m = np.asarray(m, dtype=float)
-    u = model.unit(m)[None]
-
-    def XR(G):
-        return right_invariant_many(model, X, G)
-
-    def YR(G):
-        return right_invariant_many(model, Y, G)
-
-    # each directional difference takes its two probes in one stacked call
-    h = outer_fd_step(model)
-    val = directional_derivatives(YR, u, XR(u), h) - directional_derivatives(XR, u, YR(u), h)
-    return algebroid_vec(model, m, val[0], check=False)
+    """Lie bracket of two algebroid sections at m: algebroid_brackets' batch
+    of one over the family of X and Y (section_family), so two
+    right_invariant_many calls. Raises DomainError when m is not a point of
+    dimension n."""
+    m = base_points(model, m, 1)
+    val = algebroid_brackets(model, section_family(X, Y), np.array([[0, 1]]), m[None])[0]
+    return algebroid_vec(model, m, val, check=False)
 
 
 # -- bisection-jet oracle ----------------------------------------------------
@@ -749,9 +780,12 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     the A of all its rows in one differentiate_many call.
     """
     E_ref = kernel_basis(model, ref_point)
+    # the frame keeps the maps it reads, not the model: a model holding its
+    # section_frame makes no reference cycle, so it is freed with its last reference
+    n, N, src, unit = model.n, model.N, model.src, model.unit
 
     def project(A: np.ndarray) -> np.ndarray:
-        P = np.eye(model.N) - np.linalg.pinv(A) @ A  # projector onto ker A
+        P = np.eye(N) - np.linalg.pinv(A) @ A  # projector onto ker A
         E = P @ E_ref
         gram = E.T @ E
         det = float(np.linalg.det(gram))
@@ -765,27 +799,27 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
         rows = repeated_rows(K)
 
         def frame(m: np.ndarray) -> np.ndarray:
-            base_points(model, m, 1)
+            _points_of_dimension(n, m, 1)
             return K
 
         def frame_many(P: np.ndarray) -> np.ndarray:
-            return rows(len(base_points(model, P)))
+            return rows(len(_points_of_dimension(n, P, 2)))
     else:
         projection = memo_by_point(project, PROJECTION_CACHE_SIZE)
 
         def frame(m: np.ndarray) -> np.ndarray:
-            m = base_points(model, m, 1)
+            m = _points_of_dimension(n, m, 1)
             try:
-                return projection(model.Tsrc(model.unit(m)))
+                return projection(differentiate(src, unit(m)))
             except FrameError as exc:
                 raise FrameError(f"kernel frame degenerated at {m} ({exc})") from None
 
         def frame_many(P: np.ndarray) -> np.ndarray:
             # Tsrc(unit(m)) of every row in one stacked call; a degenerate
             # row reruns the rows one by one, so the error names its point
-            P = base_points(model, P)
+            P = _points_of_dimension(n, P, 2)
             try:
-                return projection.many(differentiate_many(model.src, model.unit.many(P)))
+                return projection.many(differentiate_many(src, unit.many(P)))
             except FrameError:
                 return np.stack([frame(m) for m in P])
 
@@ -826,7 +860,8 @@ class AffineSection:
         row r equals that section at P[r] alone bit for bit. Every
         random_section of a model is built on the one frame at the box
         centre, so the family reads the first one's, and only the
-        coefficients stack."""
+        coefficients stack. The family carries the sections as .sections,
+        so families join: stack_of(F.sections + G.sections)."""
         frame = sections[0].frame
         C0 = np.array([X.c0 for X in sections])
         C1 = np.array([X.c1 for X in sections])
@@ -835,26 +870,42 @@ class AffineSection:
             P = np.asarray(P, dtype=float)
             return matvecs(frame.many(P), C0[owner] + matvecs(C1[owner], P))
 
+        family.sections = tuple(sections)
         return family
 
 
 def random_section(model: GroupoidModel, rng: np.random.Generator) -> AffineSection:
-    """A smooth random algebroid section: the kernel frame at the box centre
-    times affine coefficients, with its stacked form as .many, row a of
-    X.many(P) equal to X(P[a]) bit for bit."""
-    ref = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
-    frame = aligned_frame(model, ref)
+    """A smooth random algebroid section: the model's section_frame, the
+    kernel frame at the box centre, times affine coefficients, with its
+    stacked form as .many, row a of X.many(P) equal to X(P[a]) bit for bit."""
+    frame = model.section_frame
     c0 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=frame.rank)
     c1 = rng.uniform(-SECTION_SCALE, SECTION_SCALE, size=(frame.rank, model.n))
     return AffineSection(frame, c0, c1)
 
 
-def section_family(X: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """The family of one section X: row r is X at P[r] whatever owner[r],
-    through X.many where X has one, X row by row otherwise."""
+def section_family(*sections: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """The family of the sections: row r is sections[owner[r]] at P[r], each
+    section read at its rows in one call, through its .many where it has one,
+    row by row otherwise. The family of one section reads every row through
+    it, whatever owner[r]."""
+
+    def read(X, P):
+        return stacked(X, getattr(X, "many", None), P)
 
     def family(P: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return stacked(X, getattr(X, "many", None), np.asarray(P, dtype=float))
+        P = np.asarray(P, dtype=float)
+        if len(sections) == 1:
+            return read(sections[0], P)
+        out = None
+        for a, X in enumerate(sections):
+            rows = np.flatnonzero(owner == a)
+            if rows.size:
+                values = read(X, P[rows])
+                if out is None:
+                    out = np.empty((len(P),) + values.shape[1:])
+                out[rows] = values
+        return out
 
     return family
 

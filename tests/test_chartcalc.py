@@ -21,6 +21,7 @@ from cartanlab.chartcalc import (
     flow,
     flow_with_tangent,
     jacobian_fd,
+    jacobians_fd,
     memo_by_point,
     newton_solve,
     newton_solve_many,
@@ -470,6 +471,29 @@ def test_directional_derivatives_take_one_base_point_per_direction():
     values, slopes = values_and_directional_derivatives(func_many, X, np.zeros((3, 2)))
     assert calls == [3]
     assert np.array_equal(values, [func(x) for x in X]) and np.array_equal(slopes, np.zeros((3, 3)))
+
+
+def test_finite_differences_label_each_probe_with_its_owner():
+    # a family of functions, member b scaled by b + 1: with owner, the
+    # jacobians and the directional derivatives read each probe through the
+    # member of the row it steps from, each row equal to that member alone
+    def member(b):
+        return lambda x: (b + 1.0) * np.array([np.sin(x[0]) * x[1], x @ x])
+
+    def family(P, labels):
+        return np.stack([member(b)(p) for p, b in zip(P, labels)])
+
+    X = np.array([[0.3, -0.7], [0.1, 0.2], [-0.4, 0.5]])
+    owner = np.array([2, 0, 1])
+    J = jacobians_fd(family, X, owner=owner)
+    for a, b in enumerate(owner):
+        assert np.array_equal(J[a], jacobian_fd(member(b), X[a]))
+    V = np.array([[1.0, 0.5], [0.0, 0.0], [-2.0, 3.0]])
+    D = directional_derivatives(family, X, V, owner=owner)
+    for a, b in enumerate(owner):
+        assert np.array_equal(D[a], directional_derivative(member(b), X[a], V[a]))
+    assert np.array_equal(directional_derivatives(family, X, np.zeros((3, 2)), owner=owner),
+                          np.zeros((3, 2)))
 
 
 def test_rk4_with_per_member_start_times_equals_each_member_alone():

@@ -175,9 +175,9 @@ def test_reconstruct_refuses_curved_connection(zoo):
         reconstruct_action(nab, m0, sample_count=2)
 
 
-def _four_evaluation_transport(nabla, frame, rank, path, steps=16):
+def _four_evaluation_transport(nabla, frame, path, steps=16):
     """Reference RK4 transport that evaluates the coefficient at every stage."""
-    Y = np.eye(rank)
+    Y = np.eye(frame.rank)
     h = 1.0 / steps
     dt = 1e-6
 
@@ -186,7 +186,7 @@ def _four_evaluation_transport(nabla, frame, rank, path, steps=16):
                 - np.asarray(path(t - dt), dtype=float)) / (2 * dt)
 
     def rhs(t, Y):
-        return -connection_matrix(nabla, frame, rank, np.asarray(path(t), dtype=float), gdot(t)) @ Y
+        return -connection_matrix(nabla, frame, np.asarray(path(t), dtype=float), gdot(t)) @ Y
 
     t = 0.0
     for _ in range(steps):
@@ -226,16 +226,16 @@ def test_transport_evaluates_coefficients_once_per_node(zoo, monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(len(args[3]))
+        calls.append(len(args[2]))
         return connection_matrices(*args)
 
     monkeypatch.setattr(curvature_mod, "connection_matrices", counting)
     m1 = m0 + 0.15
-    _transport_matrix(nab, frame, frame.rank, lambda t: m0 + t * (m1 - m0), steps=16)
+    _transport_matrix(nab, frame, lambda t: m0 + t * (m1 - m0), steps=16)
     assert calls == [1] * (2 * 16 + 1)
     ends = m0 + np.array([[0.15, 0.15], [-0.1, 0.05], [0.0, 0.2]])
     del calls[:]
-    _transport_matrices(nab, frame, frame.rank, lambda t: m0 + t * (ends - m0), steps=16)
+    _transport_matrices(nab, frame, lambda t: m0 + t * (ends - m0), steps=16)
     assert calls == [3] * (2 * 16 + 1)
 
 
@@ -247,8 +247,8 @@ def test_transport_matches_four_evaluation_rk4_exactly(zoo, name):
     paths = [_l_path(m0, m0 + np.full(model.n, 0.2)),
              lambda t: m0 + t * offset]
     for path in paths:
-        new = _transport_matrix(nab, frame, r, path)
-        old = _four_evaluation_transport(nab, frame, r, path)
+        new = _transport_matrix(nab, frame, path)
+        old = _four_evaluation_transport(nab, frame, path)
         assert np.array_equal(new, old)
 
 
@@ -258,28 +258,28 @@ def test_transport_matrices_rows_equal_the_four_evaluation_transport(zoo, name):
     model, nab, m0, frame = _transport_setup(zoo, name)
     r = frame.rank
     ends = m0 + np.array([[0.2, -0.1], [-0.15, 0.05], [0.0, 0.0]])
-    Y = _transport_matrices(nab, frame, r, lambda t: m0 + t * (ends - m0))
+    Y = _transport_matrices(nab, frame, lambda t: m0 + t * (ends - m0))
     for a, end in enumerate(ends):
         path = lambda t: m0 + t * (end - m0)
-        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, r, path))
+        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, path))
     assert np.array_equal(Y[2], np.eye(r))
     corner = m0 + 0.2
     paths = [_l_path(m0, corner), _l_path(m0[::-1], corner[::-1])]
     flipped = lambda t: paths[1](t)[::-1]  # the L-path along the last axis first
-    Y = _transport_matrices(nab, frame, r, lambda t: np.stack([paths[0](t), flipped(t)]))
+    Y = _transport_matrices(nab, frame, lambda t: np.stack([paths[0](t), flipped(t)]))
     for a, path in enumerate((paths[0], flipped)):
-        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, r, path))
+        assert np.array_equal(Y[a], _four_evaluation_transport(nab, frame, path))
 
 
 def test_transport_raises_on_non_finite_coefficients(zoo, monkeypatch):
     _, nab, m0, frame = _transport_setup(zoo, "isojet-sphere")
     r = frame.rank
     monkeypatch.setattr(curvature_mod, "connection_matrices",
-                        lambda nabla, frame, rank, M, W: np.full((len(M), r, r), np.nan))
+                        lambda nabla, frame, M, W: np.full((len(M), r, r), np.nan))
     with raises(NonFiniteError):
-        _transport_matrix(nab, frame, r, lambda t: m0 + t * 0.1)
+        _transport_matrix(nab, frame, lambda t: m0 + t * 0.1)
     with raises(NonFiniteError):
-        _transport_matrices(nab, frame, r, lambda t: m0 + t * np.array([[0.1, 0.0], [0.0, 0.1]]))
+        _transport_matrices(nab, frame, lambda t: m0 + t * np.array([[0.1, 0.0], [0.0, 0.1]]))
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
@@ -300,29 +300,35 @@ def test_connection_matrices_rows_equal_connection_matrix(name, jacobians):
     r = frame.rank
     wide = np.concatenate([M, W], axis=1)
     for Ms, Ws in ((M, W), (wide[:, :n], wide[:, n:]), (M[::-2], W[::-2])):
-        G = connection_matrices(nab, frame, r, Ms, Ws)
+        G = connection_matrices(nab, frame, Ms, Ws)
         assert G.shape == (len(Ms), r, r)
         # the stacked K.T @ D rounds as the product at each row alone
         D = nab.nabla_rows(Ms, Ws, frame.many)
         for a in range(len(Ms)):
-            assert np.array_equal(G[a], connection_matrix(nab, frame, r, Ms[a], Ws[a]))
+            assert np.array_equal(G[a], connection_matrix(nab, frame, Ms[a], Ws[a]))
             assert np.array_equal(G[a], frame(Ms[a]).T @ D[a])
-    assert not connection_matrices(nab, frame, r, M, W)[1].any()
+    assert not connection_matrices(nab, frame, M, W)[1].any()
 
 
 def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
     # the two L-paths, the parallelism stencils with their centres, the anchor
     # probes and the anchor samples each take one stacked transport; the
-    # bracket at m0 reads the sections in stacks, so the 5 points it needs
-    # that miss the memo take 3 stacked transports: m0, then the two probes
-    # along each of two sections' fields (the third section's probes hit)
+    # brackets of all pairs at m0 are one algebroid_brackets call, so the 5
+    # points they need that miss the memo take 2 stacked transports: m0 for
+    # the unit rows, then the two probes along each of two sections' fields
+    # (the third section's probes stay at m0)
     model, S = zoo("isojet-sphere")
-    members, singles = [], []
+    members, singles, brackets = [], [], []
     transport_matrices, transport_matrix = _transport_matrices, _transport_matrix
+    real_brackets = curvature_mod.algebroid_brackets
 
-    def counting_many(nabla, frame, rank, path_many, steps=16):
+    def counting_brackets(*args):
+        brackets.append(len(args[2]))
+        return real_brackets(*args)
+
+    def counting_many(nabla, frame, path_many, steps=16):
         members.append(len(path_many(0.0)))
-        return transport_matrices(nabla, frame, rank, path_many, steps)
+        return transport_matrices(nabla, frame, path_many, steps)
 
     def counting_one(*args, **kwargs):
         singles.append(1)
@@ -330,9 +336,11 @@ def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
 
     monkeypatch.setattr(curvature_mod, "_transport_matrices", counting_many)
     monkeypatch.setattr(curvature_mod, "_transport_matrix", counting_one)
+    monkeypatch.setattr(curvature_mod, "algebroid_brackets", counting_brackets)
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
     reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
-    assert not singles and members == [2, 1, 2, 2, 45, 4 * 5, 5]
+    assert not singles and members == [2, 1, 4, 45, 4 * 5, 5]
+    assert brackets == [3]  # the r(r - 1)/2 pairs of r = 3 sections
 
 
 def _opened_reconstruction(name, jacobians, monkeypatch):
@@ -551,7 +559,7 @@ def test_reconstruction_refuses_a_nan_holonomy(zoo, monkeypatch):
     # matrix is planted
     _, S = zoo("pair-R2")
     monkeypatch.setattr(curvature_mod, "_transport_matrices",
-                        lambda nabla, frame, rank, path_many: np.full((2, rank, rank), np.nan))
+                        lambda nabla, frame, path_many: np.full((2, frame.rank, frame.rank), np.nan))
     with raises(FlatnessError, match="holonomy"):
         reconstruct_action(infinitesimalize(S), np.zeros(2), sample_count=1)
 
@@ -564,7 +572,7 @@ def _curvature_by_directions(nabla, m):
     eye = np.eye(n)
 
     def gamma(point, i):
-        return connection_matrix(nabla, frame, r, point, eye[i])
+        return connection_matrix(nabla, frame, point, eye[i])
 
     G0 = [gamma(m, i) for i in range(n)]
     dG = np.empty((n, n, r, r))

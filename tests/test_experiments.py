@@ -4,11 +4,11 @@ import logging
 import numpy as np
 import pytest
 
-from cartanlab import chartcalc, experiments, jetalg
-from cartanlab.chartcalc import WorstErrors
+from cartanlab import chartcalc, experiments, groupoid, jetalg
+from cartanlab.chartcalc import WorstErrors, jacobian_fd
 from cartanlab.connection import CartanConnection, infinitesimalize, infinitesimalize_along
 from cartanlab.errors import CartanLabError, EscapeError, SamplingError
-from cartanlab.groupoid import AffineSection
+from cartanlab.groupoid import AffineSection, algebroid_bracket
 from cartanlab.jetalg import KernelHom, KernelHoms
 from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
@@ -312,9 +312,12 @@ def _run_recording_draws(experiment, model, S, config, per_sample):
 
 def _field_bytes(field) -> list[bytes]:
     """A stacked field as bytes, row by row; a KernelHoms as its points and
-    its matrices."""
+    its matrices, a family of drawn sections (AffineSection.stack_of, as
+    jet-axioms' bracket block draws them) as their affine coefficients."""
     if isinstance(field, KernelHoms):
         return [m.tobytes() + phi.tobytes() for m, phi in zip(field.m, field.phi)]
+    if hasattr(field, "sections"):
+        return [X.c0.tobytes() + X.c1.tobytes() for X in field.sections]
     return [row.tobytes() for row in np.asarray(field)]
 
 
@@ -345,3 +348,124 @@ def test_stacked_kernel_draws_equal_the_per_sample_loop(experiment, name, jacobi
                                            for row in _field_bytes(one[a])]
     if floor is not None:
         assert rejected > 0
+
+
+# -- jet-axioms' bracket block: one stacked bracket call against the loop ------
+
+BRACKET_CHECKS = ("anchor-bracket-homomorphism", "bracket-antisymmetry")
+
+
+def _bracket_block_per_sample(model, rng, count):
+    """jet-axioms' bracket block as its per-sample loop computed it: each
+    sample drawn, then [X, Y], one jacobian_fd of each anchored section and
+    [X, X] on that sample alone."""
+    worst = WorstErrors(BRACKET_CHECKS)
+    for _ in range(count):
+        X = experiments.random_section(model, rng)
+        Y = experiments.random_section(model, rng)
+        m = experiments.sample_base_point(model, rng)
+        bracket = algebroid_bracket(model, X, Y, m)
+        lhs = model.Ttgt(model.unit(m)) @ bracket.vec
+
+        def anchored(sec):
+            return lambda mm: model.Ttgt(model.unit(mm)) @ np.asarray(sec(mm), dtype=float)
+
+        Xa, Ya = anchored(X), anchored(Y)
+        rhs = jacobian_fd(Ya, m) @ Xa(m) - jacobian_fd(Xa, m) @ Ya(m)
+        worst.record("anchor-bracket-homomorphism", lhs - rhs)
+        worst.record("bracket-antisymmetry", algebroid_bracket(model, X, X, m).vec)
+    return dict(worst)
+
+
+def _recording_rng_states(monkeypatch):
+    """Patch the experiments' draw_then_evaluate to record the rng state each
+    call starts from; jet-axioms' bracket block is its last call. Returns
+    the list the states go to."""
+    states = []
+    real = experiments.draw_then_evaluate
+
+    def recording(rng, count, draw, evaluate, replay=None):
+        states.append(rng.bit_generator.state)
+        real(rng, count, draw, evaluate, replay)
+
+    monkeypatch.setattr(experiments, "draw_then_evaluate", recording)
+    return states
+
+
+def _generator_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_jet_axioms_brackets_equal_the_per_sample_loop(name, jacobians, monkeypatch):
+    model, S = _model_and_connection(name, jacobians)
+    config = ExperimentConfig(model=name, experiment="jet-axioms", seed=37)
+    states = _recording_rng_states(monkeypatch)
+    checks = {c.name: c.max_error for c in experiments.run_jet_axioms(model, S, config, 4)}
+    looped = _bracket_block_per_sample(model, _generator_at(states[-1]), 5)
+    assert {name: checks[name] for name in BRACKET_CHECKS} == looped
+
+
+def test_jet_axioms_makes_as_many_right_invariant_calls_whatever_the_count(monkeypatch):
+    # 5 and 10 bracket samples: the stacked brackets' two calls either way
+    model, S = make_model("se2-action")
+    config = ExperimentConfig(model="se2-action", experiment="jet-axioms", seed=37)
+    real = groupoid.right_invariant_many
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(groupoid, "right_invariant_many", counting)
+    made = []
+    for count in (4, 40):
+        del calls[:]
+        experiments.run_jet_axioms(model, S, config, count)
+        made.append(list(calls))
+    assert made == [[4 * 5, 8 * 5], [4 * 10, 8 * 10]]
+
+
+JET_AXIOMS_ABORT = ExperimentConfig(model="se2-action", experiment="jet-axioms", seed=13,
+                                    sample_count=24)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("poison", [{1: "nan", 4: "raise"}, {1: "raise", 4: "nan"},
+                                    {4: "nan"}], ids=["nan-first", "raise-first", "nan-late"])
+def test_a_jet_axioms_bracket_abort_names_what_the_per_sample_loop_meets_first(poison,
+                                                                                 monkeypatch):
+    # a NaN base point fails the sample's bracket in the evaluation, after
+    # every draw; a raising draw fails in the draws. Keyed on the drawn
+    # point, so a rerun of the samples meets the same poison
+    real = experiments.sample_base_point
+    points = []
+
+    def recording(model, rng):
+        points.append(real(model, rng))
+        return points[-1]
+
+    monkeypatch.setattr(experiments, "sample_base_point", recording)
+    assert not experiments.run(JET_AXIOMS_ABORT).checks[0].name.startswith("aborted")
+    poisoned = [(points[a], how) for a, how in poison.items()]
+
+    def drawing(model, rng):
+        m = real(model, rng)
+        how = next((how for p, how in poisoned if np.array_equal(p, m)), None)
+        if how == "raise":
+            raise SamplingError(f"draw at {m}")
+        return np.full_like(m, np.nan) if how == "nan" else m
+
+    monkeypatch.setattr(experiments, "sample_base_point", drawing)
+    states = _recording_rng_states(monkeypatch)
+    aborted = experiments.run(JET_AXIOMS_ABORT).checks
+    model, _ = make_model(JET_AXIOMS_ABORT.model)
+    with pytest.raises(CartanLabError) as first:
+        _bracket_block_per_sample(model, _generator_at(states[-1]), len(points))
+    assert [(c.name, c.detail) for c in aborted] == [
+        (f"aborted[{type(first.value).__name__}]", str(first.value))]
+    assert type(first.value).__name__ == {"raise": "SamplingError",
+                                          "nan": "CompositionError"}[poison[min(poison)]]

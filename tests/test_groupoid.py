@@ -1,13 +1,22 @@
 import dataclasses
 import functools
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 from pytest import raises
 
 from cartanlab import groupoid
-from cartanlab.chartcalc import FD_STEP, ChartMap, WorstErrors, jacobian_fd, newton_solve
+from cartanlab.chartcalc import (
+    FD_STEP,
+    ChartMap,
+    WorstErrors,
+    directional_derivatives,
+    jacobian_fd,
+    newton_solve,
+)
 from cartanlab.errors import (
     CompositionError,
     DomainError,
@@ -22,6 +31,7 @@ from cartanlab.groupoid import (
     SECTION_TOL,
     Jet1,
     algebroid_bracket,
+    algebroid_brackets,
     algebroid_vec,
     aligned_frame,
     anchor,
@@ -160,6 +170,70 @@ def test_bracket_constant_sections_match_commutator(zoo, rng):
             [[0.0], xi[0] * (J2 @ eta[1:]) - eta[0] * (J2 @ xi[1:])])
         expected = np.concatenate([-commutator, np.zeros(2)])
         assert np.max(np.abs(got - expected)) < 1e-8
+
+
+def _bracket_by_four_calls(model, X, Y, m):
+    """algebroid_bracket's value as it was computed before algebroid_brackets:
+    X^R and Y^R at the unit arrow, then each directional difference, four
+    right_invariant_many calls."""
+    u = model.unit(np.asarray(m, dtype=float))[None]
+
+    def XR(G):
+        return right_invariant_many(model, X, G)
+
+    def YR(G):
+        return right_invariant_many(model, Y, G)
+
+    h = groupoid.outer_fd_step(model)
+    return (directional_derivatives(YR, u, XR(u), h) - directional_derivatives(XR, u, YR(u), h))[0]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_algebroid_brackets_rows_equal_the_four_call_bracket(name, jacobians, monkeypatch):
+    # row a is the bracket of pair a alone, bit for bit, on stacks and
+    # non-contiguous views, with a zero section whose field moves no probe;
+    # the stack takes two right_invariant_many calls, the bracket of one
+    # pair (algebroid_bracket, also over plain callables) two as well, the
+    # second of one row where neither field moves
+    model = _frame_model(name, jacobians)
+    rng = np.random.default_rng(71)
+    sections = [random_section(model, rng) for _ in range(3)]
+    rank = model.section_frame.rank
+    sections.append(AffineSection(model.section_frame, np.zeros(rank), np.zeros((rank, model.n))))
+    family = AffineSection.stack_of(sections)
+    M = np.array([sample_base_point(model, rng) for _ in range(6)])
+    pairs = np.array([[0, 1], [1, 0], [2, 2], [3, 1], [0, 3], [3, 3]])
+    calls = []
+    real = groupoid.right_invariant_many
+
+    def counting(model, X, G):
+        calls.append(len(G))
+        return real(model, X, G)
+
+    monkeypatch.setattr(groupoid, "right_invariant_many", counting)
+    for stack in _views(M):
+        own = pairs[:len(stack)]
+        del calls[:]
+        B = algebroid_brackets(model, family, own, stack)
+        assert B.shape == (len(stack), model.N) and len(calls) == 2
+        for (a, b), m, row in zip(own, stack, B):
+            assert np.array_equal(row, _bracket_by_four_calls(model, sections[a], sections[b], m))
+            del calls[:]
+            assert np.array_equal(row, algebroid_bracket(model, sections[a], sections[b], m).vec)
+            assert len(calls) == 2 and (calls[1] == 1) == (a == b == 3)  # no probe: one row
+            assert np.array_equal(row, algebroid_bracket(
+                model, lambda p, X=sections[a]: X(p), lambda p, Y=sections[b]: Y(p), m).vec)
+    assert not algebroid_brackets(model, family, pairs[:0], M[:0]).size
+
+
+def test_bracket_refuses_a_point_of_the_wrong_dimension(zoo):
+    model, _ = zoo("se2-action")
+    X = random_section(model, np.random.default_rng(3))
+    with raises(DomainError):
+        algebroid_bracket(model, X, X, np.zeros(3))
+    with raises(DomainError):
+        algebroid_brackets(model, AffineSection.stack_of([X]), [[0, 0]], np.zeros(2))
 
 
 def test_oracle_jet_unit_bisection(zoo):
@@ -833,6 +907,37 @@ def test_random_section_rows_equal_single_calls(name, jacobians):
     for arrows in _views(G):
         assert np.array_equal(right_invariant_many(model, X, arrows),
                               right_invariant_many(model, lambda m: X(m), arrows))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+def test_random_sections_share_one_frame_per_model(jacobians):
+    # every draw on a model reads its one section_frame; a replaced copy
+    # builds its own, and is freed with its last reference, since the frame
+    # keeps no reference to its model; the sections' bytes are those of a
+    # frame built at the box centre for the draw alone
+    model = _frame_model("isojet-sphere", jacobians)
+    rng = np.random.default_rng(73)
+    X, Y = random_section(model, rng), random_section(model, rng)
+    assert X.frame is Y.frame is model.section_frame
+    gc.disable()
+    try:
+        copy = dataclasses.replace(model)
+        assert random_section(copy, rng).frame is copy.section_frame is not X.frame
+        gone = weakref.ref(copy)
+        del copy
+        assert gone() is None
+    finally:
+        gc.enable()
+    centre = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
+    replayed = np.random.default_rng(73)
+    fresh = aligned_frame(model, centre)
+    P = np.array([sample_base_point(model, rng) for _ in range(4)])
+    for drawn in (X, Y):
+        c0 = replayed.uniform(-0.5, 0.5, size=fresh.rank)
+        c1 = replayed.uniform(-0.5, 0.5, size=(fresh.rank, model.n))
+        alone = AffineSection(fresh, c0, c1)
+        assert np.array_equal(drawn.many(P), alone.many(P))
+        assert all(np.array_equal(drawn(p), alone(p)) for p in P)
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
