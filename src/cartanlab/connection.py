@@ -271,16 +271,6 @@ def algebroid_transport(S: CartanConnection, gamma: Callable[[float], np.ndarray
 # -- infinitesimalization ----------------------------------------------------
 
 
-def section_values(sections: list) -> Callable[[np.ndarray], np.ndarray]:
-    """The values_many of a list of sections: at each row of a stack P[p, n],
-    the (N, len(sections)) matrix whose column a is sections[a] there."""
-
-    def values_many(P):
-        return np.array([[X(p) for X in sections] for p in P], dtype=float).transpose(0, 2, 1)
-
-    return values_many
-
-
 @dataclass(frozen=True)
 class AlgebroidConnection:
     """The linear connection on the algebroid induced by a groupoid connection,

@@ -17,6 +17,7 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     batch_of_one,
+    draw_then_evaluate,
     exceeds,
     jacobians_fd,
     matvecs,
@@ -30,7 +31,9 @@ from .groupoid import (
     Arrow,
     algebroid_brackets,
     aligned_frame,
+    aligned_frames,
     anchor_matrices,
+    base_points,
     sample_base_point,
 )
 
@@ -86,23 +89,35 @@ class CurvatureTensor:
         return float(np.max(np.abs(self.R)))
 
 
-def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
-    """Curvature of the connection at m in the orthonormal kernel frame
-    aligned_frame builds at m.
+def curvatures(nabla: AlgebroidConnection, M: np.ndarray) -> list[CurvatureTensor]:
+    """Curvature of the connection at each point of a stack M[k, n], each in
+    the orthonormal kernel frame aligned_frame builds at that point. Rows
+    that share a frame (groupoid.aligned_frames; on every shipped model all
+    of them do) are taken together by _curvatures_in_frame, so a stack of
+    one frame makes two connection_matrices calls whatever k. Row a is the
+    curvature at M[a] alone bit for bit."""
+    M = base_points(nabla.model, M)
+    out = [None] * len(M)
+    for frame, rows in aligned_frames(nabla.model, M):
+        for a, curv in zip(rows, _curvatures_in_frame(nabla, frame, M[rows])):
+            out[a] = curv
+    return out
+
+
+def _curvatures_in_frame(nabla: AlgebroidConnection, frame: Callable,
+                         M: np.ndarray) -> list[CurvatureTensor]:
+    """The curvatures at a stack M[k, n] of points that share one frame.
 
     Connection coefficients Gamma_i are computed at stencil points and
-    differentiated by central differences at CURV_FD_STEP, one jacobians_fd
-    of the stacked Gamma_j, whose 2n probes take one connection_matrices
-    call of 2n^2 rows (Gamma at m takes another, of n); the coordinate-field
-    bracket term vanishes, leaving
+    differentiated by central differences at CURV_FD_STEP: one
+    connection_matrices call of n k rows takes Gamma at M, and one
+    jacobians_fd of the stacked Gamma_j, whose 2n k probes take one
+    connection_matrices call of 2n^2 k rows, takes their derivatives. The
+    coordinate-field bracket term vanishes, leaving
     R_ij = d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j], which is exactly
     antisymmetric by construction.
     """
-    model = nabla.model
-    m = np.asarray(m, dtype=float)
-    frame = aligned_frame(model, m)
-    r = frame.rank
-    n = model.n
+    n, r = nabla.model.n, frame.rank
 
     def gammas(P):
         # Gamma_j at each point of P along every coordinate direction j
@@ -110,40 +125,55 @@ def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
         G = connection_matrices(nabla, frame, np.repeat(P, n, axis=0), W)
         return G.reshape(len(P), n, r, r)
 
-    G0 = gammas(m[None])[0]
-    dG = np.moveaxis(jacobians_fd(gammas, m[None], CURV_FD_STEP)[0], -1, 0)  # d_i Gamma_j
-    R = np.zeros((n, n, r, r))
-    for i in range(n):
-        for j in range(n):
-            R[i, j] = dG[i, j] - dG[j, i] + G0[i] @ G0[j] - G0[j] @ G0[i]
-    return CurvatureTensor(m, R, frame(m))
+    G0 = gammas(M)
+    dG = np.moveaxis(jacobians_fd(gammas, M, CURV_FD_STEP), -1, 1)  # d_i Gamma_j
+    Gi, Gj = G0[:, :, None], G0[:, None]
+    R = dG - dG.swapaxes(1, 2) + Gi @ Gj - Gj @ Gi
+    return [CurvatureTensor(m, Ra, Ka) for m, Ra, Ka in zip(M, R, frame.many(M))]
+
+
+def curvature(nabla: AlgebroidConnection, m: np.ndarray) -> CurvatureTensor:
+    """Curvature of the connection at m in the orthonormal kernel frame
+    aligned_frame builds at m: curvatures' batch of one."""
+    return curvatures(nabla, base_points(nabla.model, m, 1)[None])[0]
 
 
 # -- involutivity of the horizontal plane field ---------------------------------
 
 
-def frobenius_torsion(S: CartanConnection, g: Arrow) -> np.ndarray:
-    """Obstruction to involutivity at an arrow: Lie brackets of the horizontal
-    lift fields V_i(g') = mu(g') e_i, projected modulo the horizontal plane by
-    orthogonal least squares. Returns tau[i, j] in chart coordinates,
-    antisymmetric in (i, j); any complement would do since only vanishing is
-    asserted."""
+def frobenius_torsions(S: CartanConnection, G: np.ndarray) -> np.ndarray:
+    """Obstruction to involutivity at each arrow of a stack G[k, N]: Lie
+    brackets of the horizontal lift fields V_i(g') = mu(g') e_i, projected
+    modulo the horizontal plane by orthogonal least squares. Returns
+    tau[a, i, j] in chart coordinates, antisymmetric in (i, j); any
+    complement would do since only vanishing is asserted.
+
+    The jets at G take one mu_many call and the jacobians of the lift fields
+    one jacobians_fd over mu_many, all 2N k probes in one call, whatever k;
+    the QR and the projection are stacked. Row a is the torsion at G[a] alone
+    bit for bit."""
     model = S.model
     n, N = model.n, model.N
-    x = g.coords
-    mu0 = np.asarray(S.mu_at(x), dtype=float)
+    G = np.asarray(G, dtype=float)
+    mu0 = S.mu_many(G)
     Q, _ = np.linalg.qr(mu0)
-    P_perp = np.eye(N) - Q @ Q.T
-    # DV[k]: jacobian of the k-th lift field, all 2N probes in one mu_many call
-    DV = np.moveaxis(jacobians_fd(S.mu_many, x[None])[0], 1, 0)
-    tau = np.zeros((n, n, N))
+    P_perp = np.eye(N) - Q @ Q.transpose(0, 2, 1)
+    # DV[a, i]: jacobian of the i-th lift field at G[a]
+    DV = np.moveaxis(jacobians_fd(S.mu_many, G), 2, 1)
+    tau = np.zeros((len(G), n, n, N))
     for i in range(n):
         for j in range(i + 1, n):
-            bracket = DV[j] @ mu0[:, i] - DV[i] @ mu0[:, j]
-            val = P_perp @ bracket
-            tau[i, j] = val
-            tau[j, i] = -val
+            bracket = matvecs(DV[:, j], mu0[:, :, i]) - matvecs(DV[:, i], mu0[:, :, j])
+            val = matvecs(P_perp, bracket)
+            tau[:, i, j] = val
+            tau[:, j, i] = -val
     return tau
+
+
+def frobenius_torsion(S: CartanConnection, g: Arrow) -> np.ndarray:
+    """Obstruction to involutivity at an arrow, tau[i, j] in chart
+    coordinates: frobenius_torsions' batch of one."""
+    return frobenius_torsions(S, g.coords[None])[0]
 
 
 # -- the flatness <-> integrability experiment ----------------------------------
@@ -179,19 +209,32 @@ def flatness_experiment(S: CartanConnection, seed: int = 0, count: int = 20,
                         tolerance: float = 1e-4) -> FlatnessReport:
     """Paired curvature/involutivity tables over seeded samples: the curvature
     of the induced algebroid connection at base points against the torsion of
-    the horizontal plane field at arrows, with a joint verdict."""
+    the horizontal plane field at arrows, with a joint verdict.
+
+    Every sample (a base point, then an arrow) is drawn first, in the
+    per-sample loop's rng order; then one curvatures and one
+    frobenius_torsions call evaluate them all (chartcalc.draw_then_evaluate),
+    so the jet evaluations do not depend on count. An error reruns the
+    samples one by one, and the report aborts with the error the per-sample
+    loop meets first."""
     from .connection import infinitesimalize
 
     model = S.model
     rng = np.random.default_rng(seed)
     nabla = infinitesimalize(S, "direct-formula")
-    curv_norms = np.empty(count)
-    tors_norms = np.empty(count)
-    for idx in range(count):
+    norms = []  # (curvature, torsion) per sample
+
+    def draw():
         m = sample_base_point(model, rng)
-        curv_norms[idx] = curvature(nabla, m).norm_inf
-        g = model.sample_arrow(rng)
-        tors_norms[idx] = float(np.max(np.abs(frobenius_torsion(S, g))))
+        return m, model.sample_arrow(rng).coords
+
+    def evaluate(M, G):
+        curv = [c.norm_inf for c in curvatures(nabla, M)]
+        tors = np.max(np.abs(frobenius_torsions(S, G)), axis=(1, 2, 3))
+        norms.extend(zip(curv, tors))
+
+    draw_then_evaluate(rng, count, draw, evaluate)
+    curv_norms, tors_norms = np.array(norms, dtype=float).reshape(-1, 2).T
     return FlatnessReport(
         model=model.name,
         seed=seed,
@@ -282,9 +325,16 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     r = frame.rank
     rng = np.random.default_rng(seed)
 
-    # flatness precondition on a few grid points
-    for probe in (m0, m0 + np.full(n, GRID_RADIUS), m0 - np.full(n, GRID_RADIUS)):
-        c = curvature(nabla, probe).norm_inf
+    # flatness precondition on a few grid points, in one curvatures call; if
+    # that raises, the probes are taken one by one, so the first probe that
+    # fails, by its curvature or by an error, decides
+    probes = np.stack([m0, m0 + np.full(n, GRID_RADIUS), m0 - np.full(n, GRID_RADIUS)])
+    try:
+        curvs = curvatures(nabla, probes)
+    except Exception:
+        curvs = None
+    for a, probe in enumerate(probes):
+        c = (curvature(nabla, probe) if curvs is None else curvs[a]).norm_inf
         if exceeds(c, FLATNESS_TOL):
             raise FlatnessError(
                 f"curvature {c:.2e} above {FLATNESS_TOL:.1e} at {probe}; "

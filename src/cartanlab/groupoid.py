@@ -779,7 +779,12 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     differences leave at a few roundoff-level values, and frame.many reads
     the A of all its rows in one differentiate_many call.
     """
-    E_ref = kernel_basis(model, ref_point)
+    return _frame_on(model, kernel_basis(model, ref_point))
+
+
+def _frame_on(model: GroupoidModel, E_ref: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """aligned_frame on the reference basis E_ref, the kernel basis at its
+    reference point: the frame reads that point through E_ref alone."""
     # the frame keeps the maps it reads, not the model: a model holding its
     # section_frame makes no reference cycle, so it is freed with its last reference
     n, N, src, unit = model.n, model.N, model.src, model.unit
@@ -826,6 +831,21 @@ def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.n
     frame.rank = E_ref.shape[1]
     frame.many = frame_many
     return frame
+
+
+def aligned_frames(model: GroupoidModel, ref_points: np.ndarray
+                   ) -> list[tuple[Callable, np.ndarray]]:
+    """The aligned_frame at each row of a stack ref_points[k, n], grouped:
+    (frame, rows) pairs, rows the indices of the reference points whose
+    frame it is, in order of first use. A frame reads its reference point
+    only through the kernel basis there, so rows whose bases (one
+    kernel_bases call) are the same bytes share a frame; on every shipped
+    model, the -fd copies included, all rows of a stack do."""
+    bases = kernel_bases(model, ref_points)
+    groups = {}  # basis bytes -> the rows it serves
+    for a, E in enumerate(bases):
+        groups.setdefault(E.tobytes(), []).append(a)
+    return [(_frame_on(model, bases[rows[0]]), np.array(rows)) for rows in groups.values()]
 
 
 @dataclass(frozen=True)

@@ -164,24 +164,31 @@ def prolongation_jets(metric: MetricChart,
             f"metric {metric.name} does not broadcast over a stack of points: "
             f"at {2 * k} points g gave shape {gm.shape} and its partials "
             f"{dgm.shape}, not ({2 * k}, 2, 2) and ({2 * k}, 2, 2, 2)")
+    # each intermediate is dropped once its last use is past: a curvature
+    # stencil passes about a thousand arrows, and the stack's peak memory is
+    # the process's
     L = chol2(gm)
-    dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)  # [p, l]
-    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
-    dLTinv = -LTinv[:, None] @ dLT @ LTinv[:, None]
     gamma = christoffel_from_partials(np.linalg.inv(gm), dgm)  # gamma[p, k, i, j]
-
-    R = rot2_many(G[:, 4])
+    dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)  # [p, l]
+    del gm, dgm
+    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
     LpTinv = LTinv[k:]
+    dLpTinv = -LpTinv[:, None] @ dLT[k:] @ LpTinv[:, None]
+    R = rot2_many(G[:, 4])
     LpTinvR = LpTinv @ R
     LmT = np.swapaxes(L[:k], -1, -2)
     A = LpTinvR @ LmT
     dA_theta = LpTinv @ J2 @ R @ LmT
     dA_m = LpTinvR[:, None] @ dLT[:k]  # [k, i]
-    dA_p = dLTinv[k:] @ R[:, None] @ LmT[:, None]  # [k, a]
+    del dLT, LTinv, LpTinv, LpTinvR
+    dA_p = dLpTinv @ R[:, None] @ LmT[:, None]  # [k, a]
+    del dLpTinv, R, LmT, L
     # target[k, i] = A Gamma_i(m) - Gamma'(m')(A e_i, A .)
     target = (np.einsum("...kc,...cij->...ikj", A, gamma[:k])
               - np.einsum("...kab,...ai,...bj->...ikj", gamma[k:], A, A))
+    del gamma
     rhs = target - dA_m - np.einsum("...akj,...ai->...ikj", dA_p, A)
+    del target, dA_m, dA_p
     w = (np.einsum("...kj,...ikj->...i", dA_theta, rhs)
          / np.einsum("...kj,...kj->...", dA_theta, dA_theta)[:, None])
     mu = np.empty((k, 5, 2))

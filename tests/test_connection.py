@@ -28,7 +28,6 @@ from cartanlab.connection import (
     infinitesimalize,
     infinitesimalize_along,
     parallel_transport,
-    section_values,
     transport_many,
     transport_with_vector,
 )
@@ -52,6 +51,16 @@ from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
 
 from conftest import CORE_MODELS
+
+
+def section_values(sections):
+    """The values_many of a list of sections: at each row of a stack P[p, n],
+    the (N, len(sections)) matrix whose column a is sections[a] there."""
+
+    def values_many(P):
+        return np.array([[X(p) for X in sections] for p in P], dtype=float).transpose(0, 2, 1)
+
+    return values_many
 
 
 def test_multiplicativity_canonical_translation(zoo):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab.chartcalc import directional_derivative, jacobian_fd
+from cartanlab import groupoid
+from cartanlab.chartcalc import batch_of_one, directional_derivative, jacobian_fd
 from cartanlab.connection import AlgebroidConnection, CartanConnection, infinitesimalize
 from cartanlab.curvature import (
     CURV_FD_STEP,
@@ -19,13 +20,20 @@ from cartanlab.curvature import (
     connection_matrices,
     connection_matrix,
     curvature,
+    curvatures,
     flatness_experiment,
     frobenius_torsion,
+    frobenius_torsions,
     reconstruct_action,
 )
 from cartanlab.errors import FlatnessError, NonFiniteError
 from cartanlab.experiments import run_flatness, run_reconstruct, run_riemannian
-from cartanlab.groupoid import aligned_frame, right_invariant_many, sample_base_point
+from cartanlab.groupoid import (
+    aligned_frame,
+    aligned_frames,
+    right_invariant_many,
+    sample_base_point,
+)
 from cartanlab.models import EXPECTED_FLAT, MODELS, PERTURBED_BOX, make_model
 from cartanlab.report import ExperimentConfig
 
@@ -349,8 +357,8 @@ def _opened_reconstruction(name, jacobians, monkeypatch):
     skipped, so every model has sections, and the parallelism check probing
     one grid point: a test using it checks none of them."""
     monkeypatch.setattr(curvature_mod, "FLATNESS_TOL", np.inf)
-    monkeypatch.setattr(curvature_mod, "curvature",
-                        lambda nabla, m: types.SimpleNamespace(norm_inf=0.0))
+    monkeypatch.setattr(curvature_mod, "curvatures",
+                        lambda nabla, M: [types.SimpleNamespace(norm_inf=0.0)] * len(M))
     monkeypatch.setattr(curvature_mod, "GRID_SPACING", 2 * GRID_RADIUS)
     model, S = make_model(name)
     if not jacobians:
@@ -611,3 +619,291 @@ def test_curvature_and_torsion_equal_their_unstacked_forms(name):
     assert np.array_equal(curvature(nabla, m).R, _curvature_by_directions(nabla, m))
     g = model.sample_arrow(rng)
     assert np.array_equal(frobenius_torsion(S, g), _torsion_through_mu_at(S, g))
+
+
+def _with_and_without_jacobians(name, jacobians):
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    return model, S
+
+
+def _non_contiguous(X):
+    """X as a view whose rows are not contiguous, equal to X."""
+    return np.repeat(X, 2, axis=1)[:, ::2]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_curvatures_and_torsions_equal_their_rows(name, jacobians):
+    # row a of the stacked forms is the batch of one at row a and the
+    # unstacked form there, bit for bit, on stacks and non-contiguous views
+    model, S = _with_and_without_jacobians(name, jacobians)
+    rng = np.random.default_rng(29)
+    M = np.stack([sample_base_point(model, rng) for _ in range(3)])
+    G = np.stack([model.sample_arrow(rng).coords for _ in range(3)])
+    nabla = infinitesimalize(S, "direct-formula")
+    for Ms in (M, _non_contiguous(M)):
+        for a, curv in enumerate(curvatures(nabla, Ms)):
+            assert np.array_equal(curv.m, M[a])
+            assert np.array_equal(curv.R, curvature(nabla, M[a]).R)
+            assert np.array_equal(curv.R, _curvature_by_directions(nabla, M[a]))
+            assert np.array_equal(curv.frame_at_m, aligned_frame(model, M[a])(M[a]))
+    for Gs in (G, _non_contiguous(G)):
+        tau = frobenius_torsions(S, Gs)
+        assert tau.shape == (3, model.n, model.n, model.N)
+        for a in range(3):
+            g = model.arrow(G[a])
+            assert np.array_equal(tau[a], frobenius_torsion(S, g))
+            assert np.array_equal(tau[a], _torsion_through_mu_at(S, g))
+
+
+def _turned_kernel_bases(monkeypatch):
+    """Plant reference bases that turn with the point, so that aligned frames
+    at different points differ, as on a chart where Tsrc varies: each basis
+    of kernel_bases is rotated in the plane of its first two columns (scaled,
+    for rank 1) by an angle set by the point, row by row."""
+    kernel_bases = groupoid.kernel_bases
+
+    def turned(model, M):
+        out = []
+        for E, m in zip(kernel_bases(model, M), np.asarray(M, dtype=float)):
+            E, angle = np.array(E), 0.3 * float(np.sum(m))
+            if E.shape[1] == 1:
+                E *= 1.0 + angle
+            else:
+                c, s = np.cos(angle), np.sin(angle)
+                E[:, :2] = E[:, :2] @ np.array([[c, -s], [s, c]])
+            out.append(E)
+        return np.array(out)
+
+    monkeypatch.setattr(groupoid, "kernel_bases", turned)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_curvatures_group_the_rows_by_their_frame(name, monkeypatch):
+    # where the reference bases differ, rows are grouped by their aligned
+    # frame, in order of first use, and each equals the curvature at its
+    # point alone bit for bit
+    _turned_kernel_bases(monkeypatch)
+    model, S = make_model(name)
+    rng = np.random.default_rng(31)
+    p, q = (sample_base_point(model, rng) for _ in range(2))
+    M = np.stack([p, q, p])
+    groups = aligned_frames(model, M)
+    assert [rows.tolist() for _, rows in groups] == [[0, 2], [1]]
+    for frame, rows in groups:
+        assert np.array_equal(frame(M[rows[0]] + 0.01),
+                              aligned_frame(model, M[rows[0]])(M[rows[0]] + 0.01))
+    nabla = infinitesimalize(S, "direct-formula")
+    for Ms in (M, _non_contiguous(M)):
+        for a, curv in enumerate(curvatures(nabla, Ms)):
+            assert np.array_equal(curv.R, curvature(nabla, M[a]).R)
+            assert np.array_equal(curv.R, _curvature_by_directions(nabla, M[a]))
+
+
+def test_aligned_frames_share_one_frame_where_the_bases_agree(zoo):
+    # every shipped model's reference bases are the same bytes at every
+    # point, the -fd copies included, so a stack reads one frame
+    for name in sorted(MODELS):
+        model, _ = zoo(name)
+        rng = np.random.default_rng(37)
+        M = np.stack([sample_base_point(model, rng) for _ in range(4)])
+        for m in (model, model.without_jacobians()):
+            [(frame, rows)] = aligned_frames(m, M)
+            assert rows.tolist() == [0, 1, 2, 3]
+            assert np.array_equal(frame.many(M), [aligned_frame(m, p)(p) for p in M])
+
+
+def _flatness_per_sample(S, seed, count):
+    """flatness_experiment as its per-sample loop computed it before the
+    stacked curvatures and torsions: each sample drawn (its base point, then
+    its arrow, the point's curvature taken in between), then evaluated alone
+    through the unstacked forms. The base point is drawn through the
+    curvature module, so a patched draw reaches both."""
+    model = S.model
+    rng = np.random.default_rng(seed)
+    nabla = infinitesimalize(S, "direct-formula")
+    curv_norms, tors_norms = np.empty(count), np.empty(count)
+    for idx in range(count):
+        m = curvature_mod.sample_base_point(model, rng)
+        curv_norms[idx] = float(np.max(np.abs(_curvature_by_directions(nabla, m))))
+        g = model.sample_arrow(rng)
+        tors_norms[idx] = float(np.max(np.abs(_torsion_through_mu_at(S, g))))
+    return curv_norms, tors_norms
+
+
+def _assert_same_tables(report, reference):
+    curv_norms, tors_norms = reference
+    assert np.array_equal(report.curvature_norms, curv_norms, equal_nan=True)
+    assert np.array_equal(report.torsion_norms, tors_norms, equal_nan=True)
+    assert report.finite == bool(np.all(np.isfinite(curv_norms))
+                                 and np.all(np.isfinite(tors_norms)))
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_flatness_experiment_equals_the_per_sample_loop(name, jacobians):
+    _, S = _with_and_without_jacobians(name, jacobians)
+    _assert_same_tables(flatness_experiment(S, seed=7, count=4),
+                        _flatness_per_sample(S, seed=7, count=4))
+
+
+def _counted_connection(S, calls):
+    """S with every stacked jet call counted in calls["mu_many"]."""
+
+    def mu_many(G):
+        calls["mu_many"] += 1
+        return S.mu_many(G)
+
+    return CartanConnection(S.model, batch_of_one(mu_many), name=S.name)
+
+
+@pytest.mark.parametrize("name", ["isojet-sphere", "se2-action"])
+def test_flatness_experiment_makes_a_fixed_number_of_jet_calls(zoo, name, monkeypatch):
+    # one curvatures call (Gamma at the points, then at their stencil rows)
+    # and one frobenius_torsions call (the jets, then their jacobian
+    # probes), whatever count
+    _, S = zoo(name)
+    real = connection_matrices
+    for count in (3, 12):
+        calls = {"connection_matrices": [], "mu_many": 0}
+
+        def counting(nabla, frame, M, W):
+            calls["connection_matrices"].append(len(M))
+            return real(nabla, frame, M, W)
+
+        monkeypatch.setattr(curvature_mod, "connection_matrices", counting)
+        flatness_experiment(_counted_connection(S, calls), seed=2, count=count)
+        n = S.model.n
+        assert calls == {"connection_matrices": [n * count, 2 * n * n * count], "mu_many": 4}
+
+
+def _raising_near(S, faults):
+    """S whose jets raise ValueError(label) at any stack holding an arrow
+    within 1e-2 of faults[label], in the order of faults."""
+
+    def mu_many(G):
+        for label, x in faults.items():
+            if np.any(np.max(np.abs(G - x), axis=1) < 1e-2):
+                raise ValueError(label)
+        return S.mu_many(G)
+
+    return CartanConnection(S.model, batch_of_one(mu_many), name=S.name)
+
+
+def _nan_near(S, points):
+    """S whose jets are NaN at arrows within 1e-2 of any of points."""
+
+    def mu_many(G):
+        mu = S.mu_many(G).copy()
+        near = np.zeros(len(G), dtype=bool)
+        for x in points:
+            near |= np.max(np.abs(G - x), axis=1) < 1e-2
+        mu[near] = np.nan
+        return mu
+
+    return CartanConnection(S.model, batch_of_one(mu_many), name=S.name)
+
+
+def _drawn_samples(model, seed, count):
+    """The base points and arrows flatness_experiment draws at seed."""
+    rng = np.random.default_rng(seed)
+    samples = [(sample_base_point(model, rng), model.sample_arrow(rng).coords)
+               for _ in range(count)]
+    return [np.array(field) for field in zip(*samples)]
+
+
+def test_flatness_error_aborts_as_the_per_sample_loop_does(zoo):
+    # the torsion of sample 1 raises and so does the curvature of sample 2:
+    # the stacked curvatures meet sample 2's error first, but the report
+    # aborts with sample 1's, the one the per-sample loop meets
+    model, S = zoo("pair-R2")
+    M, G = _drawn_samples(model, 5, 4)
+    faulty = _raising_near(S, {"curvature of sample 2": model.unit(M[2]),
+                               "torsion of sample 1": G[1]})
+    with raises(ValueError, match="torsion of sample 1"):
+        _flatness_per_sample(faulty, seed=5, count=4)
+    with raises(ValueError, match="torsion of sample 1"):
+        flatness_experiment(faulty, seed=5, count=4)
+
+
+def test_flatness_draw_error_aborts_as_the_per_sample_loop_does(zoo, monkeypatch):
+    # the draw of the third base point raises, and the curvature of the
+    # fourth sample would: both abort at that draw, and the later fault
+    # never shows
+    model, S = zoo("pair-R2")
+    M, _ = _drawn_samples(model, 5, 4)
+    real = curvature_mod.sample_base_point
+
+    def third_point_raises(model, rng):
+        m = real(model, rng)
+        if np.array_equal(m, M[2]):
+            raise ArithmeticError("third draw")
+        return m
+
+    monkeypatch.setattr(curvature_mod, "sample_base_point", third_point_raises)
+    faulty = _raising_near(S, {"curvature of sample 3": model.unit(M[3])})
+    for run in (_flatness_per_sample, flatness_experiment):
+        with raises(ArithmeticError, match="third draw"):
+            run(faulty, seed=5, count=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flatness_nan_sample_is_recorded_as_the_per_sample_loop_does(zoo):
+    # NaN jets at sample 2's unit arrows and at sample 1's arrow: the tables
+    # carry NaN in those rows alone, as the per-sample loop's do, and the
+    # report is not finite
+    model, S = zoo("isojet-sphere")
+    M, G = _drawn_samples(model, 5, 4)
+    nan = _nan_near(S, [model.unit(M[2]), G[1]])
+    report = flatness_experiment(nan, seed=5, count=4)
+    _assert_same_tables(report, _flatness_per_sample(nan, seed=5, count=4))
+    assert np.isnan(report.curvature_norms[2]) and np.isnan(report.torsion_norms[1])
+    assert not report.finite and not report.agreement
+
+
+def test_reconstruction_flatness_precondition_is_one_curvatures_call(zoo, monkeypatch):
+    # the three probes (m0, then m0 +- GRID_RADIUS) go to one curvatures
+    # call, and the first probe that exceeds the tolerance is named
+    model, S = zoo("isojet-perturbed")
+    calls = []
+    real = curvatures
+
+    def counting(nabla, M):
+        calls.append(np.array(M))
+        return real(nabla, M)
+
+    monkeypatch.setattr(curvature_mod, "curvatures", counting)
+    m0 = PERTURBED_BOX.mean(axis=1)
+    with raises(FlatnessError) as info:
+        reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=1)
+    [M] = calls
+    assert np.array_equal(M, [m0, m0 + GRID_RADIUS, m0 - GRID_RADIUS])
+    c = curvature(infinitesimalize(S), m0).norm_inf
+    assert str(info.value) == (f"curvature {c:.2e} above {curvature_mod.FLATNESS_TOL:.1e} "
+                               f"at {m0}; reconstruction requires a flat connection")
+
+
+def test_reconstruction_flatness_error_comes_before_a_later_probe_error(zoo, monkeypatch):
+    # the stacked call raises for the last probe, but the first probe's
+    # curvature exceeds the tolerance: the rerun probe by probe raises the
+    # FlatnessError the loop over the probes meets first
+    model, S = zoo("isojet-perturbed")
+    m0 = PERTURBED_BOX.mean(axis=1)
+    real = curvatures
+
+    def last_probe_raises(nabla, M):
+        if np.any(np.all(np.asarray(M) == m0 - GRID_RADIUS, axis=1)):
+            raise ValueError("last probe")
+        return real(nabla, M)
+
+    monkeypatch.setattr(curvature_mod, "curvatures", last_probe_raises)
+    with raises(FlatnessError, match="curvature"):
+        reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=1)
+    # on a flat connection the same fault is the error the probes meet
+    _, flat = zoo("isojet-sphere")
+    m0 = np.zeros(2)
+    with raises(ValueError, match="last probe"):
+        reconstruct_action(infinitesimalize(flat, "direct-formula"), m0, sample_count=1)
