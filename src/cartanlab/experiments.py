@@ -23,19 +23,18 @@ from .curvature import flatness_experiment, reconstruct_action
 from .errors import CartanLabError, ConfigError, NotABisectionError
 from .groupoid import (
     AffineSection,
+    Jets,
     algebroid_brackets,
     aligned_frame,
     anchor_matrices,
     check_axioms,
-    compose_bisections,
+    compose_families,
     extend_bisection,
     extend_bisections,
     identity_jets,
-    jet_distance,
     jet_distances,
     oracle_jet,
     oracle_jet_inverses,
-    oracle_jet_mul,
     oracle_jet_muls,
     oracle_jets,
     random_section,
@@ -43,20 +42,19 @@ from .groupoid import (
     sample_base_point,
 )
 from .jetalg import (
-    KernelHom,
     adjoint_hom_many,
     adjoint_tm_many,
     adjoint_vec_many,
-    assemble_bisection,
+    assemble_bisections,
     aut_inv_many,
-    aut_mul,
     aut_mul_many,
     deferred_kernel_hom,
     jet_assemble_many,
     jet_decompose_many,
     jet_invert_many,
     jet_mul_many,
-    kernel_section_pushforward,
+    kernel_section_pushforwards,
+    kernel_sections,
     mul_kernel_right_many,
     random_kernel_hom,
     vee_many,
@@ -298,41 +296,37 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
 
     draw_kernels_then_evaluate(rng, count, draw, evaluate)
 
-    # semidirect law for bisections of the jet groupoid, on a few base points
-    for _ in range(semi_samples):
+    # semidirect law for bisections of the jet groupoid, on a few base points:
+    # each sample's two model bisections and two kernel sections, the
+    # sections m -> frame(m) @ (C0 + C1 m[0]) on the frame at a drawn point
+    shape = (model.N - model.n, model.n)
+
+    def draw_kernel_section():  # its reference point, then C0 and C1
+        return (sample_base_point(model, rng), rng.uniform(-0.3, 0.3, size=shape),
+                rng.uniform(-0.3, 0.3, size=shape))
+
+    def draw_semidirect():
         g1, g2 = model.sample_composable(rng)
-        b1 = extend_bisection(model, S.jet(g1))
-        b2 = extend_bisection(model, S.jet(g2))
+        return g1.coords, g2.coords, *draw_kernel_section(), *draw_kernel_section()
 
-        def kernel_section(seed_rng):
-            ref = sample_base_point(model, seed_rng)
-            frame = aligned_frame(model, ref)
-            C0 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
-            C1 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
+    def evaluate_semidirect(G1, G2, R1, C01, C11, R2, C02, C12):
+        J1 = Jets.at(model, G1, S.mu_many(G1))
+        J2 = Jets.at(model, G2, S.mu_many(G2))
+        b1, b2 = extend_bisections(model, J1), extend_bisections(model, J2)
+        Phi1 = kernel_sections(model, R1, C01, C11)
+        Phi2 = kernel_sections(model, R2, C02, C12)
+        j2 = assemble_bisections(model, b2, Phi2)(J2.source)
+        j1 = assemble_bisections(model, b1, Phi1)(j2.target)
+        lhs = oracle_jet_muls(model, j1, j2)
+        pushed = kernel_section_pushforwards(model, b1, Phi2)
 
-            def Phi(mm):
-                mm = np.asarray(mm, dtype=float)
-                coeff = C0 + C1 * mm[0]
-                return KernelHom(model, mm, frame(mm) @ coeff)
+        def Phi12(P, owner):
+            return aut_mul_many(Phi1(P, owner), pushed(P, owner))
 
-            return Phi
+        rhs = assemble_bisections(model, compose_families(model, b1, b2), Phi12)(J2.source)
+        semidirect(jet_distances(lhs, rhs))
 
-        Phi1 = kernel_section(rng)
-        Phi2 = kernel_section(rng)
-        B1 = assemble_bisection(model, b1, Phi1)
-        B2 = assemble_bisection(model, b2, Phi2)
-        m = g2.source
-        j2 = B2(m)
-        j1 = B1(j2.g.target)
-        lhs = oracle_jet_mul(model, j1, j2)
-        b12 = compose_bisections(model, b1, b2)
-        pushed = kernel_section_pushforward(model, b1, Phi2)
-
-        def Phi12(mm):
-            return aut_mul(Phi1(mm), pushed(mm))
-
-        rhs = assemble_bisection(model, b12, Phi12)(m)
-        semidirect(jet_distance(lhs, rhs))
+    draw_then_evaluate(rng, semi_samples, draw_semidirect, evaluate_semidirect)
 
     # the connection-induced isomorphism with the semidirect product
     def draw(kernel_hom):

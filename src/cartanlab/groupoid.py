@@ -572,13 +572,17 @@ def extend_bisection(model: GroupoidModel, j: Jet1) -> ChartMap:
     return ChartMap(model.n, model.N, batch_of_one(b_many), eval_many=b_many)
 
 
-def _bisection(model: GroupoidModel, b: Callable) -> ChartMap:
-    return b if isinstance(b, ChartMap) else ChartMap(model.n, model.N, b)  # loops
+def bisection_family(model: GroupoidModel, b: Callable) -> Callable:
+    """A bisection b: M -> G as a family of one, every row through b.many
+    (a plain callable is looped)."""
+    b = b if isinstance(b, ChartMap) else ChartMap(model.n, model.N, b)
+    return lambda X, _: b.many(X)
 
 
-def _composed(model: GroupoidModel, family1: Callable, family2: Callable) -> Callable:
+def compose_families(model: GroupoidModel, family1: Callable, family2: Callable) -> Callable:
     """The pointwise products (b1 b2)(m) = b1(tgt(b2(m))) . b2(m) of two
-    families of bisections, member by member."""
+    families of bisections, member by member: compose_bisections' family
+    form."""
 
     def family(X: np.ndarray, owner: np.ndarray) -> np.ndarray:
         H = family2(X, owner)
@@ -665,14 +669,12 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     """Ground-truth one-jet of an explicit local bisection at m: oracle_jets'
     batch of one, b evaluated at its 2n+1 probes in one b.many call (a plain
     callable is looped; where that raises, the probes rerun one by one)."""
-    b = _bisection(model, b)
-    return oracle_jets(model, lambda X, _: b.many(X), np.asarray(m, dtype=float)[None])[0]
+    return oracle_jets(model, bisection_family(model, b), np.asarray(m, dtype=float)[None])[0]
 
 
 def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> ChartMap:
     """Pointwise product of local bisections: (b1 b2)(m) = b1(tgt(b2(m))) . b2(m)."""
-    b1, b2 = _bisection(model, b1), _bisection(model, b2)
-    family = _composed(model, lambda X, _: b1.many(X), lambda X, _: b2.many(X))
+    family = compose_families(model, bisection_family(model, b1), bisection_family(model, b2))
 
     def prod_many(M: np.ndarray) -> np.ndarray:
         return family(M, None)
@@ -690,8 +692,8 @@ def oracle_jet_muls(model: GroupoidModel, J1: Jets, J2: Jets) -> Jets:
     Every closed multiplication formula in the library is tested against this.
     """
     _check_composable(J1.source, J2.target)
-    return oracle_jets(model, _composed(model, extend_bisections(model, J1),
-                                        extend_bisections(model, J2)), J2.source)
+    return oracle_jets(model, compose_families(model, extend_bisections(model, J1),
+                                               extend_bisections(model, J2)), J2.source)
 
 
 def oracle_jet_mul(model: GroupoidModel, j1: Jet1, j2: Jet1) -> Jet1:

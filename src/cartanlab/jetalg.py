@@ -19,10 +19,11 @@ forms' batches of one.
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .chartcalc import Redraw, differentiate_many, exceeds, matvecs, newton_solve
+from .chartcalc import Redraw, differentiate_many, exceeds, matvecs, newton_solve_many
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
@@ -32,15 +33,17 @@ from .groupoid import (
     Jet1,
     Jets,
     algebroid_vec,
+    aligned_frames,
     anchor_matrices,
     base_points,
+    bisection_family,
     identity_jet,
     identity_jets,
     inv_tangent_many,
     kernel_basis,
     kernel_bases,
     left_translate_many,
-    oracle_jet,
+    oracle_jets,
     right_translate_many,
 )
 
@@ -454,42 +457,90 @@ def jet_mul(model: GroupoidModel, mu1: Jet1, mu2: Jet1, S) -> Jet1:
 # -- bisections of the jet groupoid ------------------------------------------
 
 
-def assemble_bisection(model: GroupoidModel, b, Phi):
-    """Bisection of the jet groupoid from a bisection b of the model and a
-    kernel section Phi: m -> KernelHom:
+def kernel_sections(model: GroupoidModel, ref_points: np.ndarray, C0: np.ndarray,
+                    C1: np.ndarray) -> Callable:
+    """The family of kernel sections m -> frame_a(m) @ (C0[a] + C1[a] m[0]),
+    frame_a the aligned_frame at ref_points[a]: family(P, owner) gives the
+    KernelHoms of member owner[r] at P[r]. The frames come from one
+    aligned_frames call, and each frame reads its rows in one frame.many
+    call; row r equals member owner[r] at P[r] alone bit for bit."""
+    groups = aligned_frames(model, ref_points)
+    C0, C1 = np.ascontiguousarray(C0, dtype=float), np.ascontiguousarray(C1, dtype=float)
+
+    def family(P: np.ndarray, owner: np.ndarray) -> KernelHoms:
+        P = np.asarray(P, dtype=float)
+        frames = np.empty((len(P), model.N, C0.shape[1]))
+        for frame, members in groups:
+            rows = np.flatnonzero(np.isin(owner, members))
+            if rows.size:
+                frames[rows] = frame.many(P[rows])
+        # each row a C-contiguous frame times a C-contiguous coefficient
+        # matrix, one matrix product per row, as a member alone takes it
+        return KernelHoms(model, P, frames @ (C0[owner] + C1[owner] * P[:, :1, None]))
+
+    return family
+
+
+def _kernel_family(Phi: Callable[[np.ndarray], KernelHom]) -> Callable:
+    """A kernel section m -> KernelHom as a family of one, read row by row."""
+    return lambda P, _: KernelHoms.of([Phi(m) for m in P])
+
+
+def assemble_bisections(model: GroupoidModel, family: Callable, Phi_many: Callable):
+    """Bisections of the jet groupoid from a family of bisections of the
+    model (groupoid.extend_bisections) and a family of kernel sections,
+    Phi_many(P, owner) giving the KernelHoms of member owner[r] at P[r]:
 
         a(b, Phi)(m) = vee(Phi(m')) . (jet of b at m),  m' = tgt(b(m)).
 
-    Returns a callable m -> Jet1. The kernel factor multiplies from the left,
-    so no connection is needed."""
+    Returns a callable M -> Jets, member a at M[a], its bisection jets in one
+    oracle_jets call. The kernel factor multiplies from the left, so no
+    connection is needed."""
 
-    def at(m: np.ndarray) -> Jet1:
-        jb = oracle_jet(model, b, np.asarray(m, dtype=float))
-        phi = Phi(jb.g.target)
-        if phi is None:
-            return jb
-        return mul_kernel_left(model, jb, phi)
+    def at(M: np.ndarray) -> Jets:
+        jb = oracle_jets(model, family, M)
+        return mul_kernel_left_many(model, jb, Phi_many(jb.target, np.arange(len(jb))))
 
     return at
 
 
-def kernel_section_pushforward(model: GroupoidModel, b, Phi):
-    """Action of a model bisection on kernel sections:
+def assemble_bisection(model: GroupoidModel, b, Phi):
+    """assemble_bisections' batch of one, for a bisection b: M -> G and a
+    kernel section Phi: m -> KernelHom; returns a callable m -> Jet1."""
+    at = assemble_bisections(model, bisection_family(model, b), _kernel_family(Phi))
+    return lambda m: at(np.asarray(m, dtype=float)[None])[0]
+
+
+def kernel_section_pushforwards(model: GroupoidModel, family: Callable, Phi_many: Callable):
+    """Action of a family of model bisections on a family of kernel
+    sections, member a by member a:
     (b . Phi)(m') = Ad_{jet of b at m} Phi(m), where m' = tgt(b(m)).
 
-    The returned section is evaluated by inverting the base transformation of
-    b with Newton iteration."""
+    Returns the pushed sections as a family, pushed(P, owner) giving the
+    KernelHoms of member owner[r] at P[r]. It inverts the base
+    transformations of the rows' bisections in one newton_solve_many, each
+    row from its own point, and takes their jets at the solutions in one
+    oracle_jets call."""
 
-    def base_map(x):
-        return model.tgt(np.asarray(b(x), dtype=float))
+    def pushed(P: np.ndarray, owner: np.ndarray) -> KernelHoms:
+        P = np.asarray(P, dtype=float)
 
-    def phi_at(mprime: np.ndarray) -> KernelHom:
-        mprime = np.asarray(mprime, dtype=float)
-        m = newton_solve(base_map, mprime, mprime, 1e-13)  # tgt(b(m)) = m'
-        jb = oracle_jet(model, b, m)
-        return adjoint_hom(model, jb, Phi(m))
+        def rows(X, r):  # the bisection of row r, for a stack of rows r
+            return family(X, owner[r])
 
-    return phi_at
+        M = newton_solve_many(lambda X, r: model.tgt.many(rows(X, r)), P, P,
+                              np.arange(len(P)), 1e-13)  # tgt(b(m)) = m'
+        return adjoint_hom_many(model, oracle_jets(model, rows, M), Phi_many(M, owner))
+
+    return pushed
+
+
+def kernel_section_pushforward(model: GroupoidModel, b, Phi):
+    """kernel_section_pushforwards' batch of one, for a bisection b: M -> G
+    and a kernel section Phi: m -> KernelHom; returns a callable
+    m' -> KernelHom."""
+    pushed = kernel_section_pushforwards(model, bisection_family(model, b), _kernel_family(Phi))
+    return lambda mprime: pushed(np.asarray(mprime, dtype=float)[None], np.zeros(1, dtype=int))[0]
 
 
 def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> Jet1:
@@ -507,6 +558,7 @@ __all__ = [
     "adjoint_hom_many", "jet_invert", "jet_invert_many", "mul_kernel_right",
     "mul_kernel_right_many", "mul_kernel_left", "mul_kernel_left_many", "jet_decompose",
     "jet_decompose_many", "jet_assemble", "jet_assemble_many", "jet_mul", "jet_mul_many",
-    "assemble_bisection", "kernel_section_pushforward", "random_jet", "identity_jet",
+    "kernel_sections", "assemble_bisection", "assemble_bisections",
+    "kernel_section_pushforward", "kernel_section_pushforwards", "random_jet", "identity_jet",
     "identity_jets",
 ]

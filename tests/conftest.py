@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cartanlab import groupoid
 from cartanlab.models import make_model
 
 CORE_MODELS = ["pair-R2", "translation-R2", "se2-action", "so3-sphere",
@@ -27,3 +28,25 @@ def zoo():
         return cache[name]
 
     return get
+
+
+def turned_kernel_bases(monkeypatch):
+    """Plant reference bases that turn with the point, so that aligned frames
+    at different points differ, as on a chart where Tsrc varies: each basis
+    of kernel_bases is rotated in the plane of its first two columns (scaled,
+    for rank 1) by an angle set by the point, row by row."""
+    kernel_bases = groupoid.kernel_bases
+
+    def turned(model, M):
+        out = []
+        for E, m in zip(kernel_bases(model, M), np.asarray(M, dtype=float)):
+            E, angle = np.array(E), 0.3 * float(np.sum(m))
+            if E.shape[1] == 1:
+                E *= 1.0 + angle
+            else:
+                c, s = np.cos(angle), np.sin(angle)
+                E[:, :2] = E[:, :2] @ np.array([[c, -s], [s, c]])
+            out.append(E)
+        return np.array(out)
+
+    monkeypatch.setattr(groupoid, "kernel_bases", turned)

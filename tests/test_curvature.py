@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab import groupoid
 from cartanlab.chartcalc import batch_of_one, directional_derivative, jacobian_fd
 from cartanlab.connection import AlgebroidConnection, CartanConnection, infinitesimalize
 from cartanlab.curvature import (
@@ -36,6 +35,8 @@ from cartanlab.groupoid import (
 )
 from cartanlab.models import EXPECTED_FLAT, MODELS, PERTURBED_BOX, make_model
 from cartanlab.report import ExperimentConfig
+
+from conftest import turned_kernel_bases
 
 # the package re-exports the function curvature under the submodule's name
 curvature_mod = importlib.import_module("cartanlab.curvature")
@@ -659,34 +660,12 @@ def test_stacked_curvatures_and_torsions_equal_their_rows(name, jacobians):
             assert np.array_equal(tau[a], _torsion_through_mu_at(S, g))
 
 
-def _turned_kernel_bases(monkeypatch):
-    """Plant reference bases that turn with the point, so that aligned frames
-    at different points differ, as on a chart where Tsrc varies: each basis
-    of kernel_bases is rotated in the plane of its first two columns (scaled,
-    for rank 1) by an angle set by the point, row by row."""
-    kernel_bases = groupoid.kernel_bases
-
-    def turned(model, M):
-        out = []
-        for E, m in zip(kernel_bases(model, M), np.asarray(M, dtype=float)):
-            E, angle = np.array(E), 0.3 * float(np.sum(m))
-            if E.shape[1] == 1:
-                E *= 1.0 + angle
-            else:
-                c, s = np.cos(angle), np.sin(angle)
-                E[:, :2] = E[:, :2] @ np.array([[c, -s], [s, c]])
-            out.append(E)
-        return np.array(out)
-
-    monkeypatch.setattr(groupoid, "kernel_bases", turned)
-
-
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_curvatures_group_the_rows_by_their_frame(name, monkeypatch):
     # where the reference bases differ, rows are grouped by their aligned
     # frame, in order of first use, and each equals the curvature at its
     # point alone bit for bit
-    _turned_kernel_bases(monkeypatch)
+    turned_kernel_bases(monkeypatch)
     model, S = make_model(name)
     rng = np.random.default_rng(31)
     p, q = (sample_base_point(model, rng) for _ in range(2))

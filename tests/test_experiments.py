@@ -8,8 +8,22 @@ from cartanlab import chartcalc, experiments, groupoid, jetalg
 from cartanlab.chartcalc import WorstErrors, jacobian_fd
 from cartanlab.connection import CartanConnection, infinitesimalize, infinitesimalize_along
 from cartanlab.errors import CartanLabError, EscapeError, SamplingError
-from cartanlab.groupoid import AffineSection, algebroid_bracket
-from cartanlab.jetalg import KernelHom, KernelHoms
+from cartanlab.groupoid import (
+    AffineSection,
+    aligned_frame,
+    algebroid_bracket,
+    compose_bisections,
+    extend_bisection,
+    jet_distance,
+    oracle_jet_mul,
+)
+from cartanlab.jetalg import (
+    KernelHom,
+    KernelHoms,
+    assemble_bisection,
+    aut_mul,
+    kernel_section_pushforward,
+)
 from cartanlab.models import MODELS, make_model
 from cartanlab.report import ExperimentConfig
 
@@ -469,3 +483,200 @@ def test_a_jet_axioms_bracket_abort_names_what_the_per_sample_loop_meets_first(p
         (f"aborted[{type(first.value).__name__}]", str(first.value))]
     assert type(first.value).__name__ == {"raise": "SamplingError",
                                           "nan": "CompositionError"}[poison[min(poison)]]
+
+
+# -- theorem-3-4's semidirect block: stacked families against the loop --------
+
+SEMIDIRECT = "semidirect-bisection-law"
+
+
+def _semidirect_per_sample(model, S, rng, count):
+    """theorem-3-4's semidirect block as its per-sample loop computed it
+    before the bisections were stacked: each sample drawn, then its two
+    bisections of the jet groupoid assembled and multiplied on that sample
+    alone. Base points are drawn through the experiments module, so a
+    patched draw reaches both this loop and the experiment."""
+    worst = WorstErrors((SEMIDIRECT,))
+    for _ in range(count):
+        g1, g2 = model.sample_composable(rng)
+        b1 = extend_bisection(model, S.jet(g1))
+        b2 = extend_bisection(model, S.jet(g2))
+
+        def kernel_section(seed_rng):
+            ref = experiments.sample_base_point(model, seed_rng)
+            frame = aligned_frame(model, ref)
+            C0 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
+            C1 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
+
+            def Phi(mm):
+                mm = np.asarray(mm, dtype=float)
+                coeff = C0 + C1 * mm[0]
+                return KernelHom(model, mm, frame(mm) @ coeff)
+
+            return Phi
+
+        Phi1 = kernel_section(rng)
+        Phi2 = kernel_section(rng)
+        B1 = assemble_bisection(model, b1, Phi1)
+        B2 = assemble_bisection(model, b2, Phi2)
+        m = g2.source
+        j2 = B2(m)
+        j1 = B1(j2.g.target)
+        lhs = oracle_jet_mul(model, j1, j2)
+        b12 = compose_bisections(model, b1, b2)
+        pushed = kernel_section_pushforward(model, b1, Phi2)
+
+        def Phi12(mm):
+            return aut_mul(Phi1(mm), pushed(mm))
+
+        rhs = assemble_bisection(model, b12, Phi12)(m)
+        worst.record(SEMIDIRECT, jet_distance(lhs, rhs))
+    return worst[SEMIDIRECT]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_theorem_3_4_semidirect_equals_the_per_sample_loop(name, jacobians, monkeypatch):
+    # count 16 draws 4 semidirect samples; the block is theorem-3-4's second
+    # draw_then_evaluate call, and it leaves the rng where the loop does
+    model, S = _model_and_connection(name, jacobians)
+    config = ExperimentConfig(model=name, experiment="theorem-3-4", seed=47)
+    states = _recording_rng_states(monkeypatch)
+    checks = {c.name: c.max_error for c in experiments.run_theorem_3_4(model, S, config, 16)}
+    rng = _generator_at(states[1])
+    assert checks[SEMIDIRECT] == _semidirect_per_sample(model, S, rng, 4)
+    assert rng.bit_generator.state == states[2]
+
+
+def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
+    # 3 and 12 samples: five oracle_jets calls (the two factors, their
+    # product, the product bisection's jets and the pushed section's jets),
+    # one Newton solve, one mu_many per bisection family and one
+    # aligned_frames per kernel-section family, each over every sample
+    model, S = make_model("se2-action")
+    config = ExperimentConfig(model="se2-action", experiment="theorem-3-4", seed=47)
+    calls = {}
+
+    def counted(key, real, points):  # records the length of argument points
+        def call(*args):
+            calls.setdefault(key, []).append(len(args[points]))
+            return real(*args)
+        return call
+
+    for module, name, points in [(groupoid, "_stacked_oracle_jets", 2),
+                                 (jetalg, "newton_solve_many", 2),
+                                 (groupoid, "newton_solve_many", 2),
+                                 (jetalg, "aligned_frames", 1)]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name), points))
+
+    def mu_many(G):
+        calls.setdefault("mu_many", []).append(len(G))
+        return S.mu_many(G)
+
+    counted_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
+    real = experiments.draw_then_evaluate
+    blocks = []
+
+    def recording(rng, count, draw, evaluate, replay=None):
+        calls.clear()
+        real(rng, count, draw, evaluate, replay)
+        blocks.append(dict(calls))
+
+    monkeypatch.setattr(experiments, "draw_then_evaluate", recording)
+    for count, k in ((12, 3), (48, 12)):
+        del blocks[:]
+        experiments.run_theorem_3_4(model, counted_S, config, count)
+        assert blocks[1] == {"_stacked_oracle_jets": [k] * 5, "newton_solve_many": [k],
+                             "mu_many": [k, k], "aligned_frames": [k, k]}
+
+
+THEOREM_ABORT = ExperimentConfig(model="se2-action", experiment="theorem-3-4", seed=13,
+                                 sample_count=24)
+
+
+def _semidirect_draws(monkeypatch, model, S):
+    """The stacked fields of the semidirect block of a clean THEOREM_ABORT
+    run, and the points its one Newton solve starts from, sample by sample."""
+    starts = []
+    real = jetalg.newton_solve_many
+
+    def recording(func_many, Y, X0, start, tol):
+        starts.extend(X0[start])
+        return real(func_many, Y, X0, start, tol)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(jetalg, "newton_solve_many", recording)
+        checks, calls = _run_recording_draws("theorem-3-4", model, S, THEOREM_ABORT, False)
+    assert not checks[0][0].startswith("aborted")
+    [fields] = calls[1]
+    return fields, starts
+
+
+def _poisoned_semidirect(monkeypatch, poison):
+    """THEOREM_ABORT's model and a connection with sample a of its semidirect
+    block poisoned as poison[a] says: "raise" raises SamplingError in the
+    sample's sample_composable; "nan" makes the jet at its first arrow NaN;
+    "stall" makes the base map of its Newton solve NaN, so the solve does
+    not converge. Keyed on the drawn arrows and the Newton starts, not on a
+    call count, so a rerun of the samples meets the same poison."""
+    model, S = make_model(THEOREM_ABORT.model)
+    (G1, G2, *_), starts = _semidirect_draws(monkeypatch, model, S)
+    rows = {how: [x[a] for a, kind in poison.items() if kind == how]
+            for how, x in (("raise", G2), ("nan", G1), ("stall", starts))}
+
+    def poisoned(X, how):  # which rows of X are poisoned rows of that kind
+        return np.array([any(np.array_equal(x, p) for p in rows[how]) for x in X], dtype=bool)
+
+    sample_composable = type(model).sample_composable
+
+    def drawing(self, rng):
+        g, h = sample_composable(self, rng)
+        if poisoned([h.coords], "raise")[0]:
+            raise SamplingError(f"draw at {h.coords}")
+        return g, h
+
+    def mu_many(G):
+        mu = np.array(S.mu_many(G))
+        mu[poisoned(G, "nan")] = np.nan
+        return mu
+
+    newton_solve_many = jetalg.newton_solve_many
+
+    def stalling(func_many, Y, X0, start, tol):
+        stalled = poisoned(X0, "stall")
+
+        def func(P, owner):
+            out = np.array(func_many(P, owner))
+            out[stalled[owner]] = np.nan
+            return out
+
+        return newton_solve_many(func, Y, X0, start, tol)
+
+    monkeypatch.setattr(type(model), "sample_composable", drawing)
+    monkeypatch.setattr(jetalg, "newton_solve_many", stalling)
+    return model, CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("poison", [{2: "raise"}, {1: "nan", 2: "raise"},
+                                    {1: "nan", 3: "stall"}, {1: "stall", 3: "nan"},
+                                    {3: "nan"}],
+                         ids=["raise", "nan-then-raise", "nan-then-stall", "stall-then-nan",
+                              "nan-late"])
+def test_a_semidirect_abort_names_what_the_per_sample_loop_meets_first(poison, monkeypatch):
+    # a raising draw fails in the draws, before any sample is evaluated; a
+    # NaN jet fails the oracle at the sample's first factor, and a stalled
+    # Newton solve fails at its pushed section, after every oracle product.
+    # So the stacked block meets "stall-then-nan"'s NaN first and
+    # "nan-then-raise"'s raise first; the rerun of draw_then_evaluate ends as
+    # the per-sample loop does, and a NaN jet never passes
+    model, S = _poisoned_semidirect(monkeypatch, poison)
+    monkeypatch.setattr(experiments, "make_model", lambda *_: (model, S))
+    states = _recording_rng_states(monkeypatch)
+    aborted = experiments.run(THEOREM_ABORT).checks
+    with pytest.raises(CartanLabError) as first:
+        _semidirect_per_sample(model, S, _generator_at(states[1]), 6)
+    assert [(c.name, c.detail) for c in aborted] == [
+        (f"aborted[{type(first.value).__name__}]", str(first.value))]
+    assert type(first.value).__name__ == {"raise": "SamplingError", "nan": "NotABisectionError",
+                                          "stall": "NonFiniteError"}[poison[min(poison)]]

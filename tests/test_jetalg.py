@@ -39,6 +39,8 @@ from cartanlab.jetalg import (
     adjoint_tm_many,
     adjoint_vec,
     adjoint_vec_many,
+    assemble_bisection,
+    assemble_bisections,
     aut_inv,
     aut_inv_many,
     aut_mul,
@@ -52,6 +54,9 @@ from cartanlab.jetalg import (
     jet_invert_many,
     jet_mul,
     jet_mul_many,
+    kernel_section_pushforward,
+    kernel_section_pushforwards,
+    kernel_sections,
     mul_kernel_left,
     mul_kernel_left_many,
     mul_kernel_right,
@@ -66,7 +71,7 @@ from cartanlab.jetalg import (
 from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
 
-from conftest import CORE_MODELS
+from conftest import CORE_MODELS, turned_kernel_bases
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +343,6 @@ def test_translation_difference_identity(zoo, name, rng):
 
 
 def test_assemble_bisection_trivial_factors(zoo, rng):
-    from cartanlab.jetalg import assemble_bisection
-
     model, S = zoo("se2-action")
     g = model.sample_arrow(rng)
     b = extend_bisection(model, S.jet(g))
@@ -469,6 +472,56 @@ def test_stacked_jet_maps_match_single_calls(name, jacobians):
     ]
     for stacked, singles in cases:
         _rows_equal(stacked, singles)
+
+
+def _kernel_section(model, ref, C0, C1):
+    """theorem-3-4's kernel section m -> frame(m) @ (C0 + C1 m[0]) on the
+    aligned_frame at ref, as its per-sample loop built it."""
+    frame = groupoid.aligned_frame(model, ref)
+
+    def Phi(mm):
+        mm = np.asarray(mm, dtype=float)
+        return KernelHom(model, mm, frame(mm) @ (C0 + C1 * mm[0]))
+
+    return Phi
+
+
+@pytest.mark.parametrize("turned", [False, True], ids=["one-frame", "turned"])
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_bisection_families_match_their_batches_of_one(name, jacobians, turned,
+                                                               monkeypatch):
+    # row r of the kernel-section family is its member's one-sample section
+    # at P[r], and row a of assemble_bisections and of
+    # kernel_section_pushforwards is its batch of one, bit for bit, on
+    # non-contiguous views; turned bases give every member a frame of its own
+    if turned:
+        turned_kernel_bases(monkeypatch)
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    rng = np.random.default_rng(43)
+    jets = [S.jet(g) for g, _ in (model.sample_composable(rng) for _ in range(3))]
+    refs = np.array([sample_base_point(model, rng) for _ in jets])
+    C0, C1 = rng.uniform(-0.3, 0.3, size=(2, len(jets), model.N - model.n, model.n))
+    assert len(groupoid.aligned_frames(model, refs)) == (3 if turned else 1)
+    Phi = kernel_sections(model, _noncontiguous(refs), _noncontiguous(C0), _noncontiguous(C1))
+    sections = [_kernel_section(model, *draw) for draw in zip(refs, C0, C1)]
+    owner = np.array([2, 0, 1, 0])
+    P = np.array([sample_base_point(model, rng) for _ in owner])
+    _rows_equal(Phi(_noncontiguous(P), owner), [sections[a](p) for a, p in zip(owner, P)])
+    family = extend_bisections(model, _viewed_jets(jets))
+    bisections = [extend_bisection(model, j) for j in jets]
+    M = _noncontiguous([j.g.source for j in jets])
+    _rows_equal(assemble_bisections(model, family, Phi)(M),
+                [assemble_bisection(model, b, X)(j.g.source)
+                 for b, X, j in zip(bisections, sections, jets)])
+    # each row solved back from its member's target to the member's source
+    Q = np.array([jets[a].g.target for a in owner])
+    _rows_equal(kernel_section_pushforwards(model, family, Phi)(_noncontiguous(Q), owner),
+                [kernel_section_pushforward(model, bisections[a], sections[a])(q)
+                 for a, q in zip(owner, Q)])
 
 
 def test_kernel_draw_reads_the_anchor_matrix_once(zoo, monkeypatch, caplog):
