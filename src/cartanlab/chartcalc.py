@@ -134,6 +134,28 @@ def in_box(x: np.ndarray, box: np.ndarray) -> bool:
     return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
 
+def box_draw(rng: np.random.Generator, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """A point uniform in the box [low, high], one coordinate per row: the
+    bits of rng.uniform(low, high), which numpy rounds as low + range * u
+    (no fused multiply-add; tests/test_chartcalc.py pins it), with rng left
+    in the same state. It skips rng.uniform's per-call argument handling and
+    its check of the box, which raises OverflowError for a width that is not
+    finite: the boxes drawn here are checked when they are built
+    (check_box)."""
+    return low + (high - low) * rng.random(len(low))
+
+
+def check_box(name: str, box: np.ndarray) -> None:
+    """Raise ConfigError unless every bound and every width of the box, one
+    (low, high) row per coordinate, is finite: the check rng.uniform makes on
+    each draw, made once for the boxes box_draw draws in."""
+    box = np.asarray(box, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not (np.all(np.isfinite(box)) and np.all(np.isfinite(width))):
+        raise ConfigError(f"{name} must be finite, not {box.tolist()}")
+
+
 def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """Central-difference jacobian of func at x, one column per coordinate:
     jacobians_fd's batch of one, func evaluated at its 2n probes in turn."""
@@ -427,13 +449,18 @@ class Redraw(Exception):
     rejection floor): draw_then_evaluate draws the stack again."""
 
 
+def stack_field(elements) -> object:
+    """One field of a list of drawn samples as one stack: the
+    stack_of(elements) of an element type that has one (jetalg.KernelHom;
+    jetalg.KernelDraw or groupoid.ArrowField, which resolve their deferred
+    draws there), an array otherwise."""
+    kind = type(elements[0])
+    return kind.stack_of(elements) if hasattr(kind, "stack_of") else np.array(elements)
+
+
 def _stacked_fields(samples: list) -> list:
-    """The fields of a list of drawn samples, each as one stack: the
-    stack_of(elements) of an element type that has one (jetalg.KernelHom,
-    or jetalg.KernelDraw, which resolves its deferred draws there), an array
-    otherwise."""
-    return [type(field[0]).stack_of(field) if hasattr(type(field[0]), "stack_of")
-            else np.array(field) for field in zip(*samples)]
+    """The fields of a list of drawn samples, each as one stack (stack_field)."""
+    return [stack_field(field) for field in zip(*samples)]
 
 
 def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate,
@@ -444,7 +471,8 @@ def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate,
 
     replay is draw with nothing deferred (draw itself when not given): a
     draw may leave part of each sample to its stack, drawing what that part
-    takes from rng first as if it were accepted (jetalg.deferred_kernel_hom).
+    takes from rng first as if it were accepted (jetalg.deferred_kernel_hom,
+    and the arrows of groupoid.DeferredDraws, which are always accepted).
     When the stack refuses it (Redraw, a rare rejection), the samples are
     drawn again from the rng state before the first draw by replay, in order,
     and evaluated as one stack: the rng stream and every stacked field are

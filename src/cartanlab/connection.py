@@ -69,6 +69,7 @@ from .groupoid import (
     Jets,
     algebroid_vec,
     base_points,
+    draw_samples_then_evaluate,
     family_rows,
     identity_jets,
     jet_distances,
@@ -133,9 +134,10 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) ->
     """Max deviation of S(g1 g2) from the oracle product of S(g1) and S(g2)
     over count sampled composable pairs; a jet the oracle refuses reads +inf.
 
-    Every pair is drawn first, in the per-sample loop's rng order; then one
-    mul_many, three mu_many calls (the factors and their products) and one
-    oracle_jet_muls evaluate them all (chartcalc.draw_then_evaluate). Where
+    Every pair is drawn first, in the per-sample loop's rng order, its arrows
+    deferred; then one mul_many, three mu_many calls (the factors and their
+    products) and one oracle_jet_muls evaluate them all
+    (groupoid.draw_samples_then_evaluate). Where
     the oracle refuses a jet of the stack, the pairs rerun one by one and a
     refused pair alone records +inf."""
     model = S.model
@@ -144,8 +146,8 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) ->
     rng = np.random.default_rng(seed)
     worst = WorstErrors(("multiplicative",))
 
-    def draw():
-        g, h = model.sample_composable(rng)
+    def draw(sample):
+        g, h = sample.composable(rng)
         return g.coords, h.coords
 
     def evaluate(G, H):
@@ -163,7 +165,7 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) ->
             return
         worst.record("multiplicative", jet_distances(lhs, rhs))
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return worst["multiplicative"]
 
 

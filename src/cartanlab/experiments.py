@@ -11,7 +11,15 @@ from functools import partial
 
 import numpy as np
 
-from .chartcalc import WorstErrors, draw_then_evaluate, jacobians_fd, matvecs, worst_case_min
+from .chartcalc import (
+    WorstErrors,
+    box_draw,
+    differentiate_many,
+    draw_then_evaluate,
+    jacobians_fd,
+    matvecs,
+    worst_case_min,
+)
 from .connection import (
     UNITAL_SAMPLES,
     check_multiplicative,
@@ -29,11 +37,10 @@ from .groupoid import (
     anchor_matrices,
     check_axioms,
     compose_families,
-    extend_bisection,
+    draw_samples_then_evaluate,
     extend_bisections,
     identity_jets,
     jet_distances,
-    oracle_jet,
     oracle_jet_inverses,
     oracle_jet_muls,
     oracle_jets,
@@ -71,7 +78,7 @@ from .models.classical import (
     se2_v_bracket,
     so3_v_bracket,
 )
-from .models.isojet import isometry_matrix, prolongation_jet
+from .models.isojet import isometry_matrices, prolongation_jets
 from .report import Check, ExperimentConfig, Report
 
 DEFAULT_COUNTS = {
@@ -123,13 +130,14 @@ class _Checks:
 # -- individual experiments ----------------------------------------------------
 
 
-def draw_kernels_then_evaluate(rng, count, draw, evaluate) -> None:
-    """chartcalc.draw_then_evaluate for a draw(kernel_hom) that draws its
-    kernel elements through kernel_hom: deferred_kernel_hom, so each kernel
-    field is resolved as one stack, and random_kernel_hom when the stack is
+def draw_kernels_then_evaluate(model, rng, count, draw, evaluate) -> None:
+    """groupoid.draw_samples_then_evaluate for a draw(sample) that draws its
+    arrows and kernel elements through the sampler sample: deferred arrows
+    and deferred_kernel_hom, so each arrow and kernel field is resolved as
+    one stack, and eager arrows and random_kernel_hom when the stack is
     replayed on a rejection or the samples rerun on an error."""
-    draw_then_evaluate(rng, count, partial(draw, deferred_kernel_hom), evaluate,
-                       replay=partial(draw, random_kernel_hom))
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate,
+                               kernel_homs=(deferred_kernel_hom, random_kernel_hom))
 
 
 def run_jet_axioms(model, S, config, count) -> list[Check]:
@@ -146,12 +154,12 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
     for error in check_axioms(model, rng, count=count).values():
         axioms(error)
 
-    def draw(kernel_hom):
-        g, h = model.sample_composable(rng)
-        phi1 = kernel_hom(model, g.target, rng)
-        phi2 = kernel_hom(model, h.target, rng)
-        k = model.arrow(model.arrow_with_source(g.target, rng))
-        return g.coords, phi1, h.coords, phi2, k.coords, kernel_hom(model, k.target, rng)
+    def draw(sample):
+        g, h = sample.composable(rng)
+        phi1 = sample.kernel_hom(g.target, rng)
+        phi2 = sample.kernel_hom(h.target, rng)
+        k = sample.arrow_at(g.target, rng)
+        return g.coords, phi1, h.coords, phi2, k.coords, sample.kernel_hom(k.target, rng)
 
     def evaluate(G, phi1, H, phi2, K, phi0):
         j1 = jet_assemble_many(model, G, phi1, S.mu_many)
@@ -166,7 +174,7 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
             oracle_jet_muls(model, j1, oracle_jet_inverses(model, j1)),
             identity_jets(model, j1.target)))
 
-    draw_kernels_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
 
     def draw_bracket_sample():
         X, Y = random_section(model, rng), random_section(model, rng)
@@ -202,9 +210,9 @@ def run_inversion(model, S, config, count) -> list[Check]:
     double = checks.declare("double-inversion", count, 1e-8)
     law = checks.declare("inverse-law-via-oracle", count, checks.oracle())
 
-    def draw(kernel_hom):
-        g = model.sample_arrow(rng)
-        return g.coords, kernel_hom(model, g.target, rng)
+    def draw(sample):
+        g = sample.arrow(rng)
+        return g.coords, sample.kernel_hom(g.target, rng)
 
     def evaluate(G, phi):
         j = jet_assemble_many(model, G, phi, S.mu_many)
@@ -213,7 +221,7 @@ def run_inversion(model, S, config, count) -> list[Check]:
         double(jet_distances(jet_invert_many(model, jinv), j))
         law(jet_distances(oracle_jet_muls(model, jinv, j), identity_jets(model, j.source)))
 
-    draw_kernels_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -226,10 +234,10 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
     conjugation = checks.declare("conjugation-identity", count, tol)
     translation = checks.declare("translation-difference", count, tol)
 
-    def draw(kernel_hom):
-        g = model.sample_arrow(rng)
-        phi_mu = kernel_hom(model, g.target, rng)  # mu's kernel factor
-        return g.coords, phi_mu, kernel_hom(model, g.source, rng)
+    def draw(sample):
+        g = sample.arrow(rng)
+        phi_mu = sample.kernel_hom(g.target, rng)  # mu's kernel factor
+        return g.coords, phi_mu, sample.kernel_hom(g.source, rng)
 
     def evaluate(G, phi_mu, phi):
         mu = jet_assemble_many(model, G, phi_mu, S.mu_many)
@@ -253,7 +261,7 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
         translation(np.swapaxes(mu.mu, 1, 2).reshape(-1, N)
                     - np.swapaxes(nu.mu, 1, 2).reshape(-1, N) - col)
 
-    draw_kernels_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -270,13 +278,13 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
     multiplication = checks.declare("semidirect-multiplication", count, tol)
     adjoint_morphism = checks.declare("adjoint-is-morphism", count, tol)
 
-    def draw(kernel_hom):
+    def draw(sample):
         m = sample_base_point(model, rng)
-        psi = kernel_hom(model, m, rng)
-        phi = kernel_hom(model, m, rng)
-        x = kernel_hom(model, m, rng)  # X is its first column
-        g = model.arrow(model.arrow_with_source(m, rng))
-        return m, psi, phi, x, g.coords, kernel_hom(model, g.target, rng)
+        psi = sample.kernel_hom(m, rng)
+        phi = sample.kernel_hom(m, rng)
+        x = sample.kernel_hom(m, rng)  # X is its first column
+        g = sample.arrow_at(m, rng)
+        return m, psi, phi, x, g.coords, sample.kernel_hom(g.target, rng)
 
     def evaluate(M, psi, phi, x, G, phi_mu):
         vee_prod = vee_many(aut_mul_many(psi, phi))
@@ -294,7 +302,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = matvecs(adjoint_tm_many(model, mu), matvecs(anchor_matrices(model, M), X))
         anchor(lhs - rhs)
 
-    draw_kernels_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
 
     # semidirect law for bisections of the jet groupoid, on a few base points:
     # each sample's two model bisections and two kernel sections, the
@@ -305,8 +313,8 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         return (sample_base_point(model, rng), rng.uniform(-0.3, 0.3, size=shape),
                 rng.uniform(-0.3, 0.3, size=shape))
 
-    def draw_semidirect():
-        g1, g2 = model.sample_composable(rng)
+    def draw_semidirect(sample):
+        g1, g2 = sample.composable(rng)
         return g1.coords, g2.coords, *draw_kernel_section(), *draw_kernel_section()
 
     def evaluate_semidirect(G1, G2, R1, C01, C11, R2, C02, C12):
@@ -326,15 +334,15 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = assemble_bisections(model, compose_families(model, b1, b2), Phi12)(J2.source)
         semidirect(jet_distances(lhs, rhs))
 
-    draw_then_evaluate(rng, semi_samples, draw_semidirect, evaluate_semidirect)
+    draw_kernels_then_evaluate(model, rng, semi_samples, draw_semidirect, evaluate_semidirect)
 
     # the connection-induced isomorphism with the semidirect product
-    def draw(kernel_hom):
-        g1, g2 = model.sample_composable(rng)
-        phi1 = kernel_hom(model, g1.target, rng)
-        phi2 = kernel_hom(model, g2.target, rng)
+    def draw(sample):
+        g1, g2 = sample.composable(rng)
+        phi1 = sample.kernel_hom(g1.target, rng)
+        phi2 = sample.kernel_hom(g2.target, rng)
         v = rng.uniform(-1.0, 1.0, size=model.n)
-        return g1.coords, phi1, g2.coords, phi2, v, kernel_hom(model, g2.source, rng)
+        return g1.coords, phi1, g2.coords, phi2, v, sample.kernel_hom(g2.source, rng)
 
     def evaluate(G1, phi1, G2, phi2, V, x):
         mu1 = jet_assemble_many(model, G1, phi1, S.mu_many)
@@ -349,7 +357,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         inner = adjoint_vec_many(model, mu2, mu2.source, X)
         adjoint_morphism(lhs - adjoint_vec_many(model, mu1, mu2.target, inner))
 
-    draw_kernels_then_evaluate(rng, count, draw, evaluate)
+    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -480,7 +488,7 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
     u0 = cc.sigma(m0)
     lam = rec.omega_matrix(u0) @ np.linalg.inv(np.asarray(cc.omega_matrix(u0), dtype=float))
     for _ in range(count):
-        u = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
+        u = box_draw(rng, cc.p_box[:, 0], cc.p_box[:, 1])
         roundtrip_parallelism(
             rec.omega_matrix(u) - lam @ np.asarray(cc.omega_matrix(u), dtype=float))
 
@@ -497,12 +505,12 @@ def run_classical_bridge(model, S, config, count) -> list[Check]:
     draw_then_evaluate(rng, nabla_samples, draw_induced, evaluate_induced)
 
     for _ in range(count):
-        p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
+        p = box_draw(rng, cc.p_box[:, 0], cc.p_box[:, 1])
         maurer_cartan(classical_curvature(cc, se2_v_bracket, p))
 
     min_omega_mag = np.inf
     for _ in range(curvature_samples):
-        p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
+        p = box_draw(rng, cc.p_box[:, 0], cc.p_box[:, 1])
         F0, dF = classical_curvature_parallel_frame(cc, so3_v_bracket, p)
         min_omega_mag = worst_case_min(min_omega_mag, float(np.max(np.abs(F0))))
         parallel_derivative(dF)
@@ -522,20 +530,28 @@ def run_riemannian(model, S, config, count) -> list[Check]:
     compatibility = checks.declare("jet-metric-compatibility", count, 1e-7)
     multiplicative = checks.declare("multiplicative", multiplicative_samples, 1e-7)
     verdict = checks.declare("flatness-verdict", flatness_samples, 0.5, fixed=True)
-    for _ in range(count):
-        g = model.sample_arrow(rng)
-        A = isometry_matrix(metric, g.coords[:2], g.coords[2:4], g.coords[4])
-        isometry(A.T @ metric(g.coords[2:4]) @ A - metric(g.coords[:2]))
-        residual(prolongation_jet(metric, g.coords)[1])
-        # first-order metric compatibility of the oracle jet of the extension
-        b = extend_bisection(model, S.jet(g))
+
+    def draw(sample):
+        return (sample.arrow(rng).coords,)
+
+    def evaluate(G):
+        A = isometry_matrices(metric, G[:, :2], G[:, 2:4], G[:, 4])
+        isometry(np.swapaxes(A, -1, -2) @ metric(G[:, 2:4]) @ A - metric(G[:, :2]))
+        mu, dA_theta, rhs = prolongation_jets(metric, G)
+        residual(rhs - mu[:, 4, :, None, None] * dA_theta[:, None])
+        # first-order metric compatibility of the oracle jets of the extensions
+        J = Jets.at(model, G, S.mu_many(G))
         try:
-            j = oracle_jet(model, b, g.source)
-        except NotABisectionError:  # the jet is no bisection's, e.g. NaN
-            compatibility(math.inf)
-            continue
-        Tphi = model.Ttgt(j.g.coords) @ j.mu
-        compatibility(Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source))
+            j = oracle_jets(model, extend_bisections(model, J), J.source)
+        except NotABisectionError:
+            if len(G) > 1:
+                raise  # the rerun finds the refused samples one by one
+            compatibility(math.inf)  # the jet is no bisection's, e.g. NaN
+            return
+        Tphi = differentiate_many(model.tgt, j.coords) @ j.mu
+        compatibility(np.swapaxes(Tphi, -1, -2) @ metric(j.target) @ Tphi - metric(j.source))
+
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     multiplicative(check_multiplicative(S, seed=config.seed, count=multiplicative_samples))
     flat = flatness_experiment(S, seed=config.seed, count=flatness_samples)
     expect_flat = EXPECTED_FLAT.get(config.model, True)

@@ -15,7 +15,7 @@ the library is tested.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,8 @@ from .chartcalc import (
     FD_STEP,
     WorstErrors,
     batch_of_one,
+    box_draw,
+    check_box,
     constant_jacobian,
     deriv_at_zero,
     differentiate,
@@ -149,8 +151,21 @@ class GroupoidModel:
     is given, and derives it again where it gives another stacked map. The
     jacobian hooks have no single-point form.
 
+    arrow_with_source(m, rng) draws an arrow with source m. A model gives it
+    split in two: free_box, the box its free coordinates are drawn in
+    (chartcalc.box_draw), and place_many(F, M), which places row a of the
+    free coordinates F at the source M[a]. arrow_with_source is derived here
+    as their batch of one, and DeferredDraws places a whole pass of draws in
+    one call. A model, or a copy, may give an arrow_with_source of its own
+    instead; it keeps no split (free_box and place_many are None) and draws
+    its arrows at a source eagerly.
+
+    domain_box, base_box and free_box are (low, high) rows, one per
+    coordinate, and must be finite (ConfigError): rng.uniform checks a box
+    on every draw, box_draw does not.
+
     A model whose source map reads a slot of its coordinates takes its source side
-    (src, retract_src_many, retract_src_jac_many, arrow_with_source,
+    (src, retract_src_many, retract_src_jac_many, free_box, place_many,
     src_fiber_chart) from source_slot, and likewise its target side (tgt,
     retract_tgt_many, retract_tgt_jac_many) from target_slot.
 
@@ -169,11 +184,13 @@ class GroupoidModel:
     unit: ChartMap
     domain_box: np.ndarray
     base_box: np.ndarray
-    arrow_with_source: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     mul_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inv_many: Callable[[np.ndarray], np.ndarray]
     retract_src_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    free_box: np.ndarray | None = None
+    place_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    arrow_with_source: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
     mul_jac_many: BlocksMap | None = None
     inv_jac_many: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_jac_many: BlocksMap | None = None
@@ -196,6 +213,24 @@ class GroupoidModel:
             # a derived single (or a wrapper of one) carries its stacked map
             if single is None or getattr(single, "many", many) is not many:
                 object.__setattr__(self, name, batch_of_one(many))
+        drawn = self.arrow_with_source
+        if drawn is not None and not hasattr(drawn, "place_many"):
+            # a draw of the model's own: no split to defer it by
+            object.__setattr__(self, "free_box", None)
+            object.__setattr__(self, "place_many", None)
+        elif self.place_many is None or self.free_box is None:
+            raise ConfigError(f"model {self.name} gives neither arrow_with_source "
+                              "nor its split, free_box and place_many")
+        for name in ("domain_box", "base_box", "free_box"):
+            box = getattr(self, name)
+            if box is not None:
+                object.__setattr__(self, name, np.asarray(box, dtype=float))
+                check_box(f"{self.name}'s {name}", getattr(self, name))
+        if self.place_many is not None and (
+                getattr(drawn, "place_many", None) is not self.place_many
+                or drawn.free_box is not self.free_box):
+            object.__setattr__(self, "arrow_with_source",
+                               _arrow_with_source(self.free_box, self.place_many))
 
     # -- convenience -------------------------------------------------------
 
@@ -246,19 +281,26 @@ class GroupoidModel:
     def has_jacobians(self) -> bool:
         return self.mul_jac_many is not None
 
+    @cached_property
+    def base_draw_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The low and high corners of the box sample_base_point draws in:
+        base_box with BASE_SHRINK of its width kept clear on each side."""
+        box = self.base_box
+        width = box[:, 1] - box[:, 0]
+        return box[:, 0] + BASE_SHRINK * width, box[:, 1] - BASE_SHRINK * width
+
     def sample_arrow(self, rng: np.random.Generator) -> Arrow:
+        """An arrow uniform in domain_box: DeferredDraws.arrow's eager form."""
         box = self.domain_box
-        coords = rng.uniform(box[:, 0], box[:, 1])
-        return self.arrow(coords)
+        return self.arrow(box_draw(rng, box[:, 0], box[:, 1]))
 
     def sample_composable(self, rng: np.random.Generator) -> tuple[Arrow, Arrow]:
-        """Draw (g, h) with src(g) = tgt(h), i.e. the product g h is defined.
-        Raises SamplingError when arrow_with_source misses its source."""
+        """Draw (g, h) with src(g) = tgt(h), i.e. the product g h is defined:
+        h uniform, then g drawn at its target (arrow_at), as EagerDraws.
+        composable draws them. Raises SamplingError when arrow_with_source
+        misses its source."""
         h = self.sample_arrow(rng)
-        g = self.arrow(self.arrow_with_source(h.target, rng))
-        if exceeds(float(np.max(np.abs(g.source - h.target))), 1e-12):
-            raise SamplingError(f"arrow_with_source missed its source on {self.name}")
-        return g, h
+        return arrow_at(self, h.target, rng), h
 
 
 def algebroid_vec(model: GroupoidModel, m: np.ndarray, vec: np.ndarray,
@@ -351,28 +393,42 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
             rest, constant_jacobian(rest_emb))
 
 
+def _arrow_with_source(free_box: np.ndarray, place_many: Callable) -> Callable:
+    """arrow_with_source as the batch of one of its split: the free
+    coordinates drawn in free_box, placed at m. It carries its split as
+    .free_box and .place_many, so a copy that keeps them keeps it."""
+    low, high = free_box[:, 0], free_box[:, 1]
+
+    def arrow_with_source(m, rng):
+        return place_many(box_draw(rng, low, high)[None], np.asarray(m, dtype=float)[None])[0]
+
+    arrow_with_source.free_box, arrow_with_source.place_many = free_box, place_many
+    return arrow_with_source
+
+
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
     arrow coordinates src_index: src, retract_src_many and retract_src_jac_many as
-    _coordinate_slot gives them, arrow_with_source (the other coordinates
-    uniform in their domain_box rows) and src_fiber_chart (the other
-    coordinates, the source held at m0). Its analytic Tsrc is constant: the
-    model's constant_Tsrc."""
+    _coordinate_slot gives them, the split of arrow_with_source (free_box, the
+    other coordinates' domain_box rows, and place_many, which writes them and
+    the source into their slots) and src_fiber_chart (the other coordinates,
+    the source held at m0). Its analytic Tsrc is constant: the model's
+    constant_Tsrc."""
     fields, rest, emb_jacobian = _coordinate_slot(N, src_index, "src")
-    low, high = domain_box[rest].T
 
-    def place(others, m):
-        g = np.empty(N)
-        g[rest], g[src_index] = others, m
-        return g
+    def place_many(F, M):
+        G = np.empty((len(M), N))
+        G[:, rest], G[:, src_index] = F, M
+        return G
 
     def fiber_chart(m0):
         m0 = np.asarray(m0, dtype=float)
-        return (ChartMap(len(rest), N, lambda u: place(u, m0), jacobian=emb_jacobian),
+        return (ChartMap(len(rest), N, batch_of_one(lambda U: place_many(U, m0[None])),
+                         jacobian=emb_jacobian),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
-    return dict(fields, arrow_with_source=lambda m, rng: place(rng.uniform(low, high), m),
-                src_fiber_chart=fiber_chart)
+    return dict(fields, free_box=np.asarray(domain_box, dtype=float)[rest],
+                place_many=place_many, src_fiber_chart=fiber_chart)
 
 
 def target_slot(N: int, tgt_index: slice) -> dict:
@@ -754,11 +810,174 @@ def jet_distance(j1: Jet1, j2: Jet1) -> float:
 
 
 def sample_base_point(model: GroupoidModel, rng: np.random.Generator) -> np.ndarray:
-    """Uniform base point, drawn a little inside the base box so that finite
-    differences and short flows stay in-chart."""
-    box = model.base_box
-    width = box[:, 1] - box[:, 0]
-    return rng.uniform(box[:, 0] + BASE_SHRINK * width, box[:, 1] - BASE_SHRINK * width)
+    """Uniform base point, drawn a little inside the base box (base_draw_box)
+    so that finite differences and short flows stay in-chart."""
+    return box_draw(rng, *model.base_draw_box)
+
+
+def check_sources(model: GroupoidModel, sources: np.ndarray, wanted: np.ndarray,
+                  samples=None) -> None:
+    """Raise SamplingError unless row a of the stack sources equals wanted[a]
+    to 1e-12 (a NaN defect fails), naming the first bad row's points and,
+    where samples gives each row's sample, that sample."""
+    defects = np.max(np.abs(sources - wanted), axis=1)
+    bad = np.flatnonzero(~(defects <= 1e-12))
+    if bad.size:
+        a = bad[0]
+        where = "" if samples is None else f" at sample {samples[a]}"
+        raise SamplingError(f"arrow_with_source missed its source on {model.name}{where}: "
+                            f"src {sources[a]} for {wanted[a]}")
+
+
+def arrow_at(model: GroupoidModel, m: np.ndarray, rng: np.random.Generator) -> Arrow:
+    """An arrow drawn with source m by arrow_with_source; SamplingError where
+    its source misses m (check_sources)."""
+    g = model.arrow(model.arrow_with_source(m, rng))
+    check_sources(model, g.source[None], np.asarray(m, dtype=float)[None])
+    return g
+
+
+class EagerDraws:
+    """The sampler a draw closure draws through: arrow(rng), composable(rng),
+    arrow_at(m, rng) and kernel_hom(m, rng), each element decided as it is
+    drawn (the model's draws and the eager kernel draw it is given,
+    jetalg.random_kernel_hom). DeferredDraws is its stacked form."""
+
+    def __init__(self, model: GroupoidModel, kernel_hom: Callable | None = None):
+        self.model, self.kernel_draw = model, kernel_hom
+
+    def arrow(self, rng: np.random.Generator) -> Arrow:
+        return self.model.sample_arrow(rng)
+
+    def arrow_at(self, m, rng: np.random.Generator) -> Arrow:
+        return arrow_at(self.model, m, rng)
+
+    def composable(self, rng: np.random.Generator) -> tuple[Arrow, Arrow]:
+        h = self.arrow(rng)
+        return self.arrow_at(h.target, rng), h
+
+    def kernel_hom(self, m, rng: np.random.Generator):
+        return self.kernel_draw(self.model, m, rng)
+
+
+class ArrowField:
+    """Field name (coords, source or target) of arrow index of a pass's
+    DeferredDraws. A list of them stacks itself (stack_of) from the pass's
+    one resolution, row a equal to the eager draw's field bit for bit."""
+
+    __slots__ = ("draws", "index", "name")
+
+    def __init__(self, draws: "DeferredDraws", index: int, name: str):
+        self.draws, self.index, self.name = draws, index, name
+
+    @staticmethod
+    def stack_of(fields) -> np.ndarray:
+        return fields[0].draws.resolve()[fields[0].name][[f.index for f in fields]]
+
+
+class ArrowDraw:
+    """Arrow index of a pass's DeferredDraws: an Arrow whose coords, source
+    and target are ArrowFields, made as they are read."""
+
+    __slots__ = ("draws", "index")
+
+    def __init__(self, draws: "DeferredDraws", index: int):
+        self.draws, self.index = draws, index
+
+    coords = property(lambda self: ArrowField(self.draws, self.index, "coords"))
+    source = property(lambda self: ArrowField(self.draws, self.index, "source"))
+    target = property(lambda self: ArrowField(self.draws, self.index, "target"))
+
+
+class DeferredDraws(EagerDraws):
+    """EagerDraws for one stacked pass: an arrow takes from rng what the
+    eager draw takes (box_draw in the domain box, or in free_box for an arrow
+    at a source) and is an ArrowDraw, so the draw closures make no
+    structure-map call. The first stack_of of a field resolves the pass
+    (resolve). Kernel elements come from the deferred kernel draw it is
+    given (jetalg.deferred_kernel_hom). The model needs place_many."""
+
+    def __init__(self, model: GroupoidModel, kernel_hom: Callable | None = None):
+        super().__init__(model, kernel_hom)
+        # per arrow: raw coordinates; where it is drawn: None (the domain
+        # box), a point, or the (index, name) of an earlier arrow's end, not
+        # its ArrowField, which would make a reference cycle; its sample
+        self.raw, self.at, self.samples = [], [], []
+        self.sample = -1  # the sample being drawn (begin_sample)
+        self._resolved = None
+
+    def begin_sample(self) -> None:
+        self.sample += 1
+
+    def _add(self, box: np.ndarray, at, rng: np.random.Generator) -> ArrowDraw:
+        self.raw.append(box_draw(rng, box[:, 0], box[:, 1]))
+        self.at.append(at)
+        self.samples.append(self.sample)
+        return ArrowDraw(self, len(self.raw) - 1)
+
+    def arrow(self, rng: np.random.Generator) -> ArrowDraw:
+        return self._add(self.model.domain_box, None, rng)
+
+    def arrow_at(self, m, rng: np.random.Generator) -> ArrowDraw:
+        at = (m.index, m.name) if isinstance(m, ArrowField) else np.asarray(m, dtype=float)
+        return self._add(self.model.free_box, at, rng)
+
+    def resolve(self) -> dict[str, np.ndarray]:
+        """The coords, source and target of every arrow of the pass, computed
+        once, level by level (the arrows in the domain box or at a drawn
+        point, then the arrows at their ends, ...), each level in one
+        place_many, one src.many and one tgt.many call and one check_sources
+        of its arrows drawn at a source."""
+        if self._resolved is not None:
+            return self._resolved
+        model, k = self.model, len(self.raw)
+        out = {"coords": np.empty((k, model.N)), "source": np.empty((k, model.n)),
+               "target": np.empty((k, model.n))}
+        level = []
+        for at in self.at:
+            level.append(level[at[0]] + 1 if isinstance(at, tuple) else 0)
+        level = np.array(level)
+        for depth in range(level.max() + 1):
+            rows = np.flatnonzero(level == depth)
+            placed = [a for a in rows if self.at[a] is not None]
+            boxed = [a for a in rows if self.at[a] is None]
+            if boxed:
+                out["coords"][boxed] = [self.raw[a] for a in boxed]
+            if placed:
+                M = np.array([out[at[1]][at[0]] if isinstance(at, tuple) else at
+                              for at in (self.at[a] for a in placed)])
+                out["coords"][placed] = model.place_many(
+                    np.array([self.raw[a] for a in placed]), M)
+            G = out["coords"][rows]
+            out["source"][rows] = model.src.many(G)
+            out["target"][rows] = model.tgt.many(G)
+            if placed:
+                check_sources(model, out["source"][placed], M,
+                              [self.samples[a] for a in placed])
+        self._resolved = out
+        return out
+
+
+def draw_samples_then_evaluate(model: GroupoidModel, rng: np.random.Generator, count: int,
+                               draw: Callable, evaluate: Callable,
+                               kernel_homs: tuple[Callable, Callable] | None = None) -> None:
+    """chartcalc.draw_then_evaluate for a draw(sample) that draws through
+    the sampler sample: DeferredDraws in the stacked pass, EagerDraws in the
+    replay and the rerun. kernel_homs is the (deferred, eager) pair of
+    kernel draws. A model without place_many (one that gives its own
+    arrow_with_source) draws its arrows eagerly in the stacked pass too."""
+    deferred_kernel, eager_kernel = kernel_homs or (None, None)
+    if model.place_many is None:
+        stacked_draw = partial(draw, EagerDraws(model, deferred_kernel))
+    else:
+        deferred = DeferredDraws(model, deferred_kernel)
+
+        def stacked_draw():
+            deferred.begin_sample()
+            return draw(deferred)
+
+    draw_then_evaluate(rng, count, stacked_draw, evaluate,
+                       replay=partial(draw, EagerDraws(model, eager_kernel)))
 
 
 def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -944,19 +1163,20 @@ def check_axioms(model: GroupoidModel, rng: np.random.Generator,
     """Max deviation of the groupoid axioms over seeded random samples.
 
     Every sample (a base point, a composable pair, an arrow composable with
-    the pair) is drawn first, in the per-sample loop's rng order; then each
-    axiom is a few stacked src/tgt/unit.many, mul_many, inv_many and
-    retract_*_many calls over all samples (chartcalc.draw_then_evaluate)."""
+    the pair) is drawn first, in the per-sample loop's rng order, its arrows
+    deferred; then each axiom is a few stacked src/tgt/unit.many, mul_many,
+    inv_many and retract_*_many calls over all samples
+    (draw_samples_then_evaluate)."""
     errs = WorstErrors(("unit_source_target", "left_unit", "right_unit",
                         "product_source_target", "inverse", "associativity",
                         "retract_identity"))
     bump = errs.record
 
-    def draw():
+    def draw(sample):
         m = sample_base_point(model, rng)
-        g, h = model.sample_composable(rng)
-        k = model.arrow_with_source(g.target, rng)
-        return m, g.coords, g.source, g.target, h.coords, h.source, k
+        g, h = sample.composable(rng)
+        k = sample.arrow_at(g.target, rng)
+        return m, g.coords, g.source, g.target, h.coords, h.source, k.coords
 
     def evaluate(M, G, G_src, G_tgt, H, H_src, K):
         U = model.unit.many(M)
@@ -973,5 +1193,5 @@ def check_axioms(model: GroupoidModel, rng: np.random.Generator,
         bump("retract_identity", model.retract_src_many(G, G_src) - G)
         bump("retract_identity", model.retract_tgt_many(G, G_tgt) - G)
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return errs

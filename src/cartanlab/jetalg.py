@@ -23,11 +23,19 @@ from typing import Callable
 
 import numpy as np
 
-from .chartcalc import Redraw, differentiate_many, exceeds, matvecs, newton_solve_many
+from .chartcalc import (
+    Redraw,
+    differentiate_many,
+    exceeds,
+    matvecs,
+    newton_solve_many,
+    stack_field,
+)
 from .errors import BaseMismatchError, SingularError
 from .groupoid import (
     AlgebroidVec,
     Arrow,
+    ArrowField,
     DET_TOL,
     GroupoidModel,
     Jet1,
@@ -242,7 +250,8 @@ def _candidates(K: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray
 class KernelDraw:
     """A deferred random_kernel_hom at m: the coefficient matrix C of its
     first candidate, drawn and taken as accepted. A list of them resolves as
-    one stack (stack_of)."""
+    one stack (stack_of). m is a point, or an end of a deferred arrow
+    (groupoid.ArrowField), resolved with its arrows' stack."""
 
     model: GroupoidModel
     m: np.ndarray
@@ -256,7 +265,7 @@ class KernelDraw:
         when a candidate falls below the floor: the eager draw would have
         rejected it and drawn again."""
         model = draws[0].model
-        M = np.array([d.m for d in draws])
+        M = stack_field([d.m for d in draws])
         C = np.array([d.C for d in draws])
         phi, det = _candidates(kernel_bases(model, M), anchor_matrices(model, M), C)
         if not (abs(det) >= KERNEL_MIN_DET).all():  # a NaN determinant is rejected too
@@ -271,10 +280,12 @@ def deferred_kernel_hom(model: GroupoidModel, m: np.ndarray,
     accepts that candidate, and leave the basis, the anchor and the
     determinant to the stack of draws (KernelDraw.stack_of, through
     chartcalc.draw_then_evaluate, which replays the stack with
-    random_kernel_hom on rejection). Raises DomainError when m is not a point
-    of dimension n."""
-    return KernelDraw(model, base_points(model, m, 1),
-                      _coefficients(rng, model.N - model.n, model.n))
+    random_kernel_hom on rejection). m may be an end of a deferred arrow
+    (groupoid.ArrowField). Raises DomainError when m is not a point of
+    dimension n, at once for a point, in the stack for an arrow's end."""
+    if not isinstance(m, ArrowField):
+        m = base_points(model, m, 1)
+    return KernelDraw(model, m, _coefficients(rng, model.N - model.n, model.n))
 
 
 # -- adjoint representations -------------------------------------------------

@@ -19,6 +19,8 @@ from ..chartcalc import (
     ChartMap,
     WorstErrors,
     batch_of_one,
+    box_draw,
+    check_box,
     constant_jacobian,
     deriv_at_zero,
     differentiate,
@@ -88,6 +90,12 @@ class ClassicalCartan:
     p_box: np.ndarray
     h_box: np.ndarray
 
+    def __post_init__(self):
+        # the boxes are drawn in by box_draw, which leaves their check to here
+        for name in ("p_box", "h_box"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            check_box(f"{self.name}'s {name}", getattr(self, name))
+
     pi = _batch_of_one_of("pi_many")
     sigma = _batch_of_one_of("sigma_many")
     normalizer = _batch_of_one_of("normalizer_many")
@@ -110,13 +118,13 @@ def classical_invariants(cc: ClassicalCartan, rng: np.random.Generator,
     errs = WorstErrors(("generator", "equivariance"))
     min_abs_det = np.inf
     for _ in range(count):
-        p = rng.uniform(cc.p_box[:, 0], cc.p_box[:, 1])
+        p = box_draw(rng, cc.p_box[:, 0], cc.p_box[:, 1])
         W = np.asarray(cc.omega_matrix(p), dtype=float)
         min_abs_det = worst_case_min(min_abs_det, float(abs(np.linalg.det(W))))
         xi = rng.uniform(-0.5, 0.5, size=cc.h_dim)
         gen = cc.h_generator(p, xi)
         errs.record("generator", W @ gen - cc.h_basis @ xi)
-        h = rng.uniform(cc.h_box[:, 0], cc.h_box[:, 1])
+        h = box_draw(rng, cc.h_box[:, 0], cc.h_box[:, 1])
         v = rng.uniform(-1.0, 1.0, size=cc.p_dim)
         Dp = cc.h_act_jac_many(p[None], h[None])[0][0]
         lhs = cc.omega(cc.h_act(p, h), Dp @ v)

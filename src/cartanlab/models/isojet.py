@@ -30,7 +30,7 @@ from ..chartcalc import (
 from ..connection import CartanConnection
 from ..errors import MetricError
 from ..groupoid import GroupoidModel, source_slot, target_slot
-from .rotations import J2, rot2, rot2_many
+from .rotations import J2, rot2_many
 
 _I2 = np.eye(2)
 THETA_MAX = 0.7  # half-width of the theta row of the arrow box
@@ -69,12 +69,20 @@ def dchol2(L: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return dL
 
 
+def isometry_matrices(metric: MetricChart, M: np.ndarray, MP: np.ndarray,
+                      theta: np.ndarray) -> np.ndarray:
+    """isometry_matrix for stacks of arrows (M[k, 2], MP[k, 2], theta[k]),
+    as A[k, 2, 2], row a equal to the arrow's alone bit for bit."""
+    Lm = chol2(metric(M))
+    Lp = chol2(metric(MP))
+    return np.linalg.solve(np.swapaxes(Lp, -1, -2), rot2_many(theta) @ np.swapaxes(Lm, -1, -2))
+
+
 def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
                     theta: float) -> np.ndarray:
-    """The isometric tangent map T_m M -> T_m' M carried by the arrow."""
-    Lm = chol2(metric(m))
-    Lp = chol2(metric(mp))
-    return np.linalg.solve(Lp.T, rot2(theta) @ Lm.T)
+    """The isometric tangent map T_m M -> T_m' M carried by the arrow:
+    isometry_matrices' batch of one."""
+    return batch_of_one(lambda M, MP, T: isometry_matrices(metric, M, MP, T))(m, mp, theta)
 
 
 def make_isometry_jet_groupoid(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,29 @@ def turned_kernel_bases(monkeypatch):
         return np.array(out)
 
     monkeypatch.setattr(groupoid, "kernel_bases", turned)
+
+
+def counting_chart_maps(model):
+    """A copy of model whose chart maps (src, tgt, unit: eval, eval_many and
+    jacobian), stacked structure maps and place_many count their calls in
+    the returned dict, by name."""
+    calls = {}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    charts = {name: dataclasses.replace(
+        cm, eval=counted(f"{name}.eval", cm.eval),
+        eval_many=cm.eval_many and counted(f"{name}.eval_many", cm.eval_many),
+        jacobian=cm.jacobian and counted(f"{name}.jacobian", cm.jacobian))
+        for name, cm in ((name, getattr(model, name)) for name in ("src", "tgt", "unit"))}
+    maps = {name: counted(name, getattr(model, name))
+            for name in ("mul_many", "inv_many", "retract_src_many", "retract_tgt_many",
+                         "place_many")}
+    return dataclasses.replace(model, **charts, **maps), calls

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cartanlab.chartcalc import (
     MetricChart,
     Redraw,
     batch_of_one,
+    box_draw,
     christoffel,
     constant_jacobian,
     differentiate,
@@ -34,6 +37,8 @@ from cartanlab.chartcalc import (
 )
 from cartanlab.errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_many
+from cartanlab.models import MODELS, make_model
+from cartanlab.models.classical import se2_maurer_cartan
 from cartanlab.models.actions import se2_group
 from cartanlab.models.metrics import euclidean_metric, sphere_metric
 from cartanlab.models.pair import make_pair_groupoid
@@ -584,3 +589,51 @@ def test_a_redrawn_stack_is_drawn_again_by_replay():
                        evaluated.append, replay=lambda: (rng.uniform(),))
     assert len(evaluated) == 1 and evaluated[0].tobytes() == expected.tobytes()
     assert rng.uniform() == np.random.default_rng(0).uniform(size=5)[4]
+
+
+def _draw_boxes():
+    """The (low, high) corners of every box a draw reads through box_draw,
+    labelled: each model's domain_box, the base box sample_base_point
+    shrinks (base_draw_box), source_slot's free box, and the classical
+    boxes."""
+    boxes = []
+    for name in sorted(MODELS):
+        model = make_model(name)[0]
+        boxes += [pytest.param(*model.domain_box.T, id=f"{name}-domain"),
+                  pytest.param(*model.base_draw_box, id=f"{name}-base"),
+                  pytest.param(*model.free_box.T, id=f"{name}-free")]
+    cc = se2_maurer_cartan()
+    return boxes + [pytest.param(*getattr(cc, box).T, id=f"classical-{box}")
+                    for box in ("p_box", "h_box")]
+
+
+@pytest.mark.parametrize("low,high", _draw_boxes())
+def test_box_draw_equals_rng_uniform_bit_for_bit(low, high):
+    # low + (high - low) * u is how numpy rounds uniform; a build that
+    # contracted it to a fused multiply-add would fail here
+    drawn, uniform = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(1000):
+        assert box_draw(drawn, low, high).tobytes() == uniform.uniform(low, high).tobytes()
+    assert drawn.bit_generator.state == uniform.bit_generator.state
+
+
+@pytest.mark.parametrize("box", [[[0.0, np.inf]], [[np.nan, 1.0]], [[-1e308, 1e308]]],
+                         ids=["infinite", "nan", "overflowing-width"])
+def test_a_non_finite_box_is_refused_when_the_model_is_built(box):
+    # rng.uniform refuses such a box on every draw (OverflowError for a
+    # width that is not finite); box_draw does not, so the models refuse it
+    # when they are built
+    model = make_pair_groupoid(np.array([[-1.0, 1.0]]))[0]
+    for field in ("domain_box", "base_box"):
+        bad = np.array(getattr(model, field), dtype=float)
+        bad[:1] = box
+        with raises(ConfigError, match=field):
+            dataclasses.replace(model, **{field: bad})
+    with raises(ConfigError, match="free_box"):
+        dataclasses.replace(model, free_box=np.array(box, dtype=float))
+    cc = se2_maurer_cartan()
+    for field in ("p_box", "h_box"):
+        bad = np.array(getattr(cc, field), dtype=float)
+        bad[:1] = box
+        with raises(ConfigError, match=field):
+            dataclasses.replace(cc, **{field: bad})

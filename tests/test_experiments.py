@@ -7,7 +7,7 @@ import pytest
 from cartanlab import chartcalc, experiments, groupoid, jetalg
 from cartanlab.chartcalc import WorstErrors, jacobian_fd
 from cartanlab.connection import CartanConnection, infinitesimalize, infinitesimalize_along
-from cartanlab.errors import CartanLabError, EscapeError, SamplingError
+from cartanlab.errors import CartanLabError, EscapeError, NotABisectionError, SamplingError
 from cartanlab.groupoid import (
     AffineSection,
     aligned_frame,
@@ -15,6 +15,7 @@ from cartanlab.groupoid import (
     compose_bisections,
     extend_bisection,
     jet_distance,
+    oracle_jet,
     oracle_jet_mul,
 )
 from cartanlab.jetalg import (
@@ -25,7 +26,11 @@ from cartanlab.jetalg import (
     kernel_section_pushforward,
 )
 from cartanlab.models import MODELS, make_model
+from cartanlab.models.isojet import chol2, prolongation_jet
+from cartanlab.models.rotations import rot2
 from cartanlab.report import ExperimentConfig
+
+from conftest import counting_chart_maps
 
 # one model each experiment runs on; flatness twice, for both expectations
 SURFACE_RUNS = [
@@ -298,6 +303,14 @@ JET_EXPERIMENTS = ("jet-axioms", "inversion", "lemma-3-3", "theorem-3-4")
 JET_MODELS = ("pair-R2", "se2-action", "gauge-se2-so2", "isojet-sphere")
 
 
+def _patch_draw_then_evaluate(monkeypatch, replacement):
+    """Patch draw_then_evaluate in each module the experiments reach it
+    through: experiments itself, and groupoid, whose
+    draw_samples_then_evaluate runs every block that draws arrows."""
+    for module in (experiments, groupoid):
+        monkeypatch.setattr(module, "draw_then_evaluate", replacement)
+
+
 def _run_recording_draws(experiment, model, S, config, per_sample):
     """The (name, max_error) of each check of one jet experiment and, per
     draw_then_evaluate call, the stacked fields its evaluate got. per_sample
@@ -319,7 +332,7 @@ def _run_recording_draws(experiment, model, S, config, per_sample):
             recorded(*chartcalc._stacked_fields([(replay or draw)()]))
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(experiments, "draw_then_evaluate", draw_then_evaluate)
+        _patch_draw_then_evaluate(monkeypatch, draw_then_evaluate)
         checks = experiments.EXPERIMENTS[experiment](model, S, config, config.sample_count)
     return [(c.name, c.max_error) for c in checks], calls
 
@@ -396,13 +409,13 @@ def _recording_rng_states(monkeypatch):
     call starts from; jet-axioms' bracket block is its last call. Returns
     the list the states go to."""
     states = []
-    real = experiments.draw_then_evaluate
+    real = chartcalc.draw_then_evaluate
 
     def recording(rng, count, draw, evaluate, replay=None):
         states.append(rng.bit_generator.state)
         real(rng, count, draw, evaluate, replay)
 
-    monkeypatch.setattr(experiments, "draw_then_evaluate", recording)
+    _patch_draw_then_evaluate(monkeypatch, recording)
     return states
 
 
@@ -574,7 +587,7 @@ def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
         return S.mu_many(G)
 
     counted_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
-    real = experiments.draw_then_evaluate
+    real = chartcalc.draw_then_evaluate
     blocks = []
 
     def recording(rng, count, draw, evaluate, replay=None):
@@ -582,7 +595,7 @@ def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
         real(rng, count, draw, evaluate, replay)
         blocks.append(dict(calls))
 
-    monkeypatch.setattr(experiments, "draw_then_evaluate", recording)
+    _patch_draw_then_evaluate(monkeypatch, recording)
     for count, k in ((12, 3), (48, 12)):
         del blocks[:]
         experiments.run_theorem_3_4(model, counted_S, config, count)
@@ -613,27 +626,29 @@ def _semidirect_draws(monkeypatch, model, S):
 
 
 def _poisoned_semidirect(monkeypatch, poison):
-    """THEOREM_ABORT's model and a connection with sample a of its semidirect
-    block poisoned as poison[a] says: "raise" raises SamplingError in the
-    sample's sample_composable; "nan" makes the jet at its first arrow NaN;
+    """A copy of THEOREM_ABORT's model and a connection on it with sample a of
+    its semidirect block poisoned as poison[a] says: "raise" raises
+    SamplingError where the sample's first arrow is placed at the second's
+    target (place_many, which the deferred draws and the eager ones both
+    call); "nan" makes the jet at its first arrow NaN;
     "stall" makes the base map of its Newton solve NaN, so the solve does
     not converge. Keyed on the drawn arrows and the Newton starts, not on a
     call count, so a rerun of the samples meets the same poison."""
-    model, S = make_model(THEOREM_ABORT.model)
-    (G1, G2, *_), starts = _semidirect_draws(monkeypatch, model, S)
+    clean, S = make_model(THEOREM_ABORT.model)
+    (G1, G2, *_), starts = _semidirect_draws(monkeypatch, clean, S)
     rows = {how: [x[a] for a, kind in poison.items() if kind == how]
-            for how, x in (("raise", G2), ("nan", G1), ("stall", starts))}
+            for how, x in (("raise", clean.tgt.many(G2)), ("nan", G1), ("stall", starts))}
 
     def poisoned(X, how):  # which rows of X are poisoned rows of that kind
         return np.array([any(np.array_equal(x, p) for p in rows[how]) for x in X], dtype=bool)
 
-    sample_composable = type(model).sample_composable
+    def placing(F, M):
+        hit = poisoned(M, "raise")
+        if hit.any():
+            raise SamplingError(f"draw at {M[hit][0]}")
+        return clean.place_many(F, M)
 
-    def drawing(self, rng):
-        g, h = sample_composable(self, rng)
-        if poisoned([h.coords], "raise")[0]:
-            raise SamplingError(f"draw at {h.coords}")
-        return g, h
+    model = dataclasses.replace(clean, place_many=placing)
 
     def mu_many(G):
         mu = np.array(S.mu_many(G))
@@ -652,7 +667,6 @@ def _poisoned_semidirect(monkeypatch, poison):
 
         return newton_solve_many(func, Y, X0, start, tol)
 
-    monkeypatch.setattr(type(model), "sample_composable", drawing)
     monkeypatch.setattr(jetalg, "newton_solve_many", stalling)
     return model, CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
 
@@ -680,3 +694,114 @@ def test_a_semidirect_abort_names_what_the_per_sample_loop_meets_first(poison, m
         (f"aborted[{type(first.value).__name__}]", str(first.value))]
     assert type(first.value).__name__ == {"raise": "SamplingError", "nan": "NotABisectionError",
                                           "stall": "NonFiniteError"}[poison[min(poison)]]
+
+
+# -- riemannian: stacked isometry, residual and compatibility against the loop --
+
+RIEMANNIAN_CHECKS = ("chart-isometry", "prolongation-residual", "jet-metric-compatibility")
+ISOJET_MODELS = sorted(name for name in MODELS if name.startswith("isojet"))
+
+
+def _riemannian_per_sample(model, S, seed, count):
+    """run_riemannian's first three checks as its per-sample loop computed
+    them before they were stacked: each arrow drawn, then its isometry
+    matrix (the one-arrow formula), its prolongation residual and the
+    oracle jet of its extension on that arrow alone; a jet the oracle
+    refuses reads +inf."""
+    metric = model.extras["metric"]
+    rng = np.random.default_rng(seed)
+    worst = WorstErrors(RIEMANNIAN_CHECKS)
+    for _ in range(count):
+        g = model.sample_arrow(rng)
+        m, mp, theta = g.coords[:2], g.coords[2:4], g.coords[4]
+        A = np.linalg.solve(chol2(metric(mp)).T, rot2(theta) @ chol2(metric(m)).T)
+        worst.record("chart-isometry", A.T @ metric(mp) @ A - metric(m))
+        worst.record("prolongation-residual", prolongation_jet(metric, g.coords)[1])
+        b = extend_bisection(model, S.jet(g))
+        try:
+            j = oracle_jet(model, b, g.source)
+        except NotABisectionError:
+            worst.record("jet-metric-compatibility", np.inf)
+            continue
+        Tphi = model.Ttgt(j.g.coords) @ j.mu
+        worst.record("jet-metric-compatibility",
+                     Tphi.T @ metric(j.g.target) @ Tphi - metric(j.g.source))
+    return dict(worst)
+
+
+def _riemannian_checks(model, S, seed, count):
+    config = ExperimentConfig(model=model.name, experiment="riemannian", seed=seed)
+    checks = {c.name: c.max_error for c in experiments.run_riemannian(model, S, config, count)}
+    return {name: checks[name] for name in RIEMANNIAN_CHECKS}
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_riemannian_equals_its_per_sample_loop(name, jacobians):
+    model, S = _model_and_connection(name, jacobians)
+    for seed in (3, 61):
+        assert _riemannian_checks(model, S, seed, 7) == _riemannian_per_sample(model, S, seed, 7)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_a_riemannian_jet_the_oracle_refuses_reads_inf_for_its_own_sample(name, monkeypatch):
+    # sample 2's jet is NaN: the stacked oracle refuses the stack, and the
+    # rerun takes the samples one by one and records +inf for sample 2
+    # alone, as the loop does
+    oracle_rows = []
+    real = experiments.oracle_jets
+
+    def counting(model, family, M):
+        oracle_rows.append(len(M))
+        return real(model, family, M)
+
+    monkeypatch.setattr(experiments, "oracle_jets", counting)
+    model, S = make_model(name)
+    rng = np.random.default_rng(5)
+    arrows = [model.sample_arrow(rng).coords for _ in range(5)]
+
+    def mu_many(G):
+        mu = np.array(S.mu_many(G))
+        mu[[np.array_equal(g, arrows[2]) for g in G]] = np.nan
+        return mu
+
+    nan_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
+    checks = _riemannian_checks(model, nan_S, 5, 5)
+    assert oracle_rows == [5, 1, 1, 1, 1, 1]
+    assert checks == _riemannian_per_sample(model, nan_S, 5, 5)
+    assert checks["jet-metric-compatibility"] == np.inf
+    assert checks["chart-isometry"] < 1e-9
+
+
+# -- deferred arrows: the stacked draws make no structure-map call -------------
+
+DRAWING_EXPERIMENTS = (*JET_EXPERIMENTS, "multiplicativity", "riemannian")
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_stacked_draw_closures_make_no_structure_map_call(name, monkeypatch):
+    # every draw closure of a stacked pass that draws arrows, kernel
+    # elements included; the replay of a refused stack is eager and is not
+    # counted
+    model, calls = counting_chart_maps(make_model(name)[0])
+    S = CartanConnection(model, make_model(name)[1].mu_at)
+    during_draws = []
+
+    def counting(rng, count, draw, evaluate, replay=None):
+        def counted_draw():
+            before = sum(calls.values())
+            out = draw()
+            during_draws.append(sum(calls.values()) - before)
+            return out
+
+        chartcalc.draw_then_evaluate(rng, count, counted_draw, evaluate, replay)
+
+    monkeypatch.setattr(groupoid, "draw_then_evaluate", counting)
+    for experiment in DRAWING_EXPERIMENTS:
+        if experiment == "riemannian" and "metric" not in model.extras:
+            continue
+        config = ExperimentConfig(model=name, experiment=experiment, seed=3)
+        checks = experiments.EXPERIMENTS[experiment](model, S, config, 4)
+        assert not any(c.name.startswith("aborted") for c in checks)
+    assert during_draws and not any(during_draws)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab import groupoid
+from cartanlab import chartcalc, experiments, groupoid, jetalg
 from cartanlab.chartcalc import (
     FD_STEP,
     ChartMap,
@@ -56,8 +56,9 @@ from cartanlab.groupoid import (
 from cartanlab.jetalg import random_jet
 from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
+from cartanlab.report import ExperimentConfig
 
-from conftest import CORE_MODELS
+from conftest import CORE_MODELS, counting_chart_maps
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -459,6 +460,146 @@ def test_axioms_make_as_many_stacked_calls_for_any_count(name):
         counts.append(dict(calls))
     assert counts[0] == counts[1] == counts[2]
     assert counts[0]["mul_many"] == 8
+
+
+# -- deferred arrow draws -----------------------------------------------------
+
+
+def _draw_every_kind(model, rng, sample):
+    """One sample of every kind of arrow draw, through the sampler sample: a
+    composable pair, an arrow at the pair's target, a uniform arrow and an
+    arrow at a drawn base point, with a kernel element at an end of each;
+    the coords, source and target of each arrow, then the kernel elements."""
+    m = sample_base_point(model, rng)
+    g, h = sample.composable(rng)
+    k = sample.arrow_at(g.target, rng)
+    a, b = sample.arrow(rng), sample.arrow_at(m, rng)
+    kernels = [sample.kernel_hom(p, rng)
+               for p in (g.target, h.source, k.target, a.source, b.target)]
+    return (*(f for x in (g, h, k, a, b) for f in (x.coords, x.source, x.target)), *kernels)
+
+
+def _field_rows(field):
+    """A stacked field as bytes, row by row; a KernelHoms as its points and
+    its matrices."""
+    if isinstance(field, jetalg.KernelHoms):
+        return [m.tobytes() + phi.tobytes() for m, phi in zip(field.m, field.phi)]
+    return [row.tobytes() for row in np.asarray(field)]
+
+
+def _deferred_draws(model, rng, count, draw=_draw_every_kind):
+    """count samples drawn by draw through one DeferredDraws, unstacked,
+    and the DeferredDraws; the rng is left where the draws leave it."""
+    draws = groupoid.DeferredDraws(model, jetalg.deferred_kernel_hom)
+    samples = []
+    for _ in range(count):
+        draws.begin_sample()
+        samples.append(draw(model, rng, draws))
+    return samples, draws
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_deferred_arrows_equal_the_eager_draws(name, jacobians, monkeypatch):
+    # a floor of 0 accepts every kernel candidate, so the eager kernel draws
+    # take from rng what the deferred ones do and no stack is redrawn
+    monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", 0.0)
+    model = make_model(name)[0]
+    if not jacobians:
+        model = model.without_jacobians()
+    rng, eager_rng = np.random.default_rng(23), np.random.default_rng(23)
+    samples, _ = _deferred_draws(model, rng, 4)
+    eager = groupoid.EagerDraws(model, jetalg.random_kernel_hom)
+    singles = [_draw_every_kind(model, eager_rng, eager) for _ in range(4)]
+    assert rng.bit_generator.state == eager_rng.bit_generator.state
+    stacked = chartcalc._stacked_fields(samples)
+    assert len(stacked) == 20
+    for a, field in enumerate(stacked):
+        assert _field_rows(field) == [
+            row for one in singles for row in _field_rows(chartcalc.stack_field([one[a]]))], a
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_deferred_draws_make_no_structure_map_call_and_resolve_in_fixed_calls(name):
+    model, calls = counting_chart_maps(make_model(name)[0])
+    made = []
+    for count in (3, 30):
+        for key in calls:
+            calls[key] = 0
+        samples, draws = _deferred_draws(model, np.random.default_rng(4), count)
+        assert not any(calls.values()), calls
+        for field in list(zip(*samples))[:15]:  # the arrow fields
+            chartcalc.stack_field(field)
+        made.append({key: n for key, n in calls.items() if n})
+        assert draws.resolve() is draws.resolve()
+    # three levels (the uniform arrows with the arrow at a drawn point, the
+    # arrow at the pair's target, the arrow at that arrow's target), each in
+    # one place_many, one src and one tgt call
+    assert made[0] == made[1] == {"place_many": 3, "src.eval_many": 3, "tgt.eval_many": 3}
+
+
+def _missing_at(model, points, how):
+    """A copy of model whose place_many misses the source at each row placed
+    at one of points: "shift" moves the arrow by 1e-6, "nan" makes it NaN.
+    The deferred draws and the eager ones (arrow_with_source, its batch of
+    one) both place through it. Returns the copy and the row counts of its
+    place_many calls."""
+    rows = []
+
+    def place_many(F, M):
+        rows.append(len(M))
+        G = model.place_many(F, M)
+        hit = [any(np.array_equal(m, p) for p in points) for m in M]
+        G[hit] = np.nan if how == "nan" else G[hit] + 1e-6
+        return G
+
+    return dataclasses.replace(model, place_many=place_many), rows
+
+
+@pytest.mark.parametrize("how", ["shift", "nan"])
+@pytest.mark.parametrize("name", ["pair-R2", "se2-action", "isojet-sphere"])
+def test_a_missed_source_aborts_as_the_per_sample_loop_does(name, how, monkeypatch):
+    # sample 3's arrow at the target of its pair misses its source; the
+    # stacked check refuses the stack, and the rerun meets sample 3's miss
+    # as the per-sample loop does, with the same error and detail
+    model, S = make_model(name)
+    rng = np.random.default_rng(9)
+    targets = []
+    for _ in range(6):
+        sample_base_point(model, rng)
+        g, h = model.sample_composable(rng)
+        model.arrow_with_source(g.target, rng)
+        targets.append(h.target)
+    bad, rows = _missing_at(model, [targets[3]], how)
+    with raises(SamplingError) as per_sample:
+        _axioms_one_by_one(bad, np.random.default_rng(9), 6)
+    del rows[:]
+    with raises(SamplingError) as stacked:
+        check_axioms(bad, np.random.default_rng(9), count=6)
+    assert rows[0] == 6  # the stacked pass placed every pair at once
+    assert str(stacked.value) == str(per_sample.value)
+    assert re.fullmatch(rf"arrow_with_source missed its source on {name}: src .* for .*",
+                        str(per_sample.value))
+    # a whole experiment aborts with that error and detail
+    monkeypatch.setattr(experiments, "make_model", lambda *_: (bad, S))
+    config = ExperimentConfig(model=name, experiment="jet-axioms", seed=9, sample_count=6)
+    assert [(c.name, c.detail) for c in experiments.run(config).checks] == [
+        ("aborted[SamplingError]", str(per_sample.value))]
+
+
+def test_the_stacked_source_check_names_the_first_bad_sample():
+    model = make_model("se2-action")[0]
+    rng = np.random.default_rng(9)
+    targets = [model.sample_composable(rng)[1].target for _ in range(5)]
+    bad, _ = _missing_at(model, [targets[1], targets[3]], "nan")
+    draws = groupoid.DeferredDraws(bad)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        draws.begin_sample()
+        g, _ = draws.composable(rng)
+    with raises(SamplingError, match=rf"on se2-action at sample 1: src \[nan nan\] "
+                                     rf"for \[{targets[1][0]:.8f}"):
+        draws.resolve()
 
 
 def test_a_copy_keeps_the_single_maps_it_is_given():
