@@ -443,12 +443,6 @@ class WorstErrors(dict):
         self[name] = worst_case(self[name], float(np.max(np.abs(value))))
 
 
-class Redraw(Exception):
-    """Raised by a stack_of that cannot keep the deferred elements it was
-    handed as drawn (jetalg.KernelDraw, when a candidate falls below its
-    rejection floor): draw_then_evaluate draws the stack again."""
-
-
 def stack_field(elements) -> object:
     """One field of a list of drawn samples as one stack: the
     stack_of(elements) of an element type that has one (jetalg.KernelHom;
@@ -458,49 +452,40 @@ def stack_field(elements) -> object:
     return kind.stack_of(elements) if hasattr(kind, "stack_of") else np.array(elements)
 
 
-def _stacked_fields(samples: list) -> list:
+def stacked_fields(samples: list) -> list:
     """The fields of a list of drawn samples, each as one stack (stack_field)."""
     return [stack_field(field) for field in zip(*samples)]
 
 
-def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate,
-                       replay=None) -> None:
+def draw_then_evaluate(rng: np.random.Generator, count: int, draw, evaluate) -> None:
     """A per-sample loop, stacked: call draw() count times, drawing every
     sample in rng order, then evaluate the stacked draws once, each step of
-    evaluate for all samples.
+    evaluate for all samples (evaluate_drawn, which reruns the samples one
+    by one on an error)."""
+    evaluate_drawn(rng, count, lambda k: stacked_fields([draw() for _ in range(k)]), evaluate)
 
-    replay is draw with nothing deferred (draw itself when not given): a
-    draw may leave part of each sample to its stack, drawing what that part
-    takes from rng first as if it were accepted (jetalg.deferred_kernel_hom,
-    and the arrows of groupoid.DeferredDraws, which are always accepted).
-    When the stack refuses it (Redraw, a rare rejection), the samples are
-    drawn again from the rng state before the first draw by replay, in order,
-    and evaluated as one stack: the rng stream and every stacked field are
-    the ones replay alone would give.
 
-    On any other exception, in either phase, the samples rerun in order from
-    that state: draw sample a by replay, then evaluate it as a batch of one.
-    So the error that propagates is the first one the per-sample loop meets,
-    up to the order within one sample, where every draw comes before the
-    evaluation. A rerun that raises nothing stands: an evaluate that refuses
-    a stack but records a refused sample on its own (check_multiplicative's
-    oracle refusal) ends as the per-sample loop does. A count below 1
-    evaluates nothing."""
+def evaluate_drawn(rng: np.random.Generator, count: int, draw_stacked, evaluate) -> None:
+    """evaluate(*draw_stacked(count)), where draw_stacked(k) draws k samples
+    from rng in the per-sample loop's order and stacks their fields.
+
+    On any exception, in either phase, the samples rerun in order from the
+    rng state before the draws: each drawn by draw_stacked(1), then
+    evaluated as a batch of one. So the error that propagates is the first
+    one the per-sample loop meets, up to the order within one sample, where
+    every draw comes before the evaluation. A rerun that raises nothing
+    stands: an evaluate that refuses a stack but records a refused sample
+    on its own (check_multiplicative's oracle refusal) ends as the
+    per-sample loop does. A count below 1 evaluates nothing."""
     if count < 1:
         return
-    replay = replay or draw
     state = rng.bit_generator.state
     try:
-        try:
-            fields = _stacked_fields([draw() for _ in range(count)])
-        except Redraw:
-            rng.bit_generator.state = state
-            fields = _stacked_fields([replay() for _ in range(count)])
-        evaluate(*fields)
+        evaluate(*draw_stacked(count))
     except Exception:
         rng.bit_generator.state = state
         for _ in range(count):
-            evaluate(*_stacked_fields([replay()]))
+            evaluate(*draw_stacked(1))
 
 
 def worst_case_min(least: float, value: float) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     batch_of_one,
-    draw_then_evaluate,
     exceeds,
     jacobians_fd,
     matvecs,
@@ -34,6 +33,7 @@ from .groupoid import (
     aligned_frames,
     anchor_matrices,
     base_points,
+    draw_samples_then_evaluate,
     sample_base_point,
 )
 
@@ -212,11 +212,11 @@ def flatness_experiment(S: CartanConnection, seed: int = 0, count: int = 20,
     the horizontal plane field at arrows, with a joint verdict.
 
     Every sample (a base point, then an arrow) is drawn first, in the
-    per-sample loop's rng order; then one curvatures and one
-    frobenius_torsions call evaluate them all (chartcalc.draw_then_evaluate),
-    so the jet evaluations do not depend on count. An error reruns the
-    samples one by one, and the report aborts with the error the per-sample
-    loop meets first."""
+    per-sample loop's rng order, its arrows deferred; then one curvatures
+    and one frobenius_torsions call evaluate them all
+    (groupoid.draw_samples_then_evaluate), so the jet evaluations do not
+    depend on count. An error reruns the samples one by one, and the report
+    aborts with the error the per-sample loop meets first."""
     from .connection import infinitesimalize
 
     model = S.model
@@ -224,16 +224,15 @@ def flatness_experiment(S: CartanConnection, seed: int = 0, count: int = 20,
     nabla = infinitesimalize(S, "direct-formula")
     norms = []  # (curvature, torsion) per sample
 
-    def draw():
-        m = sample_base_point(model, rng)
-        return m, model.sample_arrow(rng).coords
+    def draw(sample):
+        return sample_base_point(model, rng), sample.arrow(rng).coords
 
     def evaluate(M, G):
         curv = [c.norm_inf for c in curvatures(nabla, M)]
         tors = np.max(np.abs(frobenius_torsions(S, G)), axis=(1, 2, 3))
         norms.extend(zip(curv, tors))
 
-    draw_then_evaluate(rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     curv_norms, tors_norms = np.array(norms, dtype=float).reshape(-1, 2).T
     return FlatnessReport(
         model=model.name,

@@ -55,7 +55,6 @@ from .jetalg import (
     assemble_bisections,
     aut_inv_many,
     aut_mul_many,
-    deferred_kernel_hom,
     jet_assemble_many,
     jet_decompose_many,
     jet_invert_many,
@@ -63,7 +62,6 @@ from .jetalg import (
     kernel_section_pushforwards,
     kernel_sections,
     mul_kernel_right_many,
-    random_kernel_hom,
     vee_many,
 )
 from .models import EXPECTED_FLAT, MODELS, make_model
@@ -130,16 +128,6 @@ class _Checks:
 # -- individual experiments ----------------------------------------------------
 
 
-def draw_kernels_then_evaluate(model, rng, count, draw, evaluate) -> None:
-    """groupoid.draw_samples_then_evaluate for a draw(sample) that draws its
-    arrows and kernel elements through the sampler sample: deferred arrows
-    and deferred_kernel_hom, so each arrow and kernel field is resolved as
-    one stack, and eager arrows and random_kernel_hom when the stack is
-    replayed on a rejection or the samples rerun on an error."""
-    draw_samples_then_evaluate(model, rng, count, draw, evaluate,
-                               kernel_homs=(deferred_kernel_hom, random_kernel_hom))
-
-
 def run_jet_axioms(model, S, config, count) -> list[Check]:
     rng = np.random.default_rng(config.seed)
     checks = _Checks(model, config)
@@ -174,7 +162,7 @@ def run_jet_axioms(model, S, config, count) -> list[Check]:
             oracle_jet_muls(model, j1, oracle_jet_inverses(model, j1)),
             identity_jets(model, j1.target)))
 
-    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
 
     def draw_bracket_sample():
         X, Y = random_section(model, rng), random_section(model, rng)
@@ -221,7 +209,7 @@ def run_inversion(model, S, config, count) -> list[Check]:
         double(jet_distances(jet_invert_many(model, jinv), j))
         law(jet_distances(oracle_jet_muls(model, jinv, j), identity_jets(model, j.source)))
 
-    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -261,7 +249,7 @@ def run_lemma_3_3(model, S, config, count) -> list[Check]:
         translation(np.swapaxes(mu.mu, 1, 2).reshape(-1, N)
                     - np.swapaxes(nu.mu, 1, 2).reshape(-1, N) - col)
 
-    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 
@@ -302,7 +290,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = matvecs(adjoint_tm_many(model, mu), matvecs(anchor_matrices(model, M), X))
         anchor(lhs - rhs)
 
-    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
 
     # semidirect law for bisections of the jet groupoid, on a few base points:
     # each sample's two model bisections and two kernel sections, the
@@ -334,7 +322,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         rhs = assemble_bisections(model, compose_families(model, b1, b2), Phi12)(J2.source)
         semidirect(jet_distances(lhs, rhs))
 
-    draw_kernels_then_evaluate(model, rng, semi_samples, draw_semidirect, evaluate_semidirect)
+    draw_samples_then_evaluate(model, rng, semi_samples, draw_semidirect, evaluate_semidirect)
 
     # the connection-induced isomorphism with the semidirect product
     def draw(sample):
@@ -357,7 +345,7 @@ def run_theorem_3_4(model, S, config, count) -> list[Check]:
         inner = adjoint_vec_many(model, mu2, mu2.source, X)
         adjoint_morphism(lhs - adjoint_vec_many(model, mu1, mu2.target, inner))
 
-    draw_kernels_then_evaluate(model, rng, count, draw, evaluate)
+    draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return checks.build()
 
 

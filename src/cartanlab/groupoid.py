@@ -15,7 +15,7 @@ the library is tested.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,7 @@ from .chartcalc import (
     differentiate,
     differentiate_many,
     directional_derivatives,
-    draw_then_evaluate,
+    evaluate_drawn,
     exceeds,
     jacobians_fd,
     matvecs,
@@ -41,6 +41,7 @@ from .chartcalc import (
     read_only,
     repeated_rows,
     stacked,
+    stacked_fields,
 )
 from .errors import (
     CompositionError,
@@ -151,14 +152,12 @@ class GroupoidModel:
     is given, and derives it again where it gives another stacked map. The
     jacobian hooks have no single-point form.
 
-    arrow_with_source(m, rng) draws an arrow with source m. A model gives it
-    split in two: free_box, the box its free coordinates are drawn in
-    (chartcalc.box_draw), and place_many(F, M), which places row a of the
-    free coordinates F at the source M[a]. arrow_with_source is derived here
-    as their batch of one, and DeferredDraws places a whole pass of draws in
-    one call. A model, or a copy, may give an arrow_with_source of its own
-    instead; it keeps no split (free_box and place_many are None) and draws
-    its arrows at a source eagerly.
+    An arrow at a source is drawn in two steps, which every model gives:
+    free_box, the box its free coordinates are drawn in (chartcalc.
+    box_draw), and place_many(F, M), which places row a of the free
+    coordinates F at the source M[a] (ConfigError without them).
+    DeferredDraws places a whole pass of draws in one call, and
+    arrow_with_source is their batch of one.
 
     domain_box, base_box and free_box are (low, high) rows, one per
     coordinate, and must be finite (ConfigError): rng.uniform checks a box
@@ -190,7 +189,6 @@ class GroupoidModel:
     retract_tgt_many: Callable[[np.ndarray, np.ndarray], np.ndarray]
     free_box: np.ndarray | None = None
     place_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    arrow_with_source: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None
     mul_jac_many: BlocksMap | None = None
     inv_jac_many: Callable[[np.ndarray], np.ndarray] | None = None
     retract_src_jac_many: BlocksMap | None = None
@@ -213,24 +211,12 @@ class GroupoidModel:
             # a derived single (or a wrapper of one) carries its stacked map
             if single is None or getattr(single, "many", many) is not many:
                 object.__setattr__(self, name, batch_of_one(many))
-        drawn = self.arrow_with_source
-        if drawn is not None and not hasattr(drawn, "place_many"):
-            # a draw of the model's own: no split to defer it by
-            object.__setattr__(self, "free_box", None)
-            object.__setattr__(self, "place_many", None)
-        elif self.place_many is None or self.free_box is None:
-            raise ConfigError(f"model {self.name} gives neither arrow_with_source "
-                              "nor its split, free_box and place_many")
+        if self.place_many is None or self.free_box is None:
+            raise ConfigError(f"model {self.name} needs free_box and place_many "
+                              "to draw its arrows at a source")
         for name in ("domain_box", "base_box", "free_box"):
-            box = getattr(self, name)
-            if box is not None:
-                object.__setattr__(self, name, np.asarray(box, dtype=float))
-                check_box(f"{self.name}'s {name}", getattr(self, name))
-        if self.place_many is not None and (
-                getattr(drawn, "place_many", None) is not self.place_many
-                or drawn.free_box is not self.free_box):
-            object.__setattr__(self, "arrow_with_source",
-                               _arrow_with_source(self.free_box, self.place_many))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            check_box(f"{self.name}'s {name}", getattr(self, name))
 
     # -- convenience -------------------------------------------------------
 
@@ -289,16 +275,24 @@ class GroupoidModel:
         width = box[:, 1] - box[:, 0]
         return box[:, 0] + BASE_SHRINK * width, box[:, 1] - BASE_SHRINK * width
 
+    def arrow_with_source(self, m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The coordinates of an arrow drawn with source m, its free
+        coordinates drawn in free_box and placed at m: DeferredDraws.
+        arrow_at's batch of one, unchecked (arrow_at checks)."""
+        low, high = self.free_box[:, 0], self.free_box[:, 1]
+        return self.place_many(box_draw(rng, low, high)[None],
+                               np.asarray(m, dtype=float)[None])[0]
+
     def sample_arrow(self, rng: np.random.Generator) -> Arrow:
-        """An arrow uniform in domain_box: DeferredDraws.arrow's eager form."""
+        """An arrow uniform in domain_box: DeferredDraws.arrow's batch of one."""
         box = self.domain_box
         return self.arrow(box_draw(rng, box[:, 0], box[:, 1]))
 
     def sample_composable(self, rng: np.random.Generator) -> tuple[Arrow, Arrow]:
         """Draw (g, h) with src(g) = tgt(h), i.e. the product g h is defined:
-        h uniform, then g drawn at its target (arrow_at), as EagerDraws.
-        composable draws them. Raises SamplingError when arrow_with_source
-        misses its source."""
+        h uniform, then g drawn at its target (arrow_at), DeferredDraws.
+        composable's batch of one. Raises SamplingError when the placed
+        arrow misses its source."""
         h = self.sample_arrow(rng)
         return arrow_at(self, h.target, rng), h
 
@@ -393,27 +387,14 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
             rest, constant_jacobian(rest_emb))
 
 
-def _arrow_with_source(free_box: np.ndarray, place_many: Callable) -> Callable:
-    """arrow_with_source as the batch of one of its split: the free
-    coordinates drawn in free_box, placed at m. It carries its split as
-    .free_box and .place_many, so a copy that keeps them keeps it."""
-    low, high = free_box[:, 0], free_box[:, 1]
-
-    def arrow_with_source(m, rng):
-        return place_many(box_draw(rng, low, high)[None], np.asarray(m, dtype=float)[None])[0]
-
-    arrow_with_source.free_box, arrow_with_source.place_many = free_box, place_many
-    return arrow_with_source
-
-
 def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
     """The source-side GroupoidModel fields of a model whose source map reads the
     arrow coordinates src_index: src, retract_src_many and retract_src_jac_many as
-    _coordinate_slot gives them, the split of arrow_with_source (free_box, the
-    other coordinates' domain_box rows, and place_many, which writes them and
-    the source into their slots) and src_fiber_chart (the other coordinates,
-    the source held at m0). Its analytic Tsrc is constant: the model's
-    constant_Tsrc."""
+    _coordinate_slot gives them, the split arrows at a source are drawn by
+    (free_box, the other coordinates' domain_box rows, and place_many, which
+    writes them and the source into their slots) and src_fiber_chart (the
+    other coordinates, the source held at m0). Its analytic Tsrc is
+    constant: the model's constant_Tsrc."""
     fields, rest, emb_jacobian = _coordinate_slot(N, src_index, "src")
 
     def place_many(F, M):
@@ -837,33 +818,23 @@ def arrow_at(model: GroupoidModel, m: np.ndarray, rng: np.random.Generator) -> A
     return g
 
 
-class EagerDraws:
-    """The sampler a draw closure draws through: arrow(rng), composable(rng),
-    arrow_at(m, rng) and kernel_hom(m, rng), each element decided as it is
-    drawn (the model's draws and the eager kernel draw it is given,
-    jetalg.random_kernel_hom). DeferredDraws is its stacked form."""
+class Redraw(Exception):
+    """Raised by a stack_of that cannot keep the deferred draws it was handed
+    (jetalg.KernelDraw, when a candidate falls below its rejection floor),
+    naming the first refused row, which is that sample's: row a of a
+    stacked field is sample a's. draw_samples_then_evaluate draws the pass
+    again, settling that sample's draws as they are drawn."""
 
-    def __init__(self, model: GroupoidModel, kernel_hom: Callable | None = None):
-        self.model, self.kernel_draw = model, kernel_hom
-
-    def arrow(self, rng: np.random.Generator) -> Arrow:
-        return self.model.sample_arrow(rng)
-
-    def arrow_at(self, m, rng: np.random.Generator) -> Arrow:
-        return arrow_at(self.model, m, rng)
-
-    def composable(self, rng: np.random.Generator) -> tuple[Arrow, Arrow]:
-        h = self.arrow(rng)
-        return self.arrow_at(h.target, rng), h
-
-    def kernel_hom(self, m, rng: np.random.Generator):
-        return self.kernel_draw(self.model, m, rng)
+    def __init__(self, sample: int):
+        super().__init__(f"a draw of sample {sample} refused")
+        self.sample = sample
 
 
 class ArrowField:
     """Field name (coords, source or target) of arrow index of a pass's
     DeferredDraws. A list of them stacks itself (stack_of) from the pass's
-    one resolution, row a equal to the eager draw's field bit for bit."""
+    one resolution, row a equal to the batch-of-one draw's field bit for
+    bit."""
 
     __slots__ = ("draws", "index", "name")
 
@@ -889,16 +860,23 @@ class ArrowDraw:
     target = property(lambda self: ArrowField(self.draws, self.index, "target"))
 
 
-class DeferredDraws(EagerDraws):
-    """EagerDraws for one stacked pass: an arrow takes from rng what the
-    eager draw takes (box_draw in the domain box, or in free_box for an arrow
-    at a source) and is an ArrowDraw, so the draw closures make no
-    structure-map call. The first stack_of of a field resolves the pass
-    (resolve). Kernel elements come from the deferred kernel draw it is
-    given (jetalg.deferred_kernel_hom). The model needs place_many."""
+class DeferredDraws:
+    """The sampler a draw closure draws through, for one stacked pass:
+    arrow(rng), composable(rng), arrow_at(m, rng) and kernel_hom(m, rng).
 
-    def __init__(self, model: GroupoidModel, kernel_hom: Callable | None = None):
-        super().__init__(model, kernel_hom)
+    An arrow takes from rng what its batch of one takes (box_draw in the
+    domain box, or in free_box for an arrow at a source) and is an
+    ArrowDraw, so the draw closures make no structure-map call; the first
+    stack_of of a field resolves the pass (resolve). A kernel element is a
+    jetalg.deferred_kernel_hom, its first candidate taken as accepted,
+    except in the samples of settle: there it is settled as it is drawn
+    (KernelDraw.settled), at its point resolved from the arrows drawn so
+    far, and takes from rng what random_kernel_hom takes."""
+
+    def __init__(self, model: GroupoidModel, settle=frozenset()):
+        from .jetalg import deferred_kernel_hom  # jetalg builds on this module
+
+        self.model, self.settle, self.kernel_draw = model, settle, deferred_kernel_hom
         # per arrow: raw coordinates; where it is drawn: None (the domain
         # box), a point, or the (index, name) of an earlier arrow's end, not
         # its ArrowField, which would make a reference cycle; its sample
@@ -922,14 +900,29 @@ class DeferredDraws(EagerDraws):
         at = (m.index, m.name) if isinstance(m, ArrowField) else np.asarray(m, dtype=float)
         return self._add(self.model.free_box, at, rng)
 
+    def composable(self, rng: np.random.Generator) -> tuple[ArrowDraw, ArrowDraw]:
+        h = self.arrow(rng)
+        return self.arrow_at(h.target, rng), h
+
+    def kernel_hom(self, m, rng: np.random.Generator):
+        draw = self.kernel_draw(self.model, m, rng)
+        if self.sample not in self.settle:
+            return draw
+        # resolved now, but not kept: the pass may draw more arrows
+        point = self._resolve()[m.name][m.index] if isinstance(m, ArrowField) else draw.m
+        return draw.settled(point, rng)
+
     def resolve(self) -> dict[str, np.ndarray]:
         """The coords, source and target of every arrow of the pass, computed
         once, level by level (the arrows in the domain box or at a drawn
         point, then the arrows at their ends, ...), each level in one
         place_many, one src.many and one tgt.many call and one check_sources
         of its arrows drawn at a source."""
-        if self._resolved is not None:
-            return self._resolved
+        if self._resolved is None:
+            self._resolved = self._resolve()
+        return self._resolved
+
+    def _resolve(self) -> dict[str, np.ndarray]:
         model, k = self.model, len(self.raw)
         out = {"coords": np.empty((k, model.N)), "source": np.empty((k, model.n)),
                "target": np.empty((k, model.n))}
@@ -937,6 +930,8 @@ class DeferredDraws(EagerDraws):
         for at in self.at:
             level.append(level[at[0]] + 1 if isinstance(at, tuple) else 0)
         level = np.array(level)
+        # a one-sample pass is the per-sample loop's, whose error names no sample
+        samples = self.samples if self.sample > 0 else None
         for depth in range(level.max() + 1):
             rows = np.flatnonzero(level == depth)
             placed = [a for a in rows if self.at[a] is not None]
@@ -953,31 +948,41 @@ class DeferredDraws(EagerDraws):
             out["target"][rows] = model.tgt.many(G)
             if placed:
                 check_sources(model, out["source"][placed], M,
-                              [self.samples[a] for a in placed])
-        self._resolved = out
+                              samples and [samples[a] for a in placed])
         return out
 
 
 def draw_samples_then_evaluate(model: GroupoidModel, rng: np.random.Generator, count: int,
-                               draw: Callable, evaluate: Callable,
-                               kernel_homs: tuple[Callable, Callable] | None = None) -> None:
-    """chartcalc.draw_then_evaluate for a draw(sample) that draws through
-    the sampler sample: DeferredDraws in the stacked pass, EagerDraws in the
-    replay and the rerun. kernel_homs is the (deferred, eager) pair of
-    kernel draws. A model without place_many (one that gives its own
-    arrow_with_source) draws its arrows eagerly in the stacked pass too."""
-    deferred_kernel, eager_kernel = kernel_homs or (None, None)
-    if model.place_many is None:
-        stacked_draw = partial(draw, EagerDraws(model, deferred_kernel))
-    else:
-        deferred = DeferredDraws(model, deferred_kernel)
+                               draw: Callable, evaluate: Callable) -> None:
+    """chartcalc.draw_then_evaluate for a draw(sample) that draws its arrows
+    and kernel elements through the sampler sample, a DeferredDraws: each
+    arrow and kernel field resolves as one stack. A kernel stack that
+    refuses a sample's candidate (Redraw) has the pass drawn again from the
+    rng state before it, still deferred, with that sample's kernel elements
+    settled as they are drawn, until no stack refuses: at most one retry
+    per refused sample. The rng stream and every stacked field are then the
+    per-sample loop's. The error rerun runs the pass on one sample at a
+    time (chartcalc.evaluate_drawn)."""
 
-        def stacked_draw():
-            deferred.begin_sample()
-            return draw(deferred)
+    def draw_stacked(k: int) -> list:
+        state, settle = rng.bit_generator.state, set()
+        while True:
+            sampler = DeferredDraws(model, settle)
+            drawn = []
+            for _ in range(k):
+                sampler.begin_sample()
+                drawn.append(draw(sampler))
+            try:
+                return stacked_fields(drawn)
+            except Redraw as refused:
+                # numpy does not promise that a stack rounds each matrix as
+                # the lone call does; a settled draw refused would loop
+                if refused.sample in settle:
+                    raise
+                rng.bit_generator.state = state
+                settle.add(refused.sample)
 
-    draw_then_evaluate(rng, count, stacked_draw, evaluate,
-                       replay=partial(draw, EagerDraws(model, eager_kernel)))
+    evaluate_drawn(rng, count, draw_stacked, evaluate)
 
 
 def aligned_frame(model: GroupoidModel, ref_point: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -18,13 +18,12 @@ forms' batches of one.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .chartcalc import (
-    Redraw,
     differentiate_many,
     exceeds,
     matvecs,
@@ -40,6 +39,7 @@ from .groupoid import (
     GroupoidModel,
     Jet1,
     Jets,
+    Redraw,
     algebroid_vec,
     aligned_frames,
     anchor_matrices,
@@ -48,7 +48,6 @@ from .groupoid import (
     identity_jet,
     identity_jets,
     inv_tangent_many,
-    kernel_basis,
     kernel_bases,
     left_translate_many,
     oracle_jets,
@@ -215,23 +214,16 @@ def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
     """Random kernel element at m, phi = K @ C in the kernel basis K with
     coefficients C uniform in +-KERNEL_SCALE; a candidate below the
     conditioning floor, |det phi_tm| < KERNEL_MIN_DET, is rejected and drawn
-    again (logged). This is the eager draw, decided as it goes; its stacked
-    form is deferred_kernel_hom, whose stack this draw replays on rejection.
+    again (logged). It is deferred_kernel_hom settled at once
+    (KernelDraw.settled), its batch of one.
 
     The floor is far above the 1e-9 singularity threshold the operations
     enforce: nearly degenerate elements are valid inputs but blow up the
     higher derivatives that finite-difference oracles rest on, so they are
     excluded from sampled comparisons rather than from the algebra."""
-    m = np.asarray(m, dtype=float)
-    K = kernel_basis(model, m)
-    B = model.Ttgt(model.unit(m))  # the anchor matrix at m, read once per call
-    for attempt in range(64):
-        phi, det = _candidates(K, B, _coefficients(rng, K.shape[1], model.n))
-        if abs(det) >= KERNEL_MIN_DET:
-            return KernelHom(model, m, phi)
-        log.debug("resampling kernel hom at %s (attempt %d: det %.2e below floor)",
-                  m, attempt, det)
-    raise SingularError("could not sample a well-conditioned kernel element")
+    draw = deferred_kernel_hom(model, m, rng)
+    phi, _ = _settle(model, draw.m, draw.C, rng)
+    return KernelHom(model, draw.m, phi)
 
 
 def _coefficients(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
@@ -240,10 +232,29 @@ def _coefficients(rng: np.random.Generator, rank: int, n: int) -> np.ndarray:
 
 
 def _candidates(K: np.ndarray, B: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate phi = K @ C at a point with kernel basis K and anchor
-    matrix B, and det phi_tm = det(1 - B @ phi); row by row on stacks."""
+    """The candidates phi = K @ C at points with kernel bases K and anchor
+    matrices B, and det phi_tm = det(1 - B @ phi), row by row."""
     phi = K @ C
     return phi, np.linalg.det(np.eye(B.shape[-2]) - B @ phi)
+
+
+def _settle(model: GroupoidModel, m: np.ndarray, C: np.ndarray,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The first candidate at the point m, from the coefficients C on, that
+    meets the conditioning floor: its phi and coefficients. A candidate
+    below it is logged and the next one drawn from rng; SingularError after
+    64. The stacks of one round each candidate as KernelDraw.stack_of does."""
+    M = m[None]
+    K, B = kernel_bases(model, M), anchor_matrices(model, M)
+    for attempt in range(64):
+        if attempt:
+            C = _coefficients(rng, K.shape[2], model.n)
+        phi, det = _candidates(K, B, C[None])
+        if abs(det[0]) >= KERNEL_MIN_DET:
+            return phi[0], C
+        log.debug("resampling kernel hom at %s (attempt %d: det %.2e below floor)",
+                  m, attempt, det[0])
+    raise SingularError("could not sample a well-conditioned kernel element")
 
 
 @dataclass(frozen=True)
@@ -257,30 +268,38 @@ class KernelDraw:
     m: np.ndarray
     C: np.ndarray
 
+    def settled(self, m: np.ndarray, rng: np.random.Generator) -> "KernelDraw":
+        """This draw decided at m, its point resolved: its candidate kept if
+        it meets the conditioning floor, else replaced by the first of the
+        further candidates, drawn from rng as random_kernel_hom draws them,
+        that does."""
+        return replace(self, C=_settle(self.model, m, self.C, rng)[1])
+
     @staticmethod
     def stack_of(draws) -> KernelHoms:
         """The KernelHoms random_kernel_hom would have drawn, with one
         kernel_bases, one anchor_matrices and one determinant call for all
-        rows, equal to it row by row bit for bit. Raises chartcalc.Redraw
-        when a candidate falls below the floor: the eager draw would have
-        rejected it and drawn again."""
+        rows, equal to it row by row bit for bit. Raises groupoid.Redraw,
+        naming the first row, when a candidate falls below the floor:
+        random_kernel_hom would have rejected it and drawn again."""
         model = draws[0].model
         M = stack_field([d.m for d in draws])
         C = np.array([d.C for d in draws])
         phi, det = _candidates(kernel_bases(model, M), anchor_matrices(model, M), C)
-        if not (abs(det) >= KERNEL_MIN_DET).all():  # a NaN determinant is rejected too
-            raise Redraw("a kernel element below the conditioning floor")
+        refused = np.flatnonzero(~(abs(det) >= KERNEL_MIN_DET))  # a NaN determinant too
+        if refused.size:
+            raise Redraw(int(refused[0]))
         return KernelHoms(model, M, phi)
 
 
 def deferred_kernel_hom(model: GroupoidModel, m: np.ndarray,
                         rng: np.random.Generator) -> KernelDraw:
     """random_kernel_hom at m, deferred: draw the first candidate's
-    coefficients now, taking as much from rng as the eager draw does when it
-    accepts that candidate, and leave the basis, the anchor and the
-    determinant to the stack of draws (KernelDraw.stack_of, through
-    chartcalc.draw_then_evaluate, which replays the stack with
-    random_kernel_hom on rejection). m may be an end of a deferred arrow
+    coefficients now, taking as much from rng as random_kernel_hom does when
+    it accepts that candidate, and leave the basis, the anchor and the
+    determinant to the stack of draws (KernelDraw.stack_of) or to a settle
+    (KernelDraw.settled, as groupoid.DeferredDraws settles a refused
+    sample's draws). m may be an end of a deferred arrow
     (groupoid.ArrowField). Raises DomainError when m is not a point of
     dimension n, at once for a point, in the stack for an arrow's end."""
     if not isinstance(m, ArrowField):

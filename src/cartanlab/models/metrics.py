@@ -57,8 +57,9 @@ def hyperbolic_metric() -> MetricChart:
 
 
 def perturbed_metric(eps: float = 0.4) -> MetricChart:
-    """Non-symmetric perturbation lam = 1 + eps x_1^2; its Gauss curvature is
-    position dependent, so the surface has no continuous isometries."""
+    """Perturbed flat metric lam = 1 + eps x_1^2. Its Gauss curvature varies
+    with x_1, so the surface is not flat; lam does not depend on x_2, so the
+    x_2-translations are isometries, and the only continuous ones."""
 
     def lam(x):
         return 1.0 + eps * x[..., 0] ** 2

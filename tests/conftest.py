@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cartanlab import groupoid
+from cartanlab import groupoid, jetalg
 from cartanlab.models import make_model
 
 CORE_MODELS = ["pair-R2", "translation-R2", "se2-action", "so3-sphere",
@@ -78,3 +78,26 @@ def counting_chart_maps(model):
             for name in ("mul_many", "inv_many", "retract_src_many", "retract_tgt_many",
                          "place_many")}
     return dataclasses.replace(model, **charts, **maps), calls
+
+
+class EagerDraws:
+    """The per-sample reference a draw closure's stacked pass is compared
+    against: arrow(rng), composable(rng), arrow_at(m, rng) and
+    kernel_hom(m, rng), each element decided as it is drawn, through the
+    model's batch-of-one draws and jetalg.random_kernel_hom.
+    groupoid.DeferredDraws is their stacked form."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def arrow(self, rng):
+        return self.model.sample_arrow(rng)
+
+    def arrow_at(self, m, rng):
+        return groupoid.arrow_at(self.model, m, rng)
+
+    def composable(self, rng):
+        return self.model.sample_composable(rng)
+
+    def kernel_hom(self, m, rng):
+        return jetalg.random_kernel_hom(self.model, m, rng)

@@ -10,7 +10,6 @@ from cartanlab.chartcalc import (
     ChartMap,
     FD_STEP,
     MetricChart,
-    Redraw,
     batch_of_one,
     box_draw,
     christoffel,
@@ -571,23 +570,20 @@ def test_repeated_rows_is_the_read_only_broadcast(layout):
     assert A.flags.writeable == (layout == "writeable")  # the caller's array is left as it was
 
 
-def test_a_redrawn_stack_is_drawn_again_by_replay():
-    # a stack that refuses its deferred draws is drawn again by replay from
-    # the rng state before the first draw, and evaluated as one stack
-    class Deferred:
-        def __init__(self, value):
-            self.value = value
-
-        @staticmethod
-        def stack_of(draws):
-            raise Redraw("refused")
-
+def test_an_error_reruns_the_samples_one_by_one_from_the_first_draw():
+    # the stack of 4 draws fails in evaluate; the rerun draws each sample
+    # again from the rng state before the first draw and evaluates it alone
     rng = np.random.default_rng(0)
     expected = np.random.default_rng(0).uniform(size=4)
     evaluated = []
-    draw_then_evaluate(rng, 4, lambda: (Deferred(rng.uniform()),),
-                       evaluated.append, replay=lambda: (rng.uniform(),))
-    assert len(evaluated) == 1 and evaluated[0].tobytes() == expected.tobytes()
+
+    def evaluate(U):
+        if len(U) > 1:
+            raise ValueError("a stack refused")
+        evaluated.append(U)
+
+    draw_then_evaluate(rng, 4, lambda: (rng.uniform(),), evaluate)
+    assert len(evaluated) == 4 and np.concatenate(evaluated).tobytes() == expected.tobytes()
     assert rng.uniform() == np.random.default_rng(0).uniform(size=5)[4]
 
 

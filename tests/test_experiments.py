@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from cartanlab.models.isojet import chol2, prolongation_jet
 from cartanlab.models.rotations import rot2
 from cartanlab.report import ExperimentConfig
 
-from conftest import counting_chart_maps
+from conftest import EagerDraws, counting_chart_maps
+
+# the modules whose functions run sampled blocks, by module: the package's
+# curvature attribute is the function of that name
+BLOCK_MODULES = tuple(sys.modules[f"cartanlab.{name}"]
+                      for name in ("experiments", "groupoid", "connection", "curvature"))
 
 # one model each experiment runs on; flatness twice, for both expectations
 SURFACE_RUNS = [
@@ -87,41 +93,39 @@ def test_tolerance_override_surface(experiment, model):
 
 
 def _poisoned_kernel_draws(monkeypatch, config, poison):
-    """Patch the experiments' kernel draws so that the draw at the base point
-    of draw a of a clean run of config does poison[a]: "nan" hands out an
-    all-NaN element, so evaluating that sample raises; "shift" hands out one
-    based elsewhere, so assembling its jet raises earlier in the evaluation;
-    "raise" raises in the draw itself. Keyed on the point, not on a call
-    count, so a rerun of the samples meets the same poison. Both kernel
-    samplers of the experiments draw eagerly through the patch, the stacked
-    pass's deferred one too. Returns the points of the clean run's draws."""
-    real = experiments.random_kernel_hom
+    """Patch the kernel stacks (KernelDraw.stack_of) so that the element at
+    the point of draw a of a clean run of config does poison[a]: "nan" makes
+    it all-NaN, so evaluating that sample raises; "shift" bases it
+    elsewhere, so assembling its jet raises earlier in the evaluation;
+    "raise" raises in the draws, as its stack resolves. Keyed on the point,
+    not on a row, so a rerun of the samples meets the same poison. Returns
+    the points of the clean run's draws."""
+    real = jetalg.KernelDraw.stack_of
     points = []
 
-    def recording(model, m, rng):
-        points.append(np.array(m))
-        return real(model, m, rng)
+    def recording(draws):
+        homs = real(draws)
+        points.extend(homs.m)
+        return homs
 
-    def patch(sampler):
-        for name in ("random_kernel_hom", "deferred_kernel_hom"):
-            monkeypatch.setattr(experiments, name, sampler)
-
-    patch(recording)
+    monkeypatch.setattr(jetalg.KernelDraw, "stack_of", staticmethod(recording))
     assert not experiments.run(config).checks[0].name.startswith("aborted")
     poisoned = [(points[a], how) for a, how in poison.items()]
 
-    def drawing(model, m, rng):
-        phi = real(model, m, rng)
-        how = next((how for p, how in poisoned if np.array_equal(p, m)), None)
-        if how == "raise":
-            raise SamplingError(f"draw at {m}")
-        if how == "nan":
-            return KernelHom(model, phi.m, np.full_like(phi.phi, np.nan))
-        if how == "shift":
-            return KernelHom(model, phi.m + 1.0, phi.phi)
-        return phi
+    def poisoning(draws):
+        homs = real(draws)
+        m, phi = homs.m.copy(), homs.phi.copy()
+        for a, p in enumerate(homs.m):
+            how = next((how for q, how in poisoned if np.array_equal(q, p)), None)
+            if how == "raise":
+                raise SamplingError(f"draw at {p}")
+            if how == "nan":
+                phi[a] = np.nan
+            if how == "shift":
+                m[a] = p + 1.0
+        return KernelHoms(homs.model, m, phi)
 
-    patch(drawing)
+    monkeypatch.setattr(jetalg.KernelDraw, "stack_of", staticmethod(poisoning))
     return points
 
 
@@ -303,22 +307,40 @@ JET_EXPERIMENTS = ("jet-axioms", "inversion", "lemma-3-3", "theorem-3-4")
 JET_MODELS = ("pair-R2", "se2-action", "gauge-se2-so2", "isojet-sphere")
 
 
-def _patch_draw_then_evaluate(monkeypatch, replacement):
-    """Patch draw_then_evaluate in each module the experiments reach it
-    through: experiments itself, and groupoid, whose
-    draw_samples_then_evaluate runs every block that draws arrows."""
-    for module in (experiments, groupoid):
-        monkeypatch.setattr(module, "draw_then_evaluate", replacement)
+def _patch_blocks(monkeypatch, block):
+    """Route every sampled block through block(rng, evaluate, run, loop):
+    run(evaluate) runs the block as the library does, with evaluate in
+    place of its own, and loop() yields the stacked fields of each sample
+    as the per-sample loop draws it, alone and in turn, through EagerDraws
+    where the block draws through a sampler. The blocks are the calls of
+    draw_then_evaluate and draw_samples_then_evaluate, patched in every
+    module that makes them."""
+    plain, sampled = chartcalc.draw_then_evaluate, groupoid.draw_samples_then_evaluate
+
+    def plain_block(rng, count, draw, evaluate):
+        block(rng, evaluate, lambda ev: plain(rng, count, draw, ev),
+              lambda: (chartcalc.stacked_fields([draw()]) for _ in range(count)))
+
+    def sampled_block(model, rng, count, draw, evaluate):
+        block(rng, evaluate, lambda ev: sampled(model, rng, count, draw, ev),
+              lambda: (chartcalc.stacked_fields([draw(EagerDraws(model))])
+                       for _ in range(count)))
+
+    for module in BLOCK_MODULES:
+        for name, patched in (("draw_then_evaluate", plain_block),
+                              ("draw_samples_then_evaluate", sampled_block)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, patched)
 
 
 def _run_recording_draws(experiment, model, S, config, per_sample):
     """The (name, max_error) of each check of one jet experiment and, per
-    draw_then_evaluate call, the stacked fields its evaluate got. per_sample
-    runs the per-sample loop instead: each sample drawn by replay, the draw
-    that decides every kernel element as it goes, and evaluated alone."""
+    sampled block, the stacked fields its evaluate got. per_sample runs the
+    per-sample loop instead: each sample drawn alone, every kernel element
+    decided as it is drawn, and evaluated alone."""
     calls = []
 
-    def draw_then_evaluate(rng, count, draw, evaluate, replay=None):
+    def block(rng, evaluate, run, loop):
         calls.append([])
 
         def recorded(*fields):
@@ -326,13 +348,13 @@ def _run_recording_draws(experiment, model, S, config, per_sample):
             evaluate(*fields)
 
         if not per_sample:
-            chartcalc.draw_then_evaluate(rng, count, draw, recorded, replay)
+            run(recorded)
             return
-        for _ in range(count):
-            recorded(*chartcalc._stacked_fields([(replay or draw)()]))
+        for fields in loop():
+            recorded(*fields)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _patch_draw_then_evaluate(monkeypatch, draw_then_evaluate)
+        _patch_blocks(monkeypatch, block)
         checks = experiments.EXPERIMENTS[experiment](model, S, config, config.sample_count)
     return [(c.name, c.max_error) for c in checks], calls
 
@@ -355,7 +377,8 @@ def _field_bytes(field) -> list[bytes]:
 def test_stacked_kernel_draws_equal_the_per_sample_loop(experiment, name, jacobians, floor,
                                                         monkeypatch, caplog):
     # a floor of 0.8 rejects about a third of the candidates, so nearly every
-    # stack of deferred draws is refused and replayed; row a of every stacked
+    # stack of deferred draws is refused and drawn again, its refused samples
+    # settled as they are drawn; row a of every stacked
     # field, kernel elements included, and every report value equal the
     # per-sample loop's bit for bit, at the shipped floor too
     if floor is not None:
@@ -405,17 +428,16 @@ def _bracket_block_per_sample(model, rng, count):
 
 
 def _recording_rng_states(monkeypatch):
-    """Patch the experiments' draw_then_evaluate to record the rng state each
-    call starts from; jet-axioms' bracket block is its last call. Returns
-    the list the states go to."""
+    """Patch the sampled blocks to record the rng state each starts from;
+    jet-axioms' bracket block is its last. Returns the list the states go
+    to."""
     states = []
-    real = chartcalc.draw_then_evaluate
 
-    def recording(rng, count, draw, evaluate, replay=None):
+    def recording(rng, evaluate, run, loop):
         states.append(rng.bit_generator.state)
-        real(rng, count, draw, evaluate, replay)
+        run(evaluate)
 
-    _patch_draw_then_evaluate(monkeypatch, recording)
+    _patch_blocks(monkeypatch, recording)
     return states
 
 
@@ -551,7 +573,7 @@ def _semidirect_per_sample(model, S, rng, count):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_theorem_3_4_semidirect_equals_the_per_sample_loop(name, jacobians, monkeypatch):
     # count 16 draws 4 semidirect samples; the block is theorem-3-4's second
-    # draw_then_evaluate call, and it leaves the rng where the loop does
+    # sampled block, and it leaves the rng where the loop does
     model, S = _model_and_connection(name, jacobians)
     config = ExperimentConfig(model=name, experiment="theorem-3-4", seed=47)
     states = _recording_rng_states(monkeypatch)
@@ -587,15 +609,14 @@ def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
         return S.mu_many(G)
 
     counted_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
-    real = chartcalc.draw_then_evaluate
     blocks = []
 
-    def recording(rng, count, draw, evaluate, replay=None):
+    def recording(rng, evaluate, run, loop):
         calls.clear()
-        real(rng, count, draw, evaluate, replay)
+        run(evaluate)
         blocks.append(dict(calls))
 
-    _patch_draw_then_evaluate(monkeypatch, recording)
+    _patch_blocks(monkeypatch, recording)
     for count, k in ((12, 3), (48, 12)):
         del blocks[:]
         experiments.run_theorem_3_4(model, counted_S, config, count)
@@ -629,8 +650,7 @@ def _poisoned_semidirect(monkeypatch, poison):
     """A copy of THEOREM_ABORT's model and a connection on it with sample a of
     its semidirect block poisoned as poison[a] says: "raise" raises
     SamplingError where the sample's first arrow is placed at the second's
-    target (place_many, which the deferred draws and the eager ones both
-    call); "nan" makes the jet at its first arrow NaN;
+    target (place_many, which the deferred draws call); "nan" makes the jet at its first arrow NaN;
     "stall" makes the base map of its Newton solve NaN, so the solve does
     not converge. Keyed on the drawn arrows and the Newton starts, not on a
     call count, so a rerun of the samples meets the same poison."""
@@ -776,28 +796,29 @@ def test_a_riemannian_jet_the_oracle_refuses_reads_inf_for_its_own_sample(name, 
 
 # -- deferred arrows: the stacked draws make no structure-map call -------------
 
-DRAWING_EXPERIMENTS = (*JET_EXPERIMENTS, "multiplicativity", "riemannian")
+DRAWING_EXPERIMENTS = (*JET_EXPERIMENTS, "multiplicativity", "riemannian", "flatness")
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_stacked_draw_closures_make_no_structure_map_call(name, monkeypatch):
     # every draw closure of a stacked pass that draws arrows, kernel
-    # elements included; the replay of a refused stack is eager and is not
-    # counted
+    # elements included
     model, calls = counting_chart_maps(make_model(name)[0])
     S = CartanConnection(model, make_model(name)[1].mu_at)
     during_draws = []
+    real = groupoid.draw_samples_then_evaluate
 
-    def counting(rng, count, draw, evaluate, replay=None):
-        def counted_draw():
+    def counting(model, rng, count, draw, evaluate):
+        def counted_draw(sample):
             before = sum(calls.values())
-            out = draw()
+            out = draw(sample)
             during_draws.append(sum(calls.values()) - before)
             return out
 
-        chartcalc.draw_then_evaluate(rng, count, counted_draw, evaluate, replay)
+        real(model, rng, count, counted_draw, evaluate)
 
-    monkeypatch.setattr(groupoid, "draw_then_evaluate", counting)
+    for module in BLOCK_MODULES:
+        monkeypatch.setattr(module, "draw_samples_then_evaluate", counting)
     for experiment in DRAWING_EXPERIMENTS:
         if experiment == "riemannian" and "metric" not in model.extras:
             continue

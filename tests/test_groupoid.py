@@ -19,6 +19,7 @@ from cartanlab.chartcalc import (
 )
 from cartanlab.errors import (
     CompositionError,
+    ConfigError,
     DomainError,
     FrameError,
     NonFiniteError,
@@ -58,7 +59,7 @@ from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
 from cartanlab.report import ExperimentConfig
 
-from conftest import CORE_MODELS, counting_chart_maps
+from conftest import CORE_MODELS, EagerDraws, counting_chart_maps
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -318,11 +319,11 @@ def test_sample_composable_raises_after_one_draw_when_arrow_with_source_misses()
     model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     draws = [0]
 
-    def misses(m, rng):
+    def misses(F, M):
         draws[0] += 1
-        return model.arrow_with_source(np.asarray(m) + 0.1, rng)
+        return model.place_many(F, M + 0.1)
 
-    bad = dataclasses.replace(model, arrow_with_source=misses)
+    bad = dataclasses.replace(model, place_many=misses)
     with raises(SamplingError):
         bad.sample_composable(np.random.default_rng(0))
     assert draws[0] == 1
@@ -332,12 +333,18 @@ def test_sample_composable_refuses_a_source_off_by_more_than_its_tolerance():
     # 1e-7 is far above the guard's 1e-12, but within np.allclose's default
     # rtol of 1e-5 times the target coordinates here
     model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    bad = dataclasses.replace(
-        model, arrow_with_source=lambda m, rng: model.arrow_with_source(m + 1e-7, rng))
+    bad = dataclasses.replace(model, place_many=lambda F, M: model.place_many(F, M + 1e-7))
     rng = np.random.default_rng(0)
     assert np.all(np.abs(model.sample_arrow(np.random.default_rng(0)).target) > 0.1)
     with raises(SamplingError):
         bad.sample_composable(rng)
+
+
+def test_a_model_without_the_split_of_its_draws_at_a_source_is_refused():
+    model, _ = make_pair_groupoid(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+    for missing in (["free_box"], ["place_many"], ["free_box", "place_many"]):
+        with raises(ConfigError, match="needs free_box and place_many"):
+            dataclasses.replace(model, **dict.fromkeys(missing))
 
 
 def test_axioms_report_nan_product_as_infinite():
@@ -490,7 +497,7 @@ def _field_rows(field):
 def _deferred_draws(model, rng, count, draw=_draw_every_kind):
     """count samples drawn by draw through one DeferredDraws, unstacked,
     and the DeferredDraws; the rng is left where the draws leave it."""
-    draws = groupoid.DeferredDraws(model, jetalg.deferred_kernel_hom)
+    draws = groupoid.DeferredDraws(model)
     samples = []
     for _ in range(count):
         draws.begin_sample()
@@ -509,10 +516,10 @@ def test_deferred_arrows_equal_the_eager_draws(name, jacobians, monkeypatch):
         model = model.without_jacobians()
     rng, eager_rng = np.random.default_rng(23), np.random.default_rng(23)
     samples, _ = _deferred_draws(model, rng, 4)
-    eager = groupoid.EagerDraws(model, jetalg.random_kernel_hom)
+    eager = EagerDraws(model)
     singles = [_draw_every_kind(model, eager_rng, eager) for _ in range(4)]
     assert rng.bit_generator.state == eager_rng.bit_generator.state
-    stacked = chartcalc._stacked_fields(samples)
+    stacked = chartcalc.stacked_fields(samples)
     assert len(stacked) == 20
     for a, field in enumerate(stacked):
         assert _field_rows(field) == [
@@ -600,6 +607,53 @@ def test_the_stacked_source_check_names_the_first_bad_sample():
     with raises(SamplingError, match=rf"on se2-action at sample 1: src \[nan nan\] "
                                      rf"for \[{targets[1][0]:.8f}"):
         draws.resolve()
+
+
+def test_a_refused_sample_alone_is_settled_when_the_pass_is_drawn_again(monkeypatch):
+    # at a floor of 0.3, seed 28 refuses the kernel element of sample 2 of
+    # 6 alone: the pass stacks its kernel field twice and settles that one
+    # draw on the second pass, and the other samples' draws make no
+    # structure-map call on either pass. The fields and the rng state are
+    # the per-sample loop's
+    monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", 0.3)
+    plain = make_model("se2-action")[0]
+    model, calls = counting_chart_maps(plain)
+    stacks, settled = [], []
+    stack_of, settle = jetalg.KernelDraw.stack_of, jetalg.KernelDraw.settled
+
+    def stacking(draws):
+        stacks.append(len(draws))
+        return stack_of(draws)
+
+    def settling(draw, m, rng):
+        settled.append(m)
+        return settle(draw, m, rng)
+
+    monkeypatch.setattr(jetalg.KernelDraw, "stack_of", staticmethod(stacking))
+    monkeypatch.setattr(jetalg.KernelDraw, "settled", settling)
+
+    def draw(sample, rng, counted=None):
+        before, settles = sum(calls.values()), len(settled)
+        g = sample.arrow(rng)
+        out = g.coords, sample.kernel_hom(g.target, rng)
+        if counted is not None:
+            counted.append((sum(calls.values()) - before, len(settled) - settles))
+        return out
+
+    rng, counted, evaluated = np.random.default_rng(28), [], []
+    groupoid.draw_samples_then_evaluate(
+        model, rng, 6, lambda sample: draw(sample, rng, counted),
+        lambda *fields: evaluated.append(fields))
+    assert stacks == [6, 6]
+    assert counted[:6] == [(0, 0)] * 6
+    assert counted[8][0] > 0 and counted[8][1] == 1
+    assert counted[6:8] + counted[9:] == [(0, 0)] * 5
+    loop_rng = np.random.default_rng(28)
+    loop = [draw(EagerDraws(plain), loop_rng) for _ in range(6)]
+    [(G, phi)] = evaluated
+    assert G.tobytes() == np.array([g for g, _ in loop]).tobytes()
+    assert phi.phi.tobytes() == np.array([h.phi for _, h in loop]).tobytes()
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_a_copy_keeps_the_single_maps_it_is_given():

@@ -532,13 +532,13 @@ def test_kernel_draw_reads_the_anchor_matrix_once(zoo, monkeypatch, caplog):
     model, _ = zoo("pair-R1")
     monkeypatch.setattr(jetalg, "KERNEL_SCALE", 2.0)
     reads = []
-    real = type(model).Ttgt
+    real = jetalg.anchor_matrices
 
-    def counting(self, coords):
-        reads.append(coords)
-        return real(self, coords)
+    def counting(model, M):
+        reads.append(M)
+        return real(model, M)
 
-    monkeypatch.setattr(type(model), "Ttgt", counting)
+    monkeypatch.setattr(jetalg, "anchor_matrices", counting)
     rng = np.random.default_rng(0)
     with caplog.at_level(logging.DEBUG, logger="cartanlab.jetalg"):
         draws = [random_kernel_hom(model, np.array([0.1]), rng) for _ in range(60)]
@@ -645,14 +645,16 @@ def test_a_kernel_field_resolves_in_one_read_whatever_count(name, jacobians, mon
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_a_rejected_candidate_refuses_the_stack(name, monkeypatch):
-    # a floor no candidate meets: the stack is refused (draw_then_evaluate
-    # then replays it), never handed on with a candidate below the floor
+    # a floor no candidate meets: the stack is refused, naming its first
+    # row (draw_samples_then_evaluate then settles that sample), never
+    # handed on with a candidate below the floor
     model, _ = make_model(name)
     monkeypatch.setattr(jetalg, "KERNEL_MIN_DET", np.inf)
     rng = np.random.default_rng(3)
     draws = [deferred_kernel_hom(model, sample_base_point(model, rng), rng) for _ in range(3)]
-    with raises(chartcalc.Redraw):
+    with raises(groupoid.Redraw) as refused:
         KernelDraw.stack_of(draws)
+    assert refused.value.sample == 0
 
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])

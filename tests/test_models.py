@@ -11,6 +11,7 @@ from cartanlab.chartcalc import (
     jacobian_fd,
     jacobians_fd,
 )
+from cartanlab.connection import infinitesimalize
 from cartanlab.errors import ConfigError, MetricError
 from cartanlab.groupoid import (
     JACOBIAN_HOOKS,
@@ -309,6 +310,26 @@ def test_cached_horizontal_jet_equals_prolongation_jet(name):
     for _ in range(2):
         for g in arrows:
             assert np.array_equal(S.mu_at(g), prolongation_jet(metric, g)[0])
+
+
+def test_the_perturbed_metric_keeps_its_x2_translations():
+    # lam = 1 + eps x_1^2 does not depend on x_2, so the prolonged
+    # x_2-translation, the constant section anchored to d/dx_2, is parallel
+    # for the direct-formula connection, exactly; the section anchored to
+    # d/dx_1 is not. An arrow is (m, m', theta) with source m and target m'
+    model, S = make_model("isojet-perturbed")
+    nabla = infinitesimalize(S, "direct-formula")
+    x1, x2 = np.eye(5)[2], np.eye(5)[3]
+    rng = np.random.default_rng(20)
+    moved = 0.0
+    for _ in range(10):
+        m, v = sample_base_point(model, rng), rng.uniform(-1.0, 1.0, size=2)
+        u = model.unit(m)
+        assert not np.any(model.Tsrc(u) @ np.array([x1, x2]).T)
+        assert np.array_equal(model.Ttgt(u) @ np.array([x1, x2]).T, np.eye(2))
+        assert not np.any(nabla(m, v, lambda p: x2).vec)
+        moved = max(moved, float(np.max(np.abs(nabla(m, v, lambda p: x1).vec))))
+    assert moved > 1e-2
 
 
 ISOJET_MODELS = ["isojet-plane", "isojet-sphere", "isojet-hyperbolic", "isojet-perturbed"]
