@@ -163,6 +163,17 @@ def jacobian_fd(func: Callable, x: np.ndarray, h: float = FD_STEP) -> np.ndarray
                         np.asarray(x, dtype=float).reshape(1, -1), h)[0]
 
 
+def central_probes(X: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """The 2kn probes x ± h e of central differences along every coordinate
+    at each row of a stack X[k, n]: the forward steps first, then by point and
+    coordinate. directional_derivatives' probes along a coordinate direction
+    are these bytes, as x + (-h) e equals x - h e, signed zeros included."""
+    X = np.asarray(X, dtype=float)
+    k, n = X.shape
+    steps = h * np.eye(n)
+    return np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(2 * k * n, n)
+
+
 def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP,
                  owner: np.ndarray | None = None) -> np.ndarray:
     """Central-difference jacobians of func at each point of a stack X[k, n],
@@ -174,8 +185,7 @@ def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP,
     from, as in values_and_directional_derivatives."""
     X = np.asarray(X, dtype=float)
     k, n = X.shape
-    steps = h * np.eye(n)
-    probes = np.concatenate([X[:, None] + steps, X[:, None] - steps]).reshape(2 * k * n, n)
+    probes = central_probes(X, h)
     if owner is None:
         values = func_many(probes)
     else:

@@ -17,6 +17,7 @@ import numpy as np
 from .chartcalc import (
     WorstErrors,
     batch_of_one,
+    central_probes,
     exceeds,
     jacobians_fd,
     matvecs,
@@ -308,14 +309,14 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     homotopic grid paths must agree to FLATNESS_TOL, otherwise FlatnessError
     (holonomy) is raised, and the curvature precondition is checked up front.
 
-    The radial transports run stacked: the parallelism check and the anchor
-    check each differentiate the sections at all their points at once, and
-    the transports to all those points a memo has not seen run as one
-    _transport_matrices integration. The brackets of all r(r-1)/2 pairs at
-    m0 are one algebroid_brackets call over the column family of the
-    sections, so the points they read that the memo has not seen take one
-    stacked transport per right_invariant_many call: the unit rows', then
-    the probes'.
+    The radial transports run stacked, behind a memo. Right after the
+    L-paths, the transports to m0 and to every point the parallelism and
+    anchor checks read (the grid points, the anchor samples and their
+    central_probes) run as one _transport_matrices integration, so both
+    checks read only the memo. The brackets of all r(r-1)/2 pairs at m0 are
+    one algebroid_brackets call over the column family of the sections; its
+    probes, which depend on the sections at m0, take the one stacked
+    transport left.
     """
     model = nabla.model
     n = model.n
@@ -393,6 +394,17 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     sections = [batch_of_one(lambda P, a=a: sections_many(P)[:, :, a]) for a in range(r)]
     fields = [batch_of_one(lambda P, a=a: fields_many(P)[:, a]) for a in range(r)]
 
+    # the 3^n grid points whose every coordinate is the centre or an end of
+    # its axis, and the anchor samples, drawn first: the radial transports to
+    # them, to their central-difference probes and to m0 run as one stack, so
+    # the checks below read the memo, all but the bracket's probes
+    grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
+    grid = np.array([m0 + np.array(offs) for offs in itertools.product(grid_axis[::4], repeat=n)])
+    samples = np.array([m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=n)
+                        for _ in range(sample_count)]).reshape(-1, n)
+    transport_to.many(np.concatenate(
+        [m0[None], grid, central_probes(grid), samples, central_probes(samples)]))
+
     # structure constants from the brackets of every pair at m0 (transport
     # matrix there = id), all in one call
     K0 = frame(m0)
@@ -407,18 +419,13 @@ def reconstruct_action(nabla: AlgebroidConnection, m0: np.ndarray,
     residuals = WorstErrors(("jacobi", "anchor_hom", "parallelism", "path_dependence"))
     residuals.record("jacobi", _jacobi_residual(c))
     residuals.record("path_dependence", path_dependence)
-    # every section along every coordinate direction at the 3^n grid points
-    # whose every coordinate is the centre or an end of its axis
-    grid_axis = np.arange(-GRID_RADIUS, GRID_RADIUS + GRID_SPACING / 2, GRID_SPACING)
-    probe_pts = [m0 + np.array(offs) for offs in itertools.product(grid_axis[::4], repeat=n)]
-    M = np.repeat(probe_pts, n, axis=0)
-    V = np.tile(np.eye(n), (len(probe_pts), 1))
+    # every section along every coordinate direction at every grid point
+    M = np.repeat(grid, n, axis=0)
+    V = np.tile(np.eye(n), (len(grid), 1))
     residuals.record("parallelism", nabla.nabla_rows(M, V, sections_many))
 
-    # the samples are drawn first, then every field is differentiated at all
-    # of them in one stacked call
-    samples = [m0 + rng.uniform(-GRID_RADIUS, GRID_RADIUS, size=n) for _ in range(sample_count)]
-    if samples:
+    # every field differentiated at all the samples in one stacked call
+    if len(samples):
         J = jacobians_fd(fields_many, samples)  # J[s, a]: the jacobian of fields[a]
         for Js, Fs in zip(J, fields_many(samples)):
             for a in range(r):

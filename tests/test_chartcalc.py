@@ -12,6 +12,7 @@ from cartanlab.chartcalc import (
     MetricChart,
     batch_of_one,
     box_draw,
+    central_probes,
     christoffel,
     constant_jacobian,
     differentiate,
@@ -34,6 +35,7 @@ from cartanlab.chartcalc import (
     worst_case,
     worst_case_min,
 )
+from cartanlab.connection import infinitesimalize
 from cartanlab.errors import ConfigError, DomainError, NonFiniteError, SingularMetricError
 from cartanlab.groupoid import right_invariant_many
 from cartanlab.models import MODELS, make_model
@@ -498,6 +500,52 @@ def test_finite_differences_label_each_probe_with_its_owner():
         assert np.array_equal(D[a], directional_derivative(member(b), X[a], V[a]))
     assert np.array_equal(directional_derivatives(family, X, np.zeros((3, 2)), owner=owner),
                           np.zeros((3, 2)))
+
+
+# points with signed zeros, the bytes a probe at a zero coordinate turns on
+SIGNED_ZERO_POINTS = np.array([[0.0, -0.0, 0.3], [-0.0, 0.0, -0.625], [0.1, -0.0, -0.0]])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+def test_central_probes_are_jacobians_fd_former_layout(layout):
+    # x + h e for every point and coordinate, then x - h e, each as
+    # X[:, None] + h * eye built it, bit for bit with signed zeros; and
+    # jacobians_fd hands func_many exactly these rows
+    X = {"contiguous": SIGNED_ZERO_POINTS,
+         "strided": np.repeat(SIGNED_ZERO_POINTS, 2, axis=1)[:, ::2],
+         "fortran": np.asfortranarray(SIGNED_ZERO_POINTS)}[layout]
+    steps = FD_STEP * np.eye(3)
+    former = np.array([x + e for x in X for e in steps] + [x - e for x in X for e in steps])
+    assert central_probes(X).tobytes() == former.tobytes()
+    seen = []
+
+    def func_many(P):
+        seen.append(np.array(P))
+        return P @ P.T[:, :1]
+
+    jacobians_fd(func_many, X)
+    assert len(seen) == 1 and seen[0].tobytes() == former.tobytes()
+
+
+def test_direct_nabla_along_coordinates_reads_the_central_probes():
+    # the direct route's parallelism stencil along the coordinate
+    # directions evaluates the sections at the centres, then at exactly
+    # central_probes' rows, so a memo filled at those rows serves it
+    model, S = make_model("pair-R2")
+    X = SIGNED_ZERO_POINTS[:, :2]
+    k, n = X.shape
+    A = np.random.default_rng(71).normal(size=(n, model.N))
+    seen = []
+
+    def values_many(P):
+        seen.append(np.array(P))
+        return np.sin(P @ A)[..., None] * np.arange(1.0, 3.0)
+
+    nabla = infinitesimalize(S, "direct-formula")
+    M, V = np.repeat(X, n, axis=0), np.tile(np.eye(n), (k, 1))
+    nabla.nabla_rows(M, V, values_many)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == np.concatenate([M, central_probes(X)]).tobytes()
 
 
 def test_rk4_with_per_member_start_times_equals_each_member_alone():

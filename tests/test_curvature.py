@@ -319,37 +319,78 @@ def test_connection_matrices_rows_equal_connection_matrix(name, jacobians):
     assert not connection_matrices(nab, frame, M, W)[1].any()
 
 
-def test_reconstruction_transports_in_four_stacked_calls(zoo, monkeypatch):
-    # the two L-paths, the parallelism stencils with their centres, the anchor
-    # probes and the anchor samples each take one stacked transport; the
-    # brackets of all pairs at m0 are one algebroid_brackets call, so the 5
-    # points they need that miss the memo take 2 stacked transports: m0 for
-    # the unit rows, then the two probes along each of two sections' fields
-    # (the third section's probes stay at m0)
-    model, S = zoo("isojet-sphere")
-    members, singles, brackets = [], [], []
-    transport_matrices, transport_matrix = _transport_matrices, _transport_matrix
+def _count_transports(monkeypatch):
+    """The list that records, in order, the member count of every stacked
+    transport reconstruct_action makes and, as ("brackets", k), each
+    algebroid_brackets call over k pairs when it returns. A batch-of-one
+    _transport_matrix call fails the test."""
+    events = []
+    transport_matrices = _transport_matrices
     real_brackets = curvature_mod.algebroid_brackets
 
     def counting_brackets(*args):
-        brackets.append(len(args[2]))
-        return real_brackets(*args)
+        out = real_brackets(*args)
+        events.append(("brackets", len(args[2])))
+        return out
 
     def counting_many(nabla, frame, path_many, steps=16):
-        members.append(len(path_many(0.0)))
+        events.append(len(path_many(0.0)))
         return transport_matrices(nabla, frame, path_many, steps)
 
-    def counting_one(*args, **kwargs):
-        singles.append(1)
-        return transport_matrix(*args, **kwargs)
+    def refused_one(*args, **kwargs):
+        raise AssertionError("a transport ran alone")
 
     monkeypatch.setattr(curvature_mod, "_transport_matrices", counting_many)
-    monkeypatch.setattr(curvature_mod, "_transport_matrix", counting_one)
+    monkeypatch.setattr(curvature_mod, "_transport_matrix", refused_one)
     monkeypatch.setattr(curvature_mod, "algebroid_brackets", counting_brackets)
+    return events
+
+
+def _reconstruct_at_centre(model, S):
     m0 = 0.5 * (model.base_box[:, 0] + model.base_box[:, 1])
-    reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
-    assert not singles and members == [2, 1, 4, 45, 4 * 5, 5]
-    assert brackets == [3]  # the r(r - 1)/2 pairs of r = 3 sections
+    return reconstruct_action(infinitesimalize(S, "direct-formula"), m0, sample_count=5)
+
+
+def test_reconstruction_transports_in_three_stacked_calls(zoo, monkeypatch):
+    # the two L-paths take one stacked transport; then m0, the 9 parallelism
+    # grid points with their 36 stencil probes, and the 5 anchor samples with
+    # their 20 probes take one more, before the bracket; the brackets of all
+    # pairs at m0 are one algebroid_brackets call, whose unit rows at m0 hit
+    # the memo, so only its probes along two sections' fields take a third
+    # (the third section's probes stay at m0)
+    model, S = zoo("isojet-sphere")
+    events = _count_transports(monkeypatch)
+    _reconstruct_at_centre(model, S)
+    assert events == [2, 1 + 9 + 36 + 5 + 4 * 5, 4, ("brackets", 3)]  # [2, 71, 4]
+
+
+@pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
+@pytest.mark.parametrize("name", sorted(name for name, flat in EXPECTED_FLAT.items() if flat))
+def test_no_transport_runs_after_the_brackets(name, jacobians, monkeypatch):
+    # on every model reconstruct accepts, the parallelism and anchor checks
+    # read only the memo the stacked transport before the bracket filled; the
+    # one section of pair-R1 has no bracket pair, so its bracket takes no
+    # probe
+    model, S = make_model(name)
+    if not jacobians:
+        model = model.without_jacobians()
+        S = CartanConnection(model, S.mu_at, name=S.name)
+    events = _count_transports(monkeypatch)
+    _reconstruct_at_centre(model, S)
+    assert events[-1][0] == "brackets"
+    assert events[:-1] == ([2, 25] if name == "pair-R1" else [2, 71, 4])
+
+
+def test_holonomy_is_refused_before_any_radial_transport(zoo, monkeypatch):
+    # with the curvature precondition skipped, a curved connection meets the
+    # holonomy gate, which the L-paths' transport alone decides
+    model, S = zoo("isojet-perturbed")
+    monkeypatch.setattr(curvature_mod, "curvatures",
+                        lambda nabla, M: [types.SimpleNamespace(norm_inf=0.0)] * len(M))
+    events = _count_transports(monkeypatch)
+    with raises(FlatnessError, match="holonomy"):
+        _reconstruct_at_centre(model, S)
+    assert events == [2]
 
 
 def _opened_reconstruction(name, jacobians, monkeypatch):
