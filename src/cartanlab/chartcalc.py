@@ -443,14 +443,14 @@ def worst_case(worst: float, value: float) -> float:
 class WorstErrors(dict):
     """The lab's one verdict policy for sampled errors: per name, the worst
     max|value| recorded under it, a NaN anywhere in a value read as +inf
-    through worst_case. Each name starts at 0.0; recording under a name that
-    was not given is a KeyError."""
+    through worst_case; an empty value records nothing. Each name starts
+    at 0.0; recording under a name that was not given is a KeyError."""
 
     def __init__(self, names=()):
         super().__init__(dict.fromkeys(names, 0.0))
 
     def record(self, name: str, value) -> None:
-        self[name] = worst_case(self[name], float(np.max(np.abs(value))))
+        self[name] = worst_case(self[name], float(np.max(np.abs(value), initial=0.0)))
 
 
 def stack_field(elements) -> object:
@@ -484,9 +484,8 @@ def evaluate_drawn(rng: np.random.Generator, count: int, draw_stacked, evaluate)
     evaluated as a batch of one. So the error that propagates is the first
     one the per-sample loop meets, up to the order within one sample, where
     every draw comes before the evaluation. A rerun that raises nothing
-    stands: an evaluate that refuses a stack but records a refused sample
-    on its own (check_multiplicative's oracle refusal) ends as the
-    per-sample loop does. A count below 1 evaluates nothing."""
+    re-raises the stacked error: the stack and its samples alone disagree.
+    A count below 1 evaluates nothing."""
     if count < 1:
         return
     state = rng.bit_generator.state
@@ -496,6 +495,7 @@ def evaluate_drawn(rng: np.random.Generator, count: int, draw_stacked, evaluate)
         rng.bit_generator.state = state
         for _ in range(count):
             evaluate(*draw_stacked(1))
+        raise
 
 
 def worst_case_min(least: float, value: float) -> float:

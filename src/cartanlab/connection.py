@@ -60,7 +60,7 @@ from .chartcalc import (
     stacked,
     values_and_directional_derivatives,
 )
-from .errors import DomainError, EscapeError, NotABisectionError, SamplingError
+from .errors import DomainError, EscapeError, SamplingError
 from .groupoid import (
     AlgebroidVec,
     Arrow,
@@ -69,11 +69,13 @@ from .groupoid import (
     Jets,
     algebroid_vec,
     base_points,
+    compose_families,
     draw_samples_then_evaluate,
+    extend_bisections,
     family_rows,
     identity_jets,
     jet_distances,
-    oracle_jet_muls,
+    oracle_jets_and_refusals,
     outer_fd_step,
     right_invariant_many,
     sample_base_point,
@@ -136,10 +138,10 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) ->
 
     Every pair is drawn first, in the per-sample loop's rng order, its arrows
     deferred; then one mul_many, three mu_many calls (the factors and their
-    products) and one oracle_jet_muls evaluate them all
-    (groupoid.draw_samples_then_evaluate). Where
-    the oracle refuses a jet of the stack, the pairs rerun one by one and a
-    refused pair alone records +inf."""
+    products) and one oracle_jets_and_refusals call on the products of the
+    factors' bisections, oracle_jet_muls' family, evaluate them all
+    (groupoid.draw_samples_then_evaluate). A pair whose product the oracle
+    refuses (a NaN jet among them) records +inf."""
     model = S.model
     if count < 1:
         raise SamplingError(f"no composable pairs drawn on {model.name}")
@@ -153,17 +155,15 @@ def check_multiplicative(S: CartanConnection, seed: int = 0, count: int = 50) ->
     def evaluate(G, H):
         GH = model.mul_many(G, H)
         lhs = Jets.at(model, GH, S.mu_many(GH))
-        try:
-            rhs = oracle_jet_muls(model, Jets.at(model, G, S.mu_many(G)),
-                                  Jets.at(model, H, S.mu_many(H)))
-        except NotABisectionError:
-            if len(G) > 1:
-                raise  # the rerun finds the refused pairs one by one
-            # the oracle takes only jets of bisections, so a jet it refuses
-            # (a NaN one among them) fails the sample
+        J1, J2 = Jets.at(model, G, S.mu_many(G)), Jets.at(model, H, S.mu_many(H))
+        # the sampler placed each g at its h's target (check_sources): the pairs compose
+        products = compose_families(model, extend_bisections(model, J1),
+                                    extend_bisections(model, J2))
+        rhs, refusals = oracle_jets_and_refusals(model, products, J2.source)
+        standing = np.array([r is None for r in refusals])
+        if not standing.all():
             worst.record("multiplicative", math.inf)
-            return
-        worst.record("multiplicative", jet_distances(lhs, rhs))
+        worst.record("multiplicative", jet_distances(lhs, rhs)[standing])
 
     draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     return worst["multiplicative"]

@@ -28,7 +28,7 @@ from .connection import (
     infinitesimalize_along,
 )
 from .curvature import flatness_experiment, reconstruct_action
-from .errors import CartanLabError, ConfigError, NotABisectionError
+from .errors import CartanLabError, ConfigError
 from .groupoid import (
     AffineSection,
     Jets,
@@ -44,6 +44,7 @@ from .groupoid import (
     oracle_jet_inverses,
     oracle_jet_muls,
     oracle_jets,
+    oracle_jets_and_refusals,
     random_section,
     right_translate_many,
     sample_base_point,
@@ -529,15 +530,13 @@ def run_riemannian(model, S, config, count) -> list[Check]:
         residual(rhs - mu[:, 4, :, None, None] * dA_theta[:, None])
         # first-order metric compatibility of the oracle jets of the extensions
         J = Jets.at(model, G, S.mu_many(G))
-        try:
-            j = oracle_jets(model, extend_bisections(model, J), J.source)
-        except NotABisectionError:
-            if len(G) > 1:
-                raise  # the rerun finds the refused samples one by one
-            compatibility(math.inf)  # the jet is no bisection's, e.g. NaN
-            return
-        Tphi = differentiate_many(model.tgt, j.coords) @ j.mu
-        compatibility(np.swapaxes(Tphi, -1, -2) @ metric(j.target) @ Tphi - metric(j.source))
+        j, refusals = oracle_jets_and_refusals(model, extend_bisections(model, J), J.source)
+        ok = np.array([r is None for r in refusals])
+        if not ok.all():
+            compatibility(math.inf)  # a jet the oracle refuses is no bisection's, e.g. NaN
+        Tphi = differentiate_many(model.tgt, j.coords[ok]) @ j.mu[ok]
+        compatibility(np.swapaxes(Tphi, -1, -2) @ metric(j.target[ok]) @ Tphi
+                      - metric(j.source[ok]))
 
     draw_samples_then_evaluate(model, rng, count, draw, evaluate)
     multiplicative(check_multiplicative(S, seed=config.seed, count=multiplicative_samples))

@@ -628,14 +628,21 @@ def compose_families(model: GroupoidModel, family1: Callable, family2: Callable)
     return family
 
 
-def _check_section(M: np.ndarray, probes: np.ndarray, sources: np.ndarray) -> None:
-    """Raise NotABisectionError at the first probe whose source is not the
-    probe, near its member's point M[r]; a NaN defect fails."""
-    defects = np.max(np.abs(sources - probes), axis=1)
-    bad = np.flatnonzero(~(defects <= SECTION_TOL))
-    if bad.size:
-        r = bad[0]
-        raise NotABisectionError(f"src(b(x)) != x near {M[r]}: defect {defects[r]:.3e}")
+def _section_refusals(M: np.ndarray, probes: np.ndarray, sources: np.ndarray) -> list:
+    """Per member M[a], the refusal at its first probe whose source is not
+    the probe (a NaN defect fails), or None; as many probes per member."""
+    defects = np.max(np.abs(sources - probes), axis=1).reshape(len(M), -1)
+    bad = ~(defects <= SECTION_TOL)
+    refusals = [None] * len(M)
+    for a in np.flatnonzero(bad.any(axis=1)):
+        refusals[a] = f"src(b(x)) != x near {M[a]}: defect {defects[a, bad[a].argmax()]:.3e}"
+    return refusals
+
+
+def _raise_refusal(refusals: list) -> None:
+    """Raise NotABisectionError with the first refusal, in member order."""
+    for refusal in filter(None, refusals):
+        raise NotABisectionError(refusal)
 
 
 def _oracle_probes(M: np.ndarray) -> np.ndarray:
@@ -645,29 +652,12 @@ def _oracle_probes(M: np.ndarray) -> np.ndarray:
                            M[:, None] - FD_STEP * eye], axis=1).reshape(-1, M.shape[1])
 
 
-def _stacked_oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
-    """oracle_jets without its rerun: every probe in one family call."""
-    k, n = M.shape
-    probes = _oracle_probes(M)
-    owner = np.repeat(np.arange(k), 2 * n + 1)
-    B = np.asarray(family(probes, owner), dtype=float)
-    _check_section(M[owner], probes, model.src.many(B))
-    B = B.reshape(k, 2 * n + 1, -1)
-    # jacobians_fd reads the forward probes of every member, then the backward ones
-    stencil = np.concatenate([B[:, 1:n + 1], B[:, n + 1:]]).reshape(2 * k * n, -1)
-    mu = jacobians_fd(lambda _: stencil, M)
-    finite = np.isfinite(mu).all(axis=(1, 2))
-    if not finite.all():
-        # refused before its determinant, which a NaN entry would make NaN
-        raise NotABisectionError(f"non-finite jet of the bisection at {M[~finite][0]}")
-    if not (abs(np.linalg.det(differentiate_many(model.tgt, B[:, 0]) @ mu)) >= DET_TOL).all():
-        raise NotABisectionError("target map of the bisection is singular")
-    return Jets.at(model, B[:, 0], mu)
-
-
-def oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
+def oracle_jets_and_refusals(model: GroupoidModel, family: Callable,
+                             M: np.ndarray) -> tuple[Jets, list]:
     """Ground-truth one-jets of a family of explicit local bisections, member
-    a at M[a], by central differences of the bisections themselves.
+    a at M[a], by central differences of the bisections themselves, and
+    each member's refusal: None, or the NotABisectionError message that
+    oracle_jets raises on the member alone.
 
     Each member is evaluated once at each of its 2n+1 points m and
     m +- h e_i, h = FD_STEP, all members in one family(probes, owner) call:
@@ -675,30 +665,52 @@ def oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
     section is checked at every row, and jacobians_fd reads its central
     differences from the same rows: its probes m + s * e, s = +h and -h, have
     exactly the bytes of m + h * e and m - h * e (IEEE a + (-b) == a - b,
-    signed zeros included). One stacked check of the target maps' jacobians
-    follows. Member a equals the family of member a alone bit for bit.
+    signed zeros included). Member a equals the family of member a alone bit
+    for bit.
 
-    Raises NotABisectionError when a member fails to be a section of the
-    source map near its point (checked to 1e-9 at every probe) or when its
-    target map is singular; a NaN defect or determinant counts as either
-    failure. Where the stacked evaluation raises, the members rerun in order,
-    each probe by probe and then as a family of one, so the error raised is
-    the one the first failing member, at its first failing probe, raises
-    alone.
+    A member is refused where, in this order, it is no section of the
+    source map at a probe (to 1e-9, at its first such probe), its jet is
+    not finite or its target map is singular; a NaN defect or determinant
+    fails. Only the members still standing reach the target determinant.
     """
     M = np.asarray(M, dtype=float)
+    k, n = M.shape
+    probes = _oracle_probes(M)
+    B = np.asarray(family(probes, np.repeat(np.arange(k), 2 * n + 1)), dtype=float)
+    refusals = _section_refusals(M, probes, model.src.many(B))
+    B = B.reshape(k, 2 * n + 1, -1)
+    # jacobians_fd reads the forward probes of every member, then the backward ones
+    stencil = np.concatenate([B[:, 1:n + 1], B[:, n + 1:]]).reshape(2 * k * n, -1)
+    mu = jacobians_fd(lambda _: stencil, M)
+    for a in np.flatnonzero(~np.isfinite(mu).all(axis=(1, 2))):
+        refusals[a] = refusals[a] or f"non-finite jet of the bisection at {M[a]}"
+    standing = np.flatnonzero([r is None for r in refusals])  # a NaN jet has a NaN det
+    det = np.linalg.det(differentiate_many(model.tgt, B[standing, 0]) @ mu[standing])
+    for a in standing[~(abs(det) >= DET_TOL)]:
+        refusals[a] = f"target map of the bisection at {M[a]} is singular"
+    return Jets.at(model, B[:, 0], mu), refusals
+
+
+def oracle_jets(model: GroupoidModel, family: Callable, M: np.ndarray) -> Jets:
+    """oracle_jets_and_refusals' jets; raises NotABisectionError with the
+    first refusal, in member order. Where oracle_jets_and_refusals raises,
+    the members rerun in order, each probe by probe and then as a family of
+    one, so the error raised is the one the first failing member, at its
+    first failing probe, raises alone."""
+    M = np.asarray(M, dtype=float)
     try:
-        return _stacked_oracle_jets(model, family, M)
+        jets, refusals = oracle_jets_and_refusals(model, family, M)
     except Exception:
         for a in range(len(M)):
-            def member(X, owner, a=a):
-                return family(X, np.full(len(X), a))
-
-            for probe in _oracle_probes(M[a:a + 1]):
-                _check_section(M[a:a + 1], probe[None],
-                               model.src.many(member(probe[None], None)))
-            _stacked_oracle_jets(model, member, M[a:a + 1])
+            m, owner = M[a:a + 1], np.array([a])
+            for probe in _oracle_probes(m):
+                B = family(probe[None], owner)
+                _raise_refusal(_section_refusals(m, probe[None], model.src.many(B)))
+            # member a alone: a family of one, whose owner 0 reads as a
+            _raise_refusal(oracle_jets_and_refusals(model, lambda X, o: family(X, o + a), m)[1])
         raise
+    _raise_refusal(refusals)
+    return jets
 
 
 def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],

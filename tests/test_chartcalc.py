@@ -620,7 +620,9 @@ def test_repeated_rows_is_the_read_only_broadcast(layout):
 
 def test_an_error_reruns_the_samples_one_by_one_from_the_first_draw():
     # the stack of 4 draws fails in evaluate; the rerun draws each sample
-    # again from the rng state before the first draw and evaluates it alone
+    # again from the rng state before the first draw and evaluates it alone.
+    # No sample fails alone, so the stack and its samples disagree, and the
+    # stacked error propagates after the rerun
     rng = np.random.default_rng(0)
     expected = np.random.default_rng(0).uniform(size=4)
     evaluated = []
@@ -630,7 +632,8 @@ def test_an_error_reruns_the_samples_one_by_one_from_the_first_draw():
             raise ValueError("a stack refused")
         evaluated.append(U)
 
-    draw_then_evaluate(rng, 4, lambda: (rng.uniform(),), evaluate)
+    with raises(ValueError, match="a stack refused"):
+        draw_then_evaluate(rng, 4, lambda: (rng.uniform(),), evaluate)
     assert len(evaluated) == 4 and np.concatenate(evaluated).tobytes() == expected.tobytes()
     assert rng.uniform() == np.random.default_rng(0).uniform(size=5)[4]
 

@@ -40,7 +40,7 @@ from cartanlab.groupoid import (
     jet_distance,
     kernel_basis,
     oracle_jet_mul,
-    oracle_jet_muls,
+    oracle_jets_and_refusals,
     outer_fd_step,
     random_section,
     right_invariant_many,
@@ -211,20 +211,20 @@ def test_multiplicativity_checks_equal_the_per_sample_loops(name, jacobians):
 @pytest.mark.parametrize("count", [1, 6, 20])
 def test_multiplicativity_takes_every_jet_in_three_stacked_calls(zoo, monkeypatch, count):
     model, S = zoo("pair-R2")
-    calls = {"mu_many": 0, "oracle_jet_muls": 0}
+    calls = {"mu_many": 0, "oracle": 0}
 
     def counting_many(G):
         calls["mu_many"] += 1
         return S.mu_at.many(G)
 
     def counting_oracle(*args):
-        calls["oracle_jet_muls"] += 1
-        return oracle_jet_muls(*args)
+        calls["oracle"] += 1
+        return oracle_jets_and_refusals(*args)
 
-    monkeypatch.setattr(connection, "oracle_jet_muls", counting_oracle)
+    monkeypatch.setattr(connection, "oracle_jets_and_refusals", counting_oracle)
     check_multiplicative(CartanConnection(model, batch_of_one(counting_many)), seed=2,
                          count=count)
-    assert calls == {"mu_many": 3, "oracle_jet_muls": 1}
+    assert calls == {"mu_many": 3, "oracle": 1}
 
 
 def test_multiplicativity_detects_kernel_fault(zoo):

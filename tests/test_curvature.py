@@ -559,7 +559,7 @@ def test_flatness_experiment_runs_without_the_oracle(monkeypatch):
     def unreachable(*args):
         raise AssertionError("flatness_experiment called the jet oracle")
 
-    monkeypatch.setattr(connection, "oracle_jet_muls", unreachable)
+    monkeypatch.setattr(connection, "oracle_jets_and_refusals", unreachable)
     _, S = make_model("pair-R2")
     rep = flatness_experiment(S, seed=0, count=2)
     assert rep.flat and rep.involutive and rep.agreement

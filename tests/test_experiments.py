@@ -598,7 +598,7 @@ def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
             return real(*args)
         return call
 
-    for module, name, points in [(groupoid, "_stacked_oracle_jets", 2),
+    for module, name, points in [(groupoid, "oracle_jets_and_refusals", 2),
                                  (jetalg, "newton_solve_many", 2),
                                  (groupoid, "newton_solve_many", 2),
                                  (jetalg, "aligned_frames", 1)]:
@@ -620,7 +620,7 @@ def test_semidirect_block_makes_a_fixed_number_of_calls(monkeypatch):
     for count, k in ((12, 3), (48, 12)):
         del blocks[:]
         experiments.run_theorem_3_4(model, counted_S, config, count)
-        assert blocks[1] == {"_stacked_oracle_jets": [k] * 5, "newton_solve_many": [k],
+        assert blocks[1] == {"oracle_jets_and_refusals": [k] * 5, "newton_solve_many": [k],
                              "mu_many": [k, k], "aligned_frames": [k, k]}
 
 
@@ -766,17 +766,16 @@ def test_riemannian_equals_its_per_sample_loop(name, jacobians):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", ISOJET_MODELS)
 def test_a_riemannian_jet_the_oracle_refuses_reads_inf_for_its_own_sample(name, monkeypatch):
-    # sample 2's jet is NaN: the stacked oracle refuses the stack, and the
-    # rerun takes the samples one by one and records +inf for sample 2
-    # alone, as the loop does
+    # sample 2's jet is NaN: the stacked oracle refuses sample 2 alone,
+    # which records +inf, as the loop does, with no rerun of the samples
     oracle_rows = []
-    real = experiments.oracle_jets
+    real = experiments.oracle_jets_and_refusals
 
     def counting(model, family, M):
         oracle_rows.append(len(M))
         return real(model, family, M)
 
-    monkeypatch.setattr(experiments, "oracle_jets", counting)
+    monkeypatch.setattr(experiments, "oracle_jets_and_refusals", counting)
     model, S = make_model(name)
     rng = np.random.default_rng(5)
     arrows = [model.sample_arrow(rng).coords for _ in range(5)]
@@ -788,7 +787,7 @@ def test_a_riemannian_jet_the_oracle_refuses_reads_inf_for_its_own_sample(name, 
 
     nan_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
     checks = _riemannian_checks(model, nan_S, 5, 5)
-    assert oracle_rows == [5, 1, 1, 1, 1, 1]
+    assert oracle_rows == [5]
     assert checks == _riemannian_per_sample(model, nan_S, 5, 5)
     assert checks["jet-metric-compatibility"] == np.inf
     assert checks["chart-isometry"] < 1e-9

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import raises
 
-from cartanlab import chartcalc, experiments, groupoid, jetalg
+from cartanlab import chartcalc, connection, experiments, groupoid, jetalg
 from cartanlab.chartcalc import (
     FD_STEP,
     ChartMap,
@@ -17,6 +17,7 @@ from cartanlab.chartcalc import (
     jacobian_fd,
     newton_solve,
 )
+from cartanlab.connection import CartanConnection, check_multiplicative
 from cartanlab.errors import (
     CompositionError,
     ConfigError,
@@ -859,7 +860,9 @@ def _counted_bisections(monkeypatch, keep_stacked):
 
         return rows
 
-    monkeypatch.setattr(groupoid, "extend_bisections", counting)
+    # check_multiplicative builds its factors' families in connection
+    for module in (groupoid, connection):
+        monkeypatch.setattr(module, "extend_bisections", counting)
     return counts
 
 
@@ -951,8 +954,61 @@ def test_a_family_raises_what_its_first_failing_member_raises(zoo):
 
     with raises(NotABisectionError, match="defect"):  # member 1 alone
         groupoid.oracle_jets(model, lambda X, owner: family(X, owner + 1), M[1:])
-    with raises(NotABisectionError, match="singular"):
+    with raises(NotABisectionError,
+                match=re.escape(f"target map of the bisection at {M[0]} is singular")):
         groupoid.oracle_jets(model, family, M)
+
+
+def test_each_member_is_refused_as_it_is_alone(zoo):
+    # member 0 is the unit bisection, member 1 has a constant target map
+    # (singular), member 2 is no section at its probe m + h e_0 and member 3
+    # a section with a NaN target. Each refusal is the error the member
+    # raises alone; a stack raises its first refused member's, member 1's,
+    # though member 2 fails a section check, which comes before any target
+    # map
+    model, _ = zoo("pair-R2")
+    M = np.array([[0.2, 0.1], [-0.3, 0.4], [0.1, -0.2], [0.4, 0.3]])
+    shifted = M[2] + FD_STEP * np.eye(2)[0]
+
+    def family(X, owner):
+        rows = []
+        for x, a in zip(X, owner):
+            rows.append([model.unit(x), np.concatenate([[0.5, 0.5], x]),
+                         model.unit(x + 0.5 if np.array_equal(x, shifted) else x),
+                         np.concatenate([[np.nan, np.nan], x])][a])
+        return np.array(rows)
+
+    jets, refusals = groupoid.oracle_jets_and_refusals(model, family, M)
+    assert refusals[0] is None
+    for a, kind in ((1, "singular"), (2, "defect"), (3, "non-finite")):
+        with raises(NotABisectionError, match=kind) as alone:
+            groupoid.oracle_jets(model, lambda X, owner: family(X, owner + a), M[a:a + 1])
+        assert refusals[a] == str(alone.value)
+    with raises(NotABisectionError) as stacked:
+        groupoid.oracle_jets(model, family, M)
+    assert str(stacked.value) == refusals[1]
+    clean = groupoid.oracle_jets(model, family, M[:1])
+    assert jets.coords[0].tobytes() == clean.coords[0].tobytes()
+    assert jets.mu[0].tobytes() == clean.mu[0].tobytes()
+
+
+def test_a_refused_pair_costs_the_check_no_rerun(zoo, monkeypatch):
+    # the 18th of 20 pairs has a NaN second factor: the stacked oracle
+    # refuses that pair alone, so the check reads +inf in the two family
+    # calls of a clean check, one per factor, of 5 rows per pair
+    model, S = zoo("pair-R2")
+    rng = np.random.default_rng(0)
+    nan_arrow = [model.sample_composable(rng) for _ in range(20)][17][1].coords
+
+    def mu_many(G):
+        mu = np.array(S.mu_many(G))
+        mu[[np.array_equal(g, nan_arrow) for g in G]] = np.nan
+        return mu
+
+    counts = _counted_bisections(monkeypatch, True)
+    nan_S = CartanConnection(model, chartcalc.batch_of_one(mu_many), name=S.name)
+    assert check_multiplicative(nan_S, seed=0, count=20) == np.inf
+    assert _counted(counts) == (0, 2, 200)
 
 
 @pytest.mark.parametrize("probe", range(5))
