@@ -617,8 +617,28 @@ def christoffel(m: MetricChart, x: np.ndarray) -> np.ndarray:
 def christoffel_from_partials(Ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma[..., k, i, j] from an inverse metric and the
     partials dG[..., i, j, l] = d_l g_ij, at a point or a stack of points."""
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    d_i = np.swapaxes(dG, -3, -2)  # d_i[l, i, j] = dG[i, l, j]
-    d_l = np.swapaxes(np.swapaxes(dG, -1, -3), -1, -2)  # d_l[l, i, j] = dG[i, j, l]
-    bracket = np.swapaxes(d_i, -1, -2) + d_i - d_l
-    return 0.5 * np.einsum("...kl,...lij->...kij", Ginv, bracket)
+
+    def bracket(l):  # [..., i, j] = d_i g_jl + d_j g_il - d_l g_ij
+        d_j = dG[..., :, l, :]  # d_j[i, j] = d_j g_il
+        return np.swapaxes(d_j, -1, -2) + d_j - dG[..., :, :, l]
+
+    # one l at a time, so no stack of brackets is held beside the sum
+    gamma = sum_from_zero(Ginv[..., :, l, None, None] * bracket(l)[..., None, :, :]
+                          for l in range(Ginv.shape[-1]))
+    gamma *= 0.5
+    return gamma
+
+
+def sum_from_zero(terms) -> np.ndarray:
+    """The sum of an iterable of arrays, added in order onto +0: the bits of
+    an einsum over the same products, which adds each product into an output
+    that starts at +0, so a sum whose terms are all -0 is +0 here too. The
+    first term must have the sum's shape; it is summed into in place, so each
+    term should be a fresh array, and a generator keeps one term alive at a
+    time."""
+    terms = iter(terms)
+    total = next(terms)
+    total += 0.0
+    for term in terms:
+        total += term
+    return total

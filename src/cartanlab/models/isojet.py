@@ -26,6 +26,7 @@ from ..chartcalc import (
     christoffel_from_partials,
     constant_jacobian,
     metric_partials,
+    sum_from_zero,
 )
 from ..connection import CartanConnection
 from ..errors import MetricError
@@ -67,6 +68,35 @@ def dchol2(L: np.ndarray, dG: np.ndarray) -> np.ndarray:
     dL[..., 1, 0] = dl21
     dL[..., 1, 1] = dl22
     return dL
+
+
+def inv2(G: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack G[..., 2, 2] of SPD matrices, in the
+    order of LAPACK's unpivoted LU solve of G X = I written out. On a diagonal
+    stack it equals np.linalg.inv bit for bit, signed zeros included. On a
+    general SPD stack it agrees to roundoff: LAPACK pivots where |g01| > g00,
+    and an SPD matrix needs no pivot."""
+    a, b, c, d = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    l = c / a
+    u = d - l * b
+    X = np.empty(np.shape(G))
+    X[..., 1, 1] = x11 = 1.0 / u
+    X[..., 1, 0] = x10 = (0.0 - l) / u
+    X[..., 0, 0] = (1.0 - b * x10) / a
+    X[..., 0, 1] = (0.0 - b * x11) / a
+    return X
+
+
+def inv2_lt(L: np.ndarray) -> np.ndarray:
+    """(L^T)^-1 for each lower-triangular factor of a stack L[..., 2, 2]:
+    inv2's steps on the upper-triangular L^T, where the lower pivot is
+    l22 itself, so it equals np.linalg.inv(L^T) wherever inv2 does."""
+    l11, l21, l22 = L[..., 0, 0], L[..., 1, 0], L[..., 1, 1]
+    X = np.zeros(np.shape(L))
+    X[..., 0, 0] = 1.0 / l11
+    X[..., 1, 1] = x11 = 1.0 / l22
+    X[..., 0, 1] = (0.0 - l21 * x11) / l11
+    return X
 
 
 def isometry_matrices(metric: MetricChart, M: np.ndarray, MP: np.ndarray,
@@ -162,6 +192,17 @@ def prolongation_jets(metric: MetricChart,
     evaluated once at the stacked sources and targets, so its g and dg must
     broadcast over a leading axis of points (MetricError where they do not);
     nothing is kept between calls.
+
+    The 2x2 algebra is written out on the stack, with no np.linalg call: the
+    inverses are inv2 and inv2_lt, and the Christoffel symbols and the
+    contractions of the right-hand side are broadcast sums, each in the
+    operation order of np.linalg.inv or einsum. So on a diagonal metric, as
+    every shipped one is, the jets equal those of the same kernel built on
+    np.linalg.inv and einsum bit for bit, and on a general SPD metric they
+    agree to roundoff. The frame products are stacked matmul and the
+    theta-slope's two contractions are einsum: written out, their sums would
+    round differently (matmul's BLAS fuses multiply-adds, and einsum's
+    vectorized reduction is neither a sequential nor a pairwise sum).
     """
     k = len(G)
     X = np.concatenate([G[:, :2], G[:, 2:4]])
@@ -176,11 +217,13 @@ def prolongation_jets(metric: MetricChart,
     # stencil passes about a thousand arrows, and the stack's peak memory is
     # the process's
     L = chol2(gm)
-    gamma = christoffel_from_partials(np.linalg.inv(gm), dgm)  # gamma[p, k, i, j]
+    Ginv = inv2(gm)
+    del gm
+    gamma = christoffel_from_partials(Ginv, dgm)  # gamma[p, k, i, j]
+    del Ginv
     dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)  # [p, l]
-    del gm, dgm
-    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
-    LpTinv = LTinv[k:]
+    del dgm
+    LpTinv = inv2_lt(L[k:])  # only the targets' frames are inverted
     dLpTinv = -LpTinv[:, None] @ dLT[k:] @ LpTinv[:, None]
     R = rot2_many(G[:, 4])
     LpTinvR = LpTinv @ R
@@ -188,15 +231,23 @@ def prolongation_jets(metric: MetricChart,
     A = LpTinvR @ LmT
     dA_theta = LpTinv @ J2 @ R @ LmT
     dA_m = LpTinvR[:, None] @ dLT[:k]  # [k, i]
-    del dLT, LTinv, LpTinv, LpTinvR
+    del dLT, LpTinv, LpTinvR
     dA_p = dLpTinv @ R[:, None] @ LmT[:, None]  # [k, a]
     del dLpTinv, R, LmT, L
-    # target[k, i] = A Gamma_i(m) - Gamma'(m')(A e_i, A .)
-    target = (np.einsum("...kc,...cij->...ikj", A, gamma[:k])
-              - np.einsum("...kab,...ai,...bj->...ikj", gamma[k:], A, A))
+    # rhs[k, i] = A Gamma_i(m) - Gamma'(m')(A e_i, A .) - dA_m[k, i]
+    #             - sum_a dA_p[k, a] A[a, i], indexed [k, i, ., .]. Each sum
+    # takes its indices in order, its products multiplied left to right, so
+    # the bits, signed zeros included, are those of the einsums
+    # "...kc,...cij->...ikj", "...kab,...ai,...bj->...ikj" and
+    # "...akj,...ai->...ikj", which the tests keep as the reference
+    rhs = sum_from_zero(A[:, None, :, c, None] * gamma[:k, c, :, None, :] for c in range(2))
+    rhs -= sum_from_zero(gamma[k:, None, :, a, b, None] * A[:, a, :, None, None]
+                         * A[:, None, None, b, :] for a in range(2) for b in range(2))
     del gamma
-    rhs = target - dA_m - np.einsum("...akj,...ai->...ikj", dA_p, A)
-    del target, dA_m, dA_p
+    rhs -= dA_m
+    del dA_m
+    rhs -= sum_from_zero(dA_p[:, a, None] * A[:, a, :, None, None] for a in range(2))
+    del dA_p
     w = (np.einsum("...kj,...ikj->...i", dA_theta, rhs)
          / np.einsum("...kj,...kj->...", dA_theta, dA_theta)[:, None])
     mu = np.empty((k, 5, 2))

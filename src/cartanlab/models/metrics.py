@@ -3,7 +3,9 @@
 Every shipped metric is conformal, g = lam(x) I, but the constructions that
 consume them (Christoffel symbols, isometric-frame factors) work for general
 SPD metric charts. g and dg broadcast over leading axes: a stack of points
-x[..., 2] gives g[..., 2, 2] and dg[..., 2, 2, 2].
+x[..., 2] gives g[..., 2, 2] and dg[..., 2, 2, 2]. Being conformal, every
+shipped g is diagonal, so isojet.inv2 inverts it as np.linalg.inv does, bit
+for bit.
 """
 
 import numpy as np
@@ -19,13 +21,20 @@ def _conformal(lam, dlam, name) -> MetricChart:
         return lam(x)[..., None, None] * eye
 
     def dg(x):
-        return np.einsum("ij,...l->...ijl", eye, dlam(x))
+        # dg[..., i, j, l] = delta_ij dlam_l, written into zeros so that the
+        # off-diagonal entries are +0: a product 0 * dlam_l would be -0
+        # where dlam_l < 0, and einsum("ij,...l->...ijl"), whose bits the
+        # tests pin, sums from +0
+        d = dlam(x)
+        out = np.zeros(d.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, :] = out[..., 1, 1, :] = d
+        return out
 
     return MetricChart(2, g, dg, name=name)
 
 
 def _sq_norm(x):
-    return np.einsum("...i,...i->...", x, x)
+    return x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
 
 
 def euclidean_metric() -> MetricChart:

@@ -5,6 +5,8 @@ import pytest
 from pytest import raises
 
 from cartanlab.chartcalc import (
+    MetricChart,
+    christoffel_from_partials,
     differentiate,
     differentiate_many,
     in_box,
@@ -26,8 +28,18 @@ from cartanlab.groupoid import (
 )
 from cartanlab.jetalg import random_jet
 from cartanlab.models import MODELS, make_model
-from cartanlab.models.isojet import chol2, dchol2, isometry_matrix, prolongation_jet
+from cartanlab.models.isojet import (
+    chol2,
+    dchol2,
+    inv2,
+    inv2_lt,
+    isometry_matrix,
+    make_isometry_jet_groupoid,
+    prolongation_jet,
+    prolongation_jets,
+)
 from cartanlab.models.metrics import (
+    _sq_norm,
     euclidean_metric,
     hyperbolic_metric,
     perturbed_metric,
@@ -205,8 +217,30 @@ def test_stacked_sphere_action_matches_single_calls(rng):
             assert np.array_equal(model.tgt.many(G), [model.tgt(g) for g in G])
 
 
+def _off_diagonal_metric():
+    """A test-only SPD metric with g01 != 0 and analytic partials. Near the
+    origin |g01| > g00, so LAPACK's LU pivots there and inv2 does not."""
+
+    def g(x):
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 0.5 + x[..., 0] ** 2
+        out[..., 1, 1] = 4.0 + x[..., 1] ** 2
+        out[..., 0, 1] = out[..., 1, 0] = 0.9 + 0.3 * x[..., 0] * x[..., 1]
+        return out
+
+    def dg(x):
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = 2.0 * x[..., 0]
+        out[..., 1, 1, 1] = 2.0 * x[..., 1]
+        out[..., 0, 1, :] = out[..., 1, 0, :] = 0.3 * x[..., ::-1]
+        return out
+
+    return MetricChart(2, g, dg, name="off-diagonal")
+
+
 @pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
-                                    hyperbolic_metric(), perturbed_metric(0.4)])
+                                    hyperbolic_metric(), perturbed_metric(0.4),
+                                    _off_diagonal_metric()])
 def test_metric_positive_and_partials(metric, rng):
     for _ in range(10):
         x = rng.uniform(-0.6, 0.6, size=2)
@@ -348,16 +382,25 @@ def test_batched_jets_do_not_depend_on_the_batch(zoo, name):
             assert np.array_equal(batch[a], S.mu_at(G[a]))
 
 
+def _einsum_christoffel(Ginv, dG):
+    """The Levi-Civita symbols as one einsum over the bracket
+    d_i g_jl + d_j g_il - d_l g_ij, shared with nothing in the library."""
+    d_i = np.swapaxes(dG, -3, -2)
+    d_l = np.swapaxes(np.swapaxes(dG, -1, -3), -1, -2)
+    bracket = np.swapaxes(d_i, -1, -2) + d_i - d_l
+    return 0.5 * np.einsum("...kl,...lij->...kij", Ginv, bracket)
+
+
 def _reference_frame_data(metric, x):
     """The per-point frame data the batched jets replaced: (L, gamma, (L^T)^-1,
     (dL/dx_l)^T, d(L^T)^-1/dx_l)."""
-    from cartanlab.chartcalc import christoffel_from_partials, metric_partials
+    from cartanlab.chartcalc import metric_partials
 
     G = metric(x)
     dG = metric_partials(metric, x)
     L = chol2(G)
     dL = np.stack([dchol2(L, dG[:, :, l]) for l in range(2)], axis=2)
-    gamma = christoffel_from_partials(np.linalg.inv(G), dG)
+    gamma = _einsum_christoffel(np.linalg.inv(G), dG)
     LTinv = np.linalg.inv(L.T)
     dLT = tuple(dL[:, :, l].T for l in range(2))
     dLTinv = tuple(-LTinv @ dLT[l] @ LTinv for l in range(2))
@@ -398,6 +441,132 @@ def test_batched_jets_match_the_per_point_solve(zoo, name):
         assert np.max(np.abs(batch[a] - _reference_jet(metric, G[a]))) < 1e-13
 
 
+def _lapack_einsum_jets(metric, G):
+    """prolongation_jets on LAPACK inverses and einsum contractions: the
+    reference whose bits the closed forms keep, and on which the report
+    digests rest."""
+    from cartanlab.chartcalc import metric_partials
+    from cartanlab.models.rotations import J2
+
+    k = len(G)
+    X = np.concatenate([G[:, :2], G[:, 2:4]])
+    gm = metric(X)
+    dgm = metric_partials(metric, X)
+    L = chol2(gm)
+    gamma = _einsum_christoffel(np.linalg.inv(gm), dgm)
+    dLT = np.swapaxes(dchol2(L[:, None], dgm.transpose(0, 3, 1, 2)), -1, -2)
+    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
+    LpTinv = LTinv[k:]
+    dLpTinv = -LpTinv[:, None] @ dLT[k:] @ LpTinv[:, None]
+    R = rot2_many(G[:, 4])
+    LpTinvR = LpTinv @ R
+    LmT = np.swapaxes(L[:k], -1, -2)
+    A = LpTinvR @ LmT
+    dA_theta = LpTinv @ J2 @ R @ LmT
+    dA_m = LpTinvR[:, None] @ dLT[:k]
+    dA_p = dLpTinv @ R[:, None] @ LmT[:, None]
+    target = (np.einsum("...kc,...cij->...ikj", A, gamma[:k])
+              - np.einsum("...kab,...ai,...bj->...ikj", gamma[k:], A, A))
+    rhs = target - dA_m - np.einsum("...akj,...ai->...ikj", dA_p, A)
+    w = (np.einsum("...kj,...ikj->...i", dA_theta, rhs)
+         / np.einsum("...kj,...kj->...", dA_theta, dA_theta)[:, None])
+    mu = np.empty((k, 5, 2))
+    mu[:, :2] = np.eye(2)
+    mu[:, 2:4] = A
+    mu[:, 4] = w
+    return mu, dA_theta, rhs
+
+
+def _arrows_in_box(model, rng, k):
+    low, high = model.domain_box.T
+    return low + (high - low) * rng.random((k, model.N))
+
+
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_closed_form_jets_equal_the_lapack_einsum_kernel_bit_for_bit(zoo, name):
+    # numpy promises neither that np.linalg.inv of a diagonal 2x2 stack is
+    # its unpivoted LU solve written out nor that einsum sums from 0 in
+    # index order; the report digests rest on both, on every shipped metric
+    model, _ = zoo(name)
+    metric = model.extras["metric"]
+    rng = np.random.default_rng(23)
+    for k in (1, 12, 426):
+        G = _arrows_in_box(model, rng, k)
+        for new, old in zip(prolongation_jets(metric, G), _lapack_einsum_jets(metric, G)):
+            assert new.tobytes() == old.tobytes()
+
+
+def test_closed_form_inverses_equal_lapack_on_diagonal_stacks(rng):
+    # signed zeros included: the off-diagonal zeros are +0, as LAPACK's
+    D = np.zeros((300, 2, 2))
+    D[:, 0, 0], D[:, 1, 1] = rng.uniform(0.1, 10.0, size=(2, 300))
+    assert inv2(D).tobytes() == np.linalg.inv(D).tobytes()
+    L = chol2(D)
+    assert inv2_lt(L).tobytes() == np.linalg.inv(np.swapaxes(L, -1, -2)).tobytes()
+    # on general SPD stacks, pivoted or not, they agree to roundoff
+    B = rng.uniform(-1.0, 1.0, size=(300, 2, 2))
+    S = B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(2)
+    assert np.any(np.abs(S[:, 0, 1]) > S[:, 0, 0])
+    scale = np.abs(np.linalg.inv(S)).max(axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(inv2(S) - np.linalg.inv(S)) / scale) < 1e-13
+    L = chol2(S)
+    LTinv = np.linalg.inv(np.swapaxes(L, -1, -2))
+    scale = np.abs(LTinv).max(axis=(1, 2))[:, None, None]
+    assert np.max(np.abs(inv2_lt(L) - LTinv) / scale) < 1e-14
+    # inv2_lt is inv2's steps on L^T with its zeros folded in
+    assert inv2_lt(L).tobytes() == inv2(np.swapaxes(L, -1, -2)).tobytes()
+
+
+def test_christoffel_symbols_equal_the_einsum_bit_for_bit(rng):
+    # the broadcast sum stays generic in dimension; on a flat metric every
+    # product is -0 here, and the sum from 0 makes the symbols +0, as
+    # einsum's do
+    for dim in (2, 3):
+        Ginv = rng.standard_normal((50, dim, dim))
+        dG = rng.standard_normal((50, dim, dim, dim))
+        dG = dG + np.swapaxes(dG, 1, 2)
+        for Ginv, dG in ((Ginv, dG), (-np.eye(dim), np.zeros((dim, dim, dim)))):
+            assert (christoffel_from_partials(Ginv, dG).tobytes()
+                    == _einsum_christoffel(Ginv, dG).tobytes())
+
+
+@pytest.mark.parametrize("name", ISOJET_MODELS)
+def test_prolongation_jets_make_no_linalg_call(zoo, name, monkeypatch):
+    model, S = zoo(name)
+    G = _arrows_in_box(model, np.random.default_rng(24), 12)
+    expected = S.mu_at.many(G)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for fn in np.linalg.__all__:
+        if fn != "LinAlgError":
+            monkeypatch.setattr(np.linalg, fn, refused)
+    with raises(AssertionError):
+        np.linalg.inv(np.eye(2))
+    with raises(AssertionError):
+        np.linalg.solve(np.eye(2), np.ones(2))
+    assert np.array_equal(prolongation_jets(model.extras["metric"], G)[0], expected)
+
+
+def test_off_diagonal_metric_jets_match_the_per_point_solve():
+    metric = _off_diagonal_metric()
+    model, _ = make_isometry_jet_groupoid(metric)
+    rng = np.random.default_rng(25)
+    G = _arrows_in_box(model, rng, 200)
+    gm = metric(np.concatenate([G[:, :2], G[:, 2:4]]))
+    assert np.any(np.abs(gm[:, 0, 1]) > gm[:, 0, 0])  # LAPACK pivots here
+    batch = prolongation_jets(metric, G)[0]
+    old = _lapack_einsum_jets(metric, G)[0]
+    assert np.max(np.abs(batch - old)) < 1e-13
+    for a in range(len(G)):
+        assert np.max(np.abs(batch[a] - _reference_jet(metric, G[a]))) < 1e-13
+    for g in G[:20]:
+        mu, residual = prolongation_jet(metric, g)
+        assert residual < 1e-8
+        assert np.max(np.abs(model.Tsrc(g) @ mu - np.eye(2))) < 1e-12
+
+
 def test_metric_partials_fall_back_to_per_point_differences():
     from cartanlab.chartcalc import MetricChart, metric_partials
 
@@ -420,6 +589,17 @@ def test_metrics_broadcast_over_a_stack_of_points(metric):
     for a in range(3):
         assert np.array_equal(g[a], metric(X[a]))
         assert np.array_equal(dg[a], metric.dg(X[a]))
+
+
+@pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
+                                    hyperbolic_metric(), perturbed_metric(0.4)])
+def test_conformal_metrics_keep_the_einsum_bits(metric, rng):
+    # dg is delta_ij dlam_l with +0 off the diagonal, and |x|^2 sums from 0
+    # in order, as einsum gives them, signed zeros included
+    X = rng.uniform(-0.6, 0.6, size=(200, 2))
+    dg = metric.dg(X)
+    assert dg.tobytes() == np.einsum("ij,...l->...ijl", np.eye(2), dg[:, 0, 0, :]).tobytes()
+    assert _sq_norm(X).tobytes() == np.einsum("...i,...i->...", X, X).tobytes()
 
 
 def test_metric_that_does_not_broadcast_is_refused():
