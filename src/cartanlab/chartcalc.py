@@ -108,15 +108,16 @@ def matvecs(A: np.ndarray, V: np.ndarray) -> np.ndarray:
 class MetricChart:
     """Riemannian metric components on one chart: x -> symmetric SPD matrix.
 
-    dg, when supplied, returns the array of partials with dg(x)[i, j, l]
-    = d g_ij / d x_l. g and dg broadcast over leading axes: a stack of points
-    x[..., dim] gives g(x)[..., i, j] and dg(x)[..., i, j, l], each entry the
-    value at that point.
+    dg returns the array of analytic partials with dg(x)[i, j, l] = d g_ij /
+    d x_l; the tests check each shipped dg against central differences of g.
+    g and dg broadcast over leading axes: a stack of points x[..., dim] gives
+    g(x)[..., i, j] and dg(x)[..., i, j, l], each entry the value at that
+    point.
     """
 
     dim: int
     g: Callable[[np.ndarray], np.ndarray]
-    dg: Callable[[np.ndarray], np.ndarray] | None = None
+    dg: Callable[[np.ndarray], np.ndarray]
     name: str = "metric"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -194,12 +195,6 @@ def jacobians_fd(func_many: Callable, X: np.ndarray, h: float = FD_STEP,
     values = values.reshape((2, k, n) + values.shape[1:])
     slopes = deriv_at_zero(lambda s: values[0] if s > 0 else values[1], h)
     return np.ascontiguousarray(slopes.transpose(0, *range(2, slopes.ndim), 1))
-
-
-def newton_solve(func: Callable, y: np.ndarray, x0: np.ndarray, tol: float) -> np.ndarray:
-    """Solve func(x) = y by Newton iteration from x0: newton_solve_many's batch of one."""
-    return newton_solve_many(lambda X, _: stacked(func, None, X), np.asarray(y, dtype=float)[None],
-                             np.asarray(x0, dtype=float)[None], np.zeros(1, dtype=int), tol)[0]
 
 
 def newton_solve_many(func_many: Callable, Y: np.ndarray, X0: np.ndarray, start: np.ndarray,
@@ -588,15 +583,8 @@ def flow_with_tangent(field: Callable, field_jvp: Callable, x0: np.ndarray,
 
 def metric_partials(m: MetricChart, x: np.ndarray) -> np.ndarray:
     """dg[..., i, j, l] = d g_ij / d x_l at a point or a stack of points
-    x[..., dim], analytic when the metric carries dg."""
-    x = np.asarray(x, dtype=float)
-    if m.dg is not None:
-        return np.asarray(m.dg(x), dtype=float)
-    d = m.dim
-    # g is evaluated point by point: a metric written for one point gives
-    # its partials, and prolongation_jets, not this stencil, refuses it
-    dg = jacobians_fd(lambda X: stacked(m, None, X), x.reshape(-1, d))
-    return dg.reshape(x.shape[:-1] + (d, d, d))
+    x[..., dim], from the metric's analytic dg."""
+    return np.asarray(m.dg(np.asarray(x, dtype=float)), dtype=float)
 
 
 def christoffel(m: MetricChart, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ routes, each in one form, on stacks of samples: AlgebroidConnection.nabla(M,
 V, family) differentiates section a of a family (extend_bisections' form:
 family(P, owner) gives row r as section owner[r] at P[r]) at M[a] along V[a],
 and the connection called on one sample (m, v, X) is that form's batch of
-one. Several sections at every sample (nabla_rows) are one call too.
+one. On the direct-formula route, several sections at every sample
+(nabla_rows) are one call too.
 
 * "flow-formula": the coordinate-function identity
       <df, nabla_v X> = d/dt <df, T_m(Phi^t . unit) v> - d/dt <df, S(Phi^t(m)) v>
@@ -36,7 +37,7 @@ one. Several sections at every sample (nabla_rows) are one call too.
   which needs only single-level spatial derivatives. It is the high-precision
   route used by curvature computations and is cross-validated against both
   literal routes. It differentiates a family, or several sections at every
-  point of a stack (nabla_batch), with one mu_many call for all their
+  point of a stack (nabla_rows), with one mu_many call for all their
   stencil arrows.
 """
 
@@ -283,36 +284,21 @@ class AlgebroidConnection:
     Calling the connection on one point m, direction v and section X is that
     form's batch of one, over X's family of one (section_family).
 
-    nabla_batch, when supplied, is the stacked form for several sections at
-    every point: nabla_batch(M[k, n], V[k, n], values_many) is a (k, N, s)
-    array, where values_many(P) gives the sections' values at a stack of
-    points P[p, n] as a (p, N, s) array (see nabla_rows)."""
+    nabla_rows, on the direct-formula route, is the stacked form for several
+    sections at every point: nabla_rows(M[k, n], V[k, n], values_many) is the
+    (k, N, s) array whose [a, :, b] differentiates section b at M[a] along
+    V[a], where values_many(P) gives the sections' values at a stack of
+    points P[p, n] as a (p, N, s) array. The literal routes have none."""
 
     model: GroupoidModel
     nabla: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray]
-    nabla_batch: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
+    nabla_rows: Callable[[np.ndarray, np.ndarray, Callable], np.ndarray] | None = None
 
     def __call__(self, m: np.ndarray, v: np.ndarray, X: Callable) -> AlgebroidVec:
         m = base_points(self.model, m, 1)
         v = base_points(self.model, v, 1)
         return algebroid_vec(self.model, m, self.nabla(m[None], v[None], section_family(X))[0],
                              check=False)
-
-    def nabla_rows(self, M: np.ndarray, V: np.ndarray, values_many: Callable) -> np.ndarray:
-        """The (k, N, s) array whose [a, :, b] differentiates section b of
-        values_many (the sections' stacked values, see nabla_batch) at M[a]
-        along V[a], bit for bit: one nabla_batch call, or on a route without
-        it one nabla call over the k * s pairs, row a repeated once per section."""
-        if self.nabla_batch is not None:
-            return self.nabla_batch(M, V, values_many)
-        M, V = sample_stacks(self.model, M, V)
-        k, s = len(M), np.shape(values_many(M[:1]))[-1]  # one row gives s
-
-        def family(P, owner):
-            return values_many(P)[np.arange(len(P)), :, owner % s]
-
-        D = self.nabla(np.repeat(M, s, axis=0), np.repeat(V, s, axis=0), family)
-        return D.reshape(k, s, -1).transpose(0, 2, 1)
 
 
 def sample_stacks(model: GroupoidModel, M: np.ndarray, V: np.ndarray
@@ -361,7 +347,7 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         # stacked product runs the same BLAS routine per row as mu @ v
         return matvecs(S.mu_many(P[:, :N]), P[:, N:])
 
-    def nabla_batch(M, V, values_many, owner=None):
+    def nabla_rows(M, V, values_many, owner=None):
         # the right-invariant extension restricted to unit arrows is the
         # section itself (right translation by a unit is the identity), so the
         # first term needs only the sections' own derivatives, whose probes
@@ -380,10 +366,10 @@ def _infinitesimalize_direct(S: CartanConnection) -> AlgebroidConnection:
         return term1 - term2.reshape(k, s, N).transpose(0, 2, 1)
 
     def nabla(M, V, family):
-        return nabla_batch(M, V, lambda P, owner: family(P, owner)[..., None],
-                           np.arange(len(M)))[..., 0]
+        return nabla_rows(M, V, lambda P, owner: family(P, owner)[..., None],
+                          np.arange(len(M)))[..., 0]
 
-    return AlgebroidConnection(model, nabla, nabla_batch)
+    return AlgebroidConnection(model, nabla, nabla_rows)
 
 
 def _infinitesimalize_flow(S: CartanConnection) -> AlgebroidConnection:

@@ -52,9 +52,9 @@ def connection_matrices(nabla: AlgebroidConnection, frame: Callable,
                         M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Coefficients of the covariant derivative of the frame at each point of
     a stack M[k, n] along W[a]: nabla_w e_a = sum_b Gamma[b, a] e_b, row a
-    at M[a], in one nabla_rows call, so one stacked jet evaluation on the
-    direct-formula route. Row a equals connection_matrix(..., M[a], W[a])
-    bit for bit.
+    at M[a], in one nabla_rows call, one stacked jet evaluation; the
+    connection is the direct-formula route's, the one route with that form.
+    Row a equals connection_matrix(..., M[a], W[a]) bit for bit.
 
     The frame K must have orthonormal columns, as aligned_frame's have: K.T
     then solves K Gamma = W for the derivatives W of the columns, and a frame

@@ -380,8 +380,11 @@ def _coordinate_slot(N: int, index: slice, side: str) -> tuple[dict, np.ndarray,
         G[:, index] = M
         return G
 
-    side_map = ChartMap(N, N - len(rest), lambda g: g[index],
-                        jacobian=constant_jacobian(eye[index]), eval_many=lambda G: G[:, index])
+    def side_many(G):
+        return G[:, index]
+
+    side_map = ChartMap(N, N - len(rest), batch_of_one(side_many),
+                        jacobian=constant_jacobian(eye[index]), eval_many=side_many)
     return ({side: side_map, f"retract_{side}_many": retract_many,
              f"retract_{side}_jac_many": lambda G, M: tuple(J(G) for J in retract_jacs)},
             rest, constant_jacobian(rest_emb))
@@ -404,8 +407,12 @@ def source_slot(N: int, src_index: slice, domain_box: np.ndarray) -> dict:
 
     def fiber_chart(m0):
         m0 = np.asarray(m0, dtype=float)
-        return (ChartMap(len(rest), N, batch_of_one(lambda U: place_many(U, m0[None])),
-                         jacobian=emb_jacobian),
+
+        def emb_many(U):  # every row's source is m0
+            return place_many(U, np.broadcast_to(m0, (len(U), len(m0))))
+
+        return (ChartMap(len(rest), N, batch_of_one(emb_many), jacobian=emb_jacobian,
+                         eval_many=emb_many),
                 lambda coords: np.asarray(coords, dtype=float)[rest])
 
     return dict(fields, free_box=np.asarray(domain_box, dtype=float)[rest],
@@ -618,8 +625,7 @@ def bisection_family(model: GroupoidModel, b: Callable) -> Callable:
 
 def compose_families(model: GroupoidModel, family1: Callable, family2: Callable) -> Callable:
     """The pointwise products (b1 b2)(m) = b1(tgt(b2(m))) . b2(m) of two
-    families of bisections, member by member: compose_bisections' family
-    form."""
+    families of bisections, member by member."""
 
     def family(X: np.ndarray, owner: np.ndarray) -> np.ndarray:
         H = family2(X, owner)
@@ -719,16 +725,6 @@ def oracle_jet(model: GroupoidModel, b: Callable[[np.ndarray], np.ndarray],
     batch of one, b evaluated at its 2n+1 probes in one b.many call (a plain
     callable is looped; where that raises, the probes rerun one by one)."""
     return oracle_jets(model, bisection_family(model, b), np.asarray(m, dtype=float)[None])[0]
-
-
-def compose_bisections(model: GroupoidModel, b1: Callable, b2: Callable) -> ChartMap:
-    """Pointwise product of local bisections: (b1 b2)(m) = b1(tgt(b2(m))) . b2(m)."""
-    family = compose_families(model, bisection_family(model, b1), bisection_family(model, b2))
-
-    def prod_many(M: np.ndarray) -> np.ndarray:
-        return family(M, None)
-
-    return ChartMap(model.n, model.N, batch_of_one(prod_many), eval_many=prod_many)
 
 
 def oracle_jet_muls(model: GroupoidModel, J1: Jets, J2: Jets) -> Jets:
@@ -1098,9 +1094,7 @@ class AffineSection:
     c1: np.ndarray  # (rank, n)
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        # the one-point products, a third of the family's cost at one point
-        m = np.asarray(m, dtype=float)
-        return self.frame(m) @ (self.c0 + self.c1 @ m)
+        return self.many(np.asarray(m, dtype=float)[None])[0]
 
     def many(self, P: np.ndarray) -> np.ndarray:
         return self._family(P, np.zeros(len(P), dtype=int))

@@ -44,7 +44,6 @@ from .groupoid import (
     aligned_frames,
     anchor_matrices,
     base_points,
-    bisection_family,
     identity_jet,
     identity_jets,
     inv_tangent_many,
@@ -196,17 +195,6 @@ def vee_many(phi: KernelHoms) -> Jets:
 def vee(phi: KernelHom) -> Jet1:
     """Embed a kernel element as a jet over the unit arrow: vee_many's batch of one."""
     return vee_many(KernelHoms.of([phi]))[0]
-
-
-def unvee(model: GroupoidModel, j: Jet1) -> KernelHom:
-    """Inverse of vee on jets over unit arrows."""
-    m = j.g.source
-    _same_base(j.g.coords, model.unit(m), "unvee: jet not over a unit arrow")
-    return KernelHom(model, m, model.Tunit(m) - j.mu)
-
-
-def zero_kernel_hom(model: GroupoidModel, m: np.ndarray) -> KernelHom:
-    return KernelHom(model, np.asarray(m, dtype=float), np.zeros((model.N, model.n)))
 
 
 def random_kernel_hom(model: GroupoidModel, m: np.ndarray,
@@ -511,11 +499,6 @@ def kernel_sections(model: GroupoidModel, ref_points: np.ndarray, C0: np.ndarray
     return family
 
 
-def _kernel_family(Phi: Callable[[np.ndarray], KernelHom]) -> Callable:
-    """A kernel section m -> KernelHom as a family of one, read row by row."""
-    return lambda P, _: KernelHoms.of([Phi(m) for m in P])
-
-
 def assemble_bisections(model: GroupoidModel, family: Callable, Phi_many: Callable):
     """Bisections of the jet groupoid from a family of bisections of the
     model (groupoid.extend_bisections) and a family of kernel sections,
@@ -532,13 +515,6 @@ def assemble_bisections(model: GroupoidModel, family: Callable, Phi_many: Callab
         return mul_kernel_left_many(model, jb, Phi_many(jb.target, np.arange(len(jb))))
 
     return at
-
-
-def assemble_bisection(model: GroupoidModel, b, Phi):
-    """assemble_bisections' batch of one, for a bisection b: M -> G and a
-    kernel section Phi: m -> KernelHom; returns a callable m -> Jet1."""
-    at = assemble_bisections(model, bisection_family(model, b), _kernel_family(Phi))
-    return lambda m: at(np.asarray(m, dtype=float)[None])[0]
 
 
 def kernel_section_pushforwards(model: GroupoidModel, family: Callable, Phi_many: Callable):
@@ -565,14 +541,6 @@ def kernel_section_pushforwards(model: GroupoidModel, family: Callable, Phi_many
     return pushed
 
 
-def kernel_section_pushforward(model: GroupoidModel, b, Phi):
-    """kernel_section_pushforwards' batch of one, for a bisection b: M -> G
-    and a kernel section Phi: m -> KernelHom; returns a callable
-    m' -> KernelHom."""
-    pushed = kernel_section_pushforwards(model, bisection_family(model, b), _kernel_family(Phi))
-    return lambda mprime: pushed(np.asarray(mprime, dtype=float)[None], np.zeros(1, dtype=int))[0]
-
-
 def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> Jet1:
     """Random jet over the arrow g, built as vee(phi) . S(g) with a random
     kernel element at the target."""
@@ -582,13 +550,12 @@ def random_jet(model: GroupoidModel, S, g: Arrow, rng: np.random.Generator) -> J
 
 __all__ = [
     "KernelHom", "KernelHoms", "aut_mul", "aut_mul_many", "aut_inv", "aut_inv_many",
-    "vee", "vee_many", "unvee", "zero_kernel_hom", "random_kernel_hom", "KernelDraw",
+    "vee", "vee_many", "random_kernel_hom", "KernelDraw",
     "deferred_kernel_hom", "adjoint",
     "adjoint_tm", "adjoint_tm_many", "adjoint_vec", "adjoint_vec_many", "adjoint_hom",
     "adjoint_hom_many", "jet_invert", "jet_invert_many", "mul_kernel_right",
     "mul_kernel_right_many", "mul_kernel_left", "mul_kernel_left_many", "jet_decompose",
     "jet_decompose_many", "jet_assemble", "jet_assemble_many", "jet_mul", "jet_mul_many",
-    "kernel_sections", "assemble_bisection", "assemble_bisections",
-    "kernel_section_pushforward", "kernel_section_pushforwards", "random_jet", "identity_jet",
-    "identity_jets",
+    "kernel_sections", "assemble_bisections", "kernel_section_pushforwards", "random_jet",
+    "identity_jet", "identity_jets",
 ]

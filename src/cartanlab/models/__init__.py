@@ -26,7 +26,7 @@ from .classical import (
     se2_v_bracket,
     so3_v_bracket,
 )
-from .isojet import isometry_matrix, make_isometry_jet_groupoid, prolongation_jet
+from .isojet import make_isometry_jet_groupoid
 from .metrics import (
     euclidean_metric,
     hyperbolic_metric,
@@ -90,8 +90,8 @@ def make_model(name: str, params: dict | None = None):
 __all__ = [
     "MODELS", "EXPECTED_FLAT", "make_model", "make_pair_groupoid",
     "make_translation_groupoid", "make_se2_groupoid", "make_so3_sphere_groupoid",
-    "make_action_groupoid", "make_isometry_jet_groupoid", "isometry_matrix",
-    "prolongation_jet", "euclidean_metric", "sphere_metric", "hyperbolic_metric",
+    "make_action_groupoid", "make_isometry_jet_groupoid", "euclidean_metric",
+    "sphere_metric", "hyperbolic_metric",
     "perturbed_metric", "ClassicalCartan", "se2_maurer_cartan",
     "classical_to_groupoid", "recover_omega", "rebuild_classical", "nabla_omega",
     "classical_curvature", "classical_curvature_parallel_frame",

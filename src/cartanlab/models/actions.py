@@ -72,10 +72,12 @@ def make_action_groupoid(group: GroupChart, action: ActionChart, base_box: np.nd
     def tgt_many(G):
         return action.act_many(G[:, :k], G[:, k:])
 
+    def unit_many(M):
+        return np.concatenate([np.zeros((len(M), k)), M], axis=1)
+
     # T unit, also the jet of every constant bisection m -> (a, m)
     vertical = constant_jacobian(np.vstack([np.zeros((k, n)), In]))
-    unit = ChartMap(n, N, lambda m: np.concatenate([np.zeros(k), m]), jacobian=vertical,
-                    eval_many=lambda M: np.concatenate([np.zeros((len(M), k)), M], axis=1))
+    unit = ChartMap(n, N, batch_of_one(unit_many), jacobian=vertical, eval_many=unit_many)
     tgt = ChartMap(N, n, batch_of_one(tgt_many), jacobian=tgt_jac_many, eval_many=tgt_many)
 
     def mul_jac_many(G, H):

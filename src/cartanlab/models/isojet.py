@@ -21,7 +21,6 @@ import numpy as np
 from ..chartcalc import (
     ChartMap,
     MetricChart,
-    WorstErrors,
     batch_of_one,
     christoffel_from_partials,
     constant_jacobian,
@@ -101,18 +100,12 @@ def inv2_lt(L: np.ndarray) -> np.ndarray:
 
 def isometry_matrices(metric: MetricChart, M: np.ndarray, MP: np.ndarray,
                       theta: np.ndarray) -> np.ndarray:
-    """isometry_matrix for stacks of arrows (M[k, 2], MP[k, 2], theta[k]),
-    as A[k, 2, 2], row a equal to the arrow's alone bit for bit."""
+    """The isometric tangent maps T_m M -> T_m' M carried by a stack of arrows
+    (M[k, 2], MP[k, 2], theta[k]), as A[k, 2, 2], row a depending on arrow a
+    alone bit for bit."""
     Lm = chol2(metric(M))
     Lp = chol2(metric(MP))
     return np.linalg.solve(np.swapaxes(Lp, -1, -2), rot2_many(theta) @ np.swapaxes(Lm, -1, -2))
-
-
-def isometry_matrix(metric: MetricChart, m: np.ndarray, mp: np.ndarray,
-                    theta: float) -> np.ndarray:
-    """The isometric tangent map T_m M -> T_m' M carried by the arrow:
-    isometry_matrices' batch of one."""
-    return batch_of_one(lambda M, MP, T: isometry_matrices(metric, M, MP, T))(m, mp, theta)
 
 
 def make_isometry_jet_groupoid(
@@ -134,9 +127,11 @@ def make_isometry_jet_groupoid(
         np.block([[np.zeros((2, 2)), _I2, np.zeros((2, 1))],
                   [_I2, np.zeros((2, 3))],
                   [np.zeros((1, 4)), -np.ones((1, 1))]])))
-    unit = ChartMap(n, N, lambda m: np.concatenate([m, m, [0.0]]),
-                    jacobian=unit_jac,
-                    eval_many=lambda M: np.concatenate([M, M, np.zeros((len(M), 1))], axis=1))
+
+    def unit_many(M):
+        return np.concatenate([M, M, np.zeros((len(M), 1))], axis=1)
+
+    unit = ChartMap(n, N, batch_of_one(unit_many), jacobian=unit_jac, eval_many=unit_many)
 
     domain_box = np.vstack([base_box, base_box, [[-THETA_MAX, THETA_MAX]]])
 
@@ -163,29 +158,19 @@ def make_isometry_jet_groupoid(
     return model, S
 
 
-def prolongation_jet(metric: MetricChart, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Horizontal jet matrix at arrow (m, m', theta) and the residual of the
-    covariant-constancy solve.
+def prolongation_jets(metric: MetricChart,
+                      G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The horizontal jets at a stack of arrows G[k, 5] of (m, m', theta), as
+    mu[k, 5, 2], with dA/dtheta[k, 2, 2] and the right-hand sides
+    rhs[k, i, 2, 2] of the covariant-constancy solve, from which the caller
+    that wants it forms the residual rhs[k, i] - w_i dA/dtheta[k].
 
-    Rows are (base slots: identity, target slots: the isometry A, theta slot:
-    the solved theta-gradient w). w is determined for each base direction i by
+    An arrow's rows are (base slots: identity, target slots: the isometry A,
+    theta slot: the solved theta-gradient w), w determined for each base
+    direction i by
 
         dA/dtheta * w_i = A Gamma_i(m) - Gamma'(m')(A e_i, A .)
                           - dA/dm_i - sum_a dA/dm'_a A[a, i].
-    """
-    mu, dA_theta, rhs = prolongation_jets(metric, np.asarray(g, dtype=float)[None])
-    mu, dA_theta, rhs = mu[0], dA_theta[0], rhs[0]
-    worst = WorstErrors(("residual",))
-    worst.record("residual", rhs - mu[4, :, None, None] * dA_theta)
-    return mu, worst["residual"]
-
-
-def prolongation_jets(metric: MetricChart,
-                      G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The jets of prolongation_jet at a stack of arrows G[k, 5], as mu[k, 5, 2],
-    with dA/dtheta[k, 2, 2] and the right-hand sides rhs[k, i, 2, 2] of the
-    solve for each base direction i, from which the caller that wants it
-    forms the residual.
 
     Each arrow's rows are computed by the same operations whatever the size
     of the stack, so mu[a] does not depend on the other arrows. The metric is

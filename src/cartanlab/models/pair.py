@@ -25,8 +25,10 @@ def make_pair_groupoid(box: np.ndarray) -> tuple[GroupoidModel, CartanConnection
     unit_jac, keep_tgt, keep_src, swap = map(constant_jacobian, (
         np.vstack([I, I]), np.block([[I, Z], [Z, Z]]), np.block([[Z, Z], [Z, I]]),
         np.block([[Z, I], [I, Z]])))
-    unit = ChartMap(n, N, lambda m: np.concatenate([m, m]), jacobian=unit_jac,
-                    eval_many=lambda M: np.concatenate([M, M], axis=1))
+    def unit_many(M):
+        return np.concatenate([M, M], axis=1)
+
+    unit = ChartMap(n, N, batch_of_one(unit_many), jacobian=unit_jac, eval_many=unit_many)
 
     domain_box = np.vstack([box, box])
     model = GroupoidModel(

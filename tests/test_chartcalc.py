@@ -14,6 +14,7 @@ from cartanlab.chartcalc import (
     box_draw,
     central_probes,
     christoffel,
+    christoffel_from_partials,
     constant_jacobian,
     differentiate,
     differentiate_many,
@@ -26,7 +27,6 @@ from cartanlab.chartcalc import (
     jacobian_fd,
     jacobians_fd,
     memo_by_point,
-    newton_solve,
     newton_solve_many,
     read_only,
     repeated_rows,
@@ -235,10 +235,9 @@ def test_flow_with_tangent_rotation_closed_form():
 
 
 def test_newton_solve_converges():
-    def square(x):
-        return x * x
-
-    x = newton_solve(square, np.array([2.0]), np.array([1.0]), 1e-13)
+    # a one-row stack: x * x = 2 from 1
+    x = newton_solve_many(lambda X, _: X * X, np.array([[2.0]]), np.array([[1.0]]),
+                          np.zeros(1, dtype=int), 1e-13)[0]
     assert abs(x[0] - np.sqrt(2.0)) < 1e-13
 
 
@@ -260,13 +259,16 @@ def test_newton_solve_many_starts_each_row_from_its_own_start():
     X = newton_solve_many(func_many, Y, X0, start, 1e-13)
     assert np.array_equal(calls[0][0], X0) and np.array_equal(calls[0][1], [0, 1])
     for y, a, x in zip(Y, start, X):
-        assert np.array_equal(x, newton_solve(cube, y, X0[a], 1e-13))
+        alone = newton_solve_many(lambda P, _: cube(P), y[None], X0[a:a + 1],
+                                  np.zeros(1, dtype=int), 1e-13)
+        assert np.array_equal(x, alone[0])
 
 
 def test_newton_solve_raises_without_root():
     # x^2 + 1 = 0 has no real root, so no iterate converges
     with raises(NonFiniteError):
-        newton_solve(lambda x: x * x + 1.0, np.zeros(1), np.array([0.5]), 1e-13)
+        newton_solve_many(lambda X, _: X * X + 1.0, np.zeros((1, 1)), np.array([[0.5]]),
+                          np.zeros(1, dtype=int), 1e-13)
 
 
 def test_christoffel_euclidean_zero():
@@ -290,18 +292,21 @@ def test_christoffel_sphere_against_conformal_symbols():
     assert np.max(np.abs(G - expected)) < 1e-9
 
 
-def test_christoffel_symmetry_and_fd_path():
+def test_christoffel_symmetry_and_shipped_dg_matches_fd():
+    # the analytic partials against central differences of g, and the
+    # symbols from each
     met = sphere_metric()
-    met_fd = MetricChart(2, met.g, None, name="sphere-fd")
     x = np.array([0.31, -0.18])
+    dg_fd = jacobians_fd(met.g, x[None])[0]
+    assert np.max(np.abs(met.dg(x) - dg_fd)) < 1e-9
     Ga = christoffel(met, x)
-    Gf = christoffel(met_fd, x)
+    Gf = christoffel_from_partials(np.linalg.inv(met(x)), dg_fd)
     assert np.max(np.abs(Ga - np.swapaxes(Ga, 1, 2))) == 0.0
     assert np.max(np.abs(Ga - Gf)) < 1e-8
 
 
 def test_christoffel_singular_metric():
-    degenerate = MetricChart(2, lambda x: np.zeros((2, 2)))
+    degenerate = MetricChart(2, lambda x: np.zeros((2, 2)), lambda x: np.zeros((2, 2, 2)))
     with raises(SingularMetricError):
         christoffel(degenerate, np.zeros(2))
 
@@ -310,7 +315,8 @@ def test_christoffel_singular_metric():
 def test_christoffel_refuses_a_nan_metric():
     # abs(nan) < tol is False: the guard returned all-NaN symbols
     with raises(SingularMetricError):
-        christoffel(MetricChart(2, lambda x: np.full((2, 2), np.nan)), np.zeros(2))
+        christoffel(MetricChart(2, lambda x: np.full((2, 2), np.nan),
+                                lambda x: np.zeros((2, 2, 2))), np.zeros(2))
 
 
 def test_worst_case_accumulators_read_nan_as_the_failing_extreme():

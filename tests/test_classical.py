@@ -280,7 +280,7 @@ def test_stacked_nabla_omega_rows_equal_the_per_sample_form(bridge, jacobians, r
     if not jacobians:
         model = model.without_jacobians()
     nw = nabla_omega(cc, model)
-    assert nw.nabla_batch is None
+    assert nw.nabla_rows is None
     rng = np.random.default_rng(97)
     M = np.stack([sample_base_point(model, rng) for _ in range(6)])
     V = rng.uniform(-1, 1, size=(6, model.n))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from pytest import raises
@@ -545,7 +543,7 @@ def test_path_independence_of_transport_route(zoo, rng):
 def test_integral_bisections_close_under_products_gauge(zoo, rng):
     # left-translation bisections integrate the Maurer-Cartan horizontal field;
     # their pointwise products must stay integral
-    from cartanlab.groupoid import compose_bisections, oracle_jet
+    from cartanlab.groupoid import bisection_family, compose_families, oracle_jets
     from cartanlab.models.rotations import rot2
 
     model, S = zoo("gauge-se2-so2")
@@ -553,13 +551,13 @@ def test_integral_bisections_close_under_products_gauge(zoo, rng):
     def translation_bisection(a):
         return lambda m: np.concatenate([[a[0]], a[1:] + rot2(a[0]) @ m, m])
 
-    def integrality_defect(b, m):
-        j = oracle_jet(model, b, m)
+    def integrality_defect(family, m):
+        j = oracle_jets(model, family, m[None])[0]
         return float(np.max(np.abs(j.mu - S.mu_at(j.g.coords))))
 
-    b1 = translation_bisection(np.array([0.3, 0.1, -0.2]))
-    b2 = translation_bisection(np.array([-0.2, 0.05, 0.15]))
-    prod = compose_bisections(model, b1, b2)
+    b1 = bisection_family(model, translation_bisection(np.array([0.3, 0.1, -0.2])))
+    b2 = bisection_family(model, translation_bisection(np.array([-0.2, 0.05, 0.15])))
+    prod = compose_families(model, b1, b2)
     for _ in range(6):
         m = rng.uniform(-0.3, 0.3, size=2)
         assert integrality_defect(b1, m) < 1e-8
@@ -570,7 +568,7 @@ def test_integral_bisections_close_under_products_gauge(zoo, rng):
 def test_integral_bisections_close_under_products_sphere(zoo, rng):
     # first-order extensions of actual sphere rotations integrate the
     # prolongation field, and so do their products
-    from cartanlab.groupoid import compose_bisections, oracle_jet
+    from cartanlab.groupoid import bisection_family, compose_families, oracle_jets
     from cartanlab.models.actions import stereo_jac_many, unstereo_jac_many, unstereo_many
     from cartanlab.models.rotations import exp_so3_many
 
@@ -592,13 +590,13 @@ def test_integral_bisections_close_under_products_sphere(zoo, rng):
 
         return b
 
-    def integrality_defect(b, m):
-        j = oracle_jet(model, b, m)
+    def integrality_defect(family, m):
+        j = oracle_jets(model, family, m[None])[0]
         return float(np.max(np.abs(j.mu - S.mu_at(j.g.coords))))
 
-    b1 = isometry_extension(np.array([0.2, -0.1, 0.3]))
-    b2 = isometry_extension(np.array([-0.15, 0.25, 0.1]))
-    prod = compose_bisections(model, b1, b2)
+    b1 = bisection_family(model, isometry_extension(np.array([0.2, -0.1, 0.3])))
+    b2 = bisection_family(model, isometry_extension(np.array([-0.15, 0.25, 0.1])))
+    prod = compose_families(model, b1, b2)
     for _ in range(4):
         m = rng.uniform(-0.3, 0.3, size=2)
         assert integrality_defect(b1, m) < 1e-6
@@ -784,7 +782,7 @@ def test_nabla_many_equals_nabla_per_section(name, jacobians):
 
 @pytest.mark.parametrize("jacobians", [True, False], ids=["analytic", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_stacked_nabla_batch_rows_equal_nabla(name, jacobians):
+def test_stacked_nabla_rows_equal_nabla(name, jacobians):
     # one call over a stack of points and directions, a zero direction among
     # them, equals nabla at each row on each section; so do non-contiguous
     # views of the stacks
@@ -802,14 +800,12 @@ def test_stacked_nabla_batch_rows_equal_nabla(name, jacobians):
     sections.append(random_section(model, rng))
     wide = np.concatenate([M, V], axis=1)
     for Ms, Vs in ((M, V), (wide[:, :model.n], wide[:, model.n:]), (M[::-2], V[::-2])):
-        D = nab.nabla_batch(Ms, Vs, section_values(sections))
+        D = nab.nabla_rows(Ms, Vs, section_values(sections))
         assert D.shape == (len(Ms), model.N, len(sections))
         for a in range(len(Ms)):
             for b, X in enumerate(sections):
                 assert np.array_equal(D[a, :, b], nab(Ms[a], Vs[a], X).vec)
-    D = nab.nabla_rows(M, V, section_values(sections))
-    assert np.array_equal(D, nab.nabla_batch(M, V, section_values(sections)))
-    assert not D[2].any()
+    assert not nab.nabla_rows(M, V, section_values(sections))[2].any()
 
 
 def _direct_nabla_one_point(S, m, v, X):
@@ -875,35 +871,6 @@ def test_stacked_route_rows_equal_the_one_sample_nabla(name, jacobians):
                 assert np.array_equal(D[a], nab(Ms[a], Vs[a], X).vec), (route, a)
 
 
-@pytest.mark.parametrize("route", ["flow", "transport"])
-def test_nabla_rows_without_nabla_batch_is_one_nabla_call(zoo, route):
-    # a route without a stacked form for several sections takes every
-    # (point, section) pair in one nabla call, whatever the numbers of
-    # points and sections; [a, :, b] is section b differentiated at M[a]
-    model, S = zoo("se2-action")
-    conn = _routes(S)[route]
-    assert conn.nabla_batch is None
-    calls = []
-
-    def nabla(M, V, family):
-        calls.append(len(M))
-        return conn.nabla(M, V, family)
-
-    counted = dataclasses.replace(conn, nabla=nabla)
-    rng = np.random.default_rng(83)
-    for k, s in ((1, 1), (1, 3), (3, 1), (3, 2)):
-        M = np.stack([sample_base_point(model, rng) for _ in range(k)])
-        V = rng.uniform(-1.0, 1.0, size=(k, model.n))
-        values_many = section_values([random_section(model, rng) for _ in range(s)])
-        calls.clear()
-        D = counted.nabla_rows(M, V, values_many)
-        assert calls == [k * s] and D.shape == (k, model.N, s)
-        for b in range(s):
-            X = batch_of_one(lambda P, b=b: values_many(P)[:, :, b])
-            for a in range(k):
-                assert np.array_equal(D[a, :, b], conn(M[a], V[a], X).vec), (k, s, a, b)
-
-
 @pytest.mark.parametrize("route", ["direct", "flow", "transport"])
 def test_nabla_refuses_points_and_directions_of_the_wrong_shape(zoo, route):
     # one sample must be one point and one direction of dimension n, and a
@@ -922,8 +889,11 @@ def test_nabla_refuses_points_and_directions_of_the_wrong_shape(zoo, route):
                    (M[:, :1], V[:, :1])):
         with raises(DomainError):
             nab.nabla(MM, VV, family)
-    with raises(DomainError):
-        nab.nabla_rows(M, V[:1], section_values([X]))
+    if route == "direct":  # the one route with a form for several sections
+        with raises(DomainError):
+            nab.nabla_rows(M, V[:1], section_values([X]))
+    else:
+        assert nab.nabla_rows is None
 
 
 def _rk4_integrations(monkeypatch, count):

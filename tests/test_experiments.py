@@ -13,7 +13,8 @@ from cartanlab.groupoid import (
     AffineSection,
     aligned_frame,
     algebroid_bracket,
-    compose_bisections,
+    bisection_family,
+    compose_families,
     extend_bisection,
     jet_distance,
     oracle_jet,
@@ -22,12 +23,12 @@ from cartanlab.groupoid import (
 from cartanlab.jetalg import (
     KernelHom,
     KernelHoms,
-    assemble_bisection,
-    aut_mul,
-    kernel_section_pushforward,
+    assemble_bisections,
+    aut_mul_many,
+    kernel_section_pushforwards,
 )
 from cartanlab.models import MODELS, make_model
-from cartanlab.models.isojet import chol2, prolongation_jet
+from cartanlab.models.isojet import chol2, prolongation_jets
 from cartanlab.models.rotations import rot2
 from cartanlab.report import ExperimentConfig
 
@@ -529,13 +530,14 @@ def _semidirect_per_sample(model, S, rng, count):
     """theorem-3-4's semidirect block as its per-sample loop computed it
     before the bisections were stacked: each sample drawn, then its two
     bisections of the jet groupoid assembled and multiplied on that sample
-    alone. Base points are drawn through the experiments module, so a
-    patched draw reaches both this loop and the experiment."""
+    alone, through the stacked forms on one-row stacks, each kernel section
+    read point by point. Base points are drawn through the experiments
+    module, so a patched draw reaches both this loop and the experiment."""
     worst = WorstErrors((SEMIDIRECT,))
     for _ in range(count):
         g1, g2 = model.sample_composable(rng)
-        b1 = extend_bisection(model, S.jet(g1))
-        b2 = extend_bisection(model, S.jet(g2))
+        b1 = bisection_family(model, extend_bisection(model, S.jet(g1)))
+        b2 = bisection_family(model, extend_bisection(model, S.jet(g2)))
 
         def kernel_section(seed_rng):
             ref = experiments.sample_base_point(model, seed_rng)
@@ -543,29 +545,25 @@ def _semidirect_per_sample(model, S, rng, count):
             C0 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
             C1 = seed_rng.uniform(-0.3, 0.3, size=(frame.rank, model.n))
 
-            def Phi(mm):
-                mm = np.asarray(mm, dtype=float)
-                coeff = C0 + C1 * mm[0]
-                return KernelHom(model, mm, frame(mm) @ coeff)
+            def Phi(P, _):  # a family of one, row by row
+                return KernelHoms.of([KernelHom(model, mm, frame(mm) @ (C0 + C1 * mm[0]))
+                                      for mm in np.asarray(P, dtype=float)])
 
             return Phi
 
         Phi1 = kernel_section(rng)
         Phi2 = kernel_section(rng)
-        B1 = assemble_bisection(model, b1, Phi1)
-        B2 = assemble_bisection(model, b2, Phi2)
-        m = g2.source
-        j2 = B2(m)
-        j1 = B1(j2.g.target)
-        lhs = oracle_jet_mul(model, j1, j2)
-        b12 = compose_bisections(model, b1, b2)
-        pushed = kernel_section_pushforward(model, b1, Phi2)
+        m = g2.source[None]
+        j2 = assemble_bisections(model, b2, Phi2)(m)
+        j1 = assemble_bisections(model, b1, Phi1)(j2.target)
+        lhs = oracle_jet_mul(model, j1[0], j2[0])
+        pushed = kernel_section_pushforwards(model, b1, Phi2)
 
-        def Phi12(mm):
-            return aut_mul(Phi1(mm), pushed(mm))
+        def Phi12(P, owner):
+            return aut_mul_many(Phi1(P, owner), pushed(P, owner))
 
-        rhs = assemble_bisection(model, b12, Phi12)(m)
-        worst.record(SEMIDIRECT, jet_distance(lhs, rhs))
+        rhs = assemble_bisections(model, compose_families(model, b1, b2), Phi12)(m)
+        worst.record(SEMIDIRECT, jet_distance(lhs, rhs[0]))
     return worst[SEMIDIRECT]
 
 
@@ -725,9 +723,9 @@ ISOJET_MODELS = sorted(name for name in MODELS if name.startswith("isojet"))
 def _riemannian_per_sample(model, S, seed, count):
     """run_riemannian's first three checks as its per-sample loop computed
     them before they were stacked: each arrow drawn, then its isometry
-    matrix (the one-arrow formula), its prolongation residual and the
-    oracle jet of its extension on that arrow alone; a jet the oracle
-    refuses reads +inf."""
+    matrix (the one-arrow formula), its prolongation residual (from the
+    stacked jets on a one-row stack) and the oracle jet of its extension on
+    that arrow alone; a jet the oracle refuses reads +inf."""
     metric = model.extras["metric"]
     rng = np.random.default_rng(seed)
     worst = WorstErrors(RIEMANNIAN_CHECKS)
@@ -736,7 +734,8 @@ def _riemannian_per_sample(model, S, seed, count):
         m, mp, theta = g.coords[:2], g.coords[2:4], g.coords[4]
         A = np.linalg.solve(chol2(metric(mp)).T, rot2(theta) @ chol2(metric(m)).T)
         worst.record("chart-isometry", A.T @ metric(mp) @ A - metric(m))
-        worst.record("prolongation-residual", prolongation_jet(metric, g.coords)[1])
+        mu, dA_theta, rhs = prolongation_jets(metric, g.coords[None])
+        worst.record("prolongation-residual", rhs[0] - mu[0, 4, :, None, None] * dA_theta[0])
         b = extend_bisection(model, S.jet(g))
         try:
             j = oracle_jet(model, b, g.source)

@@ -15,7 +15,8 @@ from cartanlab.chartcalc import (
     WorstErrors,
     directional_derivatives,
     jacobian_fd,
-    newton_solve,
+    newton_solve_many,
+    stacked,
 )
 from cartanlab.connection import CartanConnection, check_multiplicative
 from cartanlab.errors import (
@@ -38,8 +39,9 @@ from cartanlab.groupoid import (
     aligned_frame,
     anchor,
     AffineSection,
+    bisection_family,
     check_axioms,
-    compose_bisections,
+    compose_families,
     extend_bisection,
     family_rows,
     identity_jet,
@@ -797,7 +799,8 @@ def _reference_oracle_jet(model, b, m, h=FD_STEP):
 def _reference_oracle_jet_mul(model, j1, j2):
     b1 = extend_bisection(model, j1)
     b2 = extend_bisection(model, j2)
-    return _reference_oracle_jet(model, compose_bisections(model, b1, b2), j2.g.source)
+    family = compose_families(model, bisection_family(model, b1), bisection_family(model, b2))
+    return _reference_oracle_jet(model, lambda x: family(x[None], None)[0], j2.g.source)
 
 
 def _reference_oracle_jet_inverse(model, j):
@@ -807,7 +810,8 @@ def _reference_oracle_jet_inverse(model, j):
         return model.tgt(np.asarray(b(x), dtype=float))
 
     def b_inv(y):
-        x = newton_solve(phi, np.asarray(y, dtype=float), j.g.source, 1e-14)
+        x = newton_solve_many(lambda X, _: stacked(phi, None, X), np.asarray(y, dtype=float)[None],
+                              j.g.source[None], np.zeros(1, dtype=int), 1e-14)[0]
         return model.inv(np.asarray(b(x), dtype=float))
 
     return _reference_oracle_jet(model, b_inv, j.g.target)

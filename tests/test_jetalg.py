@@ -13,6 +13,7 @@ from cartanlab.groupoid import (
     Jet1,
     Jets,
     algebroid_vec,
+    bisection_family,
     extend_bisection,
     extend_bisections,
     identity_jet,
@@ -39,7 +40,6 @@ from cartanlab.jetalg import (
     adjoint_tm_many,
     adjoint_vec,
     adjoint_vec_many,
-    assemble_bisection,
     assemble_bisections,
     aut_inv,
     aut_inv_many,
@@ -54,7 +54,6 @@ from cartanlab.jetalg import (
     jet_invert_many,
     jet_mul,
     jet_mul_many,
-    kernel_section_pushforward,
     kernel_section_pushforwards,
     kernel_sections,
     mul_kernel_left,
@@ -63,10 +62,8 @@ from cartanlab.jetalg import (
     mul_kernel_right_many,
     random_jet,
     random_kernel_hom,
-    unvee,
     vee,
     vee_many,
-    zero_kernel_hom,
 )
 from cartanlab.models import MODELS, make_model
 from cartanlab.models.pair import make_pair_groupoid
@@ -90,7 +87,9 @@ def test_aut_mul_unit_and_scalar_formula(pair_r1):
     m = np.array([0.5])
     psi = scalar_hom(model, m, 0.5)
     phi = scalar_hom(model, m, 0.25)
-    assert np.max(np.abs(aut_mul(zero_kernel_hom(model, m), phi).phi - phi.phi)) == 0.0
+    # the zero element, on a one-row stack, is the unit
+    zero = KernelHoms(model, m[None], np.zeros((1, model.N, model.n)))
+    assert np.max(np.abs(aut_mul_many(zero, KernelHoms.of([phi])).phi[0] - phi.phi)) == 0.0
     # psi phi = psi + phi - psi . anchor . phi with anchor = 1 on this model
     assert np.allclose(aut_mul(psi, phi).phi, [[0.625], [0.0]], atol=1e-15)
 
@@ -133,7 +132,8 @@ def test_aut_mul_base_mismatch(pair_r1, rng):
 def test_aut_inv_scalar_and_involution(pair_r1, rng):
     model, _ = pair_r1
     m = np.array([0.2])
-    assert np.max(np.abs(aut_inv(zero_kernel_hom(model, m)).phi)) == 0.0
+    zero = KernelHoms(model, m[None], np.zeros((1, model.N, model.n)))
+    assert np.max(np.abs(aut_inv_many(zero).phi)) == 0.0
     phi = scalar_hom(model, m, 0.5)
     assert np.allclose(aut_inv(phi).phi, [[-1.0], [0.0]], atol=1e-15)
     for _ in range(10):
@@ -180,7 +180,7 @@ def test_jet_decompose_refuses_a_nan_horizontal_jet(zoo):
 def test_vee_embedding(zoo, name, rng):
     model, _ = zoo(name)
     m = sample_base_point(model, rng)
-    ident = vee(zero_kernel_hom(model, m))
+    ident = vee_many(KernelHoms(model, m[None], np.zeros((1, model.N, model.n))))[0]
     assert jet_distance(ident, identity_jet(model, m)) < 1e-12
     phi = random_kernel_hom(model, m, rng)
     j = vee(phi)
@@ -191,7 +191,8 @@ def test_vee_embedding(zoo, name, rng):
     X = algebroid_vec(model, m, random_kernel_hom(model, m, rng).phi[:, 0],
                       check=False)
     assert np.max(np.abs(adjoint_vec(model, j, X).vec - phi.phi_g(X).vec)) < 1e-8
-    assert np.max(np.abs(unvee(model, j).phi - phi.phi)) < 1e-12
+    # and vee is undone by phi = T unit - mu over the unit arrow
+    assert np.max(np.abs(model.Tunit(m) - j.mu - phi.phi)) < 1e-12
 
 
 def test_adjoint_identity_and_affine_slope(pair_r1, rng):
@@ -256,9 +257,9 @@ def test_mul_kernel_right_against_oracle(zoo, name, rng):
         phi = random_kernel_hom(model, g.source, rng)
         closed = mul_kernel_right(model, mu, phi)
         assert jet_distance(closed, oracle_jet_mul(model, mu, vee(phi))) < 1e-7
-        # trivial kernel factor
-        zero = zero_kernel_hom(model, g.source)
-        assert jet_distance(mul_kernel_right(model, mu, zero), mu) < 1e-12
+        # trivial kernel factor, on a one-row stack
+        zero = KernelHoms(model, g.source[None], np.zeros((1, model.N, model.n)))
+        assert jet_distance(mul_kernel_right_many(model, Jets.of([mu]), zero)[0], mu) < 1e-12
 
 
 def test_mul_kernel_right_reduces_to_kernel_product(zoo, rng):
@@ -348,13 +349,14 @@ def test_assemble_bisection_trivial_factors(zoo, rng):
     b = extend_bisection(model, S.jet(g))
     m = g.source
     # zero kernel section: the assembled bisection is just the jets of b
-    assembled = assemble_bisection(model, b, lambda mm: zero_kernel_hom(model, mm))
-    assert jet_distance(assembled(m), oracle_jet(model, b, m)) < 1e-12
+    assembled = assemble_bisections(model, bisection_family(model, b), lambda P, _: KernelHoms(
+        model, P, np.zeros((len(P), model.N, model.n))))
+    assert jet_distance(assembled(m[None])[0], oracle_jet(model, b, m)) < 1e-12
     # unit bisection: the assembled bisection is the embedded kernel section
     phi = random_kernel_hom(model, m, rng)
-    assembled = assemble_bisection(model, lambda x: model.unit(x),
-                                   lambda mm, phi=phi: phi)
-    assert jet_distance(assembled(m), vee(phi)) < 1e-9
+    assembled = assemble_bisections(model, bisection_family(model, model.unit),
+                                    lambda P, _: KernelHoms.of([phi] * len(P)))
+    assert jet_distance(assembled(m[None])[0], vee(phi)) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["se2-action", "so3-sphere"])
@@ -493,7 +495,8 @@ def test_stacked_bisection_families_match_their_batches_of_one(name, jacobians, 
                                                                monkeypatch):
     # row r of the kernel-section family is its member's one-sample section
     # at P[r], and row a of assemble_bisections and of
-    # kernel_section_pushforwards is its batch of one, bit for bit, on
+    # kernel_section_pushforwards equals the same call on one row, over
+    # member a's own bisection and kernel section alone, bit for bit, on
     # non-contiguous views; turned bases give every member a frame of its own
     if turned:
         turned_kernel_bases(monkeypatch)
@@ -514,13 +517,16 @@ def test_stacked_bisection_families_match_their_batches_of_one(name, jacobians, 
     family = extend_bisections(model, _viewed_jets(jets))
     bisections = [extend_bisection(model, j) for j in jets]
     M = _noncontiguous([j.g.source for j in jets])
+    alone = [(bisection_family(model, b),
+              kernel_sections(model, refs[a:a + 1], C0[a:a + 1], C1[a:a + 1]))
+             for a, b in enumerate(bisections)]
     _rows_equal(assemble_bisections(model, family, Phi)(M),
-                [assemble_bisection(model, b, X)(j.g.source)
-                 for b, X, j in zip(bisections, sections, jets)])
+                [assemble_bisections(model, *alone[a])(j.g.source[None])[0]
+                 for a, j in enumerate(jets)])
     # each row solved back from its member's target to the member's source
     Q = np.array([jets[a].g.target for a in owner])
     _rows_equal(kernel_section_pushforwards(model, family, Phi)(_noncontiguous(Q), owner),
-                [kernel_section_pushforward(model, bisections[a], sections[a])(q)
+                [kernel_section_pushforwards(model, *alone[a])(q[None], np.zeros(1, dtype=int))[0]
                  for a, q in zip(owner, Q)])
 
 

@@ -33,9 +33,8 @@ from cartanlab.models.isojet import (
     dchol2,
     inv2,
     inv2_lt,
-    isometry_matrix,
+    isometry_matrices,
     make_isometry_jet_groupoid,
-    prolongation_jet,
     prolongation_jets,
 )
 from cartanlab.models.metrics import (
@@ -288,7 +287,7 @@ def test_isometry_matrix_preserves_metric(metric, rng):
         m = rng.uniform(-0.5, 0.5, size=2)
         mp = rng.uniform(-0.5, 0.5, size=2)
         th = rng.uniform(-0.7, 0.7)
-        A = isometry_matrix(metric, m, mp, th)
+        A = isometry_matrices(metric, m[None], mp[None], np.array([th]))[0]
         defect = A.T @ metric(mp) @ A - metric(m)
         assert np.max(np.abs(defect)) < 1e-12
         assert np.linalg.det(A) > 0.0
@@ -301,9 +300,10 @@ def test_prolongation_solve_consistent(zoo, name, rng):
     metric = model.extras["metric"]
     for _ in range(10):
         g = model.sample_arrow(rng)
-        mu, residual = prolongation_jet(metric, g.coords)
-        assert residual < 1e-8
-        assert np.max(np.abs(model.Tsrc(g.coords) @ mu - np.eye(2))) < 1e-12
+        mu, dA_theta, rhs = prolongation_jets(metric, g.coords[None])
+        # w solves dA/dtheta w_i = rhs_i for each base direction i
+        assert np.max(np.abs(rhs - mu[:, 4, :, None, None] * dA_theta[:, None])) < 1e-8
+        assert np.max(np.abs(model.Tsrc(g.coords) @ mu[0] - np.eye(2))) < 1e-12
 
 
 def test_prolongation_euclidean_is_rigid_motion_extension(zoo, rng):
@@ -343,7 +343,7 @@ def test_cached_horizontal_jet_equals_prolongation_jet(name):
     arrows += [np.concatenate([g[:2], model.sample_arrow(rng).coords[2:]]) for g in arrows]
     for _ in range(2):
         for g in arrows:
-            assert np.array_equal(S.mu_at(g), prolongation_jet(metric, g)[0])
+            assert np.array_equal(S.mu_at(g), prolongation_jets(metric, g[None])[0][0])
 
 
 def test_the_perturbed_metric_keeps_its_x2_translations():
@@ -562,22 +562,22 @@ def test_off_diagonal_metric_jets_match_the_per_point_solve():
     for a in range(len(G)):
         assert np.max(np.abs(batch[a] - _reference_jet(metric, G[a]))) < 1e-13
     for g in G[:20]:
-        mu, residual = prolongation_jet(metric, g)
-        assert residual < 1e-8
-        assert np.max(np.abs(model.Tsrc(g) @ mu - np.eye(2))) < 1e-12
+        mu, dA_theta, rhs = prolongation_jets(metric, g[None])
+        assert np.max(np.abs(rhs - mu[:, 4, :, None, None] * dA_theta[:, None])) < 1e-8
+        assert np.max(np.abs(model.Tsrc(g) @ mu[0] - np.eye(2))) < 1e-12
 
 
-def test_metric_partials_fall_back_to_per_point_differences():
-    from cartanlab.chartcalc import MetricChart, metric_partials
+@pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
+                                    hyperbolic_metric(), perturbed_metric(0.4)])
+def test_shipped_dg_equals_central_differences_of_g(metric):
+    # metric_partials reads dg only, so every shipped dg is checked here
+    # against jacobians_fd of g on a stack of points
+    from cartanlab.chartcalc import metric_partials
 
-    metric = sphere_metric()
-    no_dg = MetricChart(2, metric.g, None, name="sphere-fd")
     X = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.05]])
-    stacked = metric_partials(no_dg, X)
-    assert stacked.shape == (3, 2, 2, 2)
-    for a in range(3):
-        assert np.array_equal(stacked[a], metric_partials(no_dg, X[a]))
-    assert np.max(np.abs(stacked - metric_partials(metric, X))) < 1e-8
+    dg = metric_partials(metric, X)
+    assert dg.shape == (3, 2, 2, 2)
+    assert np.max(np.abs(dg - jacobians_fd(metric.g, X))) < 1e-8
 
 
 @pytest.mark.parametrize("metric", [euclidean_metric(), sphere_metric(),
@@ -607,13 +607,15 @@ def test_metric_that_does_not_broadcast_is_refused():
     from cartanlab.models.isojet import make_isometry_jet_groupoid
 
     # written for one point: on a stack x[0] is the first point, not a coordinate
-    metric = MetricChart(2, lambda x: (1.0 + x[0] ** 2) * np.eye(2), name="one-point")
+    metric = MetricChart(2, lambda x: (1.0 + x[0] ** 2) * np.eye(2),
+                         lambda x: 2.0 * x[0] * np.einsum("ij,l->ijl", np.eye(2), [1.0, 0.0]),
+                         name="one-point")
     model, S = make_isometry_jet_groupoid(metric)
     g = np.array([0.1, -0.2, 0.3, 0.25, 0.4])
     with raises(MetricError, match="broadcast"):
         S.mu_at(g)
     with raises(MetricError, match="broadcast"):
-        prolongation_jet(metric, g)
+        prolongation_jets(metric, g[None])
     with raises(MetricError, match="broadcast"):
         S.mu_at.many(np.stack([g, g]))
 
@@ -688,11 +690,18 @@ def test_stacked_structure_maps_match_single_calls(zoo, name, jacobians):
     # row a of every stacked form equals the single-point call bit for bit;
     # the single mul and inv and the retractions are batches of one, and the
     # jacobian hooks have no single form, so for all of them this is row a of
-    # a stack against a stack of one row
+    # a stack against a stack of one row. Each chart map, and the source
+    # fiber chart's embedding, has one implementation: its single form is
+    # the batch of one of its stacked form
     model, S = zoo(name)
     if not jacobians:
         model = model.without_jacobians()
     rng = np.random.default_rng(23)
+    for cm in (model.src, model.tgt, model.unit):
+        assert cm.eval.many is cm.eval_many
+    if model.src_fiber_chart is not None:
+        emb, _ = model.src_fiber_chart(sample_base_point(model, np.random.default_rng(29)))
+        assert emb.eval.many is emb.eval_many
 
     def rows_match(owner, maps):
         for name, args in maps:
